@@ -508,10 +508,12 @@ func (c *Ctx) tryReclaim() {
 		}
 		c.f.Fence()
 		// Prompt reuse (§5.1 locality): steer subsequent allocations into
-		// the page this batch freed the most slots in.
+		// the page this batch freed the most slots in. Ties go to the lowest
+		// address, not to map iteration order: where the allocator places
+		// the next object must repeat from run to run.
 		best, bestN := Addr(0), 0
 		for p, n := range pageFrees {
-			if n > bestN {
+			if n > bestN || (n == bestN && p < best) {
 				best, bestN = p, n
 			}
 		}

@@ -370,3 +370,48 @@ func TestTrimCooldownBacksOff(t *testing.T) {
 	}
 	blocker.End()
 }
+
+// TestReclaimIsDeterministic: which page a freed batch steers allocation
+// into decides where every later object lands, and through that the sync,
+// fence and APT counts. Two identical single-goroutine runs must therefore
+// read identical counters; a tie between pages broken by map iteration
+// order made them wobble from run to run.
+func TestReclaimIsDeterministic(t *testing.T) {
+	run := func() (nvram.Stats, Stats) {
+		fx := newFixture(t, Config{MaxThreads: 1, GenSize: 8})
+		c := fx.ctx(0)
+		var live []Addr
+		rng := uint64(1)
+		next := func(n int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng>>33) % n
+		}
+		for i := 0; i < 20000; i++ {
+			c.Begin()
+			if len(live) < 256 || next(2) == 0 {
+				a, err := c.AllocNode(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, a)
+			} else {
+				j := next(len(live))
+				a := live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				c.PreRetire(a)
+				c.Retire(a)
+			}
+			c.End()
+		}
+		c.FlushAll()
+		return fx.dev.Stats(), c.Stats()
+	}
+	wantDev, wantEpoch := run()
+	for i := 0; i < 8; i++ {
+		if dev, ep := run(); dev != wantDev || ep != wantEpoch {
+			t.Fatalf("run %d differs from the first:\n device %+v vs %+v\n epoch  %+v vs %+v",
+				i+2, dev, wantDev, ep, wantEpoch)
+		}
+	}
+}

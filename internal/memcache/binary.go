@@ -235,7 +235,7 @@ func binMutates(op uint8) bool {
 // dispatchBinary runs one request; false ends the connection.
 func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 	op, quiet := quietOf(req.op)
-	cache, _ := s.kv.(*Cache)
+	cache := c.cache
 	now := time.Now().Unix()
 	if s.readonly.Load() && binMutates(op) {
 		// The body is already consumed, so the connection stays in sync.
@@ -299,7 +299,7 @@ func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 		var err error
 		if cache != nil {
 			err = cache.DeleteCAS(req.key, req.cas)
-		} else if !s.kv.Delete(req.key) {
+		} else if !c.kv.Delete(req.key) {
 			err = ErrNotFound
 		}
 		s.binMutationResult(c, req, 0, err, quiet)
@@ -370,13 +370,7 @@ func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 			c.binError(req.op, binStatusInvalidArgs, req.opaque)
 			return true
 		}
-		if cache != nil {
-			if delay == 0 {
-				cache.FlushAll()
-			} else {
-				s.afterFunc(time.Duration(delay)*time.Second, func() { cache.FlushAll() })
-			}
-		}
+		s.flushAll(c, delay)
 		if !quiet {
 			c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, nil, nil)
 		}
@@ -405,7 +399,7 @@ func (s *Server) binGet(c *connState, req *binReq, cache *Cache, withKey, quiet 
 	)
 	switch {
 	case cache == nil:
-		v, flags, ok = s.kv.Get(req.key)
+		v, flags, ok = c.kv.Get(req.key)
 	case touch:
 		v, flags, cas, ok = cache.GetAndTouch(req.key, exp)
 	default:
@@ -438,7 +432,7 @@ func (s *Server) binStore(c *connState, req *binReq, cache *Cache, op uint8, fla
 	switch {
 	case cache == nil:
 		if op == binOpSet && req.cas == 0 {
-			err = s.kv.Set(req.key, req.value, flags, exp)
+			err = c.kv.Set(req.key, req.value, flags, exp)
 		} else {
 			c.binError(req.op, binStatusUnknownCmd, req.opaque)
 			return

@@ -206,7 +206,19 @@ type engine interface {
 
 // Cache is a durable NV-Memcached instance. All methods are safe for
 // concurrent use from any goroutine.
+//
+// A Cache is a handle on shared state. The one New returns has no gate: its
+// mutations return only once they are replicated. The server gives every
+// connection its own handle on the same state with that connection's gate
+// set, so a mutation notes its seq there and the wait happens once, when
+// the connection's response bytes leave (see ackGate).
 type Cache struct {
+	*cacheState
+	gate *ackGate // nil except on a connection's handle
+}
+
+// cacheState is everything the handles of one cache share.
+type cacheState struct {
 	rt   *logfree.Runtime // nil when sharded
 	pool *sharded.Pool    // nil when single-runtime
 	eng  engine           // whichever of the two is live
@@ -340,7 +352,7 @@ func New(cfg Config) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cache{rt: rt, eng: rt, m: m, exp: exp, cfg: cfg, lru: newLRU()}
+	c := &Cache{cacheState: &cacheState{rt: rt, eng: rt, m: m, exp: exp, cfg: cfg, lru: newLRU()}}
 	if rt.Recovered() {
 		c.rebuildVolatile()
 	}
@@ -382,7 +394,7 @@ func newSharded(cfg Config) (*Cache, error) {
 		pool.Close()
 		return nil, err
 	}
-	c := &Cache{pool: pool, eng: pool, m: m, exp: exp, cfg: cfg, lru: newLRU()}
+	c := &Cache{cacheState: &cacheState{pool: pool, eng: pool, m: m, exp: exp, cfg: cfg, lru: newLRU()}}
 	if pool.Recovered() {
 		c.rebuildVolatile()
 	}

@@ -12,7 +12,6 @@ package memcache
 // matches the bytes that follow.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -74,16 +73,10 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 // raw response bytes.
 func fuzzServe(tb testing.TB, input []byte, chunk int) []byte {
 	s := fuzzServer(tb)
-	c := &connState{
-		r:      bufio.NewReaderSize(&chunkReader{data: input, chunk: chunk}, 16<<10),
-		w:      bufio.NewWriterSize(nil, 16<<10),
-		fields: make([][]byte, 0, 16),
-		keyBuf: make([]byte, 0, MaxKeyLen+8),
-		num:    make([]byte, 0, 32),
-	}
+	c := connPool.Get().(*connState)
+	defer connPool.Put(c)
 	var out bytes.Buffer
-	c.w.Reset(&out)
-	s.serveStream(c)
+	s.serveStream(c, &chunkReader{data: input, chunk: chunk}, &out)
 	return out.Bytes()
 }
 

@@ -37,7 +37,7 @@ func Recover(dev *nvram.Device, cfg Config) (*Cache, logfree.RecoveryStats, erro
 	if err != nil {
 		return nil, logfree.RecoveryStats{}, err
 	}
-	m := &Cache{rt: rt, eng: rt, m: idx, exp: exp, cfg: cfg, lru: newLRU()}
+	m := &Cache{cacheState: &cacheState{rt: rt, eng: rt, m: idx, exp: exp, cfg: cfg, lru: newLRU()}}
 	m.rebuildVolatile()
 	return m, rt.RecoveryStats(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 
 	"repro/logfree"
 )
@@ -17,10 +18,13 @@ import (
 //
 // Publication protocol: publish AFTER the durable mutation, under the same
 // key stripe lock (so the stream's per-key order is the store's order), and
-// wait for follower acknowledgement AFTER the stripe lock is released (so a
-// slow follower can never block other keys' writes — it only defers the
-// publishing client's response, and only until the sink's ack timeout sheds
-// the laggard).
+// hold the acknowledgement back AFTER the stripe lock is released (so a slow
+// follower can never block other keys' writes — it only defers responses,
+// and only until the sink's ack timeout sheds the laggard). What is held
+// back depends on the caller: a direct caller's mutation returns only once
+// it is replicated; a connection's mutation returns at once and the
+// connection's response bytes wait instead (ackGate), once per flush however
+// many mutations the flush answers.
 
 // ReplSink receives acknowledged mutations for streaming to followers.
 // Satisfied by *repl.Primary. PublishSet/PublishDelete return the assigned
@@ -68,16 +72,47 @@ func (m *Cache) publishDelete(key []byte) uint64 {
 	return 0
 }
 
-// waitRepl defers the caller's acknowledgement until seq is replicated.
-// Must be called WITHOUT the key's stripe lock held. seq 0 (no sink, or
-// the mutation did not publish) returns immediately.
+// waitRepl holds the caller's acknowledgement back until seq is replicated:
+// through a connection's handle it only notes seq in the connection's gate;
+// a direct caller waits here. The one place the cache waits on its sink.
+// Must be called WITHOUT the key's stripe lock held. seq 0 (no sink, or the
+// mutation did not publish) returns immediately.
 func (m *Cache) waitRepl(seq uint64) {
 	if seq == 0 {
+		return
+	}
+	if m.gate != nil {
+		if seq > m.gate.seq {
+			m.gate.seq = seq
+		}
 		return
 	}
 	if h := m.repl.Load(); h != nil && h.sink != nil {
 		h.sink.WaitAcked(seq)
 	}
+}
+
+// ackGate is the raw writer under a connection's bufio.Writer, and the place
+// the connection's replication wait happens: before any byte goes out it
+// waits for the highest seq the connection's mutations have published. Acks
+// are cumulative and the stream is ordered, so that one wait covers every
+// response in the buffer, and no response to a mutation (or to a request
+// served after it on the connection) reaches the socket before the mutation
+// is replicated — whether the bytes leave by an explicit Flush or because
+// the buffer filled. Owned by the connection's goroutine: nothing else may
+// use the handle that carries it.
+type ackGate struct {
+	w     io.Writer
+	cache *Cache // the server's own handle, whose waitRepl waits
+	seq   uint64 // highest seq published and not yet waited for; 0 = none
+}
+
+func (g *ackGate) Write(p []byte) (int, error) {
+	if seq := g.seq; seq != 0 {
+		g.seq = 0
+		g.cache.waitRepl(seq)
+	}
+	return g.w.Write(p)
 }
 
 func (m *Cache) replStats() ReplStats {

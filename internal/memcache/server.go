@@ -155,13 +155,31 @@ func (s *Server) acceptLoop() {
 // in-place field splitter, and the request/response scratch buffers. It is
 // recycled across connections through connPool.
 type connState struct {
-	r      *bufio.Reader
-	w      *bufio.Writer
+	r *bufio.Reader
+	w *bufio.Writer // over out, never over the connection itself
+	// kv is what this connection's commands run on, cache the same thing
+	// when it is a *Cache (nil otherwise). For a server on a *Cache both are
+	// &handle: the connection's own handle on the server's cache, whose
+	// mutations note their replication seq in out instead of waiting, so
+	// the connection waits once per flush (see ackGate).
+	kv     KV
+	cache  *Cache
+	handle Cache
+	out    ackGate
+
 	fields [][]byte // views into the reader's buffer, valid until next read
 	line   []byte   // overflow accumulator for lines longer than the buffer
 	data   []byte   // payload buffer (text data blocks, binary bodies)
 	keyBuf []byte   // key copy that survives reading the data block
 	num    []byte   // integer rendering scratch
+}
+
+// base is the server's own cache handle (nil on a comparator backend): what
+// anything that outlives or runs beside a connection must use, because a
+// connection's handle belongs to that connection's goroutine alone.
+func (s *Server) base() *Cache {
+	cache, _ := s.kv.(*Cache)
+	return cache
 }
 
 var connPool = sync.Pool{New: func() any {
@@ -178,27 +196,34 @@ var connPool = sync.Pool{New: func() any {
 // from its first byte.
 func (s *Server) serve(conn net.Conn) {
 	c := connPool.Get().(*connState)
-	c.r.Reset(conn)
-	c.w.Reset(conn)
-	s.serveStream(c)
-	c.r.Reset(nil)
-	c.w.Reset(nil)
+	s.serveStream(c, conn, conn)
 	connPool.Put(c)
 }
 
-// serveStream dispatches on the protocol magic. Split out from serve so
-// tests and fuzz targets can drive a connState over any reader/writer.
-func (s *Server) serveStream(c *connState) {
-	first, err := c.r.Peek(1)
-	if err != nil {
-		return
+// serveStream binds c to one stream, dispatches on the protocol magic and
+// unbinds it. Split out from serve so tests and fuzz targets can drive a
+// connState over any reader/writer.
+func (s *Server) serveStream(c *connState, r io.Reader, w io.Writer) {
+	c.kv, c.cache = s.kv, nil
+	c.out = ackGate{w: w}
+	if base := s.base(); base != nil {
+		c.out.cache = base
+		c.handle = Cache{cacheState: base.cacheState, gate: &c.out}
+		c.kv, c.cache = &c.handle, &c.handle
 	}
-	if first[0] == binMagicReq {
-		s.serveBinary(c)
-	} else {
-		s.serveText(c)
+	c.r.Reset(r)
+	c.w.Reset(&c.out)
+	if first, err := c.r.Peek(1); err == nil {
+		if first[0] == binMagicReq {
+			s.serveBinary(c)
+		} else {
+			s.serveText(c)
+		}
+		c.w.Flush()
 	}
-	c.w.Flush()
+	c.r.Reset(nil)
+	c.w.Reset(nil)
+	c.kv, c.cache, c.handle, c.out = nil, nil, Cache{}, ackGate{}
 }
 
 // readLine returns the next \n-terminated line with the line ending
@@ -301,7 +326,8 @@ func (c *connState) writeUint(v uint64) {
 func (c *connState) writeCRLF() { c.w.WriteString("\r\n") }
 
 // maybeFlush flushes the response buffer only when no more pipelined input
-// is waiting — the write-coalescing half of noreply pipelining.
+// is waiting — the write-coalescing half of noreply pipelining, and what
+// makes a pipelined burst of mutations pay one replication wait (in c.out).
 func (c *connState) maybeFlush() error {
 	if c.r.Buffered() > 0 {
 		return nil
@@ -472,11 +498,11 @@ func (s *Server) cmdStore(c *connState, f [][]byte) bool {
 		return true
 	}
 
-	cache, _ := s.kv.(*Cache)
+	cache := c.cache
 	var err error
 	switch {
 	case verb == "set":
-		err = s.kv.Set(key, value, uint16(flags), exp)
+		err = c.kv.Set(key, value, uint16(flags), exp)
 	case cache == nil:
 		err = errBackend
 	case verb == "add":
@@ -540,7 +566,7 @@ func (c *connState) writeValue(key, v []byte, flags uint16, cas uint64, withCAS 
 // cmdGet serves get/gets: one optional VALUE block per requested key,
 // then END. gets adds the per-item CAS unique as the fifth header field.
 func (s *Server) cmdGet(c *connState, f [][]byte, withCAS bool) {
-	cache, _ := s.kv.(*Cache)
+	cache := c.cache
 	for _, key := range f[1:] {
 		if len(key) == 0 || len(key) > MaxKeyLen {
 			continue
@@ -549,7 +575,7 @@ func (s *Server) cmdGet(c *connState, f [][]byte, withCAS bool) {
 			if v, flags, cas, ok := cache.Gets(key); ok {
 				c.writeValue(key, v, flags, cas, true)
 			}
-		} else if v, flags, ok := s.kv.Get(key); ok {
+		} else if v, flags, ok := c.kv.Get(key); ok {
 			c.writeValue(key, v, flags, 0, withCAS)
 		}
 	}
@@ -560,7 +586,7 @@ func (s *Server) cmdGet(c *connState, f [][]byte, withCAS bool) {
 //
 //	gat[s] <exptime> <key>+\r\n
 func (s *Server) cmdGat(c *connState, f [][]byte, withCAS bool) {
-	cache, _ := s.kv.(*Cache)
+	cache := c.cache
 	if cache == nil || len(f) < 3 {
 		io.WriteString(c.w, "ERROR\r\n")
 		return
@@ -601,7 +627,7 @@ func (s *Server) cmdDelete(c *connState, f [][]byte) {
 		}
 		return
 	}
-	ok := s.kv.Delete(f[1])
+	ok := c.kv.Delete(f[1])
 	if noreply {
 		return
 	}
@@ -614,7 +640,7 @@ func (s *Server) cmdDelete(c *connState, f [][]byte) {
 
 // cmdIncrDecr parses: incr|decr <key> <delta> [noreply].
 func (s *Server) cmdIncrDecr(c *connState, f [][]byte) {
-	cache, _ := s.kv.(*Cache)
+	cache := c.cache
 	noreply := hasNoreply(f, 3)
 	reply := func(msg string) {
 		if !noreply {
@@ -656,7 +682,7 @@ func (s *Server) cmdIncrDecr(c *connState, f [][]byte) {
 
 // cmdTouch parses: touch <key> <exptime> [noreply].
 func (s *Server) cmdTouch(c *connState, f [][]byte) {
-	cache, _ := s.kv.(*Cache)
+	cache := c.cache
 	noreply := hasNoreply(f, 3)
 	reply := func(msg string) {
 		if !noreply {
@@ -705,15 +731,23 @@ func (s *Server) cmdFlushAll(c *connState, f [][]byte) {
 		}
 		return
 	}
-	if cache, okC := s.kv.(*Cache); okC {
-		if delay == 0 {
-			cache.FlushAll()
-		} else {
-			s.afterFunc(time.Duration(delay)*time.Second, func() { cache.FlushAll() })
-		}
-	}
+	s.flushAll(c, delay)
 	if !noreply {
 		io.WriteString(c.w, "OK\r\n")
+	}
+}
+
+// flushAll runs flush_all for c now, or after delay seconds. The delayed
+// flush runs on a timer goroutine, so it goes through the server's own
+// handle: on c's it would write c's gate from outside c's goroutine.
+func (s *Server) flushAll(c *connState, delay int64) {
+	switch {
+	case c.cache == nil: // comparator backends acknowledge without acting
+	case delay == 0:
+		c.cache.FlushAll()
+	default:
+		base := s.base()
+		s.afterFunc(time.Duration(delay)*time.Second, func() { base.FlushAll() })
 	}
 }
 

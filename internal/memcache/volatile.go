@@ -105,7 +105,7 @@ func NewCLHTCache(cfg Config) (*CLHTCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CLHTCache{inner: &Cache{rt: rt, eng: rt, m: m, exp: exp, lru: newLRU()}}, nil
+	return &CLHTCache{inner: &Cache{cacheState: &cacheState{rt: rt, eng: rt, m: m, exp: exp, lru: newLRU()}}}, nil
 }
 
 // Set implements KV.

@@ -35,6 +35,14 @@ type Options struct {
 	Heartbeat time.Duration
 }
 
+// flushOps is the op-count backstop of the sender's group commit: an in-sync
+// follower is sent its unsent ops when a WaitAcked caller needs one of them,
+// on the heartbeat tick, or once this many have piled up — whichever comes
+// first. It bounds how far a stream of publishes nobody waits on (noreply
+// and quiet mutations, evictions, the expiry sweep) can run ahead of the
+// follower between ticks.
+const flushOps = 64
+
 func (o *Options) fill() {
 	if o.RingSize <= 0 {
 		o.RingSize = 1 << 15
@@ -68,18 +76,23 @@ type Primary struct {
 	ackCond *sync.Cond // ack progress / membership change: WaitAcked wakes
 	closed  bool
 	seq     uint64
+	want    uint64   // highest seq a WaitAcked caller has blocked on
+	tick    uint64   // heartbeatLoop ticks so far
 	ring    []Record // ring[s % len] holds seq s while s > seq-len
 	flw     map[*fconn]struct{}
 
 	accepts     uint64 // follower connections accepted over this lifetime
 	sheds       uint64 // in-sync followers demoted by an ack timeout
 	resnapshots uint64 // followers re-snapshotted after falling out of the ring
+	ackWaits    uint64 // WaitAcked calls
+	batches     uint64 // op batches flushed to followers
 }
 
 // fconn is the primary's per-follower state. Guarded by Primary.mu except
 // conn, which is owned by the sender/receiver pair.
 type fconn struct {
 	conn  net.Conn
+	sent  uint64 // the sender's cursor: ops up to here are on the wire
 	acked uint64
 	// inSync: the follower has caught the frontier and now gates client
 	// acks (semi-synchronous replication). Cleared when an ack times out
@@ -189,9 +202,24 @@ func (p *Primary) publish(rec Record) uint64 {
 	p.seq++
 	rec.Seq = p.seq
 	p.ring[rec.Seq%uint64(len(p.ring))] = rec
-	p.pubCond.Broadcast()
+	for f := range p.flw {
+		if p.sendDue(f) {
+			p.pubCond.Broadcast()
+			break
+		}
+	}
 	p.mu.Unlock()
 	return rec.Seq
+}
+
+// sendDue reports whether f's sender should put f's unsent ops on the wire
+// now rather than leave them for the next heartbeat tick: always while f is
+// catching up, and for an in-sync f when a WaitAcked caller is blocked on
+// one of them or flushOps have piled up. This is the stream's group commit:
+// a burst of publishes followed by one wait costs one frame write, one
+// follower read and one ack, not one of each per publish. Caller holds p.mu.
+func (p *Primary) sendDue(f *fconn) bool {
+	return !f.inSync || p.want > f.sent || p.seq-f.sent >= flushOps
 }
 
 // WaitAcked blocks until every in-sync follower has acknowledged seq (its
@@ -206,20 +234,18 @@ func (p *Primary) WaitAcked(seq uint64) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.ackWaits++
 	if !p.lagBehind(seq) {
 		return
 	}
+	if seq > p.want {
+		p.want = seq
+		p.pubCond.Broadcast() // senders: someone needs the unsent ops now
+	}
+	// No timer of its own: heartbeatLoop's tick broadcasts ackCond, so a
+	// waiter re-checks its deadline at least once per tick.
 	deadline := time.Now().Add(p.opt.AckTimeout)
-	timer := time.AfterFunc(p.opt.AckTimeout, func() {
-		p.mu.Lock()
-		p.ackCond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer timer.Stop()
-	for {
-		if p.closed || !p.lagBehind(seq) {
-			return
-		}
+	for !p.closed && p.lagBehind(seq) {
 		if time.Now().After(deadline) {
 			// Shed: stop gating client acks on followers that cannot keep
 			// up. They stay connected and re-enter sync at the frontier.
@@ -262,6 +288,11 @@ type PrimaryStats struct {
 	Accepts     uint64
 	Sheds       uint64
 	Resnapshots uint64
+	// AckWaits counts WaitAcked calls and Batches the op batches flushed to
+	// followers; against Seq (ops published) they show the coalescing on
+	// each side of the stream.
+	AckWaits uint64
+	Batches  uint64
 }
 
 // Stats snapshots the primary's replication counters.
@@ -274,6 +305,8 @@ func (p *Primary) Stats() PrimaryStats {
 		Accepts:     p.accepts,
 		Sheds:       p.sheds,
 		Resnapshots: p.resnapshots,
+		AckWaits:    p.ackWaits,
+		Batches:     p.batches,
 	}
 	minAcked := p.seq
 	for f := range p.flw {
@@ -318,8 +351,9 @@ func (p *Primary) acceptLoop() {
 	}
 }
 
-// heartbeatLoop ticks the publish condition so idle senders wake to emit
-// heartbeats (one shared ticker instead of a timer per sender).
+// heartbeatLoop ticks both conditions (one shared ticker instead of a timer
+// per sender or per waiter): senders wake to emit heartbeats and whatever
+// ops nobody has waited on, WaitAcked callers to re-check their deadline.
 func (p *Primary) heartbeatLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.opt.Heartbeat / 2)
@@ -327,7 +361,9 @@ func (p *Primary) heartbeatLoop() {
 	for range t.C {
 		p.mu.Lock()
 		closed := p.closed
+		p.tick++
 		p.pubCond.Broadcast()
+		p.ackCond.Broadcast()
 		p.mu.Unlock()
 		if closed {
 			return
@@ -361,6 +397,9 @@ func (p *Primary) serveFollower(conn net.Conn) {
 	p.accepts++
 	canResume := hello.Aux == p.runID && hello.Seq <= p.seq &&
 		p.seq-hello.Seq <= uint64(len(p.ring))
+	if canResume {
+		f.sent = hello.Seq
+	}
 	p.mu.Unlock()
 	defer p.dropFollower(f)
 
@@ -370,16 +409,14 @@ func (p *Primary) serveFollower(conn net.Conn) {
 		p.readAcks(f, r)
 	}()
 
-	var cursor uint64
 	var err error
 	if canResume {
-		cursor = hello.Seq
-		err = w.WriteRecord(&Record{Type: TypeWelcome, Seq: cursor, Aux: p.runID, Flags: ModeResume})
+		err = w.WriteRecord(&Record{Type: TypeWelcome, Seq: hello.Seq, Aux: p.runID, Flags: ModeResume})
 		if err == nil {
 			err = w.Flush()
 		}
 	} else {
-		cursor, err = p.sendSnapshot(w)
+		err = p.sendSnapshot(f, w)
 	}
 	if err != nil {
 		return
@@ -389,9 +426,18 @@ func (p *Primary) serveFollower(conn net.Conn) {
 	var batch []Record
 	for {
 		p.mu.Lock()
-		for !p.closed && !f.gone && p.seq == cursor &&
-			time.Since(lastSend) < p.opt.Heartbeat {
-			p.pubCond.Wait()
+		// Sleep until there is something to put on the wire: unsent ops
+		// that are due (sendDue) or have sat through a tick, or a heartbeat
+		// on an idle stream.
+		for tick := p.tick; !p.closed && !f.gone; p.pubCond.Wait() {
+			if p.seq == f.sent {
+				if time.Since(lastSend) >= p.opt.Heartbeat {
+					break
+				}
+				tick = p.tick // nothing has sat through it
+			} else if p.sendDue(f) || p.tick != tick {
+				break
+			}
 		}
 		if p.closed || f.gone {
 			p.mu.Unlock()
@@ -400,15 +446,15 @@ func (p *Primary) serveFollower(conn net.Conn) {
 		heartbeat := false
 		resnap := false
 		switch {
-		case p.seq == cursor:
+		case p.seq == f.sent:
 			heartbeat = true
-		case p.seq-cursor > uint64(len(p.ring)):
+		case p.seq-f.sent > uint64(len(p.ring)):
 			// The follower's cursor fell out of the replay window: shed to
 			// a fresh snapshot rather than queue unboundedly.
 			p.resnapshots++
 			resnap = true
 		default:
-			n := p.seq - cursor
+			n := p.seq - f.sent
 			if n > 256 {
 				n = 256
 			}
@@ -418,16 +464,17 @@ func (p *Primary) serveFollower(conn net.Conn) {
 				// key/value allocations are immutable once published, so
 				// writing them outside the lock is safe even if the ring
 				// slot is overwritten meanwhile.
-				batch = append(batch, p.ring[(cursor+i)%uint64(len(p.ring))])
+				batch = append(batch, p.ring[(f.sent+i)%uint64(len(p.ring))])
 			}
-			cursor += n
+			f.sent += n
+			p.batches++
 		}
 		hbSeq := p.seq
 		p.mu.Unlock()
 
 		switch {
 		case resnap:
-			cursor, err = p.sendSnapshot(w)
+			err = p.sendSnapshot(f, w)
 		case heartbeat:
 			err = w.WriteRecord(&Record{Type: TypeHeartbeat, Seq: hbSeq})
 			if err == nil {
@@ -450,16 +497,17 @@ func (p *Primary) serveFollower(conn net.Conn) {
 	}
 }
 
-// sendSnapshot streams Welcome(snapshot) + every item + SnapEnd and
-// returns the stream start seq (the frontier at snapshot begin; the scan
-// is weakly consistent, replay from that seq re-converges). The item scan
-// runs WITHOUT p.mu — publishes proceed concurrently.
-func (p *Primary) sendSnapshot(w *Writer) (uint64, error) {
+// sendSnapshot streams Welcome(snapshot) + every item + SnapEnd and moves
+// f's cursor to the stream start seq (the frontier at snapshot begin; the
+// scan is weakly consistent, replay from that seq re-converges). The item
+// scan runs WITHOUT p.mu — publishes proceed concurrently.
+func (p *Primary) sendSnapshot(f *fconn, w *Writer) error {
 	p.mu.Lock()
 	start := p.seq
+	f.sent = start
 	p.mu.Unlock()
 	if err := w.WriteRecord(&Record{Type: TypeWelcome, Seq: start, Aux: p.runID, Flags: ModeSnapshot}); err != nil {
-		return 0, err
+		return err
 	}
 	var count uint64
 	err := p.src.SnapshotItems(func(key, value []byte, flags uint16, aux uint64) error {
@@ -467,12 +515,12 @@ func (p *Primary) sendSnapshot(w *Writer) (uint64, error) {
 		return w.WriteRecord(&Record{Type: TypeSnapItem, Flags: flags, Aux: aux, Key: key, Value: value})
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := w.WriteRecord(&Record{Type: TypeSnapEnd, Seq: count}); err != nil {
-		return 0, err
+		return err
 	}
-	return start, w.Flush()
+	return w.Flush()
 }
 
 // readAcks consumes the follower's ack stream, promoting it to in-sync

@@ -432,3 +432,47 @@ func TestPromoteStopsFollowing(t *testing.T) {
 		t.Fatalf("repl meta not cleared on promote: run=%d seq=%d", run, seq)
 	}
 }
+
+// TestSenderGroupCommit: to an in-sync follower the sender flushes on
+// demand, not per publish. A burst of publishes followed by one WaitAcked
+// reaches the follower in at most two batches (the op-count backstop's and
+// the waiter's), and a publish nobody waits on still arrives, on the next
+// heartbeat tick.
+func TestSenderGroupCommit(t *testing.T) {
+	src := newFakeStore()
+	dst := newFakeStore()
+	// A slow heartbeat: within the burst below, a tick cannot be what
+	// flushed the stream.
+	popt := Options{RingSize: 1024, AckTimeout: 2 * time.Second, Heartbeat: 400 * time.Millisecond}
+	p, f := startPair(t, src, dst, popt, fastFollowerOpts())
+	waitFor(t, "streaming", func() bool { return p.Stats().State == "streaming" })
+
+	before := p.Stats()
+	var last uint64
+	for i := 0; i < 64; i++ {
+		last = p.PublishSet([]byte(fmt.Sprintf("burst-%02d", i)), []byte("v"), 0, 0)
+	}
+	p.WaitAcked(last)
+	if _, ok := dst.get("burst-63"); !ok {
+		t.Fatal("acked burst not applied on follower")
+	}
+	after := p.Stats()
+	if n := after.Batches - before.Batches; n == 0 || n > 2 {
+		t.Fatalf("64 publishes + one WaitAcked flushed %d batches, want 1 or 2", n)
+	}
+	if n := after.AckWaits - before.AckWaits; n != 1 {
+		t.Fatalf("AckWaits grew by %d, want 1", n)
+	}
+
+	// Nobody waits on this one: it rides the heartbeat tick (Heartbeat/2).
+	start := time.Now()
+	seq := p.PublishSet([]byte("unwaited"), []byte("v"), 0, 0)
+	waitFor(t, "unwaited publish to reach the follower", func() bool { return f.Stats().Seq == seq })
+	if d := time.Since(start); d > 2*popt.Heartbeat {
+		t.Fatalf("unwaited publish took %v to reach the follower, want within a tick of %v", d, popt.Heartbeat/2)
+	}
+	waitFor(t, "lag to drain", func() bool { return p.Stats().LagOps == 0 })
+	if st := p.Stats(); st.AckWaits != after.AckWaits || st.Batches != after.Batches+1 {
+		t.Fatalf("unwaited publish: stats %+v after %+v, want one more batch and no wait", st, after)
+	}
+}
