@@ -1026,7 +1026,7 @@ func BenchmarkNVMemcachedFile(b *testing.B) {
 		cfg := memcache.Config{MemoryBytes: 256 << 20, Buckets: 1 << 14, MaxConns: 1,
 			DisableLinkCache: true}
 		if file {
-			cfg.File = b.TempDir() + "/bench-mc.pmem"
+			cfg.Device = logfree.FileDevice(b.TempDir() + "/bench-mc.pmem")
 		}
 		c, err := memcache.New(cfg)
 		if err != nil {

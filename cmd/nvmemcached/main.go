@@ -3,20 +3,23 @@
 // (including cas/gets, append/prepend, noreply pipelining) and the binary
 // protocol, auto-detected per connection from its first byte, so unmodified
 // standard clients work in either mode — whose contents survive restarts of
-// the simulated NVRAM image.
+// the process.
 //
-// Persistence modes:
+// The cache always runs on a pool of -shards independent runtimes (default
+// 1, the paper's single hash table). Without a -pmem-* flag the pool lives
+// in process memory and dies with it. Persistence modes:
 //
 //	nvmemcached -listen :11211 -mem 268435456 -pmem-file /var/lib/nvmc.pmem
 //
 // backs the NVRAM image with an mmap'd file: every acknowledged write is in
 // the file's page cache the moment the operation returns, so the cache
 // survives ANY process death — kill -9 included — and a restart with the
-// same -pmem-file recovers it with no shutdown handshake. The -durability
-// policy picks the machine-crash story: "synced" (default) syncs in the
-// background off the fence path, "strict" acknowledges writes only after a
-// group-committed fdatasync, "buffered[:dur]" bounds how much acked work a
-// crash can take back in exchange for mem-like fence cost.
+// same -pmem-file recovers it with no shutdown handshake. With -shards > 1
+// the path names the pool directory instead of one image file. The
+// -durability policy picks the machine-crash story: "synced" (default) syncs
+// in the background off the fence path, "strict" acknowledges writes only
+// after a group-committed fdatasync, "buffered[:dur]" bounds how much acked
+// work a crash can take back in exchange for mem-like fence cost.
 //
 //	nvmemcached -listen :11211 -mem 268435456 -pmem-dax /dev/dax0.0
 //
@@ -24,11 +27,6 @@
 // fences persist cache lines with CLWB+SFENCE, no syscalls — strict
 // durability at memory speed. Over a regular file it degrades to the
 // page-cache guarantee (still kill -9 safe).
-//
-//	nvmemcached -listen :11211 -mem 268435456 -image /tmp/nvmc.img
-//
-// is the legacy in-process mode: contents survive only a clean SIGTERM,
-// which saves the image for the next start.
 package main
 
 import (
@@ -51,15 +49,13 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:11211", "listen address")
-	mem := flag.Uint64("mem", 256<<20, "simulated NVRAM bytes (split across shards when -shards > 1)")
-	buckets := flag.Int("buckets", 1<<16, "hash table buckets (split across shards when -shards > 1)")
+	mem := flag.Uint64("mem", 256<<20, "simulated NVRAM bytes (split across the shards)")
+	buckets := flag.Int("buckets", 1<<16, "hash table buckets (split across the shards)")
 	conns := flag.Int("conns", 4096, "max concurrently served connections (excess connections wait, they are not refused)")
-	image := flag.String("image", "", "NVRAM image file (recovered if present, saved on clean shutdown)")
 	pmemFile := flag.String("pmem-file", "", "file-backed NVRAM (mmap): kill -9 safe, no image save needed; a pool DIRECTORY when -shards > 1")
 	pmemDAX := flag.String("pmem-dax", "", "real pmem NVRAM (DAX mmap + CLWB/SFENCE): a devdax device or fsdax file; a pool DIRECTORY when -shards > 1")
 	durability := flag.String("durability", "synced", "acknowledged-write policy on durable devices: strict, synced, or buffered[:duration]")
-	pmemSync := flag.Bool("pmem-sync", false, "deprecated alias for -durability strict")
-	shards := flag.Int("shards", 1, "independent runtime shards (power of two); >1 hash-routes keys across a sharded pool")
+	shards := flag.Int("shards", 1, "independent runtime shards (rounded up to a power of two) that keys hash-route across")
 	latency := flag.Duration("latency", nvram.DefaultWriteLatency, "simulated NVRAM write latency")
 	sweep := flag.Duration("sweep", 30*time.Second, "expiry sweep interval (0 disables the sweeper)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
@@ -84,15 +80,6 @@ func main() {
 	policy, err := logfree.ParseDurability(*durability)
 	if err != nil {
 		log.Fatalf("nvmemcached: %v", err)
-	}
-	if *pmemSync && *durability == "synced" {
-		policy = logfree.Strict() // deprecated alias; an explicit -durability wins
-	}
-	if *image != "" && pmemPath != "" {
-		log.Fatalf("nvmemcached: -image and -pmem-file/-pmem-dax are mutually exclusive")
-	}
-	if *shards > 1 && *image != "" {
-		log.Fatalf("nvmemcached: -shards > 1 requires -pmem-file/-pmem-dax (a pool directory) or pure memory, not -image")
 	}
 	if *replicateTo != "" && *follow != "" {
 		log.Fatalf("nvmemcached: -replicate-to and -follow are mutually exclusive")
@@ -133,72 +120,40 @@ func main() {
 		OnGrow: func(total uint64) { log.Printf("grew pool to %d bytes", total) },
 	}
 
-	var cache *memcache.Cache
-	switch {
-	case pmemPath != "":
+	where := "memory"
+	if pmemPath != "" {
+		where = pmemPath
 		// Logged before the (potentially long) attach-and-sweep so the crash
 		// matrix can kill -9 a recovery in flight and verify the next one.
 		log.Printf("attaching to %s (%s device, durability %s)", pmemPath, device.Kind, policy)
-		start := time.Now()
-		c, err := memcache.New(cfg)
-		if err != nil {
-			log.Fatalf("nvmemcached: open %s: %v", pmemPath, err)
-		}
-		cache = c
-		if cache.Recovered() {
-			rs := cache.RecoveryStats()
-			log.Printf("recovered %d items from %s in %v (%d active areas, %d leaked objects freed)",
-				cache.Stats().Items, pmemPath, time.Since(start).Round(time.Microsecond),
-				rs.ActiveAreas, rs.Leaked)
-			if pool := cache.Pool(); pool != nil {
-				// Machine-parseable parallelism evidence for crash_e2e.sh:
-				// total is the sum of the per-shard recovery wall clocks, max
-				// the slowest shard — parallel recovery keeps the pool's
-				// actual open time near max, not total.
-				var total, max time.Duration
-				for _, d := range pool.ShardRecoveryDurations() {
-					total += d
-					if d > max {
-						max = d
-					}
-				}
-				log.Printf("shard recovery: shards=%d total_ms=%d max_ms=%d",
-					pool.Shards(), total.Milliseconds(), max.Milliseconds())
-			}
-		} else if pool := cache.Pool(); pool != nil {
-			log.Printf("fresh file-backed pool: %d MiB NVRAM across %d shards under %s",
-				*mem>>20, pool.Shards(), pmemPath)
-		} else {
-			log.Printf("fresh file-backed cache: %d MiB NVRAM mapped at %s", *mem>>20, pmemPath)
-		}
-	case *image != "":
-		if _, err := os.Stat(*image); err == nil {
-			dev, err := nvram.LoadImage(*image, nvram.Config{WriteLatency: *latency})
-			if err != nil {
-				log.Fatalf("nvmemcached: load image: %v", err)
-			}
-			start := time.Now()
-			c, stats, err := memcache.Recover(dev, cfg)
-			if err != nil {
-				log.Fatalf("nvmemcached: recover: %v", err)
-			}
-			cache = c
-			log.Printf("recovered %d items in %v (%d active areas, %d leaked objects freed)",
-				cache.Stats().Items, time.Since(start).Round(time.Microsecond),
-				stats.ActiveAreas, stats.Leaked)
-		}
 	}
-	if cache == nil {
-		c, err := memcache.New(cfg)
-		if err != nil {
-			log.Fatalf("nvmemcached: %v", err)
+	start := time.Now()
+	cache, err := memcache.New(cfg)
+	if err != nil {
+		log.Fatalf("nvmemcached: open %s: %v", where, err)
+	}
+	pool := cache.Pool()
+	if cache.Recovered() {
+		rs := cache.RecoveryStats()
+		log.Printf("recovered %d items from %s in %v (shards=%d, %d active areas, %d leaked objects freed)",
+			cache.Stats().Items, where, time.Since(start).Round(time.Microsecond),
+			pool.Shards(), rs.ActiveAreas, rs.Leaked)
+		// Machine-parseable parallelism evidence for crash_e2e.sh: total is
+		// the sum of the per-shard recovery wall clocks, max the slowest
+		// shard — parallel recovery keeps the pool's actual open time near
+		// max, not total.
+		var total, max time.Duration
+		for _, d := range pool.ShardRecoveryDurations() {
+			total += d
+			if d > max {
+				max = d
+			}
 		}
-		cache = c
-		if pool := cache.Pool(); pool != nil {
-			log.Printf("fresh cache: %d MiB simulated NVRAM across %d shards, %d buckets", *mem>>20, pool.Shards(), *buckets)
-		} else {
-			log.Printf("fresh cache: %d MiB simulated NVRAM, %d buckets", *mem>>20, *buckets)
-		}
+		log.Printf("shard recovery: shards=%d total_ms=%d max_ms=%d",
+			pool.Shards(), total.Milliseconds(), max.Milliseconds())
+	} else {
+		log.Printf("fresh cache: %d MiB NVRAM in %s, shards=%d, %d buckets",
+			*mem>>20, where, pool.Shards(), *buckets)
 	}
 	log.Printf("pool bytes: total=%d", cache.SizeBytes())
 
@@ -362,19 +317,10 @@ loop:
 	}
 	srv.Close()
 	items := cache.Stats().Items
-	switch {
-	case pmemPath != "":
-		// No image dance: the mapping already holds everything; Close just
-		// flushes it synchronously and unmaps.
-		if err := cache.Close(); err != nil {
-			log.Fatalf("nvmemcached: close: %v", err)
-		}
-		log.Printf("pmem file %s holds %d items", pmemPath, items)
-	case *image != "":
-		cache.Flush()
-		if err := cache.Device().SaveImage(*image); err != nil {
-			log.Fatalf("nvmemcached: save image: %v", err)
-		}
-		log.Printf("image saved to %s (%d items)", *image, items)
+	// The mapping already holds everything; Close just flushes it
+	// synchronously and unmaps.
+	if err := cache.Close(); err != nil {
+		log.Fatalf("nvmemcached: close: %v", err)
 	}
+	log.Printf("closed with %d items in %s", items, where)
 }

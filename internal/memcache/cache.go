@@ -12,6 +12,11 @@
 //     allocated but no longer (or not yet) reachable from the map.
 //   - The LRU list is volatile (recovery resets recency, not contents),
 //     mirroring Memcached's behaviour that cache metadata is advisory.
+//   - The engine is always a sharded.Pool of Config.Shards ≥ 1 independent
+//     runtimes with keys hash-routed across them; one shard is the paper's
+//     single hash table. What Config.Device's path means follows from the
+//     count and is decided by sharded.Open alone: the image file itself at
+//     one shard, a directory of per-shard images plus a manifest at more.
 //
 // Threading (v3): every method of Cache is safe for concurrent use from any
 // goroutine — the logfree runtime's implicit sessions replaced the old
@@ -25,7 +30,7 @@ package memcache
 import (
 	"encoding/binary"
 	"errors"
-	"iter"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,29 +114,17 @@ type Config struct {
 	// request here only expresses intent.
 	DisableLinkCache bool
 	// Device names the persistence substrate (logfree.MemDevice,
-	// FileDevice, DAXDevice). With Shards > 1 the spec's path is the pool
-	// DIRECTORY. A durable device that already holds a cache is recovered
-	// in place (check Runtime().Recovered()).
+	// FileDevice, DAXDevice, BackendDevice); see sharded.WithDevice for what
+	// its path means at one shard (the image) and at more (the pool
+	// directory). A durable device that already holds a cache is recovered
+	// in place (check Recovered()).
 	Device logfree.DeviceSpec
 	// Durability is the acknowledged-operation policy on the configured
 	// device (logfree.Strict, Synced, Buffered). Zero value: Synced.
 	Durability logfree.Durability
-	// File backs the NVRAM image with an mmap'd file at this path.
-	//
-	// Deprecated: set Device (logfree.FileDevice(path)). Folded into
-	// Device by fill() when Device is unset.
-	File string
-	// FileSync adds machine-crash durability for acknowledged writes.
-	//
-	// Deprecated: set Durability (logfree.Strict()). Folded into
-	// Durability by fill() when Durability is the zero policy.
-	FileSync bool
-	// Shards > 1 runs the cache on a sharded.Pool of that many independent
-	// runtimes (rounded to a power of two) instead of one: keys hash-route
-	// to shards, MemoryBytes and Buckets are split evenly across them, and
-	// with File set, File names the pool DIRECTORY (per-shard backing files
-	// plus a topology manifest) rather than a single image file. 0 or 1
-	// keeps the classic single-runtime cache.
+	// Shards is the number of independent runtimes the cache's pool runs
+	// (rounded up to a power of two; 0 means 1). MemoryBytes, MaxGrowBytes
+	// and Buckets are pool-wide budgets split evenly across the shards.
 	Shards int
 	// MaxBytes, when non-zero, caps the cache's LOGICAL footprint (entry
 	// overhead + key + value, summed over live items): writes that would
@@ -141,8 +134,8 @@ type Config struct {
 	// MaxGrowBytes, when non-zero, reserves device address space so the
 	// pool can grow online: under allocator pressure the cache doubles the
 	// pool (crash-atomically, clamped to this reserve) before resorting to
-	// eviction. With File set, reopening a grown image requires the same
-	// MaxGrowBytes-style elastic configuration.
+	// eviction. Reopening a grown image requires the same MaxGrowBytes-style
+	// elastic configuration.
 	MaxGrowBytes uint64
 	// OnGrow, when set, is called after each successful online grow with
 	// the pool's new total byte capacity (serving loop logging).
@@ -159,49 +152,9 @@ func (c *Config) fill() {
 	if c.MaxConns == 0 {
 		c.MaxConns = 8
 	}
-	// Fold the deprecated per-flag fields into the spec/policy pair.
-	if c.Device.Kind == logfree.DeviceMem && c.File != "" {
-		c.Device = logfree.FileDevice(c.File)
-	}
-	if c.FileSync && !c.Durability.IsStrict() && !c.Durability.IsBuffered() {
-		c.Durability = logfree.Strict()
-	}
-}
-
-// itemIndex is the byte-map surface the cache needs from its item index —
-// satisfied by both *logfree.ByteMap (single runtime) and *sharded.Map
-// (hash-routed pool).
-type itemIndex interface {
-	SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error)
-	GetItem(key []byte) (value []byte, meta uint16, aux uint64, ok bool)
-	GetAux(key []byte) (aux uint64, ok bool)
-	SetAux(key []byte, aux uint64) bool
-	Delete(key []byte) bool
-	All() iter.Seq2[[]byte, []byte]
-	Items() iter.Seq2[[]byte, logfree.Item]
-}
-
-// expIndex is the ordered-map surface backing the expiry index — satisfied
-// by both *logfree.OrderedByteMap and *sharded.OrderedMap.
-type expIndex interface {
-	Set(key, value []byte) error
-	Delete(key []byte) bool
-	Len() int
-	Scan(start, end []byte) iter.Seq2[[]byte, []byte]
-}
-
-// engine is the runtime surface the cache needs regardless of topology —
-// satisfied by both *logfree.Runtime and *sharded.Pool.
-type engine interface {
-	Close() error
-	Drain()
-	Reclaim()
-	AvailableBytes() uint64
-	SizeBytes() uint64
-	FreeBytes() uint64
-	Grow(total uint64) error
-	Recovered() bool
-	RecoveryStats() logfree.RecoveryStats
+	// Rounded here, once, so every pool-wide budget is split by the count
+	// the pool really opens.
+	c.Shards = 1 << bits.Len(uint(max(c.Shards, 1)-1))
 }
 
 // Cache is a durable NV-Memcached instance. All methods are safe for
@@ -219,11 +172,9 @@ type Cache struct {
 
 // cacheState is everything the handles of one cache share.
 type cacheState struct {
-	rt   *logfree.Runtime // nil when sharded
-	pool *sharded.Pool    // nil when single-runtime
-	eng  engine           // whichever of the two is live
-	m    itemIndex
-	exp  expIndex
+	pool *sharded.Pool
+	m    *sharded.Map
+	exp  *sharded.OrderedMap
 	cfg  Config
 
 	lru   *lruList
@@ -315,86 +266,54 @@ type counters struct {
 	growCount      atomic.Uint64
 }
 
-// New creates a durable cache. On the default in-process backend the device
-// is always fresh; with Config.File set, a backing file that already holds
-// a cache is recovered in place (the kill -9 restart path — check
-// Runtime().Recovered()).
+// New creates a durable cache. On the default in-process device it is always
+// fresh; a durable Config.Device that already holds a cache is recovered in
+// place (the kill -9 restart path — check Recovered()).
 func New(cfg Config) (*Cache, error) {
 	cfg.fill()
-	if cfg.Shards > 1 {
-		return newSharded(cfg)
-	}
 	// The link cache is requested as configured; logfree's durability rule
 	// decides whether it is legal on the device (durable devices only run
 	// it under a Buffered policy, whose flush timer bounds the exposure —
 	// on Strict/Synced a volatile cache of publishing links would void the
 	// acknowledged-write contract that file mode exists for).
-	opts := []logfree.Option{
-		logfree.WithSize(cfg.MemoryBytes),
-		logfree.WithMaxThreads(cfg.MaxConns + 1),
-		logfree.WithWriteLatency(cfg.WriteLatency),
-		logfree.WithLinkCache(!cfg.DisableLinkCache),
-		logfree.WithDevice(cfg.Device),
-		logfree.WithDurability(cfg.Durability),
-	}
-	if cfg.MaxGrowBytes != 0 {
-		opts = append(opts, logfree.WithMaxSize(cfg.MaxGrowBytes))
-	}
-	rt, err := logfree.New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	m, err := rt.Map(cacheMapName, cfg.Buckets)
-	if err != nil {
-		return nil, err
-	}
-	exp, err := rt.OrderedMap(expMapName)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cache{cacheState: &cacheState{rt: rt, eng: rt, m: m, exp: exp, cfg: cfg, lru: newLRU()}}
-	if rt.Recovered() {
-		c.rebuildVolatile()
-	}
-	return c, nil
-}
-
-// newSharded is the Shards > 1 construction path: the same cache on a
-// hash-routed pool, with the memory and bucket budgets split evenly across
-// the shards. With Config.File set the pool lives in that directory and a
-// populated one is recovered in place — shards in parallel.
-func newSharded(cfg Config) (*Cache, error) {
-	opts := []sharded.Option{
+	n := uint64(cfg.Shards)
+	pool, err := sharded.Open(
 		sharded.WithShards(cfg.Shards),
-		sharded.WithShardSize(cfg.MemoryBytes / uint64(cfg.Shards)),
+		sharded.WithShardSize(cfg.MemoryBytes/n),
+		sharded.WithMaxShardSize(cfg.MaxGrowBytes/n),
 		sharded.WithWriteLatency(cfg.WriteLatency),
-		sharded.WithMaxThreads(cfg.MaxConns + 1),
+		sharded.WithMaxThreads(cfg.MaxConns+1),
 		sharded.WithLinkCache(!cfg.DisableLinkCache),
 		sharded.WithDevice(cfg.Device),
-		sharded.WithDurability(cfg.Durability),
-	}
-	if cfg.MaxGrowBytes != 0 {
-		opts = append(opts, sharded.WithMaxShardSize(cfg.MaxGrowBytes/uint64(cfg.Shards)))
-	}
-	pool, err := sharded.Open(opts...)
+		sharded.WithDurability(cfg.Durability))
 	if err != nil {
 		return nil, err
 	}
-	buckets := cfg.Buckets / pool.Shards()
-	if buckets < 1024 {
-		buckets = 1024
+	return openCache(pool, cfg)
+}
+
+// openCache builds a cache on an open pool, taking ownership of it: the item
+// and expiry indexes are opened-or-created on every shard, and a pool that
+// recovered existing state gets its volatile metadata rebuilt.
+func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
+	buckets := cfg.Buckets
+	if n := pool.Shards(); n > 1 {
+		buckets = max(buckets/n, 1024)
 	}
 	m, err := pool.Map(cacheMapName, buckets)
 	if err != nil {
 		pool.Close()
 		return nil, err
 	}
+	// Opened create-or-attach: images from before the ordered index simply
+	// start one empty (their items still expire lazily on Get and get
+	// indexed again on rewrite/touch).
 	exp, err := pool.OrderedMap(expMapName)
 	if err != nil {
 		pool.Close()
 		return nil, err
 	}
-	c := &Cache{cacheState: &cacheState{pool: pool, eng: pool, m: m, exp: exp, cfg: cfg, lru: newLRU()}}
+	c := &Cache{cacheState: &cacheState{pool: pool, m: m, exp: exp, cfg: cfg, lru: newLRU()}}
 	if pool.Recovered() {
 		c.rebuildVolatile()
 	}
@@ -419,34 +338,39 @@ func (m *Cache) rebuildVolatile() {
 	m.usedBytes.Store(used)
 }
 
-// Close drains the cache and closes the underlying runtime or pool;
-// file-backed images are synchronously flushed, so after Close the backing
-// file(s) alone carry the cache. The cache must be quiescent.
-func (m *Cache) Close() error { return m.eng.Close() }
+// Close drains the cache and closes the underlying pool; file-backed images
+// are synchronously flushed, so after Close the backing file(s) alone carry
+// the cache. The cache must be quiescent.
+func (m *Cache) Close() error { return m.pool.Close() }
 
-// Device exposes the simulated device (crash injection, stats). Nil on a
-// sharded cache — use Pool().Runtimes() for per-shard devices.
-func (m *Cache) Device() *nvram.Device {
-	if m.rt == nil {
-		return nil
+// Pool exposes the underlying sharded pool.
+func (m *Cache) Pool() *sharded.Pool { return m.pool }
+
+// Runtime exposes the sole shard's logfree runtime; nil when Shards > 1 —
+// use Pool().Runtimes() there.
+func (m *Cache) Runtime() *logfree.Runtime {
+	if rts := m.pool.Runtimes(); len(rts) == 1 {
+		return rts[0]
 	}
-	return m.rt.Device()
+	return nil
 }
 
-// Runtime exposes the underlying logfree runtime; nil on a sharded cache.
-func (m *Cache) Runtime() *logfree.Runtime { return m.rt }
-
-// Pool exposes the underlying sharded pool; nil on a single-runtime cache.
-func (m *Cache) Pool() *sharded.Pool { return m.pool }
+// Device exposes the sole shard's device (crash injection, stats); nil when
+// Shards > 1.
+func (m *Cache) Device() *nvram.Device {
+	if rt := m.Runtime(); rt != nil {
+		return rt.Device()
+	}
+	return nil
+}
 
 // Recovered reports whether the cache attached to existing durable state
 // rather than formatting fresh.
-func (m *Cache) Recovered() bool { return m.eng.Recovered() }
+func (m *Cache) Recovered() bool { return m.pool.Recovered() }
 
-// RecoveryStats reports the recovery pass of the underlying runtime (or the
-// aggregate across a pool's shards — counters summed, duration = slowest
-// shard, since shards recover in parallel).
-func (m *Cache) RecoveryStats() logfree.RecoveryStats { return m.eng.RecoveryStats() }
+// RecoveryStats aggregates the shards' recovery passes — counters summed,
+// duration = slowest shard, since shards recover in parallel.
+func (m *Cache) RecoveryStats() logfree.RecoveryStats { return m.pool.RecoveryStats() }
 
 // Stats returns a snapshot of the counters.
 func (m *Cache) Stats() Stats {
@@ -471,28 +395,28 @@ func (m *Cache) Stats() Stats {
 		Flushes:        m.stats.flushes.Load(),
 		EvictionsBytes: m.stats.evictionsBytes.Load(),
 		GrowCount:      m.stats.growCount.Load(),
-		PoolBytesTotal: m.eng.SizeBytes(),
-		PoolBytesUsed:  m.eng.SizeBytes() - m.eng.FreeBytes(),
+		PoolBytesTotal: m.pool.SizeBytes(),
+		PoolBytesUsed:  m.pool.SizeBytes() - m.pool.FreeBytes(),
 	}
 }
 
 // SizeBytes reports the pool's total device capacity (all shards).
-func (m *Cache) SizeBytes() uint64 { return m.eng.SizeBytes() }
+func (m *Cache) SizeBytes() uint64 { return m.pool.SizeBytes() }
 
 // UsedBytes reports the cache's logical footprint: entry overhead + key +
 // value summed over live items (the quantity Config.MaxBytes caps).
 func (m *Cache) UsedBytes() int64 { return m.usedBytes.Load() }
 
 // Grow extends the pool online to total bytes (crash-atomic, shards in
-// parallel when sharded). Requires the elastic reserve Config.MaxGrowBytes.
+// parallel). Requires the elastic reserve Config.MaxGrowBytes.
 func (m *Cache) Grow(total uint64) error {
 	m.growMu.Lock()
 	defer m.growMu.Unlock()
-	before := m.eng.SizeBytes()
-	if err := m.eng.Grow(total); err != nil {
+	before := m.pool.SizeBytes()
+	if err := m.pool.Grow(total); err != nil {
 		return err
 	}
-	if after := m.eng.SizeBytes(); after > before {
+	if after := m.pool.SizeBytes(); after > before {
 		m.stats.growCount.Add(1)
 		if m.cfg.OnGrow != nil {
 			m.cfg.OnGrow(after)
@@ -524,7 +448,7 @@ func (m *Cache) Get(key []byte) (value []byte, flags uint16, ok bool) {
 // reclaim converts recently retired nodes into reusable slots (best
 // effort): it flushes the session the pool hands back, which in the
 // single-flow eviction loop is the one the preceding deletes retired into.
-func (m *Cache) reclaim() { m.eng.Reclaim() }
+func (m *Cache) reclaim() { m.pool.Reclaim() }
 
 // entrySize is an item's logical footprint: the byte-map entry overhead plus
 // key and value — the currency of Config.MaxBytes and the used-bytes stat.
@@ -547,16 +471,16 @@ func (m *Cache) tryGrow() bool {
 	}
 	m.growMu.Lock()
 	defer m.growMu.Unlock()
-	target := capacity.NextGrowTarget(m.eng.SizeBytes(), m.cfg.MaxGrowBytes)
+	target := capacity.NextGrowTarget(m.pool.SizeBytes(), m.cfg.MaxGrowBytes)
 	if target == 0 {
 		return false
 	}
-	if err := m.eng.Grow(target); err != nil {
+	if err := m.pool.Grow(target); err != nil {
 		return false
 	}
 	m.stats.growCount.Add(1)
 	if m.cfg.OnGrow != nil {
-		m.cfg.OnGrow(m.eng.SizeBytes())
+		m.cfg.OnGrow(m.pool.SizeBytes())
 	}
 	return true
 }
@@ -566,7 +490,7 @@ func (m *Cache) tryGrow() bool {
 // then LRU-evict down to the low-water headroom), then the logical MaxBytes
 // valve (evict until the write fits the configured budget).
 func (m *Cache) ensureHeadroom(incoming int64) {
-	for i := 0; m.eng.AvailableBytes() < lowWater && i < 256; i++ {
+	for i := 0; m.pool.AvailableBytes() < lowWater && i < 256; i++ {
 		if m.tryGrow() {
 			continue
 		}
@@ -858,4 +782,4 @@ func (m *Cache) evictOne() bool {
 
 // Flush makes all deferred durability work durable (link cache, retirees).
 // Requires quiescence.
-func (m *Cache) Flush() { m.eng.Drain() }
+func (m *Cache) Flush() { m.pool.Drain() }

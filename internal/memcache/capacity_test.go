@@ -81,6 +81,40 @@ func TestAutoGrowSharded(t *testing.T) {
 	}
 }
 
+// TestShardBudgetsAreSplitByTheOpenedCount: MemoryBytes, MaxGrowBytes and
+// Buckets are pool-wide, so a shard count the pool rounds up must not open
+// more memory or reserve than configured; and one shard gets the whole
+// bucket budget, with no floor meant for split tables.
+func TestShardBudgetsAreSplitByTheOpenedCount(t *testing.T) {
+	for _, shards := range []int{3, 5, 6} {
+		cfg := Config{Shards: shards, MemoryBytes: 96 << 20, MaxGrowBytes: 192 << 20, MaxConns: 2}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.SizeBytes(); got > cfg.MemoryBytes {
+			t.Errorf("Shards %d: opened %d bytes across %d shards, budget %d",
+				shards, got, m.Pool().Shards(), cfg.MemoryBytes)
+		}
+		if got := m.Pool().MaxSizeBytes(); got > cfg.MaxGrowBytes {
+			t.Errorf("Shards %d: reserved %d bytes, budget %d", shards, got, cfg.MaxGrowBytes)
+		}
+		m.Close()
+	}
+
+	used := func(buckets int) uint64 {
+		m, err := New(Config{MemoryBytes: 16 << 20, Buckets: buckets, MaxConns: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		return m.Stats().PoolBytesUsed
+	}
+	if small, floor := used(128), used(1024); small >= floor {
+		t.Fatalf("one shard with 128 buckets uses %d pool bytes, with 1024 uses %d: the split floor was applied", small, floor)
+	}
+}
+
 func TestMaxBytesEviction(t *testing.T) {
 	m, err := New(Config{MemoryBytes: 64 << 20, MaxBytes: 1 << 20, Buckets: 1024, MaxConns: 2})
 	if err != nil {

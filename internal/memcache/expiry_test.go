@@ -18,52 +18,56 @@ func testCache(t *testing.T) *Cache {
 // TestExpirySweep: the sweep removes exactly the items whose deadline has
 // passed, via the ordered expiry index rather than a full-table walk.
 func TestExpirySweep(t *testing.T) {
-	c := testCache(t)
-	now := time.Now().Unix()
+	forShards(t, func(t *testing.T, shards int) {
+		c := newCacheN(t, shards)
+		now := time.Now().Unix()
 
-	for i := 0; i < 10; i++ {
-		key := []byte(fmt.Sprintf("dead-%d", i))
-		if err := c.Set(key, []byte("x"), 0, uint32(now-int64(i)-1)); err != nil {
+		// Enough overdue items that every shard's index holds some.
+		const dead = 100
+		for i := 0; i < dead; i++ {
+			key := []byte(fmt.Sprintf("dead-%d", i))
+			if err := c.Set(key, []byte("x"), 0, uint32(now-int64(i)-1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			key := []byte(fmt.Sprintf("live-%d", i))
+			if err := c.Set(key, []byte("y"), 0, uint32(now+3600)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Set([]byte("forever"), []byte("z"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 5; i++ {
-		key := []byte(fmt.Sprintf("live-%d", i))
-		if err := c.Set(key, []byte("y"), 0, uint32(now+3600)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Set([]byte("forever"), []byte("z"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
 
-	if n := c.SweepExpired(now); n != 10 {
-		t.Fatalf("SweepExpired = %d, want 10", n)
-	}
-	st := c.Stats()
-	if st.Expired != 10 || st.Items != 6 {
-		t.Fatalf("stats after sweep: expired=%d items=%d", st.Expired, st.Items)
-	}
-	for i := 0; i < 10; i++ {
-		if _, _, ok := c.Get([]byte(fmt.Sprintf("dead-%d", i))); ok {
-			t.Fatalf("expired item dead-%d still served", i)
+		if n := c.SweepExpired(now); n != dead {
+			t.Fatalf("SweepExpired = %d, want %d", n, dead)
 		}
-	}
-	for i := 0; i < 5; i++ {
-		if _, _, ok := c.Get([]byte(fmt.Sprintf("live-%d", i))); !ok {
-			t.Fatalf("live item live-%d swept", i)
+		st := c.Stats()
+		if st.Expired != dead || st.Items != 6 {
+			t.Fatalf("stats after sweep: expired=%d items=%d", st.Expired, st.Items)
 		}
-	}
-	if _, _, ok := c.Get([]byte("forever")); !ok {
-		t.Fatal("no-expiry item swept")
-	}
-	// A second sweep finds nothing — the index was consumed.
-	if n := c.SweepExpired(now); n != 0 {
-		t.Fatalf("second SweepExpired = %d, want 0", n)
-	}
-	if c.exp.Len() != 5 {
-		t.Fatalf("expiry index holds %d entries, want 5 (the live deadlines)", c.exp.Len())
-	}
+		for i := 0; i < dead; i++ {
+			if _, _, ok := c.Get([]byte(fmt.Sprintf("dead-%d", i))); ok {
+				t.Fatalf("expired item dead-%d still served", i)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			if _, _, ok := c.Get([]byte(fmt.Sprintf("live-%d", i))); !ok {
+				t.Fatalf("live item live-%d swept", i)
+			}
+		}
+		if _, _, ok := c.Get([]byte("forever")); !ok {
+			t.Fatal("no-expiry item swept")
+		}
+		// A second sweep finds nothing — the index was consumed.
+		if n := c.SweepExpired(now); n != 0 {
+			t.Fatalf("second SweepExpired = %d, want 0", n)
+		}
+		if c.exp.Len() != 5 {
+			t.Fatalf("expiry index holds %d entries, want 5 (the live deadlines)", c.exp.Len())
+		}
+	})
 }
 
 // TestExpirySweepStaleEntries: rewrites and touches leave no index entry

@@ -20,27 +20,55 @@ func newCache(t *testing.T) *Cache {
 	return m
 }
 
-func TestSetGetDelete(t *testing.T) {
-	m := newCache(t)
-	if err := m.Set([]byte("hello"), []byte("world"), 7, 0); err != nil {
+// forShards runs f once per pool topology the suite covers: the paper's
+// single hash table and a hash-routed pool.
+func forShards(t *testing.T, f func(t *testing.T, shards int)) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { f(t, n) })
+	}
+}
+
+func newCacheN(t *testing.T, shards int) *Cache {
+	t.Helper()
+	m, err := New(Config{MemoryBytes: 64 << 20, Buckets: 4096, MaxConns: 8, Shards: shards})
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, fl, ok := m.Get([]byte("hello"))
-	if !ok || string(v) != "world" || fl != 7 {
-		t.Fatalf("Get = %q,%d,%v", v, fl, ok)
-	}
-	if _, _, ok := m.Get([]byte("nope")); ok {
-		t.Fatal("missing key found")
-	}
-	if !m.Delete([]byte("hello")) {
-		t.Fatal("delete failed")
-	}
-	if _, _, ok := m.Get([]byte("hello")); ok {
-		t.Fatal("deleted key still present")
-	}
-	if m.Delete([]byte("hello")) {
-		t.Fatal("double delete succeeded")
-	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+func TestSetGetDelete(t *testing.T) {
+	forShards(t, func(t *testing.T, shards int) {
+		m := newCacheN(t, shards)
+		if got := m.Pool().Shards(); got != shards {
+			t.Fatalf("pool has %d shards, want %d", got, shards)
+		}
+		// The sole shard's runtime and device are exposed; a wider pool has
+		// no single one to expose.
+		if sole := shards == 1; (m.Runtime() != nil) != sole || (m.Device() != nil) != sole {
+			t.Fatalf("Runtime() = %v, Device() = %v at %d shards", m.Runtime(), m.Device(), shards)
+		}
+		if err := m.Set([]byte("hello"), []byte("world"), 7, 0); err != nil {
+			t.Fatal(err)
+		}
+		v, fl, ok := m.Get([]byte("hello"))
+		if !ok || string(v) != "world" || fl != 7 {
+			t.Fatalf("Get = %q,%d,%v", v, fl, ok)
+		}
+		if _, _, ok := m.Get([]byte("nope")); ok {
+			t.Fatal("missing key found")
+		}
+		if !m.Delete([]byte("hello")) {
+			t.Fatal("delete failed")
+		}
+		if _, _, ok := m.Get([]byte("hello")); ok {
+			t.Fatal("deleted key still present")
+		}
+		if m.Delete([]byte("hello")) {
+			t.Fatal("double delete succeeded")
+		}
+	})
 }
 
 func TestOverwrite(t *testing.T) {
@@ -57,21 +85,26 @@ func TestOverwrite(t *testing.T) {
 }
 
 func TestManyKeysAndValues(t *testing.T) {
-	m := newCache(t)
-	for i := 0; i < 2000; i++ {
-		key := []byte(fmt.Sprintf("key-%04d", i))
-		val := bytes.Repeat([]byte{byte(i)}, 1+i%500)
-		if err := m.Set(key, val, uint16(i), 0); err != nil {
-			t.Fatal(err)
+	forShards(t, func(t *testing.T, shards int) {
+		m := newCacheN(t, shards)
+		for i := 0; i < 2000; i++ {
+			key := []byte(fmt.Sprintf("key-%04d", i))
+			val := bytes.Repeat([]byte{byte(i)}, 1+i%500)
+			if err := m.Set(key, val, uint16(i), 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 2000; i++ {
-		key := []byte(fmt.Sprintf("key-%04d", i))
-		v, fl, ok := m.Get(key)
-		if !ok || fl != uint16(i) || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 1+i%500)) {
-			t.Fatalf("key %d corrupt: ok=%v fl=%d len=%d", i, ok, fl, len(v))
+		for i := 0; i < 2000; i++ {
+			key := []byte(fmt.Sprintf("key-%04d", i))
+			v, fl, ok := m.Get(key)
+			if !ok || fl != uint16(i) || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 1+i%500)) {
+				t.Fatalf("key %d corrupt: ok=%v fl=%d len=%d", i, ok, fl, len(v))
+			}
 		}
-	}
+		if st := m.Stats(); st.Items != 2000 {
+			t.Fatalf("Items = %d, want 2000", st.Items)
+		}
+	})
 }
 
 func TestValueTooLarge(t *testing.T) {
@@ -149,11 +182,17 @@ func TestCrashRecovery(t *testing.T) {
 	m.Flush() // completed operations become durable at the latest here
 	m.Device().Crash()
 
-	m2, stats, err := Recover(m.Device(), Config{MemoryBytes: 64 << 20, MaxConns: 4})
+	dev := m.Device()
+	m2, stats, err := Recover(dev, Config{MemoryBytes: 64 << 20, MaxConns: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = stats // after an orderly Flush the APT may legitimately be empty
+	// The recovered cache is the same one-shard topology on the same device.
+	if m2.Pool().Shards() != 1 || m2.Runtime() == nil || m2.Device() != dev || !m2.Recovered() {
+		t.Fatalf("recovered cache: shards=%d runtime=%v device=%p (want %p) recovered=%v",
+			m2.Pool().Shards(), m2.Runtime(), m2.Device(), dev, m2.Recovered())
+	}
 	for i := 0; i < 1000; i++ {
 		key := []byte(fmt.Sprintf("persist-%d", i))
 		v, _, ok := m2.Get(key)
@@ -332,7 +371,7 @@ func TestWarmUpHelper(t *testing.T) {
 	}
 }
 
-// TestImageRoundTrip is the cmd/nvmemcached lifecycle in miniature: run,
+// TestImageRoundTrip is the cmd/nvbench image lifecycle in miniature: run,
 // save image, load image in a "new process", recover, serve.
 func TestImageRoundTrip(t *testing.T) {
 	dir := t.TempDir()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/nvram"
 	"repro/logfree"
+	"repro/logfree/sharded"
 )
 
 // Recover reopens a crashed NV-Memcached instance (§6.5) through the public
@@ -26,20 +27,20 @@ func Recover(dev *nvram.Device, cfg Config) (*Cache, logfree.RecoveryStats, erro
 	if _, ok := rt.Lookup(cacheMapName); !ok {
 		return nil, logfree.RecoveryStats{}, errors.New("memcache: device holds no cache descriptor")
 	}
-	idx, err := rt.Map(cacheMapName, cfg.Buckets)
+	m, err := adoptCache(rt, cfg)
 	if err != nil {
 		return nil, logfree.RecoveryStats{}, err
 	}
-	// The expiry index is opened create-or-attach: images from before the
-	// ordered index simply start one empty (their items still expire
-	// lazily on Get and get indexed again on rewrite/touch).
-	exp, err := rt.OrderedMap(expMapName)
-	if err != nil {
-		return nil, logfree.RecoveryStats{}, err
-	}
-	m := &Cache{cacheState: &cacheState{rt: rt, eng: rt, m: idx, exp: exp, cfg: cfg, lru: newLRU()}}
-	m.rebuildVolatile()
 	return m, rt.RecoveryStats(), nil
+}
+
+// adoptCache builds a cache on one already-open runtime: a 1-shard pool.
+func adoptCache(rt *logfree.Runtime, cfg Config) (*Cache, error) {
+	pool, err := sharded.Adopt(rt)
+	if err != nil {
+		return nil, err
+	}
+	return openCache(pool, cfg)
 }
 
 // WarmUp populates a cache with n sequential keys (the Figure 11 warm-up

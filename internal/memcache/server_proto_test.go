@@ -17,6 +17,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/logfree"
 )
 
 // protoBackends enumerates the storage backends the conformance tables run
@@ -27,7 +29,7 @@ func newProtoCache(t *testing.T, backend string) *Cache {
 	t.Helper()
 	cfg := Config{MemoryBytes: 32 << 20, Buckets: 1 << 10, MaxConns: 4}
 	if backend == "file" {
-		cfg.File = filepath.Join(t.TempDir(), "proto.pmem")
+		cfg.Device = logfree.FileDevice(filepath.Join(t.TempDir(), "proto.pmem"))
 	}
 	m, err := New(cfg)
 	if err != nil {

@@ -97,15 +97,11 @@ func NewCLHTCache(cfg Config) (*CLHTCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := rt.Map(cacheMapName, cfg.Buckets)
+	inner, err := adoptCache(rt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	exp, err := rt.OrderedMap(expMapName)
-	if err != nil {
-		return nil, err
-	}
-	return &CLHTCache{inner: &Cache{cacheState: &cacheState{rt: rt, eng: rt, m: m, exp: exp, lru: newLRU()}}}, nil
+	return &CLHTCache{inner: inner}, nil
 }
 
 // Set implements KV.

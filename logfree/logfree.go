@@ -566,10 +566,6 @@ func (r *Runtime) Store() *core.Store { return r.store }
 // recycled pages). Callers implementing eviction policies poll it.
 func (r *Runtime) AvailableBytes() uint64 { return r.store.Pool().AvailableBytes() }
 
-// FreeBytes is AvailableBytes under the name the capacity-stats surface
-// uses across runtimes and sharded pools.
-func (r *Runtime) FreeBytes() uint64 { return r.AvailableBytes() }
-
 // SizeBytes returns the committed device capacity in bytes. It increases
 // through Grow and never decreases.
 func (r *Runtime) SizeBytes() uint64 { return r.dev.Size() }

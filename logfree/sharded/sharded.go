@@ -17,9 +17,11 @@
 // default GOMAXPROCS rounded up) and routing is a stable hash of the full
 // key (FNV-1a 64 finalized with the murmur3 fmix64 mixer), independent of
 // any hash used inside logfree — the same key maps to the same shard in
-// every process, on every backend, forever. File-backed pools persist the
-// topology in a manifest that Open validates, so a pool can never silently
-// reopen with the wrong shard count or geometry.
+// every process, on every backend, forever. A pool of one shard is a single
+// image — the device handed to Open, as a lone logfree.Runtime would use it;
+// a pool of more is a directory of per-shard images whose manifest persists
+// the topology and is validated by Open, so a pool can never silently reopen
+// with the wrong shard count or geometry (see WithDevice).
 //
 // Durability. Each shard fences independently: a Set that returned is
 // durably linearized on its shard exactly as on a single runtime. A Batch
@@ -62,16 +64,12 @@ const (
 	maxShards = 256
 )
 
-// defaultShardSize is the per-shard device capacity when none is configured.
-const defaultShardSize = 64 << 20
-
 // config collects the pool options.
 type config struct {
 	shards       int
 	shardSize    uint64
 	maxShardSize uint64
-	dir          string
-	kind         logfree.DeviceKind
+	device       logfree.DeviceSpec
 	durability   logfree.Durability
 	writeLatency time.Duration
 	maxThreads   int
@@ -84,8 +82,9 @@ type config struct {
 type Option func(*config)
 
 // WithShards sets the shard count, rounded up to a power of two (default:
-// GOMAXPROCS rounded up). Opening an existing file-backed pool with an
-// explicit count that disagrees with its manifest is an error; 0 adopts.
+// GOMAXPROCS rounded up). Opening an existing pool with an explicit count
+// that disagrees with what is on disk (the manifest's count, or 1 for a
+// single image) is an error; 0 adopts.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithShardSize sets each shard's device capacity in bytes (default 64 MiB
@@ -102,17 +101,28 @@ func WithShardSize(bytes uint64) Option { return func(c *config) { c.shardSize =
 // size is state, not configuration. Zero freezes shards at WithShardSize.
 func WithMaxShardSize(bytes uint64) Option { return func(c *config) { c.maxShardSize = bytes } }
 
-// WithDevice names the persistence substrate of every shard. The spec's
-// Path is the POOL DIRECTORY: shards live under it as "nvpool.shard-000",
-// "nvpool.shard-001", ... plus a manifest recording the topology (including
-// the backend kind). Supported kinds: MemDevice (in-process, the default),
-// FileDevice(dir) and DAXDevice(dir); BackendDevice cannot describe N
-// per-shard backends and is rejected by Open. Open-or-create: a directory
-// holding a manifest is validated and recovered (all shards in parallel);
-// otherwise the pool is formatted fresh and the manifest write is the
-// creation commit point.
+// WithDevice names the persistence substrate of the pool (default
+// MemDevice: every shard in process). What the spec means depends on the
+// shard count, and this is the one place that decides it:
+//
+//   - One shard: the spec IS the shard's device, handed to logfree.New
+//     verbatim — FileDevice/DAXDevice name the single image file (or devdax
+//     node), BackendDevice a caller-built backend. There is no manifest, so
+//     an image written by a plain logfree.Runtime opens as a 1-shard pool
+//     and vice versa.
+//   - More than one: the spec's Path is the POOL DIRECTORY. Shards live
+//     under it as "nvpool.shard-000", "nvpool.shard-001", ... plus a
+//     manifest recording the topology (including the backend kind).
+//     BackendDevice cannot describe N per-shard backends and is rejected.
+//
+// Open-or-create either way, and what is on disk wins over the request: a
+// directory holding a manifest is validated and recovered (all shards in
+// parallel), an existing non-directory is a single image, and an explicit
+// WithShards that disagrees with either fails before anything is written.
+// Only a path that does not exist yet is laid out by the requested count
+// (the manifest write is a fresh directory's creation commit point).
 func WithDevice(spec logfree.DeviceSpec) Option {
-	return func(c *config) { c.dir = spec.Path; c.kind = spec.Kind }
+	return func(c *config) { c.device = spec }
 }
 
 // WithDurability sets every shard's acknowledged-operation policy; see
@@ -176,12 +186,34 @@ type manifest struct {
 type Pool struct {
 	rts  []*logfree.Runtime
 	mask uint64
-	cfg  config
 
-	closed    atomic.Bool
-	growMu    sync.Mutex // serializes Grow (per-shard grows + manifest rewrite)
-	recovered bool
-	recDur    []time.Duration // per-shard open+recovery wall clock
+	// dir is the pool directory and man the topology record Grow rewrites
+	// there; dir is empty for pools with no manifest (memory pools, single
+	// images, adopted runtimes), where only man.ShardBytes is meaningful.
+	dir string
+	man manifest
+
+	closed atomic.Bool
+	growMu sync.Mutex      // serializes Grow (per-shard grows + manifest rewrite)
+	recDur []time.Duration // per-shard open+recovery wall clock
+}
+
+// newPool wraps open runtimes (a power-of-two count) as a pool.
+func newPool(rts []*logfree.Runtime, recDur []time.Duration) *Pool {
+	return &Pool{rts: rts, mask: uint64(len(rts) - 1), recDur: recDur}
+}
+
+// Adopt wraps already-open runtimes as a pool, shard i = rts[i]: how a
+// runtime opened some other way (logfree.Attach on a crashed device, a
+// volatile runtime) gets the pool surface. The pool owns the runtimes from
+// here on — Close closes them. The count must be a power of two; nothing is
+// written, so an adopted pool has no manifest and reports zero
+// ShardRecoveryDurations.
+func Adopt(rts ...*logfree.Runtime) (*Pool, error) {
+	if n := len(rts); n < 1 || n > maxShards || n&(n-1) != 0 {
+		return nil, fmt.Errorf("sharded: adopting %d runtimes: not a power of two in [1,%d]", n, maxShards)
+	}
+	return newPool(rts, make([]time.Duration, len(rts))), nil
 }
 
 func buildConfig(opts []Option) config {
@@ -235,11 +267,11 @@ func (m *manifest) validate(c *config) error {
 		// the pool may have grown past any initial-size flag since creation.
 		return fmt.Errorf("sharded: pool shards formatted for %d bytes, requested %d", m.ShardBytes, c.shardSize)
 	}
-	if c.kind != logfree.DeviceMem {
+	if c.device.Kind != logfree.DeviceMem {
 		// An unspecified kind (zero config, manifest inspection) adopts; an
 		// explicit one must match what the pool was formatted on.
-		if got := m.backendKind(); got != c.kind {
-			return fmt.Errorf("sharded: pool formatted on %q shards, requested %q", got, c.kind)
+		if got := m.backendKind(); got != c.device.Kind {
+			return fmt.Errorf("sharded: pool formatted on %q shards, requested %q", got, c.device.Kind)
 		}
 	}
 	return nil
@@ -314,11 +346,9 @@ func Open(opts ...Option) (*Pool, error) {
 	if cfg.shards < 0 || cfg.shards > maxShards {
 		return nil, fmt.Errorf("sharded: shard count %d out of range [0,%d]", cfg.shards, maxShards)
 	}
-	if cfg.fileSyncOpt && cfg.dir == "" {
+	path := cfg.device.Path
+	if cfg.fileSyncOpt && path == "" {
 		return nil, fmt.Errorf("sharded: WithFileSync requires WithDir")
-	}
-	if cfg.kind == logfree.DeviceBackend {
-		return nil, fmt.Errorf("sharded: BackendDevice cannot describe per-shard backends; use FileDevice or DAXDevice")
 	}
 
 	n := cfg.shards
@@ -326,36 +356,65 @@ func Open(opts ...Option) (*Pool, error) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = nextPow2(n)
-	size := cfg.shardSize
-	attached := false
 
-	if cfg.dir != "" {
-		man, ok, err := readManifest(cfg.dir, &cfg)
-		if err != nil {
-			return nil, err
+	// What the device means (see WithDevice). image names a device that is
+	// ONE image and goes to the sole shard verbatim; dir is the directory of
+	// a multi-shard pool. Neither is set for a memory pool.
+	image, dir := "", ""
+	if cfg.device.Kind == logfree.DeviceBackend {
+		image = "the BackendDevice"
+	} else if path != "" {
+		switch st, err := os.Stat(path); {
+		case err == nil && st.IsDir():
+			dir = path
+		case err == nil || n == 1: // an existing file or device node; or nothing yet, one shard asked
+			image = path
+		default: // nothing yet, several shards asked
+			dir = path
 		}
-		if ok {
+	}
+	if image != "" && n != 1 {
+		if cfg.shards != 0 {
+			return nil, fmt.Errorf("sharded: %s is a single image (1 shard), requested %d shards", image, n)
+		}
+		n = 1
+	}
+
+	man := manifest{
+		Magic: manifestMagic, Version: manifestVersion,
+		ShardBytes: cfg.shardSize, Hash: routeHashID,
+		Backend: cfg.device.Kind.String(),
+	}
+	attached := false
+	if dir != "" {
+		onDisk, ok, err := readManifest(dir, &cfg)
+		switch {
+		case err != nil:
+			return nil, err
+		case ok:
 			// Reopen: the manifest owns the topology; missing shard files are
 			// rejected here rather than silently recreated empty by the
 			// open-or-create file backend below.
-			n, size, attached = man.Shards, man.ShardBytes, true
+			man, n, attached = onDisk, onDisk.Shards, true
 			for i := 0; i < n; i++ {
-				if _, err := os.Stat(shardPath(cfg.dir, i)); err != nil {
+				if _, err := os.Stat(shardPath(dir, i)); err != nil {
 					return nil, fmt.Errorf("sharded: pool manifest names %d shards but shard file %s is missing: %w",
-						n, shardPath(cfg.dir, i), err)
+						n, shardPath(dir, i), err)
 				}
 			}
-		} else if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
-			return nil, fmt.Errorf("sharded: create pool directory: %w", err)
+		case n == 1:
+			return nil, fmt.Errorf("sharded: %s is a directory, but a 1-shard pool is a single image file", dir)
+		default:
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return nil, fmt.Errorf("sharded: create pool directory: %w", err)
+			}
 		}
 	}
-	if size == 0 {
-		size = defaultShardSize
-	}
+	man.Shards = n
 
 	shardOpts := func(i int) []logfree.Option {
 		o := []logfree.Option{
-			logfree.WithSize(size),
+			logfree.WithSize(man.ShardBytes), // 0: logfree's default when fresh, the image's own on reopen
 			logfree.WithMaxSize(cfg.maxShardSize),
 			logfree.WithLinkCache(cfg.linkCache),
 			logfree.WithDurability(cfg.durability),
@@ -366,14 +425,14 @@ func Open(opts ...Option) (*Pool, error) {
 		if cfg.maxThreads > 0 {
 			o = append(o, logfree.WithMaxThreads(cfg.maxThreads))
 		}
-		if cfg.dir != "" {
-			spec := logfree.FileDevice(shardPath(cfg.dir, i))
-			if cfg.kind == logfree.DeviceDAX {
-				spec = logfree.DAXDevice(shardPath(cfg.dir, i))
+		spec := cfg.device
+		if dir != "" {
+			spec = logfree.FileDevice(shardPath(dir, i))
+			if cfg.device.Kind == logfree.DeviceDAX {
+				spec = logfree.DAXDevice(shardPath(dir, i))
 			}
-			o = append(o, logfree.WithDevice(spec))
 		}
-		return o
+		return append(o, logfree.WithDevice(spec))
 	}
 
 	rts := make([]*logfree.Runtime, n)
@@ -393,44 +452,36 @@ func Open(opts ...Option) (*Pool, error) {
 			// shard SMALLER than the manifest promises is a swapped or
 			// corrupted file, exactly the geometry mismatch the non-elastic
 			// path rejects via the backend header check.
-			if errs[i] == nil && attached && cfg.maxShardSize != 0 && rts[i].SizeBytes() < size {
-				errs[i] = fmt.Errorf("shard formatted for %d bytes, pool manifest promises %d", rts[i].SizeBytes(), size)
+			if errs[i] == nil && attached && cfg.maxShardSize != 0 && rts[i].SizeBytes() < man.ShardBytes {
+				errs[i] = fmt.Errorf("shard formatted for %d bytes, pool manifest promises %d", rts[i].SizeBytes(), man.ShardBytes)
 				rts[i].Close()
 				rts[i] = nil
 			}
 		}(i)
 	}
 	wg.Wait()
+	p := newPool(rts, durs)
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			// Error-path hygiene: close every shard that DID open (logfree.New
+			// already closed the device of the shard that failed), releasing
+			// mappings and flocks, so a retry or a repair can open the files.
+			p.Close()
+			return nil, fmt.Errorf("sharded: opening shard %d of %d: %w", i, n, err)
 		}
-		// Error-path hygiene: close every shard that DID open (logfree.New
-		// already closed the device of the shard that failed), releasing
-		// mappings and flocks, so a retry or a repair can open the files.
-		for _, rt := range rts {
-			if rt != nil {
-				rt.Close()
-			}
-		}
-		return nil, fmt.Errorf("sharded: opening shard %d of %d: %w", i, n, err)
 	}
 
-	if cfg.dir != "" && !attached {
-		if err := writeManifest(cfg.dir, manifest{
-			Magic: manifestMagic, Version: manifestVersion,
-			Shards: n, ShardBytes: size, Hash: routeHashID,
-			Backend: cfg.kind.String(),
-		}); err != nil {
-			for _, rt := range rts {
-				rt.Close()
-			}
+	if man.ShardBytes == 0 {
+		man.ShardBytes = rts[0].SizeBytes()
+	}
+	if dir != "" && !attached {
+		if err := writeManifest(dir, man); err != nil {
+			p.Close()
 			return nil, err
 		}
 	}
-
-	cfg.shards, cfg.shardSize = n, size
-	return &Pool{rts: rts, mask: uint64(n - 1), cfg: cfg, recovered: attached, recDur: durs}, nil
+	p.dir, p.man = dir, man
+	return p, nil
 }
 
 // --- routing --------------------------------------------------------------
@@ -455,8 +506,14 @@ func routeHash(key []byte) uint64 {
 	return h
 }
 
-// shardOf routes a key to its shard index.
-func (p *Pool) shardOf(key []byte) int { return int(routeHash(key) & p.mask) }
+// shardOf routes a key to its shard index (a 1-shard pool has nothing to
+// hash for).
+func (p *Pool) shardOf(key []byte) int {
+	if p.mask == 0 {
+		return 0
+	}
+	return int(routeHash(key) & p.mask)
+}
 
 // ShardOf exposes the routing for tests and diagnostics.
 func (p *Pool) ShardOf(key []byte) int { return p.shardOf(key) }
@@ -470,10 +527,17 @@ func (p *Pool) Shards() int { return len(p.rts) }
 // close them individually — Close the pool).
 func (p *Pool) Runtimes() []*logfree.Runtime { return p.rts }
 
-// Recovered reports whether Open attached to an existing pool (a manifest
-// was present) rather than creating one. Memory-backed pools are always
-// fresh.
-func (p *Pool) Recovered() bool { return p.recovered }
+// Recovered reports whether the pool attached to existing durable state —
+// every shard recovered an image (see logfree.Runtime.Recovered) — rather
+// than formatting fresh. Memory-backed pools are fresh until SimulateCrash.
+func (p *Pool) Recovered() bool {
+	for _, rt := range p.rts {
+		if !rt.Recovered() {
+			return false
+		}
+	}
+	return true
+}
 
 // RecoveryStats aggregates the shards' recovery passes: counters sum;
 // Duration is the slowest shard's pass, which is the pool's recovery wall
@@ -541,7 +605,7 @@ func (p *Pool) MaxSizeBytes() uint64 {
 func (p *Pool) FreeBytes() uint64 {
 	var sum uint64
 	for _, rt := range p.rts {
-		sum += rt.FreeBytes()
+		sum += rt.AvailableBytes()
 	}
 	return sum
 }
@@ -563,7 +627,7 @@ func (p *Pool) Grow(total uint64) error {
 	n := uint64(len(p.rts))
 	per := (total + n - 1) / n
 	per = (per + nvram.LineSize - 1) &^ uint64(nvram.LineSize-1)
-	if per <= p.cfg.shardSize && p.SizeBytes() >= total {
+	if per <= p.man.ShardBytes && p.SizeBytes() >= total {
 		return nil
 	}
 	errs := make([]error, len(p.rts))
@@ -581,18 +645,14 @@ func (p *Pool) Grow(total uint64) error {
 			return fmt.Errorf("sharded: growing shard %d of %d: %w", i, len(p.rts), err)
 		}
 	}
-	if p.cfg.dir != "" {
-		if err := writeManifest(p.cfg.dir, manifest{
-			Magic: manifestMagic, Version: manifestVersion,
-			Shards: len(p.rts), ShardBytes: per, Hash: routeHashID,
-			Backend: p.cfg.kind.String(),
-		}); err != nil {
+	man := p.man
+	man.ShardBytes = per
+	if p.dir != "" {
+		if err := writeManifest(p.dir, man); err != nil {
 			return err
 		}
 	}
-	if per > p.cfg.shardSize {
-		p.cfg.shardSize = per
-	}
+	p.man = man
 	return nil
 }
 
@@ -636,6 +696,9 @@ func (p *Pool) Close() error {
 	}
 	var first error
 	for _, rt := range p.rts {
+		if rt == nil { // a shard that never opened, on a failed Open or recovery
+			continue
+		}
 		if err := rt.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -665,17 +728,15 @@ func (p *Pool) SimulateCrash() (*Pool, error) {
 		}(i, rt)
 	}
 	wg.Wait()
+	p2 := newPool(rts, durs)
 	for i, err := range errs {
 		if err != nil {
-			for _, rt := range rts {
-				if rt != nil {
-					rt.Close()
-				}
-			}
+			p2.Close()
 			return nil, fmt.Errorf("sharded: recovering shard %d: %w", i, err)
 		}
 	}
-	return &Pool{rts: rts, mask: p.mask, cfg: p.cfg, recovered: true, recDur: durs}, nil
+	p2.dir, p2.man = p.dir, p.man
+	return p2, nil
 }
 
 // --- sessions -------------------------------------------------------------

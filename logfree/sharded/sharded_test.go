@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -117,6 +118,117 @@ func TestDefaultShardCountIsPowerOfTwo(t *testing.T) {
 	n := p.Shards()
 	if n < 1 || n&(n-1) != 0 {
 		t.Fatalf("default shard count %d is not a power of two", n)
+	}
+}
+
+// --- what the device path means --------------------------------------------
+
+// TestOneShardPoolIsTheDeviceItself: at one shard the path is the image, in
+// a plain runtime's format with no manifest — a pool and a lone runtime open
+// each other's files — and an unspecified count adopts it.
+func TestOneShardPoolIsTheDeviceItself(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "one.pmem")
+	p := openFile(t, path, 1)
+	m, err := p.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Set(tkey(1), tval(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || !st.Mode().IsRegular() {
+		t.Fatalf("1-shard pool path is not a regular file: %v, %v", st, err)
+	}
+
+	rt, err := logfree.New(logfree.WithDevice(logfree.FileDevice(path)))
+	if err != nil {
+		t.Fatalf("plain runtime on a 1-shard pool's image: %v", err)
+	}
+	rm, err := rt.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := rm.Get(tkey(1)); !ok || !bytes.Equal(v, tval(1)) {
+		t.Fatalf("pool's entry through a plain runtime: %q, %v", v, ok)
+	}
+	if err := rm.Set(tkey(2), tval(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := openFile(t, path, 0)
+	if p2.Shards() != 1 || !p2.Recovered() {
+		t.Fatalf("adopted image: %d shards, recovered=%v", p2.Shards(), p2.Recovered())
+	}
+	m2, err := p2.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := m2.Get(tkey(2)); !ok || !bytes.Equal(v, tval(2)) {
+		t.Fatalf("runtime's entry through the pool: %q, %v", v, ok)
+	}
+}
+
+// TestOneShardManifestDirectoryStillOpens: directories written when a
+// 1-shard pool still had a manifest keep opening — the manifest owns the
+// topology of any directory that has one.
+func TestOneShardManifestDirectoryStillOpens(t *testing.T) {
+	dir := t.TempDir()
+	rt, err := logfree.New(logfree.WithDevice(logfree.FileDevice(shardPath(dir, 0))), logfree.WithSize(testShardSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeFileT(t, manifestPath(dir), fmt.Sprintf(
+		`{"magic":%q,"version":%d,"shards":1,"shard_bytes":%d,"hash":%q}`,
+		manifestMagic, manifestVersion, testShardSize, routeHashID))
+	p := openFile(t, dir, 1)
+	if p.Shards() != 1 || !p.Recovered() {
+		t.Fatalf("1-shard manifest directory: %d shards, recovered=%v", p.Shards(), p.Recovered())
+	}
+}
+
+func TestAdopt(t *testing.T) {
+	var rts []*logfree.Runtime
+	for i := 0; i < 3; i++ {
+		rt, err := logfree.New(logfree.WithSize(testShardSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		rts = append(rts, rt)
+	}
+	if _, err := Adopt(rts...); err == nil {
+		t.Fatal("Adopt accepted three runtimes: routing needs a power of two")
+	}
+	if _, err := Adopt(); err == nil {
+		t.Fatal("Adopt accepted no runtimes")
+	}
+	p, err := Adopt(rts[:2]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Shards() != 2 || p.Recovered() || len(p.ShardRecoveryDurations()) != 2 {
+		t.Fatalf("adopted pool: %d shards, recovered=%v", p.Shards(), p.Recovered())
+	}
+	m, err := p.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := m.Set(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := m.parts[0].Len(), m.parts[1].Len(); a == 0 || b == 0 || a+b != 100 {
+		t.Fatalf("adopted shards hold %d and %d of 100 keys", a, b)
 	}
 }
 

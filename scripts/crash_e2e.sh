@@ -17,8 +17,8 @@
 # Environment:
 #   CRASH_ROUNDS  kill -9 rounds (default 3)
 #   LOAD_SECONDS  load time before each kill (default 1)
-#   SHARDS        shard count (default 1 = classic single-runtime server;
-#                 >1 runs the server on a sharded pool directory, loads over
+#   SHARDS        shard count of the server's pool (default 1: -pmem-file is
+#                 the image file; >1 makes it the pool directory, loads over
 #                 multiple concurrent connections so every shard takes
 #                 writes, and checks that recovery ran the shards in
 #                 parallel)
@@ -50,7 +50,7 @@ go build -o "$WORK/nvmemcached" ./cmd/nvmemcached
 go build -o "$WORK/crashcheck" ./cmd/crashcheck
 
 PMEM="$WORK/cache.pmem"
-[ "$SHARDS" -gt 1 ] && PMEM="$WORK/pool" # a directory in sharded mode
+[ "$SHARDS" -gt 1 ] && PMEM="$WORK/pool" # the server makes it a directory
 LOG="$WORK/server.log"
 
 start_server() {
@@ -89,7 +89,7 @@ verify_all_rounds() {
 }
 
 # acked_total sums the acknowledged frontier over a round's state file(s) —
-# one file in classic mode, one per load worker in sharded mode.
+# one file with a single load worker, one per worker otherwise.
 acked_total() {
   cat "$WORK/state.$1"* 2>/dev/null | awk -F= '/^acked=/ {s += $2} END {print s + 0}'
 }
@@ -153,9 +153,9 @@ for r in $(seq 1 "$ROUNDS"); do
 done
 
 echo "== concurrent-load round: kill -9 under 4-connection load =="
-# Multi-connection load against THIS image (even the unsharded server):
-# four concurrent connections race sets, counters and cas chains on one
-# runtime while the kill lands — crash consistency must hold under real
+# Multi-connection load against THIS image (at one shard too): four
+# concurrent connections race sets, counters and cas chains on the same
+# runtime(s) while the kill lands — crash consistency must hold under real
 # write concurrency, not just a single serialized stream.
 "$WORK/crashcheck" -addr "$ADDR" -state "$WORK/state.conc" -prefix conc -workers 4 load &
 LOAD_PID=$!
