@@ -11,7 +11,7 @@
 // Experiments: table1, fig5, fig6, fig7, fig8, fig9a, fig9b, fig10, fig11.
 //
 // Absolute numbers depend on the host; the claims under reproduction are
-// the relative ones (see EXPERIMENTS.md for the paper-vs-measured record).
+// the relative ones (README §Performance has the latency model behind them).
 package main
 
 import (

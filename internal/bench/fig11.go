@@ -9,10 +9,10 @@ import (
 
 // Fig11 reproduces Figure 11 (§6.5): NV-Memcached against stock Memcached
 // (lock-protected table) and memcached-clht (lock-free volatile table).
-// For each key-range size it reports the memtier throughput (1:4 set:get,
-// uniform keys, cache pre-warmed with half the key range) and the time to
-// make the instance useful again after a restart: warm-up for the volatile
-// systems, recovery for NV-Memcached.
+// For each key-range size it reports the load generator's throughput (1:4
+// set:get, uniform keys, cache pre-warmed with half the key range) and the
+// time to make the instance useful again after a restart: warm-up for the
+// volatile systems, recovery for NV-Memcached.
 func Fig11(o FigureOptions) (*Table, error) {
 	o.fill()
 	t := &Table{
@@ -36,22 +36,19 @@ func fig11Point(o FigureOptions, keys int) (*Row, error) {
 		Buckets:     nextPow2(keys),
 		MaxConns:    o.Threads,
 	}
-	mt := &memcache.Memtier{
-		KeyRange: keys,
-		SetRatio: 1, GetRatio: 4,
-		ValueLen: 64,
-		Threads:  o.Threads,
-		Duration: o.Duration,
-	}
+	lg := loadGen{keyRange: keys, threads: o.Threads, duration: o.Duration}
 
 	// Stock memcached model: mutex-protected table.
 	lock := memcache.NewLockCache()
 	wuLockStart := time.Now()
-	if err := mt.Preload(lock); err != nil {
+	if err := lg.preload(kvClient{lock}); err != nil {
 		return nil, err
 	}
 	wuLock := time.Since(wuLockStart)
-	rLock := mt.RunKV(lock)
+	rLock, err := lg.runKV(lock)
+	if err != nil {
+		return nil, err
+	}
 
 	// memcached-clht model: same lock-free table, volatile.
 	clht, err := memcache.NewCLHTCache(cfg)
@@ -59,21 +56,27 @@ func fig11Point(o FigureOptions, keys int) (*Row, error) {
 		return nil, err
 	}
 	wuCLHTStart := time.Now()
-	if err := mt.Preload(clht); err != nil {
+	if err := lg.preload(kvClient{clht}); err != nil {
 		return nil, err
 	}
 	wuCLHT := time.Since(wuCLHTStart)
-	rCLHT := mt.RunKV(clht)
+	rCLHT, err := lg.runKV(clht)
+	if err != nil {
+		return nil, err
+	}
 
 	// NV-Memcached.
 	nv, err := memcache.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := mt.Preload(nv); err != nil {
+	if err := lg.preload(kvClient{nv}); err != nil {
 		return nil, err
 	}
-	rNV := mt.RunKV(nv)
+	rNV, err := lg.runKV(nv)
+	if err != nil {
+		return nil, err
+	}
 
 	// Restart comparison: crash NV-Memcached and time its recovery.
 	nv.Flush()
@@ -87,9 +90,9 @@ func fig11Point(o FigureOptions, keys int) (*Row, error) {
 	return &Row{
 		Labels: []string{fmt.Sprintf("%d", keys)},
 		Values: []float64{
-			rLock.Throughput / 1000,
-			rCLHT.Throughput / 1000,
-			rNV.Throughput / 1000,
+			rLock.throughput / 1000,
+			rCLHT.throughput / 1000,
+			rNV.throughput / 1000,
 			float64(wuLock.Microseconds()) / 1000,
 			float64(wuCLHT.Microseconds()) / 1000,
 			float64(rec.Microseconds()) / 1000,

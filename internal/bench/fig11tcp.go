@@ -34,13 +34,7 @@ func fig11TCPPoint(o FigureOptions, keys int) (*Row, error) {
 		Buckets:     nextPow2(keys),
 		MaxConns:    o.Threads,
 	}
-	mt := &memcache.Memtier{
-		KeyRange: keys,
-		SetRatio: 1, GetRatio: 4,
-		ValueLen: 64,
-		Threads:  o.Threads,
-		Duration: o.Duration,
-	}
+	lg := loadGen{keyRange: keys, threads: o.Threads, duration: o.Duration}
 
 	// Volatile comparator (memcached-clht model) over TCP: time the warm-up.
 	clht, err := memcache.NewCLHTCache(cfg)
@@ -52,12 +46,12 @@ func fig11TCPPoint(o FigureOptions, keys int) (*Row, error) {
 		return nil, err
 	}
 	wuStart := time.Now()
-	if err := mt.PreloadTCP(srvV.Addr()); err != nil {
+	if err := lg.preloadTCP(srvV.Addr()); err != nil {
 		srvV.Close()
 		return nil, err
 	}
 	warmup := time.Since(wuStart)
-	resV, err := mt.RunTCP(srvV.Addr())
+	resV, err := lg.runTCP(srvV.Addr())
 	srvV.Close()
 	if err != nil {
 		return nil, err
@@ -72,11 +66,11 @@ func fig11TCPPoint(o FigureOptions, keys int) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := mt.PreloadTCP(srvN.Addr()); err != nil {
+	if err := lg.preloadTCP(srvN.Addr()); err != nil {
 		srvN.Close()
 		return nil, err
 	}
-	resN, err := mt.RunTCP(srvN.Addr())
+	resN, err := lg.runTCP(srvN.Addr())
 	srvN.Close()
 	if err != nil {
 		return nil, err
@@ -93,8 +87,8 @@ func fig11TCPPoint(o FigureOptions, keys int) (*Row, error) {
 	return &Row{
 		Labels: []string{fmt.Sprintf("%d", keys)},
 		Values: []float64{
-			resN.Throughput / 1000,
-			resV.Throughput / 1000,
+			resN.throughput / 1000,
+			resV.throughput / 1000,
 			float64(warmup.Microseconds()) / 1000,
 			float64(rec.Microseconds()) / 1000,
 			speedup,

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"testing"
@@ -102,7 +103,7 @@ func (c *smokeClient) get(key string) (*smokeItem, bool) {
 		c.t.Fatalf("gets: bad cas unique in %q: %v", header, err)
 	}
 	buf := make([]byte, size+2)
-	if _, err := readFull(c.rw.Reader, buf); err != nil {
+	if _, err := io.ReadFull(c.rw, buf); err != nil {
 		c.t.Fatal(err)
 	}
 	if !bytes.HasSuffix(buf, []byte("\r\n")) {

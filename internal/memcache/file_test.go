@@ -82,6 +82,43 @@ func TestFileCacheRecoversWithoutSave(t *testing.T) {
 	})
 }
 
+// TestFileDeviceCostsTheSameCounts: the substrate changes what a sync wait
+// costs, never how many there are. The same single-goroutine sequence on
+// the simulated device and on a file ends with identical device counters.
+func TestFileDeviceCostsTheSameCounts(t *testing.T) {
+	run := func(dev logfree.DeviceSpec) nvram.Stats {
+		c, err := New(Config{MemoryBytes: 32 << 20, Buckets: 4096, MaxConns: 2, Shards: 1,
+			DisableLinkCache: true, Device: dev, Durability: logfree.Synced()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < 3000; i++ {
+			k := []byte(fmt.Sprintf("key-%03d", i*7%500))
+			switch i % 3 {
+			case 0:
+				if err := c.Set(k, []byte(fmt.Sprintf("value-%04d", i)), 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				c.Get(k)
+			case 2:
+				c.Delete(k)
+			}
+		}
+		c.Flush()
+		return c.Device().Stats()
+	}
+	mem := run(logfree.MemDevice())
+	file := run(logfree.FileDevice(filepath.Join(t.TempDir(), "mc.pmem")))
+	if mem.SyncWaits == 0 {
+		t.Fatalf("sequence paid no sync waits: %+v", mem)
+	}
+	if mem != file {
+		t.Fatalf("device counters differ by substrate: mem %+v, file %+v", mem, file)
+	}
+}
+
 func TestFileCacheSurvivesServesAfterReopen(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		cfg := fileConfig(filepath.Join(t.TempDir(), "mc.pmem"), shards)

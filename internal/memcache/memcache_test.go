@@ -284,6 +284,8 @@ func TestCollidingKeysSurviveCrash(t *testing.T) {
 	}
 }
 
+// TestServerProtocol: a text client's sets and gets over a real socket show
+// up in the cache's Stats().
 func TestServerProtocol(t *testing.T) {
 	m := newCache(t)
 	srv, err := NewServer("127.0.0.1:0", 4, m, m.Stats)
@@ -292,41 +294,23 @@ func TestServerProtocol(t *testing.T) {
 	}
 	defer srv.Close()
 
-	mt := &Memtier{KeyRange: 50, Threads: 1, Duration: 50 * time.Millisecond, ValueLen: 16}
-	if _, err := mt.RunTCP(srv.Addr()); err != nil {
-		t.Fatal(err)
+	c := newSmokeClient(t, srv.Addr())
+	const n = 50
+	for i := 0; i < n; i++ {
+		it := &smokeItem{Key: fmt.Sprintf("k%d", i), Value: []byte("0123456789abcdef")}
+		if resp := c.store("set", it); resp != "STORED" {
+			t.Fatalf("set %s: %q", it.Key, resp)
+		}
+	}
+	for i := 0; i < 2*n; i++ { // the upper half are misses
+		_, ok := c.get(fmt.Sprintf("k%d", i))
+		if ok != (i < n) {
+			t.Fatalf("get k%d: found=%v", i, ok)
+		}
 	}
 	st := m.Stats()
-	if st.Sets == 0 || st.Gets == 0 {
-		t.Fatalf("server processed nothing: %+v", st)
-	}
-}
-
-func TestMemtierInProcessAllBackends(t *testing.T) {
-	mt := &Memtier{KeyRange: 200, Threads: 2, Duration: 40 * time.Millisecond, ValueLen: 32}
-
-	m := newCache(t)
-	mt.Preload(m)
-	r := mt.RunKV(m)
-	if r.Ops == 0 || r.Hits == 0 {
-		t.Fatalf("nv-memcached run empty: %+v", r)
-	}
-
-	lc := NewLockCache()
-	mt.Preload(lc)
-	r = mt.RunKV(lc)
-	if r.Ops == 0 {
-		t.Fatalf("lock cache run empty: %+v", r)
-	}
-
-	cl, err := NewCLHTCache(Config{MemoryBytes: 64 << 20, Buckets: 1024, MaxConns: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt.Preload(cl)
-	r = mt.RunKV(cl)
-	if r.Ops == 0 {
-		t.Fatalf("clht cache run empty: %+v", r)
+	if st.Sets != n || st.Gets != 2*n || st.Hits != n || st.Misses != n {
+		t.Fatalf("server stats after %d sets + %d gets: %+v", n, 2*n, st)
 	}
 }
 
@@ -354,20 +338,6 @@ func TestHashCollisionChains(t *testing.T) {
 		if !ok || string(v) != fmt.Sprintf("r2-%d", i) {
 			t.Fatalf("key %d: %q,%v", i, v, ok)
 		}
-	}
-}
-
-func TestWarmUpHelper(t *testing.T) {
-	m := newCache(t)
-	d, err := WarmUp(m, 500, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatal("zero warm-up duration")
-	}
-	if m.Stats().Items != 500 {
-		t.Fatalf("Items = %d, want 500", m.Stats().Items)
 	}
 }
 

@@ -2,7 +2,6 @@ package memcache
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/nvram"
 	"repro/logfree"
@@ -41,39 +40,4 @@ func adoptCache(rt *logfree.Runtime, cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	return openCache(pool, cfg)
-}
-
-// WarmUp populates a cache with n sequential keys (the Figure 11 warm-up
-// phase for the volatile comparators) and returns how long it took.
-func WarmUp(h interface {
-	Set(key, value []byte, flags uint16, expiry uint32) error
-}, n int, valueLen int) (time.Duration, error) {
-	val := make([]byte, valueLen)
-	for i := range val {
-		val[i] = byte(i)
-	}
-	start := time.Now()
-	var kb [16]byte
-	for i := 0; i < n; i++ {
-		k := formatKey(kb[:0], uint64(i))
-		if err := h.Set(k, val, 0, 0); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
-}
-
-// formatKey renders a compact decimal key (no fmt allocation in hot loops).
-func formatKey(dst []byte, n uint64) []byte {
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
-		}
-	}
-	return append(dst, buf[i:]...)
 }

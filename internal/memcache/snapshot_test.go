@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +28,32 @@ func dumpItems(t *testing.T, m *Cache) map[string][3]string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestSnapshotIssuesNoDeviceWrites is why a live snapshot is cheap: the walk
+// only reads, so once the cache is flushed a full dump leaves every device
+// counter where it was — no write-back, no fence, no sync wait.
+func TestSnapshotIssuesNoDeviceWrites(t *testing.T) {
+	m := newCache(t)
+	defer m.Close()
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := m.Set([]byte(fmt.Sprintf("snap-%04d", i)), []byte("0123456789abcdef"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Flush()
+	before := m.Device().Stats()
+	items, err := m.Snapshot(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items != n {
+		t.Fatalf("Snapshot wrote %d items, want %d", items, n)
+	}
+	if after := m.Device().Stats(); after != before {
+		t.Fatalf("device stats moved across Snapshot: %+v -> %+v", before, after)
+	}
 }
 
 func TestSnapshotRestoreFidelity(t *testing.T) {

@@ -47,6 +47,9 @@ func (fb *FileBackend) Policy() SyncPolicy { return SyncPolicy{} }
 // Drain is a no-op on this platform.
 func (fb *FileBackend) Drain() {}
 
+// SyncStats returns zero counters on this platform.
+func (fb *FileBackend) SyncStats() SyncStats { return SyncStats{} }
+
 // SyncLines is a no-op on this platform.
 func (fb *FileBackend) SyncLines([]uint64) {}
 

@@ -319,6 +319,10 @@ func (fb *FileBackend) SyncLines(lines []uint64) { fb.syncer.enqueue(lines) }
 // in the storage stack.
 func (fb *FileBackend) Drain() { fb.syncer.drain() }
 
+// SyncStats reports the syncer's counters. After Drain returns, every ticket
+// issued before it is covered by a counted flush.
+func (fb *FileBackend) SyncStats() SyncStats { return fb.syncer.stats() }
+
 // Abandon simulates abrupt process death for in-process crash tests: it
 // closes the descriptor and drops the mapping WITHOUT any flush, so the
 // backing file holds precisely the write-backs that completed — and the

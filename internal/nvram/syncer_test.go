@@ -77,6 +77,15 @@ func TestFileSyncerStrictConcurrentFences(t *testing.T) {
 	}
 	wg.Wait()
 	fb.Drain() // must return immediately: everything strict-fenced is durable
+	// Group commit in counts: racing fences may share an fdatasync, and none
+	// is ever issued that no fence asked for.
+	st := fb.SyncStats()
+	if st.Tickets != workers*opsEach {
+		t.Fatalf("tickets = %d, want %d", st.Tickets, workers*opsEach)
+	}
+	if st.Fdatasyncs < 1 || st.Fdatasyncs > st.Tickets {
+		t.Fatalf("fdatasyncs = %d, want 1..%d", st.Fdatasyncs, st.Tickets)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +99,45 @@ func TestFileSyncerStrictConcurrentFences(t *testing.T) {
 		if got := nd.Load(Addr(k) * LineSize); got != uint64(k) {
 			t.Fatalf("strict-fenced word %d lost: %d", k, got)
 		}
+	}
+}
+
+// What each policy costs in storage round trips, as counts: n fences from
+// one goroutine, then Drain, on a fresh file device.
+func TestFileSyncerFdatasyncsPerPolicy(t *testing.T) {
+	const n = 64
+	run := func(p SyncPolicy) SyncStats {
+		d, _, err := OpenFileDevice(filepath.Join(t.TempDir(), "pm.img"), Config{Size: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		fb := d.Backend().(*FileBackend)
+		fb.SetSyncPolicy(p)
+		fl := d.NewFlusher()
+		for i := 1; i <= n; i++ {
+			d.Store(Addr(i)*LineSize, uint64(i))
+			fl.Sync(Addr(i) * LineSize)
+		}
+		fb.Drain()
+		st := fb.SyncStats()
+		if st.Tickets != n || st.Flushes == 0 {
+			t.Fatalf("%v: %+v, want %d tickets and at least one flush", p.Mode, st, n)
+		}
+		return st
+	}
+	// Synced never reaches for stable storage: msync(MS_ASYNC) only.
+	if st := run(SyncPolicy{Mode: SyncEager}); st.Fdatasyncs != 0 {
+		t.Fatalf("eager: %+v, want no fdatasync", st)
+	}
+	// Strict with nobody to share with: one fdatasync per fence.
+	if st := run(SyncPolicy{Mode: SyncStrict}); st.Fdatasyncs != n {
+		t.Fatalf("strict: %+v, want %d fdatasyncs", st, n)
+	}
+	// Buffered inside its window: the fences coalesce into the flush Drain
+	// pulls forward (two when Drain lands while one is already under way).
+	if st := run(SyncPolicy{Mode: SyncBuffered, MaxStaleness: time.Hour}); st.Fdatasyncs < 1 || st.Fdatasyncs > 2 {
+		t.Fatalf("buffered: %+v, want 1 or 2 fdatasyncs", st)
 	}
 }
 

@@ -36,6 +36,9 @@ type fileSyncer struct {
 	closing bool // flush what remains, then exit (Close)
 	discard bool // drop what remains, then exit (Abandon = kill -9)
 
+	flushes    uint64 // flush rounds completed
+	fdatasyncs uint64 // flush rounds that ended in an fdatasync
+
 	buf      []uint64      // page-sort scratch, reused across flushes
 	wake     chan struct{} // nudges an idle syncer (capacity 1)
 	urgentCh chan struct{} // interrupts a staleness sleep for a drain (capacity 1)
@@ -72,6 +75,12 @@ func (s *fileSyncer) getPolicy() SyncPolicy {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.policy
+}
+
+func (s *fileSyncer) stats() SyncStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SyncStats{Tickets: s.seq, Flushes: s.flushes, Fdatasyncs: s.fdatasyncs}
 }
 
 // kick nudges an idle syncer; a kick while it is busy is retained (capacity
@@ -220,6 +229,10 @@ func (s *fileSyncer) run() {
 
 		s.mu.Lock()
 		s.spare = batch
+		s.flushes++
+		if fsync {
+			s.fdatasyncs++
+		}
 		if target > s.durable {
 			s.durable = target
 			s.cond.Broadcast()

@@ -67,3 +67,12 @@ func (p SyncPolicy) staleness() time.Duration {
 	}
 	return p.MaxStaleness
 }
+
+// SyncStats counts a FileBackend syncer's work since open: the ratio of
+// Fdatasyncs to Tickets is what a durability policy costs in storage round
+// trips, independent of what one costs on the machine at hand.
+type SyncStats struct {
+	Tickets    uint64 // fences that handed the syncer lines (SyncLines calls)
+	Flushes    uint64 // flush rounds completed (each msyncs one merged batch)
+	Fdatasyncs uint64 // flush rounds that ended in an fdatasync
+}
