@@ -24,16 +24,14 @@ func main() {
 	pmemFile := flag.String("pmem-file", "", "torture the file-backed (mmap) backend at this path")
 	flag.Parse()
 
-	opts := []logfree.Option{
-		logfree.WithSize(128 << 20),
+	// An empty -pmem-file is the in-process device; on a file the link cache
+	// request is dropped by the runtime (its deferred link persistence has
+	// no place under the default Synced policy).
+	rt, err := logfree.New(
+		logfree.WithSize(128<<20),
 		logfree.WithMaxThreads(*workers),
-	}
-	if *pmemFile != "" {
-		opts = append(opts, logfree.WithFile(*pmemFile))
-	} else {
-		opts = append(opts, logfree.WithLinkCache(true))
-	}
-	rt, err := logfree.New(opts...)
+		logfree.WithLinkCache(true),
+		logfree.WithDevice(logfree.FileDevice(*pmemFile)))
 	if err != nil {
 		log.Fatal(err)
 	}

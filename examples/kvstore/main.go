@@ -32,28 +32,25 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: kvstore [-image file] {set k v | get k | del k | list}")
+		fmt.Fprintln(os.Stderr, "usage: kvstore [-image file | -pmem-file file] {set k v | get k | del k | list}")
 		os.Exit(2)
 	}
 
+	// With -pmem-file New is open-or-recover: the mapping is the durable
+	// state, so there is no image to load or save, and the runtime drops the
+	// link-cache request — its deferred link persistence would need a clean
+	// flush, which an abrupt kill never grants. An empty path is the
+	// in-process device.
 	opts := []logfree.Option{
 		logfree.WithSize(32 << 20),
 		logfree.WithMaxThreads(2),
 		logfree.WithLinkCache(true),
+		logfree.WithDevice(logfree.FileDevice(*pmemFile)),
 	}
 
 	var rt *logfree.Runtime
 	var err error
-	if *pmemFile != "" {
-		// Open-or-recover: the mapping is the durable state, so there is no
-		// image to load or save. The link cache stays off in this mode —
-		// its deferred link persistence would need a clean flush, which an
-		// abrupt kill never grants.
-		rt, err = logfree.New(
-			logfree.WithSize(32<<20),
-			logfree.WithMaxThreads(2),
-			logfree.WithFile(*pmemFile))
-	} else if _, serr := os.Stat(*image); serr == nil {
+	if _, serr := os.Stat(*image); *pmemFile == "" && serr == nil {
 		rt, err = logfree.Load(*image, opts...)
 	} else {
 		rt, err = logfree.New(opts...)

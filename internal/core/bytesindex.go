@@ -752,11 +752,13 @@ func (r orderedRecover) Keep(c *Ctx, n Addr) bool {
 }
 
 // validNodeKey reads the key referenced by a would-be node, first vetting
-// the entry reference (in-device, slot-aligned, in an entry-class page,
-// allocated) and the entry's shape, so garbage never faults the sweep.
+// the entry reference (in-device past the pool's header page, slot-aligned,
+// in an entry-class page, allocated) and the entry's shape, so garbage —
+// such as a sibling uint64 structure's small key in that word — never
+// faults the sweep.
 func (o *OrderedBytesMap) validNodeKey(n Addr) ([]byte, bool) {
 	e := Addr(o.s.dev.Load(n + oEntry))
-	if e == 0 || e == ^uint64(0) || e&(pmem.SlotAlign-1) != 0 || e >= o.s.dev.Size() {
+	if e < pmem.PageSize || e == ^uint64(0) || e&(pmem.SlotAlign-1) != 0 || e >= o.s.dev.Size() {
 		return nil, false
 	}
 	ecl, ok := o.s.pool.PageClass(pmem.PageOf(e))

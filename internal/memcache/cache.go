@@ -18,10 +18,10 @@
 //     count and is decided by sharded.Open alone: the image file itself at
 //     one shard, a directory of per-shard images plus a manifest at more.
 //
-// Threading (v3): every method of Cache is safe for concurrent use from any
-// goroutine — the logfree runtime's implicit sessions replaced the old
-// per-connection Handle plumbing, so connections need no worker-slot
-// assignment to issue operations.
+// Threading: every method of Cache is safe for concurrent use from any
+// goroutine — each operation draws one of the logfree runtime's implicit
+// sessions, so connections need no worker-slot assignment to issue
+// operations.
 //
 // Durable linearizability: a Set/Delete that returned is reflected after a
 // crash (link-and-persist end to end); Gets are unaffected.

@@ -35,9 +35,6 @@ func (fb *FileBackend) GrowTo(uint64) error { return ErrFileBackendUnsupported }
 // NeedsSync reports false on this platform.
 func (fb *FileBackend) NeedsSync() bool { return false }
 
-// SetStrict is a no-op on this platform.
-func (fb *FileBackend) SetStrict(bool) {}
-
 // SetSyncPolicy is a no-op on this platform.
 func (fb *FileBackend) SetSyncPolicy(SyncPolicy) {}
 

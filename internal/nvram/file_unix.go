@@ -292,18 +292,6 @@ func (fb *FileBackend) SetSyncPolicy(p SyncPolicy) { fb.syncer.setPolicy(p) }
 // Policy returns the backend's current durability policy.
 func (fb *FileBackend) Policy() SyncPolicy { return fb.syncer.getPolicy() }
 
-// SetStrict toggles full power-fail durability.
-//
-// Deprecated: use SetSyncPolicy. SetStrict(true) is SyncStrict,
-// SetStrict(false) the default eager mode.
-func (fb *FileBackend) SetStrict(on bool) {
-	if on {
-		fb.SetSyncPolicy(SyncPolicy{Mode: SyncStrict})
-	} else {
-		fb.SetSyncPolicy(SyncPolicy{Mode: SyncEager})
-	}
-}
-
 // SyncLines hands the just-written-back lines to the background syncer,
 // which coalesces their pages across fences into merged msync ranges off
 // the fence path. In SyncStrict mode the call blocks until the syncer's

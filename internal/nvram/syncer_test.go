@@ -27,26 +27,6 @@ func TestSyncPolicyStrings(t *testing.T) {
 	}
 }
 
-func TestFileBackendSetStrictShim(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pm.img")
-	fb, _, err := OpenFileBackend(path, 1<<16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	if got := fb.Policy().Mode; got != SyncEager {
-		t.Fatalf("fresh backend mode = %v, want eager", got)
-	}
-	fb.SetStrict(true)
-	if got := fb.Policy().Mode; got != SyncStrict {
-		t.Fatalf("SetStrict(true) mode = %v, want strict", got)
-	}
-	fb.SetStrict(false)
-	if got := fb.Policy().Mode; got != SyncEager {
-		t.Fatalf("SetStrict(false) mode = %v, want eager", got)
-	}
-}
-
 // Strict mode: a fence returning means the syncer's durable watermark
 // covers it, under many goroutines fencing concurrently (the group-commit
 // path). The assertion is indirect — every synced word must be in the

@@ -61,9 +61,9 @@ func newFileSyncer(fb *FileBackend, p SyncPolicy) *fileSyncer {
 	return s
 }
 
-// setPolicy swaps the durability policy. Like the old SetStrict, callers
-// switch policies only before serving operations (fences may be concurrent
-// with each other, not with a policy change).
+// setPolicy swaps the durability policy. Callers switch policies only
+// before serving operations (fences may be concurrent with each other, not
+// with a policy change).
 func (s *fileSyncer) setPolicy(p SyncPolicy) {
 	s.mu.Lock()
 	s.policy = p

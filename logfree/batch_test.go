@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/pmem"
 	"repro/logfree"
 )
 
 // TestBatchCommitSemantics: Commit equals the ops applied in order
 // (including a batch overwriting and deleting its own keys), copies buffered
-// bytes, resets on success, and works on every Map kind (u64 kinds apply
-// unamortized).
+// bytes, resets on success, and works on both Map kinds.
 func TestBatchCommitSemantics(t *testing.T) {
 	rt, err := logfree.New(logfree.WithSize(64 << 20))
 	if err != nil {
@@ -57,28 +57,6 @@ func TestBatchCommitSemantics(t *testing.T) {
 			}
 		})
 	}
-	// u64 plane: Batch applies sequentially; argument errors surface.
-	u, err := rt.OpenOrCreate("batch-u64", logfree.Spec{Kind: logfree.KindSkipList})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Batch().Set(u64key(9), u64key(90)).Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := u.Get(u64key(9)); !ok || !bytes.Equal(v, u64key(90)) {
-		t.Fatalf("u64 batch Get = %q,%v", v, ok)
-	}
-	if err := u.Batch().Set([]byte("bad"), u64key(1)).Commit(); !errors.Is(err, logfree.ErrKeyRange) {
-		t.Fatalf("u64 batch bad key: %v", err)
-	}
-	// uint64 entries store no meta/aux: a batch must reject them rather
-	// than drop them silently.
-	if err := u.Batch().SetItem(u64key(9), u64key(90), 7, 0).Commit(); !errors.Is(err, logfree.ErrNoItemMeta) {
-		t.Fatalf("u64 batch with meta: %v, want ErrNoItemMeta", err)
-	}
-	if err := u.Batch().SetItem(u64key(9), u64key(90), 0, 99).Commit(); !errors.Is(err, logfree.ErrNoItemMeta) {
-		t.Fatalf("u64 batch with aux: %v, want ErrNoItemMeta", err)
-	}
 }
 
 // TestBatchErrors: the taxonomy flows through Commit via errors.Is — size
@@ -116,8 +94,8 @@ func TestBatchErrors(t *testing.T) {
 	}
 }
 
-// TestErrFullTaxonomy: exhausting a tiny device surfaces ErrFull (and the
-// deprecated ErrOutOfMemory cause) through the public surface, on both the
+// TestErrFullTaxonomy: exhausting a tiny device surfaces ErrFull (still
+// wrapping the allocator's cause) through the public surface, on both the
 // single-op and the batch path.
 func TestErrFullTaxonomy(t *testing.T) {
 	rt, err := logfree.New(logfree.WithSize(1 << 20))
@@ -136,7 +114,7 @@ func TestErrFullTaxonomy(t *testing.T) {
 	if !errors.Is(setErr, logfree.ErrFull) {
 		t.Fatalf("exhaustion error = %v, want ErrFull", setErr)
 	}
-	if !errors.Is(setErr, logfree.ErrOutOfMemory) {
+	if !errors.Is(setErr, pmem.ErrOutOfMemory) {
 		t.Fatalf("ErrFull must wrap the core cause: %v", setErr)
 	}
 	b := m.Batch()

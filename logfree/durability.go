@@ -1,9 +1,8 @@
-// Durability policy and device specification — the v4 surface that replaced
-// the scattered WithFile/WithFileSync/WithBackend knobs. A runtime is
-// configured by naming WHERE the persisted image lives (DeviceSpec, one
-// value) and WHAT an acknowledged operation means (Durability, one value);
-// every backend-specific behaviour — fence syscalls, link-cache legality,
-// flush timers — falls out of that pair instead of being toggled per flag.
+// Durability policy and device specification. A runtime is configured by
+// naming WHERE the persisted image lives (DeviceSpec, one value) and WHAT an
+// acknowledged operation means (Durability, one value); every
+// backend-specific behaviour — fence syscalls, link-cache legality, flush
+// timers — falls out of that pair instead of being toggled per flag.
 
 package logfree
 
@@ -94,7 +93,7 @@ func BackendDevice(b nvram.Backend) DeviceSpec {
 }
 
 // durMode is the internal Durability discriminant. The zero value is the
-// default policy (Synced) so a zero Durability behaves like v3 defaults.
+// default policy (Synced).
 type durMode uint8
 
 const (

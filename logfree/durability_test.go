@@ -1,12 +1,11 @@
 package logfree
 
-// The v4 durability surface: DeviceSpec constructors, ParseDurability, the
-// policy-derived link-cache rule, deprecated-shim equivalence, runtimes on
-// every device kind under every policy, and the buffered flush timer.
+// The durability surface: DeviceSpec constructors, ParseDurability, the
+// policy-derived link-cache rule, runtimes on every device kind under every
+// policy, and the buffered flush timer.
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -198,52 +197,6 @@ func TestDAXDeviceRuntime(t *testing.T) {
 		if v, ok := m2.Get(fileKey(i)); !ok || string(v) != string(fileVal(i)) {
 			t.Fatalf("key %d lost crossing dax->file: %q, %v", i, v, ok)
 		}
-	}
-}
-
-// Deprecated shims must keep compiling and behave like their WithDevice /
-// WithDurability replacements.
-func TestDeprecatedOptionShims(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rt.pmem")
-	rt, err := New(WithFile(path), WithFileSync(true), WithSize(8<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.cfg.device.Kind != DeviceFile || !rt.cfg.durability.IsStrict() {
-		t.Fatalf("WithFile+WithFileSync(true) -> %v/%v, want file/strict",
-			rt.cfg.device.Kind, rt.cfg.durability)
-	}
-	m, _ := rt.Map("kv", 64)
-	if err := m.Set([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The new options reopen a shim-created image.
-	rt2, err := New(WithDevice(FileDevice(path)), WithDurability(Strict()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt2.Close()
-	m2, _ := rt2.Map("kv", 64)
-	if v, ok := m2.Get([]byte("k")); !ok || string(v) != "v" {
-		t.Fatalf("shim image lost under new options: %q, %v", v, ok)
-	}
-
-	// WithFileSync(false) is a no-op so it composes with an explicit policy
-	// regardless of option order.
-	cfg := buildConfig([]Option{WithDurability(Buffered(time.Second)), WithFileSync(false)})
-	if !cfg.durability.IsBuffered() {
-		t.Fatalf("WithFileSync(false) clobbered an explicit policy: %v", cfg.durability)
-	}
-
-	// The historical WithFile+WithBackend conflict diagnostic survives.
-	mem := nvram.NewMemBackend(1 << 16)
-	if _, err := New(WithFile(filepath.Join(t.TempDir(), "x.pmem")), WithBackend(mem)); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("WithFile+WithBackend err = %v, want mutually exclusive", err)
 	}
 }
 

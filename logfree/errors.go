@@ -8,10 +8,9 @@ import (
 	"repro/internal/pmem"
 )
 
-// Sentinel errors of the v3 surface. Every error returned by a Runtime,
-// structure or Batch matches one of these through errors.Is: core-layer
-// causes are wrapped with %w, so callers never import internal packages to
-// classify failures.
+// Sentinel errors. Every error returned by a Runtime, structure or Batch
+// matches one of these through errors.Is: core-layer causes are wrapped with
+// %w, so callers never import internal packages to classify failures.
 var (
 	// ErrFull reports device exhaustion: the simulated NVRAM has no page
 	// left for the allocation. Callers implementing caches may evict and
@@ -28,18 +27,9 @@ var (
 	// operations.
 	ErrBatchTooLarge = errors.New("logfree: batch too large")
 
-	// ErrNotKeyed reports OpenOrCreate on a kind with no key/value
-	// abstraction (queues and stacks); use the typed Runtime methods.
+	// ErrNotKeyed reports OpenOrCreate on a kind with no byte-key view (the
+	// uint64 sets, queues and stacks); use the typed Runtime methods.
 	ErrNotKeyed = errors.New("logfree: kind has no map abstraction")
-	// ErrKeyRange reports a uint64-plane byte key that is not exactly 8
-	// bytes or does not decode into [MinKey, MaxKey].
-	ErrKeyRange = errors.New("logfree: key outside the uint64 key range")
-	// ErrValueSize reports a uint64-plane value whose length is not exactly
-	// 8 bytes.
-	ErrValueSize = errors.New("logfree: uint64-plane values must be 8 bytes")
-	// ErrNoItemMeta reports a batch op carrying per-entry meta/aux against a
-	// kind whose entries store none (the uint64 plane).
-	ErrNoItemMeta = errors.New("logfree: kind stores no per-entry meta/aux")
 )
 
 // Re-exported core sentinels (argument errors; returned as-is).
@@ -50,21 +40,8 @@ var (
 	ErrBadKey = core.ErrBadKey
 )
 
-// Deprecated aliases of the v2 surface.
-var (
-	// ErrKind is the v2 name of ErrKindMismatch.
-	//
-	// Deprecated: use ErrKindMismatch.
-	ErrKind = ErrKindMismatch
-	// ErrOutOfMemory is the core cause wrapped by ErrFull; errors.Is against
-	// either matches.
-	//
-	// Deprecated: use ErrFull.
-	ErrOutOfMemory = pmem.ErrOutOfMemory
-)
-
 // wrapErr maps core-layer errors onto the public taxonomy, preserving the
-// cause chain (%w on both sentinels, so errors.Is matches old and new).
+// cause chain (%w on both, so errors.Is matches ErrFull and the cause).
 func wrapErr(err error) error {
 	if err == nil {
 		return nil

@@ -6,7 +6,7 @@ import (
 	"repro/logfree"
 )
 
-// The canonical v3 lifecycle: open-or-create a byte-key map, update it,
+// The canonical lifecycle: open-or-create a byte-key map, update it,
 // crash, recover, read — no per-thread handles anywhere.
 func Example() {
 	rt, _ := logfree.New(logfree.WithSize(32<<20), logfree.WithLinkCache(true))

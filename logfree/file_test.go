@@ -1,6 +1,6 @@
 package logfree
 
-// File-backed runtimes: WithFile/WithBackend open-or-recover semantics and
+// File-backed runtimes: FileDevice/BackendDevice open-or-recover semantics and
 // the kill -9 contract — everything acknowledged before an abrupt process
 // death is present after reopening the backing file, with no image save.
 
@@ -21,7 +21,7 @@ func fileVal(i int) []byte { return []byte(fmt.Sprintf("val-%04d", i)) }
 // every completed write when a second runtime opens it.
 func TestFileRuntimeAbandonRecover(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rt.pmem")
-	rt, err := New(WithFile(path), WithSize(16<<20))
+	rt, err := New(WithDevice(FileDevice(path)), WithSize(16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestFileRuntimeAbandonRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt2, err := New(WithFile(path)) // size adopted from the file
+	rt2, err := New(WithDevice(FileDevice(path))) // size adopted from the file
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFileRuntimeAbandonRecover(t *testing.T) {
 // backing file.
 func TestFileRuntimeCrashThenReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rt.pmem")
-	rt, err := New(WithFile(path), WithSize(16<<20))
+	rt, err := New(WithDevice(FileDevice(path)), WithSize(16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFileRuntimeCrashThenReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt3, err := New(WithFile(path))
+	rt3, err := New(WithDevice(FileDevice(path)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFileRuntimeCrashThenReopen(t *testing.T) {
 // formatted pool is recovered, not reformatted.
 func TestWithBackendOpenOrRecover(t *testing.T) {
 	b := nvram.NewMemBackend(16 << 20)
-	rt, err := New(WithBackend(b))
+	rt, err := New(WithDevice(BackendDevice(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWithBackendOpenOrRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt2, err := New(WithBackend(b))
+	rt2, err := New(WithDevice(BackendDevice(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestWithBackendOpenOrRecover(t *testing.T) {
 // fail loudly instead of silently reformatting someone's data.
 func TestFileOptionValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rt.pmem")
-	rt, err := New(WithFile(path), WithSize(16<<20))
+	rt, err := New(WithDevice(FileDevice(path)), WithSize(16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +172,11 @@ func TestFileOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := New(WithFile(path), WithSize(32<<20)); err == nil ||
+	if _, err := New(WithDevice(FileDevice(path)), WithSize(32<<20)); err == nil ||
 		!strings.Contains(err.Error(), "formatted for") {
 		t.Fatalf("size mismatch = %v, want formatted-for error", err)
 	}
-	if _, err := New(WithFile(path), WithBackend(nvram.NewMemBackend(1<<20))); err == nil {
-		t.Fatal("WithFile+WithBackend accepted")
-	}
-	if _, err := New(WithFile(path), WithVolatile(true)); err == nil {
-		t.Fatal("WithFile+WithVolatile accepted")
+	if _, err := New(WithDevice(FileDevice(path)), WithVolatile(true)); err == nil {
+		t.Fatal("FileDevice+WithVolatile accepted")
 	}
 }

@@ -74,7 +74,7 @@ func TestRuntimeGrowMem(t *testing.T) {
 func TestRuntimeGrowFileReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grow.pool")
 	rt, err := logfree.New(logfree.WithSize(512<<10), logfree.WithMaxSize(8<<20),
-		logfree.WithFile(path))
+		logfree.WithDevice(logfree.FileDevice(path)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRuntimeGrowFileReopen(t *testing.T) {
 	// Reopen with the ORIGINAL WithSize: WithMaxSize adopts the grown
 	// capacity instead of erroring on the disagreement.
 	rt2, err := logfree.New(logfree.WithSize(512<<10), logfree.WithMaxSize(8<<20),
-		logfree.WithFile(path))
+		logfree.WithDevice(logfree.FileDevice(path)))
 	if err != nil {
 		t.Fatal(err)
 	}

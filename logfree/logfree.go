@@ -16,20 +16,19 @@
 //	users2, _ := rt2.OpenOrCreate("users", logfree.Spec{})
 //	users2.Get([]byte("alice")) // → the value, true
 //
-// Threading (v3): there are no per-thread handles. Every method of every
+// Threading: there are no per-thread handles. Every method of every
 // structure is safe to call from any goroutine — each operation draws an
 // operation context from the runtime's lock-free session pool, which grows
 // on demand past any formatted thread count. Advanced callers can pin a
 // Session (Runtime.Session + the structures' WithSession views) to amortize
-// the pool round-trip in tight loops; the deprecated Handle(tid) remains as
-// a thin shim over pinned sessions.
+// the pool round-trip in tight loops.
 //
-// Batching (v3): m.Batch() collects Set/SetItem/Delete operations and
+// Batching: m.Batch() collects Set/SetItem/Delete operations and
 // Commit applies them with one shared content fence before the per-op
 // publishing links, so N writes pay ~N+1 NVRAM sync waits instead of 2N.
 // Batches are crash-atomic per op with prefix semantics, not transactional.
 //
-// Iteration (v3): All, Items, Scan, Ascend and Descend return Go
+// Iteration: All, Items, Scan, Ascend and Descend return Go
 // range-over-func iterators (iter.Seq2); the reclamation epoch section is
 // held across the whole loop, so iteration is safe against concurrent
 // updates (no snapshot semantics), and loop bodies may freely call other
@@ -66,30 +65,26 @@ type config struct {
 	volatile     bool
 	device       DeviceSpec
 	durability   Durability
-	// Provenance of the deprecated per-flag device options, kept so their
-	// historical conflict diagnostics survive the WithDevice redesign.
-	fileOpt, backendOpt bool
 }
 
 // defaultSize is the simulated NVRAM capacity when none is configured.
 const defaultSize = 64 << 20
 
-// Option configures a Runtime (functional options; replaces the v1 Config
-// struct).
+// Option configures a Runtime.
 type Option func(*config)
 
 // WithSize sets the simulated NVRAM capacity in bytes (default 64 MiB).
-// With WithFile it sizes a newly created backing file; reopening an
-// existing file adopts the file's formatted capacity, and an explicit
-// WithSize that disagrees with it is an error.
+// With WithDevice(FileDevice(path)) it sizes a newly created backing file;
+// reopening an existing file adopts the file's formatted capacity, and an
+// explicit WithSize that disagrees with it is an error.
 func WithSize(bytes uint64) Option { return func(c *config) { c.size = bytes } }
 
 // WithMaxSize reserves growth headroom: the runtime starts at WithSize
-// bytes but can Grow online up to this many. With WithFile, reopening an
-// existing file ADOPTS its formatted capacity (whatever the last durable
-// grow reached) instead of erroring on a WithSize disagreement — an elastic
-// pool's size is state, not configuration. Zero freezes the capacity at
-// WithSize, exactly the pre-growth behaviour.
+// bytes but can Grow online up to this many. On a file or DAX device,
+// reopening an existing image ADOPTS its formatted capacity (whatever the
+// last durable grow reached) instead of erroring on a WithSize disagreement
+// — an elastic pool's size is state, not configuration. Zero freezes the
+// capacity at WithSize, exactly the pre-growth behaviour.
 func WithMaxSize(bytes uint64) Option { return func(c *config) { c.maxSize = bytes } }
 
 // WithDevice names the persistence substrate of the runtime — see
@@ -104,33 +99,6 @@ func WithDevice(spec DeviceSpec) Option { return func(c *config) { c.device = sp
 // on the configured device — see Durability (Strict, Synced, Buffered).
 // The default is Synced.
 func WithDurability(d Durability) Option { return func(c *config) { c.durability = d } }
-
-// WithFile backs the persisted image with an mmap'd file at path.
-//
-// Deprecated: use WithDevice(FileDevice(path)).
-func WithFile(path string) Option {
-	return func(c *config) { c.device = FileDevice(path); c.fileOpt = path != "" }
-}
-
-// WithFileSync(true) makes acknowledged operations machine-crash durable.
-//
-// Deprecated: use WithDurability(Strict()). WithFileSync(false) is a no-op
-// (the default policy is already Synced), so conditional call sites compose
-// with WithDurability.
-func WithFileSync(strict bool) Option {
-	return func(c *config) {
-		if strict {
-			c.durability = Strict()
-		}
-	}
-}
-
-// WithBackend runs the runtime on a caller-constructed persistence backend.
-//
-// Deprecated: use WithDevice(BackendDevice(b)).
-func WithBackend(b nvram.Backend) Option {
-	return func(c *config) { c.device = BackendDevice(b); c.backendOpt = b != nil }
-}
 
 // WithWriteLatency sets the simulated NVRAM write latency (paper default
 // 125ns via nvram.DefaultWriteLatency). Zero disables latency injection.
@@ -172,10 +140,7 @@ func buildConfig(opts []Option) config {
 func (c *config) openDevice() (*nvram.Device, error) {
 	ncfg := nvram.Config{WriteLatency: c.writeLatency, MaxSize: c.maxSize}
 	spec := c.device
-	switch {
-	case c.fileOpt && c.backendOpt:
-		return nil, fmt.Errorf("logfree: WithBackend and WithFile are mutually exclusive")
-	case c.volatile && spec.Kind != DeviceMem:
+	if c.volatile && spec.Kind != DeviceMem {
 		return nil, fmt.Errorf("logfree: WithVolatile strips the write-backs a durable backend exists to capture")
 	}
 	switch spec.Kind {
@@ -300,8 +265,6 @@ type Runtime struct {
 
 	closed   atomic.Bool
 	attached bool // true when Attach recovered an existing image
-	handleMu sync.Mutex
-	handles  map[int]*Session // Handle(tid) shim sessions, by tid
 
 	// Buffered-policy link-cache flush timer (startFlushTimer).
 	flushStop chan struct{}
@@ -323,9 +286,9 @@ type RecoveryReport struct {
 }
 
 // New creates a runtime. On the default in-process backend the device is
-// always fresh; with WithFile or WithBackend, a persisted image that
-// already holds a formatted pool is recovered instead of destroyed
-// (open-or-create — Recovered reports which path ran).
+// always fresh; with WithDevice naming a durable substrate, a persisted
+// image that already holds a formatted pool is recovered instead of
+// destroyed (open-or-create — Recovered reports which path ran).
 func New(opts ...Option) (*Runtime, error) {
 	cfg := buildConfig(opts)
 	dev, err := cfg.openDevice()
@@ -533,8 +496,8 @@ func (r *Runtime) Close() error {
 }
 
 // Recovered reports whether this runtime attached to an existing formatted
-// image (New on a populated WithFile/WithBackend device, Attach, Load)
-// rather than formatting a fresh pool.
+// image (New on a populated WithDevice substrate, Attach, Load) rather than
+// formatting a fresh pool.
 func (r *Runtime) Recovered() bool { return r.attached }
 
 // SimulateCrash power-fails the device (losing everything not written
@@ -639,80 +602,6 @@ func (r *Runtime) Names() []string {
 		return true
 	})
 	return out
-}
-
-// ensure looks name up under the registration lock and, when absent, runs
-// create and registers its descriptor. It returns the entry either way.
-func (r *Runtime) ensure(c *core.Ctx, name string, kind Kind,
-	create func() (aux, a1, a2 uint64, err error)) (aux, a1, a2 uint64, err error) {
-	if name == "" {
-		return 0, 0, 0, fmt.Errorf("logfree: empty structure name")
-	}
-	r.dirMu.Lock()
-	defer r.dirMu.Unlock()
-	if v, ok := r.dir.Get(c, []byte(name)); ok {
-		k, aux, a1, a2, ok := decodeDirEntry(v)
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("logfree: corrupt directory entry for %q", name)
-		}
-		if k != kind {
-			return 0, 0, 0, fmt.Errorf("%w: %q is a %v, not a %v", ErrKindMismatch, name, k, kind)
-		}
-		return aux, a1, a2, nil
-	}
-	aux, a1, a2, err = create()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if _, err := r.dir.Set(c, []byte(name), encodeDirEntry(kind, aux, a1, a2), 0, 0); err != nil {
-		return 0, 0, 0, err
-	}
-	// Registration is a durable commit point (v1 synced root slots directly;
-	// v2 must match): flush any link-cache entry still covering the
-	// directory update before returning the structure to the caller.
-	if lc := r.store.LinkCache(); lc != nil {
-		lc.FlushAll(c.Flusher())
-		c.Flusher().Fence()
-	}
-	return aux, a1, a2, nil
-}
-
-// recoverAll runs the §5.5 recovery procedure once for the directory plus
-// every structure it lists: a single combined sweep of the active areas, so
-// no structure's sweep can mistake a sibling's nodes for leaks.
-func (r *Runtime) recoverAll() {
-	c := r.store.CtxFor(0)
-	rs := []core.Recoverer{r.dir.Recoverer()}
-	r.recovered = nil
-	r.dir.Range(c, func(name, v []byte) bool {
-		kind, aux, a1, a2, ok := decodeDirEntry(v)
-		if !ok {
-			return true
-		}
-		switch kind {
-		case KindList:
-			rs = append(rs, core.AttachList(r.store, a1, a2).Recoverer())
-		case KindHashTable:
-			rs = append(rs, core.AttachHashTable(r.store, a1, int(aux), a2).Recoverer())
-		case KindSkipList:
-			rs = append(rs, core.AttachSkipList(r.store, a1, a2).Recoverer())
-		case KindBST:
-			rs = append(rs, core.AttachBST(r.store, a1, a2).Recoverer())
-		case KindQueue:
-			rs = append(rs, core.AttachQueue(r.store, a1).Recoverer())
-		case KindStack:
-			rs = append(rs, core.AttachStack(r.store, a1).Recoverer())
-		case KindMap:
-			rs = append(rs, core.AttachBytesMap(r.store, a1, int(aux), a2).Recoverer())
-		case KindOrderedMap:
-			rs = append(rs, core.AttachOrderedBytesMap(r.store, a1, a2).Recoverer())
-		default:
-			return true
-		}
-		r.recovered = append(r.recovered, RecoveryReport{Name: string(name), Kind: kind})
-		return true
-	})
-	r.recStats = core.RecoverSet(r.store, rs, r.cfg.maxThreads)
 }
 
 // Byte-map entry geometry re-exported from the core: an entry (header +

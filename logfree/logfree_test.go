@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -76,10 +75,6 @@ func TestOpenWrongKindRejected(t *testing.T) {
 	if _, err := rt.BST("x"); !errors.Is(err, ErrKindMismatch) {
 		t.Fatalf("wrong-kind open: %v, want ErrKindMismatch", err)
 	}
-	// The deprecated alias keeps matching.
-	if _, err := rt.BST("x"); !errors.Is(err, ErrKind) {
-		t.Fatalf("wrong-kind open: %v, want ErrKind", err)
-	}
 	if _, err := rt.OpenOrCreate("x", Spec{Kind: KindMap}); !errors.Is(err, ErrKindMismatch) {
 		t.Fatalf("wrong-kind OpenOrCreate: %v, want ErrKindMismatch", err)
 	}
@@ -133,16 +128,27 @@ func TestCrashRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMultiStructureCrashRecovery: several structures of different kinds
-// share one store and all survive one crash — the combined recovery sweep
-// must not mistake one structure's nodes for another's leaks.
+// TestMultiStructureCrashRecovery: one structure of every kind in the kind
+// table shares one store and all survive one crash — the combined recovery
+// sweep must not mistake one structure's nodes for another's leaks, and a
+// kind without a table row cannot be silently skipped by it.
 func TestMultiStructureCrashRecovery(t *testing.T) {
 	rt := newRT(t, WithLinkCache(true))
-	ht, _ := rt.HashTable("sessions", 256)
-	sl, _ := rt.SkipList("by-expiry")
-	bt, _ := rt.BST("scores")
-	q, _ := rt.Queue("jobs")
-	m, _ := rt.Map("blobs", 64)
+	for k := Kind(1); k.String() != "unknown"; k++ {
+		if _, ok := kindTable[k]; !ok {
+			t.Fatalf("kind %v has no kindTable row", k)
+		}
+	}
+	for kind := range kindTable {
+		if _, err := rt.open(kind.String(), kind, 64); err != nil {
+			t.Fatalf("create %v: %v", kind, err)
+		}
+	}
+	ht, _ := rt.HashTable("hashtable", 64)
+	sl, _ := rt.SkipList("skiplist")
+	bt, _ := rt.BST("bst")
+	q, _ := rt.Queue("queue")
+	m, _ := rt.Map("map", 64)
 	for k := uint64(1); k <= 300; k++ {
 		ht.Insert(k, k)
 		sl.Insert(k+1000, k)
@@ -155,14 +161,26 @@ func TestMultiStructureCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rt2.RecoveryReports()); got != 5 {
-		t.Fatalf("recovery reports = %d, want 5", got)
+	reported := map[string]Kind{}
+	for _, rep := range rt2.RecoveryReports() {
+		reported[rep.Name] = rep.Kind
 	}
-	ht2, _ := rt2.HashTable("sessions", 256)
-	sl2, _ := rt2.SkipList("by-expiry")
-	bt2, _ := rt2.BST("scores")
-	q2, _ := rt2.Queue("jobs")
-	m2, _ := rt2.Map("blobs", 64)
+	if len(reported) != len(kindTable) {
+		t.Fatalf("recovery reports = %v, want one per kind", reported)
+	}
+	for kind := range kindTable {
+		if got, ok := reported[kind.String()]; !ok || got != kind {
+			t.Fatalf("recovery report for %v = %v,%v", kind, got, ok)
+		}
+		if _, err := rt2.open(kind.String(), kind, 64); err != nil {
+			t.Fatalf("reopen %v: %v", kind, err)
+		}
+	}
+	ht2, _ := rt2.HashTable("hashtable", 64)
+	sl2, _ := rt2.SkipList("skiplist")
+	bt2, _ := rt2.BST("bst")
+	q2, _ := rt2.Queue("queue")
+	m2, _ := rt2.Map("map", 64)
 	if n := ht2.Len(); n != 300 {
 		t.Fatalf("hash table lost entries: %d", n)
 	}
@@ -443,39 +461,6 @@ func TestPinnedSession(t *testing.T) {
 	// The unpinned map still works after the session went back to the pool.
 	if _, ok := m.Get([]byte("p-007")); !ok {
 		t.Fatal("unpinned read failed")
-	}
-}
-
-// TestHandleShim: the deprecated Handle(tid) keeps working as a pinned
-// session — same tid, same context — and rejects out-of-range tids with a
-// descriptive panic (the v2 behaviour was whatever the core context table
-// did).
-func TestHandleShim(t *testing.T) {
-	rt := newRT(t)
-	a := rt.Handle(3)
-	b := rt.Handle(3)
-	if a != b || a.c != b.c {
-		t.Fatal("Handle(3) created two distinct contexts")
-	}
-	a.Reclaim()
-	a.Close() // no-op for pinned shim sessions
-	if c := rt.Handle(3); c != a {
-		t.Fatal("Handle(3) changed identity after Close")
-	}
-	for _, tid := range []int{-1, maxHandleTid} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("Handle(%d) did not panic", tid)
-				}
-				msg := fmt.Sprint(r)
-				if !strings.Contains(msg, "out of range") || !strings.Contains(msg, fmt.Sprint(tid)) {
-					t.Fatalf("Handle(%d) panic not descriptive: %q", tid, msg)
-				}
-			}()
-			rt.Handle(tid)
-		}()
 	}
 }
 

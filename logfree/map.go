@@ -1,8 +1,6 @@
 package logfree
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"iter"
 
@@ -15,9 +13,9 @@ type Spec struct {
 	// byte-keyed durable hash map. KindOrderedMap selects the ordered
 	// byte-keyed map (range scans, Min/Max).
 	Kind Kind
-	// Buckets sizes hash-backed kinds (KindMap, KindHashTable; rounded up
-	// to a power of two, default 1024). Ignored when opening an existing
-	// structure, whose durable bucket count wins, and by ordered kinds.
+	// Buckets sizes a new KindMap (rounded up to a power of two, default
+	// 1024). Ignored when opening an existing map, whose durable bucket
+	// count wins, and by KindOrderedMap.
 	Buckets int
 }
 
@@ -30,20 +28,14 @@ type Item struct {
 	Aux   uint64
 }
 
-// Map is the unified byte-key interface of every keyed durable structure.
+// Map is the byte-key interface of the two byte-keyed durable structures.
 // All methods are safe for concurrent use from any goroutine (implicit
 // sessions).
 //
 // KindMap (the default) stores arbitrary []byte keys and values: the key's
 // hash indexes a log-free durable hash table, the full key is verified in
 // the durable entry, and same-hash keys chain durably — distinct keys can
-// never alias.
-//
-// The uint64-plane kinds (KindList, KindHashTable, KindSkipList, KindBST)
-// expose the same interface over their 8-byte key/value words: keys and
-// values are exactly 8 big-endian bytes, with the key decoding into
-// [MinKey, MaxKey] (a fixed width, so distinct byte keys can never alias).
-// The typed wrappers (Runtime.List, …) give the raw uint64 surface.
+// never alias. KindOrderedMap keeps the same entries in byte-key order.
 type Map interface {
 	// Set binds key to value (upsert), durably.
 	Set(key, value []byte) error
@@ -55,15 +47,13 @@ type Map interface {
 	Contains(key []byte) bool
 	// Len counts live keys (quiescent use).
 	Len() int
-	// All iterates over live entries (range-over-func). For ordered kinds
-	// (KindOrderedMap, KindList, KindSkipList, KindBST) iteration is in
-	// strictly ascending byte-key order; for hash-backed kinds (KindMap,
-	// KindHashTable) the order is unspecified. The reclamation epoch
-	// section is held across the whole loop: iteration is safe for
-	// concurrent use for the byte-map kinds (no snapshot semantics —
-	// concurrent updates may be missed); treat as quiescent-use for the
-	// uint64-plane kinds. Loop bodies may call operations (they draw their
-	// own sessions) but must not operate through the same pinned Session.
+	// All iterates over live entries (range-over-func): in strictly
+	// ascending byte-key order for KindOrderedMap, in unspecified order for
+	// KindMap. The reclamation epoch section is held across the whole loop,
+	// so iteration is safe for concurrent use (no snapshot semantics —
+	// concurrent updates may be missed). Loop bodies may call operations
+	// (they draw their own sessions) but must not operate through the same
+	// pinned Session.
 	All() iter.Seq2[[]byte, []byte]
 	// Batch starts an operation batch against this map; see Batch.
 	Batch() *Batch
@@ -73,9 +63,8 @@ type Map interface {
 	Name() string
 }
 
-// OrderedMap extends Map with ordered queries. Every Map returned by
-// OpenOrCreate for an ordered kind (KindOrderedMap, KindList,
-// KindSkipList, KindBST) satisfies it:
+// OrderedMap extends Map with ordered queries. The Map that OpenOrCreate
+// returns for KindOrderedMap satisfies it:
 //
 //	m, _ := rt.OpenOrCreate("scores", logfree.Spec{Kind: logfree.KindOrderedMap})
 //	om := m.(logfree.OrderedMap)
@@ -103,48 +92,21 @@ type OrderedMap interface {
 	Max() (key, value []byte, ok bool)
 }
 
-// OpenOrCreate is the generic entry point of the API: it opens the
-// structure registered under name, or creates and registers it, and returns
-// the unified byte-key Map view. Opening an existing name under a different
-// kind fails with ErrKindMismatch; queue and stack kinds have no map
-// abstraction (ErrNotKeyed) — use Runtime.Queue and Runtime.Stack.
+// OpenOrCreate opens the byte-keyed map registered under name, or creates
+// and registers it (KindMap or KindOrderedMap). Opening an existing name
+// under a different kind fails with ErrKindMismatch; every other kind has no
+// byte-key view (ErrNotKeyed) — use its typed Runtime method (List,
+// HashTable, SkipList, BST, Queue, Stack).
 func (r *Runtime) OpenOrCreate(name string, spec Spec) (Map, error) {
 	if spec.Kind == 0 {
 		spec.Kind = KindMap
-	}
-	if spec.Buckets <= 0 {
-		spec.Buckets = 1024
 	}
 	switch spec.Kind {
 	case KindMap:
 		return r.Map(name, spec.Buckets)
 	case KindOrderedMap:
 		return r.OrderedMap(name)
-	case KindHashTable:
-		t, err := r.HashTable(name, spec.Buckets)
-		if err != nil {
-			return nil, err
-		}
-		return &u64View{binding: t.binding, m: t.t, kind: KindHashTable, name: name}, nil
-	case KindList:
-		l, err := r.List(name)
-		if err != nil {
-			return nil, err
-		}
-		return &u64OrderedView{u64View{binding: l.binding, m: l.l, kind: KindList, name: name}}, nil
-	case KindSkipList:
-		s, err := r.SkipList(name)
-		if err != nil {
-			return nil, err
-		}
-		return &u64OrderedView{u64View{binding: s.binding, m: s.s, kind: KindSkipList, name: name}}, nil
-	case KindBST:
-		t, err := r.BST(name)
-		if err != nil {
-			return nil, err
-		}
-		return &u64OrderedView{u64View{binding: t.binding, m: t.t, kind: KindBST, name: name}}, nil
-	case KindQueue, KindStack:
+	case KindList, KindHashTable, KindSkipList, KindBST, KindQueue, KindStack:
 		return nil, fmt.Errorf("%w: %v", ErrNotKeyed, spec.Kind)
 	}
 	return nil, fmt.Errorf("logfree: unknown kind %d", spec.Kind)
@@ -170,32 +132,16 @@ type ByteMap struct {
 }
 
 // Map opens or creates the byte-keyed durable map registered under name
-// (the typed veneer of OpenOrCreate with KindMap).
+// (OpenOrCreate with KindMap, concretely typed).
 func (r *Runtime) Map(name string, buckets int) (*ByteMap, error) {
 	if buckets <= 0 {
 		buckets = 1024
 	}
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindMap, buckets)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var created *core.BytesMap
-	aux, a1, a2, err := r.ensure(c, name, KindMap, func() (uint64, uint64, uint64, error) {
-		b, err := core.NewBytesMap(c, buckets)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		created = b
-		return uint64(b.NumBuckets()), b.Buckets(), b.Tail(), nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if created == nil {
-		created = core.AttachBytesMap(r.store, a1, int(aux), a2)
-	}
-	return &ByteMap{binding: binding{rt: r}, b: created, name: name}, nil
+	return &ByteMap{binding: binding{rt: r}, b: st.(*core.BytesMap), name: name}, nil
 }
 
 // WithSession returns a view of the map whose operations all run on the
@@ -336,30 +282,14 @@ type OrderedByteMap struct {
 }
 
 // OrderedMap opens or creates the ordered byte-keyed durable map
-// registered under name (the typed veneer of OpenOrCreate with
-// KindOrderedMap).
+// registered under name (OpenOrCreate with KindOrderedMap, concretely
+// typed).
 func (r *Runtime) OrderedMap(name string) (*OrderedByteMap, error) {
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindOrderedMap, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var created *core.OrderedBytesMap
-	_, a1, a2, err := r.ensure(c, name, KindOrderedMap, func() (uint64, uint64, uint64, error) {
-		o, err := core.NewOrderedBytesMap(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		created = o
-		return 0, o.Head(), o.Tail(), nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if created == nil {
-		created = core.AttachOrderedBytesMap(r.store, a1, a2)
-	}
-	return &OrderedByteMap{binding: binding{rt: r}, o: created, name: name}, nil
+	return &OrderedByteMap{binding: binding{rt: r}, o: st.(*core.OrderedBytesMap), name: name}, nil
 }
 
 // WithSession returns a view of the map whose operations all run on the
@@ -507,233 +437,3 @@ func (m *OrderedByteMap) Kind() Kind { return KindOrderedMap }
 
 // Name implements Map.
 func (m *OrderedByteMap) Name() string { return m.name }
-
-// --- uint64-plane adapter ------------------------------------------------
-
-// u64core is the operation set the core uint64 structures share; the typed
-// wrappers and the byte-key views both drive it with the session they hold.
-type u64core interface {
-	Insert(c *core.Ctx, key, value uint64) bool
-	Upsert(c *core.Ctx, key, value uint64) bool
-	Delete(c *core.Ctx, key uint64) (uint64, bool)
-	Search(c *core.Ctx, key uint64) (uint64, bool)
-	Contains(c *core.Ctx, key uint64) bool
-	Len(c *core.Ctx) int
-	Range(c *core.Ctx, fn func(key, value uint64) bool)
-}
-
-// u64coreScanner is implemented by core structures with native ordered
-// iteration plumbing (the skip list's SeekGE-positioned Scan).
-type u64coreScanner interface {
-	Scan(c *core.Ctx, start, end uint64, fn func(key, value uint64) bool)
-}
-
-// u64View adapts a uint64 structure to the byte-key Map interface: keys and
-// values are exactly 8 big-endian bytes (fixed width — variable-length keys
-// with leading zeros would alias onto one uint64).
-type u64View struct {
-	binding
-	m    u64core
-	kind Kind
-	name string
-}
-
-func decodeU64Key(key []byte) (uint64, error) {
-	if len(key) != 8 {
-		return 0, ErrKeyRange
-	}
-	k := binary.BigEndian.Uint64(key)
-	if k < MinKey || k > MaxKey {
-		return 0, ErrKeyRange
-	}
-	return k, nil
-}
-
-func (v *u64View) Set(key, value []byte) error {
-	k, err := decodeU64Key(key)
-	if err != nil {
-		return err
-	}
-	if len(value) != 8 {
-		return ErrValueSize
-	}
-	c, s, err := v.beginErr()
-	if err != nil {
-		return err
-	}
-	defer v.end(s)
-	v.m.Upsert(c, k, binary.BigEndian.Uint64(value))
-	return nil
-}
-
-func (v *u64View) Get(key []byte) ([]byte, bool) {
-	k, err := decodeU64Key(key)
-	if err != nil {
-		return nil, false
-	}
-	c, s := v.begin()
-	defer v.end(s)
-	val, ok := v.m.Search(c, k)
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, val)
-	return out, true
-}
-
-func (v *u64View) Delete(key []byte) bool {
-	k, err := decodeU64Key(key)
-	if err != nil {
-		return false
-	}
-	c, s := v.begin()
-	defer v.end(s)
-	_, ok := v.m.Delete(c, k)
-	return ok
-}
-
-func (v *u64View) Contains(key []byte) bool {
-	_, ok := v.Get(key)
-	return ok
-}
-
-func (v *u64View) Len() int {
-	c, s := v.begin()
-	defer v.end(s)
-	return v.m.Len(c)
-}
-
-func (v *u64View) All() iter.Seq2[[]byte, []byte] {
-	return func(yield func([]byte, []byte) bool) {
-		c, s := v.begin()
-		defer v.end(s)
-		v.m.Range(c, func(k, val uint64) bool {
-			kb, vb := make([]byte, 8), make([]byte, 8)
-			binary.BigEndian.PutUint64(kb, k)
-			binary.BigEndian.PutUint64(vb, val)
-			return yield(kb, vb)
-		})
-	}
-}
-
-// Batch implements Map. The uint64 plane has no deferred-fence plumbing, so
-// Commit simply applies the ops in order (same crash semantics — each op is
-// individually durable — without the fence amortization of the byte maps).
-// uint64 entries store no per-entry metadata: a buffered SetItem with a
-// non-zero meta or aux fails with ErrNoItemMeta rather than dropping the
-// fields silently.
-func (v *u64View) Batch() *Batch {
-	return &Batch{apply: func(ops []core.BytesOp) error {
-		for i := range ops {
-			if ops[i].Meta != 0 || ops[i].Aux != 0 {
-				return fmt.Errorf("%w: %v batch op carries meta/aux", ErrNoItemMeta, v.kind)
-			}
-		}
-		for i := range ops {
-			if ops[i].Del {
-				v.Delete(ops[i].Key)
-				continue
-			}
-			if err := v.Set(ops[i].Key, ops[i].Value); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
-}
-
-func (v *u64View) Kind() Kind   { return v.kind }
-func (v *u64View) Name() string { return v.name }
-
-// --- ordered uint64-plane adapter ----------------------------------------
-
-// u64OrderedView wraps u64View over the ordered uint64 kinds (KindList,
-// KindSkipList, KindBST — structures whose Range already iterates in
-// ascending key order), adding the OrderedMap methods. Because keys are a
-// fixed 8 big-endian bytes, bytewise order coincides with numeric order,
-// and Scan bounds of any length compare lexicographically.
-type u64OrderedView struct{ u64View }
-
-func (v *u64OrderedView) Scan(start, end []byte) iter.Seq2[[]byte, []byte] {
-	return func(yield func([]byte, []byte) bool) {
-		c, s := v.begin()
-		defer v.end(s)
-		emit := func(k, val uint64) bool {
-			kb, vb := make([]byte, 8), make([]byte, 8)
-			binary.BigEndian.PutUint64(kb, k)
-			binary.BigEndian.PutUint64(vb, val)
-			return yield(kb, vb)
-		}
-		// Fast path: exact 8-byte (or open) bounds on a structure with
-		// native seek plumbing position with the index instead of filtering.
-		if sc, ok := v.m.(u64coreScanner); ok && (len(start) == 0 || len(start) == 8) && (end == nil || len(end) == 8) {
-			lo := uint64(MinKey)
-			if len(start) == 8 {
-				if k := binary.BigEndian.Uint64(start); k > lo {
-					lo = k
-				}
-			}
-			hi := uint64(0) // 0 = through MaxKey
-			if len(end) == 8 {
-				hi = binary.BigEndian.Uint64(end)
-				if hi == 0 {
-					return // end below every storable key
-				}
-			}
-			if lo > MaxKey {
-				return
-			}
-			sc.Scan(c, lo, hi, emit)
-			return
-		}
-		// Slow path (list, BST, or ragged bounds): the underlying Range
-		// walks without its own epoch section, so open one here — retired
-		// nodes then cannot be reclaimed mid-walk, making the OrderedMap
-		// concurrency contract hold for every ordered kind.
-		c.Epoch().Begin()
-		defer c.Epoch().End()
-		v.m.Range(c, func(k, val uint64) bool {
-			var kb [8]byte
-			binary.BigEndian.PutUint64(kb[:], k)
-			if len(start) > 0 && bytes.Compare(kb[:], start) < 0 {
-				return true
-			}
-			if end != nil && bytes.Compare(kb[:], end) >= 0 {
-				return false // ascending: nothing after can be in range
-			}
-			return emit(k, val)
-		})
-	}
-}
-
-func (v *u64OrderedView) Ascend() iter.Seq2[[]byte, []byte] { return v.Scan(nil, nil) }
-
-func (v *u64OrderedView) Descend() iter.Seq2[[]byte, []byte] {
-	return func(yield func([]byte, []byte) bool) {
-		type kv struct{ k, v []byte }
-		var all []kv
-		for k, val := range v.Scan(nil, nil) {
-			all = append(all, kv{k, val})
-		}
-		for i := len(all) - 1; i >= 0; i-- {
-			if !yield(all[i].k, all[i].v) {
-				return
-			}
-		}
-	}
-}
-
-func (v *u64OrderedView) Min() (key, value []byte, ok bool) {
-	for k, val := range v.Scan(nil, nil) {
-		return k, val, true
-	}
-	return nil, nil, false
-}
-
-func (v *u64OrderedView) Max() (key, value []byte, ok bool) {
-	for k, val := range v.Scan(nil, nil) {
-		key, value, ok = k, val, true
-	}
-	return key, value, ok
-}

@@ -202,60 +202,6 @@ func TestHashCollisionKeysStayDistinct(t *testing.T) {
 	}
 }
 
-func TestOpenOrCreateU64Kinds(t *testing.T) {
-	rt := newRT(t)
-	for _, kind := range []Kind{KindList, KindHashTable, KindSkipList, KindBST} {
-		name := "u64-" + kind.String()
-		m, err := rt.OpenOrCreate(name, Spec{Kind: kind, Buckets: 64})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if m.Kind() != kind || m.Name() != name {
-			t.Fatalf("%v: Kind/Name = %v/%q", kind, m.Kind(), m.Name())
-		}
-		key := []byte{0, 0, 0, 0, 0, 0, 0, 42}
-		val := []byte("12345678")
-		if err := m.Set(key, val); err != nil {
-			t.Fatalf("%v: Set: %v", kind, err)
-		}
-		if v, ok := m.Get(key); !ok || !bytes.Equal(v, val) {
-			t.Fatalf("%v: Get = %q,%v", kind, v, ok)
-		}
-		// Upsert semantics.
-		if err := m.Set(key, []byte("abcdefgh")); err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := m.Get(key); string(v) != "abcdefgh" {
-			t.Fatalf("%v: overwrite lost: %q", kind, v)
-		}
-		if m.Len() != 1 {
-			t.Fatalf("%v: Len = %d", kind, m.Len())
-		}
-		for k := range m.All() {
-			if !bytes.Equal(k, key) {
-				t.Fatalf("%v: All key = %v", kind, k)
-			}
-		}
-		if !m.Delete(key) {
-			t.Fatalf("%v: Delete failed", kind)
-		}
-		// Validation errors: keys are a fixed 8 bytes (variable widths would
-		// alias, e.g. {0,42} and {42}), values exactly 8 bytes.
-		if err := m.Set(nil, val); !errors.Is(err, ErrKeyRange) {
-			t.Fatalf("%v: empty key: %v", kind, err)
-		}
-		if err := m.Set([]byte{42}, val); !errors.Is(err, ErrKeyRange) {
-			t.Fatalf("%v: short key: %v", kind, err)
-		}
-		if err := m.Set([]byte("ninebytes"), val); !errors.Is(err, ErrKeyRange) {
-			t.Fatalf("%v: long key: %v", kind, err)
-		}
-		if err := m.Set(key, []byte("short")); !errors.Is(err, ErrValueSize) {
-			t.Fatalf("%v: short value: %v", kind, err)
-		}
-	}
-}
-
 func TestOpenOrCreateDefaultsToMap(t *testing.T) {
 	rt := newRT(t)
 	m, err := rt.OpenOrCreate("d", Spec{})
@@ -270,19 +216,24 @@ func TestOpenOrCreateDefaultsToMap(t *testing.T) {
 	}
 }
 
+// TestOpenOrCreateUnkeyedKinds: only the two byte-keyed kinds have a Map
+// view; every other kind is refused before anything is registered.
 func TestOpenOrCreateUnkeyedKinds(t *testing.T) {
 	rt := newRT(t)
-	if _, err := rt.OpenOrCreate("q", Spec{Kind: KindQueue}); !errors.Is(err, ErrNotKeyed) {
-		t.Fatalf("queue OpenOrCreate: %v", err)
-	}
-	if _, err := rt.OpenOrCreate("s", Spec{Kind: KindStack}); !errors.Is(err, ErrNotKeyed) {
-		t.Fatalf("stack OpenOrCreate: %v", err)
+	for _, kind := range []Kind{KindList, KindHashTable, KindSkipList, KindBST, KindQueue, KindStack} {
+		name := "unkeyed-" + kind.String()
+		if _, err := rt.OpenOrCreate(name, Spec{Kind: kind}); !errors.Is(err, ErrNotKeyed) {
+			t.Fatalf("%v OpenOrCreate: %v, want ErrNotKeyed", kind, err)
+		}
+		if k, ok := rt.Lookup(name); ok {
+			t.Fatalf("refused %v OpenOrCreate registered %q as %v", kind, name, k)
+		}
 	}
 }
 
 // TestIteratorEarlyBreakAndNesting: range-over-func iterators stop cleanly
 // on break, and loop bodies may call operations on the same map (they draw
-// their own sessions — with v2 handles this was forbidden).
+// their own sessions).
 func TestIteratorEarlyBreakAndNesting(t *testing.T) {
 	rt := newRT(t)
 	om, err := rt.OrderedMap("it")

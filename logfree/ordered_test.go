@@ -2,19 +2,12 @@ package logfree_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
 	"repro/logfree"
 )
-
-func u64key(k uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], k)
-	return b[:]
-}
 
 func TestOrderedMapPublicSurface(t *testing.T) {
 	rt, err := logfree.New(logfree.WithSize(32 << 20))
@@ -142,74 +135,6 @@ func TestOrderedMapCrashRecovery(t *testing.T) {
 		if !ok || string(v) != fmt.Sprintf("ov-%d", i) {
 			t.Fatalf("ordered key %q after crash: %q,%v", k, v, ok)
 		}
-	}
-}
-
-// TestU64ViewsIterateInKeyOrder pins the ordered-iteration guarantee of the
-// uint64-plane veneers: list, skip list and BST maps iterate in ascending
-// byte (= numeric) key order and satisfy OrderedMap; the hash table does
-// not claim ordering.
-func TestU64ViewsIterateInKeyOrder(t *testing.T) {
-	rt, err := logfree.New(logfree.WithSize(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []uint64{500, 2, 77, 10_000, 42, 1, 900}
-	for _, kind := range []logfree.Kind{logfree.KindList, logfree.KindSkipList, logfree.KindBST} {
-		m, err := rt.OpenOrCreate("u64-"+kind.String(), logfree.Spec{Kind: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		om, ok := m.(logfree.OrderedMap)
-		if !ok {
-			t.Fatalf("%v view does not satisfy OrderedMap", kind)
-		}
-		for _, k := range keys {
-			if err := m.Set(u64key(k), u64key(k*3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var got []uint64
-		for k := range m.All() {
-			got = append(got, binary.BigEndian.Uint64(k))
-		}
-		want := []uint64{1, 2, 42, 77, 500, 900, 10_000}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%v All order = %v, want %v", kind, got, want)
-		}
-		got = nil
-		for k, v := range om.Scan(u64key(42), u64key(900)) {
-			kk := binary.BigEndian.Uint64(k)
-			if binary.BigEndian.Uint64(v) != kk*3 {
-				t.Fatalf("%v Scan value mismatch at %d", kind, kk)
-			}
-			got = append(got, kk)
-		}
-		if fmt.Sprint(got) != fmt.Sprint([]uint64{42, 77, 500}) {
-			t.Fatalf("%v Scan[42,900) = %v", kind, got)
-		}
-		// Arbitrary-length bounds compare lexicographically against the
-		// 8-byte big-endian keys: a 1-byte \x00 prefix bound includes all.
-		count := 0
-		for range om.Scan([]byte{0}, nil) {
-			count++
-		}
-		if count != len(keys) {
-			t.Fatalf("%v Scan with short start bound = %d keys", kind, count)
-		}
-		if k, _, ok := om.Min(); !ok || binary.BigEndian.Uint64(k) != 1 {
-			t.Fatalf("%v Min = %v,%v", kind, k, ok)
-		}
-		if k, _, ok := om.Max(); !ok || binary.BigEndian.Uint64(k) != 10_000 {
-			t.Fatalf("%v Max = %v,%v", kind, k, ok)
-		}
-	}
-	ht, err := rt.OpenOrCreate("u64-hash", logfree.Spec{Kind: logfree.KindHashTable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ht.(logfree.OrderedMap); ok {
-		t.Fatal("hash-table view must not satisfy OrderedMap")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 )
 
-// This file implements implicit sessions, the v3 threading model. Structure
+// This file implements implicit sessions, the threading model. Structure
 // methods take no per-thread handle: each operation acquires an operation
 // context from the runtime's lock-free session pool and releases it on
 // return, so any number of goroutines can call any method of any structure
@@ -29,11 +29,10 @@ import (
 // used by two goroutines at once; the implicit per-operation sessions the
 // pool hands out make that the default for all plain method calls.
 type Session struct {
-	rt     *Runtime
-	c      *core.Ctx
-	idx    uint32 // 1-based index in the pool registry
-	next   uint32 // freelist link (registry index) while idle
-	pinned bool   // Handle(tid) shim sessions never return to the pool
+	rt   *Runtime
+	c    *core.Ctx
+	idx  uint32 // 1-based index in the pool registry
+	next uint32 // freelist link (registry index) while idle
 }
 
 // Reclaim flushes this session's deferred reclamation work, converting
@@ -42,20 +41,8 @@ type Session struct {
 func (s *Session) Reclaim() { s.c.Epoch().FlushAll() }
 
 // Close returns the session to the runtime's pool. The session must not be
-// used afterwards. Closing a Handle(tid) shim session is a no-op (those stay
-// pinned to their tid for the life of the runtime).
-func (s *Session) Close() {
-	if !s.pinned {
-		s.rt.pool.push(s)
-	}
-}
-
-// Handle is the v2 name for a pinned operation context.
-//
-// Deprecated: structure methods no longer take handles — call them directly
-// (each operation draws a pooled session), or pin a Session explicitly via
-// Runtime.Session and the structures' WithSession views.
-type Handle = Session
+// used afterwards.
+func (s *Session) Close() { s.rt.pool.push(s) }
 
 // sessionPool is the lock-free idle-session stack plus the grow-only
 // registry backing it.
@@ -193,43 +180,6 @@ func (r *Runtime) Session() (*Session, error) {
 // Sessions reports how many sessions (core contexts) the pool has created so
 // far — the high-water mark of concurrent operations, not the live count.
 func (r *Runtime) Sessions() int { return int(r.pool.grown.Load()) }
-
-// maxHandleTid bounds the deprecated Handle(tid) shim. Sessions grow on
-// demand, so there is no real thread cap anymore; the bound only catches
-// garbage tids early with a descriptive panic instead of whatever the core
-// would do with them.
-const maxHandleTid = 1 << 20
-
-// Handle returns the pinned session shimming v2's per-thread handle for tid.
-// The same tid always yields the same context. It panics with a descriptive
-// message when tid is negative or absurd (>= 1<<20): v2 returned whatever
-// the core's context table did with an out-of-range tid.
-//
-// Deprecated: call structure methods directly (implicit sessions), or pin a
-// Session via Runtime.Session.
-func (r *Runtime) Handle(tid int) *Handle {
-	if tid < 0 || tid >= maxHandleTid {
-		panic(fmt.Sprintf("logfree: Handle(%d): tid out of range [0, %d): the v3 runtime grows sessions on demand — use Runtime.Session (or plain structure methods) instead of numbered handles", tid, maxHandleTid))
-	}
-	r.handleMu.Lock()
-	defer r.handleMu.Unlock()
-	if s, ok := r.handles[tid]; ok {
-		return s
-	}
-	if r.closed.Load() {
-		panic(fmt.Errorf("logfree: Handle(%d): %w", tid, ErrClosed))
-	}
-	s, err := r.pool.grow(r)
-	if err != nil {
-		panic(fmt.Errorf("logfree: Handle(%d): %w", tid, err))
-	}
-	s.pinned = true
-	if r.handles == nil {
-		r.handles = make(map[int]*Session)
-	}
-	r.handles[tid] = s
-	return s
-}
 
 // binding resolves each operation's core context: a structure view carries
 // either no pin (operations draw pooled sessions) or a pinned session from

@@ -7,6 +7,8 @@ package sharded
 import (
 	"fmt"
 	"testing"
+
+	"repro/logfree"
 )
 
 func TestPoolGrowMem(t *testing.T) {
@@ -41,7 +43,7 @@ func TestPoolGrowFileReopen(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Pool {
 		p, err := Open(WithShards(2), WithShardSize(256<<10), WithMaxShardSize(4<<20),
-			WithDir(dir))
+			WithDevice(logfree.FileDevice(dir)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +98,7 @@ func TestPoolGrowFileReopen(t *testing.T) {
 func TestPoolGrowTornManifest(t *testing.T) {
 	dir := t.TempDir()
 	p, err := Open(WithShards(2), WithShardSize(256<<10), WithMaxShardSize(4<<20),
-		WithDir(dir))
+		WithDevice(logfree.FileDevice(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestPoolGrowTornManifest(t *testing.T) {
 	}
 
 	p2, err := Open(WithShards(2), WithShardSize(256<<10), WithMaxShardSize(4<<20),
-		WithDir(dir))
+		WithDevice(logfree.FileDevice(dir)))
 	if err != nil {
 		t.Fatalf("reopen after torn grow: %v", err)
 	}

@@ -1,5 +1,5 @@
 // Package sharded runs N independent logfree Runtimes as one pool and
-// routes byte keys to shards by hash, re-exporting the v3 byte-key surface
+// routes byte keys to shards by hash, re-exporting the byte-key surface
 // (Map/OrderedMap open-or-create, implicit sessions, Batch, iter.Seq2
 // iterators) on top.
 //
@@ -74,8 +74,6 @@ type config struct {
 	writeLatency time.Duration
 	maxThreads   int
 	linkCache    bool
-	latencySet   bool
-	fileSyncOpt  bool // provenance of the deprecated WithFileSync, for its diagnostic
 }
 
 // Option configures a Pool.
@@ -132,28 +130,9 @@ func WithDurability(d logfree.Durability) Option {
 	return func(c *config) { c.durability = d }
 }
 
-// WithDir backs every shard with an mmap'd file under dir.
-//
-// Deprecated: use WithDevice(logfree.FileDevice(dir)).
-func WithDir(dir string) Option { return WithDevice(logfree.FileDevice(dir)) }
-
-// WithFileSync(true) makes acknowledged operations machine-crash durable on
-// every shard.
-//
-// Deprecated: use WithDurability(logfree.Strict()). WithFileSync(false) is
-// a no-op, so conditional call sites compose with WithDurability.
-func WithFileSync(strict bool) Option {
-	return func(c *config) {
-		c.fileSyncOpt = c.fileSyncOpt || strict
-		if strict {
-			c.durability = logfree.Strict()
-		}
-	}
-}
-
 // WithWriteLatency sets the simulated NVRAM write latency of every shard.
 func WithWriteLatency(d time.Duration) Option {
-	return func(c *config) { c.writeLatency = d; c.latencySet = true }
+	return func(c *config) { c.writeLatency = d }
 }
 
 // WithMaxThreads sizes each shard's formatted session region; see
@@ -347,9 +326,6 @@ func Open(opts ...Option) (*Pool, error) {
 		return nil, fmt.Errorf("sharded: shard count %d out of range [0,%d]", cfg.shards, maxShards)
 	}
 	path := cfg.device.Path
-	if cfg.fileSyncOpt && path == "" {
-		return nil, fmt.Errorf("sharded: WithFileSync requires WithDir")
-	}
 
 	n := cfg.shards
 	if n == 0 {
@@ -418,12 +394,8 @@ func Open(opts ...Option) (*Pool, error) {
 			logfree.WithMaxSize(cfg.maxShardSize),
 			logfree.WithLinkCache(cfg.linkCache),
 			logfree.WithDurability(cfg.durability),
-		}
-		if cfg.latencySet {
-			o = append(o, logfree.WithWriteLatency(cfg.writeLatency))
-		}
-		if cfg.maxThreads > 0 {
-			o = append(o, logfree.WithMaxThreads(cfg.maxThreads))
+			logfree.WithWriteLatency(cfg.writeLatency),
+			logfree.WithMaxThreads(cfg.maxThreads),
 		}
 		spec := cfg.device
 		if dir != "" {

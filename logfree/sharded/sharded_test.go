@@ -30,7 +30,7 @@ func openMem(t *testing.T, shards int) *Pool {
 
 func openFile(t *testing.T, dir string, shards int) *Pool {
 	t.Helper()
-	p, err := Open(WithShards(shards), WithShardSize(testShardSize), WithDir(dir))
+	p, err := Open(WithShards(shards), WithShardSize(testShardSize), WithDevice(logfree.FileDevice(dir)))
 	if err != nil {
 		t.Fatalf("Open(%s, %d shards): %v", dir, shards, err)
 	}
@@ -331,7 +331,7 @@ func TestManifestRejects(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			p, err := Open(WithShards(2), WithShardSize(testShardSize), WithDir(dir))
+			p, err := Open(WithShards(2), WithShardSize(testShardSize), WithDevice(logfree.FileDevice(dir)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func TestManifestRejects(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.mutate(t, dir)
-			p2, err := Open(append([]Option{WithDir(dir)}, tc.opts...)...)
+			p2, err := Open(append([]Option{WithDevice(logfree.FileDevice(dir))}, tc.opts...)...)
 			if err == nil {
 				p2.Close()
 				t.Fatalf("Open succeeded, want error containing %q", tc.wantErr)
@@ -383,7 +383,7 @@ func TestOpenFailureClosesOpenedShards(t *testing.T) {
 	bad := shardPath(dir, 2)
 	orig := corruptHeaderWord(t, bad, 0, 0)
 
-	_, err = Open(WithDir(dir))
+	_, err = Open(WithDevice(logfree.FileDevice(dir)))
 	if err == nil {
 		t.Fatal("Open succeeded on a pool with a corrupt shard file")
 	}

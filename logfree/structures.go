@@ -8,9 +8,9 @@ import (
 
 // Set is the common uint64 interface of the four durable set structures
 // (§3). All methods are safe for concurrent use from any goroutine
-// (implicit sessions). These typed wrappers are thin veneers over the same
-// durable directory that OpenOrCreate serves; each Runtime method below
-// opens the named structure or creates it.
+// (implicit sessions). The typed wrappers share the durable directory that
+// OpenOrCreate serves; each Runtime method below opens the named structure
+// or creates it.
 type Set interface {
 	// Insert adds key→value; false if the key is already present. The
 	// effect is durable (or, with the link cache, flushed before any
@@ -24,6 +24,17 @@ type Set interface {
 	Search(key uint64) (uint64, bool)
 	// Contains reports whether key is present.
 	Contains(key uint64) bool
+}
+
+// u64core is the operation set the core uint64 structures share.
+type u64core interface {
+	Insert(c *core.Ctx, key, value uint64) bool
+	Upsert(c *core.Ctx, key, value uint64) bool
+	Delete(c *core.Ctx, key uint64) (uint64, bool)
+	Search(c *core.Ctx, key uint64) (uint64, bool)
+	Contains(c *core.Ctx, key uint64) bool
+	Len(c *core.Ctx) int
+	Range(c *core.Ctx, fn func(key, value uint64) bool)
 }
 
 // u64Veneer is the shared implementation of the four keyed uint64 veneers:
@@ -95,27 +106,12 @@ type List struct {
 
 // List opens or creates the durable list registered under name.
 func (r *Runtime) List(name string) (*List, error) {
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindList, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var made *core.List
-	_, a1, a2, err := r.ensure(c, name, KindList, func() (uint64, uint64, uint64, error) {
-		l, err := core.NewList(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		made = l
-		return 0, l.Head(), l.Tail(), nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if made == nil {
-		made = core.AttachList(r.store, a1, a2)
-	}
-	return &List{u64Veneer{binding{rt: r}, made}, made}, nil
+	l := st.(*core.List)
+	return &List{u64Veneer{binding{rt: r}, l}, l}, nil
 }
 
 // WithSession returns a view of the list whose operations all run on the
@@ -136,27 +132,12 @@ type HashTable struct {
 // buckets is used only at creation (rounded up to a power of two); an
 // existing table keeps its durable bucket count.
 func (r *Runtime) HashTable(name string, buckets int) (*HashTable, error) {
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindHashTable, buckets)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var made *core.HashTable
-	aux, a1, a2, err := r.ensure(c, name, KindHashTable, func() (uint64, uint64, uint64, error) {
-		t, err := core.NewHashTable(c, buckets)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		made = t
-		return uint64(t.NumBuckets()), t.Buckets(), t.Tail(), nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if made == nil {
-		made = core.AttachHashTable(r.store, a1, int(aux), a2)
-	}
-	return &HashTable{u64Veneer{binding{rt: r}, made}, made}, nil
+	t := st.(*core.HashTable)
+	return &HashTable{u64Veneer{binding{rt: r}, t}, t}, nil
 }
 
 // WithSession returns a view of the table whose operations all run on the
@@ -176,27 +157,12 @@ type SkipList struct {
 
 // SkipList opens or creates the durable skip list registered under name.
 func (r *Runtime) SkipList(name string) (*SkipList, error) {
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindSkipList, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var made *core.SkipList
-	_, a1, a2, err := r.ensure(c, name, KindSkipList, func() (uint64, uint64, uint64, error) {
-		sl, err := core.NewSkipList(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		made = sl
-		return 0, sl.Head(), sl.Tail(), nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if made == nil {
-		made = core.AttachSkipList(r.store, a1, a2)
-	}
-	return &SkipList{u64Veneer{binding{rt: r}, made}, made}, nil
+	sl := st.(*core.SkipList)
+	return &SkipList{u64Veneer{binding{rt: r}, sl}, sl}, nil
 }
 
 // WithSession returns a view of the skip list whose operations all run on
@@ -242,27 +208,12 @@ type BST struct {
 
 // BST opens or creates the durable BST registered under name.
 func (r *Runtime) BST(name string) (*BST, error) {
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindBST, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var made *core.BST
-	_, a1, a2, err := r.ensure(c, name, KindBST, func() (uint64, uint64, uint64, error) {
-		t, err := core.NewBST(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		made = t
-		return 0, t.Root(), t.Sentinel(), nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if made == nil {
-		made = core.AttachBST(r.store, a1, a2)
-	}
-	return &BST{u64Veneer{binding{rt: r}, made}, made}, nil
+	t := st.(*core.BST)
+	return &BST{u64Veneer{binding{rt: r}, t}, t}, nil
 }
 
 // WithSession returns a view of the tree whose operations all run on the
@@ -283,27 +234,11 @@ type Queue struct {
 
 // Queue opens or creates the durable queue registered under name.
 func (r *Runtime) Queue(name string) (*Queue, error) {
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindQueue, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var made *core.Queue
-	_, a1, _, err := r.ensure(c, name, KindQueue, func() (uint64, uint64, uint64, error) {
-		q, err := core.NewQueue(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		made = q
-		return 0, q.Descriptor(), 0, nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if made == nil {
-		made = core.AttachQueue(r.store, a1)
-	}
-	return &Queue{binding{rt: r}, made}, nil
+	return &Queue{binding{rt: r}, st.(*core.Queue)}, nil
 }
 
 // WithSession returns a view of the queue whose operations all run on the
@@ -351,27 +286,11 @@ type Stack struct {
 
 // Stack opens or creates the durable stack registered under name.
 func (r *Runtime) Stack(name string) (*Stack, error) {
-	c, s, err := binding{rt: r}.beginErr()
+	st, err := r.open(name, KindStack, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	var made *core.Stack
-	_, a1, _, err := r.ensure(c, name, KindStack, func() (uint64, uint64, uint64, error) {
-		st, err := core.NewStack(c)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		made = st
-		return 0, st.Descriptor(), 0, nil
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if made == nil {
-		made = core.AttachStack(r.store, a1)
-	}
-	return &Stack{binding{rt: r}, made}, nil
+	return &Stack{binding{rt: r}, st.(*core.Stack)}, nil
 }
 
 // WithSession returns a view of the stack whose operations all run on the
