@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"strconv"
 	"time"
 )
 
@@ -232,6 +231,28 @@ func binMutates(op uint8) bool {
 	return false
 }
 
+// binWellFormed checks a keyed request's shape: the extras length its
+// (base) opcode requires, a key of legal length, and no value unless the
+// opcode stores one.
+func binWellFormed(op uint8, req *binReq) bool {
+	ext, value := 0, false
+	switch op {
+	case binOpGet, binOpGetK, binOpDelete:
+	case binOpGAT, binOpTouch:
+		ext = 4
+	case binOpSet, binOpAdd, binOpReplace:
+		ext, value = 8, true
+	case binOpAppend, binOpPrepend:
+		value = true
+	case binOpIncr, binOpDecr:
+		ext = 20
+	default:
+		return true
+	}
+	return len(req.ext) == ext && len(req.key) != 0 && len(req.key) <= MaxKeyLen &&
+		(value || len(req.value) == 0)
+}
+
 // dispatchBinary runs one request; false ends the connection.
 func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 	op, quiet := quietOf(req.op)
@@ -243,27 +264,19 @@ func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 		c.binRespond(req.op, binStatusNotStored, req.opaque, 0, nil, nil, []byte("replica is read-only"))
 		return true
 	}
+	if !binWellFormed(op, req) {
+		c.binError(req.op, binStatusInvalidArgs, req.opaque)
+		return true
+	}
 	switch op {
 	case binOpGet, binOpGetK:
-		if len(req.ext) != 0 || len(req.key) == 0 || len(req.value) != 0 {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
 		s.binGet(c, req, cache, op == binOpGetK, quiet, 0, false)
 
 	case binOpGAT:
-		if len(req.ext) != 4 || len(req.key) == 0 || len(req.value) != 0 {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
 		exp := normalizeExp(int64(int32(binary.BigEndian.Uint32(req.ext))), now)
 		s.binGet(c, req, cache, false, quiet, exp, true)
 
 	case binOpSet, binOpAdd, binOpReplace:
-		if len(req.ext) != 8 || len(req.key) == 0 || len(req.key) > MaxKeyLen {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
 		flags := binary.BigEndian.Uint32(req.ext)
 		if flags > 0xFFFF {
 			// Item flags are stored 16-bit (see README §Protocol).
@@ -274,10 +287,6 @@ func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 		s.binStore(c, req, cache, op, uint16(flags), exp, quiet)
 
 	case binOpAppend, binOpPrepend:
-		if len(req.ext) != 0 || len(req.key) == 0 || len(req.key) > MaxKeyLen {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
 		if cache == nil {
 			c.binError(req.op, binStatusUnknownCmd, req.opaque)
 			return true
@@ -289,26 +298,18 @@ func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 		} else {
 			cas, err = cache.Prepend(req.key, req.value, req.cas)
 		}
-		s.binMutationResult(c, req, cas, err, quiet)
+		s.binMutationResult(c, req, cas, nil, err, quiet)
 
 	case binOpDelete:
-		if len(req.ext) != 0 || len(req.key) == 0 || len(req.value) != 0 {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
 		var err error
 		if cache != nil {
 			err = cache.DeleteCAS(req.key, req.cas)
 		} else if !c.kv.Delete(req.key) {
 			err = ErrNotFound
 		}
-		s.binMutationResult(c, req, 0, err, quiet)
+		s.binMutationResult(c, req, 0, nil, err, quiet)
 
 	case binOpIncr, binOpDecr:
-		if len(req.ext) != 20 || len(req.key) == 0 || len(req.value) != 0 {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
 		if cache == nil {
 			c.binError(req.op, binStatusUnknownCmd, req.opaque)
 			return true
@@ -322,26 +323,11 @@ func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
 			exp = normalizeExp(int64(int32(expRaw)), now)
 		}
 		v, cas, err := cache.IncrDecrCAS(req.key, delta, initial, exp, create, op == binOpDecr)
-		switch {
-		case err == nil:
-			if !quiet {
-				var body [8]byte
-				binary.BigEndian.PutUint64(body[:], v)
-				c.binRespond(req.op, binStatusOK, req.opaque, cas, nil, nil, body[:])
-			}
-		case errors.Is(err, ErrNotFound):
-			c.binError(req.op, binStatusKeyNotFound, req.opaque)
-		case errors.Is(err, ErrNotNumber):
-			c.binError(req.op, binStatusDeltaBadval, req.opaque)
-		default:
-			c.binError(req.op, binStatusOOM, req.opaque)
-		}
+		var body [8]byte
+		binary.BigEndian.PutUint64(body[:], v)
+		s.binMutationResult(c, req, cas, body[:], err, quiet)
 
 	case binOpTouch:
-		if len(req.ext) != 4 || len(req.key) == 0 || len(req.value) != 0 {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
 		if cache == nil {
 			c.binError(req.op, binStatusUnknownCmd, req.opaque)
 			return true
@@ -450,17 +436,17 @@ func (s *Server) binStore(c *connState, req *binReq, cache *Cache, op uint8, fla
 	default: // REPLACE
 		cas, err = cache.Replace(req.key, req.value, flags, exp)
 	}
-	s.binMutationResult(c, req, cas, err, quiet)
+	s.binMutationResult(c, req, cas, nil, err, quiet)
 }
 
 // binMutationResult maps a cache mutation error to the wire status. The
 // text protocol's NOT_STORED split: for binary, add-on-present and
 // replace/append/prepend-on-absent both report their distinct statuses.
-func (s *Server) binMutationResult(c *connState, req *binReq, cas uint64, err error, quiet bool) {
+func (s *Server) binMutationResult(c *connState, req *binReq, cas uint64, body []byte, err error, quiet bool) {
 	switch {
 	case err == nil:
 		if !quiet {
-			c.binRespond(req.op, binStatusOK, req.opaque, cas, nil, nil, nil)
+			c.binRespond(req.op, binStatusOK, req.opaque, cas, nil, nil, body)
 		}
 	case errors.Is(err, ErrCASConflict):
 		c.binError(req.op, binStatusKeyExists, req.opaque)
@@ -476,6 +462,8 @@ func (s *Server) binMutationResult(c *connState, req *binReq, cas uint64, err er
 		}
 	case errors.Is(err, ErrTooLarge):
 		c.binError(req.op, binStatusTooLarge, req.opaque)
+	case errors.Is(err, ErrNotNumber):
+		c.binError(req.op, binStatusDeltaBadval, req.opaque)
 	default:
 		c.binError(req.op, binStatusOOM, req.opaque)
 	}
@@ -484,34 +472,8 @@ func (s *Server) binMutationResult(c *connState, req *binReq, cas uint64, err er
 // binStats emits the stats rows as key/value packets, terminated by an
 // empty packet, per the binary STAT contract.
 func (s *Server) binStats(c *connState, req *binReq) {
-	st := s.stats()
-	row := func(name string, v uint64) {
-		c.num = strconv.AppendUint(c.num[:0], v, 10)
-		c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, []byte(name), c.num)
+	for _, r := range s.stats().rows() {
+		c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, []byte(r.name), []byte(r.value))
 	}
-	row("cmd_get", st.Gets)
-	row("cmd_set", st.Sets)
-	row("cmd_touch", st.Touches)
-	row("cmd_flush", st.Flushes)
-	row("get_hits", st.Hits)
-	row("get_misses", st.Misses)
-	row("cas_hits", st.CasHits)
-	row("cas_badval", st.CasBadval)
-	row("cas_misses", st.CasMisses)
-	row("evictions", st.Evictions)
-	row("evictions_bytes", st.EvictionsBytes)
-	row("expired_unfetched", st.Expired)
-	row("curr_items", uint64(st.Items))
-	row("grow_count", st.GrowCount)
-	row("pool_bytes_total", st.PoolBytesTotal)
-	row("pool_bytes_used", st.PoolBytesUsed)
-	row("repl_seq", st.ReplSeq)
-	row("repl_lag_ops", st.ReplLagOps)
-	row("repl_reconnects", st.ReplReconnects)
-	state := st.ReplState
-	if state == "" {
-		state = "none"
-	}
-	c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, []byte("repl_state"), []byte(state))
 	c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, nil, nil)
 }

@@ -1,29 +1,43 @@
 // Package memcache implements NV-Memcached (§6.5): a durable object cache
 // in the mold of Memcached, built on the public logfree byte-key API.
 //
-// Architecture, following the paper:
+// The paper gets durability by swapping the structure under Memcached's
+// single item link/unlink path. Here too every way an item enters, changes
+// or leaves the cache is one of three steps (lifecycle.go):
 //
-//   - The index is logfree's byte-keyed durable map (KindMap): a log-free
-//     durable lock-free hash table keyed by the item key's 64-bit hash,
-//     with full keys verified in the durable entries and same-hash keys
-//     chained durably — distinct string keys can never alias.
-//   - Items live in slab-class extents of the persistent allocator; on
-//     recovery, only the active slabs are swept for items that are
-//     allocated but no longer (or not yet) reachable from the map.
-//   - The LRU list is volatile (recovery resets recency, not contents),
-//     mirroring Memcached's behaviour that cache metadata is advisory.
-//   - The engine is always a sharded.Pool of Config.Shards ≥ 1 independent
-//     runtimes with keys hash-routed across them; one shard is the paper's
-//     single hash table. What Config.Device's path means follows from the
-//     count and is decided by sharded.Open alone: the image file itself at
-//     one shard, a directory of per-shard images plus a manifest at more.
+//   - The store step: the new deadline into the durable expiry index, the
+//     item into the index, the record into the replication stream, the stale
+//     deadline out, then the volatile LRU and totals. The index is logfree's
+//     byte-keyed durable map — a log-free lock-free hash table, full keys
+//     verified in the durable entries so distinct keys never alias — and
+//     items live in slab-class extents of the persistent allocator, swept on
+//     recovery for extents allocated but not (or no longer) reachable.
+//   - The remove step: the item out of the index, then the same trail.
+//   - The index walk. It rebuilds the volatile metadata after a recovery
+//     (recency resets, contents do not: cache metadata is advisory, as in
+//     Memcached) and feeds snapshots, flush_all and a follower's resync.
+//
+// Client commands of both wire protocols and a follower's replicated sets
+// reach the steps through one mutation driver: it validates key and size,
+// makes room (grow the pool, then evict LRU items), runs the command's
+// precondition and the step under the key's stripe lock, retries through
+// grow-then-evict while the device is full, and waits for replication once.
+// No stripe lock is held while evicting or waiting: a full pool or a slow
+// follower delays the caller, never another key. Evictions, the expiry sweep
+// and flush_all call the remove step themselves, and wait for nobody.
+//
+// The engine is always a sharded.Pool of Config.Shards ≥ 1 independent
+// runtimes with keys hash-routed across them; one shard is the paper's
+// single hash table. What Config.Device's path means follows from the count
+// and is decided by sharded.Open alone: the image file itself at one shard,
+// a directory of per-shard images plus a manifest at more.
 //
 // Threading: every method of Cache is safe for concurrent use from any
 // goroutine — each operation draws one of the logfree runtime's implicit
 // sessions, so connections need no worker-slot assignment to issue
-// operations.
+// operations. Gets are lock-free.
 //
-// Durable linearizability: a Set/Delete that returned is reflected after a
+// Durable linearizability: a mutation that returned is reflected after a
 // crash (link-and-persist end to end); Gets are unaffected.
 package memcache
 
@@ -199,7 +213,7 @@ type cacheState struct {
 	keyLocks [1024]sync.Mutex
 }
 
-// stripeHash is a volatile FNV-1a over the key, for lock striping only (the
+// fnv1aStripe is a volatile FNV-1a over the key, for lock striping only (the
 // durable index hash lives inside logfree). The generic form lets the LRU
 // shard string keys with the SAME function, so both stripings agree on a
 // key's home without two hand-rolled copies.
@@ -212,10 +226,8 @@ func fnv1aStripe[T ~string | ~[]byte](key T) uint64 {
 	return h
 }
 
-func stripeHash(key []byte) uint64 { return fnv1aStripe(key) }
-
 func (m *Cache) lockKey(key []byte) *sync.Mutex {
-	return &m.keyLocks[stripeHash(key)%uint64(len(m.keyLocks))]
+	return &m.keyLocks[fnv1aStripe(key)%uint64(len(m.keyLocks))]
 }
 
 // Stats mirrors the interesting counters of `stats`.
@@ -325,15 +337,11 @@ func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
 // recovery implies (recency order is lost, contents are not).
 func (m *Cache) rebuildVolatile() {
 	var items, used int64
-	for key, value := range m.m.All() {
-		if isReplMeta(key) {
-			continue
-		}
-		size := entrySize(key, value)
-		m.lru.add(string(key), size)
-		used += size
+	m.forEachItem(func(key, value []byte, _ uint16, _ uint64) error {
+		used += m.lru.add(string(key), entrySize(key, value))
 		items++
-	}
+		return nil
+	})
 	m.stats.items.Store(items)
 	m.usedBytes.Store(used)
 }
@@ -425,24 +433,12 @@ func (m *Cache) Grow(total uint64) error {
 	return nil
 }
 
-// expired reports whether an item's aux word's expiry half (unix deadline,
-// 0 = never) has passed.
-func expired(aux uint64, now int64) bool {
+// unexpired reports whether an item's deadline (the aux word's expiry half,
+// a unix time, 0 = never) is still ahead. The clock is read only for an item
+// that has one.
+func unexpired(aux uint64) bool {
 	e := auxExpiry(aux)
-	return e != 0 && int64(e) <= now
-}
-
-// Get returns the value and flags bound to key.
-func (m *Cache) Get(key []byte) (value []byte, flags uint16, ok bool) {
-	m.stats.gets.Add(1)
-	v, meta, aux, found := m.m.GetItem(key)
-	if !found || expired(aux, time.Now().Unix()) {
-		m.stats.misses.Add(1)
-		return nil, 0, false
-	}
-	m.lru.touch(string(key))
-	m.stats.hits.Add(1)
-	return v, meta, true
+	return e == 0 || int64(e) > time.Now().Unix()
 }
 
 // reclaim converts recently retired nodes into reusable slots (best
@@ -514,41 +510,6 @@ func (m *Cache) ensureHeadroom(incoming int64) {
 	}
 }
 
-// Set binds key to value, durably, evicting LRU items under memory pressure.
-func (m *Cache) Set(key, value []byte, flags uint16, expiry uint32) error {
-	_, err := m.SetCAS(key, value, flags, expiry)
-	return err
-}
-
-// SetCAS is Set returning the item's new CAS unique (the wire protocols
-// report it in gets/binary responses).
-func (m *Cache) SetCAS(key, value []byte, flags uint16, expiry uint32) (uint64, error) {
-	if len(key) > MaxKeyLen || len(key) == 0 {
-		return 0, errors.New("memcache: bad key length")
-	}
-	if logfree.MapEntryOverhead+len(key)+len(value) > logfree.MaxMapEntrySize {
-		return 0, ErrTooLarge
-	}
-	m.stats.sets.Add(1)
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	m.ensureHeadroom(entrySize(key, value))
-	for attempt := 0; ; attempt++ {
-		cas, s, err := m.setLocked(key, value, flags, expiry)
-		if err == nil {
-			seq = s
-			return cas, nil
-		}
-		if !errors.Is(err, logfree.ErrFull) || attempt > 64 {
-			return 0, err
-		}
-		if !m.tryGrow() && !m.evictOne() {
-			return 0, err
-		}
-		m.reclaim()
-	}
-}
-
 // expKey builds an expiry-index key: the 8-byte big-endian deadline, then
 // the item key. The index orders by deadline first, so "everything due by
 // now" is the range [nil, expKey(now+1, nil)).
@@ -559,116 +520,6 @@ func expKey(deadline uint64, key []byte) []byte {
 	return out
 }
 
-// setItemLocked stores an item under the held stripe lock, maintaining the
-// item count, the LRU and the durable expiry index, and bumping the item's
-// per-item CAS sequence (new items and items from pre-CAS images start the
-// sequence at 1). Returns the item's new CAS unique plus the replication
-// seq assigned to the mutation (0 when not replicating) — the caller waits
-// on it AFTER releasing the stripe lock.
-func (m *Cache) setItemLocked(key, value []byte, flags uint16, expiry uint32) (uint64, uint64, error) {
-	oldAux, hadOld := m.m.GetAux(key)
-	cas := nextCAS(auxCAS(oldAux))
-	// Index the new deadline *before* the item write: a crash in between
-	// leaves only a stale index entry, which the sweep double-checks and
-	// discards; the reverse order could leave an expiring item the sweep
-	// never visits. Indexed unconditionally (idempotent) so items from
-	// pre-index images are adopted on their first rewrite even when the
-	// deadline is unchanged.
-	if expiry != 0 {
-		if err := m.exp.Set(expKey(uint64(expiry), key), nil); err != nil {
-			return 0, 0, err
-		}
-	}
-	created, err := m.m.SetItem(key, value, flags, packAux(cas, expiry))
-	if err != nil {
-		return 0, 0, err
-	}
-	// Publish after the durable write, under the stripe lock: the stream's
-	// per-key order is exactly the store's.
-	seq := m.publishSet(key, value, flags, packAux(cas, expiry))
-	if oldExp := auxExpiry(oldAux); hadOld && oldExp != 0 && oldExp != expiry {
-		m.exp.Delete(expKey(uint64(oldExp), key))
-	}
-	m.usedBytes.Add(m.lru.add(string(key), entrySize(key, value)))
-	if created {
-		m.stats.items.Add(1)
-	}
-	return uint64(cas), seq, nil
-}
-
-// setLocked performs one store attempt under the key's stripe lock.
-func (m *Cache) setLocked(key, value []byte, flags uint16, expiry uint32) (uint64, uint64, error) {
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	return m.setItemLocked(key, value, flags, expiry)
-}
-
-// Delete removes key durably.
-func (m *Cache) Delete(key []byte) bool {
-	ok, seq, _ := m.deleteNoWait(key)
-	m.waitRepl(seq)
-	return ok
-}
-
-// deleteNoWait is Delete without the replication-ack wait: internal callers
-// (evictions, flush_all, the covering client op of an eviction) either do
-// not need per-delete acks or wait once on a later covering seq. freed is
-// the item's logical footprint (evictOne folds it into evictions_bytes).
-func (m *Cache) deleteNoWait(key []byte) (ok bool, seq uint64, freed int64) {
-	m.stats.deletes.Add(1)
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	aux, _ := m.m.GetAux(key)
-	if !m.m.Delete(key) {
-		return false, 0, 0
-	}
-	seq = m.publishDelete(key)
-	if e := auxExpiry(aux); e != 0 {
-		m.exp.Delete(expKey(uint64(e), key))
-	}
-	freed = m.lru.remove(string(key))
-	m.usedBytes.Add(-freed)
-	m.stats.items.Add(-1)
-	return true, seq, freed
-}
-
-// DeleteCAS deletes key only when its stored CAS unique matches cas (the
-// binary protocol's DELETE-with-cas). cas 0 deletes unconditionally.
-func (m *Cache) DeleteCAS(key []byte, cas uint64) error {
-	if cas == 0 {
-		if m.Delete(key) {
-			return nil
-		}
-		return ErrNotFound
-	}
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	_, _, aux, ok := m.liveLocked(key)
-	if !ok {
-		m.stats.casMisses.Add(1)
-		return ErrNotFound
-	}
-	if uint64(auxCAS(aux)) != cas {
-		m.stats.casBadval.Add(1)
-		return ErrCASConflict
-	}
-	m.stats.deletes.Add(1)
-	m.m.Delete(key)
-	seq = m.publishDelete(key)
-	if e := auxExpiry(aux); e != 0 {
-		m.exp.Delete(expKey(uint64(e), key))
-	}
-	m.usedBytes.Add(-m.lru.remove(string(key)))
-	m.stats.items.Add(-1)
-	m.stats.casHits.Add(1)
-	return nil
-}
-
 // FlushAll durably removes every item (memcached flush_all). Unlike stock
 // memcached's lazy oldest_live invalidation, this walks the index and
 // deletes each item, so the flush is crash-consistent: items removed before
@@ -676,25 +527,7 @@ func (m *Cache) DeleteCAS(key []byte, cas uint64) error {
 // no atomicity promise across the whole cache). Returns items removed.
 func (m *Cache) FlushAll() int {
 	m.stats.flushes.Add(1)
-	var keys [][]byte
-	for k := range m.m.All() {
-		if isReplMeta(k) {
-			continue
-		}
-		keys = append(keys, append([]byte(nil), k...))
-	}
-	n := 0
-	var last uint64
-	for _, k := range keys {
-		ok, seq, _ := m.deleteNoWait(k)
-		if ok {
-			n++
-		}
-		if seq != 0 {
-			last = seq
-		}
-	}
-	m.reclaim()
+	n, last := m.clear(true)
 	// One ack wait covers the whole flush: the stream is ordered, so the
 	// last delete's ack implies all the earlier ones.
 	m.waitRepl(last)
@@ -719,18 +552,16 @@ func (m *Cache) SweepExpired(now int64) int {
 		mu := m.lockKey(key)
 		mu.Lock()
 		if aux, ok := m.m.GetAux(key); ok && uint64(auxExpiry(aux)) == deadline {
-			if m.m.Delete(key) {
-				// Replicated without an ack wait: followers share the item's
-				// deadline (aux travels verbatim), so an unreplicated sweep
-				// delete is merely deferred tidiness there, never staleness.
-				m.publishDelete(key)
-				m.usedBytes.Add(-m.lru.remove(string(key)))
-				m.stats.items.Add(-1)
+			// Replicated without an ack wait: followers share the item's
+			// deadline (aux travels verbatim), so an unreplicated sweep
+			// delete is merely deferred tidiness there, never staleness.
+			if _, _, ok := m.removeLocked(key, aux, true); ok {
 				m.stats.expired.Add(1)
 				n++
 			}
+		} else {
+			m.exp.Delete(ek) // stale
 		}
-		m.exp.Delete(ek) // consumed or stale either way
 		mu.Unlock()
 	}
 	return n
@@ -771,12 +602,12 @@ func (m *Cache) evictOne() bool {
 	}
 	// No ack wait: the client op driving the eviction waits on its own
 	// (later) seq, which the ordered stream makes a covering ack.
-	if ok, _, freed := m.deleteNoWait([]byte(key)); ok {
+	if _, freed, ok := m.removeKey([]byte(key), true); ok {
 		m.stats.evictions.Add(1)
 		m.stats.evictionsBytes.Add(uint64(freed))
-		return true
+	} else {
+		m.usedBytes.Add(-m.lru.remove(key)) // stale LRU entry
 	}
-	m.usedBytes.Add(-m.lru.remove(key)) // stale LRU entry
 	return true
 }
 

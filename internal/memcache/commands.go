@@ -3,16 +3,12 @@ package memcache
 import (
 	"errors"
 	"strconv"
-	"time"
-
-	"repro/logfree"
 )
 
-// Extended memcached operations beyond get/set/delete: add, replace, cas,
-// append/prepend, incr/decr, touch and get-and-touch, built from the same
-// durable primitives (every mutation runs under the key's stripe lock, so
-// durable linearizability carries over unchanged). Every mutation bumps the
-// item's CAS sequence; the CAS unique and the value travel in one durable
+// The client commands. The retrievals read the index lock-free; every
+// mutation is one command run by the mutation driver (lifecycle.go), so each
+// method here is only its precondition and its counters. Every mutation bumps
+// the item's CAS sequence; the CAS unique and the value travel in one durable
 // entry publish, so they are mutually consistent across any crash.
 
 // ErrNotStored reports a failed add/replace/append/prepend precondition.
@@ -21,15 +17,10 @@ var ErrNotStored = errors.New("memcache: precondition failed")
 // ErrNotNumber reports incr/decr on a non-numeric value.
 var ErrNotNumber = errors.New("memcache: value is not a number")
 
-// liveLocked reports whether a live (non-expired) item for key exists, and
-// returns its fields with the raw aux word (unpack with auxCAS/auxExpiry).
-// Caller holds the key's stripe lock (or tolerates racing mutations).
-func (m *Cache) liveLocked(key []byte) (value []byte, flags uint16, aux uint64, ok bool) {
-	v, meta, aux, found := m.m.GetItem(key)
-	if !found || expired(aux, time.Now().Unix()) {
-		return nil, 0, 0, false
-	}
-	return v, meta, aux, true
+// Get returns the value and flags bound to key.
+func (m *Cache) Get(key []byte) (value []byte, flags uint16, ok bool) {
+	value, flags, _, ok = m.Gets(key)
+	return value, flags, ok
 }
 
 // Gets is Get returning the item's CAS unique as well (text "gets", binary
@@ -38,7 +29,7 @@ func (m *Cache) liveLocked(key []byte) (value []byte, flags uint16, aux uint64, 
 func (m *Cache) Gets(key []byte) (value []byte, flags uint16, cas uint64, ok bool) {
 	m.stats.gets.Add(1)
 	v, meta, aux, found := m.m.GetItem(key)
-	if !found || expired(aux, time.Now().Unix()) {
+	if !found || !unexpired(aux) {
 		m.stats.misses.Add(1)
 		return nil, 0, 0, false
 	}
@@ -47,63 +38,87 @@ func (m *Cache) Gets(key []byte) (value []byte, flags uint16, cas uint64, ok boo
 	return v, meta, uint64(auxCAS(aux)), true
 }
 
+// put is set, add, replace and cas: value, flags and expiry become key's item
+// when allowed passes the key's current one.
+func (m *Cache) put(key, value []byte, flags uint16, expiry uint32, allowed func(cur item, live bool) error) (uint64, error) {
+	it, err := m.mutate(command{key: key, room: entrySize(key, value)},
+		func(cur item, live bool) (item, verdict, error) {
+			if err := allowed(cur, live); err != nil {
+				return item{}, keep, err
+			}
+			return item{value: value, flags: flags, aux: packAux(0, expiry)}, store, nil
+		})
+	if err == nil {
+		m.stats.sets.Add(1)
+	}
+	return it.cas(), err
+}
+
+// matchCAS is the compare half of the cas commands: ErrNotFound when the key
+// is absent (NOT_FOUND), ErrCASConflict when the token is stale (EXISTS).
+func matchCAS(cur item, live bool, cas uint64) error {
+	switch {
+	case !live:
+		return ErrNotFound
+	case cur.cas() != cas:
+		return ErrCASConflict
+	}
+	return nil
+}
+
+// countCAS files the outcome of a command that presented a CAS token.
+func (m *Cache) countCAS(err error) {
+	switch {
+	case err == nil:
+		m.stats.casHits.Add(1)
+	case errors.Is(err, ErrNotFound):
+		m.stats.casMisses.Add(1)
+	case errors.Is(err, ErrCASConflict):
+		m.stats.casBadval.Add(1)
+	}
+}
+
+// Set binds key to value, durably, evicting LRU items under memory pressure.
+func (m *Cache) Set(key, value []byte, flags uint16, expiry uint32) error {
+	_, err := m.SetCAS(key, value, flags, expiry)
+	return err
+}
+
+// SetCAS is Set returning the item's new CAS unique (the wire protocols
+// report it in gets/binary responses).
+func (m *Cache) SetCAS(key, value []byte, flags uint16, expiry uint32) (uint64, error) {
+	return m.put(key, value, flags, expiry, func(item, bool) error { return nil })
+}
+
 // Add stores key only if it is absent (memcached "add"). Returns the new
 // CAS unique.
 func (m *Cache) Add(key, value []byte, flags uint16, expiry uint32) (uint64, error) {
-	var seq uint64
-	defer func() { m.waitRepl(seq) }() // runs after the stripe lock unlock
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	if _, _, _, ok := m.liveLocked(key); ok {
-		return 0, ErrNotStored
-	}
-	m.stats.sets.Add(1)
-	cas, s, err := m.setItemLocked(key, value, flags, expiry)
-	seq = s
-	return cas, err
+	return m.put(key, value, flags, expiry, func(_ item, live bool) error {
+		if live {
+			return ErrNotStored
+		}
+		return nil
+	})
 }
 
 // Replace stores key only if it is present (memcached "replace").
 func (m *Cache) Replace(key, value []byte, flags uint16, expiry uint32) (uint64, error) {
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	if _, _, _, ok := m.liveLocked(key); !ok {
-		return 0, ErrNotStored
-	}
-	m.stats.sets.Add(1)
-	cas, s, err := m.setItemLocked(key, value, flags, expiry)
-	seq = s
-	return cas, err
+	return m.put(key, value, flags, expiry, func(_ item, live bool) error {
+		if !live {
+			return ErrNotStored
+		}
+		return nil
+	})
 }
 
 // CompareAndSwap stores key only if its current CAS unique equals cas
 // (memcached "cas"). ErrNotFound when the key is absent (NOT_FOUND),
 // ErrCASConflict when the token is stale (EXISTS).
 func (m *Cache) CompareAndSwap(key, value []byte, flags uint16, expiry uint32, cas uint64) (uint64, error) {
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	_, _, aux, ok := m.liveLocked(key)
-	if !ok {
-		m.stats.casMisses.Add(1)
-		return 0, ErrNotFound
-	}
-	if uint64(auxCAS(aux)) != cas {
-		m.stats.casBadval.Add(1)
-		return 0, ErrCASConflict
-	}
-	m.stats.sets.Add(1)
-	newCAS, s, err := m.setItemLocked(key, value, flags, expiry)
-	if err == nil {
-		m.stats.casHits.Add(1)
-		seq = s
-	}
+	newCAS, err := m.put(key, value, flags, expiry, func(cur item, live bool) error {
+		return matchCAS(cur, live, cas)
+	})
+	m.countCAS(err)
 	return newCAS, err
 }
 
@@ -121,32 +136,28 @@ func (m *Cache) Prepend(key, data []byte, cas uint64) (uint64, error) {
 }
 
 func (m *Cache) concat(key, data []byte, cas uint64, front bool) (uint64, error) {
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	v, flags, aux, ok := m.liveLocked(key)
-	if !ok {
-		return 0, ErrNotStored
-	}
-	if cas != 0 && uint64(auxCAS(aux)) != cas {
+	it, err := m.mutate(command{key: key, room: entrySize(key, data), readsValue: true},
+		func(cur item, live bool) (item, verdict, error) {
+			if !live {
+				return item{}, keep, ErrNotStored
+			}
+			if cas != 0 && cur.cas() != cas {
+				return item{}, keep, ErrCASConflict
+			}
+			head, tail := cur.value, data
+			if front {
+				head, tail = data, cur.value
+			}
+			joined := append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
+			return item{value: joined, flags: cur.flags, aux: cur.aux}, store, nil
+		})
+	switch {
+	case err == nil:
+		m.stats.sets.Add(1)
+	case errors.Is(err, ErrCASConflict):
 		m.stats.casBadval.Add(1)
-		return 0, ErrCASConflict
 	}
-	if logfree.MapEntryOverhead+len(key)+len(v)+len(data) > logfree.MaxMapEntrySize {
-		return 0, ErrTooLarge
-	}
-	joined := make([]byte, 0, len(v)+len(data))
-	if front {
-		joined = append(append(joined, data...), v...)
-	} else {
-		joined = append(append(joined, v...), data...)
-	}
-	m.stats.sets.Add(1)
-	newCAS, s, err := m.setItemLocked(key, joined, flags, auxExpiry(aux))
-	seq = s
-	return newCAS, err
+	return it.cas(), err
 }
 
 // Incr adds delta to a decimal value, returning the new value (memcached
@@ -162,115 +173,101 @@ func (m *Cache) Decr(key []byte, delta uint64) (uint64, error) {
 	return v, err
 }
 
+// maxCounterLen is the longest value incr/decr can write: a uint64 in decimal.
+const maxCounterLen = 20
+
 // IncrDecrCAS is the full arithmetic primitive behind text incr/decr and
 // the binary INCREMENT/DECREMENT ops: with create set, an absent key is
 // seeded with initial (and expiry) instead of returning ErrNotFound — the
 // binary protocol's initial-value semantics. Returns the new value and the
 // item's new CAS unique.
 func (m *Cache) IncrDecrCAS(key []byte, delta, initial uint64, expiry uint32, create, down bool) (uint64, uint64, error) {
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	v, flags, aux, ok := m.liveLocked(key)
-	if !ok {
-		if !create {
-			return 0, 0, ErrNotFound
-		}
-		m.stats.sets.Add(1)
-		cas, s, err := m.setItemLocked(key, []byte(strconv.FormatUint(initial, 10)), 0, expiry)
-		seq = s
-		return initial, cas, err
-	}
-	cur, err := strconv.ParseUint(string(v), 10, 64)
-	if err != nil {
-		return 0, 0, ErrNotNumber
-	}
-	var next uint64
-	if down {
-		if delta > cur {
-			next = 0
-		} else {
-			next = cur - delta
-		}
-	} else {
-		next = cur + delta
-	}
-	cas, s, err := m.setItemLocked(key, []byte(strconv.FormatUint(next, 10)), flags, auxExpiry(aux))
+	var n uint64
+	var seeded bool
+	it, err := m.mutate(command{key: key, room: entrySize(key, nil) + maxCounterLen, readsValue: true},
+		func(cur item, live bool) (item, verdict, error) {
+			if seeded = !live; seeded {
+				if !create {
+					return item{}, keep, ErrNotFound
+				}
+				n = initial
+				return item{value: strconv.AppendUint(nil, n, 10), aux: packAux(0, expiry)}, store, nil
+			}
+			old, err := strconv.ParseUint(string(cur.value), 10, 64)
+			if err != nil {
+				return item{}, keep, ErrNotNumber
+			}
+			if down {
+				n = old - min(delta, old)
+			} else {
+				n = old + delta
+			}
+			return item{value: strconv.AppendUint(nil, n, 10), flags: cur.flags, aux: cur.aux}, store, nil
+		})
 	if err != nil {
 		return 0, 0, err
 	}
-	seq = s
-	return next, cas, nil
+	if seeded {
+		m.stats.sets.Add(1)
+	}
+	return n, it.cas(), nil
 }
 
-// Touch updates an item's expiry without rewriting its value, keeping the
-// expiry index in step (new deadline indexed before the aux update, old
-// deadline unindexed after — the sweep discards any stale leftovers). The
-// item's CAS sequence is bumped (the aux replace is one atomic durable
-// word, so the new CAS and new deadline land together); the new unique is
-// returned for the binary TOUCH/GAT responses.
+// touchItem gives key's item a new expiry without rewriting its value; the
+// item's CAS sequence is bumped with it.
+func (m *Cache) touchItem(key []byte, expiry uint32) (item, error) {
+	it, err := m.mutate(command{key: key, readsValue: true},
+		func(_ item, live bool) (item, verdict, error) {
+			if !live {
+				return item{}, keep, ErrNotFound
+			}
+			return item{aux: packAux(0, expiry)}, retouch, nil
+		})
+	if err == nil {
+		m.stats.touches.Add(1)
+	}
+	return it, err
+}
+
+// Touch updates an item's expiry without rewriting its value; the new CAS
+// unique is returned for the binary TOUCH response.
 func (m *Cache) Touch(key []byte, expiry uint32) (uint64, bool) {
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	cas, s, ok := m.touchLocked(key, expiry)
-	seq = s
-	return cas, ok
-}
-
-func (m *Cache) touchLocked(key []byte, expiry uint32) (uint64, uint64, bool) {
-	v, flags, aux, ok := m.liveLocked(key)
-	if !ok {
-		return 0, 0, false
-	}
-	// Indexed unconditionally (idempotent), as in setItemLocked, so items
-	// from pre-index images are adopted even when the deadline is unchanged.
-	if expiry != 0 {
-		if err := m.exp.Set(expKey(uint64(expiry), key), nil); err != nil {
-			return 0, 0, false
-		}
-	}
-	cas := nextCAS(auxCAS(aux))
-	if !m.m.SetAux(key, packAux(cas, expiry)) {
-		return 0, 0, false
-	}
-	// Touch mutates only the aux word locally, but the stream has no
-	// aux-only record: replicate the whole item (value and flags ride
-	// along unchanged) so the follower lands the same CAS and deadline.
-	seq := m.publishSet(key, v, flags, packAux(cas, expiry))
-	if old := auxExpiry(aux); old != 0 && old != expiry {
-		m.exp.Delete(expKey(uint64(old), key))
-	}
-	m.lru.touch(string(key))
-	m.stats.touches.Add(1)
-	return uint64(cas), seq, true
+	it, err := m.touchItem(key, expiry)
+	return it.cas(), err == nil
 }
 
 // GetAndTouch returns the item and updates its expiry in one operation
 // (text "gat"/"gats", binary GAT/GATQ). The returned CAS unique is the
 // post-touch one.
 func (m *Cache) GetAndTouch(key []byte, expiry uint32) (value []byte, flags uint16, cas uint64, ok bool) {
-	var seq uint64
-	defer func() { m.waitRepl(seq) }()
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
 	m.stats.gets.Add(1)
-	v, f, _, ok := m.liveLocked(key)
-	if !ok {
+	it, err := m.touchItem(key, expiry)
+	if err != nil {
 		m.stats.misses.Add(1)
 		return nil, 0, 0, false
 	}
-	cas, s, ok := m.touchLocked(key, expiry)
-	if !ok {
-		m.stats.misses.Add(1)
-		return nil, 0, 0, false
-	}
-	seq = s
 	m.stats.hits.Add(1)
-	return v, f, cas, true
+	return it.value, it.flags, it.cas(), true
+}
+
+// Delete removes key durably.
+func (m *Cache) Delete(key []byte) bool { return m.DeleteCAS(key, 0) == nil }
+
+// DeleteCAS deletes key only when its stored CAS unique matches cas (the
+// binary protocol's DELETE-with-cas). cas 0 deletes unconditionally.
+func (m *Cache) DeleteCAS(key []byte, cas uint64) error {
+	m.stats.deletes.Add(1)
+	_, err := m.mutate(command{key: key, room: noRoom},
+		func(cur item, live bool) (item, verdict, error) {
+			if cas != 0 {
+				if err := matchCAS(cur, live, cas); err != nil {
+					return item{}, keep, err
+				}
+			}
+			return item{}, remove, nil
+		})
+	if cas != 0 {
+		m.countCAS(err)
+	}
+	return err
 }

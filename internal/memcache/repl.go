@@ -3,10 +3,7 @@ package memcache
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"io"
-
-	"repro/logfree"
 )
 
 // Replication wiring: the cache publishes every acknowledged mutation to an
@@ -124,8 +121,7 @@ func (m *Cache) replStats() ReplStats {
 
 // replMetaKey is the reserved index slot holding a follower's durable
 // resume point. The leading NUL keeps it out of any key a text-protocol
-// client can express; every whole-index walk (rebuild, flush, snapshot,
-// reset) skips it explicitly.
+// client can express; the one whole-index walk (forEachItem) skips it.
 var replMetaKey = []byte("\x00nvmc\x00repl")
 
 func isReplMeta(key []byte) bool {
@@ -159,66 +155,19 @@ func (m *Cache) SetReplMeta(runID, seq uint64) error {
 // ApplySet stores one replicated item byte-faithfully: the value, flags and
 // aux word (CAS unique + expiry packed) land exactly as the primary wrote
 // them, so a promoted follower's CAS generation chain continues the
-// primary's. Runs the same grow-then-evict pressure valve as SetCAS.
+// primary's. Runs behind the same pressure valves as a client's set.
 func (m *Cache) ApplySet(key, value []byte, flags uint16, aux uint64) error {
-	m.ensureHeadroom(entrySize(key, value))
-	for attempt := 0; ; attempt++ {
-		err := m.applySetLocked(key, value, flags, aux)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, logfree.ErrFull) || attempt > 64 {
-			return err
-		}
-		if !m.tryGrow() && !m.evictOne() {
-			return err
-		}
-		m.reclaim()
-	}
-}
-
-// applySetLocked is setItemLocked with a verbatim aux word (no CAS bump —
-// the primary already did it) and no publication.
-func (m *Cache) applySetLocked(key, value []byte, flags uint16, aux uint64) error {
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	oldAux, hadOld := m.m.GetAux(key)
-	expiry := auxExpiry(aux)
-	if expiry != 0 {
-		if err := m.exp.Set(expKey(uint64(expiry), key), nil); err != nil {
-			return err
-		}
-	}
-	created, err := m.m.SetItem(key, value, flags, aux)
-	if err != nil {
-		return err
-	}
-	if oldExp := auxExpiry(oldAux); hadOld && oldExp != 0 && oldExp != expiry {
-		m.exp.Delete(expKey(uint64(oldExp), key))
-	}
-	m.usedBytes.Add(m.lru.add(string(key), entrySize(key, value)))
-	if created {
-		m.stats.items.Add(1)
-	}
-	return nil
+	_, err := m.mutate(command{key: key, room: entrySize(key, value), replica: true},
+		func(item, bool) (item, verdict, error) {
+			return item{value: value, flags: flags, aux: aux}, store, nil
+		})
+	return err
 }
 
 // ApplyDelete removes one replicated key. A miss is not an error: the
 // follower may be replaying ops it already applied (idempotent resume).
 func (m *Cache) ApplyDelete(key []byte) error {
-	mu := m.lockKey(key)
-	mu.Lock()
-	defer mu.Unlock()
-	aux, _ := m.m.GetAux(key)
-	if !m.m.Delete(key) {
-		return nil
-	}
-	if e := auxExpiry(aux); e != 0 {
-		m.exp.Delete(expKey(uint64(e), key))
-	}
-	m.usedBytes.Add(-m.lru.remove(string(key)))
-	m.stats.items.Add(-1)
+	m.removeKey(key, false)
 	return nil
 }
 
@@ -237,18 +186,6 @@ func (m *Cache) SnapshotItems(emit func(key, value []byte, flags uint16, aux uin
 // sink) and the flush counter is not bumped (this is not a client
 // flush_all).
 func (m *Cache) ResetForSnapshot() error {
-	var keys [][]byte
-	for k := range m.m.All() {
-		if isReplMeta(k) {
-			continue
-		}
-		keys = append(keys, append([]byte(nil), k...))
-	}
-	for _, k := range keys {
-		if err := m.ApplyDelete(k); err != nil {
-			return err
-		}
-	}
-	m.reclaim()
+	m.clear(false)
 	return nil
 }

@@ -647,7 +647,7 @@ func (s *Server) cmdIncrDecr(c *connState, f [][]byte) {
 			io.WriteString(c.w, msg)
 		}
 	}
-	if cache == nil || len(f) < 3 {
+	if cache == nil || len(f) < 3 || len(f[1]) > MaxKeyLen {
 		reply("CLIENT_ERROR bad command line format\r\n")
 		return
 	}
@@ -772,40 +772,48 @@ func (s *Server) afterFunc(d time.Duration, fn func()) {
 	s.timers[t] = struct{}{}
 }
 
-func (s *Server) cmdStats(c *connState) {
-	st := s.stats()
-	row := func(name string, v uint64) {
-		c.w.WriteString("STAT ")
-		c.w.WriteString(name)
-		c.w.WriteByte(' ')
-		c.writeUint(v)
-		c.writeCRLF()
-	}
-	row("cmd_get", st.Gets)
-	row("cmd_set", st.Sets)
-	row("cmd_touch", st.Touches)
-	row("cmd_flush", st.Flushes)
-	row("get_hits", st.Hits)
-	row("get_misses", st.Misses)
-	row("cas_hits", st.CasHits)
-	row("cas_badval", st.CasBadval)
-	row("cas_misses", st.CasMisses)
-	row("evictions", st.Evictions)
-	row("evictions_bytes", st.EvictionsBytes)
-	row("expired_unfetched", st.Expired)
-	row("curr_items", uint64(st.Items))
-	row("grow_count", st.GrowCount)
-	row("pool_bytes_total", st.PoolBytesTotal)
-	row("pool_bytes_used", st.PoolBytesUsed)
-	row("repl_seq", st.ReplSeq)
-	row("repl_lag_ops", st.ReplLagOps)
-	row("repl_reconnects", st.ReplReconnects)
+// statRow is one row of `stats`, as both protocols emit it.
+type statRow struct{ name, value string }
+
+// rows lists the `stats` rows in wire order — the one table the text and
+// binary protocols both emit.
+func (st Stats) rows() []statRow {
+	row := func(name string, v uint64) statRow { return statRow{name, strconv.FormatUint(v, 10)} }
 	state := st.ReplState
 	if state == "" {
 		state = "none" // stats funcs that predate replication
 	}
-	c.w.WriteString("STAT repl_state ")
-	c.w.WriteString(state)
-	c.writeCRLF()
+	return []statRow{
+		row("cmd_get", st.Gets),
+		row("cmd_set", st.Sets),
+		row("cmd_touch", st.Touches),
+		row("cmd_flush", st.Flushes),
+		row("get_hits", st.Hits),
+		row("get_misses", st.Misses),
+		row("cas_hits", st.CasHits),
+		row("cas_badval", st.CasBadval),
+		row("cas_misses", st.CasMisses),
+		row("evictions", st.Evictions),
+		row("evictions_bytes", st.EvictionsBytes),
+		row("expired_unfetched", st.Expired),
+		row("curr_items", uint64(st.Items)),
+		row("grow_count", st.GrowCount),
+		row("pool_bytes_total", st.PoolBytesTotal),
+		row("pool_bytes_used", st.PoolBytesUsed),
+		row("repl_seq", st.ReplSeq),
+		row("repl_lag_ops", st.ReplLagOps),
+		row("repl_reconnects", st.ReplReconnects),
+		{"repl_state", state},
+	}
+}
+
+func (s *Server) cmdStats(c *connState) {
+	for _, r := range s.stats().rows() {
+		c.w.WriteString("STAT ")
+		c.w.WriteString(r.name)
+		c.w.WriteByte(' ')
+		c.w.WriteString(r.value)
+		c.writeCRLF()
+	}
 	io.WriteString(c.w, "END\r\n")
 }

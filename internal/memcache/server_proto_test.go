@@ -201,6 +201,8 @@ func TestTextConformance(t *testing.T) {
 				"SERVER_ERROR object too large for cache\r\n"},
 			{fmt.Sprintf("set %s 0 0 1\r\nv\r\n", strings.Repeat("k", MaxKeyLen+1)),
 				"CLIENT_ERROR bad command line format\r\n"},
+			{fmt.Sprintf("incr %s 1\r\n", strings.Repeat("k", MaxKeyLen+1)),
+				"CLIENT_ERROR bad command line format\r\n"},
 			// oversized noreply set is swallowed silently, connection stays usable
 			{fmt.Sprintf("set big 0 0 %d noreply\r\n%s\r\nversion\r\n", MaxValueLen+1, strings.Repeat("x", MaxValueLen+1)),
 				"VERSION " + serverVersion + "\r\n"},
@@ -322,6 +324,7 @@ func cat(frames ...[]byte) []byte {
 
 func TestBinaryConformance(t *testing.T) {
 	key := []byte("bk")
+	longKey := bytes.Repeat([]byte("k"), MaxKeyLen+1)
 	cases := []struct {
 		name  string
 		steps []binStep
@@ -454,6 +457,24 @@ func TestBinaryConformance(t *testing.T) {
 			// TOUCH with no extras
 			{binFrame(binOpTouch, 5, 0, nil, key, nil),
 				binErrFrame(binOpTouch, binStatusInvalidArgs, 5)},
+		}},
+		{"key_too_long", []binStep{
+			// Every keyed opcode rejects a 251-byte key as SET does; the
+			// creating INCR must not store one.
+			{binFrame(binOpSet, 1, 0, setExt(0, 0), longKey, []byte("v")),
+				binErrFrame(binOpSet, binStatusInvalidArgs, 1)},
+			{binFrame(binOpIncr, 2, 0, incrExt(1, 5, 0), longKey, nil),
+				binErrFrame(binOpIncr, binStatusInvalidArgs, 2)},
+			{binFrame(binOpDecr, 3, 0, incrExt(1, 5, 0), longKey, nil),
+				binErrFrame(binOpDecr, binStatusInvalidArgs, 3)},
+			{binFrame(binOpTouch, 4, 0, flagsExt(100), longKey, nil),
+				binErrFrame(binOpTouch, binStatusInvalidArgs, 4)},
+			{binFrame(binOpGAT, 5, 0, flagsExt(100), longKey, nil),
+				binErrFrame(binOpGAT, binStatusInvalidArgs, 5)},
+			{binFrame(binOpDelete, 6, 0, nil, longKey, nil),
+				binErrFrame(binOpDelete, binStatusInvalidArgs, 6)},
+			{binFrame(binOpGet, 7, 0, nil, longKey, nil),
+				binErrFrame(binOpGet, binStatusInvalidArgs, 7)},
 		}},
 	}
 	for _, backend := range protoBackends {

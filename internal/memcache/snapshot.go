@@ -16,21 +16,6 @@ import (
 	"repro/internal/capacity"
 )
 
-// forEachItem walks the live index lock-free, emitting every client item
-// (the replication meta slot is skipped) verbatim. Shared by wire-protocol
-// snapshots and replication initial sync.
-func (m *Cache) forEachItem(emit func(key, value []byte, flags uint16, aux uint64) error) error {
-	for k, it := range m.m.Items() {
-		if isReplMeta(k) {
-			continue
-		}
-		if err := emit(k, it.Value, it.Meta, it.Aux); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Snapshot streams a point-in-time image of the cache onto w and returns
 // the number of items written. Safe to run concurrently with serving
 // traffic; see the package comment above for the consistency contract.

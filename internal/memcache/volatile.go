@@ -11,7 +11,7 @@ import (
 //
 //   - LockCache models stock Memcached: a mutex-protected hash table (the
 //     paper: "Memcached uses a lock-protected sequential hash table").
-//   - CLHTCache models memcached-clht: the same lock-free hash table
+//   - NewCLHTCache models memcached-clht: the same lock-free hash table
 //     algorithm as NV-Memcached, run in volatile mode (no write-backs), so
 //     the only difference from NV-Memcached is durability.
 //
@@ -80,15 +80,10 @@ func (c *LockCache) Delete(key []byte) bool {
 	return ok
 }
 
-// CLHTCache is the lock-free volatile baseline ("memcached-clht"): the same
-// concurrent hash table as NV-Memcached with durability stripped.
-type CLHTCache struct {
-	inner *Cache
-}
-
-// NewCLHTCache creates the memcached-clht model. Sized like an NV-Memcached
-// instance but with zero write latency and volatile semantics.
-func NewCLHTCache(cfg Config) (*CLHTCache, error) {
+// NewCLHTCache creates the memcached-clht model: a Cache on a volatile
+// runtime — the same concurrent hash table as NV-Memcached with durability
+// stripped. Sized like an NV-Memcached instance but with zero write latency.
+func NewCLHTCache(cfg Config) (*Cache, error) {
 	cfg.fill()
 	rt, err := logfree.New(
 		logfree.WithSize(cfg.MemoryBytes), // no write latency
@@ -97,23 +92,5 @@ func NewCLHTCache(cfg Config) (*CLHTCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := adoptCache(rt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CLHTCache{inner: inner}, nil
+	return adoptCache(rt, cfg)
 }
-
-// Set implements KV.
-func (c *CLHTCache) Set(key, value []byte, flags uint16, expiry uint32) error {
-	return c.inner.Set(key, value, flags, expiry)
-}
-
-// Get implements KV.
-func (c *CLHTCache) Get(key []byte) ([]byte, uint16, bool) { return c.inner.Get(key) }
-
-// Delete implements KV.
-func (c *CLHTCache) Delete(key []byte) bool { return c.inner.Delete(key) }
-
-// Stats proxies the inner counters.
-func (c *CLHTCache) Stats() Stats { return c.inner.Stats() }

@@ -75,7 +75,7 @@ const (
 	frameHeaderLen = 4 + 4
 
 	// MaxFrame bounds a payload we are willing to buffer. Items are capped
-	// far below this (memcache.MaxValueLen ≈ 1 MiB); anything larger is a
+	// far below this (memcache.MaxValueLen is under 2 KiB); anything larger is a
 	// corrupt or hostile length field.
 	MaxFrame = 8 << 20
 )
