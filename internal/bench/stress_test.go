@@ -8,12 +8,12 @@ import (
 
 // stressRun drives one 8-thread, 100%-update hash-table point with the
 // epoch manager's double-retire tracking on. The tracker keeps every manager
-// it has seen reachable until it is next enabled, so it is switched on here,
-// per run, rather than for the package: the figure smokes build some fifty
-// devices of 128 MiB each, and tracked they stay resident together.
+// it sees reachable, so it is on for the run, not for the package: the
+// figure smokes build some fifty devices of 128 MiB each, and tracked they
+// stay resident together.
 func stressRun(t *testing.T, impl Impl, size int) {
 	t.Helper()
-	epoch.EnableRetireDebug()
+	defer epoch.EnableRetireDebug()()
 	ops := 150_000
 	if testing.Short() {
 		ops = 20_000

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 // A linearizability checker for set histories. Operations on different keys
@@ -174,6 +176,10 @@ func TestLinearizabilityCheckerSelfTest(t *testing.T) {
 // checks every per-key projection.
 func runLinearizabilityStress(t *testing.T, s *Store, st set, workers, opsPer, keySpace int) {
 	t.Helper()
+	// Same-key contention is where a double retire would come from, so the
+	// tracker is on for the run, as in runContendedStress. (It is also the
+	// condition the LC flake of ROADMAP 1e has been counted under.)
+	defer epoch.EnableRetireDebug()()
 	var clock atomic.Uint64
 	type timed struct {
 		key uint64

@@ -5,12 +5,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/epoch"
 	"repro/internal/nvram"
 )
 
 // TestHuntDoubleRetire amplifies the retire/reuse race: tiny generations
 // (immediate reclamation), hot keys, maximum helper overlap.
 func TestHuntDoubleRetire(t *testing.T) {
+	defer epoch.EnableRetireDebug()()
 	for _, lc := range []bool{false, true} {
 		dev := nvram.New(nvram.Config{Size: 64 << 20})
 		s, err := NewStore(dev, Options{MaxThreads: 8, LinkCache: lc, EpochGenSize: 4})

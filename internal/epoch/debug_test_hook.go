@@ -3,6 +3,7 @@ package epoch
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Debug instrumentation (enabled via EnableRetireDebug in tests): tracks
@@ -19,22 +20,28 @@ type unlinkRec struct {
 
 var (
 	retireDebugMu  sync.Mutex
-	retireDebugOn  bool
+	retireDebugOn  atomic.Bool
 	retireDebugSet map[*Manager]map[Addr]int
 	retireDebugTr  map[Addr][2]unlinkRec
 )
 
-// EnableRetireDebug turns on global double-retire tracking (tests only).
-func EnableRetireDebug() {
-	retireDebugMu.Lock()
-	retireDebugOn = true
-	retireDebugSet = make(map[*Manager]map[Addr]int)
-	retireDebugTr = make(map[Addr][2]unlinkRec)
-	retireDebugMu.Unlock()
+// EnableRetireDebug turns on global double-retire tracking (tests only) and
+// returns what turns it off again. The tracker keeps every manager it sees
+// reachable, devices and all, so a test holds it on for its own run only.
+func EnableRetireDebug() (disable func()) {
+	set := func(on bool) {
+		retireDebugMu.Lock()
+		retireDebugOn.Store(on)
+		retireDebugSet = make(map[*Manager]map[Addr]int)
+		retireDebugTr = make(map[Addr][2]unlinkRec)
+		retireDebugMu.Unlock()
+	}
+	set(true)
+	return func() { set(false) }
 }
 
 func debugRetire(m *Manager, tid int, a Addr) {
-	if !retireDebugOn {
+	if !retireDebugOn.Load() {
 		return
 	}
 	retireDebugMu.Lock()
@@ -54,7 +61,7 @@ func debugRetire(m *Manager, tid int, a Addr) {
 // DebugNoteUnlink records the edge through which a node was unlinked, kept
 // as a short per-address history for double-retire forensics.
 func DebugNoteUnlink(a Addr, edge Addr, oldW, newW uint64, site uint8) {
-	if !retireDebugOn {
+	if !retireDebugOn.Load() {
 		return
 	}
 	retireDebugMu.Lock()
@@ -72,7 +79,7 @@ func DebugNoteUnlink(a Addr, edge Addr, oldW, newW uint64, site uint8) {
 // DebugCheckAlloc panics if a freshly allocated address is still queued for
 // reclamation — the allocator must never hand out a retired-pending slot.
 func DebugCheckAlloc(m *Manager, a Addr) {
-	if !retireDebugOn {
+	if !retireDebugOn.Load() {
 		return
 	}
 	retireDebugMu.Lock()
@@ -84,7 +91,7 @@ func DebugCheckAlloc(m *Manager, a Addr) {
 }
 
 func debugFree(m *Manager, a Addr) {
-	if !retireDebugOn {
+	if !retireDebugOn.Load() {
 		return
 	}
 	retireDebugMu.Lock()

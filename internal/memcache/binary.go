@@ -2,9 +2,7 @@ package memcache
 
 import (
 	"encoding/binary"
-	"errors"
 	"io"
-	"time"
 )
 
 // The memcached binary protocol: 24-byte big-endian framed requests (magic
@@ -27,11 +25,12 @@ const (
 
 	binHeaderLen = 24
 
-	// binMaxBody bounds a request body we are willing to buffer; larger
-	// frames (bogus lengths from broken clients, fuzzers) are swallowed
-	// without buffering and answered with E2BIG, up to binInsaneBody where
-	// the framing itself is untrustworthy and the connection closes.
-	binMaxBody    = 1 << 20
+	// binMaxBody is the largest body a storable request has (INCR's extras,
+	// a key and a value at their limits) and all that is ever buffered.
+	// Longer ones (bogus lengths from broken clients, fuzzers) are swallowed
+	// unbuffered and answered with E2BIG, up to binInsaneBody where the
+	// framing itself is untrustworthy and the connection closes.
+	binMaxBody    = 20 + MaxKeyLen + MaxValueLen
 	binInsaneBody = 64 << 20
 )
 
@@ -104,376 +103,207 @@ func binStatusMsg(status uint16) string {
 	return ""
 }
 
-// binReq is one decoded request frame. Key/ext/value alias c.data.
-type binReq struct {
-	op     uint8
-	opaque uint32
-	cas    uint64
-	ext    []byte
-	key    []byte
-	value  []byte
+// binShape is what the decoder knows of an opcode: the command it spells,
+// whether it is the quiet variant, and the frame it must come in.
+type binShape struct {
+	op      op
+	quiet   bool
+	withKey bool  // GETK: the response echoes the key
+	ext     uint8 // length of the extras
+	value   bool  // the body may carry a value after the key
 }
 
-// quietOf maps a quiet opcode to (base opcode, true); non-quiet ops map to
-// themselves.
-func quietOf(op uint8) (uint8, bool) {
-	switch op {
-	case binOpGetQ:
-		return binOpGet, true
-	case binOpGetKQ:
-		return binOpGetK, true
-	case binOpSetQ:
-		return binOpSet, true
-	case binOpAddQ:
-		return binOpAdd, true
-	case binOpReplaceQ:
-		return binOpReplace, true
-	case binOpDeleteQ:
-		return binOpDelete, true
-	case binOpIncrQ:
-		return binOpIncr, true
-	case binOpDecrQ:
-		return binOpDecr, true
-	case binOpQuitQ:
-		return binOpQuit, true
-	case binOpFlushQ:
-		return binOpFlush, true
-	case binOpAppendQ:
-		return binOpAppend, true
-	case binOpPrependQ:
-		return binOpPrepend, true
-	case binOpGATQ:
-		return binOpGAT, true
+var binShapes = [...]binShape{
+	binOpGet:      {op: opGet},
+	binOpGetQ:     {op: opGet, quiet: true},
+	binOpGetK:     {op: opGet, withKey: true},
+	binOpGetKQ:    {op: opGet, withKey: true, quiet: true},
+	binOpGAT:      {op: opGat, ext: 4},
+	binOpGATQ:     {op: opGat, ext: 4, quiet: true},
+	binOpTouch:    {op: opTouch, ext: 4},
+	binOpSet:      {op: opSet, ext: 8, value: true},
+	binOpSetQ:     {op: opSet, ext: 8, value: true, quiet: true},
+	binOpAdd:      {op: opAdd, ext: 8, value: true},
+	binOpAddQ:     {op: opAdd, ext: 8, value: true, quiet: true},
+	binOpReplace:  {op: opReplace, ext: 8, value: true},
+	binOpReplaceQ: {op: opReplace, ext: 8, value: true, quiet: true},
+	binOpAppend:   {op: opAppend, value: true},
+	binOpAppendQ:  {op: opAppend, value: true, quiet: true},
+	binOpPrepend:  {op: opPrepend, value: true},
+	binOpPrependQ: {op: opPrepend, value: true, quiet: true},
+	binOpDelete:   {op: opDelete},
+	binOpDeleteQ:  {op: opDelete, quiet: true},
+	binOpIncr:     {op: opIncr, ext: 20},
+	binOpIncrQ:    {op: opIncr, ext: 20, quiet: true},
+	binOpDecr:     {op: opDecr, ext: 20},
+	binOpDecrQ:    {op: opDecr, ext: 20, quiet: true},
+	binOpFlush:    {op: opFlushAll, ext: 4}, // the delay, which may be left out
+	binOpFlushQ:   {op: opFlushAll, ext: 4, quiet: true},
+	binOpNoop:     {op: opNoop},
+	binOpVersion:  {op: opVersion},
+	binOpStat:     {op: opStats},
+	binOpQuit:     {op: opQuit},
+	binOpQuitQ:    {op: opQuit, quiet: true},
+}
+
+// binExptime reads a 32-bit wire exptime, negative values included.
+func binExptime(b []byte) int64 { return int64(int32(binary.BigEndian.Uint32(b))) }
+
+// decodeBinary reads the next request frame into req; key and value alias
+// c.data.
+func (c *connState) decodeBinary(req *request) status {
+	hdr, err := c.r.Peek(binHeaderLen)
+	if err != nil || hdr[0] != binMagicReq {
+		return statusEOF // on a bad magic framing is lost: nothing sane to answer
 	}
-	return op, false
-}
-
-// binRespond writes one response frame. ext/key/val may be nil.
-func (c *connState) binRespond(op uint8, status uint16, opaque uint32, cas uint64, ext, key, val []byte) {
-	var hdr [binHeaderLen]byte
-	hdr[0] = binMagicRes
-	hdr[1] = op
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(key)))
-	hdr[4] = uint8(len(ext))
-	binary.BigEndian.PutUint16(hdr[6:], status)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(ext)+len(key)+len(val)))
-	binary.BigEndian.PutUint32(hdr[12:], opaque)
-	binary.BigEndian.PutUint64(hdr[16:], cas)
-	c.w.Write(hdr[:])
-	c.w.Write(ext)
-	c.w.Write(key)
-	c.w.Write(val)
-}
-
-// binError responds with a status code and its textual message as the body.
-func (c *connState) binError(op uint8, status uint16, opaque uint32) {
-	c.binRespond(op, status, opaque, 0, nil, nil, []byte(binStatusMsg(status)))
-}
-
-func (s *Server) serveBinary(c *connState) {
-	for {
-		var hdr [binHeaderLen]byte
-		if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-			return
-		}
-		if hdr[0] != binMagicReq {
-			return // framing lost; nothing sane to answer
-		}
-		keyLen := int(binary.BigEndian.Uint16(hdr[2:]))
-		extLen := int(hdr[4])
-		bodyLen := int64(binary.BigEndian.Uint32(hdr[8:]))
-		req := binReq{
-			op:     hdr[1],
-			opaque: binary.BigEndian.Uint32(hdr[12:]),
-			cas:    binary.BigEndian.Uint64(hdr[16:]),
-		}
-		if bodyLen < int64(keyLen+extLen) || bodyLen > binInsaneBody {
-			return
-		}
-		if bodyLen > binMaxBody {
-			if !discardN(c.r, bodyLen) {
-				return
-			}
-			c.binError(req.op, binStatusTooLarge, req.opaque)
-			if c.maybeFlush() != nil {
-				return
-			}
-			continue
-		}
-		if cap(c.data) < int(bodyLen) {
-			c.data = make([]byte, bodyLen)
-		}
-		c.data = c.data[:bodyLen]
-		if _, err := io.ReadFull(c.r, c.data); err != nil {
-			return
-		}
-		req.ext = c.data[:extLen]
-		req.key = c.data[extLen : extLen+keyLen]
-		req.value = c.data[extLen+keyLen:]
-		if !s.dispatchBinary(c, &req) {
-			return
-		}
-		if c.maybeFlush() != nil {
-			return
-		}
+	keyLen := int(binary.BigEndian.Uint16(hdr[2:]))
+	extLen := int(hdr[4])
+	bodyLen := int(binary.BigEndian.Uint32(hdr[8:]))
+	*req = request{
+		opcode:  hdr[1],
+		opaque:  binary.BigEndian.Uint32(hdr[12:]),
+		cas:     binary.BigEndian.Uint64(hdr[16:]),
+		withCAS: true,
 	}
-}
-
-// binMutates reports whether a (base) opcode writes to the cache — the set
-// gated while the server is a read-only replica. GAT counts: it mutates
-// the expiry.
-func binMutates(op uint8) bool {
-	switch op {
-	case binOpSet, binOpAdd, binOpReplace, binOpAppend, binOpPrepend,
-		binOpDelete, binOpIncr, binOpDecr, binOpTouch, binOpGAT, binOpFlush:
-		return true
+	c.r.Discard(binHeaderLen)
+	if bodyLen < keyLen+extLen || bodyLen > binInsaneBody {
+		return statusEOF
 	}
-	return false
-}
-
-// binWellFormed checks a keyed request's shape: the extras length its
-// (base) opcode requires, a key of legal length, and no value unless the
-// opcode stores one.
-func binWellFormed(op uint8, req *binReq) bool {
-	ext, value := 0, false
-	switch op {
-	case binOpGet, binOpGetK, binOpDelete:
-	case binOpGAT, binOpTouch:
-		ext = 4
-	case binOpSet, binOpAdd, binOpReplace:
-		ext, value = 8, true
-	case binOpAppend, binOpPrepend:
-		value = true
-	case binOpIncr, binOpDecr:
-		ext = 20
-	default:
-		return true
+	if bodyLen > binMaxBody {
+		if !discardN(c.r, int64(bodyLen)) {
+			return statusEOF
+		}
+		return statusTooLarge
 	}
-	return len(req.ext) == ext && len(req.key) != 0 && len(req.key) <= MaxKeyLen &&
-		(value || len(req.value) == 0)
-}
-
-// dispatchBinary runs one request; false ends the connection.
-func (s *Server) dispatchBinary(c *connState, req *binReq) bool {
-	op, quiet := quietOf(req.op)
-	cache := c.cache
-	now := time.Now().Unix()
-	if s.readonly.Load() && binMutates(op) {
-		// The body is already consumed, so the connection stays in sync.
-		// Errors are sent even for quiet variants, per the binary contract.
-		c.binRespond(req.op, binStatusNotStored, req.opaque, 0, nil, nil, []byte("replica is read-only"))
-		return true
+	c.data = c.data[:bodyLen]
+	if _, err := io.ReadFull(c.r, c.data); err != nil {
+		return statusEOF
 	}
-	if !binWellFormed(op, req) {
-		c.binError(req.op, binStatusInvalidArgs, req.opaque)
-		return true
+	ext := c.data[:extLen]
+	req.key, req.value = c.data[extLen:extLen+keyLen], c.data[extLen+keyLen:]
+
+	var sh binShape
+	if int(req.opcode) < len(binShapes) {
+		sh = binShapes[req.opcode]
 	}
-	switch op {
-	case binOpGet, binOpGetK:
-		s.binGet(c, req, cache, op == binOpGetK, quiet, 0, false)
-
-	case binOpGAT:
-		exp := normalizeExp(int64(int32(binary.BigEndian.Uint32(req.ext))), now)
-		s.binGet(c, req, cache, false, quiet, exp, true)
-
-	case binOpSet, binOpAdd, binOpReplace:
-		flags := binary.BigEndian.Uint32(req.ext)
+	req.op, req.silent, req.withKey = sh.op, sh.quiet, sh.withKey
+	switch {
+	case sh.op == opUnknown:
+		return statusUnknownCommand
+	case len(ext) != int(sh.ext) && !(sh.op == opFlushAll && len(ext) == 0),
+		len(req.value) != 0 && !sh.value,
+		sh.op == opAdd && req.cas != 0:
+		return statusBadFormat
+	}
+	switch sh.op {
+	case opSet, opAdd, opReplace:
+		flags := binary.BigEndian.Uint32(ext)
 		if flags > 0xFFFF {
-			// Item flags are stored 16-bit (see README §Protocol).
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
+			return statusBadFormat // item flags are stored 16-bit (README §Protocol)
 		}
-		exp := normalizeExp(int64(int32(binary.BigEndian.Uint32(req.ext[4:]))), now)
-		s.binStore(c, req, cache, op, uint16(flags), exp, quiet)
-
-	case binOpAppend, binOpPrepend:
-		if cache == nil {
-			c.binError(req.op, binStatusUnknownCmd, req.opaque)
-			return true
-		}
-		var cas uint64
-		var err error
-		if op == binOpAppend {
-			cas, err = cache.Append(req.key, req.value, req.cas)
-		} else {
-			cas, err = cache.Prepend(req.key, req.value, req.cas)
-		}
-		s.binMutationResult(c, req, cas, nil, err, quiet)
-
-	case binOpDelete:
-		var err error
-		if cache != nil {
-			err = cache.DeleteCAS(req.key, req.cas)
-		} else if !c.kv.Delete(req.key) {
-			err = ErrNotFound
-		}
-		s.binMutationResult(c, req, 0, nil, err, quiet)
-
-	case binOpIncr, binOpDecr:
-		if cache == nil {
-			c.binError(req.op, binStatusUnknownCmd, req.opaque)
-			return true
-		}
-		delta := binary.BigEndian.Uint64(req.ext)
-		initial := binary.BigEndian.Uint64(req.ext[8:])
-		expRaw := binary.BigEndian.Uint32(req.ext[16:])
-		create := expRaw != 0xffffffff
-		exp := uint32(0)
-		if create {
-			exp = normalizeExp(int64(int32(expRaw)), now)
-		}
-		v, cas, err := cache.IncrDecrCAS(req.key, delta, initial, exp, create, op == binOpDecr)
-		var body [8]byte
-		binary.BigEndian.PutUint64(body[:], v)
-		s.binMutationResult(c, req, cas, body[:], err, quiet)
-
-	case binOpTouch:
-		if cache == nil {
-			c.binError(req.op, binStatusUnknownCmd, req.opaque)
-			return true
-		}
-		exp := normalizeExp(int64(int32(binary.BigEndian.Uint32(req.ext))), now)
-		if cas, ok := cache.Touch(req.key, exp); ok {
-			c.binRespond(req.op, binStatusOK, req.opaque, cas, nil, nil, nil)
-		} else {
-			c.binError(req.op, binStatusKeyNotFound, req.opaque)
-		}
-
-	case binOpNoop:
-		c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, nil, nil)
-
-	case binOpVersion:
-		c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, nil, []byte(serverVersion))
-
-	case binOpStat:
-		s.binStats(c, req)
-
-	case binOpFlush:
-		var delay int64
-		if len(req.ext) == 4 {
-			delay = int64(binary.BigEndian.Uint32(req.ext))
-		} else if len(req.ext) != 0 {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return true
-		}
-		s.flushAll(c, delay)
-		if !quiet {
-			c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, nil, nil)
-		}
-
-	case binOpQuit:
-		if !quiet {
-			c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, nil, nil)
-		}
-		return false
-
-	default:
-		c.binError(req.op, binStatusUnknownCmd, req.opaque)
-	}
-	return true
-}
-
-// binGet serves GET/GETK/GETQ/GETKQ/GAT/GATQ: response extras are the item
-// flags (4 bytes), the response cas is the item's unique, and GETK echoes
-// the key. Quiet misses are suppressed.
-func (s *Server) binGet(c *connState, req *binReq, cache *Cache, withKey, quiet bool, exp uint32, touch bool) {
-	var (
-		v     []byte
-		flags uint16
-		cas   uint64
-		ok    bool
-	)
-	switch {
-	case cache == nil:
-		v, flags, ok = c.kv.Get(req.key)
-	case touch:
-		v, flags, cas, ok = cache.GetAndTouch(req.key, exp)
-	default:
-		v, flags, cas, ok = cache.Gets(req.key)
-	}
-	if !ok {
-		if !quiet {
-			if withKey {
-				c.binRespond(req.op, binStatusKeyNotFound, req.opaque, 0, nil, req.key, []byte(binStatusMsg(binStatusKeyNotFound)))
-			} else {
-				c.binError(req.op, binStatusKeyNotFound, req.opaque)
-			}
-		}
-		return
-	}
-	var ext [4]byte
-	binary.BigEndian.PutUint32(ext[:], uint32(flags))
-	key := []byte(nil)
-	if withKey {
-		key = req.key
-	}
-	c.binRespond(req.op, binStatusOK, req.opaque, cas, ext[:], key, v)
-}
-
-// binStore serves SET/ADD/REPLACE (+quiet): a nonzero request cas turns SET
-// and REPLACE into compare-and-swap; ADD requires cas 0.
-func (s *Server) binStore(c *connState, req *binReq, cache *Cache, op uint8, flags uint16, exp uint32, quiet bool) {
-	var cas uint64
-	var err error
-	switch {
-	case cache == nil:
-		if op == binOpSet && req.cas == 0 {
-			err = c.kv.Set(req.key, req.value, flags, exp)
-		} else {
-			c.binError(req.op, binStatusUnknownCmd, req.opaque)
-			return
-		}
-	case op == binOpAdd:
+		req.flags, req.exptime = uint16(flags), binExptime(ext[4:])
 		if req.cas != 0 {
-			c.binError(req.op, binStatusInvalidArgs, req.opaque)
-			return
+			req.op = opCas // SET and REPLACE with a cas are compare-and-swap
 		}
-		cas, err = cache.Add(req.key, req.value, flags, exp)
-	case req.cas != 0: // SET/REPLACE with cas
-		cas, err = cache.CompareAndSwap(req.key, req.value, flags, exp, req.cas)
-	case op == binOpSet:
-		cas, err = cache.SetCAS(req.key, req.value, flags, exp)
-	default: // REPLACE
-		cas, err = cache.Replace(req.key, req.value, flags, exp)
+	case opGat, opTouch:
+		req.exptime = binExptime(ext)
+	case opIncr, opDecr:
+		req.delta, req.initial = binary.BigEndian.Uint64(ext), binary.BigEndian.Uint64(ext[8:])
+		// An exptime of all ones means: do not create an absent key.
+		if req.create = binary.BigEndian.Uint32(ext[16:]) != 0xffffffff; req.create {
+			req.exptime = binExptime(ext[16:])
+		}
+	case opFlushAll:
+		if len(ext) == 4 {
+			req.delay = int64(binary.BigEndian.Uint32(ext))
+		}
 	}
-	s.binMutationResult(c, req, cas, nil, err, quiet)
+	return statusOK
 }
 
-// binMutationResult maps a cache mutation error to the wire status. The
-// text protocol's NOT_STORED split: for binary, add-on-present and
-// replace/append/prepend-on-absent both report their distinct statuses.
-func (s *Server) binMutationResult(c *connState, req *binReq, cas uint64, body []byte, err error, quiet bool) {
+// binStatus is the binary rendering of a status: the response's status code.
+var binStatus = [...]uint16{
+	statusOK:             binStatusOK,
+	statusNotFound:       binStatusKeyNotFound,
+	statusNotStored:      binStatusKeyNotFound, // KeyExists for ADD, as stock memcached
+	statusExists:         binStatusKeyExists,
+	statusTooLarge:       binStatusTooLarge,
+	statusNotNumber:      binStatusDeltaBadval,
+	statusBadFormat:      binStatusInvalidArgs,
+	statusBadChunk:       binStatusInvalidArgs,
+	statusBadDelta:       binStatusInvalidArgs,
+	statusBadExptime:     binStatusInvalidArgs,
+	statusBadDelay:       binStatusInvalidArgs,
+	statusLineTooLong:    binStatusTooLarge,
+	statusUnknownCommand: binStatusUnknownCmd,
+	statusReadOnly:       binStatusNotStored,
+	statusUnsupported:    binStatusUnknownCmd,
+	statusOutOfMemory:    binStatusOOM,
+}
+
+// binHeader writes a response header: opcode and opaque echo the request.
+func (c *connState) binHeader(req *request, code uint16, cas uint64, extLen, keyLen, bodyLen int) {
+	hdr := c.num[:binHeaderLen]
+	hdr[0], hdr[1] = binMagicRes, req.opcode
+	binary.BigEndian.PutUint16(hdr[2:], uint16(keyLen))
+	hdr[4], hdr[5] = uint8(extLen), 0
+	binary.BigEndian.PutUint16(hdr[6:], code)
+	binary.BigEndian.PutUint32(hdr[8:], uint32(extLen+keyLen+bodyLen))
+	binary.BigEndian.PutUint32(hdr[12:], req.opaque)
+	binary.BigEndian.PutUint64(hdr[16:], cas)
+	c.w.Write(hdr)
+}
+
+// encodeBinary renders res as the response frame to req. A quiet opcode
+// never suppresses an error: a pipeline of quiet ops ends with a NOOP that
+// both flushes and delimits it.
+func (c *connState) encodeBinary(req *request, res *result) {
+	code := binStatus[res.status]
+	if res.status == statusNotStored && req.op == opAdd {
+		code = binStatusKeyExists
+	}
+	scratch := c.num[binHeaderLen : binHeaderLen+8]
+	var key []byte
+	if req.withKey && res.status <= statusNotFound {
+		key = req.key // GETK echoes the key, hit or miss
+	}
 	switch {
-	case err == nil:
-		if !quiet {
-			c.binRespond(req.op, binStatusOK, req.opaque, cas, nil, nil, body)
+	case req.silent && res.status == statusNotFound && req.op.retrieval(),
+		req.silent && res.status == statusOK && !req.op.retrieval():
+		// What a quiet opcode leaves unanswered: a retrieval its miss, the
+		// rest their success.
+	case code != binStatusOK:
+		// The body is the status as text.
+		msg := binStatusMsg(code)
+		if res.status == statusReadOnly {
+			msg = readOnlyMsg
 		}
-	case errors.Is(err, ErrCASConflict):
-		c.binError(req.op, binStatusKeyExists, req.opaque)
-	case errors.Is(err, ErrNotFound):
-		c.binError(req.op, binStatusKeyNotFound, req.opaque)
-	case errors.Is(err, ErrNotStored):
-		// add on an existing key reports "exists"; replace/append/prepend
-		// on a missing key report "not found", as stock memcached does.
-		if req.op == binOpAdd || req.op == binOpAddQ {
-			c.binError(req.op, binStatusKeyExists, req.opaque)
-		} else {
-			c.binError(req.op, binStatusKeyNotFound, req.opaque)
+		c.binHeader(req, code, 0, 0, len(key), len(msg))
+		c.w.Write(key)
+		c.w.WriteString(msg)
+	case req.op.retrieval():
+		// Extras are the item's flags, the header's cas its unique.
+		c.binHeader(req, code, res.cas, 4, len(key), len(res.value))
+		binary.BigEndian.PutUint32(scratch, uint32(res.flags))
+		c.w.Write(scratch[:4])
+		c.w.Write(key)
+		c.w.Write(res.value)
+	case req.op == opIncr || req.op == opDecr:
+		c.binHeader(req, code, res.cas, 0, 0, 8)
+		binary.BigEndian.PutUint64(scratch, res.number)
+		c.w.Write(scratch)
+	case req.op == opStats:
+		// One key/value packet per row, terminated by an empty packet.
+		for _, r := range res.rows {
+			c.binHeader(req, code, 0, 0, len(r.name), len(r.value))
+			c.w.WriteString(r.name)
+			c.w.WriteString(r.value)
 		}
-	case errors.Is(err, ErrTooLarge):
-		c.binError(req.op, binStatusTooLarge, req.opaque)
-	case errors.Is(err, ErrNotNumber):
-		c.binError(req.op, binStatusDeltaBadval, req.opaque)
+		c.binHeader(req, code, 0, 0, 0, 0)
+	case req.op == opVersion:
+		c.binHeader(req, code, 0, 0, 0, len(serverVersion))
+		c.w.WriteString(serverVersion)
 	default:
-		c.binError(req.op, binStatusOOM, req.opaque)
+		c.binHeader(req, code, res.cas, 0, 0, 0)
 	}
-}
-
-// binStats emits the stats rows as key/value packets, terminated by an
-// empty packet, per the binary STAT contract.
-func (s *Server) binStats(c *connState, req *binReq) {
-	for _, r := range s.stats().rows() {
-		c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, []byte(r.name), []byte(r.value))
-	}
-	c.binRespond(req.op, binStatusOK, req.opaque, 0, nil, nil, nil)
 }

@@ -72,12 +72,8 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 // fuzzServe runs one input through the connection handler and returns the
 // raw response bytes.
 func fuzzServe(tb testing.TB, input []byte, chunk int) []byte {
-	s := fuzzServer(tb)
-	c := connPool.Get().(*connState)
-	defer connPool.Put(c)
-	var out bytes.Buffer
-	s.serveStream(c, &chunkReader{data: input, chunk: chunk}, &out)
-	return out.Bytes()
+	out, _ := serveOnce(tb, &chunkReader{data: input, chunk: chunk})
+	return out
 }
 
 func FuzzTextRequest(f *testing.F) {

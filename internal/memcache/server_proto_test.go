@@ -44,11 +44,23 @@ func newProtoCache(t *testing.T, backend string) *Cache {
 func newProtoConn(t *testing.T, backend string) net.Conn {
 	t.Helper()
 	m := newProtoCache(t, backend)
-	srv, err := NewServer("127.0.0.1:0", 4, m, m.Stats)
+	_, conn := serveKV(t, m, m.Stats)
+	return conn
+}
+
+// serveKV starts a server on kv and dials one connection to it.
+func serveKV(t *testing.T, kv KV, stats func() Stats) (*Server, net.Conn) {
+	t.Helper()
+	srv, err := NewServer("127.0.0.1:0", 4, kv, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	return srv, dialProto(t, srv)
+}
+
+func dialProto(t *testing.T, srv *Server) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +81,11 @@ type protoStep struct {
 // response byte-exactly, so missing AND extra bytes both fail.
 func runTextScript(t *testing.T, backend string, steps []protoStep) {
 	t.Helper()
-	conn := newProtoConn(t, backend)
+	runTextSteps(t, newProtoConn(t, backend), steps)
+}
+
+func runTextSteps(t *testing.T, conn net.Conn, steps []protoStep) {
+	t.Helper()
 	var want strings.Builder
 	for _, st := range steps {
 		if _, err := conn.Write([]byte(st.send)); err != nil {
@@ -105,6 +121,7 @@ func expectExact(t *testing.T, conn net.Conn, want []byte) {
 }
 
 func TestTextConformance(t *testing.T) {
+	longTextKey := strings.Repeat("k", MaxKeyLen+1)
 	cases := []struct {
 		name  string
 		steps []protoStep
@@ -206,6 +223,18 @@ func TestTextConformance(t *testing.T) {
 			// oversized noreply set is swallowed silently, connection stays usable
 			{fmt.Sprintf("set big 0 0 %d noreply\r\n%s\r\nversion\r\n", MaxValueLen+1, strings.Repeat("x", MaxValueLen+1)),
 				"VERSION " + serverVersion + "\r\n"},
+			// Every keyed command answers a 251-byte key as set and incr do,
+			// and a multi-key retrieval is checked whole: no VALUE block
+			// precedes the error.
+			{"set good 0 0 1\r\nv\r\n", "STORED\r\n"},
+			{"get " + longTextKey + "\r\n", "CLIENT_ERROR bad command line format\r\n"},
+			{"gets " + longTextKey + "\r\n", "CLIENT_ERROR bad command line format\r\n"},
+			{"get good " + longTextKey + "\r\n", "CLIENT_ERROR bad command line format\r\n"},
+			{"gat 100 " + longTextKey + "\r\n", "CLIENT_ERROR bad command line format\r\n"},
+			{"gats 100 good " + longTextKey + "\r\n", "CLIENT_ERROR bad command line format\r\n"},
+			{"touch " + longTextKey + " 100\r\n", "CLIENT_ERROR bad command line format\r\n"},
+			{"delete " + longTextKey + "\r\n", "CLIENT_ERROR bad command line format\r\n"},
+			{"delete " + longTextKey + " noreply\r\nget good\r\n", "VALUE good 0 1\r\nv\r\nEND\r\n"},
 		}},
 		{"flags_16bit_limit", []protoStep{
 			{"set k 65535 0 1\r\nv\r\n", "STORED\r\n"},
@@ -303,7 +332,11 @@ type binStep struct {
 
 func runBinScript(t *testing.T, backend string, steps []binStep) {
 	t.Helper()
-	conn := newProtoConn(t, backend)
+	runBinSteps(t, newProtoConn(t, backend), steps)
+}
+
+func runBinSteps(t *testing.T, conn net.Conn, steps []binStep) {
+	t.Helper()
 	var want []byte
 	for _, st := range steps {
 		if _, err := conn.Write(st.send); err != nil {
