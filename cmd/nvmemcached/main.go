@@ -63,7 +63,7 @@ func main() {
 	follow := flag.String("follow", "", "stream from the primary's replication address (follower role: read-only until promoted via SIGUSR1)")
 	promote := flag.Bool("promote", false, "start a previously-killed follower's image as a writable primary (clears its replication resume point)")
 	maxGrow := flag.Uint64("max-grow", 0, "online-growth reserve in bytes: under allocator pressure the pool doubles (crash-atomically) up to this cap before evicting; 0 disables growth")
-	maxBytes := flag.Uint64("max-bytes", 0, "logical cache budget in bytes (entry overhead + key + value): writes past it evict LRU items; 0 = unlimited")
+	maxBytes := flag.Uint64("max-bytes", 0, "logical cache budget in bytes (entry overhead + key + value): writes past it evict items not used lately; 0 = unlimited")
 	snapshotTo := flag.String("snapshot-to", "", "on SIGUSR1 (non-follower), stream a live point-in-time snapshot to this path (written to .tmp, then renamed)")
 	restoreFrom := flag.String("restore-from", "", "restore a snapshot stream into the cache at startup (requires an empty cache)")
 	flag.Parse()

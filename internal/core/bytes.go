@@ -179,16 +179,48 @@ func storeBytesPair(dev *nvram.Device, a Addr, p, q []byte) {
 	}
 }
 
-// loadBytes reads n bytes from the device into a fresh slice.
+// loadBytes reads n bytes starting at a (not necessarily word-aligned) into a
+// fresh slice of exactly n bytes: the value-copy path allocates the value,
+// not key+value.
 func loadBytes(dev *nvram.Device, a Addr, n int) []byte {
 	out := make([]byte, n)
-	for i := 0; i < n; i += 8 {
-		w := dev.Load(a + Addr(i))
-		for j := 0; j < 8 && i+j < n; j++ {
-			out[i+j] = byte(w >> (8 * j))
-		}
-	}
+	loadInto(dev, a, out)
 	return out
+}
+
+// loadInto fills out from the device bytes starting at a, a word at a time:
+// one atomic device load per word touched, whole words stored with one
+// 8-byte write. Off alignment each output word is merged from two
+// neighbouring device words, of which the later is carried into the next
+// round; the load that would cross the last word holding wanted bytes is
+// never issued (the extent may end there).
+func loadInto(dev *nvram.Device, a Addr, out []byte) {
+	if len(out) == 0 {
+		return
+	}
+	base := a &^ 7
+	lo := uint(a&7) * 8 // bit offset of the first wanted byte in its word
+	last := (a + Addr(len(out)) - 1) &^ 7
+	w := dev.Load(base)
+	for len(out) > 0 {
+		v := w >> lo
+		if base < last {
+			base += 8
+			w = dev.Load(base)
+			if lo != 0 {
+				v |= w << (64 - lo)
+			}
+		}
+		if len(out) >= 8 {
+			binary.LittleEndian.PutUint64(out, v)
+			out = out[8:]
+			continue
+		}
+		for j := range out { // the tail
+			out[j] = byte(v >> (8 * j))
+		}
+		return
+	}
 }
 
 // Entry field readers (addresses come from Find or recovery sweeps). They
@@ -197,6 +229,10 @@ func loadBytes(dev *nvram.Device, a Addr, n int) []byte {
 // OrderedBytesMap (bytesindex.go).
 
 func bytesEntryKeyLen(s *Store, e Addr) int { return int(s.dev.Load(e+beHeader) & 0xFFFF) }
+
+func bytesEntryValueLen(s *Store, e Addr) int {
+	return int(s.dev.Load(e+beHeader) >> 16 & 0xFFFFFFFF)
+}
 
 // bytesEntryKeyEqual reports whether the entry's stored key equals key,
 // comparing a device word at a time without copying the stored key out.
@@ -298,40 +334,7 @@ func bytesEntryValue(s *Store, e Addr) []byte {
 	hdr := s.dev.Load(e + beHeader)
 	klen := int(hdr & 0xFFFF)
 	vlen := int(hdr >> 16 & 0xFFFFFFFF)
-	return loadBytesAt(s.dev, e+beData+Addr(klen), vlen)
-}
-
-// loadBytesAt reads n bytes starting at a (not necessarily word-aligned)
-// into a fresh slice of exactly n bytes: the value-copy path allocates the
-// value, not key+value.
-func loadBytesAt(dev *nvram.Device, a Addr, n int) []byte {
-	out := make([]byte, n)
-	base := a &^ 7
-	shift := int(a&7) * 8
-	if shift == 0 {
-		for i := 0; i < n; i += 8 {
-			w := dev.Load(base + Addr(i))
-			for j := 0; j < 8 && i+j < n; j++ {
-				out[i+j] = byte(w >> (8 * j))
-			}
-		}
-		return out
-	}
-	w := dev.Load(base) >> shift // bytes of the first, partial word
-	have := 8 - shift/8          // how many bytes of w are valid
-	i := 0
-	for {
-		for j := 0; j < have && i < n; j++ {
-			out[i] = byte(w >> (8 * j))
-			i++
-		}
-		if i >= n {
-			return out
-		}
-		base += 8
-		w = dev.Load(base)
-		have = 8
-	}
+	return loadBytes(s.dev, e+beData+Addr(klen), vlen)
 }
 
 func bytesEntryMeta(s *Store, e Addr) uint16 { return uint16(s.dev.Load(e+beHeader) >> 48) }
@@ -453,22 +456,22 @@ func (b *BytesMap) GetItem(c *Ctx, key []byte) (value []byte, meta uint16, aux u
 	return b.EntryValue(e), b.EntryMeta(e), b.EntryAux(e), true
 }
 
-// GetAux returns only the aux word bound to key — no value copy, for
-// metadata probes on hot paths (e.g. reading an item's expiry before a
-// rewrite).
-func (b *BytesMap) GetAux(c *Ctx, key []byte) (aux uint64, ok bool) {
+// GetAux returns the aux word bound to key and the length of its value — no
+// value copy, for metadata probes on hot paths (e.g. reading an item's expiry
+// and footprint before a rewrite).
+func (b *BytesMap) GetAux(c *Ctx, key []byte) (aux uint64, valueLen int, ok bool) {
 	hash := bytesHash(key)
 	c.ep.Begin()
 	defer c.ep.End()
 	head, found := b.chainHead(c, hash)
 	if !found {
-		return 0, false
+		return 0, 0, false
 	}
 	e, _ := b.findInChain(head, key)
 	if e == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return b.EntryAux(e), true
+	return b.EntryAux(e), bytesEntryValueLen(b.s, e), true
 }
 
 // Contains reports whether key is present.
@@ -635,7 +638,7 @@ func (b *BytesMap) Len(c *Ctx) int {
 }
 
 // Range calls fn for every live key/value (copies; unordered). Safe for
-// concurrent use: the walk runs inside an epoch section, so entry extents
+// concurrent use: the walk runs inside epoch sections, so entry extents
 // cannot be reclaimed mid-scan and every observed entry is internally
 // consistent (entries are immutable once published). Under concurrent
 // updates the scan is not a snapshot: it may miss keys inserted during the
@@ -647,25 +650,79 @@ func (b *BytesMap) Range(c *Ctx, fn func(key, value []byte) bool) {
 	})
 }
 
-// RangeItems is Range including each entry's metadata and aux word.
-func (b *BytesMap) RangeItems(c *Ctx, fn func(key, value []byte, meta uint16, aux uint64) bool) {
-	b.RangeEntries(c, func(e Addr) bool {
-		return fn(b.EntryKey(e), b.EntryValue(e), b.EntryMeta(e), b.EntryAux(e))
-	})
+// RangeEntries visits every live entry address, one epoch section per chunk
+// of buckets (see Range for the concurrency contract).
+func (b *BytesMap) RangeEntries(c *Ctx, fn func(e Addr) bool) {
+	stopped := false
+	for cursor := uint64(0); ; {
+		cursor = b.walkEntries(c, cursor, func(e Addr) bool {
+			stopped = !fn(e)
+			return !stopped
+		})
+		if cursor == 0 || stopped {
+			return
+		}
+	}
 }
 
-// RangeEntries visits every live entry address under one epoch section (see
-// Range for the concurrency contract).
-func (b *BytesMap) RangeEntries(c *Ctx, fn func(e Addr) bool) {
+// walkChunk is how many index buckets one walk step covers. A step is one
+// epoch section, so this bounds how long a walker — however slowly its
+// caller consumes what it found — holds reclamation back.
+const walkChunk = 64
+
+// walkEntries is one step of the bucket walk: fn sees every live entry of the
+// walkChunk buckets starting at bucket cursor, under one epoch section. It
+// returns the cursor of the next step, 0 once the last bucket is done. When fn
+// returns false the step ends with the bucket it was in.
+func (b *BytesMap) walkEntries(c *Ctx, cursor uint64, fn func(e Addr) bool) (next uint64) {
 	c.ep.Begin()
 	defer c.ep.End()
-	stop := false
-	b.idx.Range(c, func(_, headV uint64) bool {
-		for e := Addr(headV); e != 0 && !stop; e = b.entryNext(e) {
+	n := b.idx.NumBuckets()
+	from := int(min(cursor, uint64(n)))
+	reached := b.idx.rangeBuckets(c, from, min(from+walkChunk, n), func(_, headV uint64) bool {
+		for e := Addr(headV); e != 0; e = b.entryNext(e) {
 			if !fn(e) {
-				stop = true
+				return false
 			}
 		}
-		return !stop
+		return true
+	})
+	if reached >= n {
+		return 0
+	}
+	return uint64(reached)
+}
+
+// WalkEntry is one entry as Walk presents it to its visitor, valid until the
+// visitor returns.
+type WalkEntry struct {
+	Key      []byte // the context's scratch buffer; copy it to keep it
+	Meta     uint16
+	Aux      uint64
+	ValueLen int
+
+	s *Store
+	e Addr
+}
+
+// Value returns a copy of the entry's value.
+func (w WalkEntry) Value() []byte { return bytesEntryValue(w.s, w.e) }
+
+// Walk is the resumable form of the bucket walk, with the contract of Redis's
+// SCAN: start at cursor 0, pass each returned cursor to the next call, stop
+// when 0 comes back. The index has a fixed bucket count and each call visits
+// the next few buckets whole, so one full cycle presents every key that was
+// in the map throughout it at least once (exactly once if it was not rewritten
+// meanwhile); a key inserted or deleted during the cycle may or may not
+// appear. Each call is one epoch section, so nothing is held between calls. A
+// visitor that returns false ends its call after the current bucket.
+func (b *BytesMap) Walk(c *Ctx, cursor uint64, visit func(WalkEntry) bool) (next uint64) {
+	dev := b.s.dev
+	return b.walkEntries(c, cursor, func(e Addr) bool {
+		hdr := dev.Load(e + beHeader)
+		k := c.walkKey[:hdr&0xFFFF]
+		loadInto(dev, e+beData, k)
+		return visit(WalkEntry{Key: k, Meta: uint16(hdr >> 48), Aux: dev.Load(e + beAux),
+			ValueLen: int(hdr >> 16 & 0xFFFFFFFF), s: b.s, e: e})
 	})
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/nvram"
 )
 
 func newTestBytesMap(t *testing.T, s *Store, c *Ctx, buckets int) *BytesMap {
@@ -255,6 +258,34 @@ func TestRecoverSetMultipleStructures(t *testing.T) {
 		}
 		if !b2.Contains(c2, []byte(fmt.Sprintf("b-%d", k))) {
 			t.Fatalf("bytes key %d lost in combined recovery", k)
+		}
+	}
+}
+
+// TestLoadBytesEveryAlignment checks the word-at-a-time copy against a
+// byte-wise reference for every start offset within a word and every length
+// from 0 to 80, anchored twice: in the middle of the device, and so that the
+// last byte read is the device's last byte — where a load of one word too
+// many panics.
+func TestLoadBytesEveryAlignment(t *testing.T) {
+	dev := nvram.New(nvram.Config{Size: 4096})
+	size := int(dev.Size())
+	image := make([]byte, size)
+	for i := 64; i < size; i++ { // line 0 is the nil guard
+		image[i] = byte(i*7 + i>>8)
+	}
+	for a := 64; a < size; a += 8 {
+		dev.Store(Addr(a), binary.LittleEndian.Uint64(image[a:]))
+	}
+	for n := 0; n <= 80; n++ {
+		starts := []int{size - n} // takes every offset too as n runs
+		for off := 0; off < 8; off++ {
+			starts = append(starts, size/2+off)
+		}
+		for _, a := range starts {
+			if got := loadBytes(dev, Addr(a), n); !bytes.Equal(got, image[a:a+n]) {
+				t.Fatalf("loadBytes(%#x, %d) = %x, the device holds %x", a, n, got, image[a:a+n])
+			}
 		}
 	}
 }

@@ -129,15 +129,23 @@ func (h *HashTable) Len(c *Ctx) int {
 
 // Range calls fn for every live key/value (unordered across buckets).
 func (h *HashTable) Range(c *Ctx, fn func(key, value uint64) bool) {
-	stop := false
-	for i := 0; i <= int(h.mask) && !stop; i++ {
-		head := h.buckets + Addr(i)*64
-		AttachList(h.s, head, h.tail).Range(c, func(k, v uint64) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
-			}
-			return true
+	h.rangeBuckets(c, 0, h.NumBuckets(), fn)
+}
+
+// rangeBuckets calls fn for every live key/value of buckets [from, to) — the
+// one bucket walk every whole-table iteration is made of. A bucket is either
+// finished or, when fn returns false, abandoned: the result is the index of
+// the first bucket not visited.
+func (h *HashTable) rangeBuckets(c *Ctx, from, to int, fn func(key, value uint64) bool) (next int) {
+	for i := from; i < to; i++ {
+		stopped := false
+		AttachList(h.s, h.buckets+Addr(i)*64, h.tail).Range(c, func(k, v uint64) bool {
+			stopped = !fn(k, v)
+			return !stopped
 		})
+		if stopped {
+			return i + 1
+		}
 	}
+	return to
 }

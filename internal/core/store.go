@@ -228,6 +228,10 @@ type Ctx struct {
 	ep    *epoch.Ctx
 	tid   int
 	rng   *rand.Rand
+
+	// walkKey is where BytesMap.Walk presents each entry's key to its
+	// visitor (a context walks one map at a time), so no key is allocated.
+	walkKey [MaxBytesKeyLen]byte
 }
 
 func (s *Store) loadCtxs() []*Ctx    { return *s.ctxs.Load() }

@@ -7,21 +7,36 @@
 //
 //   - The store step: the new deadline into the durable expiry index, the
 //     item into the index, the record into the replication stream, the stale
-//     deadline out, then the volatile LRU and totals. The index is logfree's
-//     byte-keyed durable map — a log-free lock-free hash table, full keys
-//     verified in the durable entries so distinct keys never alias — and
-//     items live in slab-class extents of the persistent allocator, swept on
-//     recovery for extents allocated but not (or no longer) reachable.
+//     deadline out, then the key's reference bit and the totals. The index
+//     is logfree's byte-keyed durable map — a log-free lock-free hash table,
+//     full keys verified in the durable entries so distinct keys never alias
+//     — and items live in slab-class extents of the persistent allocator,
+//     swept on recovery for extents allocated but not (or no longer)
+//     reachable.
 //   - The remove step: the item out of the index, then the same trail.
-//   - The index walk. It rebuilds the volatile metadata after a recovery
-//     (recency resets, contents do not: cache metadata is advisory, as in
-//     Memcached) and feeds snapshots, flush_all and a follower's resync.
+//   - The index walk: logfree's resumable bucket walk, a few buckets per epoch
+//     section. It recounts the items and their bytes after a recovery (from
+//     entry headers alone; recency resets, contents do not: cache metadata is
+//     advisory, as in Memcached), carries the eviction hand, and feeds
+//     snapshots, flush_all and a follower's resync.
+//
+// Recency is volatile and approximate, as in MemC3: no list, no per-item
+// record — one CLOCK reference bit per slot of a flat table that grows with
+// the item count, a key's slot picked by the hash that picks its stripe lock.
+// A hit or a store sets the bit (testing it first, so a hot key's line stays
+// shared); the eviction hand — a cursor over the index's buckets — clears the
+// set bits it passes and evicts the first key it finds clear. Keys that share
+// a slot share a bit: a cold key beside a warm one survives another turn of
+// the hand, and a warm key whose bit the hand cleared on its way past the
+// cold one is exposed until its next hit. The table is sparse enough (32 to
+// 64 slots per item) that few keys share.
 //
 // Client commands of both wire protocols and a follower's replicated sets
 // reach the steps through one mutation driver: it validates key and size,
-// makes room (grow the pool, then evict LRU items), runs the command's
-// precondition and the step under the key's stripe lock, retries through
-// grow-then-evict while the device is full, and waits for replication once.
+// makes room (grow the pool, then evict what the hand finds unused), runs the
+// command's precondition and the step under the key's stripe lock, retries
+// through grow-then-evict while the device is full, and waits for replication
+// once.
 // No stripe lock is held while evicting or waiting: a full pool or a slow
 // follower delays the caller, never another key. Evictions, the expiry sweep
 // and flush_all call the remove step themselves, and wait for nobody.
@@ -142,7 +157,7 @@ type Config struct {
 	Shards int
 	// MaxBytes, when non-zero, caps the cache's LOGICAL footprint (entry
 	// overhead + key + value, summed over live items): writes that would
-	// push past it evict LRU items first, even when the device still has
+	// push past it evict unused items first, even when the device still has
 	// room. The memory-pressure valve memcached's -m flag provides.
 	MaxBytes uint64
 	// MaxGrowBytes, when non-zero, reserves device address space so the
@@ -191,12 +206,24 @@ type cacheState struct {
 	exp  *sharded.OrderedMap
 	cfg  Config
 
-	lru   *lruList
 	stats counters
 
+	// ref holds the CLOCK reference bits, the cache's whole notion of
+	// recency: one bit per slot of a flat table that keeps refSlotsPerItem
+	// slots per item (growRef doubles it as the cache fills), a key's slot
+	// picked by its stripe hash. A hit or a store sets the key's bit; the
+	// eviction hand clears set bits as it passes and evicts the first key it
+	// finds clear. Two keys sharing a slot share a bit (see refSlotsPerItem
+	// for what that costs). hand is the hand's position: a Walk cursor over
+	// the item index.
+	ref   atomic.Pointer[[]atomic.Uint64]
+	refMu sync.Mutex // serializes growRef
+	hand  atomic.Uint64
+
 	// usedBytes tracks the cache's logical footprint (the MaxBytes valve's
-	// currency), maintained from the LRU's per-node sizes so no accounting
-	// step ever needs a device read.
+	// currency). Every mutation reads the length of the value it replaces or
+	// removes in the pre-read it does anyway, so no per-item volatile record
+	// is kept.
 	usedBytes atomic.Int64
 
 	// growMu serializes online grows so concurrent full writers walk the
@@ -213,21 +240,72 @@ type cacheState struct {
 	keyLocks [1024]sync.Mutex
 }
 
-// fnv1aStripe is a volatile FNV-1a over the key, for lock striping only (the
-// durable index hash lives inside logfree). The generic form lets the LRU
-// shard string keys with the SAME function, so both stripings agree on a
-// key's home without two hand-rolled copies.
-func fnv1aStripe[T ~string | ~[]byte](key T) uint64 {
+// fnv1aStripe is a volatile FNV-1a over the key, computed once per operation:
+// it picks the key's stripe lock and its reference bit (the durable index
+// hash lives inside logfree). The halves are folded at the end: the low bits
+// of a plain FNV-1a depend only on the low bits of the key's bytes, so keys
+// that differ in a trailing counter would crowd a fraction of the slots.
+func fnv1aStripe(key []byte) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for _, b := range key {
+		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	return h
+	return h ^ h>>32
 }
 
-func (m *Cache) lockKey(key []byte) *sync.Mutex {
-	return &m.keyLocks[fnv1aStripe(key)%uint64(len(m.keyLocks))]
+// stripe is the lock of the key whose stripe hash is h.
+func (m *cacheState) stripe(h uint64) *sync.Mutex {
+	return &m.keyLocks[h%uint64(len(m.keyLocks))]
+}
+
+// refSlotsPerItem is how many reference-bit slots the table keeps per item,
+// at the least: 4 to 8 bytes of DRAM per item, for which no more than one key
+// in thirty shares its bit. Sharing is not free for a key in use — the hand
+// clears the bit when it passes the other key, and the key in use is
+// unprotected until its next hit — so the table is kept sparse.
+const refSlotsPerItem = 32
+
+// refBit locates the reference bit of the key whose stripe hash is h.
+func (m *cacheState) refBit(h uint64) (word *atomic.Uint64, bit uint64) {
+	table := *m.ref.Load()
+	slot := h & uint64(len(table)*64-1)
+	return &table[slot/64], 1 << (slot % 64)
+}
+
+// growRef doubles the reference-bit table until it has refSlotsPerItem slots
+// for each of items. A key's slot is its hash modulo the table size, so a
+// slot of the old table splits between itself and its images in the new one:
+// every image inherits the bit. A bit set in the old table while it is being
+// copied may be lost, which costs that key one turn of protection.
+func (m *cacheState) growRef(items int64) {
+	if items*refSlotsPerItem <= int64(len(*m.ref.Load()))*64 {
+		return
+	}
+	m.refMu.Lock()
+	defer m.refMu.Unlock()
+	old := *m.ref.Load()
+	words := len(old)
+	for int64(words)*64 < items*refSlotsPerItem {
+		words *= 2
+	}
+	if words == len(old) {
+		return // another store grew it first
+	}
+	grown := make([]atomic.Uint64, words)
+	for i := range grown {
+		grown[i].Store(old[i%len(old)].Load())
+	}
+	m.ref.Store(&grown)
+}
+
+// markUsed sets a key's reference bit. It tests first: a hot key's bit is
+// already set, and a load leaves the cache line shared between the cores
+// reading it.
+func (m *cacheState) markUsed(h uint64) {
+	if word, bit := m.refBit(h); word.Load()&bit == 0 {
+		word.Or(bit)
+	}
 }
 
 // Stats mirrors the interesting counters of `stats`.
@@ -252,7 +330,7 @@ type Stats struct {
 	ReplReconnects uint64
 
 	// Elastic-capacity rows (PR 9).
-	EvictionsBytes uint64 // logical bytes reclaimed by LRU evictions
+	EvictionsBytes uint64 // logical bytes reclaimed by evictions
 	GrowCount      uint64 // successful online pool grows
 	PoolBytesTotal uint64 // pool capacity (device bytes, all shards)
 	PoolBytesUsed  uint64 // pool capacity currently allocated
@@ -325,25 +403,35 @@ func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
 		pool.Close()
 		return nil, err
 	}
-	c := &Cache{cacheState: &cacheState{pool: pool, m: m, exp: exp, cfg: cfg, lru: newLRU()}}
+	c := &Cache{cacheState: &cacheState{pool: pool, m: m, exp: exp, cfg: cfg}}
+	ref := make([]atomic.Uint64, 64)
+	c.ref.Store(&ref)
 	if pool.Recovered() {
 		c.rebuildVolatile()
 	}
 	return c, nil
 }
 
-// rebuildVolatile repopulates the LRU list, item count and logical
-// used-bytes total from one index walk — the volatile metadata reset a
-// recovery implies (recency order is lost, contents are not).
+// rebuildVolatile recounts the items and their logical footprint from one
+// index walk that reads headers only — the volatile totals a recovery has to
+// restore. The reference bits start clear: recency is lost, contents are not.
 func (m *Cache) rebuildVolatile() {
 	var items, used int64
-	m.forEachItem(func(key, value []byte, _ uint16, _ uint64) error {
-		used += m.lru.add(string(key), entrySize(key, value))
-		items++
-		return nil
-	})
+	for cursor := uint64(0); ; {
+		cursor = m.m.Walk(cursor, func(e logfree.Entry) bool {
+			if !isReplMeta(e.Key) {
+				items++
+				used += footprint(len(e.Key), e.ValueLen)
+			}
+			return true
+		})
+		if cursor == 0 {
+			break
+		}
+	}
 	m.stats.items.Store(items)
 	m.usedBytes.Store(used)
+	m.growRef(items)
 }
 
 // Close drains the cache and closes the underlying pool; file-backed images
@@ -448,8 +536,11 @@ func (m *Cache) reclaim() { m.pool.Reclaim() }
 
 // entrySize is an item's logical footprint: the byte-map entry overhead plus
 // key and value — the currency of Config.MaxBytes and the used-bytes stat.
-func entrySize(key, value []byte) int64 {
-	return int64(logfree.MapEntryOverhead + len(key) + len(value))
+func entrySize(key, value []byte) int64 { return footprint(len(key), len(value)) }
+
+// footprint is entrySize from the lengths alone.
+func footprint(keyLen, valueLen int) int64 {
+	return int64(logfree.MapEntryOverhead + keyLen + valueLen)
 }
 
 // lowWater is the allocator headroom kept ahead of writes so allocations
@@ -483,7 +574,7 @@ func (m *Cache) tryGrow() bool {
 
 // ensureHeadroom makes room for an incoming write of `incoming` logical
 // bytes: first the device-pressure valve (grow while the reserve allows,
-// then LRU-evict down to the low-water headroom), then the logical MaxBytes
+// then evict down to the low-water headroom), then the logical MaxBytes
 // valve (evict until the write fits the configured budget).
 func (m *Cache) ensureHeadroom(incoming int64) {
 	for i := 0; m.pool.AvailableBytes() < lowWater && i < 256; i++ {
@@ -549,13 +640,13 @@ func (m *Cache) SweepExpired(now int64) int {
 	for _, ek := range due {
 		deadline := binary.BigEndian.Uint64(ek[:8])
 		key := ek[8:]
-		mu := m.lockKey(key)
+		mu := m.stripe(fnv1aStripe(key))
 		mu.Lock()
-		if aux, ok := m.m.GetAux(key); ok && uint64(auxExpiry(aux)) == deadline {
+		if aux, vlen, ok := m.m.GetAux(key); ok && uint64(auxExpiry(aux)) == deadline {
 			// Replicated without an ack wait: followers share the item's
 			// deadline (aux travels verbatim), so an unreplicated sweep
 			// delete is merely deferred tidiness there, never staleness.
-			if _, _, ok := m.removeLocked(key, aux, true); ok {
+			if _, ok := m.removeLocked(key, aux, footprint(len(key), vlen), true); ok {
 				m.stats.expired.Add(1)
 				n++
 			}
@@ -593,22 +684,47 @@ func (m *Cache) StartSweeper(interval time.Duration) (stop func()) {
 	}
 }
 
-// evictOne removes the least recently used item (memcached behaviour under
-// memory pressure). Returns false if nothing is evictable.
+// evictOne removes one item that was not used since the hand last passed it
+// (memcached behaviour under memory pressure). The hand resumes where the
+// last eviction left it, clears the reference bits it finds set and takes the
+// first key whose bit is clear. It gives up after passing the index's end
+// three times — the rest of a turn and two whole ones, enough to clear every
+// bit and come back — which only happens when the keys are being used as
+// fast as the hand moves. Returns false if nothing is evictable.
 func (m *Cache) evictOne() bool {
-	key, ok := m.lru.oldest()
-	if !ok {
-		return false
+	var victim []byte
+	for ends := 0; ends < 3 && m.stats.items.Load() > 0; {
+		victim = victim[:0]
+		next := m.m.Walk(m.hand.Load(), func(e logfree.Entry) bool {
+			if isReplMeta(e.Key) {
+				return true
+			}
+			if word, bit := m.refBit(fnv1aStripe(e.Key)); word.Load()&bit != 0 {
+				word.And(^bit)
+				return true
+			}
+			victim = append(victim, e.Key...)
+			return false
+		})
+		// Concurrent evictors may move the hand over each other; the loser
+		// rescans buckets whose bits were just cleared, which costs order,
+		// not correctness.
+		m.hand.Store(next)
+		if next == 0 {
+			ends++
+		}
+		if len(victim) == 0 {
+			continue
+		}
+		// No ack wait: the client op driving the eviction waits on its own
+		// (later) seq, which the ordered stream makes a covering ack.
+		if _, freed, ok := m.removeKey(victim, true); ok {
+			m.stats.evictions.Add(1)
+			m.stats.evictionsBytes.Add(uint64(freed))
+			return true
+		}
 	}
-	// No ack wait: the client op driving the eviction waits on its own
-	// (later) seq, which the ordered stream makes a covering ack.
-	if _, freed, ok := m.removeKey([]byte(key), true); ok {
-		m.stats.evictions.Add(1)
-		m.stats.evictionsBytes.Add(uint64(freed))
-	} else {
-		m.usedBytes.Add(-m.lru.remove(key)) // stale LRU entry
-	}
-	return true
+	return false
 }
 
 // Flush makes all deferred durability work durable (link cache, retirees).

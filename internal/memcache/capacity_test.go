@@ -142,6 +142,60 @@ func TestMaxBytesEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionSparesWhatIsRead: with the cache at its MaxBytes budget, a
+// quarter of the keys is read again and again while inserts push out as many
+// items as the cache holds. The reference bits must keep the hand off the
+// quarter being read, and the budget must hold throughout — at one shard and
+// with the hand's cursor crossing four.
+func TestEvictionSparesWhatIsRead(t *testing.T) {
+	forShards(t, func(t *testing.T, shards int) {
+		const n = 2000
+		val := bytes.Repeat([]byte("v"), 100)
+		key := func(kind string, i int) []byte { return fmt.Appendf(nil, "%s-%05d", kind, i) }
+		entry := entrySize(key("old", 0), val)
+		budget := n * entry
+		m, err := New(Config{MemoryBytes: 64 << 20, MaxBytes: uint64(budget), Buckets: 4096, MaxConns: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for i := 0; i < n; i++ {
+			if err := m.Set(key("old", i), val, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ev := m.Stats().Evictions; ev != 0 || m.UsedBytes() != budget {
+			t.Fatalf("after the fill: %d evictions, %d bytes used of %d", ev, m.UsedBytes(), budget)
+		}
+		const hot = n / 4 // keys old-00000, old-00004, ...
+		next := 0
+		for i := 0; i < n; i++ {
+			for r := 0; r < 8; r++ {
+				m.Get(key("old", 4*(next%hot)))
+				next++
+			}
+			if err := m.Set(key("new", i), val, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if used := m.UsedBytes(); used > budget+entry {
+				t.Fatalf("insert %d: %d bytes used, budget %d", i, used, budget)
+			}
+		}
+		if ev := m.Stats().Evictions; ev < n/2 {
+			t.Fatalf("%d evictions: the inserts were to push out at least half of the %d items", ev, n)
+		}
+		kept := 0
+		for i := 0; i < hot; i++ {
+			if _, _, ok := m.Get(key("old", 4*i)); ok {
+				kept++
+			}
+		}
+		if kept < hot*95/100 {
+			t.Fatalf("%d of the %d keys being read survived %d evictions", kept, hot, m.Stats().Evictions)
+		}
+	})
+}
+
 func TestUsedBytesAccounting(t *testing.T) {
 	m := newCache(t)
 	defer m.Close()

@@ -33,7 +33,7 @@ func (m *Cache) Gets(key []byte) (value []byte, flags uint16, cas uint64, ok boo
 		m.stats.misses.Add(1)
 		return nil, 0, 0, false
 	}
-	m.lru.touch(string(key))
+	m.markUsed(fnv1aStripe(key))
 	m.stats.hits.Add(1)
 	return v, meta, uint64(auxCAS(aux)), true
 }
@@ -78,7 +78,7 @@ func (m *Cache) countCAS(err error) {
 	}
 }
 
-// Set binds key to value, durably, evicting LRU items under memory pressure.
+// Set binds key to value, durably, evicting unused items under memory pressure.
 func (m *Cache) Set(key, value []byte, flags uint16, expiry uint32) error {
 	_, err := m.SetCAS(key, value, flags, expiry)
 	return err

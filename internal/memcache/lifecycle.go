@@ -81,22 +81,29 @@ func (m *Cache) mutate(c command, decide decideFunc) (item, error) {
 // attempt runs c once under its key's stripe lock. seq is what it published,
 // for the caller to wait on after the unlock.
 func (m *Cache) attempt(c command, decide decideFunc) (it item, seq uint64, err error) {
-	mu := m.lockKey(c.key)
+	h := fnv1aStripe(c.key)
+	mu := m.stripe(h)
 	mu.Lock()
 	defer mu.Unlock()
 	var cur item
+	var vlen int
 	var present bool
 	if c.readsValue {
 		cur.value, cur.flags, cur.aux, present = m.m.GetItem(c.key)
+		vlen = len(cur.value)
 	} else {
-		cur.aux, present = m.m.GetAux(c.key)
+		cur.aux, vlen, present = m.m.GetAux(c.key)
+	}
+	var held int64 // the logical bytes the key holds now
+	if present {
+		held = footprint(len(c.key), vlen)
 	}
 	next, v, err := decide(cur, present && unexpired(cur.aux))
 	switch v {
 	case keep:
 		return item{}, 0, err
 	case remove:
-		seq, _, ok := m.removeLocked(c.key, cur.aux, !c.replica)
+		seq, ok := m.removeLocked(c.key, cur.aux, held, !c.replica)
 		if !ok {
 			err = ErrNotFound
 		}
@@ -111,17 +118,18 @@ func (m *Cache) attempt(c command, decide decideFunc) (it item, seq uint64, err 
 	if entrySize(c.key, next.value) > logfree.MaxMapEntrySize {
 		return item{}, 0, ErrTooLarge
 	}
-	seq, err = m.storeLocked(c.key, cur.aux, next, v == retouch, !c.replica)
+	seq, err = m.storeLocked(c.key, h, cur.aux, held, next, v == retouch, !c.replica)
 	return next, seq, err
 }
 
-// storeLocked is the one store step, run under the key's stripe lock: it
-// writes it over whatever the key holds (oldAux, 0 if nothing) and keeps the
-// expiry index, the LRU, the used-bytes total and the item count in step.
-// auxOnly rewrites just the aux word of an existing entry (one atomic durable
-// word, so a new CAS and a new deadline land together). Returns the
-// replication seq of the publication, 0 without one.
-func (m *Cache) storeLocked(key []byte, oldAux uint64, it item, auxOnly, publish bool) (seq uint64, err error) {
+// storeLocked is the one store step, run under the key's stripe lock (h is
+// the key's stripe hash): it writes it over whatever the key holds (oldAux and
+// held logical bytes, both 0 if nothing) and keeps the expiry index, the
+// reference bit, the used-bytes total and the item count in step. auxOnly
+// rewrites just the aux word of an existing entry (one atomic durable word,
+// so a new CAS and a new deadline land together). Returns the replication seq
+// of the publication, 0 without one.
+func (m *Cache) storeLocked(key []byte, h, oldAux uint64, held int64, it item, auxOnly, publish bool) (seq uint64, err error) {
 	// Index the new deadline *before* the item write: a crash in between
 	// leaves only a stale index entry, which the sweep double-checks and
 	// discards; the reverse order could leave an expiring item the sweep
@@ -149,9 +157,10 @@ func (m *Cache) storeLocked(key []byte, oldAux uint64, it item, auxOnly, publish
 		seq = m.publishSet(key, it.value, it.flags, it.aux)
 	}
 	m.unindex(key, auxExpiry(oldAux), expiry)
-	m.usedBytes.Add(m.lru.add(string(key), entrySize(key, it.value)))
+	m.markUsed(h)
+	m.usedBytes.Add(entrySize(key, it.value) - held)
 	if created {
-		m.stats.items.Add(1)
+		m.growRef(m.stats.items.Add(1))
 	}
 	return seq, nil
 }
@@ -165,36 +174,43 @@ func (m *Cache) unindex(key []byte, old, current uint32) {
 }
 
 // removeLocked is the one remove step, run under the key's stripe lock: the
-// item (whose aux word the caller read under that lock) leaves the index, the
-// expiry index, the LRU and the totals. freed is its logical footprint; ok is
-// false when the key held nothing.
-func (m *Cache) removeLocked(key []byte, aux uint64, publish bool) (seq uint64, freed int64, ok bool) {
+// item (whose aux word and held logical bytes the caller read under that
+// lock) leaves the index, the expiry index and the totals. ok is false when
+// the key held nothing.
+func (m *Cache) removeLocked(key []byte, aux uint64, held int64, publish bool) (seq uint64, ok bool) {
 	if !m.m.Delete(key) {
-		return 0, 0, false
+		return 0, false
 	}
 	if publish {
 		seq = m.publishDelete(key)
 	}
 	m.unindex(key, auxExpiry(aux), 0)
-	freed = m.lru.remove(string(key))
-	m.usedBytes.Add(-freed)
+	m.usedBytes.Add(-held)
 	m.stats.items.Add(-1)
-	return seq, freed, true
+	return seq, true
 }
 
 // removeKey runs the remove step on whatever key holds, for the removals no
 // client waits on: evictions, flush_all and a follower's deletes.
 func (m *Cache) removeKey(key []byte, publish bool) (seq uint64, freed int64, ok bool) {
-	mu := m.lockKey(key)
+	mu := m.stripe(fnv1aStripe(key))
 	mu.Lock()
 	defer mu.Unlock()
-	aux, _ := m.m.GetAux(key)
-	return m.removeLocked(key, aux, publish)
+	aux, vlen, ok := m.m.GetAux(key)
+	if !ok {
+		return 0, 0, false
+	}
+	freed = footprint(len(key), vlen)
+	seq, ok = m.removeLocked(key, aux, freed, publish)
+	return seq, freed, ok
 }
 
 // forEachItem is the one index walk: every client item (the replication meta
-// slot is skipped), verbatim. The walk is logfree's epoch-protected lock-free
-// iteration — no key locks held, concurrent mutations may or may not be seen.
+// slot is skipped), verbatim. The walk is logfree's lock-free iteration — no
+// key locks held, concurrent mutations may or may not be seen — and emit runs
+// between its epoch sections, never inside one: a consumer that stalls (a
+// slow disk under a snapshot, a follower's socket under a resync) does not
+// hold reclamation back.
 func (m *Cache) forEachItem(emit func(key, value []byte, flags uint16, aux uint64) error) error {
 	for k, it := range m.m.Items() {
 		if isReplMeta(k) {

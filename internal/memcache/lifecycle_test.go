@@ -269,8 +269,20 @@ func lifecycleRun(t *testing.T, seed int64, steps int) {
 		if got := dumpItems(t, m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d (%s): cache holds %v, model %v", step, what, got, want)
 		}
-		if items, lru := m.Stats().Items, m.lru.len(); items != int64(len(model)) || lru != len(model) {
-			t.Fatalf("step %d (%s): Items %d, LRU length %d, model %d", step, what, items, lru, len(model))
+		walked := 0
+		for cursor := uint64(0); ; {
+			cursor = m.m.Walk(cursor, func(e logfree.Entry) bool {
+				if !isReplMeta(e.Key) {
+					walked++
+				}
+				return true
+			})
+			if cursor == 0 {
+				break
+			}
+		}
+		if items := m.Stats().Items; items != int64(len(model)) || walked != len(model) {
+			t.Fatalf("step %d (%s): Items %d, a full walk visits %d keys, model %d", step, what, items, walked, len(model))
 		}
 		if got := m.UsedBytes(); got != used {
 			t.Fatalf("step %d (%s): UsedBytes %d, sum of entry sizes %d", step, what, got, used)
@@ -503,7 +515,7 @@ func lifecycleRun(t *testing.T, seed int64, steps int) {
 			if ok := m.evictOne(); ok != (len(model) > 0) {
 				t.Fatalf("step %d: evictOne = %v with %d items", step, ok, len(model))
 			}
-			// Which key went is the LRU's choice: exactly one, and the model
+			// Which key went is the hand's choice: exactly one, and the model
 			// follows.
 			left, before := dumpItems(t, m), len(model)
 			for k := range model {

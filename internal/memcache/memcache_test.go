@@ -132,7 +132,7 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		key := []byte(fmt.Sprintf("fill-%06d", i))
 		if err := m.Set(key, val, 0, 0); err != nil {
-			t.Fatalf("set %d failed despite LRU eviction: %v", i, err)
+			t.Fatalf("set %d failed despite eviction: %v", i, err)
 		}
 	}
 	if m.Stats().Evictions == 0 {

@@ -12,7 +12,8 @@ import (
 // logfree API: Attach recovers the durable directory and the item map in
 // one combined sweep of the active slabs, freeing memory that is "marked as
 // allocated but not yet or no longer reachable from the hash table". The
-// LRU list is rebuilt (order reset) from one index walk.
+// item and byte totals are recounted from one walk over entry headers; the
+// reference bits start clear (recency is reset).
 //
 // This is the operation Figure 11 times against the volatile alternative's
 // warm-up: recovering even a large instance takes milliseconds, while

@@ -243,3 +243,77 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// stallingWriter accepts one write, then parks every later one until release
+// closes; stalled closes when the first writer parks.
+type stallingWriter struct {
+	buf              bytes.Buffer
+	writes           int
+	stalled, release chan struct{}
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == 2 {
+		close(w.stalled)
+	}
+	if w.writes >= 2 {
+		<-w.release
+	}
+	return w.buf.Write(p)
+}
+
+// TestStalledSnapshotHoldsNothingBack: a snapshot whose consumer stops taking
+// bytes must not stop reclamation. While the writer is parked, ten times the
+// pool's free space is overwritten in place; every retired extent has to come
+// back, so nothing is evicted and no write fails. Released, the snapshot
+// completes with every key that was not being overwritten.
+func TestStalledSnapshotHoldsNothingBack(t *testing.T) {
+	m, err := New(Config{MemoryBytes: 8 << 20, Buckets: 4096, MaxConns: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	const kept = 2000 // 110 bytes apiece on the stream: several of the writer's 64 KiB buffers
+	for i := 0; i < kept; i++ {
+		if err := m.Set(fmt.Appendf(nil, "kept-%04d", i), bytes.Repeat([]byte{byte(i)}, 64), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &stallingWriter{stalled: make(chan struct{}), release: make(chan struct{})}
+	type outcome struct {
+		items uint64
+		err   error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		items, err := m.Snapshot(w)
+		done <- outcome{items, err}
+	}()
+	<-w.stalled
+
+	big := make([]byte, 1024)
+	for written := uint64(0); written < 10*m.Pool().FreeBytes(); written += uint64(len(big)) {
+		if err := m.Set(fmt.Appendf(nil, "churn-%02d", written/1024%64), big, 0, 0); err != nil {
+			t.Fatalf("after %d bytes overwritten beside a stalled snapshot: %v", written, err)
+		}
+	}
+	if ev := m.Stats().Evictions; ev != 0 {
+		t.Fatalf("%d items evicted while the snapshot was stalled", ev)
+	}
+
+	close(w.release)
+	out := <-done
+	if out.err != nil || out.items < kept {
+		t.Fatalf("released snapshot wrote %d items: %v", out.items, out.err)
+	}
+	r := newCache(t)
+	defer r.Close()
+	if _, err := r.RestoreSnapshot(&w.buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < kept; i++ {
+		if v, _, ok := r.Get(fmt.Appendf(nil, "kept-%04d", i)); !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 64)) {
+			t.Fatalf("kept-%04d came back as %q, %v", i, v, ok)
+		}
+	}
+}

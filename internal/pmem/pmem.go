@@ -120,12 +120,20 @@ type Pool struct {
 	hdrFl     *nvram.Flusher // used only under mu for carve-pointer syncs
 	pinned    map[Addr]int   // page -> #contexts using it as current
 
-	// partial tracks unowned pages with free slots, per class. Allocation
-	// prefers them over carving, mimicking jemalloc's bin reuse: freed
-	// memory is promptly reallocated, which packs the live set into few
-	// pages — the allocation/deallocation locality NV-epochs exploits
-	// (§5.1).
-	partial [NumClasses][]Addr
+	// nfree mirrors len(freePages) so AvailableBytes needs no lock: it runs
+	// on every storing cache command.
+	nfree atomic.Int64
+
+	// partial tracks unowned pages with free slots, per class, lowest
+	// address on top. Allocation prefers them over carving, mimicking
+	// jemalloc's bin reuse: freed memory is promptly reallocated, which
+	// packs the live set into few pages — the allocation/deallocation
+	// locality NV-epochs exploits (§5.1). Deletion is lazy: a page that
+	// empties only loses its flagPartial bit, and getPage drops the entry
+	// when it surfaces. A page is pushed only while it has no live entry, and
+	// can change class only once its old class's heap has drained, so no heap
+	// ever holds a page twice.
+	partial [NumClasses]pageHeap
 
 	// pageFlags holds one word per device page (flagPartial | flagFree
 	// membership bits). Mutations happen under mu; the atomic loads give
@@ -172,6 +180,45 @@ func newPoolShell(dev *nvram.Device) *Pool {
 	}
 }
 
+// pageHeap is a binary min-heap of page addresses.
+type pageHeap []Addr
+
+func (h *pageHeap) push(page Addr) {
+	s := append(*h, page)
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if s[up] <= s[i] {
+			break
+		}
+		s[up], s[i] = s[i], s[up]
+		i = up
+	}
+	*h = s
+}
+
+// pop removes and returns the lowest address; the heap must not be empty.
+func (h *pageHeap) pop() Addr {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		least := i
+		for _, kid := range [2]int{2*i + 1, 2*i + 2} {
+			if kid < last && s[kid] < s[least] {
+				least = kid
+			}
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
+}
+
 // flag returns the membership word of the page containing a.
 func (p *Pool) flag(page Addr) *atomic.Uint32 { return &p.pageFlags[page/PageSize] }
 
@@ -186,6 +233,7 @@ func (p *Pool) pushFree(page Addr) {
 	}
 	p.flag(page).Store(flagFree)
 	p.freePages = append(p.freePages, page)
+	p.nfree.Add(1)
 }
 
 // Format initializes a fresh pool on dev, destroying any prior content. The
@@ -249,7 +297,7 @@ func Attach(dev *nvram.Device) (*Pool, error) {
 		if bm == 0 {
 			p.pushFree(page)
 		} else if bm != (uint64(1)<<slotsPerPage[cls])-1 {
-			p.partial[cls] = append(p.partial[cls], page)
+			p.partial[cls].push(page)
 			p.flag(page).Store(flagPartial)
 		}
 		page += PageSize
@@ -307,41 +355,27 @@ func (p *Pool) getPage(f *nvram.Flusher, c Class) (Addr, error) {
 	// Prefer an unowned page of this class that already has free slots,
 	// lowest address first (jemalloc's address-ordered first fit): it
 	// concentrates allocations on the same hot pages deallocations touch,
-	// which is the locality the active page table banks on (§5.1). The
-	// scan is O(list) under the lock; churn keeps these lists short.
-	for len(p.partial[c]) > 0 {
-		best, bestIdx := Addr(0), -1
-		live := p.partial[c][:0]
-		for _, page := range p.partial[c] {
-			if p.flag(page).Load()&flagPartial == 0 {
-				continue // stale entry (page was recycled meanwhile)
-			}
-			live = append(live, page)
-			if best == 0 || page < best {
-				best, bestIdx = page, len(live)-1
-			}
+	// which is the locality the active page table banks on (§5.1).
+	for h := &p.partial[c]; len(*h) > 0; {
+		page := h.pop()
+		if p.flag(page).Load()&flagPartial == 0 {
+			continue // stale entry: recycled since it was pushed
 		}
-		p.partial[c] = live
-		if bestIdx < 0 {
-			break
+		if cl, ok := p.PageClass(page); !ok || cl != c {
+			continue // stale entry: the page serves another class now, and is registered there
 		}
-		page := best
-		p.partial[c] = append(p.partial[c][:bestIdx], p.partial[c][bestIdx+1:]...)
 		p.flag(page).Store(p.flag(page).Load() &^ flagPartial)
 		if p.pinned[page] > 0 {
 			continue // owned by another context; slot races are not allowed
-		}
-		if cl, ok := p.PageClass(page); !ok || cl != c {
-			continue // recycled for another class meanwhile
 		}
 		bm := p.dev.Load(page + headerBitmapOff)
 		if bm == (uint64(1)<<slotsPerPage[c])-1 {
 			continue // filled up meanwhile
 		}
-		if free := slotsPerPage[c] - uint64(popcount(bm)); free < slotsPerPage[c]/4 {
+		if free := slotsPerPage[c] - uint64(bits.OnesCount64(bm)); free < slotsPerPage[c]/4 {
 			// Too thin: taking it would force another page switch (and a
 			// likely APT miss) within a few allocations. Leave it out of the
-			// list; its next free re-registers it with more slots.
+			// heap; its next free re-registers it with more slots.
 			continue
 		}
 		p.pinned[page]++
@@ -363,6 +397,7 @@ func (p *Pool) getPage(f *nvram.Flusher, c Class) (Addr, error) {
 		}
 		cand := p.freePages[n-1]
 		p.freePages = p.freePages[:n-1]
+		p.nfree.Add(-1)
 		p.flag(cand).Store(p.flag(cand).Load() &^ flagFree)
 		// Defense in depth: only truly empty, unowned pages are usable.
 		if p.pinned[cand] > 0 || p.dev.Load(cand+headerBitmapOff) != 0 {
@@ -404,7 +439,7 @@ func (p *Pool) unpin(page Addr) {
 		default:
 			if cl, ok := p.PageClass(page); ok && p.flag(page).Load()&flagPartial == 0 &&
 				bm != (uint64(1)<<slotsPerPage[cl])-1 {
-				p.partial[cl] = append(p.partial[cl], page)
+				p.partial[cl].push(page)
 				p.flag(page).Store(p.flag(page).Load() | flagPartial)
 			}
 		}
@@ -480,13 +515,11 @@ func (p *Pool) AllocatedInPage(dst []Addr, page Addr) []Addr {
 // AvailableBytes estimates the free capacity: uncarved space plus recycled
 // empty pages. Used for proactive cache eviction under memory pressure.
 func (p *Pool) AvailableBytes() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var uncarved uint64
 	if capacity, heap := p.capacity.Load(), p.dev.Load(hdrHeapOff); capacity > heap {
 		uncarved = capacity - heap
 	}
-	return uncarved + uint64(len(p.freePages))*PageSize
+	return uncarved + uint64(p.nfree.Load())*PageSize
 }
 
 // SizeBytes returns the pool's committed capacity in bytes.
@@ -710,7 +743,7 @@ func (c *Ctx) maybeRecycle(page Addr) {
 	p := c.p
 	p.mu.Lock()
 	if p.pinned[page] == 0 && p.dev.Load(page+headerBitmapOff) == 0 {
-		// An empty page leaves the partial set (its slice entry goes stale
+		// An empty page leaves the partial set (its heap entry goes stale
 		// and is skipped on pop) and becomes fully recyclable.
 		p.pushFree(page)
 	}
@@ -725,7 +758,7 @@ func (p *Pool) notePartial(page Addr, cl Class) {
 	}
 	p.mu.Lock()
 	if p.flag(page).Load()&(flagPartial|flagFree) == 0 && p.pinned[page] == 0 {
-		p.partial[cl] = append(p.partial[cl], page)
+		p.partial[cl].push(page)
 		p.flag(page).Store(p.flag(page).Load() | flagPartial)
 	}
 	p.mu.Unlock()
@@ -744,20 +777,27 @@ func (c *Ctx) Adopt(page Addr) {
 	}
 	c.p.mu.Lock()
 	bm := c.p.dev.Load(page + headerBitmapOff)
+	// An unowned page keeps its class while the lock is held (a recycled page
+	// gets its new header from the context that already owns it), so this is
+	// where cl, read without the lock, is known to still be the page's.
+	now, _ := c.p.PageClass(page)
 	if c.p.pinned[page] > 0 || // owned: co-ownership would race on slots
+		now != cl || // recycled for another class since the caller looked
 		bm == (uint64(1)<<slotsPerPage[cl])-1 || // full: nothing to reuse
 		bm == 0 { // empty: it is (or is about to be) on the free list
 		c.p.mu.Unlock()
 		return
 	}
-	if free := slotsPerPage[cl] - uint64(popcount(bm)); free < slotsPerPage[cl]/4 {
+	if free := slotsPerPage[cl] - uint64(bits.OnesCount64(bm)); free < slotsPerPage[cl]/4 {
 		// Too thin: switching the current page for a handful of slots
 		// costs an APT miss per switch (see getPage).
 		c.p.mu.Unlock()
 		return
 	}
+	// The page's heap entry stays registered: getPage skips owned pages, and
+	// unpin re-registers only a page that lost its entry meanwhile — so an
+	// adopt/unpin cycle never leaves a second entry behind.
 	c.p.pinned[page]++
-	c.p.flag(page).Store(c.p.flag(page).Load() &^ flagPartial) // owned now; its slice entry goes stale
 	c.p.mu.Unlock()
 	old := c.cur[cl]
 	c.cur[cl] = page
@@ -780,13 +820,4 @@ func (c *Ctx) Release() {
 			c.cur[cl] = 0
 		}
 	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package logfree
 
 import (
+	"bytes"
 	"fmt"
 	"iter"
 
@@ -49,11 +50,13 @@ type Map interface {
 	Len() int
 	// All iterates over live entries (range-over-func): in strictly
 	// ascending byte-key order for KindOrderedMap, in unspecified order for
-	// KindMap. The reclamation epoch section is held across the whole loop,
-	// so iteration is safe for concurrent use (no snapshot semantics —
-	// concurrent updates may be missed). Loop bodies may call operations
-	// (they draw their own sessions) but must not operate through the same
-	// pinned Session.
+	// KindMap. Iteration is safe for concurrent use (no snapshot semantics —
+	// concurrent updates may be missed). KindOrderedMap holds the
+	// reclamation epoch section across the whole loop; KindMap holds one per
+	// chunk of buckets and runs the loop body between them, so a slow body
+	// does not hold reclamation back. Loop bodies may call operations (they
+	// draw their own sessions) but must not operate through the same pinned
+	// Session.
 	All() iter.Seq2[[]byte, []byte]
 	// Batch starts an operation batch against this map; see Batch.
 	Batch() *Batch
@@ -191,8 +194,9 @@ func (m *ByteMap) GetItem(key []byte) (value []byte, meta uint16, aux uint64, ok
 	return m.b.GetItem(c, key)
 }
 
-// GetAux returns only the aux word bound to key (no value copy).
-func (m *ByteMap) GetAux(key []byte) (aux uint64, ok bool) {
+// GetAux returns the aux word bound to key and the length of its value (no
+// value copy).
+func (m *ByteMap) GetAux(key []byte) (aux uint64, valueLen int, ok bool) {
 	c, s := m.begin()
 	defer m.end(s)
 	return m.b.GetAux(c, key)
@@ -227,24 +231,63 @@ func (m *ByteMap) Len() int {
 	return m.b.Len(c)
 }
 
-// All implements Map: unordered iteration, epoch-protected across the whole
-// loop (safe-concurrent, no snapshot semantics).
+// Entry is one entry as Walk presents it to its visitor: the key (the walk's
+// scratch buffer — copy it to keep it), the metadata field, the aux word and
+// the value's length, with Value() copying the value out on request. Valid
+// until the visitor returns.
+type Entry = core.WalkEntry
+
+// Walk is the resumable iteration over the map, with the contract of Redis's
+// SCAN: start at cursor 0, pass each returned cursor to the next call, stop
+// when 0 comes back. Each call visits the next few index buckets under one
+// reclamation epoch section and holds nothing once it returns, so a walker
+// may take as long as it likes between calls. One full cycle presents every
+// key that was in the map throughout it at least once; keys inserted or
+// deleted during the cycle may or may not appear. A visitor that returns
+// false ends its call after the current bucket. The visitor must not operate
+// through the same pinned Session.
+func (m *ByteMap) Walk(cursor uint64, visit func(Entry) bool) (next uint64) {
+	c, s := m.begin()
+	defer m.end(s)
+	return m.b.Walk(c, cursor, visit)
+}
+
+// All implements Map: unordered iteration (safe-concurrent, no snapshot
+// semantics).
 func (m *ByteMap) All() iter.Seq2[[]byte, []byte] {
 	return func(yield func([]byte, []byte) bool) {
-		c, s := m.begin()
-		defer m.end(s)
-		m.b.Range(c, yield)
+		for k, it := range m.Items() {
+			if !yield(k, it.Value) {
+				return
+			}
+		}
 	}
 }
 
-// Items is All including each entry's metadata and aux word.
+// Items is All including each entry's metadata and aux word. Each Walk step's
+// entries are copied out and yielded after the step's epoch section closed.
 func (m *ByteMap) Items() iter.Seq2[[]byte, Item] {
 	return func(yield func([]byte, Item) bool) {
-		c, s := m.begin()
-		defer m.end(s)
-		m.b.RangeItems(c, func(k, v []byte, meta uint16, aux uint64) bool {
-			return yield(k, Item{Value: v, Meta: meta, Aux: aux})
-		})
+		type entry struct {
+			key  []byte
+			item Item
+		}
+		var step []entry
+		for cursor := uint64(0); ; {
+			step = step[:0]
+			cursor = m.Walk(cursor, func(e Entry) bool {
+				step = append(step, entry{bytes.Clone(e.Key), Item{Value: e.Value(), Meta: e.Meta, Aux: e.Aux}})
+				return true
+			})
+			for _, e := range step {
+				if !yield(e.key, e.item) {
+					return
+				}
+			}
+			if cursor == 0 {
+				return
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -266,4 +267,142 @@ func TestIteratorEarlyBreakAndNesting(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("window visited %d keys, want 5", n)
 	}
+}
+
+// walkValue is the value the walk tests bind to key: its length and every
+// byte follow from the key, so a torn or misattributed read shows.
+func walkValue(key []byte) []byte {
+	return bytes.Repeat(key, 1+int(key[len(key)-1]-'0'))
+}
+
+// TestWalkContract: from cursor 0 until 0 comes back, a quiescent map shows
+// every entry exactly once with its key, metadata, aux word, value length and
+// value; a visitor that stops ends its call with the bucket it is in, and the
+// cycle resumes behind it.
+func TestWalkContract(t *testing.T) {
+	rt := newRT(t)
+	m, err := rt.Map("walk", 256) // four steps of 64 buckets
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 600
+	for i := 0; i < n; i++ {
+		k := fmt.Appendf(nil, "key-%04d", i)
+		if _, err := m.SetItem(k, walkValue(k), uint16(i), uint64(i)*3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]bool{}
+	calls := 0
+	for cursor := uint64(0); ; {
+		calls++
+		cursor = m.Walk(cursor, func(e Entry) bool {
+			var i int
+			fmt.Sscanf(string(e.Key), "key-%d", &i)
+			want := walkValue(e.Key)
+			if seen[string(e.Key)] || e.Meta != uint16(i) || e.Aux != uint64(i)*3 ||
+				e.ValueLen != len(want) || !bytes.Equal(e.Value(), want) {
+				t.Errorf("entry %q: meta %d aux %d length %d value %q (seen before: %v)",
+					e.Key, e.Meta, e.Aux, e.ValueLen, e.Value(), seen[string(e.Key)])
+			}
+			seen[string(e.Key)] = true
+			return true
+		})
+		if cursor == 0 {
+			break
+		}
+	}
+	if len(seen) != n || calls != 4 {
+		t.Fatalf("a cycle of %d calls showed %d of %d keys", calls, len(seen), n)
+	}
+
+	// Stopping at every entry still ends the cycle, one bucket per call, and
+	// shows one entry of each non-empty bucket.
+	stopped := map[string]bool{}
+	calls = 0
+	for cursor := uint64(0); ; {
+		calls++
+		cursor = m.Walk(cursor, func(e Entry) bool {
+			stopped[string(e.Key)] = true
+			return false
+		})
+		if cursor == 0 {
+			break
+		}
+	}
+	if calls > 256 || len(stopped) == 0 || len(stopped) > calls {
+		t.Fatalf("stopping visitor: %d calls over 256 buckets showed %d keys", calls, len(stopped))
+	}
+
+	// The loop body of Items runs between epoch sections: it may use the map.
+	for k := range m.Items() {
+		if !m.Contains(k) {
+			t.Fatalf("%q yielded but absent", k)
+		}
+	}
+}
+
+// TestWalkUnderChurn: while other keys are inserted and deleted as fast as
+// two goroutines can, every cycle shows every key that stays put at least
+// once, and whatever it shows — a key deleted a moment ago included — is whole:
+// the value that key was stored with.
+func TestWalkUnderChurn(t *testing.T) {
+	rt := newRT(t)
+	m, err := rt.Map("walk", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stable = 400
+	for i := 0; i < stable; i++ {
+		k := fmt.Appendf(nil, "stable-%04d", i)
+		if err := m.Set(k, walkValue(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := fmt.Appendf(nil, "churn-%d-%04d", g, i%300)
+				if i/300%2 == 0 {
+					if err := m.Set(k, walkValue(k)); err != nil {
+						t.Error(err)
+						return
+					}
+				} else {
+					m.Delete(k)
+				}
+			}
+		}(g)
+	}
+	for cycle := 0; cycle < 30; cycle++ {
+		seen := 0
+		for cursor := uint64(0); ; {
+			cursor = m.Walk(cursor, func(e Entry) bool {
+				if want := walkValue(e.Key); e.ValueLen != len(want) || !bytes.Equal(e.Value(), want) {
+					t.Errorf("cycle %d: %q shown with value %q", cycle, e.Key, e.Value())
+				}
+				if bytes.HasPrefix(e.Key, []byte("stable-")) {
+					seen++
+				}
+				return true
+			})
+			if cursor == 0 {
+				break
+			}
+		}
+		if seen != stable {
+			t.Fatalf("cycle %d showed %d of the %d keys that were there throughout", cycle, seen, stable)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

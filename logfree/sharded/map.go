@@ -65,8 +65,11 @@ func (m *Map) GetItem(key []byte) (value []byte, meta uint16, aux uint64, ok boo
 	return m.part(key).GetItem(key)
 }
 
-// GetAux returns only the aux word bound to key (no value copy).
-func (m *Map) GetAux(key []byte) (aux uint64, ok bool) { return m.part(key).GetAux(key) }
+// GetAux returns the aux word bound to key and the length of its value (no
+// value copy).
+func (m *Map) GetAux(key []byte) (aux uint64, valueLen int, ok bool) {
+	return m.part(key).GetAux(key)
+}
 
 // SetAux durably replaces the aux word of an existing entry in place; false
 // if key is absent.
@@ -87,9 +90,29 @@ func (m *Map) Len() int {
 	return n
 }
 
+// walkShardShift places the shard number above the shard-local cursor in a
+// Walk cursor.
+const walkShardShift = 48
+
+// Walk is logfree.ByteMap.Walk over the whole pool: the cursor runs through
+// shard 0's buckets, then shard 1's, and comes back 0 after the last shard's
+// last bucket.
+func (m *Map) Walk(cursor uint64, visit func(logfree.Entry) bool) (next uint64) {
+	i := cursor >> walkShardShift
+	if i >= uint64(len(m.parts)) {
+		return 0
+	}
+	if local := m.parts[i].Walk(cursor&(1<<walkShardShift-1), visit); local != 0 {
+		return i<<walkShardShift | local
+	}
+	if i+1 < uint64(len(m.parts)) {
+		return (i + 1) << walkShardShift
+	}
+	return 0
+}
+
 // All iterates over live entries of every shard, shard by shard (unordered,
-// as for any hash map). Each shard's reclamation epoch section is held only
-// while that shard streams.
+// as for any hash map); see logfree.ByteMap.Items for what is held when.
 func (m *Map) All() iter.Seq2[[]byte, []byte] {
 	return func(yield func([]byte, []byte) bool) {
 		for _, part := range m.parts {

@@ -467,8 +467,8 @@ func TestShardedMapSurface(t *testing.T) {
 	if !m.SetAux(tkey(7), 99) {
 		t.Fatal("SetAux on live key returned false")
 	}
-	if aux, ok := m.GetAux(tkey(7)); !ok || aux != 99 {
-		t.Fatalf("GetAux = %d, %v", aux, ok)
+	if aux, vlen, ok := m.GetAux(tkey(7)); !ok || aux != 99 || vlen != len(tval(7)) {
+		t.Fatalf("GetAux = %d, %d, %v", aux, vlen, ok)
 	}
 	seen := 0
 	for k, v := range m.All() {
@@ -795,4 +795,73 @@ func TestPoolStatsAndCapacity(t *testing.T) {
 	if err := p.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
+}
+
+// TestShardedWalk: the pool-wide cursor runs through the shards in order and
+// comes back 0 after the last; while other keys churn on every shard, each
+// cycle shows every key that stays put exactly once, on the shard that owns
+// it, and never a torn value.
+func TestShardedWalk(t *testing.T) {
+	p := openMem(t, 4)
+	m, err := p.Map("walk", 128) // two steps of 64 buckets per shard
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stable = 400
+	for i := 0; i < stable; i++ {
+		if err := m.Set(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := tkey(stable + i%300)
+			if i/300%2 == 0 {
+				if err := m.Set(k, tval(stable+i%300)); err != nil {
+					t.Error(err)
+					return
+				}
+			} else {
+				m.Delete(k)
+			}
+		}
+	}()
+	for cycle := 0; cycle < 20; cycle++ {
+		seen, calls, lastShard := 0, 0, uint64(0)
+		for cursor := uint64(0); ; {
+			shard := cursor >> walkShardShift
+			if shard < lastShard {
+				t.Fatalf("cycle %d: cursor %#x goes back from shard %d", cycle, cursor, lastShard)
+			}
+			lastShard = shard
+			calls++
+			cursor = m.Walk(cursor, func(e logfree.Entry) bool {
+				var i int
+				fmt.Sscanf(string(e.Key), "key-%d", &i)
+				if !bytes.Equal(e.Value(), tval(i)) || uint64(p.ShardOf(e.Key)) != shard {
+					t.Errorf("cycle %d: %q shown on shard %d with value %q", cycle, e.Key, shard, e.Value())
+				}
+				if i < stable {
+					seen++
+				}
+				return true
+			})
+			if cursor == 0 {
+				break
+			}
+		}
+		if seen != stable || calls != 8 || lastShard != 3 {
+			t.Fatalf("cycle %d: %d calls ending on shard %d showed %d of %d stable keys", cycle, calls, lastShard, seen, stable)
+		}
+	}
+	close(stop)
+	<-done
 }
