@@ -202,8 +202,8 @@ type Cache struct {
 // cacheState is everything the handles of one cache share.
 type cacheState struct {
 	pool *sharded.Pool
-	m    *sharded.Map
-	exp  *sharded.OrderedMap
+	m    *logfree.ByteMap
+	exp  *logfree.OrderedByteMap
 	cfg  Config
 
 	stats counters

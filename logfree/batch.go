@@ -2,6 +2,7 @@ package logfree
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -23,12 +24,24 @@ const MaxBatchOps = 1024
 // crash-atomic (old value or new value, never a torn mix), and an operation
 // is never durable before the ones buffered ahead of it.
 //
+// Against a joined map (JoinMaps; a sharded.Pool's maps) the ops are bucketed
+// per part on Commit and committed per part IN PARALLEL (one goroutine per
+// part that has ops), each part paying its own single amortized content
+// fence. Crash semantics: within one part the per-op prefix guarantee holds
+// exactly — ops routed to that part become durable in their buffered order,
+// each individually crash-atomic. ACROSS parts there is no atomicity and no
+// ordering: a crash mid-commit can persist all of one part's ops and none of
+// another's. Callers that need a global prefix must keep the batch's keys on
+// one part (or use an unsharded runtime).
+//
 // Key and value bytes are copied when buffered; callers may reuse their
 // slices immediately. A Batch is not safe for concurrent use; Commit may be
-// called from any goroutine (it draws its own session unless the map view
+// called from any goroutine (it draws its own sessions unless the map view
 // is pinned).
 type Batch struct {
-	apply func(ops []core.BytesOp) error
+	apply func(part int, ops []core.BytesOp) error // runs ops, all routed to part, there
+	route func(key []byte) int                     // the map's; never called with one part
+	per   [][]core.BytesOp                         // Commit's bucket of each part
 	ops   []core.BytesOp
 
 	// arena backs the buffered key/value copies: one growing buffer instead
@@ -82,10 +95,15 @@ func (b *Batch) Reset() *Batch {
 }
 
 // Commit applies the buffered operations in order (see the type comment for
-// durability and crash semantics) and resets the batch on success. On error
-// the batch keeps its ops: an ErrFull commit may have applied a prefix
-// (exactly as a crash would); argument errors (ErrBadKey, ErrTooLarge,
-// ErrBatchTooLarge) are checked up front and apply nothing.
+// durability and crash semantics) and resets the batch on success. The total
+// op count is held to MaxBatchOps whatever the number of parts. On error the
+// batch keeps its ops, all of them: an ErrFull commit may have applied a
+// prefix (exactly as a crash would), and parts that committed before another
+// part's failure stay committed (exactly the cross-part crash semantics), so
+// a retry re-applies what already landed — sets and deletes are idempotent.
+// Argument errors (ErrBadKey, ErrTooLarge) are checked up front by the part
+// the op routes to and apply nothing there; ErrBatchTooLarge applies nothing
+// anywhere.
 func (b *Batch) Commit() error {
 	if len(b.ops) > MaxBatchOps {
 		return fmt.Errorf("%w: %d ops (max %d)", ErrBatchTooLarge, len(b.ops), MaxBatchOps)
@@ -93,9 +111,43 @@ func (b *Batch) Commit() error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	if err := b.apply(b.ops); err != nil {
+	if err := b.commit(); err != nil {
 		return err
 	}
 	b.Reset()
+	return nil
+}
+
+// commit applies the buffered ops part by part, each part's in buffered
+// order, and returns the first part's error in part order.
+func (b *Batch) commit() error {
+	if len(b.per) == 1 {
+		return b.apply(0, b.ops)
+	}
+	for i := range b.per {
+		b.per[i] = b.per[i][:0]
+	}
+	for _, op := range b.ops {
+		i := b.route(op.Key)
+		b.per[i] = append(b.per[i], op)
+	}
+	errs := make([]error, len(b.per))
+	var wg sync.WaitGroup
+	for i, ops := range b.per {
+		if len(ops) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = b.apply(i, ops)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }

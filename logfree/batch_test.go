@@ -126,6 +126,69 @@ func TestErrFullTaxonomy(t *testing.T) {
 	}
 }
 
+// TestBatchKeepsOpsWhenOnePartFails: a commit over two parts where one part
+// runs out of space fails with ErrFull and leaves the batch whole — Len is
+// what it was, although the other part committed — so that the same batch,
+// retried once the small part has grown, re-applies everything and the map
+// equals the model.
+func TestBatchKeepsOpsWhenOnePartFails(t *testing.T) {
+	small, err := logfree.New(logfree.WithSize(1<<20), logfree.WithMaxSize(16<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := logfree.New(logfree.WithSize(16 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := small.Map("b", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := big.Map("b", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keys ending in an even digit live on the small part.
+	m := logfree.JoinMaps(func(key []byte) int { return int(key[len(key)-1] & 1) }, sm, bm)
+
+	model := map[string]string{}
+	b := m.Batch()
+	val := make([]byte, 1500)
+	for i := 0; i < logfree.MaxBatchOps-2; i++ {
+		k := fmt.Sprintf("k%05d", i)
+		b.Set([]byte(k), val)
+		model[k] = string(val)
+	}
+	b.Set([]byte("k00001"), []byte("rewritten")).Delete([]byte("k00003"))
+	model["k00001"] = "rewritten"
+	delete(model, "k00003")
+	n := b.Len()
+
+	if err := b.Commit(); !errors.Is(err, logfree.ErrFull) {
+		t.Fatalf("Commit with one part too small: %v, want ErrFull", err)
+	}
+	if b.Len() != n {
+		t.Fatalf("failed Commit left %d of %d ops buffered", b.Len(), n)
+	}
+	if got, want := bm.Len(), (logfree.MaxBatchOps-2)/2-1; got != want {
+		t.Fatalf("the part with room holds %d keys after the failed Commit, want %d", got, want)
+	}
+	if err := small.Grow(16 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatalf("retry after Grow: %v", err)
+	}
+	if b.Len() != 0 || m.Len() != len(model) {
+		t.Fatalf("after the retry: batch Len = %d, map Len = %d, model %d", b.Len(), m.Len(), len(model))
+	}
+	for k, v := range m.All() {
+		if model[string(k)] != string(v) {
+			t.Fatalf("%q holds %d bytes, model %d", k, len(v), len(model[string(k)]))
+		}
+	}
+}
+
 // TestBatchFenceBudgetPublic pins the amortization through the public
 // surface: the same 64-replace workload costs close to half the sync waits
 // batched as it does issued singly (~N+1 vs ~2N write-path waits; device

@@ -464,6 +464,64 @@ func TestPinnedSession(t *testing.T) {
 	}
 }
 
+// TestForeignPinnedSession: a session counts as a pin only on the runtime
+// that handed it out. Pinned on another runtime's structure it must not lend
+// that structure its own runtime's context — the write has to go through the
+// owning runtime's device, allocator and epochs — and on a joined map it
+// serves its own part while the others draw pooled sessions.
+func TestForeignPinnedSession(t *testing.T) {
+	a, b := newRT(t), newRT(t)
+	s, err := a.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	am, _ := a.Map("pin", 64)
+	bm, _ := b.Map("pin", 64)
+	bl, _ := b.List("l")
+	a.Device().ResetStats()
+	b.Device().ResetStats()
+
+	pinned, pinnedList := bm.WithSession(s), bl.WithSession(s)
+	for i := 0; i < 100; i++ {
+		k := []byte(fmt.Sprintf("p-%03d", i))
+		if err := pinned.Set(k, k); err != nil {
+			t.Fatal(err)
+		}
+		pinnedList.Insert(uint64(i+1), 1)
+	}
+	if got := a.Device().Stats(); got.Clwbs != 0 || got.Fences != 0 {
+		t.Fatalf("writes to b's structures wrote back %d lines and fenced %d times on a's device", got.Clwbs, got.Fences)
+	}
+	if got := b.Device().Stats(); got.Clwbs == 0 || got.Fences < 200 {
+		t.Fatalf("b's device saw %d write-backs and %d fences for 200 writes", got.Clwbs, got.Fences)
+	}
+	if bm.Len() != 100 || bl.Len() != 100 || am.Len() != 0 {
+		t.Fatalf("b's map holds %d, b's list %d, a's map %d", bm.Len(), bl.Len(), am.Len())
+	}
+
+	// Joined: keys ending in an even digit live on a, the rest on b.
+	j := JoinMaps(func(key []byte) int { return int(key[len(key)-1] & 1) }, am, bm).WithSession(s)
+	b.Device().ResetStats()
+	for i := 100; i < 200; i++ {
+		k := []byte(fmt.Sprintf("p-%03d", i))
+		if err := j.Set(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if am.Len() != 50 || bm.Len() != 150 || a.Device().Stats().Fences < 100 || b.Device().Stats().Fences < 100 {
+		t.Fatalf("joined pinned view: a holds %d (%d fences), b holds %d (%d fences)",
+			am.Len(), a.Device().Stats().Fences, bm.Len(), b.Device().Stats().Fences)
+	}
+	b2, err := b.SimulateCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bm2, _ := b2.Map("pin", 64); bm2.Len() != 150 {
+		t.Fatalf("b recovered %d of its 150 keys", bm2.Len())
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if KindBST.String() != "bst" || KindMap.String() != "map" || Kind(99).String() != "unknown" {
 		t.Fatal("Kind.String broken")

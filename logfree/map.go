@@ -122,6 +122,155 @@ func (r *Runtime) OpenOrCreate(name string, spec Spec) (Map, error) {
 // the index key they were stored under.
 func SetHashForTesting(f func([]byte) uint64) { core.SetBytesHashForTesting(f) }
 
+// --- the shared base -----------------------------------------------------
+
+// bytesCore is the operation set the two core byte-keyed maps share.
+type bytesCore interface {
+	Set(c *core.Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error)
+	Get(c *core.Ctx, key []byte) ([]byte, bool)
+	GetItem(c *core.Ctx, key []byte) (value []byte, meta uint16, aux uint64, ok bool)
+	SetAux(c *core.Ctx, key []byte, aux uint64) bool
+	Delete(c *core.Ctx, key []byte) bool
+	Contains(c *core.Ctx, key []byte) bool
+	Len(c *core.Ctx) int
+	ApplyBatch(c *core.Ctx, ops []core.BytesOp) error
+}
+
+// mapPart is one runtime's share of a byte-keyed map: the core map and the
+// binding that resolves its sessions.
+type mapPart[C bytesCore] struct {
+	binding
+	m C
+}
+
+// byteMap is the shared implementation of ByteMap and OrderedByteMap: 1..N
+// parts, each a core map on its own runtime, and the function that routes a
+// key to the part owning it. A Runtime hands out the one-part case; JoinMaps
+// and JoinOrderedMaps build the rest. A point operation routes, draws a
+// session on the owning part's runtime and makes the core call there, so it
+// behaves exactly as on a single runtime; Len, iteration and Batch combine
+// the parts.
+type byteMap[C bytesCore] struct {
+	parts []mapPart[C]
+	route func(key []byte) int // never called on a one-part map
+	name  string
+}
+
+func onePart[C bytesCore](r *Runtime, m C, name string) byteMap[C] {
+	return byteMap[C]{parts: []mapPart[C]{{binding{rt: r}, m}}, name: name}
+}
+
+// part returns the part owning key.
+func (m *byteMap[C]) part(key []byte) *mapPart[C] {
+	if len(m.parts) == 1 {
+		return &m.parts[0]
+	}
+	return &m.parts[m.route(key)]
+}
+
+// pinned returns a copy of the map with s pinned on every part; only the
+// part whose runtime owns s will use it (see binding).
+func (m byteMap[C]) pinned(s *Session) byteMap[C] {
+	parts := make([]mapPart[C], len(m.parts))
+	for i, p := range m.parts {
+		p.pin = s
+		parts[i] = p
+	}
+	m.parts = parts
+	return m
+}
+
+// Set implements Map (meta 0, aux 0).
+func (m *byteMap[C]) Set(key, value []byte) error {
+	_, err := m.SetItem(key, value, 0, 0)
+	return err
+}
+
+// SetItem binds key to value with a metadata field and aux word; reports
+// whether the key was newly created.
+func (m *byteMap[C]) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
+	p := m.part(key)
+	c, s, err := p.beginErr()
+	if err != nil {
+		return false, err
+	}
+	defer p.end(s)
+	created, err = p.m.Set(c, key, value, meta, aux)
+	return created, wrapErr(err)
+}
+
+// Get implements Map.
+func (m *byteMap[C]) Get(key []byte) ([]byte, bool) {
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.Get(c, key)
+}
+
+// GetItem returns the value with its metadata field and aux word.
+func (m *byteMap[C]) GetItem(key []byte) (value []byte, meta uint16, aux uint64, ok bool) {
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.GetItem(c, key)
+}
+
+// SetAux durably replaces the aux word of an existing entry in place
+// (touch-style update); false if key is absent.
+func (m *byteMap[C]) SetAux(key []byte, aux uint64) bool {
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.SetAux(c, key, aux)
+}
+
+// Delete implements Map.
+func (m *byteMap[C]) Delete(key []byte) bool {
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.Delete(c, key)
+}
+
+// Contains implements Map.
+func (m *byteMap[C]) Contains(key []byte) bool {
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.Contains(c, key)
+}
+
+// Len implements Map: the sum over the parts (quiescent use).
+func (m *byteMap[C]) Len() int {
+	n := 0
+	for i := range m.parts {
+		p := &m.parts[i]
+		c, s := p.begin()
+		n += p.m.Len(c)
+		p.end(s)
+	}
+	return n
+}
+
+// Batch implements Map; see Batch.
+func (m *byteMap[C]) Batch() *Batch {
+	return &Batch{route: m.route, per: make([][]core.BytesOp, len(m.parts)), apply: m.applyBatch}
+}
+
+// applyBatch applies ops, all routed to part i, on that part.
+func (m *byteMap[C]) applyBatch(i int, ops []core.BytesOp) error {
+	p := &m.parts[i]
+	c, s, err := p.beginErr()
+	if err != nil {
+		return err
+	}
+	defer p.end(s)
+	return wrapErr(p.m.ApplyBatch(c, ops))
+}
+
+// Name implements Map (the same on every part).
+func (m *byteMap[C]) Name() string { return m.name }
+
 // --- ByteMap -------------------------------------------------------------
 
 // ByteMap is the byte-keyed durable hash map (KindMap): arbitrary []byte
@@ -129,9 +278,7 @@ func SetHashForTesting(f func([]byte) uint64) { core.SetBytesHashForTesting(f) }
 // field and a 64-bit aux word per entry for cache-style metadata (flags,
 // expiry). All methods are safe for concurrent use from any goroutine.
 type ByteMap struct {
-	binding
-	b    *core.BytesMap
-	name string
+	byteMap[*core.BytesMap]
 }
 
 // Map opens or creates the byte-keyed durable map registered under name
@@ -144,91 +291,36 @@ func (r *Runtime) Map(name string, buckets int) (*ByteMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ByteMap{binding: binding{rt: r}, b: st.(*core.BytesMap), name: name}, nil
+	return &ByteMap{onePart(r, st.(*core.BytesMap), name)}, nil
 }
 
-// WithSession returns a view of the map whose operations all run on the
-// pinned session s instead of drawing pooled sessions — for tight
-// single-goroutine loops. The view must only be used by the goroutine
-// owning s.
-func (m *ByteMap) WithSession(s *Session) *ByteMap {
-	cp := *m
-	cp.pin = s
-	return &cp
-}
-
-// Set implements Map (meta 0, aux 0).
-func (m *ByteMap) Set(key, value []byte) error {
-	c, s, err := m.beginErr()
-	if err != nil {
-		return err
+// JoinMaps makes one map of maps opened under the same name on different
+// runtimes (at least one). route names the part that owns a key, as an index
+// into parts; it must depend on the key's bytes alone and never change while
+// the data lives, since an entry is only ever looked for on the part route
+// points at. sharded.Pool.Map is the caller that keeps that promise durably.
+func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
+	j := &ByteMap{byteMap[*core.BytesMap]{route: route, name: parts[0].name}}
+	for _, p := range parts {
+		j.parts = append(j.parts, p.parts...)
 	}
-	defer m.end(s)
-	_, err = m.b.Set(c, key, value, 0, 0)
-	return wrapErr(err)
+	return j
 }
 
-// SetItem binds key to value with a metadata field and aux word; reports
-// whether the key was newly created.
-func (m *ByteMap) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	c, s, err := m.beginErr()
-	if err != nil {
-		return false, err
-	}
-	defer m.end(s)
-	created, err = m.b.Set(c, key, value, meta, aux)
-	return created, wrapErr(err)
-}
-
-// Get implements Map.
-func (m *ByteMap) Get(key []byte) ([]byte, bool) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.Get(c, key)
-}
-
-// GetItem returns the value with its metadata field and aux word.
-func (m *ByteMap) GetItem(key []byte) (value []byte, meta uint16, aux uint64, ok bool) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.GetItem(c, key)
-}
+// WithSession returns a view of the map whose operations run on the pinned
+// session s instead of drawing pooled sessions — for tight single-goroutine
+// loops. s is used on the runtime that handed it out; on a joined map the
+// other parts go on drawing pooled sessions. The view must only be used by
+// the goroutine owning s.
+func (m *ByteMap) WithSession(s *Session) *ByteMap { return &ByteMap{m.pinned(s)} }
 
 // GetAux returns the aux word bound to key and the length of its value (no
 // value copy).
 func (m *ByteMap) GetAux(key []byte) (aux uint64, valueLen int, ok bool) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.GetAux(c, key)
-}
-
-// SetAux durably replaces the aux word of an existing entry in place
-// (touch-style update); false if key is absent.
-func (m *ByteMap) SetAux(key []byte, aux uint64) bool {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.SetAux(c, key, aux)
-}
-
-// Delete implements Map.
-func (m *ByteMap) Delete(key []byte) bool {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.Delete(c, key)
-}
-
-// Contains implements Map.
-func (m *ByteMap) Contains(key []byte) bool {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.Contains(c, key)
-}
-
-// Len implements Map (quiescent use).
-func (m *ByteMap) Len() int {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.Len(c)
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.GetAux(c, key)
 }
 
 // Entry is one entry as Walk presents it to its visitor: the key (the walk's
@@ -237,23 +329,39 @@ func (m *ByteMap) Len() int {
 // until the visitor returns.
 type Entry = core.WalkEntry
 
+// walkPartShift places the part number above the part-local cursor in a Walk
+// cursor.
+const walkPartShift = 48
+
 // Walk is the resumable iteration over the map, with the contract of Redis's
 // SCAN: start at cursor 0, pass each returned cursor to the next call, stop
 // when 0 comes back. Each call visits the next few index buckets under one
 // reclamation epoch section and holds nothing once it returns, so a walker
 // may take as long as it likes between calls. One full cycle presents every
 // key that was in the map throughout it at least once; keys inserted or
-// deleted during the cycle may or may not appear. A visitor that returns
-// false ends its call after the current bucket. The visitor must not operate
-// through the same pinned Session.
+// deleted during the cycle may or may not appear. The cursor runs through
+// part 0's buckets, then part 1's, and comes back 0 after the last part's
+// last bucket. A visitor that returns false ends its call after the current
+// bucket. The visitor must not operate through the same pinned Session.
 func (m *ByteMap) Walk(cursor uint64, visit func(Entry) bool) (next uint64) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.b.Walk(c, cursor, visit)
+	i := cursor >> walkPartShift
+	if i >= uint64(len(m.parts)) {
+		return 0
+	}
+	p := &m.parts[i]
+	c, s := p.begin()
+	defer p.end(s)
+	if local := p.m.Walk(c, cursor&(1<<walkPartShift-1), visit); local != 0 {
+		return i<<walkPartShift | local
+	}
+	if i+1 < uint64(len(m.parts)) {
+		return (i + 1) << walkPartShift
+	}
+	return 0
 }
 
-// All implements Map: unordered iteration (safe-concurrent, no snapshot
-// semantics).
+// All implements Map: unordered iteration, part by part (safe-concurrent, no
+// snapshot semantics).
 func (m *ByteMap) All() iter.Seq2[[]byte, []byte] {
 	return func(yield func([]byte, []byte) bool) {
 		for k, it := range m.Items() {
@@ -291,25 +399,8 @@ func (m *ByteMap) Items() iter.Seq2[[]byte, Item] {
 	}
 }
 
-// Batch implements Map: Commit applies the collected ops with one shared
-// content fence before the per-op publishing links (~N+1 sync waits for N
-// sets instead of 2N).
-func (m *ByteMap) Batch() *Batch {
-	return &Batch{apply: func(ops []core.BytesOp) error {
-		c, s, err := m.beginErr()
-		if err != nil {
-			return err
-		}
-		defer m.end(s)
-		return wrapErr(m.b.ApplyBatch(c, ops))
-	}}
-}
-
 // Kind implements Map.
 func (m *ByteMap) Kind() Kind { return KindMap }
-
-// Name implements Map.
-func (m *ByteMap) Name() string { return m.name }
 
 // --- OrderedByteMap ------------------------------------------------------
 
@@ -317,12 +408,14 @@ func (m *ByteMap) Name() string { return m.name }
 // arbitrary []byte keys and values over a byte-key-comparing durable skip
 // list, plus a 16-bit metadata field and a 64-bit aux word per entry. It
 // satisfies OrderedMap: All and Scan iterate keys in strictly ascending
-// byte order. All methods are safe for concurrent use from any goroutine.
+// byte order — over the WHOLE map, not per part: a joined map merges its
+// parts' ordered streams on the fly. All methods are safe for concurrent use
+// from any goroutine.
 type OrderedByteMap struct {
-	binding
-	o    *core.OrderedBytesMap
-	name string
+	byteMap[*core.OrderedBytesMap]
 }
+
+type orderedPart = mapPart[*core.OrderedBytesMap]
 
 // OrderedMap opens or creates the ordered byte-keyed durable map
 // registered under name (OpenOrCreate with KindOrderedMap, concretely
@@ -332,81 +425,22 @@ func (r *Runtime) OrderedMap(name string) (*OrderedByteMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OrderedByteMap{binding: binding{rt: r}, o: st.(*core.OrderedBytesMap), name: name}, nil
+	return &OrderedByteMap{onePart(r, st.(*core.OrderedBytesMap), name)}, nil
 }
 
-// WithSession returns a view of the map whose operations all run on the
-// pinned session s; see ByteMap.WithSession.
+// JoinOrderedMaps is JoinMaps for ordered maps.
+func JoinOrderedMaps(route func(key []byte) int, parts ...*OrderedByteMap) *OrderedByteMap {
+	j := &OrderedByteMap{byteMap[*core.OrderedBytesMap]{route: route, name: parts[0].name}}
+	for _, p := range parts {
+		j.parts = append(j.parts, p.parts...)
+	}
+	return j
+}
+
+// WithSession returns a view of the map whose operations run on the pinned
+// session s; see ByteMap.WithSession.
 func (m *OrderedByteMap) WithSession(s *Session) *OrderedByteMap {
-	cp := *m
-	cp.pin = s
-	return &cp
-}
-
-// Set implements Map (meta 0, aux 0).
-func (m *OrderedByteMap) Set(key, value []byte) error {
-	c, s, err := m.beginErr()
-	if err != nil {
-		return err
-	}
-	defer m.end(s)
-	_, err = m.o.Set(c, key, value, 0, 0)
-	return wrapErr(err)
-}
-
-// SetItem binds key to value with a metadata field and aux word; reports
-// whether the key was newly created.
-func (m *OrderedByteMap) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	c, s, err := m.beginErr()
-	if err != nil {
-		return false, err
-	}
-	defer m.end(s)
-	created, err = m.o.Set(c, key, value, meta, aux)
-	return created, wrapErr(err)
-}
-
-// Get implements Map.
-func (m *OrderedByteMap) Get(key []byte) ([]byte, bool) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.Get(c, key)
-}
-
-// GetItem returns the value with its metadata field and aux word.
-func (m *OrderedByteMap) GetItem(key []byte) (value []byte, meta uint16, aux uint64, ok bool) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.GetItem(c, key)
-}
-
-// SetAux durably replaces the aux word of an existing entry in place
-// (touch-style update); false if key is absent.
-func (m *OrderedByteMap) SetAux(key []byte, aux uint64) bool {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.SetAux(c, key, aux)
-}
-
-// Delete implements Map.
-func (m *OrderedByteMap) Delete(key []byte) bool {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.Delete(c, key)
-}
-
-// Contains implements Map.
-func (m *OrderedByteMap) Contains(key []byte) bool {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.Contains(c, key)
-}
-
-// Len implements Map (quiescent use).
-func (m *OrderedByteMap) Len() int {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.Len(c)
+	return &OrderedByteMap{m.pinned(s)}
 }
 
 // All implements Map: ascending byte-key order, epoch-protected across the
@@ -416,25 +450,72 @@ func (m *OrderedByteMap) All() iter.Seq2[[]byte, []byte] { return m.Scan(nil, ni
 // Items is All including each entry's metadata and aux word.
 func (m *OrderedByteMap) Items() iter.Seq2[[]byte, Item] { return m.ScanItems(nil, nil) }
 
+// mergeParts streams the merge of the parts' ordered sequences, ascending
+// (dir 1) or descending (dir -1); each produces one part's. One part's
+// sequence is the merge. Otherwise each part contributes a pull-style cursor
+// (iter.Pull2 suspends the part's epoch-protected range loop between pulls,
+// so every part's epoch section is held for the duration of the merge) and
+// the merge repeatedly yields the smallest head. Part counts are small (≤ a
+// few dozen), so a linear min scan beats a heap. Distinct keys never collide
+// across parts (one part owns each key), so tie order is irrelevant.
+func mergeParts[V any](parts []orderedPart, dir int, each func(p *orderedPart, yield func([]byte, V) bool)) iter.Seq2[[]byte, V] {
+	return func(yield func([]byte, V) bool) {
+		if len(parts) == 1 {
+			each(&parts[0], yield)
+			return
+		}
+		type cursor struct {
+			k    []byte
+			v    V
+			next func() ([]byte, V, bool)
+		}
+		cur := make([]cursor, 0, len(parts))
+		for i := range parts {
+			next, stop := iter.Pull2(func(yield func([]byte, V) bool) { each(&parts[i], yield) })
+			defer stop()
+			if k, v, ok := next(); ok {
+				cur = append(cur, cursor{k, v, next})
+			}
+		}
+		for len(cur) > 0 {
+			mi := 0
+			for i := 1; i < len(cur); i++ {
+				if bytes.Compare(cur[i].k, cur[mi].k)*dir < 0 {
+					mi = i
+				}
+			}
+			if !yield(cur[mi].k, cur[mi].v) {
+				return
+			}
+			if k, v, ok := cur[mi].next(); ok {
+				cur[mi].k, cur[mi].v = k, v
+			} else {
+				cur[mi] = cur[len(cur)-1]
+				cur = cur[:len(cur)-1]
+			}
+		}
+	}
+}
+
 // Scan implements OrderedMap: ascending over [start, end) (nil start = from
 // the smallest key, nil end = through the largest).
 func (m *OrderedByteMap) Scan(start, end []byte) iter.Seq2[[]byte, []byte] {
-	return func(yield func([]byte, []byte) bool) {
-		c, s := m.begin()
-		defer m.end(s)
-		m.o.Scan(c, start, end, yield)
-	}
+	return mergeParts(m.parts, 1, func(p *orderedPart, yield func([]byte, []byte) bool) {
+		c, s := p.begin()
+		defer p.end(s)
+		p.m.Scan(c, start, end, yield)
+	})
 }
 
 // ScanItems is Scan including each entry's metadata and aux word.
 func (m *OrderedByteMap) ScanItems(start, end []byte) iter.Seq2[[]byte, Item] {
-	return func(yield func([]byte, Item) bool) {
-		c, s := m.begin()
-		defer m.end(s)
-		m.o.ScanItems(c, start, end, func(k, v []byte, meta uint16, aux uint64) bool {
+	return mergeParts(m.parts, 1, func(p *orderedPart, yield func([]byte, Item) bool) {
+		c, s := p.begin()
+		defer p.end(s)
+		p.m.ScanItems(c, start, end, func(k, v []byte, meta uint16, aux uint64) bool {
 			return yield(k, Item{Value: v, Meta: meta, Aux: aux})
 		})
-	}
+	})
 }
 
 // Ascend implements OrderedMap.
@@ -442,41 +523,37 @@ func (m *OrderedByteMap) Ascend() iter.Seq2[[]byte, []byte] { return m.Scan(nil,
 
 // Descend implements OrderedMap.
 func (m *OrderedByteMap) Descend() iter.Seq2[[]byte, []byte] {
-	return func(yield func([]byte, []byte) bool) {
-		c, s := m.begin()
-		defer m.end(s)
-		m.o.Descend(c, yield)
+	return mergeParts(m.parts, -1, func(p *orderedPart, yield func([]byte, []byte) bool) {
+		c, s := p.begin()
+		defer p.end(s)
+		p.m.Descend(c, yield)
+	})
+}
+
+// extreme returns the first key in direction dir (1: the smallest, -1: the
+// largest) among the parts' own, which end reads.
+func (m *OrderedByteMap) extreme(dir int, end func(*core.OrderedBytesMap, *core.Ctx) ([]byte, []byte, bool)) (key, value []byte, ok bool) {
+	for i := range m.parts {
+		p := &m.parts[i]
+		c, s := p.begin()
+		k, v, has := end(p.m, c)
+		p.end(s)
+		if has && (!ok || bytes.Compare(k, key)*dir < 0) {
+			key, value, ok = k, v, true
+		}
 	}
+	return key, value, ok
 }
 
 // Min implements OrderedMap.
 func (m *OrderedByteMap) Min() (key, value []byte, ok bool) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.Min(c)
+	return m.extreme(1, (*core.OrderedBytesMap).Min)
 }
 
 // Max implements OrderedMap.
 func (m *OrderedByteMap) Max() (key, value []byte, ok bool) {
-	c, s := m.begin()
-	defer m.end(s)
-	return m.o.Max(c)
-}
-
-// Batch implements Map; see ByteMap.Batch.
-func (m *OrderedByteMap) Batch() *Batch {
-	return &Batch{apply: func(ops []core.BytesOp) error {
-		c, s, err := m.beginErr()
-		if err != nil {
-			return err
-		}
-		defer m.end(s)
-		return wrapErr(m.o.ApplyBatch(c, ops))
-	}}
+	return m.extreme(-1, (*core.OrderedBytesMap).Max)
 }
 
 // Kind implements Map.
 func (m *OrderedByteMap) Kind() Kind { return KindOrderedMap }
-
-// Name implements Map.
-func (m *OrderedByteMap) Name() string { return m.name }

@@ -183,7 +183,10 @@ func (r *Runtime) Sessions() int { return int(r.pool.grown.Load()) }
 
 // binding resolves each operation's core context: a structure view carries
 // either no pin (operations draw pooled sessions) or a pinned session from
-// WithSession.
+// WithSession. A pin counts only on the runtime that handed it out: a session
+// of another runtime would run the operation on that runtime's core context —
+// the wrong device's epochs and allocator — so a view pinned to one draws
+// pooled sessions as if it had no pin.
 type binding struct {
 	rt  *Runtime
 	pin *Session
@@ -192,7 +195,7 @@ type binding struct {
 // begin returns the context to operate on and, when it came from the pool,
 // the session to release via end.
 func (b binding) begin() (*core.Ctx, *Session) {
-	if b.pin != nil {
+	if b.pin != nil && b.pin.rt == b.rt {
 		return b.pin.c, nil
 	}
 	s := b.rt.acquire()
@@ -202,7 +205,7 @@ func (b binding) begin() (*core.Ctx, *Session) {
 // beginErr is begin for methods with an error result (ErrClosed flows out
 // instead of panicking).
 func (b binding) beginErr() (*core.Ctx, *Session, error) {
-	if b.pin != nil {
+	if b.pin != nil && b.pin.rt == b.rt {
 		return b.pin.c, nil, nil
 	}
 	s, err := b.rt.acquireErr()

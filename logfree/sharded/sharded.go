@@ -1,7 +1,11 @@
-// Package sharded runs N independent logfree Runtimes as one pool and
-// routes byte keys to shards by hash, re-exporting the byte-key surface
-// (Map/OrderedMap open-or-create, implicit sessions, Batch, iter.Seq2
-// iterators) on top.
+// Package sharded runs N independent logfree Runtimes as one pool. The pool
+// owns what only it knows — the topology and its manifest, Open/Adopt/Grow/
+// Close over every shard, aggregate stats, and the stable hash that routes a
+// byte key to its shard. Its maps are logfree's own: Pool.Map and
+// Pool.OrderedMap open the named map on every shard and hand back one
+// *logfree.ByteMap / *logfree.OrderedByteMap over N parts (logfree.JoinMaps),
+// the same types, sessions, Batch and iter.Seq2 iterators a lone Runtime
+// gives — a Runtime's map is the one-part case.
 //
 // Why a pool instead of one bigger runtime: every substrate of a single
 // runtime — device write-back locks, allocator, epoch manager, skip-list
@@ -11,7 +15,7 @@
 // cores (in the spirit of TQCache's ShardedCache worker-per-shard design).
 // Per-shard structures are also 1/N the size, which shortens the dominant
 // CPU cost of the single-runtime write path (ordered-index key-compare
-// searches; see README §Sharding for the profile).
+// searches).
 //
 // Topology. The shard count is fixed at pool creation (power of two,
 // default GOMAXPROCS rounded up) and routing is a stable hash of the full
@@ -25,12 +29,7 @@
 //
 // Durability. Each shard fences independently: a Set that returned is
 // durably linearized on its shard exactly as on a single runtime. A Batch
-// whose keys span shards commits the per-shard groups in parallel; each
-// shard keeps the per-op prefix crash guarantee for its own ops, but there
-// is NO cross-shard atomicity and no ordering between ops routed to
-// different shards — a crash can persist shard A's ops and none of shard
-// B's. Batches needing a global prefix must route through one shard (or one
-// runtime).
+// whose keys span shards has no cross-shard atomicity; see logfree.Batch.
 package sharded
 
 import (
@@ -490,6 +489,45 @@ func (p *Pool) shardOf(key []byte) int {
 // ShardOf exposes the routing for tests and diagnostics.
 func (p *Pool) ShardOf(key []byte) int { return p.shardOf(key) }
 
+// --- maps -----------------------------------------------------------------
+
+// openParts opens the structure registered under name on every shard.
+func openParts[M any](p *Pool, name string, open func(*logfree.Runtime) (M, error)) ([]M, error) {
+	parts := make([]M, len(p.rts))
+	for i, rt := range p.rts {
+		m, err := open(rt)
+		if err != nil {
+			return nil, fmt.Errorf("sharded: opening %q on shard %d: %w", name, i, err)
+		}
+		parts[i] = m
+	}
+	return parts, nil
+}
+
+// Map opens or creates the byte-keyed durable map registered under name on
+// every shard and joins the shards' maps into one, routed by shardOf (see
+// logfree.JoinMaps). buckets sizes each SHARD's table (keys spread
+// ~uniformly, so size it for len(keys)/Shards — a pool-wide budget divided
+// by Shards).
+func (p *Pool) Map(name string, buckets int) (*logfree.ByteMap, error) {
+	parts, err := openParts(p, name, func(rt *logfree.Runtime) (*logfree.ByteMap, error) { return rt.Map(name, buckets) })
+	if err != nil {
+		return nil, err
+	}
+	return logfree.JoinMaps(p.shardOf, parts...), nil
+}
+
+// OrderedMap opens or creates the ordered byte-keyed durable map registered
+// under name on every shard and joins them (see logfree.JoinOrderedMaps):
+// iteration is in byte order across the whole pool.
+func (p *Pool) OrderedMap(name string) (*logfree.OrderedByteMap, error) {
+	parts, err := openParts(p, name, func(rt *logfree.Runtime) (*logfree.OrderedByteMap, error) { return rt.OrderedMap(name) })
+	if err != nil {
+		return nil, err
+	}
+	return logfree.JoinOrderedMaps(p.shardOf, parts...), nil
+}
+
 // --- pool surface ---------------------------------------------------------
 
 // Shards reports the shard count.
@@ -680,7 +718,7 @@ func (p *Pool) Close() error {
 
 // SimulateCrash power-fails every shard (losing all unwritten-back state),
 // reboots and recovers them concurrently, and returns the recovered pool.
-// The receiver, its sessions and its structures are invalid afterwards.
+// The receiver and its structures are invalid afterwards.
 // Works on both backends; for file-backed pools the on-disk crash path
 // (process kill + reopen via Open) is the stronger test.
 func (p *Pool) SimulateCrash() (*Pool, error) {
@@ -709,45 +747,4 @@ func (p *Pool) SimulateCrash() (*Pool, error) {
 	}
 	p2.dir, p2.man = p.dir, p.man
 	return p2, nil
-}
-
-// --- sessions -------------------------------------------------------------
-
-// PoolSession pins one session per shard, for tight loops that want to skip
-// the per-operation session-pool round-trip on every shard they touch (see
-// logfree.Session). Use via the structures' WithSession views; must only be
-// used by one goroutine.
-type PoolSession struct {
-	ss []*logfree.Session
-}
-
-// Session acquires one pinned session per shard.
-func (p *Pool) Session() (*PoolSession, error) {
-	ss := make([]*logfree.Session, len(p.rts))
-	for i, rt := range p.rts {
-		s, err := rt.Session()
-		if err != nil {
-			for _, open := range ss[:i] {
-				open.Close()
-			}
-			return nil, err
-		}
-		ss[i] = s
-	}
-	return &PoolSession{ss: ss}, nil
-}
-
-// Reclaim flushes deferred reclamation on every pinned session.
-func (s *PoolSession) Reclaim() {
-	for _, ses := range s.ss {
-		ses.Reclaim()
-	}
-}
-
-// Close returns every pinned session to its shard's pool. The PoolSession
-// must not be used afterwards.
-func (s *PoolSession) Close() {
-	for _, ses := range s.ss {
-		ses.Close()
-	}
 }

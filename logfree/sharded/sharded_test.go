@@ -227,8 +227,8 @@ func TestAdopt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a, b := m.parts[0].Len(), m.parts[1].Len(); a == 0 || b == 0 || a+b != 100 {
-		t.Fatalf("adopted shards hold %d and %d of 100 keys", a, b)
+	if held := shardLens(t, p, "t"); held[0] == 0 || held[1] == 0 || held[0]+held[1] != 100 {
+		t.Fatalf("adopted shards hold %v of 100 keys", held)
 	}
 }
 
@@ -442,148 +442,92 @@ func corruptHeaderWord(t *testing.T, path string, off int64, v uint64) uint64 {
 
 // --- surface ---------------------------------------------------------------
 
+// The byte-map contract itself (point operations, meta/aux, Items, Walk,
+// global order, batches, crash recovery) is logfree's TestMapContract, which
+// runs over a 1-shard and a 4-shard pool; what follows is what only a pool
+// can show: where entries land.
+
+// shardLens opens the map registered under name on each shard's own runtime
+// and returns how many keys each holds.
+func shardLens(t *testing.T, p *Pool, name string) []int {
+	t.Helper()
+	held := make([]int, p.Shards())
+	for i, rt := range p.Runtimes() {
+		m, err := rt.Map(name, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = m.Len()
+	}
+	return held
+}
+
+// TestShardedMapSurface: a pool's map is a logfree.ByteMap, and each entry
+// lives on the shard ShardOf names and nowhere else.
 func TestShardedMapSurface(t *testing.T) {
 	p := openMem(t, 4)
 	m, err := p.Map("kv", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		created, err := m.SetItem(tkey(i), tval(i), uint16(i), uint64(i)*3)
-		if err != nil || !created {
-			t.Fatalf("SetItem(%d) = %v, %v", i, created, err)
-		}
-	}
-	if got := m.Len(); got != n {
-		t.Fatalf("Len = %d, want %d", got, n)
-	}
-	for i := 0; i < n; i++ {
-		v, meta, aux, ok := m.GetItem(tkey(i))
-		if !ok || !bytes.Equal(v, tval(i)) || meta != uint16(i) || aux != uint64(i)*3 {
-			t.Fatalf("GetItem(%d) = %q, %d, %d, %v", i, v, meta, aux, ok)
-		}
-	}
-	if !m.SetAux(tkey(7), 99) {
-		t.Fatal("SetAux on live key returned false")
-	}
-	if aux, vlen, ok := m.GetAux(tkey(7)); !ok || aux != 99 || vlen != len(tval(7)) {
-		t.Fatalf("GetAux = %d, %d, %v", aux, vlen, ok)
-	}
-	seen := 0
-	for k, v := range m.All() {
-		if len(k) == 0 || len(v) == 0 {
-			t.Fatal("All yielded empty key or value")
-		}
-		seen++
-	}
-	if seen != n {
-		t.Fatalf("All yielded %d entries, want %d", seen, n)
-	}
-	seen = 0
-	for _, it := range m.Items() {
-		_ = it
-		seen++
-	}
-	if seen != n {
-		t.Fatalf("Items yielded %d entries, want %d", seen, n)
-	}
-	for i := 0; i < n; i += 2 {
-		if !m.Delete(tkey(i)) {
-			t.Fatalf("Delete(%d) = false", i)
-		}
-	}
-	if got := m.Len(); got != n/2 {
-		t.Fatalf("Len after deletes = %d, want %d", got, n/2)
-	}
-	if m.Contains(tkey(0)) || !m.Contains(tkey(1)) {
-		t.Fatal("Contains disagrees with deletes")
-	}
+	var _ logfree.Map = m
 	if m.Kind() != logfree.KindMap || m.Name() != "kv" {
 		t.Fatalf("Kind/Name = %v/%q", m.Kind(), m.Name())
 	}
+	const n = 1000
+	want := make([]int, p.Shards())
+	for i := 0; i < n; i++ {
+		if _, err := m.SetItem(tkey(i), tval(i), uint16(i), uint64(i)*3); err != nil {
+			t.Fatal(err)
+		}
+		want[p.ShardOf(tkey(i))]++
+	}
+	if held := shardLens(t, p, "kv"); fmt.Sprint(held) != fmt.Sprint(want) || m.Len() != n {
+		t.Fatalf("shards hold %v keys, routing says %v; Len = %d", held, want, m.Len())
+	}
+	for i := 0; i < n; i++ {
+		own, err := p.Runtimes()[p.ShardOf(tkey(i))].Map("kv", 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, meta, aux, ok := own.GetItem(tkey(i)); !ok || !bytes.Equal(v, tval(i)) || meta != uint16(i) || aux != uint64(i)*3 {
+			t.Fatalf("key %d on its own shard: %q, %d, %d, %v", i, v, meta, aux, ok)
+		}
+	}
 }
 
+// TestOrderedMergeIterators: a scan interleaves entries of different shards
+// in key order, carrying each entry's aux word through the merge.
 func TestOrderedMergeIterators(t *testing.T) {
 	p := openMem(t, 4)
 	om, err := p.OrderedMap("ord")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var _ logfree.OrderedMap = om
 	const n = 1200
-	perm := rand.New(rand.NewSource(1)).Perm(n)
-	for _, i := range perm {
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
 		if _, err := om.SetItem(tkey(i), tval(i), 0, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// Full ascending scan: every key, strictly ascending, from all shards.
-	i := 0
-	for k, v := range om.All() {
-		if !bytes.Equal(k, tkey(i)) || !bytes.Equal(v, tval(i)) {
-			t.Fatalf("All[%d] = %q/%q, want %q/%q", i, k, v, tkey(i), tval(i))
+	i, switches, last := 0, 0, -1
+	for k, it := range om.ScanItems(nil, nil) {
+		if !bytes.Equal(k, tkey(i)) || !bytes.Equal(it.Value, tval(i)) || it.Aux != uint64(i) {
+			t.Fatalf("ScanItems[%d] = %q %+v", i, k, it)
+		}
+		if shard := p.ShardOf(k); shard != last {
+			switches, last = switches+1, shard
 		}
 		i++
 	}
-	if i != n {
-		t.Fatalf("All yielded %d keys, want %d", i, n)
-	}
-
-	// Bounded scan: [lo, hi).
-	lo, hi := 100, 250
-	i = lo
-	for k := range om.Scan(tkey(lo), tkey(hi)) {
-		if !bytes.Equal(k, tkey(i)) {
-			t.Fatalf("Scan[%d] = %q, want %q", i, k, tkey(i))
-		}
-		i++
-	}
-	if i != hi {
-		t.Fatalf("Scan stopped at %d, want %d", i, hi)
-	}
-
-	// ScanItems carries the aux word through the merge.
-	i = lo
-	for k, it := range om.ScanItems(tkey(lo), tkey(hi)) {
-		if !bytes.Equal(k, tkey(i)) || it.Aux != uint64(i) {
-			t.Fatalf("ScanItems[%d] = %q aux=%d", i, k, it.Aux)
-		}
-		i++
-	}
-
-	// Descend: strictly descending over everything.
-	i = n - 1
-	for k := range om.Descend() {
-		if !bytes.Equal(k, tkey(i)) {
-			t.Fatalf("Descend[%d] = %q, want %q", i, k, tkey(i))
-		}
-		i--
-	}
-	if i != -1 {
-		t.Fatalf("Descend yielded %d keys, want %d", n-1-i, n)
-	}
-
-	// Early break must not wedge the per-shard cursors (deferred stops).
-	count := 0
-	for range om.Ascend() {
-		count++
-		if count == 10 {
-			break
-		}
-	}
-
-	if k, v, ok := om.Min(); !ok || !bytes.Equal(k, tkey(0)) || !bytes.Equal(v, tval(0)) {
-		t.Fatalf("Min = %q/%q/%v", k, v, ok)
-	}
-	if k, _, ok := om.Max(); !ok || !bytes.Equal(k, tkey(n-1)) {
-		t.Fatalf("Max = %q/%v", k, ok)
-	}
-	if om.Kind() != logfree.KindOrderedMap {
-		t.Fatalf("Kind = %v", om.Kind())
+	if i != n || switches < n/2 {
+		t.Fatalf("scan yielded %d of %d keys, changing shard %d times", i, n, switches)
 	}
 }
 
+// TestShardedBatch: a batch's ops land on the shards their keys route to,
+// and the op cap counts the whole batch, not a shard's share.
 func TestShardedBatch(t *testing.T) {
 	p := openMem(t, 4)
 	m, err := p.Map("b", 64)
@@ -592,86 +536,26 @@ func TestShardedBatch(t *testing.T) {
 	}
 	b := m.Batch()
 	const n = 600
+	want := make([]int, p.Shards())
 	for i := 0; i < n; i++ {
 		b.SetItem(tkey(i), tval(i), 1, uint64(i))
-	}
-	b.Delete(tkey(0)).Delete(tkey(1))
-	if b.Len() != n+2 {
-		t.Fatalf("Len = %d, want %d", b.Len(), n+2)
+		want[p.ShardOf(tkey(i))]++
 	}
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 0 {
-		t.Fatalf("Len after Commit = %d, want 0", b.Len())
-	}
-	if got := m.Len(); got != n-2 {
-		t.Fatalf("map Len = %d, want %d", got, n-2)
-	}
-	for i := 2; i < n; i++ {
-		if v, ok := m.Get(tkey(i)); !ok || !bytes.Equal(v, tval(i)) {
-			t.Fatalf("key %d after batch: %q, %v", i, v, ok)
-		}
+	if held := shardLens(t, p, "b"); fmt.Sprint(held) != fmt.Sprint(want) {
+		t.Fatalf("shards hold %v keys after the batch, routing says %v", held, want)
 	}
 
-	// Reused batch, single-shard fast path: all ops on one shard.
-	b.Reset()
-	one := tkey(42)
-	b.Set(one, []byte("x")).Set(one, []byte("y"))
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Get(one); !bytes.Equal(v, []byte("y")) {
-		t.Fatalf("last-writer-wins within a shard batch: got %q", v)
-	}
-
-	// Pool-wide op count holds the single-runtime cap.
-	b.Reset()
 	for i := 0; i <= logfree.MaxBatchOps; i++ {
 		b.Set(tkey(i%n+10_000), []byte("v"))
 	}
-	err = b.Commit()
-	if !errors.Is(err, logfree.ErrBatchTooLarge) {
+	if err := b.Commit(); !errors.Is(err, logfree.ErrBatchTooLarge) {
 		t.Fatalf("oversize Commit error = %v, want ErrBatchTooLarge", err)
 	}
-	if b.Len() != logfree.MaxBatchOps+1 {
-		t.Fatalf("failed Commit dropped ops: Len = %d", b.Len())
-	}
-}
-
-func TestPoolSessionViews(t *testing.T) {
-	p := openMem(t, 2)
-	m, err := p.Map("s", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	om, err := p.OrderedMap("so")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := p.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv, ov := m.WithSession(ps), om.WithSession(ps)
-	for i := 0; i < 200; i++ {
-		if err := mv.Set(tkey(i), tval(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := ov.Set(tkey(i), tval(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps.Reclaim()
-	ps.Close()
-	// Plain views observe the pinned-session writes.
-	for i := 0; i < 200; i++ {
-		if _, ok := m.Get(tkey(i)); !ok {
-			t.Fatalf("map key %d invisible outside the session view", i)
-		}
-		if _, ok := om.Get(tkey(i)); !ok {
-			t.Fatalf("ordered key %d invisible outside the session view", i)
-		}
+	if b.Len() != logfree.MaxBatchOps+1 || m.Len() != n {
+		t.Fatalf("refused Commit: batch Len = %d, map Len = %d", b.Len(), m.Len())
 	}
 }
 
@@ -799,8 +683,8 @@ func TestPoolStatsAndCapacity(t *testing.T) {
 
 // TestShardedWalk: the pool-wide cursor runs through the shards in order and
 // comes back 0 after the last; while other keys churn on every shard, each
-// cycle shows every key that stays put exactly once, on the shard that owns
-// it, and never a torn value.
+// cycle shows every key that stays put exactly once, shard after shard, and
+// never a torn value.
 func TestShardedWalk(t *testing.T) {
 	p := openMem(t, 4)
 	m, err := p.Map("walk", 128) // two steps of 64 buckets per shard
@@ -835,20 +719,17 @@ func TestShardedWalk(t *testing.T) {
 		}
 	}()
 	for cycle := 0; cycle < 20; cycle++ {
-		seen, calls, lastShard := 0, 0, uint64(0)
+		seen, calls, lastShard := 0, 0, 0
 		for cursor := uint64(0); ; {
-			shard := cursor >> walkShardShift
-			if shard < lastShard {
-				t.Fatalf("cycle %d: cursor %#x goes back from shard %d", cycle, cursor, lastShard)
-			}
-			lastShard = shard
 			calls++
 			cursor = m.Walk(cursor, func(e logfree.Entry) bool {
 				var i int
 				fmt.Sscanf(string(e.Key), "key-%d", &i)
-				if !bytes.Equal(e.Value(), tval(i)) || uint64(p.ShardOf(e.Key)) != shard {
-					t.Errorf("cycle %d: %q shown on shard %d with value %q", cycle, e.Key, shard, e.Value())
+				shard := p.ShardOf(e.Key)
+				if !bytes.Equal(e.Value(), tval(i)) || shard < lastShard {
+					t.Errorf("cycle %d: %q of shard %d shown after shard %d with value %q", cycle, e.Key, shard, lastShard, e.Value())
 				}
+				lastShard = shard
 				if i < stable {
 					seen++
 				}
