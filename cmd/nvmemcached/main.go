@@ -31,7 +31,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
@@ -46,6 +49,42 @@ import (
 	"repro/internal/repl"
 	"repro/logfree"
 )
+
+// hugePageField is the start-up line's record of whether the devices' volatile
+// images were taken as huge-page candidates, beside the kernel's THP mode —
+// accepted advice buys nothing under "never". One field, no spaces:
+// hugepages=advised:282MiB,thp=madvise | refused:"invalid argument",thp=... |
+// unsupported,thp=n/a (not linux) | none,thp=... (devices under 4 MiB).
+func hugePageField(rts []*logfree.Runtime) string {
+	var advised uint64
+	var refusal error
+	for _, rt := range rts {
+		n, err := rt.Device().HugePages()
+		advised += n
+		if refusal == nil {
+			refusal = err
+		}
+	}
+	status := "none"
+	switch {
+	case errors.Is(refusal, errors.ErrUnsupported):
+		status = "unsupported"
+	case refusal != nil:
+		status = fmt.Sprintf("refused:%q", refusal)
+	case advised > 0:
+		status = fmt.Sprintf("advised:%dMiB", advised>>20)
+	}
+	thp := "n/a"
+	if b, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled"); err == nil {
+		// "always [madvise] never": the bracketed word is the mode in force.
+		if _, rest, ok := bytes.Cut(b, []byte("[")); ok {
+			if mode, _, ok := bytes.Cut(rest, []byte("]")); ok {
+				thp = string(mode)
+			}
+		}
+	}
+	return "hugepages=" + status + ",thp=" + thp
+}
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:11211", "listen address")
@@ -155,7 +194,7 @@ func main() {
 		log.Printf("fresh cache: %d MiB NVRAM in %s, shards=%d, %d buckets",
 			*mem>>20, where, pool.Shards(), *buckets)
 	}
-	log.Printf("pool bytes: total=%d", cache.SizeBytes())
+	log.Printf("pool bytes: total=%d %s", cache.SizeBytes(), hugePageField(pool.Runtimes()))
 
 	if *restoreFrom != "" {
 		f, err := os.Open(*restoreFrom)

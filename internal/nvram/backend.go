@@ -109,7 +109,16 @@ func NewMemBackendReserve(size, maxSize uint64) *MemBackend {
 	if maxSize > reserve {
 		reserve = (maxSize + LineSize - 1) &^ uint64(LineSize-1)
 	}
-	return &MemBackend{words: make([]uint64, reserve/WordSize), committed: size}
+	m := &MemBackend{words: make([]uint64, reserve/WordSize), committed: size}
+	// Every write-back stores into this image at a random line. The answer
+	// is dropped: the device reports the kernel's for its own images.
+	_, _ = adviseHuge(m.words)
+	// Written once here, like the device's images, rather than left to the
+	// first write-back of each 2 MiB: the device's construction copy would
+	// otherwise map the shared zero page, and the real pages would be
+	// faulted in (and, on a fragmented host, compacted for) under fences.
+	clear(m.words[:size/WordSize])
+	return m
 }
 
 // Name identifies the backend kind.

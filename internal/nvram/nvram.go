@@ -25,6 +25,13 @@
 // at the Fence that completes them. Multiple CLWBs issued before a single
 // Fence therefore cost one NVRAM write latency, mirroring the parallelism of
 // clwb on real hardware.
+//
+// Both images and the per-line arrays beside them are ordinary Go slices
+// that the device offers to the kernel as transparent-huge-page candidates
+// (linux, madvise; see HugePages): a lookup is a handful of dependent loads
+// at random addresses, and on 4 KiB pages each one is also a TLB miss. The
+// price is 2 MiB residency granularity and first-touch faults of that size,
+// which the device takes at construction rather than during operations.
 package nvram
 
 import (
@@ -90,7 +97,6 @@ type Device struct {
 	words   []uint64 // volatile image (cache + memory merged view)
 	pers    []uint64 // persisted image (backend.Words(); survives Crash)
 	dirty   []uint32 // per-line advisory dirty flags (for eviction & stats)
-	lines   uint64
 	// limWords is the committed capacity in words: the device size as seen
 	// by every access check. The slices above are sized to the RESERVE (the
 	// growth headroom of a GrowableBackend); Grow raises limWords after the
@@ -120,6 +126,11 @@ type Device struct {
 	// Flushers (plain increments, no cross-core traffic); Stats aggregates
 	// them on demand.
 	statEvicts atomic.Uint64
+
+	// What the kernel answered when words, dirty and wbLocks were offered
+	// as huge-page candidates at construction; see HugePages.
+	hugeBytes uint64
+	hugeErr   error
 
 	flmu     sync.Mutex
 	flushers []*Flusher
@@ -175,13 +186,42 @@ func NewWithBackend(cfg Config, b Backend) (*Device, error) {
 		pers:     pers,
 		dirty:    make([]uint32, reserve/LineSize),
 		wbLocks:  make([]uint32, reserve/LineSize),
-		lines:    reserve / LineSize,
 		needSync: b.NeedsSync(),
 	}
 	d.limWords.Store(size / WordSize)
+	note := func(n uint64, err error) {
+		d.hugeBytes += n
+		if d.hugeErr == nil {
+			d.hugeErr = err
+		}
+	}
+	note(adviseHuge(d.words))
+	note(adviseHuge(d.dirty))
+	note(adviseHuge(d.wbLocks))
+	// First-touch the committed part of every image here, after the advice,
+	// so the faults (2 MiB apiece where the kernel grants huge pages) are
+	// paid once at construction and no operation takes one: words by the
+	// copy, the per-line arrays by clearing what make already zeroed.
 	copy(d.words[:size/WordSize], pers[:size/WordSize])
+	clear(d.dirty[:size/LineSize])
+	clear(d.wbLocks[:size/LineSize])
 	return d, nil
 }
+
+// HugePages reports what the kernel answered when the device offered its
+// volatile images (words and the two per-line arrays) as transparent-huge-
+// page candidates: the bytes it accepted the advice for, or the first
+// refusal — the errno, or errors.ErrUnsupported on a platform without the
+// call. (0, nil) is a device too small to hold an aligned 2 MiB. Accepted
+// advice is a request, not residency: whether huge pages were supplied
+// depends on the kernel's THP mode and on its free memory.
+func (d *Device) HugePages() (advised uint64, err error) { return d.hugeBytes, d.hugeErr }
+
+// committedLines returns the committed capacity in cache lines. The
+// per-line sweeps are bounded by it, not by the reserve: headroom never
+// grown into holds no data, and walking it costs time (and, written, real
+// memory) proportional to address space nobody committed.
+func (d *Device) committedLines() uint64 { return d.limWords.Load() / lineWords }
 
 // Size returns the committed device capacity in bytes (it can increase
 // through Grow, never decrease).
@@ -335,8 +375,9 @@ func (d *Device) touch(line uint64) {
 func (d *Device) evictOne(seed uint64) {
 	// Cheap deterministic-ish probe starting from a hash of seed.
 	h := seed * 0x9E3779B97F4A7C15
+	lines := d.committedLines()
 	for probe := uint64(0); probe < 64; probe++ {
-		line := (h + probe) % d.lines
+		line := (h + probe) % lines
 		if atomic.LoadUint32(&d.dirty[line]) == 1 {
 			d.writeBackLine(line)
 			d.statEvicts.Add(1)
@@ -367,7 +408,7 @@ func (d *Device) writeBackLine(line uint64) {
 // EvictRandom writes back each dirty line with probability p, simulating a
 // burst of uncontrolled evictions. Intended for crash tests.
 func (d *Device) EvictRandom(rng *rand.Rand, p float64) {
-	for line := uint64(0); line < d.lines; line++ {
+	for line, n := uint64(0), d.committedLines(); line < n; line++ {
 		if atomic.LoadUint32(&d.dirty[line]) == 1 && rng.Float64() < p {
 			d.writeBackLine(line)
 			d.statEvicts.Add(1)
@@ -383,9 +424,7 @@ func (d *Device) Crash() {
 	// beyond EOF and must not be touched past the committed size.
 	lim := d.limWords.Load()
 	copy(d.words[:lim], d.pers[:lim])
-	for i := range d.dirty {
-		d.dirty[i] = 0
-	}
+	clear(d.dirty[:lim/lineWords])
 }
 
 // CrashPartial first writes back each dirty line with probability p (the
@@ -417,7 +456,7 @@ func (d *Device) PersistedWord(a Addr) uint64 {
 // DirtyLines returns the number of lines currently flagged dirty. Advisory.
 func (d *Device) DirtyLines() int {
 	n := 0
-	for i := range d.dirty {
+	for i := range d.dirty[:d.committedLines()] {
 		if atomic.LoadUint32(&d.dirty[i]) == 1 {
 			n++
 		}

@@ -223,7 +223,7 @@ if ! grep -q "grew pool" "$GLOG"; then
 fi
 echo "   $(grep -c 'grew pool' "$GLOG") grow(s) committed before the kill"
 start_grow_server
-TOTAL=$(awk '/pool bytes: total=/ {sub(/^.*total=/, ""); print; exit}' "$GLOG")
+TOTAL=$(awk '/pool bytes: total=/ {sub(/^.*total=/, ""); print $1; exit}' "$GLOG")
 OK=0
 SZ=$GROW_INIT
 while [ "$SZ" -le "$GROW_MAX" ]; do
