@@ -65,8 +65,6 @@ type Options struct {
 	AreaShift uint
 	// EpochGenSize overrides the reclamation generation size (default 64).
 	EpochGenSize int
-	// APTTrimAt overrides the APT trim threshold (default 16).
-	APTTrimAt int
 	// Volatile strips all durability actions (write-backs, fences, dirty
 	// marks, APT bookkeeping) while keeping the algorithms identical: the
 	// "implementation oblivious of NVRAM" baseline of Figure 7. Pair it
@@ -114,7 +112,6 @@ func NewStore(dev *nvram.Device, opts Options) (*Store, error) {
 	mgr, err := epoch.NewManager(pool, f, epoch.Config{
 		MaxThreads:   opts.MaxThreads,
 		GenSize:      opts.EpochGenSize,
-		TrimAt:       opts.APTTrimAt,
 		AreaShift:    opts.AreaShift,
 		AllocLogging: opts.AllocLogging,
 		Volatile:     opts.Volatile,

@@ -22,7 +22,10 @@
 package epoch
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,13 +36,23 @@ import (
 // Addr is a byte offset into the device.
 type Addr = nvram.Addr
 
+// aptCapacity is the per-thread APT capacity in entries. It sizes the
+// durable APT region and every grown bank, and images do not record it, so
+// it is part of the format rather than a setting.
+const aptCapacity = 128
+
+// The volatile APT index: 2·aptCapacity one-byte buckets (load factor at
+// most ½), each holding slot+1 of the entry whose probe run covers it.
+const (
+	aptIndexBits = 8
+	aptIndexMask = 1<<aptIndexBits - 1
+)
+
 // Config parameterizes a Manager.
 type Config struct {
 	// MaxThreads is the number of contexts the manager supports. The durable
 	// APT region is sized for this many threads.
 	MaxThreads int
-	// Capacity is the per-thread APT capacity in entries. Default 128.
-	Capacity int
 	// TrimAt is the APT occupancy that triggers a trim attempt. The paper
 	// trims tables exceeding 16 entries (§6.3). Default 16.
 	TrimAt int
@@ -62,9 +75,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.MaxThreads <= 0 {
 		c.MaxThreads = 1
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 128
 	}
 	if c.TrimAt == 0 {
 		c.TrimAt = 16
@@ -94,7 +104,7 @@ type paddedEpoch struct {
 type Manager struct {
 	cfg      Config
 	pool     *pmem.Pool
-	region   Addr // durable APT: MaxThreads × Capacity words of area addresses
+	region   Addr // durable APT: MaxThreads × aptCapacity words of area addresses
 	logReg   Addr // AllocLogging mode: MaxThreads × logRing words
 	banksReg Addr // bank table: maxBanks slots of extra-thread bank addresses
 
@@ -141,7 +151,7 @@ func NewManager(pool *pmem.Pool, f *nvram.Flusher, cfg Config) (*Manager, error)
 	m := &Manager{cfg: cfg, pool: pool}
 	m.epochs.Store(newEpochs(cfg.MaxThreads))
 	var err error
-	m.region, err = pool.AllocRegion(f, uint64(cfg.MaxThreads*cfg.Capacity)*8)
+	m.region, err = pool.AllocRegion(f, uint64(cfg.MaxThreads*aptCapacity)*8)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +223,7 @@ func (m *Manager) EnsureThread(tid int, f *nvram.Flusher) error {
 		if m.banksReg == 0 {
 			return fmt.Errorf("epoch: pool image predates thread banks; cannot grow past %d threads", m.cfg.MaxThreads)
 		}
-		bank, err := m.pool.AllocRegion(f, uint64(m.cfg.Capacity+logRing)*8)
+		bank, err := m.pool.AllocRegion(f, uint64(aptCapacity+logRing)*8)
 		if err != nil {
 			return err
 		}
@@ -254,7 +264,7 @@ func (m *Manager) AreaSize() uint64 { return 1 << m.cfg.AreaShift }
 // aptBase returns the base address of thread tid's durable APT slots.
 func (m *Manager) aptBase(tid int) Addr {
 	if tid < m.cfg.MaxThreads {
-		return m.region + Addr(tid*m.cfg.Capacity)*8
+		return m.region + Addr(tid*aptCapacity)*8
 	}
 	return m.bankOf(tid)
 }
@@ -264,7 +274,7 @@ func (m *Manager) logBase(tid int) Addr {
 	if tid < m.cfg.MaxThreads {
 		return m.logReg + Addr(tid*logRing)*8
 	}
-	return m.bankOf(tid) + Addr(m.cfg.Capacity)*8
+	return m.bankOf(tid) + aptCapacity*8
 }
 
 // ActiveAreas reads the durable APT (across all threads, formatted region
@@ -274,14 +284,14 @@ func (m *Manager) ActiveAreas() []Addr {
 	m.mu.Lock()
 	bases := make([]Addr, 0, m.cfg.MaxThreads+len(m.banks))
 	for t := 0; t < m.cfg.MaxThreads; t++ {
-		bases = append(bases, m.region+Addr(t*m.cfg.Capacity)*8)
+		bases = append(bases, m.region+Addr(t*aptCapacity)*8)
 	}
 	bases = append(bases, m.banks...)
 	m.mu.Unlock()
 	seen := make(map[Addr]bool)
 	var out []Addr
 	for _, base := range bases {
-		for i := 0; i < m.cfg.Capacity; i++ {
+		for i := 0; i < aptCapacity; i++ {
 			if a := m.pool.Device().Load(base + Addr(i)*8); a != 0 && !seen[a] {
 				seen[a] = true
 				out = append(out, a)
@@ -301,11 +311,16 @@ func (m *Manager) AllocatedInArea(dst []Addr, area Addr) []Addr {
 }
 
 // Stats counts APT behaviour for Figure 9a.
+//
+// Each unlink consults the table twice and so counts twice: PreRetire, then
+// Retire, which hits the entry PreRetire has just made active. UnlinkHits +
+// UnlinkMisses is therefore twice the unlinks, and the share of PreRetire
+// lookups that missed is 2·UnlinkMisses ÷ (UnlinkHits + UnlinkMisses).
 type Stats struct {
 	AllocHits    uint64 // allocations whose area was already active
 	AllocMisses  uint64 // allocations that durably inserted an APT entry
-	UnlinkHits   uint64
-	UnlinkMisses uint64
+	UnlinkHits   uint64 // PreRetire and Retire lookups that found the area
+	UnlinkMisses uint64 // PreRetire lookups that durably inserted an entry
 	GensFreed    uint64
 	NodesFreed   uint64
 	Trims        uint64
@@ -330,9 +345,8 @@ func (s Stats) add(o Stats) Stats {
 type aptEntry struct {
 	area          Addr
 	lastAllocEp   uint64 // thread epoch of the most recent allocation
-	lastUnlinkGen uint64 // seq of the generation holding the latest unlink
+	lastUnlinkGen uint64 // seq of the generation holding the latest unlink; 0 = none
 	lastUse       uint64 // recency tick, for LRU trim ordering
-	hasUnlinks    bool
 }
 
 type generation struct {
@@ -354,7 +368,14 @@ type Ctx struct {
 	logAddr Addr
 	epoch   *paddedEpoch
 
-	apt []aptEntry // volatile mirror; apt[i] corresponds to durable slot i
+	// The volatile APT: apt[i] mirrors durable slot i. aptIdx finds an
+	// area's slot (open addressing from aptHome, linear probing, slot+1 per
+	// bucket, 0 = empty); aptUsed has bit i set while slot i holds an area
+	// and aptLen counts those bits.
+	apt     [aptCapacity]aptEntry
+	aptIdx  [aptIndexMask + 1]uint8
+	aptUsed [aptCapacity / 64]uint64
+	aptLen  int
 
 	cur      []Addr // current (open) generation
 	gens     []generation
@@ -379,8 +400,7 @@ func (m *Manager) NewCtx(tid int, alloc *pmem.Ctx, f *nvram.Flusher) *Ctx {
 	}
 	return &Ctx{m: m, tid: tid, alloc: alloc, f: f,
 		aptAddr: m.aptBase(tid), logAddr: m.logBase(tid),
-		epoch: (*m.epochs.Load())[tid],
-		apt:   make([]aptEntry, m.cfg.Capacity), genSeq: 1}
+		epoch: (*m.epochs.Load())[tid], genSeq: 1}
 }
 
 // Tid returns the context's thread id.
@@ -500,24 +520,30 @@ func (c *Ctx) tryReclaim() {
 	for len(c.gens) > 0 && c.reclaimable(&c.gens[0]) {
 		g := c.gens[0]
 		c.gens = c.gens[1:]
-		pageFrees := make(map[Addr]int, 8)
 		for _, n := range g.nodes {
 			debugFree(c.m, n)
 			c.alloc.Free(n)
-			pageFrees[n&^(pmem.PageSize-1)]++
 		}
 		c.f.Fence()
 		// Prompt reuse (§5.1 locality): steer subsequent allocations into
-		// the page this batch freed the most slots in. Ties go to the lowest
-		// address, not to map iteration order: where the allocator places
-		// the next object must repeat from run to run.
+		// the page this batch freed the most slots in, the lowest address on
+		// a tie: where the allocator places the next object must repeat from
+		// run to run. The batch is done with its slice, so sorting it in
+		// place makes each page's frees one run, met in address order.
+		slices.Sort(g.nodes)
 		best, bestN := Addr(0), 0
-		for p, n := range pageFrees {
-			if n > bestN || (n == bestN && p < best) {
-				best, bestN = p, n
+		page, run := Addr(0), 0
+		for _, n := range g.nodes {
+			p := n &^ (pmem.PageSize - 1)
+			if p != page {
+				page, run = p, 0
+			}
+			run++
+			if run > bestN {
+				best, bestN = p, run
 			}
 		}
-		if best != 0 && bestN >= 2 {
+		if bestN >= 2 {
 			c.alloc.Adopt(best)
 		}
 		c.lastFree = g.seq
@@ -534,9 +560,33 @@ func (c *Ctx) aptHit(e *aptEntry, isAlloc bool) {
 		c.stats.AllocHits++
 	} else {
 		e.lastUnlinkGen = c.genSeq
-		e.hasUnlinks = true
 		c.stats.UnlinkHits++
 	}
+}
+
+// aptHome is area's home bucket in aptIdx. Fibonacci hashing: the top bits
+// of the product depend on every bit of the area, so aligned areas spread.
+func aptHome(area Addr) int { return int(area * 0x9E3779B97F4A7C15 >> (64 - aptIndexBits)) }
+
+// aptFind returns the slot holding area, or -1. The index is at most half
+// full, so every probe run ends at an empty bucket.
+func (c *Ctx) aptFind(area Addr) int {
+	for b := aptHome(area); c.aptIdx[b] != 0; b = (b + 1) & aptIndexMask {
+		if s := int(c.aptIdx[b]) - 1; c.apt[s].area == area {
+			return s
+		}
+	}
+	return -1
+}
+
+// aptFree returns the lowest free slot, or -1 when the table is full.
+func (c *Ctx) aptFree() int {
+	for w, used := range c.aptUsed {
+		if used != ^uint64(0) {
+			return w*64 + bits.TrailingZeros64(^used)
+		}
+	}
+	return -1
 }
 
 // ensureActive makes sure area is in this thread's APT, durably inserting it
@@ -548,82 +598,69 @@ func (c *Ctx) ensureActive(area Addr, isAlloc bool) {
 	c.useTick++
 	// Fast path: allocations and unlinks cluster in one hot area (locality
 	// is the whole point of the APT, §5.4), so the most recently hit entry
-	// answers most calls without scanning the table. Allocation, PreRetire
-	// and Retire each consult the APT, so this runs several times per
-	// operation.
-	if i := c.lastAPT; i < len(c.apt) && c.apt[i].area == area {
+	// answers most calls without a lookup. Allocation, PreRetire and Retire
+	// each consult the APT, so this runs several times per operation.
+	if i := c.lastAPT; c.apt[i].area == area {
 		c.aptHit(&c.apt[i], isAlloc)
 		return
 	}
-	free := -1
-	occupied := 0
-	for i := range c.apt {
-		e := &c.apt[i]
-		if e.area == area {
-			c.lastAPT = i
-			c.aptHit(e, isAlloc)
-			return
-		}
-		if e.area == 0 {
-			if free < 0 {
-				free = i
-			}
-		} else {
-			occupied++
-		}
+	if i := c.aptFind(area); i >= 0 {
+		c.lastAPT = i
+		c.aptHit(&c.apt[i], isAlloc)
+		return
 	}
 	// Miss: the table grows; once it exceeds the trim threshold, evict the
 	// least recently used quiescent entries back down to it (§5.4). Under
 	// unlink-heavy churn most entries are pinned until their generation
-	// reclaims, so failed attempts are rate-limited instead of rescanned on
+	// reclaims, so failed attempts are rate-limited instead of retried on
 	// every miss.
+	free := c.aptFree()
 	if c.trimCooldown > 0 {
 		c.trimCooldown--
 	}
-	if occupied > c.m.cfg.TrimAt && c.trimCooldown == 0 {
-		before := occupied
+	if before := c.aptLen; before > c.m.cfg.TrimAt && c.trimCooldown == 0 {
 		c.trim()
-		if c.APTLen() >= before { // nothing was evictable; back off
+		if c.aptLen >= before { // nothing was evictable; back off
 			c.trimCooldown = 32
 		} else {
-			// Even successful trims are rate-limited: each one scans the
-			// table for victims, and trimming lazily is always safe — the
-			// table is merely allowed to sit a few entries above the
-			// threshold between attempts.
+			// Even successful trims are rate-limited: trimming lazily is
+			// always safe — the table is merely allowed to sit a few
+			// entries above the threshold between attempts.
 			c.trimCooldown = 4
 		}
 		if free < 0 {
-			for i := range c.apt {
-				if c.apt[i].area == 0 {
-					free = i
-					break
-				}
-			}
+			free = c.aptFree()
 		}
 	}
 	if free < 0 {
 		// Table saturated with unremovable entries; force out the entry with
 		// the oldest unlink generation. Bounded persistent-leak exposure on
 		// crash, never corruption (recovery just won't sweep that area).
-		oldest, oldSeq := 0, ^uint64(0)
+		oldest := 0
 		for i := range c.apt {
-			if c.apt[i].lastUnlinkGen < oldSeq {
-				oldest, oldSeq = i, c.apt[i].lastUnlinkGen
+			if c.apt[i].lastUnlinkGen < c.apt[oldest].lastUnlinkGen {
+				oldest = i
 			}
 		}
 		c.removeEntry(oldest)
 		c.f.Fence()
 		free = oldest
 	}
-	e := &c.apt[free]
+	b := aptHome(area)
+	for c.aptIdx[b] != 0 {
+		b = (b + 1) & aptIndexMask
+	}
+	c.aptIdx[b] = uint8(free + 1)
+	c.aptUsed[free/64] |= 1 << (uint(free) % 64)
+	c.aptLen++
 	c.lastAPT = free
+	e := &c.apt[free]
 	*e = aptEntry{area: area, lastUse: c.useTick}
 	if isAlloc {
 		e.lastAllocEp = c.ownEpoch()
 		c.stats.AllocMisses++
 	} else {
 		e.lastUnlinkGen = c.genSeq
-		e.hasUnlinks = true
 		c.stats.UnlinkMisses++
 	}
 	dev := c.m.pool.Device()
@@ -632,25 +669,51 @@ func (c *Ctx) ensureActive(area Addr, isAlloc bool) {
 }
 
 // removeEntry durably clears APT slot i (write-back scheduled, caller
-// fences).
+// fences) and takes it out of the index.
 func (c *Ctx) removeEntry(i int) {
+	// Backward-shift deletion keeps probe runs gap-free without tombstones:
+	// each later entry of the run whose home does not lie after the hole
+	// (cyclically, up to its own bucket) moves back into the hole.
+	hole := aptHome(c.apt[i].area)
+	for int(c.aptIdx[hole]) != i+1 {
+		hole = (hole + 1) & aptIndexMask
+	}
+	for b := (hole + 1) & aptIndexMask; c.aptIdx[b] != 0; b = (b + 1) & aptIndexMask {
+		home := aptHome(c.apt[c.aptIdx[b]-1].area)
+		if (b-home)&aptIndexMask >= (b-hole)&aptIndexMask {
+			c.aptIdx[hole] = c.aptIdx[b]
+			hole = b
+		}
+	}
+	c.aptIdx[hole] = 0
+	c.aptUsed[i/64] &^= 1 << (uint(i) % 64)
+	c.aptLen--
 	c.apt[i] = aptEntry{}
 	dev := c.m.pool.Device()
 	dev.Store(c.aptAddr+Addr(i)*8, 0)
 	c.f.CLWB(c.aptAddr + Addr(i)*8)
 }
 
+// aptVictim is a trim candidate: an evictable slot and its recency tick.
+type aptVictim struct {
+	lastUse uint64
+	slot    int
+}
+
 // trim evicts quiescent entries — entries whose last allocation's operation
 // has completed and whose unlinked nodes have all been freed (§5.4) — in
 // least-recently-used order, until occupancy is back at the threshold.
 // Evicting only the cold tail preserves the recency that gives the APT its
-// high hit rates (Figure 9a). Removals are batched under one fence.
+// high hit rates (Figure 9a). The victims are picked in one pass; only when
+// there are any does the link cache get flushed (TrimHook, §5.4), and their
+// removals are batched under one fence.
 func (c *Ctx) trim() {
 	c.stats.Trims++
-	if c.m.TrimHook != nil {
-		c.m.TrimHook(c.tid) // flush the link cache first (§5.4)
+	c.tryReclaim() // advances lastFree, which decides who is quiescent
+	excess := c.aptLen - c.m.cfg.TrimAt
+	if excess <= 0 {
+		return
 	}
-	c.tryReclaim()
 	cur := c.ownEpoch()
 	// The current allocation pages are active by definition: evicting them
 	// would make the very next allocation miss (they are also what recovery
@@ -661,44 +724,34 @@ func (c *Ctx) trim() {
 			curAreas[i] = c.m.AreaOf(p)
 		}
 	}
-	occupied := 0
+	var cands [aptCapacity]aptVictim // on the stack: a trim allocates nothing
+	n := 0
 	for i := range c.apt {
-		if c.apt[i].area != 0 {
-			occupied++
+		e := &c.apt[i]
+		if e.area == 0 ||
+			(cur%2 == 1 && e.lastAllocEp == cur) || // allocation in the still-open operation
+			e.lastUnlinkGen > c.lastFree || // unlinked nodes not yet reclaimed
+			slices.Contains(curAreas[:], e.area) { // current allocation page's area
+			continue
 		}
+		cands[n] = aptVictim{e.lastUse, i}
+		n++
 	}
-	removed := false
-	for occupied > c.m.cfg.TrimAt {
-		victim, victimUse := -1, ^uint64(0)
-	scan:
-		for i := range c.apt {
-			e := &c.apt[i]
-			if e.area == 0 || e.lastUse >= victimUse {
-				continue
-			}
-			if e.lastAllocEp == cur && cur%2 == 1 {
-				continue // allocation in the still-open operation
-			}
-			if e.hasUnlinks && e.lastUnlinkGen > c.lastFree {
-				continue // unlinked nodes not yet reclaimed
-			}
-			for _, a := range curAreas {
-				if a != 0 && a == e.area {
-					continue scan // current allocation page's area
-				}
-			}
-			victim, victimUse = i, e.lastUse
-		}
-		if victim < 0 {
-			break // nothing more is removable
-		}
-		c.removeEntry(victim)
-		occupied--
-		removed = true
+	if n > excess {
+		// Ticks are unique, so "the excess least recently used" is exact.
+		slices.SortFunc(cands[:n], func(a, b aptVictim) int { return cmp.Compare(a.lastUse, b.lastUse) })
+		n = excess
 	}
-	if removed {
-		c.f.Fence()
+	if n == 0 {
+		return
 	}
+	if c.m.TrimHook != nil {
+		c.m.TrimHook(c.tid) // flush the link cache before any entry leaves (§5.4)
+	}
+	for _, v := range cands[:n] {
+		c.removeEntry(v.slot)
+	}
+	c.f.Fence()
 }
 
 // FlushAll seals and reclaims everything reclaimable, then trims. Intended
@@ -721,15 +774,7 @@ func (c *Ctx) PendingRetired() int {
 }
 
 // APTLen returns the current APT occupancy (volatile view).
-func (c *Ctx) APTLen() int {
-	n := 0
-	for i := range c.apt {
-		if c.apt[i].area != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *Ctx) APTLen() int { return c.aptLen }
 
 // logIntent is the AllocLogging baseline: one durable log write (a sync) per
 // allocation or unlink, the cost NV-epochs removes.

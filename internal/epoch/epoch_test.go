@@ -408,6 +408,13 @@ func TestReclaimIsDeterministic(t *testing.T) {
 		return fx.dev.Stats(), c.Stats()
 	}
 	wantDev, wantEpoch := run()
+	// Recorded at the parent of the indexed APT and one-pass trim, which
+	// must leave the same durable trail.
+	if wantDev != (nvram.Stats{Clwbs: 7105, Fences: 1245, SyncWaits: 1245}) ||
+		wantEpoch != (Stats{AllocHits: 10281, AllocMisses: 12, UnlinkHits: 19414,
+			GensFreed: 1214, NodesFreed: 9707, Trims: 1}) {
+		t.Fatalf("counters moved from the recorded ones:\n device %+v\n epoch  %+v", wantDev, wantEpoch)
+	}
 	for i := 0; i < 8; i++ {
 		if dev, ep := run(); dev != wantDev || ep != wantEpoch {
 			t.Fatalf("run %d differs from the first:\n device %+v vs %+v\n epoch  %+v vs %+v",
