@@ -2,43 +2,44 @@ package core
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"repro/internal/ptrtag"
 )
 
-// This file implements amortized-fence batch application for the two byte-key
-// maps. A single Set pays two sync waits: one fence for its content batch
-// (entry extent + index node + allocator metadata lines) and one for the
-// publishing link. ApplyBatch shares the first across a whole group of
-// operations:
+// This file is the byte maps' write path: every Set and every batch of sets
+// and deletes on a BytesMap or an OrderedBytesMap is applied here, as one or
+// more groups of operations, each in three phases:
 //
-//	phase 1  write every op's entry extent (and, for fresh keys, its index
+//	stage    write every op's entry extent (and, for fresh keys, its index
 //	         node) with write-backs scheduled but NOT fenced, planning each
 //	         op's publish point against the current durable state plus the
-//	         group's own earlier planned nodes;
-//	phase 2  ONE fence makes every pending content line durable together
+//	         group's own earlier planned nodes. An op that will unlink a
+//	         replaced entry puts its area in the APT here (§5.4), so an APT
+//	         miss's sync carries the pending content lines with it;
+//	fence    ONE fence makes every pending content line durable together
 //	         (the paper's one-pause-per-batch latency model, §6.1);
-//	phase 3  publish each op in order with its single linearizing sync.
+//	publish  publish each op in order with its single linearizing sync.
 //
-// N sets therefore cost ~N+1 sync waits instead of 2N (enforced by
+// A Set is a one-op group and costs two sync waits: the content fence and
+// the publishing link. N ops cost ~N+1 instead of 2N (both enforced by
 // fencebudget_test.go). Batches are NOT transactions: each op publishes
 // through its own atomic durable point, in batch order, so a crash leaves a
 // per-op prefix of the batch (plus at most the in-flight op's own atomic
 // before/after ambiguity) — the same durable linearizability every single op
 // already has, never a torn multi-op state.
 //
-// Correctness hinges on the stripe locks: the group locks the stripes of all
-// its index hashes up front (sorted, deduplicated — single ops take one
-// stripe and batches acquire in order, so there is no deadlock), which
-// freezes the publish points planned in phase 1: no concurrent operation can
-// touch any group key's chain, index node or skip-list membership. Bucket and
-// skip-list *neighbourhoods* may still shift under concurrent different-hash
-// traffic; publishes revalidate with the standard retry loops and, only when
-// a planned successor really moved, restore the contents-before-reachability
-// ordering with one extra sync. Ops whose index hash repeats within a batch
-// split it into sequential groups, so planning never has to model two
-// lifecycle changes of one chain.
+// Correctness hinges on the stripe locks: a group locks the stripes of all
+// its index hashes up front (sorted, deduplicated — Delete and SetAux take
+// one stripe and groups acquire in order, so there is no deadlock), which
+// freezes the publish points planned while staging: no concurrent operation
+// can touch any group key's chain, index node or skip-list membership.
+// Bucket and skip-list *neighbourhoods* may still shift under concurrent
+// different-hash traffic; publishes revalidate their planned neighbours and,
+// only when a planned successor really moved, restore the
+// contents-before-reachability ordering with one extra sync. Ops whose index
+// hash repeats within a batch split it into sequential groups, so planning
+// never has to model two lifecycle changes of one chain.
 
 // BytesOp is one operation of a byte-map batch: a durable upsert of Key
 // (with the entry's metadata field and aux word), or, with Del set, a
@@ -51,9 +52,41 @@ type BytesOp struct {
 	Aux   uint64
 }
 
-// validateBytesOps applies the single-op argument checks to a whole batch
-// before anything mutates, so a malformed op cannot abort a half-applied
-// group.
+// planKind is how a staged op publishes; a delete stages nothing and keeps
+// the zero kind.
+type planKind uint8
+
+const (
+	planFresh planKind = iota + 1 // link a staged index node: a bucket node or a skip-list node
+	planSwing                     // point an index node at the new entry: a bucket's chain head (prepend or head replace) or an ordered node's entry reference
+	planMid                       // BytesMap mid-chain replace: swing the predecessor entry's next word
+)
+
+// writePlan is what staging one op decided and publishing it needs.
+type writePlan struct {
+	hash     uint64
+	kind     planKind
+	e        Addr // staged entry extent
+	n        Addr // staged index node (fresh), or the existing one (swing)
+	replaced Addr // the entry the publish unlinks; 0 when the op creates its key
+	pred     Addr // BytesMap: bucket predecessor node (fresh), chain predecessor entry (mid)
+	inPred   Addr // BytesMap fresh: the link word pred was reached through (0: the bucket head)
+	next     Addr // fresh: planned successor, in the bucket or at skip-list level 0
+	top      int  // OrderedBytesMap fresh: tower height
+
+	preds, succs [MaxLevel]Addr // OrderedBytesMap: the key's neighbourhood
+}
+
+// writeScratch is a context's reusable write-path state. It only grows, so
+// a context applying one-op groups — every Set — allocates nothing after its
+// first.
+type writeScratch struct {
+	plans   []writePlan
+	stripes []int
+}
+
+// validateBytesOps applies the argument checks to every op before anything
+// mutates, so a malformed op cannot abort a half-applied group.
 func validateBytesOps(ops []BytesOp) error {
 	for i := range ops {
 		op := &ops[i]
@@ -67,428 +100,406 @@ func validateBytesOps(ops []BytesOp) error {
 	return nil
 }
 
-// batchGroups yields [start,end) ranges of ops whose index hashes are
-// pairwise distinct; a repeated hash starts a new group.
-func batchGroups(hashes []uint64, fn func(start, end int) error) error {
-	start := 0
-	seen := make(map[uint64]struct{}, len(hashes))
-	for i, h := range hashes {
-		if _, dup := seen[h]; dup {
-			if err := fn(start, i); err != nil {
-				return err
-			}
-			start = i
-			clear(seen)
-		}
-		seen[h] = struct{}{}
-	}
-	if start < len(hashes) {
-		return fn(start, len(hashes))
-	}
-	return nil
+// writeTarget is the map a write applies to: exactly one of b and o is set.
+// It dispatches statically, so the ops a caller passes (Set's live on its
+// stack) do not escape.
+type writeTarget struct {
+	b *BytesMap
+	o *OrderedBytesMap
 }
 
-// lockStripes locks the distinct stripe locks of hashes in ascending index
-// order and returns an unlock function. Single operations lock exactly one
-// stripe, so ordered multi-acquisition cannot deadlock against them or
-// against another batch.
-func (s *Store) lockStripes(hashes []uint64) (unlock func()) {
-	idx := make([]int, 0, len(hashes))
-	for _, h := range hashes {
-		idx = append(idx, int(h%uint64(len(s.bytesLocks))))
+// ApplyBatch applies ops in order with one shared content fence per group
+// (see the file comment for the phase structure and crash semantics). On
+// error the failing group's staged allocations are released and the batch
+// stops: earlier groups remain applied, and no op of the failing group was
+// published — publishes only start once the whole group is staged.
+func (b *BytesMap) ApplyBatch(c *Ctx, ops []BytesOp) error {
+	return writeTarget{b: b}.batch(c, ops)
+}
+
+// ApplyBatch applies ops in order with one shared content fence per group;
+// see BytesMap.ApplyBatch.
+func (o *OrderedBytesMap) ApplyBatch(c *Ctx, ops []BytesOp) error {
+	return writeTarget{o: o}.batch(c, ops)
+}
+
+// set is Set on either map: a one-op group.
+func (t writeTarget) set(c *Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error) {
+	op := [1]BytesOp{{Key: key, Value: value, Meta: meta, Aux: aux}}
+	if err := validateBytesOps(op[:]); err != nil {
+		return false, err
 	}
-	sort.Ints(idx)
-	n := 0
-	for i, v := range idx {
-		if i == 0 || v != idx[i-1] {
-			idx[n] = v
-			n++
+	// The hash is taken of key, not of op's copy: a call through the
+	// bytesHash hook leaks its argument, and escape analysis does not tell
+	// op's fields apart, so hashing op.Key would move value to the heap too.
+	plans := c.w.plansFor(1)
+	plans[0] = writePlan{hash: bytesHash(key)}
+	n, err := t.apply(c, op[:], plans)
+	return n == 1, err
+}
+
+func (t writeTarget) batch(c *Ctx, ops []BytesOp) error {
+	if err := validateBytesOps(ops); err != nil {
+		return err
+	}
+	plans := c.w.plansFor(len(ops))
+	for i := range ops {
+		plans[i] = writePlan{hash: bytesHash(ops[i].Key)}
+	}
+	_, err := t.apply(c, ops, plans)
+	return err
+}
+
+// plansFor returns n plans of the context's scratch.
+func (w *writeScratch) plansFor(n int) []writePlan {
+	if cap(w.plans) < n {
+		w.plans = make([]writePlan, n)
+	}
+	return w.plans[:n]
+}
+
+// apply applies validated ops, whose plans carry their index hashes, group
+// by group. It reports how many ops bound a key that was absent.
+func (t writeTarget) apply(c *Ctx, ops []BytesOp, plans []writePlan) (int, error) {
+	created := 0
+	for start := 0; start < len(ops); {
+		end := groupEnd(plans, start)
+		n, err := t.applyGroup(c, ops[start:end], plans[start:end])
+		created += n
+		if err != nil {
+			return created, err
+		}
+		start = end
+	}
+	return created, nil
+}
+
+// groupEnd returns where the group starting at start ends: at the first op
+// whose index hash repeats within it, or at the end of the ops.
+func groupEnd(plans []writePlan, start int) int {
+	for end := start + 1; end < len(plans); end++ {
+		for j := start; j < end; j++ {
+			if plans[j].hash == plans[end].hash {
+				return end
+			}
 		}
 	}
-	idx = idx[:n]
+	return len(plans)
+}
+
+func (t writeTarget) applyGroup(c *Ctx, ops []BytesOp, plans []writePlan) (int, error) {
+	defer c.unlockStripes(c.lockStripes(plans))
+	c.ep.Begin()
+	defer c.ep.End()
+
+	// Stage entries and nodes; plan publish points.
+	for i := range ops {
+		if ops[i].Del {
+			continue
+		}
+		if err := t.stage(c, ops, plans, i); err != nil {
+			releaseStaged(c, plans[:i+1])
+			return 0, err
+		}
+		if r := plans[i].replaced; r != 0 {
+			// The publish makes the replaced entry durably unreachable; its
+			// area must be in the APT first (§5.4).
+			c.ep.PreRetire(r)
+		}
+	}
+
+	// One pause covers every staged entry, index node and allocator metadata
+	// line.
+	c.fence()
+
+	// Publish in op order — each publish is its own fenced linearization, so
+	// batch order is durability order (prefix semantics).
+	created := 0
+	for i := range ops {
+		p := &plans[i]
+		switch {
+		case ops[i].Del:
+			t.deleteLocked(c, ops[i].Key, p.hash)
+		case p.replaced != 0:
+			t.publish(c, ops[i].Key, p)
+			c.ep.Retire(p.replaced)
+		default:
+			t.publish(c, ops[i].Key, p)
+			created++
+		}
+	}
+	return created, nil
+}
+
+// releaseStaged frees what a failed group staged; none of it was published.
+func releaseStaged(c *Ctx, plans []writePlan) {
+	for i := range plans {
+		p := &plans[i]
+		if p.e != 0 {
+			c.alloc.Free(p.e)
+		}
+		if p.kind == planFresh {
+			c.alloc.Free(p.n)
+		}
+	}
+}
+
+// lockStripes locks the distinct stripes of the group's index hashes in
+// ascending order and returns them for unlockStripes.
+func (c *Ctx) lockStripes(plans []writePlan) []int {
+	idx := c.w.stripes[:0]
+	for i := range plans {
+		idx = append(idx, c.s.stripeOf(plans[i].hash))
+	}
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	c.w.stripes = idx
 	for _, v := range idx {
-		s.bytesLocks[v].Lock()
+		c.s.bytesLocks[v].Lock()
 	}
-	return func() {
-		for _, v := range idx {
-			s.bytesLocks[v].Unlock()
-		}
+	return idx
+}
+
+func (c *Ctx) unlockStripes(idx []int) {
+	for _, v := range idx {
+		c.s.bytesLocks[v].Unlock()
+	}
+}
+
+func (t writeTarget) stage(c *Ctx, ops []BytesOp, plans []writePlan, i int) error {
+	if t.b != nil {
+		return t.b.stage(c, ops, plans, i)
+	}
+	return t.o.stage(c, ops, plans, i)
+}
+
+func (t writeTarget) publish(c *Ctx, key []byte, p *writePlan) {
+	if t.b != nil {
+		t.b.publish(c, p)
+	} else {
+		t.o.publish(c, key, p)
+	}
+}
+
+func (t writeTarget) deleteLocked(c *Ctx, key []byte, hash uint64) {
+	if t.b != nil {
+		t.b.deleteLocked(c, key, hash)
+	} else {
+		t.o.deleteLocked(c, key, hash)
 	}
 }
 
 // --- Hash-indexed map -----------------------------------------------------
 
-type bytesPlanKind uint8
-
-const (
-	bytesPlanDelete bytesPlanKind = iota
-	bytesPlanFresh                // new index key: link a planned index node
-	bytesPlanSwing                // prepend or head replace: swing the index node's value word
-	bytesPlanMid                  // mid-chain replace: swing the predecessor entry's next word
-)
-
-type bytesPlan struct {
-	kind     bytesPlanKind
-	e        Addr   // new entry extent (sets)
-	n        Addr   // planned index node (fresh) — or the existing node (swing)
-	old      uint64 // expected index-node value word (swing)
-	pred     Addr   // predecessor entry (mid)
-	replaced Addr   // replaced entry to retire (swing/mid; 0 for prepends)
-	next     Addr   // planned bucket successor (fresh)
-}
-
-// ApplyBatch applies ops in order with one shared content fence per group
-// (see the file comment for the phase structure and crash semantics). On
-// error the failing group's unpublished allocations are released and the
-// batch stops: earlier groups — and earlier *published* ops never exist,
-// publishes only start once the whole group is staged — remain applied.
-func (b *BytesMap) ApplyBatch(c *Ctx, ops []BytesOp) error {
-	if err := validateBytesOps(ops); err != nil {
+// stage looks op i's key up as a Get does (the links proving presence or
+// absence are made durable, §3), writes its entry with the chain tail it
+// will carry, and for a fresh index key stages the bucket node.
+func (b *BytesMap) stage(c *Ctx, ops []BytesOp, plans []writePlan, i int) error {
+	s, op, p := b.s, &ops[i], &plans[i]
+	hash := p.hash
+	bucket := b.idx.bucket(hash)
+	pred, curr, inPred := searchFrom(c, s, bucket, hash)
+	c.scan(hash)
+	c.ensureDurable(pred + nNext)
+	exists := s.nodeKey(curr) == hash
+	var head Addr
+	if exists {
+		c.ensureDurable(curr + nNext)
+		head = Addr(s.nodeValue(curr))
+		p.replaced, p.pred = b.findInChain(head, op.Key)
+	}
+	// The new entry's chain tail skips the entry it replaces (a mid-chain
+	// replacement publishes at its predecessor).
+	next := head
+	if p.replaced != 0 {
+		next = b.entryNext(p.replaced)
+	}
+	var err error
+	if p.e, err = writeBytesEntry(c, hash, op.Key, op.Value, op.Meta, op.Aux, next); err != nil {
 		return err
 	}
-	hashes := make([]uint64, len(ops))
-	for i := range ops {
-		hashes[i] = bytesHash(ops[i].Key)
-	}
-	return batchGroups(hashes, func(start, end int) error {
-		return b.applyGroup(c, ops[start:end], hashes[start:end])
-	})
-}
-
-func (b *BytesMap) applyGroup(c *Ctx, ops []BytesOp, hashes []uint64) error {
-	unlock := b.s.lockStripes(hashes)
-	defer unlock()
-	c.ep.Begin()
-	defer c.ep.End()
-	dev := b.s.dev
-
-	plans := make([]bytesPlan, len(ops))
-	// freshInBucket tracks the group's planned fresh index nodes per bucket,
-	// so later plans can aim at nodes that will exist by their publish turn.
-	var freshInBucket map[Addr][]int
-	release := func(upto int) {
-		for i := 0; i < upto; i++ {
-			if p := &plans[i]; !ops[i].Del {
-				if p.e != 0 {
-					c.alloc.Free(p.e)
-				}
-				if p.kind == bytesPlanFresh && p.n != 0 {
-					c.alloc.Free(p.n)
-				}
+	switch {
+	case exists && p.pred == 0:
+		// Prepend (nothing replaced) or head replace: either way the index
+		// node's value word swings from the current head to the new entry.
+		p.kind, p.n = planSwing, curr
+	case exists:
+		p.kind = planMid
+	default:
+		// Plan the bucket successor against live state plus the group's
+		// earlier planned nodes: the smallest planned hash in
+		// (hash, key(curr)) will have been linked before this op's publish
+		// turn.
+		succ, succKey := curr, s.nodeKey(curr)
+		for j := range plans[:i] {
+			q := &plans[j]
+			if q.hash > hash && q.hash < succKey && q.kind == planFresh && b.idx.bucket(q.hash) == bucket {
+				succ, succKey = q.n, q.hash
 			}
 		}
-	}
-
-	// Phase 1: stage entries and plan publish points.
-	for i := range ops {
-		hash := hashes[i]
-		p := &plans[i]
-		if ops[i].Del {
-			p.kind = bytesPlanDelete
-			continue
-		}
-		bucket := b.idx.bucket(hash)
-		_, curr, _ := searchFrom(c, b.s, bucket, hash)
-		exists := b.s.nodeKey(curr) == hash
-		var head, replaced, predE Addr
-		if exists {
-			head = Addr(b.s.nodeValue(curr))
-			replaced, predE = b.findInChain(head, ops[i].Key)
-		}
-		next := head
-		if replaced != 0 {
-			next = b.entryNext(replaced)
-		}
-		e, err := writeBytesEntry(c, hash, ops[i].Key, ops[i].Value, ops[i].Meta, ops[i].Aux, next)
+		n, err := c.ep.AllocNode(listClass)
 		if err != nil {
-			release(i)
 			return err
 		}
-		p.e = e
-		switch {
-		case !exists:
-			// Plan the bucket successor against live state plus the group's
-			// earlier planned nodes in this bucket: the smallest planned hash
-			// in (hash, key(curr)) will have been linked before this op's
-			// publish turn.
-			succ := curr
-			succKey := b.s.nodeKey(curr)
-			for _, j := range freshInBucket[bucket] {
-				if hj := hashes[j]; hj > hash && hj < succKey {
-					succ, succKey = plans[j].n, hj
-				}
-			}
-			n, err := c.ep.AllocNode(listClass)
-			if err != nil {
-				c.alloc.Free(e)
-				release(i)
-				return err
-			}
-			dev.StorePrivate(n+nKey, hash)
-			dev.StorePrivate(n+nValue, uint64(e))
-			dev.StorePrivate(n+nNext, uint64(succ))
-			c.clwb(n)
-			p.kind, p.n, p.next = bytesPlanFresh, n, succ
-			if freshInBucket == nil {
-				freshInBucket = make(map[Addr][]int)
-			}
-			freshInBucket[bucket] = append(freshInBucket[bucket], i)
-		case predE == 0:
-			// Prepend (replaced == 0) or head replace: either way the index
-			// node's value word swings from the current head to e.
-			p.kind, p.n, p.old, p.replaced = bytesPlanSwing, curr, uint64(head), replaced
-		default:
-			p.kind, p.pred, p.replaced = bytesPlanMid, predE, replaced
-		}
-	}
-
-	// Phase 2: one pause covers every staged entry, index node and allocator
-	// metadata line.
-	c.fence()
-
-	// Phase 3: publish in op order — each publish is its own fenced
-	// linearization, so batch order is durability order (prefix semantics).
-	for i := range ops {
-		hash := hashes[i]
-		switch p := &plans[i]; p.kind {
-		case bytesPlanDelete:
-			b.deleteLocked(c, ops[i].Key, hash)
-		case bytesPlanFresh:
-			b.publishFresh(c, hash, p)
-		case bytesPlanSwing:
-			if p.replaced != 0 {
-				c.ep.PreRetire(p.replaced)
-			}
-			c.scan(hash)
-			if dev.CAS(p.n+nValue, p.old, uint64(p.e)) {
-				c.sync(p.n + nValue)
-			} else {
-				// Unreachable while the stripe is held; fall back to the
-				// general upsert rather than trusting the plan.
-				listUpsert(c, b.s, b.idx.bucket(hash), hash, uint64(p.e))
-			}
-			if p.replaced != 0 {
-				c.ep.Retire(p.replaced)
-			}
-		case bytesPlanMid:
-			c.ep.PreRetire(p.replaced)
-			dev.Store(p.pred+beNext, uint64(p.e))
-			c.sync(p.pred + beNext)
-			c.ep.Retire(p.replaced)
-		}
+		dev := s.dev
+		dev.StorePrivate(n+nKey, hash)
+		dev.StorePrivate(n+nValue, uint64(p.e))
+		dev.StorePrivate(n+nNext, uint64(succ))
+		c.clwb(n)
+		p.kind, p.n, p.pred, p.inPred, p.next = planFresh, n, pred, inPred, succ
 	}
 	return nil
 }
 
-// publishFresh links a staged index node into its bucket with the standard
-// insert retry loop. The node's contents (including its planned next link)
-// are already durable from the group fence; only if the bucket moved since
-// planning does the next link need one extra sync before the linearizing
+func (b *BytesMap) publish(c *Ctx, p *writePlan) {
+	dev := b.s.dev
+	switch p.kind {
+	case planFresh:
+		b.publishFresh(c, p)
+	case planSwing:
+		c.scan(p.hash)
+		dev.Store(p.n+nValue, uint64(p.e))
+		c.sync(p.n + nValue)
+	case planMid:
+		// One atomic durable word swap: the old entry and the new one trade
+		// reachability at this single point.
+		dev.Store(p.pred+beNext, uint64(p.e))
+		c.sync(p.pred + beNext)
+	}
+}
+
+// publishFresh links a staged index node into its bucket after the planned
+// predecessor, walking the bucket again only if that link moved since
+// planning. The node's contents (including its planned next link) are
+// already durable from the group fence; only if the walk finds a different
+// successor does the next link need one extra sync before the linearizing
 // link-and-persist — a concurrent reader may help-persist the link the
 // moment the CAS lands, so the node must be entirely durable first (§3).
-func (b *BytesMap) publishFresh(c *Ctx, hash uint64, p *bytesPlan) {
+func (b *BytesMap) publishFresh(c *Ctx, p *writePlan) {
 	s := b.s
-	dev := s.dev
-	bucket := b.idx.bucket(hash)
+	pred, inPred := p.pred, p.inPred
 	for {
-		pred, curr, inPred := searchFrom(c, s, bucket, hash)
-		c.scan(hash)
-		if s.nodeKey(curr) == hash {
-			// Unreachable while the stripe is held (no other op can create
-			// this index key); defensive: publish through the value word and
-			// drop the never-visible planned node.
-			listUpsert(c, s, bucket, hash, uint64(p.e))
-			c.alloc.Free(p.n)
-			return
-		}
+		// All adjacent links of the predecessor must be durable before
+		// linking (Figure 1, step 1): its outgoing edge, and its incoming
+		// edge — which may still sit in the link cache under pred's key.
+		c.scan(p.hash)
 		if inPred != 0 {
 			c.ensureDurable(inPred)
 			c.scan(s.nodeKey(pred))
 		}
 		predW := c.loadClean(pred + nNext)
-		if ptrtag.Addr(predW) != curr || ptrtag.IsMarked(predW) {
-			continue
+		if ptrtag.Addr(predW) == p.next && !ptrtag.IsMarked(predW) &&
+			c.linkCached(p.hash, pred+nNext, predW, uint64(p.n)) {
+			return
 		}
+		// The stripe keeps this index key absent, so the walk ends before a
+		// node of our own hash.
+		var curr Addr
+		pred, curr, inPred = searchFrom(c, s, b.idx.bucket(p.hash), p.hash)
 		if curr != p.next {
-			dev.Store(p.n+nNext, uint64(curr))
+			s.dev.Store(p.n+nNext, uint64(curr))
 			c.sync(p.n + nNext)
 			p.next = curr
-		}
-		if c.linkCached(hash, pred+nNext, predW, uint64(p.n)) {
-			return
 		}
 	}
 }
 
 // --- Ordered map ----------------------------------------------------------
 
-type orderedPlanKind uint8
-
-const (
-	orderedPlanDelete  orderedPlanKind = iota
-	orderedPlanFresh                   // link a staged node into the skip list
-	orderedPlanReplace                 // swing an existing node's entry reference
-)
-
-type orderedPlan struct {
-	kind  orderedPlanKind
-	e     Addr // new entry extent (sets)
-	n     Addr // staged node (fresh) — or the existing node (replace)
-	top   int
-	succ0 Addr // planned level-0 successor (fresh)
-	preds [MaxLevel]Addr
-	succs [MaxLevel]Addr
-}
-
-// ApplyBatch applies ops in order with one shared content fence per group;
-// see BytesMap.ApplyBatch for the phase structure and crash semantics.
-func (o *OrderedBytesMap) ApplyBatch(c *Ctx, ops []BytesOp) error {
-	if err := validateBytesOps(ops); err != nil {
+// stage finds op i's key. A present key gets a replacement entry for its
+// node; an absent one gets its entry and a staged skip-list node whose
+// level-0 successor accounts for the group's earlier staged nodes.
+func (o *OrderedBytesMap) stage(c *Ctx, ops []BytesOp, plans []writePlan, i int) error {
+	op, p := &ops[i], &plans[i]
+	key := op.Key
+	var err error
+	if o.find(c, key, &p.preds, &p.succs) {
+		// Replace in place: one durable word swap of the node's entry
+		// reference trades the old and new extents' reachability. The links
+		// this operation depends on must be durable first (§3/§4), which
+		// also flushes any cached link from the insert that created the key.
+		p.n = p.succs[0]
+		c.scan(p.hash)
+		c.ensureDurable(p.preds[0] + oNext(0))
+		c.ensureDurable(p.n + oNext(0))
+		if p.e, err = writeBytesEntry(c, p.hash, key, op.Value, op.Meta, op.Aux, 0); err != nil {
+			return err
+		}
+		p.kind, p.replaced = planSwing, o.nodeEntry(p.n)
+		return nil
+	}
+	if p.e, err = writeBytesEntry(c, p.hash, key, op.Value, op.Meta, op.Aux, 0); err != nil {
 		return err
 	}
-	hashes := make([]uint64, len(ops))
-	for i := range ops {
-		hashes[i] = bytesHash(ops[i].Key)
+	top := c.randomLevel()
+	if int(o.hint.Load()) < top {
+		// The tower outgrows the current descent hint: raise it before any
+		// level links, and re-run find to fill preds/succs for the newly
+		// walked levels (rare — the hint rises O(log n) times in total).
+		o.bumpHint(top)
+		o.find(c, key, &p.preds, &p.succs)
 	}
-	return batchGroups(hashes, func(start, end int) error {
-		return o.applyGroup(c, ops[start:end], hashes[start:end])
-	})
+	n, err := c.ep.AllocNode(oClassFor(top))
+	if err != nil {
+		return err
+	}
+	// Plan the level-0 successor against live state plus the group's earlier
+	// staged nodes: the smallest staged key in (key, key(succ)) will have
+	// been linked before this op's publish turn.
+	succ0 := p.succs[0]
+	var bestKey []byte
+	for j := range plans[:i] {
+		if plans[j].kind != planFresh {
+			continue
+		}
+		kj := ops[j].Key
+		if bytes.Compare(kj, key) > 0 && o.cmpNode(p.succs[0], kj) > 0 &&
+			(bestKey == nil || bytes.Compare(kj, bestKey) < 0) {
+			bestKey, succ0 = kj, plans[j].n
+		}
+	}
+	dev := o.s.dev
+	dev.StorePrivate(n+oEntry, uint64(p.e))
+	dev.StorePrivate(n+oTop, uint64(top))
+	for level := 0; level <= top; level++ {
+		dev.StorePrivate(n+oNext(level), p.succs[level])
+	}
+	dev.StorePrivate(n+oNext(0), succ0)
+	c.clwb(n) // covers entry, top, next[0..5]
+	p.kind, p.n, p.top, p.next = planFresh, n, top, succ0
+	return nil
 }
 
-func (o *OrderedBytesMap) applyGroup(c *Ctx, ops []BytesOp, hashes []uint64) error {
-	unlock := o.s.lockStripes(hashes)
-	defer unlock()
-	c.ep.Begin()
-	defer c.ep.End()
-	dev := o.s.dev
-
-	plans := make([]orderedPlan, len(ops))
-	var fresh []int // indices of earlier fresh plans, for successor planning
-	release := func(upto int) {
-		for i := 0; i < upto; i++ {
-			if p := &plans[i]; !ops[i].Del {
-				if p.e != 0 {
-					c.alloc.Free(p.e)
-				}
-				if p.kind == orderedPlanFresh && p.n != 0 {
-					c.alloc.Free(p.n)
-				}
-			}
-		}
+func (o *OrderedBytesMap) publish(c *Ctx, key []byte, p *writePlan) {
+	if p.kind == planFresh {
+		o.publishFresh(c, key, p)
+		return
 	}
-
-	// Phase 1: stage entries and nodes.
-	for i := range ops {
-		hash := hashes[i]
-		key := ops[i].Key
-		p := &plans[i]
-		if ops[i].Del {
-			p.kind = orderedPlanDelete
-			continue
-		}
-		if o.find(c, key, &p.preds, &p.succs) {
-			node := p.succs[0]
-			c.scan(hash)
-			c.ensureDurable(p.preds[0] + oNext(0))
-			c.ensureDurable(node + oNext(0))
-			e, err := writeBytesEntry(c, hash, key, ops[i].Value, ops[i].Meta, ops[i].Aux, 0)
-			if err != nil {
-				release(i)
-				return err
-			}
-			p.kind, p.e, p.n = orderedPlanReplace, e, node
-			continue
-		}
-		e, err := writeBytesEntry(c, hash, key, ops[i].Value, ops[i].Meta, ops[i].Aux, 0)
-		if err != nil {
-			release(i)
-			return err
-		}
-		top := c.randomLevel()
-		if int(o.hint.Load()) < top {
-			o.bumpHint(top)
-			o.find(c, key, &p.preds, &p.succs)
-		}
-		n, err := c.ep.AllocNode(oClassFor(top))
-		if err != nil {
-			c.alloc.Free(e)
-			release(i)
-			return err
-		}
-		// Plan the level-0 successor against live state plus the group's
-		// earlier staged nodes: the smallest staged key in (key, key(succ))
-		// will have been linked before this op's publish turn.
-		succ0 := p.succs[0]
-		var bestKey []byte
-		for _, j := range fresh {
-			kj := ops[j].Key
-			if bytes.Compare(kj, key) > 0 && o.cmpNode(p.succs[0], kj) > 0 {
-				if bestKey == nil || bytes.Compare(kj, bestKey) < 0 {
-					bestKey, succ0 = kj, plans[j].n
-				}
-			}
-		}
-		dev.StorePrivate(n+oEntry, uint64(e))
-		dev.StorePrivate(n+oTop, uint64(top))
-		for level := 0; level <= top; level++ {
-			dev.StorePrivate(n+oNext(level), p.succs[level])
-		}
-		dev.StorePrivate(n+oNext(0), succ0)
-		c.clwb(n) // covers entry, top, next[0..5]
-		p.kind, p.e, p.n, p.top, p.succ0 = orderedPlanFresh, e, n, top, succ0
-		fresh = append(fresh, i)
-	}
-
-	// Phase 2: one pause for the whole group's content lines.
-	c.fence()
-
-	// Phase 3: publish in op order.
-	for i := range ops {
-		hash := hashes[i]
-		key := ops[i].Key
-		switch p := &plans[i]; p.kind {
-		case orderedPlanDelete:
-			o.deleteLocked(c, key, hash)
-		case orderedPlanReplace:
-			old := o.nodeEntry(p.n)
-			c.ep.PreRetire(old)
-			dev.Store(p.n+oEntry, uint64(p.e))
-			c.sync(p.n + oEntry)
-			c.ep.Retire(old)
-		case orderedPlanFresh:
-			o.publishFresh(c, hash, key, p)
-		}
-	}
-	return nil
+	o.s.dev.Store(p.n+oEntry, uint64(p.e))
+	c.sync(p.n + oEntry)
 }
 
 // publishFresh links a staged skip-list node at level 0 (the durable
 // linearization) and then its index levels. The node is already durable from
 // the group fence; only if its planned successor moved does the level-0 link
 // need one extra sync before the linearizing link-and-persist.
-func (o *OrderedBytesMap) publishFresh(c *Ctx, hash uint64, key []byte, p *orderedPlan) {
+func (o *OrderedBytesMap) publishFresh(c *Ctx, key []byte, p *writePlan) {
 	dev := o.s.dev
 	for {
-		c.scan(hash)
+		// The predecessor's adjacent level-0 links must be durable pre-link;
+		// its incoming link may be cached under its own hash.
+		c.scan(p.hash)
 		c.scan(o.nodeHash(p.preds[0]))
 		predW := c.loadClean(p.preds[0] + oNext(0))
-		if ptrtag.Addr(predW) != p.succ0 || ptrtag.IsMarked(predW) {
-			o.find(c, key, &p.preds, &p.succs)
-			if p.succs[0] != p.succ0 {
-				dev.Store(p.n+oNext(0), p.succs[0])
-				c.sync(p.n + oNext(0))
-				p.succ0 = p.succs[0]
-			}
-			continue
-		}
-		if c.linkCached(hash, p.preds[0]+oNext(0), predW, p.n) {
+		if ptrtag.Addr(predW) == p.next && !ptrtag.IsMarked(predW) &&
+			c.linkCached(p.hash, p.preds[0]+oNext(0), predW, p.n) {
 			break
 		}
 		o.find(c, key, &p.preds, &p.succs)
-		if p.succs[0] != p.succ0 {
+		if p.succs[0] != p.next {
 			dev.Store(p.n+oNext(0), p.succs[0])
 			c.sync(p.n + oNext(0))
-			p.succ0 = p.succs[0]
+			p.next = p.succs[0]
 		}
 	}
 	o.linkTower(c, key, p.n, p.top, &p.preds, &p.succs)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
-	"sync"
 
 	"repro/internal/nvram"
 	"repro/internal/pmem"
@@ -136,10 +135,6 @@ func (b *BytesMap) NumBuckets() int { return b.idx.NumBuckets() }
 
 // Tail returns the index tail sentinel address (persist it).
 func (b *BytesMap) Tail() Addr { return b.idx.Tail() }
-
-func (b *BytesMap) lock(hash uint64) *sync.Mutex {
-	return &b.s.bytesLocks[hash%uint64(len(b.s.bytesLocks))]
-}
 
 // storeBytesPair writes the concatenation p||q into the device word by word
 // without materializing the concatenation (the entry write path stores
@@ -480,97 +475,21 @@ func (b *BytesMap) Contains(c *Ctx, key []byte) bool {
 	return ok
 }
 
-// Set binds key to value (with metadata and aux word), durably: the entry is
-// fully persisted before the single atomic link that publishes it, so a
-// crash leaves either the old binding or the new one, never neither. Returns
-// whether the key was newly created. May return ErrOutOfMemory-wrapping
-// errors under memory pressure; the caller owns eviction policy.
+// Set binds key to value (with metadata and aux word), durably: a one-op
+// group of the write path (batch.go), so the entry is fully persisted before
+// the single atomic link that publishes it, and a crash leaves either the
+// old binding or the new one, never neither. Returns whether the key was
+// newly created. May return ErrOutOfMemory-wrapping errors under memory
+// pressure; the caller owns eviction policy.
 func (b *BytesMap) Set(c *Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	if len(key) == 0 || len(key) > MaxBytesKeyLen {
-		return false, ErrBadKey
-	}
-	if beData+len(key)+len(value) > MaxBytesEntrySize {
-		return false, ErrTooLarge
-	}
-	hash := bytesHash(key)
-	mu := b.lock(hash)
-	mu.Lock()
-	defer mu.Unlock()
-	c.ep.Begin()
-	defer c.ep.End()
-	dev := b.s.dev
-
-	head, exists := b.chainHead(c, hash)
-	var replaced, pred Addr
-	if exists {
-		replaced, pred = b.findInChain(head, key)
-	}
-	// The new entry's chain tail skips the entry it replaces (for a
-	// mid-chain replacement the publish happens at its predecessor, below).
-	next := head
-	if replaced != 0 {
-		next = b.entryNext(replaced)
-	}
-	// The entry's write-backs are now pending in the flusher; each branch
-	// below completes them with exactly one fence before the entry's
-	// address can persist anywhere (fence budget: ≤2 sync-waits per Set —
-	// one for the content batch, one for the publishing link).
-	e, err := writeBytesEntry(c, hash, key, value, meta, aux, next)
-	if err != nil {
-		return false, err
-	}
-	if replaced != 0 {
-		// The publish makes the old entry durably unreachable; its area must
-		// be in the APT first (§5.4).
-		c.ep.PreRetire(replaced)
-	}
-	switch {
-	case !exists:
-		// Fresh index key. listInsert fences its index node together with
-		// our pending entry lines before the linearizing link CAS — the
-		// content batch costs one pause for node and entry combined. (A
-		// concurrent set of a *different* key with the same hash may have
-		// inserted the index entry meanwhile — same hash means same stripe,
-		// so no same-key race; Insert failing means the key appeared, so
-		// chain through upsert below.)
-		if !listInsert(c, b.s, b.idx.bucket(hash), hash, uint64(e)) {
-			// Index key appeared after our lookup. Re-link our entry onto the
-			// current chain head and publish via upsert.
-			h2, _ := b.chainHead(c, hash)
-			dev.Store(e+beNext, uint64(h2))
-			c.sync(e + beNext)
-			listUpsert(c, b.s, b.idx.bucket(hash), hash, uint64(e))
-		}
-	case replaced == 0:
-		// New key on an existing chain: prepend. The index value CAS in
-		// listUpsert publishes the entry, so its contents must be durable
-		// first.
-		c.fence()
-		listUpsert(c, b.s, b.idx.bucket(hash), hash, uint64(e))
-	case pred == 0:
-		// Replacing the chain head: swing the index value (same publish
-		// ordering as above).
-		c.fence()
-		listUpsert(c, b.s, b.idx.bucket(hash), hash, uint64(e))
-	default:
-		// Replacing mid-chain: swing the predecessor's next link. One atomic
-		// durable word swap — the old entry and the new one trade
-		// reachability at this single point. Contents first, then the swing.
-		c.fence()
-		dev.Store(pred+beNext, uint64(e))
-		c.sync(pred + beNext)
-	}
-	if replaced != 0 {
-		c.ep.Retire(replaced)
-	}
-	return replaced == 0, nil
+	return writeTarget{b: b}.set(c, key, value, meta, aux)
 }
 
 // SetAux durably replaces the aux word of an existing entry in place
 // (touch-style update: no entry rewrite). Returns false if key is absent.
 func (b *BytesMap) SetAux(c *Ctx, key []byte, aux uint64) bool {
 	hash := bytesHash(key)
-	mu := b.lock(hash)
+	mu := b.s.stripe(hash)
 	mu.Lock()
 	defer mu.Unlock()
 	c.ep.Begin()
@@ -591,7 +510,7 @@ func (b *BytesMap) SetAux(c *Ctx, key []byte, aux uint64) bool {
 // Delete removes key durably. Returns false if key is absent.
 func (b *BytesMap) Delete(c *Ctx, key []byte) bool {
 	hash := bytesHash(key)
-	mu := b.lock(hash)
+	mu := b.s.stripe(hash)
 	mu.Lock()
 	defer mu.Unlock()
 	c.ep.Begin()
@@ -600,7 +519,7 @@ func (b *BytesMap) Delete(c *Ctx, key []byte) bool {
 }
 
 // deleteLocked is Delete's body: the caller holds the key's stripe lock and
-// an open epoch section (the batch path shares both across many ops).
+// an open epoch section (the write path shares both across a group's ops).
 func (b *BytesMap) deleteLocked(c *Ctx, key []byte, hash uint64) bool {
 	dev := b.s.dev
 

@@ -127,11 +127,6 @@ func (o *OrderedBytesMap) Head() Addr { return o.head }
 // Tail returns the tail sentinel address (persist it).
 func (o *OrderedBytesMap) Tail() Addr { return o.tail }
 
-func (o *OrderedBytesMap) lock(hash uint64) { o.s.bytesLocks[hash%uint64(len(o.s.bytesLocks))].Lock() }
-func (o *OrderedBytesMap) unlock(hash uint64) {
-	o.s.bytesLocks[hash%uint64(len(o.s.bytesLocks))].Unlock()
-}
-
 // nodeEntry reads a node's entry reference (0 for head, ^0 for tail).
 func (o *OrderedBytesMap) nodeEntry(n Addr) Addr { return Addr(o.s.dev.Load(n + oEntry)) }
 
@@ -303,106 +298,18 @@ func (o *OrderedBytesMap) Contains(c *Ctx, key []byte) bool {
 	return ok
 }
 
-// Set binds key to value (with metadata and aux word), durably: the entry
-// is fully persisted before the single atomic link (new node's level-0
-// link-and-persist, or the entry-reference swap of an existing node) that
-// publishes it. Returns whether the key was newly created. May return
-// ErrOutOfMemory-wrapping errors under memory pressure.
+// Set binds key to value (with metadata and aux word), durably: a one-op
+// group of the write path (batch.go), so the entry is fully persisted before
+// the single atomic link (new node's level-0 link-and-persist, or the
+// entry-reference swap of an existing node) that publishes it. Returns
+// whether the key was newly created. May return ErrOutOfMemory-wrapping
+// errors under memory pressure.
 func (o *OrderedBytesMap) Set(c *Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	if len(key) == 0 || len(key) > MaxBytesKeyLen {
-		return false, ErrBadKey
-	}
-	if beData+len(key)+len(value) > MaxBytesEntrySize {
-		return false, ErrTooLarge
-	}
-	hash := bytesHash(key)
-	o.lock(hash)
-	defer o.unlock(hash)
-	c.ep.Begin()
-	defer c.ep.End()
-	dev := o.s.dev
-
-	var preds, succs [MaxLevel]Addr
-	if o.find(c, key, &preds, &succs) {
-		// Replace in place: one durable word swap of the node's entry
-		// reference trades the old and new extents' reachability. The links
-		// this operation depends on must be durable first (§3/§4), which
-		// also flushes any cached link from the insert that created the key.
-		node := succs[0]
-		c.scan(hash)
-		c.ensureDurable(preds[0] + oNext(0))
-		c.ensureDurable(node + oNext(0))
-		e, err := writeBytesEntry(c, hash, key, value, meta, aux, 0)
-		if err != nil {
-			return false, err
-		}
-		// Entry contents durable before the swap can persist (fence budget:
-		// one pause for the content batch, one for the publishing sync).
-		c.fence()
-		old := o.nodeEntry(node)
-		// The swap makes the old entry durably unreachable; its area must be
-		// in the APT first (§5.4).
-		c.ep.PreRetire(old)
-		dev.Store(node+oEntry, uint64(e))
-		c.sync(node + oEntry)
-		c.ep.Retire(old)
-		return false, nil
-	}
-
-	// Fresh key. The entry is written once; only the link is retried. The
-	// stripe lock serializes the lifecycle of this key, so no same-key
-	// insert or delete can race — but inserts of *different* keys can move
-	// the predecessors, hence the retry loop.
-	e, err := writeBytesEntry(c, hash, key, value, meta, aux, 0)
-	if err != nil {
-		return false, err
-	}
-	top := c.randomLevel()
-	if int(o.hint.Load()) < top {
-		// The tower outgrows the current descent hint: raise it before any
-		// level links, and re-run find to fill preds/succs for the newly
-		// walked levels (rare — the hint rises O(log n) times in total).
-		o.bumpHint(top)
-		o.find(c, key, &preds, &succs)
-	}
-	n, err := c.ep.AllocNode(oClassFor(top))
-	if err != nil {
-		c.alloc.Free(e) // never visible
-		return false, err
-	}
-	for {
-		c.scan(hash)
-		// Predecessor's adjacent level-0 links must be durable pre-link; its
-		// incoming link may be cached under its own hash.
-		c.scan(o.nodeHash(preds[0]))
-		predW := c.loadClean(preds[0] + oNext(0))
-		if ptrtag.Addr(predW) != succs[0] || ptrtag.IsMarked(predW) {
-			o.find(c, key, &preds, &succs)
-			continue
-		}
-		// The node is unpublished until the level-0 link CAS below, so its
-		// initialization uses private stores (the CAS is the release point).
-		dev.StorePrivate(n+oEntry, uint64(e))
-		dev.StorePrivate(n+oTop, uint64(top))
-		for i := 0; i <= top; i++ {
-			dev.StorePrivate(n+oNext(i), succs[i])
-		}
-		c.clwb(n) // covers entry, top, next[0..5]
-		// One pause for the whole content batch: the node line AND the entry
-		// extent's lines still pending from writeBytesEntry become durable
-		// together, before the linearizing link can make them reachable.
-		c.fence()
-		if c.linkCached(hash, preds[0]+oNext(0), predW, n) {
-			break
-		}
-		o.find(c, key, &preds, &succs)
-	}
-	o.linkTower(c, key, n, top, &preds, &succs)
-	return true, nil
+	return writeTarget{o: o}.set(c, key, value, meta, aux)
 }
 
 // linkTower links a freshly published node's index levels (volatile quality;
-// rebuilt on recovery). Shared by Set and the batch publish path.
+// rebuilt on recovery).
 func (o *OrderedBytesMap) linkTower(c *Ctx, key []byte, n Addr, top int, preds, succs *[MaxLevel]Addr) {
 	dev := o.s.dev
 	for level := 1; level <= top; level++ {
@@ -436,8 +343,9 @@ func (o *OrderedBytesMap) linkTower(c *Ctx, key []byte, n Addr, top int, preds, 
 // (touch-style update: no entry rewrite). Returns false if key is absent.
 func (o *OrderedBytesMap) SetAux(c *Ctx, key []byte, aux uint64) bool {
 	hash := bytesHash(key)
-	o.lock(hash)
-	defer o.unlock(hash)
+	mu := o.s.stripe(hash)
+	mu.Lock()
+	defer mu.Unlock()
 	c.ep.Begin()
 	defer c.ep.End()
 	var preds, succs [MaxLevel]Addr
@@ -456,15 +364,16 @@ func (o *OrderedBytesMap) SetAux(c *Ctx, key []byte, aux uint64) bool {
 // key is absent.
 func (o *OrderedBytesMap) Delete(c *Ctx, key []byte) bool {
 	hash := bytesHash(key)
-	o.lock(hash)
-	defer o.unlock(hash)
+	mu := o.s.stripe(hash)
+	mu.Lock()
+	defer mu.Unlock()
 	c.ep.Begin()
 	defer c.ep.End()
 	return o.deleteLocked(c, key, hash)
 }
 
 // deleteLocked is Delete's body: the caller holds the key's stripe lock and
-// an open epoch section (the batch path shares both across many ops).
+// an open epoch section (the write path shares both across a group's ops).
 func (o *OrderedBytesMap) deleteLocked(c *Ctx, key []byte, hash uint64) bool {
 	dev := o.s.dev
 

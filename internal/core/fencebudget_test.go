@@ -31,12 +31,19 @@ import (
 // APT entries.
 func budgetStore(t *testing.T) (*Store, *Ctx) {
 	t.Helper()
+	return budgetStoreAreas(t, 20, 1<<20)
+}
+
+// budgetStoreAreas is budgetStore with 1<<areaShift-byte areas and
+// reclamation generations of genSize retired nodes.
+func budgetStoreAreas(t *testing.T, areaShift uint, genSize int) (*Store, *Ctx) {
+	t.Helper()
 	dev := nvram.New(nvram.Config{Size: 64 << 20})
 	s, err := NewStore(dev, Options{
 		MaxThreads:   1,
 		LinkCache:    false,
-		AreaShift:    20,
-		EpochGenSize: 1 << 20,
+		AreaShift:    areaShift,
+		EpochGenSize: genSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +125,73 @@ func TestFenceBudgetOrderedBytesMapSet(t *testing.T) {
 	}
 }
 
+// byteMapWriters opens each byte map on c and returns its Set (64-byte
+// values) and ApplyBatch.
+func byteMapWriters(t *testing.T) map[string]func(c *Ctx) (set func(key []byte, meta uint16) error, apply func([]BytesOp) error) {
+	val := make([]byte, 64)
+	return map[string]func(c *Ctx) (func([]byte, uint16) error, func([]BytesOp) error){
+		"map": func(c *Ctx) (func([]byte, uint16) error, func([]BytesOp) error) {
+			b, err := NewBytesMap(c, 1<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(k []byte, meta uint16) error { _, err := b.Set(c, k, val, meta, 0); return err },
+				func(ops []BytesOp) error { return b.ApplyBatch(c, ops) }
+		},
+		"ordered": func(c *Ctx) (func([]byte, uint16) error, func([]BytesOp) error) {
+			o, err := NewOrderedBytesMap(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(k []byte, meta uint16) error { _, err := o.Set(c, k, val, meta, 0); return err },
+				func(ops []BytesOp) error { return o.ApplyBatch(c, ops) }
+		},
+	}
+}
+
+// TestFenceBudgetUnlinkMiss: a replace whose only APT event is a PreRetire
+// miss — the replaced entry's area has left the table, the new entry's has
+// not, no trim runs and no generation is reclaimed — still costs two sync
+// waits on both maps. The miss is taken before the content fence, so its
+// durable table insert carries the pending content lines and the content
+// fence has nothing left to wait for. 4 KiB areas and 64-node generations
+// spread 4096 entries over ~128 areas, so replacing them oldest first misses
+// in the 128-entry table.
+func TestFenceBudgetUnlinkMiss(t *testing.T) {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("unlink-%06d", i)) }
+	const N = 4096
+	for name, open := range byteMapWriters(t) {
+		t.Run(name, func(t *testing.T) {
+			_, c := budgetStoreAreas(t, 12, 64)
+			set, _ := open(c)
+			for i := 0; i < N; i++ {
+				if err := set(key(i), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rows := 0
+			for i := 0; i < N; i++ {
+				before, waits := c.ep.Stats(), c.f.SyncWaits
+				if err := set(key(i), 1); err != nil {
+					t.Fatal(err)
+				}
+				after := c.ep.Stats()
+				if after.UnlinkMisses-before.UnlinkMisses != 1 || after.AllocMisses != before.AllocMisses ||
+					after.Trims != before.Trims || after.GensFreed != before.GensFreed {
+					continue // another APT event, or a reclaimed generation's frees
+				}
+				rows++
+				if got := c.f.SyncWaits - waits; got > 2 {
+					t.Fatalf("replace of %s with one unlink miss cost %d sync waits, budget is 2", key(i), got)
+				}
+			}
+			if rows < 64 {
+				t.Fatalf("only %d replaces had an unlink miss as their only APT event; the row needs 64", rows)
+			}
+		})
+	}
+}
+
 // TestFenceBudgetBatch pins the amortized batch budget: a 64-op all-Set
 // batch pays at most 64+2 sync waits — one publishing link per op, one
 // shared content fence, plus one of slack for an APT insertion as the batch
@@ -138,26 +212,10 @@ func TestFenceBudgetBatch(t *testing.T) {
 		}
 		return ops
 	}
-	apply := map[string]func(c *Ctx) func([]BytesOp) error{
-		"map": func(c *Ctx) func([]BytesOp) error {
-			b, err := NewBytesMap(c, 1<<10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return func(ops []BytesOp) error { return b.ApplyBatch(c, ops) }
-		},
-		"ordered": func(c *Ctx) func([]BytesOp) error {
-			o, err := NewOrderedBytesMap(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return func(ops []BytesOp) error { return o.ApplyBatch(c, ops) }
-		},
-	}
-	for name, build := range apply {
+	for name, open := range byteMapWriters(t) {
 		t.Run(name, func(t *testing.T) {
 			_, c := budgetStore(t)
-			commit := build(c)
+			_, commit := open(c)
 			// Warm the allocator and APT (cold-area insertion syncs are not
 			// part of the steady-state budget).
 			if err := commit(batch("warm", 0)); err != nil {
@@ -178,6 +236,74 @@ func TestFenceBudgetBatch(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestSetAllocs: a Set is a one-op group whose plan lives in the context's
+// scratch, so it makes no heap allocation, for a fresh key or a replace.
+func TestSetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const runs = 500
+	keys := make([][]byte, runs+1)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("allocs-%06d", i))
+	}
+	for name, open := range byteMapWriters(t) {
+		t.Run(name, func(t *testing.T) {
+			_, c := budgetStore(t)
+			set, _ := open(c)
+			for _, row := range []struct {
+				what string
+				meta uint16
+			}{{"fresh key", 0}, {"replace", 1}} {
+				i := 0
+				n := testing.AllocsPerRun(runs, func() {
+					if err := set(keys[i], row.meta); err != nil {
+						t.Fatal(err)
+					}
+					i++
+				})
+				if n != 0 {
+					t.Errorf("Set (%s): %v allocations, want 0", row.what, n)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchAllocs: a 64-op ApplyBatch reuses the context's plan and stripe
+// scratch; it allocates at most 7 times, fresh keys or replaces.
+func TestBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const runs, N = 20, 64
+	batches := make([][]BytesOp, runs+1)
+	for r := range batches {
+		batches[r] = make([]BytesOp, N)
+		for i := range batches[r] {
+			batches[r][i] = BytesOp{Key: []byte(fmt.Sprintf("allocs-%03d-%06d", r, i)), Value: make([]byte, 64)}
+		}
+	}
+	for name, open := range byteMapWriters(t) {
+		t.Run(name, func(t *testing.T) {
+			_, c := budgetStore(t)
+			_, apply := open(c)
+			for _, what := range []string{"fresh keys", "replace"} {
+				r := 0
+				n := testing.AllocsPerRun(runs, func() {
+					if err := apply(batches[r]); err != nil {
+						t.Fatal(err)
+					}
+					r++
+				})
+				if n > 7 {
+					t.Errorf("64-op ApplyBatch (%s): %v allocations, want ≤ 7", what, n)
+				}
 			}
 		})
 	}

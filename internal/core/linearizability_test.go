@@ -19,9 +19,9 @@ import (
 // returns (value, true) iff present, Search returns the current binding).
 //
 // The search is Wing & Gong style DFS, but exploits that ops are mostly
-// sequential per key: candidates at each step are limited to the window of
-// mutually concurrent front operations (≤ #threads), memoized on
-// (front-window choice set, abstract state).
+// sequential per key: candidates at each step are limited to the pending
+// operations invoked before the earliest pending response, memoized on
+// (set of operations taken, abstract state).
 
 type histEvent struct {
 	op       uint8 // 0 insert, 1 delete, 2 search
@@ -47,14 +47,15 @@ func linearizable(events []histEvent) bool {
 		present bool
 		value   uint64
 	}
-	// memo key: smallest untaken index + bitmask of taken ops in the
-	// following window + state.
+	// The memo is keyed on the whole taken set (as a bitset's bytes) plus
+	// the state: a DFS node's future depends on every op still pending,
+	// however far past the oldest one it lies.
 	type memoKey struct {
-		base  int
-		mask  uint64
+		taken string
 		state state
 	}
 	memo := make(map[memoKey]bool)
+	takenBits := make([]byte, (n+7)/8)
 
 	var dfs func(cur state, done int) bool
 	dfs = func(cur state, done int) bool {
@@ -65,13 +66,7 @@ func linearizable(events []histEvent) bool {
 		for base < n && taken[base] {
 			base++
 		}
-		var mask uint64
-		for i := base; i < n && i < base+64; i++ {
-			if taken[i] {
-				mask |= 1 << uint(i-base)
-			}
-		}
-		mk := memoKey{base, mask, cur}
+		mk := memoKey{string(takenBits), cur}
 		if seen, ok := memo[mk]; ok {
 			return seen
 		}
@@ -114,8 +109,10 @@ func linearizable(events []histEvent) bool {
 				continue
 			}
 			taken[i] = true
+			takenBits[i/8] ^= 1 << (i % 8)
 			result = dfs(next, done+1)
 			taken[i] = false
+			takenBits[i/8] ^= 1 << (i % 8)
 		}
 		memo[mk] = result
 		return result
@@ -168,6 +165,26 @@ func TestLinearizabilityCheckerSelfTest(t *testing.T) {
 	})
 	if ok {
 		t.Fatal("double successful insert accepted")
+	}
+	// Legal, but only if an op more than 64 positions past the oldest
+	// pending one is taken first: a long delete spans 63 searches and two
+	// overlapping inserts, x and then y. Taking x first is a dead end (y
+	// must follow it and precede r, which needs the key absent); taking y
+	// first linearizes as y, delete, r, x, r2. Both choices reach the same
+	// state with the same 63 searches taken and differ only in an op past
+	// that window, so a memo blind to it replays x's dead end for y.
+	long := []histEvent{{op: opDelete, retV: 5, ok: true, invoke: 0, response: 1000}}
+	for k := uint64(1); k <= 63; k++ {
+		long = append(long, histEvent{op: opSearch, invoke: 2 * k, response: 2*k + 1})
+	}
+	long = append(long,
+		histEvent{op: opInsert, val: 5, ok: true, invoke: 200, response: 400},  // x
+		histEvent{op: opInsert, val: 5, ok: true, invoke: 201, response: 202},  // y
+		histEvent{op: opSearch, invoke: 203, response: 204},                    // r
+		histEvent{op: opSearch, retV: 5, ok: true, invoke: 401, response: 402}, // r2
+	)
+	if !linearizable(long) {
+		t.Fatal("history needing an op past the 64-op window rejected")
 	}
 }
 

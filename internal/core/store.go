@@ -194,6 +194,13 @@ func unpackMeta(v uint64) Options {
 	}
 }
 
+// stripeOf is the index in bytesLocks of the stripe serializing index key
+// hash's entry lifecycle.
+func (s *Store) stripeOf(hash uint64) int { return int(hash % uint64(len(s.bytesLocks))) }
+
+// stripe is the lock of index key hash's stripe.
+func (s *Store) stripe(hash uint64) *sync.Mutex { return &s.bytesLocks[s.stripeOf(hash)] }
+
 // Device returns the underlying simulated NVRAM device.
 func (s *Store) Device() *nvram.Device { return s.dev }
 
@@ -229,6 +236,9 @@ type Ctx struct {
 	// walkKey is where BytesMap.Walk presents each entry's key to its
 	// visitor (a context walks one map at a time), so no key is allocated.
 	walkKey [MaxBytesKeyLen]byte
+
+	// w is the byte maps' write-path scratch (batch.go).
+	w writeScratch
 }
 
 func (s *Store) loadCtxs() []*Ctx    { return *s.ctxs.Load() }
