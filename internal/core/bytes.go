@@ -338,6 +338,22 @@ func bytesEntryAux(s *Store, e Addr) uint64 { return s.dev.Load(e + beAux) }
 
 func bytesEntryHash(s *Store, e Addr) uint64 { return s.dev.Load(e + beHash) }
 
+// entryShape vets the shape of an extent that may hold anything — an entry,
+// another structure's object, a stale slot — before it is read as an entry:
+// the key and value lengths fit class cl and the stored index hash lies in
+// the index range. It returns the extent's header word. Recovery and the
+// sweep (sweep.go) both rely on it.
+func entryShape(s *Store, e Addr, cl pmem.Class) (hdr uint64, ok bool) {
+	hdr = s.dev.Load(e + beHeader)
+	klen := int(hdr & 0xFFFF)
+	vlen := int(hdr >> 16 & 0xFFFFFFFF)
+	if klen < 1 || klen > MaxBytesKeyLen || beData+klen+vlen > int(pmem.ClassSizes[cl]) {
+		return hdr, false
+	}
+	h := s.dev.Load(e + beHash)
+	return hdr, h >= MinKey && h <= MaxKey
+}
+
 // EntryKey reads an entry's key bytes.
 func (b *BytesMap) EntryKey(e Addr) []byte { return bytesEntryKey(b.s, e) }
 

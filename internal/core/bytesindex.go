@@ -677,19 +677,14 @@ func (o *OrderedBytesMap) validNodeKey(n Addr) ([]byte, bool) {
 	return o.validEntryKey(e, ecl)
 }
 
-// validEntryKey vets an entry extent's shape (key/value lengths fit the
-// class, hash folded into the index range) and returns its key bytes.
+// validEntryKey vets an entry extent's shape (entryShape) and returns its key
+// bytes.
 func (o *OrderedBytesMap) validEntryKey(e Addr, cl pmem.Class) ([]byte, bool) {
-	hdr := o.s.dev.Load(e + beHeader)
-	klen := int(hdr & 0xFFFF)
-	vlen := int(hdr >> 16 & 0xFFFFFFFF)
-	if klen < 1 || klen > MaxBytesKeyLen || beData+klen+vlen > int(pmem.ClassSizes[cl]) {
+	hdr, ok := entryShape(o.s, e, cl)
+	if !ok {
 		return nil, false
 	}
-	if h := o.s.dev.Load(e + beHash); h < MinKey || h > MaxKey {
-		return nil, false
-	}
-	return loadBytes(o.s.dev, e+beData, klen), true
+	return loadBytes(o.s.dev, e+beData, int(hdr&0xFFFF)), true
 }
 
 // Recoverer returns the map's hook set for RecoverSet composition.

@@ -252,6 +252,12 @@ func (s *Store) newCtxLocked(tid int) (*Ctx, error) {
 		return nil, fmt.Errorf("%w: %d", ErrTooManyThreads, tid)
 	}
 	f := s.dev.NewFlusher()
+	if s.lc != nil {
+		// A link-cache flush joins whatever the operation already has
+		// pending: at most a largest entry's 32 lines plus a few index and
+		// allocator lines.
+		f.Reserve(s.lc.FlushLines() + 48)
+	}
 	if err := s.mgr.EnsureThread(tid, f); err != nil {
 		f.Release()
 		return nil, fmt.Errorf("%w: %d: %v", ErrTooManyThreads, tid, err)

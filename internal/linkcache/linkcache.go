@@ -6,7 +6,8 @@
 // update deposits the link's address in the cache and returns. When an
 // operation that depends on one of the cached links occurs (detected by the
 // mandatory Scan on every operation's key), the whole bucket is written back
-// as one batch — one sync for up to six links.
+// as one batch — one sync for up to six links. FlushAll, which the
+// reclamation hooks run, writes every bucket back under one sync.
 //
 // The cache is strictly best effort: if an insertion cannot reserve an entry
 // on the first try, or the bucket is being flushed, the caller falls back to
@@ -22,6 +23,8 @@
 package linkcache
 
 import (
+	"math/bits"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/nvram"
@@ -39,6 +42,10 @@ const (
 	stFree    = 0
 	stPending = 1
 	stBusy    = 2
+	// stSunk: written back by a flush that has not fenced yet. The entry
+	// stays taken until the flush releases its bucket, so a Scan that meets
+	// it waits for the fence instead of returning ahead of it.
+	stSunk = 3
 
 	flushFlag   = uint64(1)
 	stateShift  = 16 // states live at bits 16..27, 2 bits each
@@ -79,10 +86,14 @@ type Stats struct {
 	Adds      uint64
 	NoSpace   uint64
 	CASFails  uint64
-	Flushes   uint64
+	Flushes   uint64 // buckets written back, whatever triggered it
 	Scans     uint64
 	ScanHits  uint64
 	LinksSunk uint64 // links written back by flushes
+
+	Fences           uint64 // fences the flushes issued
+	DependentFlushes uint64 // buckets written back for a dependent operation (Scan, FlushBucketOf)
+	FlushAlls        uint64 // FlushAll calls
 }
 
 // Cache is a link cache for one device. Safe for concurrent use.
@@ -104,6 +115,9 @@ type Cache struct {
 	scans     atomic.Uint64
 	scanHits  atomic.Uint64
 	linksSunk atomic.Uint64
+	fences    atomic.Uint64
+	dependent atomic.Uint64
+	flushAlls atomic.Uint64
 }
 
 // New creates a cache with nbuckets buckets (the paper's configuration uses
@@ -125,8 +139,16 @@ func (c *Cache) Stats() Stats {
 		Scans:     c.scans.Load(),
 		ScanHits:  c.scanHits.Load(),
 		LinksSunk: c.linksSunk.Load(),
+
+		Fences:           c.fences.Load(),
+		DependentFlushes: c.dependent.Load(),
+		FlushAlls:        c.flushAlls.Load(),
 	}
 }
+
+// FlushLines is the most links one fence of FlushAll writes back: size a
+// flusher's pending batch by it (nvram.Flusher.Reserve).
+func (c *Cache) FlushLines() int { return min(len(c.buckets), flushRound) * entriesPerBucket }
 
 // mix is a 64-bit finalizer (splitmix64); bucket index and the 16-bit entry
 // hash are taken from independent bit ranges.
@@ -198,7 +220,8 @@ func (c *Cache) setState(b *bucket, i int, s uint64) {
 }
 
 // Scan searches the cache for links pertaining to key and enforces their
-// durability, per §4.2: a busy entry triggers a bucket flush; a pending
+// durability, per §4.2: a busy entry triggers a bucket flush, and an entry a
+// flush has written back but not yet fenced waits for that fence; a pending
 // entry whose data-structure CAS already happened gets its link written back
 // directly. Every data-structure operation calls Scan for its key (and for
 // the predecessor's key on updates) before returning.
@@ -212,8 +235,10 @@ func (c *Cache) Scan(f *nvram.Flusher, key uint64) {
 			continue
 		}
 		c.scanHits.Add(1)
-		if st == stBusy {
-			c.FlushBucket(f, b)
+		if st != stPending {
+			if c.flushBucket(f, b) {
+				c.dependent.Add(1)
+			}
 			return
 		}
 		// Pending: the inserter has reserved the entry but may or may not
@@ -234,42 +259,65 @@ func (c *Cache) Scan(f *nvram.Flusher, key uint64) {
 // FlushBucketOf flushes the bucket that key maps to.
 func (c *Cache) FlushBucketOf(f *nvram.Flusher, key uint64) {
 	b, _ := c.locate(key)
-	c.FlushBucket(f, b)
+	if c.flushBucket(f, b) {
+		c.dependent.Add(1)
+	}
 }
 
-// FlushBucket writes back every finalized entry in b under a single fence
-// (§4.2). If another thread is already flushing, it waits for that flush —
-// any entry that was busy when the caller observed it is guaranteed to be
-// written back before the in-progress flush completes, because the flusher
-// repeats until no busy entries remain.
-func (c *Cache) FlushBucket(f *nvram.Flusher, b *bucket) {
-	// Fast path: nothing finalized and nobody flushing — the common state
-	// when the epoch hooks sweep all buckets.
-	if ctrl := b.ctrl.Load(); ctrl&flushFlag == 0 {
-		busy := false
-		for i := 0; i < entriesPerBucket; i++ {
-			if state(ctrl, i) == stBusy {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			return
+// hasBusy reports whether a control word holds a finalized entry.
+func hasBusy(ctrl uint64) bool {
+	for i := 0; i < entriesPerBucket; i++ {
+		if state(ctrl, i) == stBusy {
+			return true
 		}
 	}
+	return false
+}
+
+// claim sets b's flush flag, or reports false at once if another flush holds
+// it.
+func (b *bucket) claim() bool {
 	for {
 		ctrl := b.ctrl.Load()
 		if ctrl&flushFlag != 0 {
-			// Wait out the concurrent flush.
-			for b.ctrl.Load()&flushFlag != 0 {
-			}
-			return
+			return false
 		}
 		if b.ctrl.CompareAndSwap(ctrl, ctrl|flushFlag) {
-			break
+			return true
 		}
 	}
-	c.flushes.Add(1)
+}
+
+// release frees the entries a flush of b wrote back and drops its flag, in
+// one step, once the flush's fence made them durable.
+func (b *bucket) release() {
+	for {
+		ctrl := b.ctrl.Load()
+		next := ctrl &^ flushFlag
+		for i := 0; i < entriesPerBucket; i++ {
+			if state(ctrl, i) == stSunk {
+				next = withState(next, i, stFree)
+			}
+		}
+		if b.ctrl.CompareAndSwap(ctrl, next) {
+			return
+		}
+	}
+}
+
+// waitFlushed yields until the flush holding b's flag releases it: flags are
+// held across a whole FlushAll, and a bare spin would keep the flusher off a
+// core it may be waiting for.
+func (b *bucket) waitFlushed() {
+	for b.ctrl.Load()&flushFlag != 0 {
+		runtime.Gosched()
+	}
+}
+
+// writeBack schedules the write-back of every busy entry of b, whose flag the
+// caller holds, until none is left, and returns how many it scheduled. The
+// caller's fence completes them.
+func (c *Cache) writeBack(f *nvram.Flusher, b *bucket) int {
 	wrote := 0
 	for {
 		progress := false
@@ -279,34 +327,96 @@ func (c *Cache) FlushBucket(f *nvram.Flusher, b *bucket) {
 				continue
 			}
 			f.CLWB(b.addr[i].Load())
-			c.setState(b, i, stFree)
+			c.setState(b, i, stSunk)
 			progress = true
 			wrote++
 		}
 		if !progress {
-			break
-		}
-	}
-	f.Fence() // one sync for the whole batch
-	c.busy.Add(-int64(wrote))
-	c.linksSunk.Add(uint64(wrote))
-	for {
-		ctrl := b.ctrl.Load()
-		if b.ctrl.CompareAndSwap(ctrl, ctrl&^flushFlag) {
-			return
+			return wrote
 		}
 	}
 }
 
-// FlushAll flushes every bucket. Used by the APT trim hook (§5.4: trimming
-// must ensure the cache holds no entries for the pages under consideration)
-// and at orderly shutdown.
+// fence completes a flush of buckets buckets holding links links: one sync
+// for the whole batch.
+func (c *Cache) fence(f *nvram.Flusher, buckets, links int) {
+	f.Fence()
+	c.fences.Add(1)
+	c.flushes.Add(uint64(buckets))
+	c.linksSunk.Add(uint64(links))
+	c.busy.Add(-int64(links))
+}
+
+// flushBucket writes back every finalized entry in b under a single fence
+// (§4.2) and reports whether it did. If another thread is already flushing
+// b, it waits for that flush and looks again: an entry can turn busy after
+// that flush wrote the bucket back.
+func (c *Cache) flushBucket(f *nvram.Flusher, b *bucket) (flushed bool) {
+	for {
+		// Fast path: nothing finalized and nobody flushing.
+		if ctrl := b.ctrl.Load(); ctrl&flushFlag == 0 && !hasBusy(ctrl) {
+			return false
+		}
+		if b.claim() {
+			c.fence(f, 1, c.writeBack(f, b))
+			b.release()
+			return true
+		}
+		b.waitFlushed()
+	}
+}
+
+// flushRound is how many buckets one FlushAll fence covers: the width of the
+// bit sets that hold its claims. The paper's 32-bucket cache takes one.
+const flushRound = 64
+
+// FlushAll writes back every finalized entry of the cache under one fence
+// per flushRound buckets. Used by the APT trim hook (§5.4: trimming must
+// ensure the cache holds no entries for the pages under consideration), by
+// reclamation, and at orderly shutdown.
 func (c *Cache) FlushAll(f *nvram.Flusher) {
+	c.flushAlls.Add(1)
 	if c.busy.Load() == 0 {
 		return // nothing finalized anywhere (the steady-state fast path)
 	}
-	for i := range c.buckets {
-		c.FlushBucket(f, &c.buckets[i])
+	for lo := 0; lo < len(c.buckets); lo += flushRound {
+		c.flushAllRound(f, c.buckets[lo:min(lo+flushRound, len(c.buckets))])
+	}
+}
+
+// flushAllRound is FlushAll over at most flushRound buckets. It claims, in
+// index order, every bucket holding a finalized entry, writes all their
+// entries back under one fence and releases them. Only then does it wait for
+// the buckets another flush held — a flush never waits while it holds a
+// flag, so flushes cannot wait on each other in a cycle — and goes over
+// those again, as flushBucket does.
+func (c *Cache) flushAllRound(f *nvram.Flusher, bs []bucket) {
+	for todo := ^uint64(0) >> (flushRound - len(bs)); todo != 0; { // bit i stands for bs[i]
+		var mine, theirs uint64
+		links := 0
+		for t := todo; t != 0; t &= t - 1 {
+			i := bits.TrailingZeros64(t)
+			b := &bs[i]
+			if ctrl := b.ctrl.Load(); ctrl&flushFlag == 0 && !hasBusy(ctrl) {
+				continue
+			}
+			if !b.claim() {
+				theirs |= 1 << i
+				continue
+			}
+			mine |= 1 << i
+			links += c.writeBack(f, b)
+		}
+		if mine != 0 {
+			c.fence(f, bits.OnesCount64(mine), links)
+			for m := mine; m != 0; m &= m - 1 {
+				bs[bits.TrailingZeros64(m)].release()
+			}
+		}
+		for t := theirs; t != 0; t &= t - 1 {
+			bs[bits.TrailingZeros64(t)].waitFlushed()
+		}
+		todo = theirs
 	}
 }
 

@@ -1,8 +1,11 @@
 package linkcache
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/nvram"
 	"repro/internal/ptrtag"
@@ -244,5 +247,125 @@ func TestStatsAccumulate(t *testing.T) {
 	s := c.Stats()
 	if s.Adds != 1 || s.Scans != 1 || s.Flushes == 0 {
 		t.Fatalf("unexpected stats: %+v", s)
+	}
+}
+
+// addBusy adds a finalized link for key at a, as an update would leave it.
+func addBusy(t *testing.T, dev *nvram.Device, c *Cache, key uint64, a Addr) {
+	t.Helper()
+	dev.Store(a, 1)
+	if res := c.TryLinkAndAdd(key, a, 1, 2|ptrtag.Dirty); res != Added {
+		t.Fatalf("add of key %d: %v", key, res)
+	}
+	dev.CAS(a, 2|ptrtag.Dirty, 2)
+}
+
+// TestFlushAllIsOneFence: FlushAll over k busy buckets pays one fence and one
+// sync wait and counts k bucket flushes; a dependent flush is counted apart.
+func TestFlushAllIsOneFence(t *testing.T) {
+	dev, c := newCache(t, 32)
+	f := dev.NewFlusher()
+	busy := map[*bucket]bool{}
+	for key := uint64(1); len(busy) < 5; key++ {
+		b, _ := c.locate(key)
+		if busy[b] {
+			continue
+		}
+		busy[b] = true
+		addBusy(t, dev, c, key, Addr(128+64*len(busy)))
+	}
+	fences, waits, before := f.Fences, f.SyncWaits, c.Stats()
+	c.FlushAll(f)
+	after := c.Stats()
+	if f.Fences-fences != 1 || f.SyncWaits-waits != 1 {
+		t.Fatalf("FlushAll over %d buckets: %d fences, %d sync waits; want 1 and 1",
+			len(busy), f.Fences-fences, f.SyncWaits-waits)
+	}
+	if got := after.Flushes - before.Flushes; got != uint64(len(busy)) {
+		t.Fatalf("Flushes grew by %d, want %d (buckets written back)", got, len(busy))
+	}
+	if after.Fences-before.Fences != 1 || after.FlushAlls-before.FlushAlls != 1 ||
+		after.DependentFlushes != before.DependentFlushes || after.LinksSunk-before.LinksSunk != 5 {
+		t.Fatalf("counters: before %+v, after %+v", before, after)
+	}
+	addBusy(t, dev, c, 7, 1024)
+	c.FlushBucketOf(f, 7)
+	if got := c.Stats(); got.DependentFlushes != 1 || got.Fences != after.Fences+1 || got.FlushAlls != after.FlushAlls {
+		t.Fatalf("after a dependent flush: %+v", got)
+	}
+}
+
+// TestFlushAllConcurrent runs two FlushAll loops, an adder and a dependent
+// flusher at once. Each FlushAll must leave durable every link added before
+// it started, the run must finish (nobody stays waiting on a flag), and after
+// the final flush every added link must survive a crash.
+func TestFlushAllConcurrent(t *testing.T) {
+	dev, c := newCache(t, 8)
+	const n = 2000
+	addr := func(i int) Addr { return Addr(4096 + 64*i) }
+	var added [n]atomic.Bool
+	var done atomic.Bool
+	var addedUpTo atomic.Int64 // every add below it has returned
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	wg.Add(4)
+	go func() { // the adder
+		defer wg.Done()
+		defer done.Store(true)
+		f := dev.NewFlusher()
+		for i := 0; i < n; i++ {
+			a := addr(i)
+			dev.Store(a, 1)
+			switch c.TryLinkAndAdd(uint64(i+1), a, 1, 2|ptrtag.Dirty) {
+			case Added:
+				added[i].Store(true)
+			case NoSpace:
+				dev.Store(a, 2|ptrtag.Dirty)
+				f.Sync(a)
+			}
+			dev.CAS(a, 2|ptrtag.Dirty, 2)
+			addedUpTo.Store(int64(i + 1))
+		}
+	}()
+	for range 2 {
+		go func() {
+			defer wg.Done()
+			f := dev.NewFlusher()
+			for !done.Load() {
+				upTo := int(addedUpTo.Load())
+				c.FlushAll(f)
+				for i := 0; i < upTo; i++ {
+					if added[i].Load() && dev.PersistedWord(addr(i))&^ptrtag.Dirty != 2 {
+						errs <- fmt.Sprintf("link %d added before a FlushAll is not durable after it", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	go func() { // dependent flushes
+		defer wg.Done()
+		f := dev.NewFlusher()
+		for k := uint64(1); !done.Load(); k = k%n + 1 {
+			c.FlushBucketOf(f, k)
+		}
+	}()
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(time.Minute):
+		t.Fatal("a flusher is still waiting on a flag")
+	}
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	c.FlushAll(dev.NewFlusher())
+	dev.Crash()
+	for i := 0; i < n; i++ {
+		if added[i].Load() && dev.Load(addr(i))&^ptrtag.Dirty != 2 {
+			t.Fatalf("link %d was added but is lost in a crash after the last FlushAll", i)
+		}
 	}
 }

@@ -17,19 +17,24 @@
 //   - The index walk: logfree's resumable bucket walk, a few buckets per epoch
 //     section. It recounts the items and their bytes after a recovery (from
 //     entry headers alone; recency resets, contents do not: cache metadata is
-//     advisory, as in Memcached), carries the eviction hand, and feeds
-//     snapshots, flush_all and a follower's resync.
+//     advisory, as in Memcached), and feeds snapshots, flush_all and a
+//     follower's resync.
 //
 // Recency is volatile and approximate, as in MemC3: no list, no per-item
 // record — one CLOCK reference bit per slot of a flat table that grows with
 // the item count, a key's slot picked by the hash that picks its stripe lock.
 // A hit or a store sets the bit (testing it first, so a hot key's line stays
-// shared); the eviction hand — a cursor over the index's buckets — clears the
-// set bits it passes and evicts the first key it finds clear. Keys that share
-// a slot share a bit: a cold key beside a warm one survives another turn of
-// the hand, and a warm key whose bit the hand cleared on its way past the
-// cold one is exposed until its next hit. The table is sparse enough (32 to
-// 64 slots per item) that few keys share.
+// shared). The eviction hand is a cursor over the index's entry extents in
+// device-address order (logfree's Sweep, a few allocator pages per epoch
+// section): it clears the set bits it passes and evicts the first live item
+// it finds clear, if the item still carries the aux word the hand read.
+// Victims taken in address order sit together, so their unlinks land in the
+// areas NV-epochs already holds active (§5.4) and the slots they free are
+// reused from the same pages; a hand in hash order scatters both. Keys that
+// share a slot share a bit: a cold key beside a warm one survives another
+// turn of the hand, and a warm key whose bit the hand cleared on its way past
+// the cold one is exposed until its next hit. The table is sparse enough (32
+// to 64 slots per item) that few keys share.
 //
 // Client commands of both wire protocols and a follower's replicated sets
 // reach the steps through one mutation driver: it validates key and size,
@@ -214,8 +219,8 @@ type cacheState struct {
 	// picked by its stripe hash. A hit or a store sets the key's bit; the
 	// eviction hand clears set bits as it passes and evicts the first key it
 	// finds clear. Two keys sharing a slot share a bit (see refSlotsPerItem
-	// for what that costs). hand is the hand's position: a Walk cursor over
-	// the item index.
+	// for what that costs). hand is the hand's position: a Sweep cursor over
+	// the item index's entry extents, in address order.
 	ref   atomic.Pointer[[]atomic.Uint64]
 	refMu sync.Mutex // serializes growRef
 	hand  atomic.Uint64
@@ -687,15 +692,16 @@ func (m *Cache) StartSweeper(interval time.Duration) (stop func()) {
 // evictOne removes one item that was not used since the hand last passed it
 // (memcached behaviour under memory pressure). The hand resumes where the
 // last eviction left it, clears the reference bits it finds set and takes the
-// first key whose bit is clear. It gives up after passing the index's end
-// three times — the rest of a turn and two whole ones, enough to clear every
-// bit and come back — which only happens when the keys are being used as
-// fast as the hand moves. Returns false if nothing is evictable.
+// first live item whose bit is clear. It gives up after passing the device's
+// end three times — the rest of a turn and two whole ones, enough to clear
+// every bit and come back — which only happens when the keys are being used
+// as fast as the hand moves. Returns false if nothing is evictable.
 func (m *Cache) evictOne() bool {
 	var victim []byte
+	var aux uint64
 	for ends := 0; ends < 3 && m.stats.items.Load() > 0; {
 		victim = victim[:0]
-		next := m.m.Walk(m.hand.Load(), func(e logfree.Entry) bool {
+		next := m.m.Sweep(m.hand.Load(), func(e logfree.SweepEntry) bool {
 			if isReplMeta(e.Key) {
 				return true
 			}
@@ -703,11 +709,14 @@ func (m *Cache) evictOne() bool {
 				word.And(^bit)
 				return true
 			}
-			victim = append(victim, e.Key...)
+			if !e.Live() {
+				return true // a replaced version, or an expiry-index entry
+			}
+			victim, aux = append(victim, e.Key...), e.Aux
 			return false
 		})
 		// Concurrent evictors may move the hand over each other; the loser
-		// rescans buckets whose bits were just cleared, which costs order,
+		// resweeps pages whose bits were just cleared, which costs order,
 		// not correctness.
 		m.hand.Store(next)
 		if next == 0 {
@@ -716,9 +725,11 @@ func (m *Cache) evictOne() bool {
 		if len(victim) == 0 {
 			continue
 		}
-		// No ack wait: the client op driving the eviction waits on its own
-		// (later) seq, which the ordered stream makes a covering ack.
-		if _, freed, ok := m.removeKey(victim, true); ok {
+		// Only the version the hand found is evicted: a key rewritten since
+		// carries a new CAS in its aux word. No ack wait: the client op
+		// driving the eviction waits on its own (later) seq, which the
+		// ordered stream makes a covering ack.
+		if _, freed, ok := m.removeKey(victim, func(a uint64) bool { return a == aux }, true); ok {
 			m.stats.evictions.Add(1)
 			m.stats.evictionsBytes.Add(uint64(freed))
 			return true

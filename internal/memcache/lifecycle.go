@@ -191,13 +191,16 @@ func (m *Cache) removeLocked(key []byte, aux uint64, held int64, publish bool) (
 }
 
 // removeKey runs the remove step on whatever key holds, for the removals no
-// client waits on: evictions, flush_all and a follower's deletes.
-func (m *Cache) removeKey(key []byte, publish bool) (seq uint64, freed int64, ok bool) {
+// client waits on: evictions, flush_all and a follower's deletes. A non-nil
+// match must accept the item's aux word, read under the stripe lock, or
+// nothing is removed: the CAS half changes on every mutation, so an eviction
+// that matches the aux word it found removes exactly the version it found.
+func (m *Cache) removeKey(key []byte, match func(aux uint64) bool, publish bool) (seq uint64, freed int64, ok bool) {
 	mu := m.stripe(fnv1aStripe(key))
 	mu.Lock()
 	defer mu.Unlock()
 	aux, vlen, ok := m.m.GetAux(key)
-	if !ok {
+	if !ok || match != nil && !match(aux) {
 		return 0, 0, false
 	}
 	freed = footprint(len(key), vlen)
@@ -232,7 +235,7 @@ func (m *Cache) clear(publish bool) (removed int, last uint64) {
 		return nil
 	})
 	for _, k := range keys {
-		seq, _, ok := m.removeKey(k, publish)
+		seq, _, ok := m.removeKey(k, nil, publish)
 		if ok {
 			removed++
 		}

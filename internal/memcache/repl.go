@@ -167,7 +167,7 @@ func (m *Cache) ApplySet(key, value []byte, flags uint16, aux uint64) error {
 // ApplyDelete removes one replicated key. A miss is not an error: the
 // follower may be replaying ops it already applied (idempotent resume).
 func (m *Cache) ApplyDelete(key []byte) error {
-	m.removeKey(key, false)
+	m.removeKey(key, nil, false)
 	return nil
 }
 

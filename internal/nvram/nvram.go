@@ -325,9 +325,17 @@ func (d *Device) Store(a Addr, v uint64) {
 // may snapshot a line mid-initialization — semantically fine (eviction
 // captures an arbitrary instant, exactly like hardware), so adversarial
 // configs should pair with Store if race-detector cleanliness matters.
+//
+// The byte maps' address-order sweep also reads extents that are allocated
+// but not yet published, and vets what it read (core.BytesMap.Sweep): a
+// race by design, so under the race detector this store is atomic.
 func (d *Device) StorePrivate(a Addr, v uint64) {
 	i := d.check(a)
-	d.words[i] = v
+	if raceEnabled {
+		atomic.StoreUint64(&d.words[i], v)
+	} else {
+		d.words[i] = v
+	}
 	d.touch(i / lineWords)
 }
 
@@ -562,16 +570,22 @@ func (f *Flusher) setInsert(line uint64) (dup bool) {
 	}
 }
 
+// setSizeFor is the pending-set table size that holds lines members at no
+// more than half occupancy.
+func setSizeFor(lines int) uint64 {
+	need := uint64(4 * clwbDedupThreshold)
+	for need <= 2*uint64(lines) {
+		need *= 2
+	}
+	return need
+}
+
 // growSet (re)builds the pending set from pending — which holds exactly the
 // live members — sizing the table to at least 4× the live count. A table
 // retained from an earlier batch (cleared at Fence) is reused when already
 // big enough, so steady-state batches never reallocate it.
 func (f *Flusher) growSet() {
-	need := uint64(4 * clwbDedupThreshold)
-	for need <= 2*uint64(len(f.pending)) {
-		need *= 2
-	}
-	if uint64(len(f.pendingSet)) < need {
+	if need := setSizeFor(len(f.pending)); uint64(len(f.pendingSet)) < need {
 		f.pendingSet = make([]uint64, need)
 		f.setMask = need - 1
 	}
@@ -581,6 +595,19 @@ func (f *Flusher) growSet() {
 			h = (h + 1) & f.setMask
 		}
 		f.pendingSet[h] = l + 1
+	}
+}
+
+// Reserve sizes the pending batch and its duplicate set for batches of up to
+// lines lines, so such a batch never grows them. Meant for right after
+// NewFlusher: the set is left alone while it holds a batch.
+func (f *Flusher) Reserve(lines int) {
+	if cap(f.pending) < lines {
+		f.pending = append(make([]uint64, 0, lines), f.pending...)
+	}
+	if need := setSizeFor(lines); !f.setActive && uint64(len(f.pendingSet)) < need {
+		f.pendingSet = make([]uint64, need)
+		f.setMask = need - 1
 	}
 }
 

@@ -496,6 +496,33 @@ func (p *Pool) SlotAllocated(a Addr) bool {
 	return p.dev.Load(page+headerBitmapOff)&(1<<slot) != 0
 }
 
+// HeapStart is the address of the first allocator page.
+const HeapStart Addr = heapBase
+
+// HeapEnd returns the carve pointer: every allocator page lies in
+// [HeapStart, HeapEnd).
+func (p *Pool) HeapEnd() Addr { return p.dev.Load(hdrHeapOff) }
+
+// HeapPage describes the page at page, one that a walk from HeapStart by
+// next reached: next is where the following page starts, past all of a
+// region's pages. An object page also reports its class and allocation
+// bitmap (bit i = slot i); ok is false for regions and for pages carved but
+// not yet initialized.
+func (p *Pool) HeapPage(page Addr) (cl Class, bm uint64, ok bool, next Addr) {
+	hdr := p.dev.Load(page + headerClassOff)
+	next = page + PageSize
+	if hdr&magicMask != pageMagic {
+		return 0, 0, false, next
+	}
+	switch c := (hdr & classMask) >> classShift; {
+	case c == regionClass:
+		return 0, 0, false, page + max(Addr(hdr&countMask), 1)*PageSize
+	case c < NumClasses:
+		return Class(c), p.dev.Load(page + headerBitmapOff), true, next
+	}
+	return 0, 0, false, next
+}
+
 // AllocatedInPage appends the addresses of all allocated objects in page to
 // dst and returns it. Used by the recovery sweep over active pages.
 func (p *Pool) AllocatedInPage(dst []Addr, page Addr) []Addr {

@@ -325,6 +325,123 @@ func contractWalk(t *testing.T, h host) {
 	<-done
 }
 
+func skey(i int) []byte { return fmt.Appendf(nil, "sweep-%05d", i) }
+
+// sweepCycle runs Sweep from cursor 0 until 0 comes back, stopping the step
+// after every entry so that each returned cursor tells where the entry was:
+// within a part those cursors must grow. It returns how often each key was
+// presented with Live true; live reports whether a key counts as the map's.
+func sweepCycle(t *testing.T, m *logfree.ByteMap, live func(key []byte) bool) map[string]int {
+	t.Helper()
+	shown := map[string]int{}
+	var prev uint64
+	for cursor := uint64(0); ; {
+		cursor = m.Sweep(cursor, func(e logfree.SweepEntry) bool {
+			if e.Live() {
+				if !live(e.Key) {
+					t.Errorf("%q reported Live, but it is not an entry of the map", e.Key)
+				}
+				shown[string(e.Key)]++
+			}
+			return false
+		})
+		if cursor == 0 {
+			return shown
+		}
+		if cursor>>48 == prev>>48 && cursor <= prev {
+			t.Fatalf("the sweep went back within a part: cursor %#x after %#x", cursor, prev)
+		}
+		prev = cursor
+	}
+}
+
+// TestSweepContract: a quiescent cycle of the address-order sweep presents
+// every live key once as Live, and nothing else as Live — not a replaced
+// version, not another map's entry (the ordered map's entries share the
+// extent shape), not an index node. Under churn, every key that stays put is
+// still Live once a cycle.
+func TestSweepContract(t *testing.T) {
+	for _, sub := range subjects {
+		t.Run(sub.name, func(t *testing.T) { contractSweep(t, sub.open(t)) })
+	}
+}
+
+func contractSweep(t *testing.T, h host) {
+	m, err := h.Map("c-sweep", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, err := h.OrderedMap("c-sweep-ordered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stable = 500
+	model := map[string]bool{}
+	for i := 0; i < stable; i++ {
+		if err := m.Set(skey(i), cval(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := om.Set(fmt.Appendf(nil, "ordered-%05d", i), cval(i)); err != nil {
+			t.Fatal(err)
+		}
+		model[string(skey(i))] = true
+	}
+	for i := 0; i < stable; i += 5 { // leave replaced versions behind
+		if err := m.Set(skey(i), []byte("replaced")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func(k []byte) bool { return model[string(k)] }
+	shown := sweepCycle(t, m, live)
+	for k := range model {
+		if shown[k] != 1 {
+			t.Fatalf("%q was presented Live %d times in a quiescent cycle", k, shown[k])
+		}
+	}
+	if len(shown) != len(model) {
+		t.Fatalf("%d keys presented Live, the map holds %d", len(shown), len(model))
+	}
+	if next := m.Sweep(1<<63, func(logfree.SweepEntry) bool { return true }); next != 0 {
+		t.Fatalf("a cursor past the last part resumed at %#x", next)
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := stable + i%300
+			if i/300%2 == 0 {
+				if err := m.Set(skey(k), cval(k)); err != nil {
+					t.Error(err)
+					return
+				}
+			} else {
+				m.Delete(skey(k))
+			}
+		}
+	}()
+	churned := func(k []byte) bool {
+		var i int
+		fmt.Sscanf(string(k), "sweep-%d", &i)
+		return model[string(k)] || bytes.HasPrefix(k, []byte("sweep-")) && i >= stable
+	}
+	for c := 0; c < 5; c++ {
+		shown := sweepCycle(t, m, churned)
+		for k := range model {
+			if shown[k] != 1 {
+				t.Fatalf("cycle %d under churn presented %q Live %d times", c, k, shown[k])
+			}
+		}
+	}
+	close(stop)
+	<-done
+}
+
 // contractOrdered: Scan, ScanItems, Ascend, Descend, Min and Max order the
 // WHOLE map by key bytes, however many parts hold it.
 func contractOrdered(t *testing.T, h host) {

@@ -330,8 +330,29 @@ func (m *ByteMap) GetAux(key []byte) (aux uint64, valueLen int, ok bool) {
 type Entry = core.WalkEntry
 
 // walkPartShift places the part number above the part-local cursor in a Walk
-// cursor.
+// or Sweep cursor.
 const walkPartShift = 48
+
+// stepParts runs one step of a part-by-part cursor walk: step takes the
+// part-local cursor on the part the cursor names and returns the next local
+// one (0 once that part is done). The cursor runs through part 0, then part
+// 1, and comes back 0 after the last part.
+func (m *ByteMap) stepParts(cursor uint64, step func(c *core.Ctx, m *core.BytesMap, local uint64) uint64) (next uint64) {
+	i := cursor >> walkPartShift
+	if i >= uint64(len(m.parts)) {
+		return 0
+	}
+	p := &m.parts[i]
+	c, s := p.begin()
+	defer p.end(s)
+	if local := step(c, p.m, cursor&(1<<walkPartShift-1)); local != 0 {
+		return i<<walkPartShift | local
+	}
+	if i+1 < uint64(len(m.parts)) {
+		return (i + 1) << walkPartShift
+	}
+	return 0
+}
 
 // Walk is the resumable iteration over the map, with the contract of Redis's
 // SCAN: start at cursor 0, pass each returned cursor to the next call, stop
@@ -344,20 +365,34 @@ const walkPartShift = 48
 // last bucket. A visitor that returns false ends its call after the current
 // bucket. The visitor must not operate through the same pinned Session.
 func (m *ByteMap) Walk(cursor uint64, visit func(Entry) bool) (next uint64) {
-	i := cursor >> walkPartShift
-	if i >= uint64(len(m.parts)) {
-		return 0
-	}
-	p := &m.parts[i]
-	c, s := p.begin()
-	defer p.end(s)
-	if local := p.m.Walk(c, cursor&(1<<walkPartShift-1), visit); local != 0 {
-		return i<<walkPartShift | local
-	}
-	if i+1 < uint64(len(m.parts)) {
-		return (i + 1) << walkPartShift
-	}
-	return 0
+	return m.stepParts(cursor, func(c *core.Ctx, pm *core.BytesMap, local uint64) uint64 {
+		return pm.Walk(c, local, visit)
+	})
+}
+
+// SweepEntry is one entry extent as Sweep presents it to its visitor: the key
+// (the sweep's scratch buffer — copy it to keep it) and the aux word, valid
+// until the visitor returns. Live reports whether the extent is the map's
+// current entry for its key; it searches the key's chain, so call it only on
+// an entry about to be acted on.
+type SweepEntry = core.SweepEntry
+
+// Sweep is the resumable walk over the map's entry extents in device-address
+// order, part by part, with Walk's cursor protocol: start at 0, pass each
+// returned cursor on, stop when 0 comes back. Each call covers the next few
+// allocator pages of one part under one epoch section. An extent is presented
+// when it is allocated and has an entry's shape, which admits versions
+// replaced or deleted but not yet freed and entries of other byte-keyed maps
+// on the same runtime; check Live before acting on one. A key rewritten
+// behind the cursor can be missed for a whole cycle, so Sweep is no
+// substitute for Walk: it is for eviction, where visiting victims in address
+// order keeps the unlinks and the reuse of their slots on few pages. A
+// visitor that returns false ends its call, and the returned cursor resumes
+// after that extent.
+func (m *ByteMap) Sweep(cursor uint64, visit func(SweepEntry) bool) (next uint64) {
+	return m.stepParts(cursor, func(c *core.Ctx, pm *core.BytesMap, local uint64) uint64 {
+		return pm.Sweep(c, local, visit)
+	})
 }
 
 // All implements Map: unordered iteration, part by part (safe-concurrent, no
