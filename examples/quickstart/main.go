@@ -29,17 +29,13 @@ func main() {
 
 	// Arbitrary byte keys and values, durably linearizable: once Set
 	// returns (and any link cache entries are flushed by dependent
-	// operations), a crash cannot undo it. The bulk load goes through a
-	// Batch: one shared content fence for the whole group (~N+1 NVRAM sync
-	// waits instead of 2N), each user still individually crash-atomic.
-	b := users.Batch()
+	// operations), a crash cannot undo it.
 	for id := 1; id <= 100; id++ {
 		key := fmt.Sprintf("user:%03d", id)
 		val := fmt.Sprintf(`{"id":%d,"credits":%d}`, id, id*1000)
-		b.Set([]byte(key), []byte(val))
-	}
-	if err := b.Commit(); err != nil {
-		log.Fatal(err)
+		if err := users.Set([]byte(key), []byte(val)); err != nil {
+			log.Fatal(err)
+		}
 	}
 	users.Delete([]byte("user:042"))
 	fmt.Printf("before crash: %d users\n", users.Len())

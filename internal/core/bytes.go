@@ -491,12 +491,12 @@ func (b *BytesMap) Contains(c *Ctx, key []byte) bool {
 	return ok
 }
 
-// Set binds key to value (with metadata and aux word), durably: a one-op
-// group of the write path (batch.go), so the entry is fully persisted before
-// the single atomic link that publishes it, and a crash leaves either the
-// old binding or the new one, never neither. Returns whether the key was
-// newly created. May return ErrOutOfMemory-wrapping errors under memory
-// pressure; the caller owns eviction policy.
+// Set binds key to value (with metadata and aux word), durably, through the
+// write path (write.go): the entry is fully persisted before the single
+// atomic link that publishes it, and a crash leaves either the old binding
+// or the new one, never neither. Returns whether the key was newly created.
+// May return ErrOutOfMemory-wrapping errors under memory pressure; the
+// caller owns eviction policy.
 func (b *BytesMap) Set(c *Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error) {
 	return writeTarget{b: b}.set(c, key, value, meta, aux)
 }
@@ -531,12 +531,6 @@ func (b *BytesMap) Delete(c *Ctx, key []byte) bool {
 	defer mu.Unlock()
 	c.ep.Begin()
 	defer c.ep.End()
-	return b.deleteLocked(c, key, hash)
-}
-
-// deleteLocked is Delete's body: the caller holds the key's stripe lock and
-// an open epoch section (the write path shares both across a group's ops).
-func (b *BytesMap) deleteLocked(c *Ctx, key []byte, hash uint64) bool {
 	dev := b.s.dev
 
 	head, exists := b.chainHead(c, hash)

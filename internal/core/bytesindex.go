@@ -298,9 +298,9 @@ func (o *OrderedBytesMap) Contains(c *Ctx, key []byte) bool {
 	return ok
 }
 
-// Set binds key to value (with metadata and aux word), durably: a one-op
-// group of the write path (batch.go), so the entry is fully persisted before
-// the single atomic link (new node's level-0 link-and-persist, or the
+// Set binds key to value (with metadata and aux word), durably, through the
+// write path (write.go): the entry is fully persisted before the single
+// atomic link (new node's level-0 link-and-persist, or the
 // entry-reference swap of an existing node) that publishes it. Returns
 // whether the key was newly created. May return ErrOutOfMemory-wrapping
 // errors under memory pressure.
@@ -369,12 +369,6 @@ func (o *OrderedBytesMap) Delete(c *Ctx, key []byte) bool {
 	defer mu.Unlock()
 	c.ep.Begin()
 	defer c.ep.End()
-	return o.deleteLocked(c, key, hash)
-}
-
-// deleteLocked is Delete's body: the caller holds the key's stripe lock and
-// an open epoch section (the write path shares both across a group's ops).
-func (o *OrderedBytesMap) deleteLocked(c *Ctx, key []byte, hash uint64) bool {
 	dev := o.s.dev
 
 	var preds, succs [MaxLevel]Addr

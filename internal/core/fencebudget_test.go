@@ -126,25 +126,23 @@ func TestFenceBudgetOrderedBytesMapSet(t *testing.T) {
 }
 
 // byteMapWriters opens each byte map on c and returns its Set (64-byte
-// values) and ApplyBatch.
-func byteMapWriters(t *testing.T) map[string]func(c *Ctx) (set func(key []byte, meta uint16) error, apply func([]BytesOp) error) {
+// values).
+func byteMapWriters(t *testing.T) map[string]func(c *Ctx) (set func(key []byte, meta uint16) error) {
 	val := make([]byte, 64)
-	return map[string]func(c *Ctx) (func([]byte, uint16) error, func([]BytesOp) error){
-		"map": func(c *Ctx) (func([]byte, uint16) error, func([]BytesOp) error) {
+	return map[string]func(c *Ctx) func([]byte, uint16) error{
+		"map": func(c *Ctx) func([]byte, uint16) error {
 			b, err := NewBytesMap(c, 1<<10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func(k []byte, meta uint16) error { _, err := b.Set(c, k, val, meta, 0); return err },
-				func(ops []BytesOp) error { return b.ApplyBatch(c, ops) }
+			return func(k []byte, meta uint16) error { _, err := b.Set(c, k, val, meta, 0); return err }
 		},
-		"ordered": func(c *Ctx) (func([]byte, uint16) error, func([]BytesOp) error) {
+		"ordered": func(c *Ctx) func([]byte, uint16) error {
 			o, err := NewOrderedBytesMap(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func(k []byte, meta uint16) error { _, err := o.Set(c, k, val, meta, 0); return err },
-				func(ops []BytesOp) error { return o.ApplyBatch(c, ops) }
+			return func(k []byte, meta uint16) error { _, err := o.Set(c, k, val, meta, 0); return err }
 		},
 	}
 }
@@ -163,7 +161,7 @@ func TestFenceBudgetUnlinkMiss(t *testing.T) {
 	for name, open := range byteMapWriters(t) {
 		t.Run(name, func(t *testing.T) {
 			_, c := budgetStoreAreas(t, 12, 64)
-			set, _ := open(c)
+			set := open(c)
 			for i := 0; i < N; i++ {
 				if err := set(key(i), 0); err != nil {
 					t.Fatal(err)
@@ -192,57 +190,8 @@ func TestFenceBudgetUnlinkMiss(t *testing.T) {
 	}
 }
 
-// TestFenceBudgetBatch pins the amortized batch budget: a 64-op all-Set
-// batch pays at most 64+2 sync waits — one publishing link per op, one
-// shared content fence, plus one of slack for an APT insertion as the batch
-// crosses into a cold area — instead of the 2×64 the ops would cost issued
-// singly. Covers all four steady states: fresh keys and replaces, on both
-// the hash-indexed and the ordered map.
-func TestFenceBudgetBatch(t *testing.T) {
-	const N = 64
-	val := make([]byte, 64)
-	batch := func(base string, round int) []BytesOp {
-		ops := make([]BytesOp, N)
-		for i := range ops {
-			ops[i] = BytesOp{
-				Key:   []byte(fmt.Sprintf("%s-%06d", base, i)),
-				Value: val,
-				Meta:  uint16(round),
-			}
-		}
-		return ops
-	}
-	for name, open := range byteMapWriters(t) {
-		t.Run(name, func(t *testing.T) {
-			_, c := budgetStore(t)
-			_, commit := open(c)
-			// Warm the allocator and APT (cold-area insertion syncs are not
-			// part of the steady-state budget).
-			if err := commit(batch("warm", 0)); err != nil {
-				t.Fatal(err)
-			}
-			for round, base := range []string{"fresh", "fresh", "fresh"} {
-				ops := batch(fmt.Sprintf("%s-%d", base, round), 0)
-				assertBudget(t, c, "ApplyBatch (fresh keys)", N+2, func() {
-					if err := commit(ops); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			for round := 1; round <= 3; round++ {
-				ops := batch("fresh-1", round) // rewrite round 1's keys
-				assertBudget(t, c, "ApplyBatch (replace)", N+2, func() {
-					if err := commit(ops); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestSetAllocs: a Set is a one-op group whose plan lives in the context's
-// scratch, so it makes no heap allocation, for a fresh key or a replace.
+// TestSetAllocs: a Set's plan lives on its stack, so it makes no heap
+// allocation, for a fresh key or a replace.
 func TestSetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -255,7 +204,7 @@ func TestSetAllocs(t *testing.T) {
 	for name, open := range byteMapWriters(t) {
 		t.Run(name, func(t *testing.T) {
 			_, c := budgetStore(t)
-			set, _ := open(c)
+			set := open(c)
 			for _, row := range []struct {
 				what string
 				meta uint16
@@ -269,40 +218,6 @@ func TestSetAllocs(t *testing.T) {
 				})
 				if n != 0 {
 					t.Errorf("Set (%s): %v allocations, want 0", row.what, n)
-				}
-			}
-		})
-	}
-}
-
-// TestBatchAllocs: a 64-op ApplyBatch reuses the context's plan and stripe
-// scratch; it allocates at most 7 times, fresh keys or replaces.
-func TestBatchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates")
-	}
-	const runs, N = 20, 64
-	batches := make([][]BytesOp, runs+1)
-	for r := range batches {
-		batches[r] = make([]BytesOp, N)
-		for i := range batches[r] {
-			batches[r][i] = BytesOp{Key: []byte(fmt.Sprintf("allocs-%03d-%06d", r, i)), Value: make([]byte, 64)}
-		}
-	}
-	for name, open := range byteMapWriters(t) {
-		t.Run(name, func(t *testing.T) {
-			_, c := budgetStore(t)
-			_, apply := open(c)
-			for _, what := range []string{"fresh keys", "replace"} {
-				r := 0
-				n := testing.AllocsPerRun(runs, func() {
-					if err := apply(batches[r]); err != nil {
-						t.Fatal(err)
-					}
-					r++
-				})
-				if n > 7 {
-					t.Errorf("64-op ApplyBatch (%s): %v allocations, want ≤ 7", what, n)
 				}
 			}
 		})

@@ -79,75 +79,3 @@ func TestCtxGrowthBeyondMaxThreads(t *testing.T) {
 		t.Fatalf("NewCtx on grown tid after attach: %v", err)
 	}
 }
-
-// TestBatchApplyBasic: ApplyBatch is equivalent to the ops applied in order,
-// including batches that rewrite and delete their own keys (group splitting)
-// and forced same-hash collisions.
-func TestBatchApplyBasic(t *testing.T) {
-	for _, collide := range []bool{false, true} {
-		t.Run(fmt.Sprintf("collide=%v", collide), func(t *testing.T) {
-			if collide {
-				SetBytesHashForTesting(func([]byte) uint64 { return MinKey + 7 })
-				defer SetBytesHashForTesting(nil)
-			}
-			dev := nvram.New(nvram.Config{Size: 64 << 20})
-			s, err := NewStore(dev, Options{MaxThreads: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := s.MustCtx(0)
-			b, err := NewBytesMap(c, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o, err := NewOrderedBytesMap(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ops []BytesOp
-			model := map[string]string{}
-			for i := 0; i < 40; i++ {
-				k := fmt.Sprintf("k%02d", i%13)
-				v := fmt.Sprintf("v%d", i)
-				if i%7 == 3 {
-					ops = append(ops, BytesOp{Del: true, Key: []byte(k)})
-					delete(model, k)
-				} else {
-					ops = append(ops, BytesOp{Key: []byte(k), Value: []byte(v)})
-					model[k] = v
-				}
-			}
-			if err := b.ApplyBatch(c, ops); err != nil {
-				t.Fatal(err)
-			}
-			if err := o.ApplyBatch(c, ops); err != nil {
-				t.Fatal(err)
-			}
-			for k, want := range model {
-				if v, ok := b.Get(c, []byte(k)); !ok || string(v) != want {
-					t.Fatalf("map %q = %q,%v want %q", k, v, ok, want)
-				}
-				if v, ok := o.Get(c, []byte(k)); !ok || string(v) != want {
-					t.Fatalf("ordered %q = %q,%v want %q", k, v, ok, want)
-				}
-			}
-			if got := b.Len(c); got != len(model) {
-				t.Fatalf("map Len = %d want %d", got, len(model))
-			}
-			// Ordered map must also scan in strict order.
-			var prev string
-			n := 0
-			o.Ascend(c, func(k, _ []byte) bool {
-				if n > 0 && !(prev < string(k)) {
-					t.Fatalf("scan out of order: %q then %q", prev, k)
-				}
-				prev = string(k)
-				n++
-				return true
-			})
-			if n != len(model) {
-				t.Fatalf("ordered Len = %d want %d", n, len(model))
-			}
-		})
-	}
-}

@@ -40,9 +40,6 @@ type mcMap interface {
 	set(c *Ctx, key, value []byte) error
 	get(c *Ctx, key []byte) (string, bool)
 	del(c *Ctx, key []byte) bool
-	// batch applies a whole op group through ApplyBatch (amortized-fence
-	// commit): crash points inside it must recover to a per-op prefix.
-	batch(c *Ctx, ops []BytesOp) error
 	// pairs returns every live key/value; ordered maps report them in scan
 	// order.
 	pairs(c *Ctx) [][2]string
@@ -56,8 +53,7 @@ func (m mcBytes) get(c *Ctx, k []byte) (string, bool) {
 	v, ok := m.b.Get(c, k)
 	return string(v), ok
 }
-func (m mcBytes) del(c *Ctx, k []byte) bool         { return m.b.Delete(c, k) }
-func (m mcBytes) batch(c *Ctx, ops []BytesOp) error { return m.b.ApplyBatch(c, ops) }
+func (m mcBytes) del(c *Ctx, k []byte) bool { return m.b.Delete(c, k) }
 func (m mcBytes) pairs(c *Ctx) [][2]string {
 	var out [][2]string
 	m.b.Range(c, func(k, v []byte) bool {
@@ -75,8 +71,7 @@ func (m mcOrdered) get(c *Ctx, k []byte) (string, bool) {
 	v, ok := m.o.Get(c, k)
 	return string(v), ok
 }
-func (m mcOrdered) del(c *Ctx, k []byte) bool         { return m.o.Delete(c, k) }
-func (m mcOrdered) batch(c *Ctx, ops []BytesOp) error { return m.o.ApplyBatch(c, ops) }
+func (m mcOrdered) del(c *Ctx, k []byte) bool { return m.o.Delete(c, k) }
 func (m mcOrdered) pairs(c *Ctx) [][2]string {
 	var out [][2]string
 	m.o.Ascend(c, func(k, v []byte) bool {
@@ -135,36 +130,22 @@ var mcUniverse = []string{
 }
 
 type mcOp struct {
-	kind  int // 0 = set, 1 = delete, 2 = get, 3 = scan, 4 = batch commit
-	key   string
-	val   string
-	batch []BytesOp // kind 4: sets and deletes applied via ApplyBatch
+	kind int // 0 = set, 1 = delete, 2 = get, 3 = scan
+	key  string
+	val  string
 }
 
 func randOp(rng *rand.Rand, seq int) mcOp {
 	key := mcUniverse[rng.Intn(len(mcUniverse))]
 	switch r := rng.Intn(100); {
-	case r < 45:
+	case r < 52:
 		return mcOp{kind: 0, key: key, val: fmt.Sprintf("%s=%d", key, seq)}
-	case r < 70:
+	case r < 80:
 		return mcOp{kind: 1, key: key}
-	case r < 82:
+	case r < 92:
 		return mcOp{kind: 2, key: key}
-	case r < 90:
-		return mcOp{kind: 3}
 	default:
-		n := 2 + rng.Intn(5)
-		ops := make([]BytesOp, n)
-		for i := range ops {
-			k := mcUniverse[rng.Intn(len(mcUniverse))]
-			if rng.Intn(3) == 0 {
-				ops[i] = BytesOp{Del: true, Key: []byte(k)}
-			} else {
-				ops[i] = BytesOp{Key: []byte(k),
-					Value: []byte(fmt.Sprintf("%s=b%d.%d", k, seq, i))}
-			}
-		}
-		return mcOp{kind: 4, batch: ops}
+		return mcOp{kind: 3}
 	}
 }
 
@@ -175,22 +156,12 @@ func applyModel(model map[string]string, op mcOp) {
 		model[op.key] = op.val
 	case 1:
 		delete(model, op.key)
-	case 4:
-		for _, b := range op.batch {
-			if b.Del {
-				delete(model, string(b.Key))
-			} else {
-				model[string(b.Key)] = string(b.Value)
-			}
-		}
 	}
 }
 
 // frontiers returns every admissible durable state of op crashed mid-flight
-// over the model state before: each op — and each op OF A BATCH — publishes
-// through one atomic durable point, in order, so the admissible states are
-// exactly the per-op prefixes (batches are crash-atomic per op, not
-// transactional).
+// over the model state before: each op publishes through one atomic durable
+// point, so the admissible states are the before and the after state.
 func frontiers(before map[string]string, op mcOp) []map[string]string {
 	cp := func(m map[string]string) map[string]string {
 		out := make(map[string]string, len(m))
@@ -205,12 +176,6 @@ func frontiers(before map[string]string, op mcOp) []map[string]string {
 		after := cp(before)
 		applyModel(after, op)
 		out = append(out, after)
-	case 4:
-		cur := cp(before)
-		for _, b := range op.batch {
-			applyModel(cur, mcOp{kind: 4, batch: []BytesOp{b}})
-			out = append(out, cp(cur))
-		}
 	}
 	return out
 }
@@ -239,16 +204,12 @@ func applyDurable(t *testing.T, m mcMap, c *Ctx, op mcOp, model map[string]strin
 		if got, want := len(m.pairs(c)), len(model); got != want {
 			t.Fatalf("scan saw %d keys, model has %d", got, want)
 		}
-	case 4:
-		if err := m.batch(c, op.batch); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
 // verifyFrontiers checks the recovered durable state against the
 // linearizable frontiers: the state read back must equal one of the
-// admissible models exactly (for a crashed batch: some per-op prefix).
+// admissible models exactly.
 func verifyFrontiers(t *testing.T, m mcMap, c *Ctx, fronts []map[string]string) {
 	t.Helper()
 	got := make(map[string]string, len(mcUniverse))

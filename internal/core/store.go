@@ -89,11 +89,11 @@ type Store struct {
 	ctxMu sync.Mutex
 	ctxs  atomic.Pointer[[]*Ctx]
 
-	// bytesLocks are the entry-lifecycle stripes of every BytesMap on this
-	// store, keyed by index-key hash (see bytes.go). Store-level so that
-	// independently attached BytesMap values over the same durable map
-	// share one serialization domain. 2048 stripes keep the collision rate
-	// negligible at the tens-of-threads scale the parallel benchmarks run.
+	// bytesLocks are the entry-lifecycle stripes of every byte map on this
+	// store, hash-indexed and ordered alike, keyed by index-key hash. Set,
+	// Delete and SetAux each take exactly one: the stripe of their key's
+	// hash. Store-level so that independently attached values over the same
+	// durable map share one serialization domain.
 	bytesLocks [2048]sync.Mutex
 }
 
@@ -194,12 +194,10 @@ func unpackMeta(v uint64) Options {
 	}
 }
 
-// stripeOf is the index in bytesLocks of the stripe serializing index key
-// hash's entry lifecycle.
-func (s *Store) stripeOf(hash uint64) int { return int(hash % uint64(len(s.bytesLocks))) }
-
-// stripe is the lock of index key hash's stripe.
-func (s *Store) stripe(hash uint64) *sync.Mutex { return &s.bytesLocks[s.stripeOf(hash)] }
+// stripe is the lock serializing index key hash's entry lifecycle.
+func (s *Store) stripe(hash uint64) *sync.Mutex {
+	return &s.bytesLocks[hash%uint64(len(s.bytesLocks))]
+}
 
 // Device returns the underlying simulated NVRAM device.
 func (s *Store) Device() *nvram.Device { return s.dev }
@@ -236,9 +234,6 @@ type Ctx struct {
 	// walkKey is where BytesMap.Walk presents each entry's key to its
 	// visitor (a context walks one map at a time), so no key is allocated.
 	walkKey [MaxBytesKeyLen]byte
-
-	// w is the byte maps' write-path scratch (batch.go).
-	w writeScratch
 }
 
 func (s *Store) loadCtxs() []*Ctx    { return *s.ctxs.Load() }

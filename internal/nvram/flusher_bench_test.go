@@ -8,8 +8,9 @@ import (
 // BenchmarkFlusherCLWB measures one CLWB-batch + Fence cycle at typical
 // batch sizes. It is the crossover measurement behind clwbDedupThreshold:
 // small batches (a byte-map Set touches 2-6 lines) must stay on the linear
-// scan with zero map overhead, while large batches (recovery sweeps, region
-// initialization) must not degrade quadratically in the duplicate check.
+// scan with zero map overhead, while large batches (a link-cache FlushAll,
+// recovery sweeps, region initialization) must not degrade quadratically in
+// the duplicate check.
 // Each iteration issues 2x CLWBs per line (every line scheduled twice, the
 // dedup worst case) and one Fence.
 func BenchmarkFlusherCLWB(b *testing.B) {

@@ -520,11 +520,14 @@ type Flusher struct {
 	// pendingSet mirrors pending once it grows past clwbDedupThreshold: an
 	// open-addressed hash set (entries store line+1; 0 = empty) that turns
 	// the duplicate check from a linear scan into a couple of array probes.
-	// Below the threshold the scan over a handful of words is cheaper than
-	// hashing; past it — amortized-fence batch commits hold hundreds of
-	// lines pending — probe cost is what bounds CLWB, which is why this is
-	// a flat table rather than a Go map. Kept allocated across fences
-	// (cleared, not reallocated) so steady-state batches never reallocate.
+	// Below the threshold — a byte-map Set holds 2-6 lines pending — the
+	// scan over a handful of words is cheaper than hashing. Past it, probe
+	// cost is what bounds CLWB: a link-cache FlushAll holds up to
+	// FlushLines() links pending under one fence (Reserve sizes the set for
+	// it), and recovery sweeps and region initialization hold hundreds of
+	// lines. That is why this is a flat table rather than a Go map. Kept
+	// allocated across fences (cleared, not reallocated) so a steady stream
+	// of large fences never reallocates it.
 	pendingSet []uint64
 	setMask    uint64
 	setActive  bool
@@ -707,17 +710,6 @@ func (f *Flusher) Release() {
 		}
 	}
 	d.flmu.Unlock()
-}
-
-// SyncBatch schedules write-backs for every address and completes them with
-// a single Fence: the paper-sanctioned fast path in which a batch of CLWBs
-// costs one NVRAM pause (§6.1). Any lines already pending in the flusher
-// join the batch and share the pause.
-func (f *Flusher) SyncBatch(addrs ...Addr) {
-	for _, a := range addrs {
-		f.CLWB(a)
-	}
-	f.Fence()
 }
 
 // Pending returns the number of lines awaiting the next Fence.

@@ -127,7 +127,6 @@ func TestMapContract(t *testing.T) {
 			for kind, m := range bothKinds(t, h, "c") {
 				t.Run("point/"+kind, func(t *testing.T) { contractPoint(t, m) })
 				t.Run("meta-aux/"+kind, func(t *testing.T) { contractMetaAux(t, m) })
-				t.Run("batch/"+kind, func(t *testing.T) { contractBatch(t, m) })
 			}
 			t.Run("walk", func(t *testing.T) { contractWalk(t, h) })
 			t.Run("ordered", func(t *testing.T) { contractOrdered(t, h) })
@@ -207,46 +206,6 @@ func contractMetaAux(t *testing.T, m itemMap) {
 		t.Fatal("SetAux on a missing key succeeded")
 	}
 	wantItems(t, m, model)
-	for k := range model {
-		m.Delete([]byte(k))
-	}
-}
-
-// contractBatch: Commit equals the ops applied in order — the last writer of
-// a key wins, whichever part the key lives on — and resets the batch.
-func contractBatch(t *testing.T, m itemMap) {
-	model := map[string]logfree.Item{}
-	b := m.Batch()
-	const n = 300
-	for i := 0; i < n; i++ {
-		b.SetItem(ckey(i), cval(i), 1, uint64(i))
-		model[string(ckey(i))] = logfree.Item{Value: cval(i), Meta: 1, Aux: uint64(i)}
-	}
-	for i := 0; i < n; i += 3 { // overwrite and delete the batch's own keys
-		b.Set(ckey(i), []byte("again"))
-		model[string(ckey(i))] = logfree.Item{Value: []byte("again")}
-		b.Delete(ckey(i + 1))
-		delete(model, string(ckey(i+1)))
-	}
-	if b.Len() != n+2*(n/3) {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("batch not reset after Commit: %d", b.Len())
-	}
-	wantItems(t, m, model)
-
-	// The reused batch, all ops on one key.
-	b.Set(ckey(2), []byte("x")).Set(ckey(2), []byte("y"))
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Get(ckey(2)); string(v) != "y" {
-		t.Fatalf("last writer within a batch: got %q", v)
-	}
 	for k := range model {
 		m.Delete([]byte(k))
 	}
@@ -522,7 +481,7 @@ func contractOrdered(t *testing.T, h host) {
 	}
 }
 
-// contractCrash: what was written, deleted and batch-committed before a power
+// contractCrash: what was written, rewritten and deleted before a power
 // failure (link cache off: acknowledged means durable) is what both map kinds
 // hold after recovery.
 func contractCrash(t *testing.T, h host) {
@@ -534,13 +493,11 @@ func contractCrash(t *testing.T, h host) {
 			}
 			model[string(ckey(i))] = logfree.Item{Value: cval(i), Meta: uint16(i), Aux: uint64(i)}
 		}
-		b := m.Batch()
 		for i := 500; i < 600; i++ {
-			b.Set(ckey(i), cval(i))
+			if err := m.Set(ckey(i), cval(i)); err != nil {
+				t.Fatal(err)
+			}
 			model[string(ckey(i))] = logfree.Item{Value: cval(i)}
-		}
-		if err := b.Commit(); err != nil {
-			t.Fatal(err)
 		}
 		for i := 0; i < 600; i += 4 {
 			m.Delete(ckey(i))
@@ -572,7 +529,6 @@ func TestOneShardPoolCountsEqualRuntime(t *testing.T) {
 	run := func(m *logfree.ByteMap) map[string]string {
 		rng := rand.New(rand.NewSource(23))
 		model := map[string]string{}
-		b := m.Batch()
 		for op := 0; op < 10_000; op++ {
 			i := rng.Intn(700)
 			k, v := ckey(i), bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(200))
@@ -595,11 +551,10 @@ func TestOneShardPoolCountsEqualRuntime(t *testing.T) {
 				delete(model, string(k))
 			default:
 				for j := 0; j < 8; j++ {
-					b.Set(ckey(i+j), v)
+					if err := m.Set(ckey(i+j), v); err != nil {
+						t.Fatal(err)
+					}
 					model[string(ckey(i+j))] = string(v)
-				}
-				if err := b.Commit(); err != nil {
-					t.Fatal(err)
 				}
 			}
 		}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/pmem"
 )
 
-// Sentinel errors. Every error returned by a Runtime, structure or Batch
-// matches one of these through errors.Is: core-layer causes are wrapped with
-// %w, so callers never import internal packages to classify failures.
+// Sentinel errors. Every error returned by a Runtime or a structure matches
+// one of these through errors.Is: core-layer causes are wrapped with %w, so
+// callers never import internal packages to classify failures.
 var (
 	// ErrFull reports device exhaustion: the simulated NVRAM has no page
 	// left for the allocation. Callers implementing caches may evict and
@@ -23,10 +23,6 @@ var (
 	// or the runtime was invalidated by SimulateCrash). Methods without an
 	// error result panic with an ErrClosed-wrapping error instead.
 	ErrClosed = errors.New("logfree: runtime is closed")
-	// ErrBatchTooLarge reports a Batch.Commit of more than MaxBatchOps
-	// operations.
-	ErrBatchTooLarge = errors.New("logfree: batch too large")
-
 	// ErrNotKeyed reports OpenOrCreate on a kind with no byte-key view (the
 	// uint64 sets, queues and stacks); use the typed Runtime methods.
 	ErrNotKeyed = errors.New("logfree: kind has no map abstraction")

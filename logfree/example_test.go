@@ -28,25 +28,6 @@ func Example() {
 	// false
 }
 
-// Batch amortizes the per-write NVRAM sync waits: N buffered writes commit
-// under one shared content fence (~N+1 pauses instead of 2N), each op still
-// individually crash-atomic, in order.
-func ExampleBatch() {
-	rt, _ := logfree.New(logfree.WithSize(32 << 20))
-	m, _ := rt.OpenOrCreate("events", logfree.Spec{})
-
-	b := m.Batch()
-	for i := 0; i < 3; i++ {
-		b.Set([]byte(fmt.Sprintf("event-%d", i)), []byte("payload"))
-	}
-	if err := b.Commit(); err != nil {
-		fmt.Println("commit:", err)
-	}
-	fmt.Println(m.Len())
-	// Output:
-	// 3
-}
-
 // The typed uint64 wrappers remain as thin veneers; ordered structures
 // iterate in key order via range-over-func.
 func ExampleBST_All() {

@@ -23,11 +23,6 @@
 // Session (Runtime.Session + the structures' WithSession views) to amortize
 // the pool round-trip in tight loops.
 //
-// Batching: m.Batch() collects Set/SetItem/Delete operations and
-// Commit applies them with one shared content fence before the per-op
-// publishing links, so N writes pay ~N+1 NVRAM sync waits instead of 2N.
-// Batches are crash-atomic per op with prefix semantics, not transactional.
-//
 // Iteration: All, Items, Scan, Ascend and Descend return Go
 // range-over-func iterators (iter.Seq2); the reclamation epoch section is
 // held across the whole loop, so iteration is safe against concurrent

@@ -769,9 +769,6 @@ func TestClosedRuntime(t *testing.T) {
 	if _, err := rt.Session(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Session on closed runtime: %v, want ErrClosed", err)
 	}
-	if err := m.Batch().Set([]byte("k"), []byte("v3")).Commit(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Commit on closed runtime: %v, want ErrClosed", err)
-	}
 
 	rt2 := newRT(t)
 	m2, _ := rt2.Map("c", 64)

@@ -58,8 +58,6 @@ type Map interface {
 	// draw their own sessions) but must not operate through the same pinned
 	// Session.
 	All() iter.Seq2[[]byte, []byte]
-	// Batch starts an operation batch against this map; see Batch.
-	Batch() *Batch
 	// Kind reports the structure kind backing the map.
 	Kind() Kind
 	// Name reports the directory name the map is registered under.
@@ -133,7 +131,6 @@ type bytesCore interface {
 	Delete(c *core.Ctx, key []byte) bool
 	Contains(c *core.Ctx, key []byte) bool
 	Len(c *core.Ctx) int
-	ApplyBatch(c *core.Ctx, ops []core.BytesOp) error
 }
 
 // mapPart is one runtime's share of a byte-keyed map: the core map and the
@@ -148,8 +145,8 @@ type mapPart[C bytesCore] struct {
 // key to the part owning it. A Runtime hands out the one-part case; JoinMaps
 // and JoinOrderedMaps build the rest. A point operation routes, draws a
 // session on the owning part's runtime and makes the core call there, so it
-// behaves exactly as on a single runtime; Len, iteration and Batch combine
-// the parts.
+// behaves exactly as on a single runtime; Len and iteration combine the
+// parts.
 type byteMap[C bytesCore] struct {
 	parts []mapPart[C]
 	route func(key []byte) int // never called on a one-part map
@@ -250,22 +247,6 @@ func (m *byteMap[C]) Len() int {
 		p.end(s)
 	}
 	return n
-}
-
-// Batch implements Map; see Batch.
-func (m *byteMap[C]) Batch() *Batch {
-	return &Batch{route: m.route, per: make([][]core.BytesOp, len(m.parts)), apply: m.applyBatch}
-}
-
-// applyBatch applies ops, all routed to part i, on that part.
-func (m *byteMap[C]) applyBatch(i int, ops []core.BytesOp) error {
-	p := &m.parts[i]
-	c, s, err := p.beginErr()
-	if err != nil {
-		return err
-	}
-	defer p.end(s)
-	return wrapErr(p.m.ApplyBatch(c, ops))
 }
 
 // Name implements Map (the same on every part).

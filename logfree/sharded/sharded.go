@@ -4,8 +4,8 @@
 // byte key to its shard. Its maps are logfree's own: Pool.Map and
 // Pool.OrderedMap open the named map on every shard and hand back one
 // *logfree.ByteMap / *logfree.OrderedByteMap over N parts (logfree.JoinMaps),
-// the same types, sessions, Batch and iter.Seq2 iterators a lone Runtime
-// gives — a Runtime's map is the one-part case.
+// the same types, sessions and iter.Seq2 iterators a lone Runtime gives — a
+// Runtime's map is the one-part case.
 //
 // Why a pool instead of one bigger runtime: every substrate of a single
 // runtime — device write-back locks, allocator, epoch manager, skip-list
@@ -28,8 +28,7 @@
 // with the wrong shard count or geometry (see WithDevice).
 //
 // Durability. Each shard fences independently: a Set that returned is
-// durably linearized on its shard exactly as on a single runtime. A Batch
-// whose keys span shards has no cross-shard atomicity; see logfree.Batch.
+// durably linearized on its shard exactly as on a single runtime.
 package sharded
 
 import (

@@ -3,7 +3,6 @@ package sharded
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -443,7 +442,7 @@ func corruptHeaderWord(t *testing.T, path string, off int64, v uint64) uint64 {
 // --- surface ---------------------------------------------------------------
 
 // The byte-map contract itself (point operations, meta/aux, Items, Walk,
-// global order, batches, crash recovery) is logfree's TestMapContract, which
+// global order, crash recovery) is logfree's TestMapContract, which
 // runs over a 1-shard and a 4-shard pool; what follows is what only a pool
 // can show: where entries land.
 
@@ -526,39 +525,6 @@ func TestOrderedMergeIterators(t *testing.T) {
 	}
 }
 
-// TestShardedBatch: a batch's ops land on the shards their keys route to,
-// and the op cap counts the whole batch, not a shard's share.
-func TestShardedBatch(t *testing.T) {
-	p := openMem(t, 4)
-	m, err := p.Map("b", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := m.Batch()
-	const n = 600
-	want := make([]int, p.Shards())
-	for i := 0; i < n; i++ {
-		b.SetItem(tkey(i), tval(i), 1, uint64(i))
-		want[p.ShardOf(tkey(i))]++
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if held := shardLens(t, p, "b"); fmt.Sprint(held) != fmt.Sprint(want) {
-		t.Fatalf("shards hold %v keys after the batch, routing says %v", held, want)
-	}
-
-	for i := 0; i <= logfree.MaxBatchOps; i++ {
-		b.Set(tkey(i%n+10_000), []byte("v"))
-	}
-	if err := b.Commit(); !errors.Is(err, logfree.ErrBatchTooLarge) {
-		t.Fatalf("oversize Commit error = %v, want ErrBatchTooLarge", err)
-	}
-	if b.Len() != logfree.MaxBatchOps+1 || m.Len() != n {
-		t.Fatalf("refused Commit: batch Len = %d, map Len = %d", b.Len(), m.Len())
-	}
-}
-
 // --- crash torture ---------------------------------------------------------
 
 func TestPoolCrashTortureMem(t *testing.T) {
@@ -573,12 +539,10 @@ func TestPoolCrashTortureMem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := om.Batch()
 	for i := n; i < n+100; i++ {
-		b.Set(tkey(i), tval(i))
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
+		if err := om.Set(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	p2, err := p.SimulateCrash()
