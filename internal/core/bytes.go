@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 
 	"repro/internal/nvram"
 	"repro/internal/pmem"
@@ -325,11 +326,22 @@ func bytesEntryKey(s *Store, e Addr) []byte {
 	return loadBytes(s.dev, e+beData, bytesEntryKeyLen(s, e))
 }
 
-func bytesEntryValue(s *Store, e Addr) []byte {
+func bytesEntryValue(s *Store, e Addr) []byte { return appendEntryValue(s, nil, e) }
+
+// appendEntryValue appends the entry's value to dst. A nil dst gets a fresh
+// slice of exactly the value's length: the copying reads allocate the value,
+// no more.
+func appendEntryValue(s *Store, dst []byte, e Addr) []byte {
 	hdr := s.dev.Load(e + beHeader)
 	klen := int(hdr & 0xFFFF)
 	vlen := int(hdr >> 16 & 0xFFFFFFFF)
-	return loadBytes(s.dev, e+beData+Addr(klen), vlen)
+	if dst == nil {
+		dst = make([]byte, 0, vlen)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, vlen)[:n+vlen]
+	loadInto(s.dev, e+beData+Addr(klen), dst[n:])
+	return dst
 }
 
 func bytesEntryMeta(s *Store, e Addr) uint16 { return uint16(s.dev.Load(e+beHeader) >> 48) }
@@ -453,36 +465,27 @@ func (b *BytesMap) Get(c *Ctx, key []byte) ([]byte, bool) {
 
 // GetItem returns copies of the value, metadata and aux word bound to key.
 func (b *BytesMap) GetItem(c *Ctx, key []byte) (value []byte, meta uint16, aux uint64, ok bool) {
-	hash := bytesHash(key)
-	c.ep.Begin()
-	defer c.ep.End()
-	head, found := b.chainHead(c, hash)
-	if !found {
-		return nil, 0, 0, false
-	}
-	e, _ := b.findInChain(head, key)
-	if e == 0 {
-		return nil, 0, 0, false
-	}
-	return b.EntryValue(e), b.EntryMeta(e), b.EntryAux(e), true
+	value, meta, aux, _, ok = b.AppendItem(c, nil, key)
+	return value, meta, aux, ok
 }
 
-// GetAux returns the aux word bound to key and the length of its value — no
-// value copy, for metadata probes on hot paths (e.g. reading an item's expiry
-// and footprint before a rewrite).
-func (b *BytesMap) GetAux(c *Ctx, key []byte) (aux uint64, valueLen int, ok bool) {
-	hash := bytesHash(key)
+// AppendItem is GetItem appending the value to dst (see appendEntryValue)
+// instead of copying it into a slice of its own, and returning the key's
+// index hash too: the one hash the lookup computed, an identity the caller
+// may key volatile per-key state by. The value is nil when key is absent.
+func (b *BytesMap) AppendItem(c *Ctx, dst, key []byte) (value []byte, meta uint16, aux, hash uint64, ok bool) {
+	hash = bytesHash(key)
 	c.ep.Begin()
 	defer c.ep.End()
 	head, found := b.chainHead(c, hash)
 	if !found {
-		return 0, 0, false
+		return nil, 0, 0, hash, false
 	}
 	e, _ := b.findInChain(head, key)
 	if e == 0 {
-		return 0, 0, false
+		return nil, 0, 0, hash, false
 	}
-	return b.EntryAux(e), bytesEntryValueLen(b.s, e), true
+	return appendEntryValue(b.s, dst, e), b.EntryMeta(e), b.EntryAux(e), hash, true
 }
 
 // Contains reports whether key is present.
@@ -491,72 +494,34 @@ func (b *BytesMap) Contains(c *Ctx, key []byte) bool {
 	return ok
 }
 
-// Set binds key to value (with metadata and aux word), durably, through the
-// write path (write.go): the entry is fully persisted before the single
-// atomic link that publishes it, and a crash leaves either the old binding
-// or the new one, never neither. Returns whether the key was newly created.
-// May return ErrOutOfMemory-wrapping errors under memory pressure; the
-// caller owns eviction policy.
+// Set binds key to value (with metadata and aux word), durably: a one-step
+// Update whose step sets (KeyStep.Set). Returns whether the key was newly
+// created.
 func (b *BytesMap) Set(c *Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	return writeTarget{b: b}.set(c, key, value, meta, aux)
+	err = b.Update(c, key, func(st *KeyStep) error {
+		created, err = st.Set(value, meta, aux)
+		return err
+	})
+	return created, err
 }
 
 // SetAux durably replaces the aux word of an existing entry in place
 // (touch-style update: no entry rewrite). Returns false if key is absent.
-func (b *BytesMap) SetAux(c *Ctx, key []byte, aux uint64) bool {
-	hash := bytesHash(key)
-	mu := b.s.stripe(hash)
-	mu.Lock()
-	defer mu.Unlock()
-	c.ep.Begin()
-	defer c.ep.End()
-	head, found := b.chainHead(c, hash)
-	if !found {
-		return false
-	}
-	e, _ := b.findInChain(head, key)
-	if e == 0 {
-		return false
-	}
-	b.s.dev.Store(e+beAux, aux)
-	c.sync(e + beAux)
-	return true
+func (b *BytesMap) SetAux(c *Ctx, key []byte, aux uint64) (ok bool) {
+	b.Update(c, key, func(st *KeyStep) error {
+		ok = st.SetAux(aux)
+		return nil
+	})
+	return ok
 }
 
 // Delete removes key durably. Returns false if key is absent.
-func (b *BytesMap) Delete(c *Ctx, key []byte) bool {
-	hash := bytesHash(key)
-	mu := b.s.stripe(hash)
-	mu.Lock()
-	defer mu.Unlock()
-	c.ep.Begin()
-	defer c.ep.End()
-	dev := b.s.dev
-
-	head, exists := b.chainHead(c, hash)
-	if !exists {
-		return false
-	}
-	e, pred := b.findInChain(head, key)
-	if e == 0 {
-		return false
-	}
-	// The unlink makes the entry durably unreachable; cover its area first.
-	c.ep.PreRetire(e)
-	next := b.entryNext(e)
-	switch {
-	case pred == 0 && next == 0:
-		if _, ok := listDelete(c, b.s, b.idx.bucket(hash), hash); !ok {
-			return false
-		}
-	case pred == 0:
-		listUpsert(c, b.s, b.idx.bucket(hash), hash, uint64(next))
-	default:
-		dev.Store(pred+beNext, uint64(next))
-		c.sync(pred + beNext)
-	}
-	c.ep.Retire(e)
-	return true
+func (b *BytesMap) Delete(c *Ctx, key []byte) (ok bool) {
+	b.Update(c, key, func(st *KeyStep) error {
+		ok = st.Delete()
+		return nil
+	})
+	return ok
 }
 
 // Len counts live entries (linearizable only in quiescence; diagnostic).

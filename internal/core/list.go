@@ -219,8 +219,14 @@ func listUpsert(c *Ctx, s *Store, head Addr, key, value uint64) bool {
 
 // listDelete is the shared delete path.
 func listDelete(c *Ctx, s *Store, head Addr, key uint64) (uint64, bool) {
-	for {
-		pred, curr, inPred := searchFrom(c, s, head, key)
+	pred, curr, inPred := searchFrom(c, s, head, key)
+	return listDeleteFrom(c, s, head, key, pred, curr, inPred)
+}
+
+// listDeleteFrom is listDelete starting at a position searchFrom returned;
+// it searches again only when that position no longer holds.
+func listDeleteFrom(c *Ctx, s *Store, head Addr, key uint64, pred, curr, inPred Addr) (uint64, bool) {
+	for ; ; pred, curr, inPred = searchFrom(c, s, head, key) {
 		c.scan(key)
 		if s.nodeKey(curr) != key {
 			c.ensureDurable(pred + nNext) // absence must be durable

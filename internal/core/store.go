@@ -89,12 +89,16 @@ type Store struct {
 	ctxMu sync.Mutex
 	ctxs  atomic.Pointer[[]*Ctx]
 
-	// bytesLocks are the entry-lifecycle stripes of every byte map on this
-	// store, hash-indexed and ordered alike, keyed by index-key hash. Set,
-	// Delete and SetAux each take exactly one: the stripe of their key's
-	// hash. Store-level so that independently attached values over the same
-	// durable map share one serialization domain.
-	bytesLocks [2048]sync.Mutex
+	// The entry-lifecycle stripes of the byte maps on this store, keyed by
+	// index-key hash, in two domains: bytesLocks for the hash-indexed maps,
+	// orderedLocks for the ordered ones. A write takes exactly one, its
+	// key's. A write to an ordered map may run nested inside a hash-map
+	// key's step (an item and its expiry-index entry); with its own domain it
+	// can never wait on the stripe its step holds. The lock order is a
+	// hash-map stripe, then an ordered-map stripe, never the reverse.
+	// Store-level so that independently attached values over the same durable
+	// map share one serialization domain.
+	bytesLocks, orderedLocks [2048]sync.Mutex
 }
 
 // ErrTooManyThreads is returned when a context cannot be created: a negative
@@ -194,9 +198,15 @@ func unpackMeta(v uint64) Options {
 	}
 }
 
-// stripe is the lock serializing index key hash's entry lifecycle.
+// stripe is the lock serializing the entry lifecycle of index key hash in
+// the hash-indexed maps.
 func (s *Store) stripe(hash uint64) *sync.Mutex {
 	return &s.bytesLocks[hash%uint64(len(s.bytesLocks))]
+}
+
+// orderedStripe is stripe for the ordered maps.
+func (s *Store) orderedStripe(hash uint64) *sync.Mutex {
+	return &s.orderedLocks[hash%uint64(len(s.orderedLocks))]
 }
 
 // Device returns the underlying simulated NVRAM device.
@@ -234,6 +244,10 @@ type Ctx struct {
 	// walkKey is where BytesMap.Walk presents each entry's key to its
 	// visitor (a context walks one map at a time), so no key is allocated.
 	walkKey [MaxBytesKeyLen]byte
+	// step is the KeyStep of the Update running on this context (one at a
+	// time: epoch sections do not nest); it lives here so that handing it to
+	// the caller's function allocates nothing.
+	step KeyStep
 }
 
 func (s *Store) loadCtxs() []*Ctx    { return *s.ctxs.Load() }

@@ -30,20 +30,20 @@ const sweepPages = 4
 // SweepEntry is one entry extent as Sweep presents it to its visitor, valid
 // until the visitor returns.
 type SweepEntry struct {
-	Key []byte // the context's scratch buffer; copy it to keep it
-	Aux uint64
+	Key  []byte // the context's scratch buffer; copy it to keep it
+	Aux  uint64
+	Hash uint64 // the key's index hash, as stored in the entry
 
-	b    *BytesMap
-	c    *Ctx
-	e    Addr
-	hash uint64
+	b *BytesMap
+	c *Ctx
+	e Addr
 }
 
 // Live reports whether the extent is the entry its key is bound to in the
 // map now: it searches the key's collision chain for the extent, as recovery
 // does (bytesRecover.Keep). Call it only on an entry about to be acted on.
 func (w SweepEntry) Live() bool {
-	head, ok := w.b.chainHead(w.c, w.hash)
+	head, ok := w.b.chainHead(w.c, w.Hash)
 	for e := head; ok && e != 0; e = w.b.entryNext(e) {
 		if e == w.e {
 			return true
@@ -85,7 +85,7 @@ func (b *BytesMap) Sweep(c *Ctx, cursor uint64, visit func(SweepEntry) bool) (ne
 				if bytesHash(k) != hash {
 					continue
 				}
-				if !visit(SweepEntry{Key: k, Aux: dev.Load(e + beAux), b: b, c: c, e: e, hash: hash}) {
+				if !visit(SweepEntry{Key: k, Aux: dev.Load(e + beAux), Hash: hash, b: b, c: c, e: e}) {
 					return uint64(e + size)
 				}
 			}

@@ -2,14 +2,21 @@ package core
 
 import "repro/internal/ptrtag"
 
-// This file is the byte maps' write path: every Set on a BytesMap or an
-// OrderedBytesMap is applied here, in three phases:
+// This file is the byte maps' write path. On a BytesMap every write is one
+// key's read-decide-write step (Update): the key is hashed once, its stripe
+// lock taken and an epoch section opened once, and the index searched once,
+// as a Get searches (the links proving presence or absence are made
+// durable, §3). The caller reads the entry found through the step, decides,
+// and sets, rewrites the aux word, deletes or does nothing; Set, SetAux and
+// Delete are one-step Updates. An OrderedBytesMap Set takes its own stripe
+// and searches in staging. A Set on either map is applied in three phases:
 //
 //	stage    write the entry extent (and, for a fresh key, its index node)
 //	         with write-backs scheduled but NOT fenced, planning the publish
-//	         point against the current durable state. A Set that will unlink
-//	         a replaced entry puts its area in the APT here (§5.4), so an APT
-//	         miss's sync carries the pending content lines with it;
+//	         point against the current durable state — on a BytesMap, the
+//	         step's search position. A Set that will unlink a replaced entry
+//	         puts its area in the APT here (§5.4), so an APT miss's sync
+//	         carries the pending content lines with it;
 //	fence    ONE fence makes every pending content line durable together
 //	         (the paper's one-pause-per-fence latency model, §6.1);
 //	publish  the single linearizing link-and-persist.
@@ -17,13 +24,155 @@ import "repro/internal/ptrtag"
 // A Set costs two sync waits: the content fence and the publishing link
 // (enforced by fencebudget_test.go).
 //
-// Correctness hinges on the key's stripe lock, the same one Delete and SetAux
-// take: it freezes the publish point planned while staging, so no concurrent
-// operation can touch the key's chain, index node or skip-list membership.
-// Bucket and skip-list *neighbourhoods* may still shift under concurrent
-// different-hash traffic; the publish revalidates its planned neighbours and,
-// only when a planned successor really moved, restores the
+// Correctness hinges on the key's stripe lock: it freezes the key's chain,
+// index node and skip-list membership from the search to the publish, so the
+// position a step found, and the publish point planned while staging, stay
+// the key's. Bucket and skip-list *neighbourhoods* may still shift under
+// concurrent different-hash traffic; the publish revalidates its planned
+// neighbours and, only when a planned successor really moved, restores the
 // contents-before-reachability ordering with one extra sync.
+
+// KeyStep is one key's read-decide-write step on a BytesMap, valid only
+// inside the function Update runs: the key, its index hash, the bucket
+// position the step's search found and the entry bound there. The accessors
+// read that entry. At most one of Set, SetAux and Delete may be called on a
+// step; afterwards the accessors describe nothing.
+type KeyStep struct {
+	b    *BytesMap
+	c    *Ctx
+	key  []byte
+	hash uint64
+
+	pred, curr, inPred Addr // the bucket search's position (see searchFrom)
+	node               bool // curr is the index key's node
+	e, ePred           Addr // the key's entry (0: absent) and its chain predecessor (0: e heads the chain)
+}
+
+// Update runs fn as key's one read-decide-write step and returns fn's error
+// (ErrBadKey, without running fn, for an empty or oversized key). fn runs
+// under the key's stripe lock and inside an epoch section on c, so it must
+// not operate through c, nor on another key of a hash-indexed map on this
+// store: that key may share the stripe. Writes to an ordered map may nest.
+func (b *BytesMap) Update(c *Ctx, key []byte, fn func(*KeyStep) error) error {
+	if len(key) == 0 || len(key) > MaxBytesKeyLen {
+		return ErrBadKey
+	}
+	st := &c.step
+	*st = KeyStep{b: b, c: c, key: key, hash: bytesHash(key)}
+	mu := b.s.stripe(st.hash)
+	mu.Lock()
+	defer mu.Unlock()
+	c.ep.Begin()
+	defer c.ep.End()
+	st.search()
+	err := fn(st)
+	*st = KeyStep{}
+	return err
+}
+
+// search finds the step's key as a Get does, keeping the position.
+func (st *KeyStep) search() {
+	b, c, s := st.b, st.c, st.b.s
+	st.pred, st.curr, st.inPred = searchFrom(c, s, b.idx.bucket(st.hash), st.hash)
+	c.scan(st.hash)
+	c.ensureDurable(st.pred + nNext)
+	if st.node = s.nodeKey(st.curr) == st.hash; st.node {
+		c.ensureDurable(st.curr + nNext)
+		st.e, st.ePred = b.findInChain(Addr(s.nodeValue(st.curr)), st.key)
+	}
+}
+
+// Hash returns the key's index hash: the one hash the step computed, an
+// identity the caller may key volatile per-key state by.
+func (st *KeyStep) Hash() uint64 { return st.hash }
+
+// Found reports whether the key is bound.
+func (st *KeyStep) Found() bool { return st.e != 0 }
+
+// Aux returns the entry's aux word (0 when the key is absent).
+func (st *KeyStep) Aux() uint64 {
+	if st.e == 0 {
+		return 0
+	}
+	return bytesEntryAux(st.b.s, st.e)
+}
+
+// Meta returns the entry's metadata field (0 when the key is absent).
+func (st *KeyStep) Meta() uint16 {
+	if st.e == 0 {
+		return 0
+	}
+	return bytesEntryMeta(st.b.s, st.e)
+}
+
+// ValueLen returns the length of the entry's value (0 when the key is
+// absent).
+func (st *KeyStep) ValueLen() int {
+	if st.e == 0 {
+		return 0
+	}
+	return bytesEntryValueLen(st.b.s, st.e)
+}
+
+// AppendValue appends the entry's value to dst (see appendEntryValue); dst
+// comes back unchanged when the key is absent.
+func (st *KeyStep) AppendValue(dst []byte) []byte {
+	if st.e == 0 {
+		return dst
+	}
+	return appendEntryValue(st.b.s, dst, st.e)
+}
+
+// Set binds the key to value (with metadata and aux word), durably, staged
+// at the step's position: the entry is fully persisted before the single
+// atomic link that publishes it, and a crash leaves either the old binding
+// or the new one, never neither. Returns whether the key was newly created.
+// May return ErrOutOfMemory-wrapping errors under memory pressure; the
+// caller owns eviction policy.
+func (st *KeyStep) Set(value []byte, meta uint16, aux uint64) (created bool, err error) {
+	p := writePlan{hash: st.hash}
+	return writeTarget{st: st}.write(st.c, st.key, value, meta, aux, &p)
+}
+
+// SetAux durably replaces the entry's aux word in place (touch-style update:
+// no entry rewrite). Returns false if the key is absent.
+func (st *KeyStep) SetAux(aux uint64) bool {
+	if st.e == 0 {
+		return false
+	}
+	st.b.s.dev.Store(st.e+beAux, aux)
+	st.c.sync(st.e + beAux)
+	return true
+}
+
+// Delete removes the key durably. Returns false if it is absent.
+func (st *KeyStep) Delete() bool {
+	e := st.e
+	if e == 0 {
+		return false
+	}
+	b, c, dev := st.b, st.c, st.b.s.dev
+	// The unlink makes the entry durably unreachable; cover its area first.
+	c.ep.PreRetire(e)
+	next := b.entryNext(e)
+	switch {
+	case st.ePred == 0 && next == 0:
+		// The key's node leaves its bucket.
+		if _, ok := listDeleteFrom(c, b.s, b.idx.bucket(st.hash), st.hash, st.pred, st.curr, st.inPred); !ok {
+			return false
+		}
+	case st.ePred == 0:
+		// The chain loses its head: the node's value word swings to the
+		// next entry.
+		dev.Store(st.curr+nValue, uint64(next))
+		c.sync(st.curr + nValue)
+	default:
+		dev.Store(st.ePred+beNext, uint64(next))
+		c.sync(st.ePred + beNext)
+	}
+	c.ep.Retire(e)
+	return true
+}
 
 // planKind is how a staged Set publishes.
 type planKind uint8
@@ -49,30 +198,21 @@ type writePlan struct {
 	preds, succs [MaxLevel]Addr // OrderedBytesMap: the key's neighbourhood
 }
 
-// writeTarget is the map a write applies to: exactly one of b and o is set.
-// It dispatches statically, so the plan Set keeps on its stack does not
-// escape.
+// writeTarget is the map a write applies to: exactly one of st (a BytesMap
+// key's step) and o is set. It dispatches statically, so the plan a Set
+// keeps on its stack does not escape.
 type writeTarget struct {
-	b *BytesMap
-	o *OrderedBytesMap
+	st *KeyStep
+	o  *OrderedBytesMap
 }
 
-// set is Set on either map.
-func (t writeTarget) set(c *Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	if len(key) == 0 || len(key) > MaxBytesKeyLen {
-		return false, ErrBadKey
-	}
+// write is a Set on either map, run under the key's stripe lock and inside
+// an epoch section.
+func (t writeTarget) write(c *Ctx, key, value []byte, meta uint16, aux uint64, p *writePlan) (created bool, err error) {
 	if beData+len(key)+len(value) > MaxBytesEntrySize {
 		return false, ErrTooLarge
 	}
-	p := writePlan{hash: bytesHash(key)}
-	mu := c.s.stripe(p.hash)
-	mu.Lock()
-	defer mu.Unlock()
-	c.ep.Begin()
-	defer c.ep.End()
-
-	if err := t.stage(c, key, value, meta, aux, &p); err != nil {
+	if err := t.stage(c, key, value, meta, aux, p); err != nil {
 		// Staging fails before it plans a node, so at most the entry extent
 		// was allocated; nothing was published.
 		if p.e != 0 {
@@ -90,7 +230,7 @@ func (t writeTarget) set(c *Ctx, key, value []byte, meta uint16, aux uint64) (cr
 	// lines.
 	c.fence()
 
-	t.publish(c, key, &p)
+	t.publish(c, key, p)
 	if p.replaced != 0 {
 		c.ep.Retire(p.replaced)
 		return false, nil
@@ -99,15 +239,15 @@ func (t writeTarget) set(c *Ctx, key, value []byte, meta uint16, aux uint64) (cr
 }
 
 func (t writeTarget) stage(c *Ctx, key, value []byte, meta uint16, aux uint64, p *writePlan) error {
-	if t.b != nil {
-		return t.b.stage(c, key, value, meta, aux, p)
+	if t.st != nil {
+		return t.st.stage(value, meta, aux, p)
 	}
 	return t.o.stage(c, key, value, meta, aux, p)
 }
 
 func (t writeTarget) publish(c *Ctx, key []byte, p *writePlan) {
-	if t.b != nil {
-		t.b.publish(c, p)
+	if t.st != nil {
+		t.st.b.publish(c, p)
 	} else {
 		t.o.publish(c, key, p)
 	}
@@ -115,37 +255,31 @@ func (t writeTarget) publish(c *Ctx, key []byte, p *writePlan) {
 
 // --- Hash-indexed map -----------------------------------------------------
 
-// stage looks key up as a Get does (the links proving presence or absence are
-// made durable, §3), writes its entry with the chain tail it will carry, and
-// for a fresh index key stages the bucket node.
-func (b *BytesMap) stage(c *Ctx, key, value []byte, meta uint16, aux uint64, p *writePlan) error {
-	s, hash := b.s, p.hash
-	pred, curr, inPred := searchFrom(c, s, b.idx.bucket(hash), hash)
-	c.scan(hash)
-	c.ensureDurable(pred + nNext)
-	exists := s.nodeKey(curr) == hash
-	var head Addr
-	if exists {
-		c.ensureDurable(curr + nNext)
-		head = Addr(s.nodeValue(curr))
-		p.replaced, p.pred = b.findInChain(head, key)
-	}
+// stage writes the step key's entry with the chain tail it will carry and,
+// for a fresh index key, stages the bucket node after the position the
+// step's search found.
+func (st *KeyStep) stage(value []byte, meta uint16, aux uint64, p *writePlan) error {
+	b, c, s := st.b, st.c, st.b.s
+	p.replaced, p.pred = st.e, st.ePred
 	// The new entry's chain tail skips the entry it replaces (a mid-chain
 	// replacement publishes at its predecessor).
-	next := head
-	if p.replaced != 0 {
+	var next Addr
+	switch {
+	case p.replaced != 0:
 		next = b.entryNext(p.replaced)
+	case st.node:
+		next = Addr(s.nodeValue(st.curr))
 	}
 	var err error
-	if p.e, err = writeBytesEntry(c, hash, key, value, meta, aux, next); err != nil {
+	if p.e, err = writeBytesEntry(c, st.hash, st.key, value, meta, aux, next); err != nil {
 		return err
 	}
 	switch {
-	case exists && p.pred == 0:
+	case st.node && p.pred == 0:
 		// Prepend (nothing replaced) or head replace: either way the index
 		// node's value word swings from the current head to the new entry.
-		p.kind, p.n = planSwing, curr
-	case exists:
+		p.kind, p.n = planSwing, st.curr
+	case st.node:
 		p.kind = planMid
 	default:
 		n, err := c.ep.AllocNode(listClass)
@@ -153,11 +287,11 @@ func (b *BytesMap) stage(c *Ctx, key, value []byte, meta uint16, aux uint64, p *
 			return err
 		}
 		dev := s.dev
-		dev.StorePrivate(n+nKey, hash)
+		dev.StorePrivate(n+nKey, st.hash)
 		dev.StorePrivate(n+nValue, uint64(p.e))
-		dev.StorePrivate(n+nNext, uint64(curr))
+		dev.StorePrivate(n+nNext, uint64(st.curr))
 		c.clwb(n)
-		p.kind, p.n, p.pred, p.inPred, p.next = planFresh, n, pred, inPred, curr
+		p.kind, p.n, p.pred, p.inPred, p.next = planFresh, n, st.pred, st.inPred, st.curr
 	}
 	return nil
 }

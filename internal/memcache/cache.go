@@ -22,7 +22,8 @@
 //
 // Recency is volatile and approximate, as in MemC3: no list, no per-item
 // record — one CLOCK reference bit per slot of a flat table that grows with
-// the item count, a key's slot picked by the hash that picks its stripe lock.
+// the item count, a key's slot picked by its durable index hash, which a Get
+// or a key's step computes anyway and the hand reads from the entry header.
 // A hit or a store sets the bit (testing it first, so a hot key's line stays
 // shared). The eviction hand is a cursor over the index's entry extents in
 // device-address order (logfree's Sweep, a few allocator pages per epoch
@@ -39,12 +40,16 @@
 // Client commands of both wire protocols and a follower's replicated sets
 // reach the steps through one mutation driver: it validates key and size,
 // makes room (grow the pool, then evict what the hand finds unused), runs the
-// command's precondition and the step under the key's stripe lock, retries
+// command's precondition and the step inside the key's read-decide-write step
+// (logfree's ByteMap.Update, Memcached's single item path: the key hashed
+// once, its one stripe lock taken once, the index searched once), retries
 // through grow-then-evict while the device is full, and waits for replication
-// once.
+// once. The expiry index is an ordered map, whose stripes are a lock domain of
+// their own, so its writes nest inside an item's step.
 // No stripe lock is held while evicting or waiting: a full pool or a slow
 // follower delays the caller, never another key. Evictions, the expiry sweep
-// and flush_all call the remove step themselves, and wait for nobody.
+// and flush_all run the remove step in a step of their own, and wait for
+// nobody.
 //
 // The engine is always a sharded.Pool of Config.Shards ≥ 1 independent
 // runtimes with keys hash-routed across them; one shard is the paper's
@@ -54,7 +59,8 @@
 //
 // Threading: every method of Cache is safe for concurrent use from any
 // goroutine — each operation draws one of the logfree runtime's implicit
-// sessions, so connections need no worker-slot assignment to issue
+// sessions (a mutation one for its step, plus one per expiry-index write
+// nested in it), so connections need no worker-slot assignment to issue
 // operations. Gets are lock-free.
 //
 // Durable linearizability: a mutation that returned is reflected after a
@@ -216,19 +222,21 @@ type cacheState struct {
 	// ref holds the CLOCK reference bits, the cache's whole notion of
 	// recency: one bit per slot of a flat table that keeps refSlotsPerItem
 	// slots per item (growRef doubles it as the cache fills), a key's slot
-	// picked by its stripe hash. A hit or a store sets the key's bit; the
-	// eviction hand clears set bits as it passes and evicts the first key it
-	// finds clear. Two keys sharing a slot share a bit (see refSlotsPerItem
-	// for what that costs). hand is the hand's position: a Sweep cursor over
-	// the item index's entry extents, in address order.
+	// picked by its durable index hash — the hash a Get or a key's step
+	// computes anyway, and the eviction hand reads from the entry header. A
+	// hit or a store sets the key's bit; the eviction hand clears set bits as
+	// it passes and evicts the first key it finds clear. Two keys sharing a
+	// slot share a bit (see refSlotsPerItem for what that costs). hand is the
+	// hand's position: a Sweep cursor over the item index's entry extents, in
+	// address order.
 	ref   atomic.Pointer[[]atomic.Uint64]
 	refMu sync.Mutex // serializes growRef
 	hand  atomic.Uint64
 
 	// usedBytes tracks the cache's logical footprint (the MaxBytes valve's
 	// currency). Every mutation reads the length of the value it replaces or
-	// removes in the pre-read it does anyway, so no per-item volatile record
-	// is kept.
+	// removes through the step it runs in anyway, so no per-item volatile
+	// record is kept.
 	usedBytes atomic.Int64
 
 	// growMu serializes online grows so concurrent full writers walk the
@@ -238,30 +246,6 @@ type cacheState struct {
 	// repl holds the replication hooks (nil pointer or nil fields = not
 	// replicating): one atomic so SetReplication is safe mid-traffic.
 	repl atomic.Pointer[replHooks]
-
-	// keyLocks serialize the lifecycle (set/delete/evict and the composite
-	// commands) of items sharing a key-hash stripe, exactly as memcached's
-	// striped item locks do. Gets are lock-free.
-	keyLocks [1024]sync.Mutex
-}
-
-// fnv1aStripe is a volatile FNV-1a over the key, computed once per operation:
-// it picks the key's stripe lock and its reference bit (the durable index
-// hash lives inside logfree). The halves are folded at the end: the low bits
-// of a plain FNV-1a depend only on the low bits of the key's bytes, so keys
-// that differ in a trailing counter would crowd a fraction of the slots.
-func fnv1aStripe(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h ^ h>>32
-}
-
-// stripe is the lock of the key whose stripe hash is h.
-func (m *cacheState) stripe(h uint64) *sync.Mutex {
-	return &m.keyLocks[h%uint64(len(m.keyLocks))]
 }
 
 // refSlotsPerItem is how many reference-bit slots the table keeps per item,
@@ -271,7 +255,7 @@ func (m *cacheState) stripe(h uint64) *sync.Mutex {
 // unprotected until its next hit — so the table is kept sparse.
 const refSlotsPerItem = 32
 
-// refBit locates the reference bit of the key whose stripe hash is h.
+// refBit locates the reference bit of the key whose index hash is h.
 func (m *cacheState) refBit(h uint64) (word *atomic.Uint64, bit uint64) {
 	table := *m.ref.Load()
 	slot := h & uint64(len(table)*64-1)
@@ -645,20 +629,22 @@ func (m *Cache) SweepExpired(now int64) int {
 	for _, ek := range due {
 		deadline := binary.BigEndian.Uint64(ek[:8])
 		key := ek[8:]
-		mu := m.stripe(fnv1aStripe(key))
-		mu.Lock()
-		if aux, vlen, ok := m.m.GetAux(key); ok && uint64(auxExpiry(aux)) == deadline {
-			// Replicated without an ack wait: followers share the item's
-			// deadline (aux travels verbatim), so an unreplicated sweep
-			// delete is merely deferred tidiness there, never staleness.
-			if _, ok := m.removeLocked(key, aux, footprint(len(key), vlen), true); ok {
-				m.stats.expired.Add(1)
-				n++
+		// Update's own errors (a key the map rejects, a closed runtime) leave
+		// the entry for a later sweep.
+		_ = m.m.Update(key, func(st *logfree.KeyStep) error {
+			if aux := st.Aux(); st.Found() && uint64(auxExpiry(aux)) == deadline {
+				// Replicated without an ack wait: followers share the item's
+				// deadline (aux travels verbatim), so an unreplicated sweep
+				// delete is merely deferred tidiness there, never staleness.
+				if _, ok := m.removeLocked(st, key, aux, footprint(len(key), st.ValueLen()), true); ok {
+					m.stats.expired.Add(1)
+					n++
+				}
+			} else {
+				m.exp.Delete(ek) // stale
 			}
-		} else {
-			m.exp.Delete(ek) // stale
-		}
-		mu.Unlock()
+			return nil
+		})
 	}
 	return n
 }
@@ -689,6 +675,10 @@ func (m *Cache) StartSweeper(interval time.Duration) (stop func()) {
 	}
 }
 
+// victimKeys recycles the buffers evictOne copies its victim's key into (the
+// key outlives the sweep's own buffer), so an eviction allocates nothing.
+var victimKeys = sync.Pool{New: func() any { return new([MaxKeyLen]byte) }}
+
 // evictOne removes one item that was not used since the hand last passed it
 // (memcached behaviour under memory pressure). The hand resumes where the
 // last eviction left it, clears the reference bits it finds set and takes the
@@ -697,7 +687,9 @@ func (m *Cache) StartSweeper(interval time.Duration) (stop func()) {
 // every bit and come back — which only happens when the keys are being used
 // as fast as the hand moves. Returns false if nothing is evictable.
 func (m *Cache) evictOne() bool {
-	var victim []byte
+	buf := victimKeys.Get().(*[MaxKeyLen]byte)
+	defer victimKeys.Put(buf)
+	victim := buf[:0]
 	var aux uint64
 	for ends := 0; ends < 3 && m.stats.items.Load() > 0; {
 		victim = victim[:0]
@@ -705,7 +697,7 @@ func (m *Cache) evictOne() bool {
 			if isReplMeta(e.Key) {
 				return true
 			}
-			if word, bit := m.refBit(fnv1aStripe(e.Key)); word.Load()&bit != 0 {
+			if word, bit := m.refBit(e.Hash); word.Load()&bit != 0 {
 				word.And(^bit)
 				return true
 			}

@@ -243,7 +243,7 @@ func TestEvictionLocality(t *testing.T) {
 	if evictions < ops/10 {
 		t.Fatalf("%d evictions in %d operations: the churn was to evict", evictions, ops)
 	}
-	const missBudget, waitBudget = 4253, 28800
+	const missBudget, waitBudget = 4237, 28794
 	if misses > missBudget || waits > waitBudget {
 		t.Fatalf("%d evictions cost %d APT unlink misses and %d sync waits; budgets %d and %d",
 			evictions, misses, waits, missBudget, waitBudget)

@@ -27,13 +27,19 @@ func (m *Cache) Get(key []byte) (value []byte, flags uint16, ok bool) {
 // GET): the token a later cas must present. Items last written by a pre-CAS
 // image report 0 until their first mutation.
 func (m *Cache) Gets(key []byte) (value []byte, flags uint16, cas uint64, ok bool) {
+	return m.appendGets(nil, key)
+}
+
+// appendGets is Gets appending the value to dst (a nil dst gets a copy of
+// its own).
+func (m *Cache) appendGets(dst, key []byte) (value []byte, flags uint16, cas uint64, ok bool) {
 	m.stats.gets.Add(1)
-	v, meta, aux, found := m.m.GetItem(key)
+	v, meta, aux, hash, found := m.m.AppendItem(dst, key)
 	if !found || !unexpired(aux) {
 		m.stats.misses.Add(1)
 		return nil, 0, 0, false
 	}
-	m.markUsed(fnv1aStripe(key))
+	m.markUsed(hash)
 	m.stats.hits.Add(1)
 	return v, meta, uint64(auxCAS(aux)), true
 }

@@ -44,7 +44,7 @@ type command struct {
 const noRoom = -1
 
 // decideFunc holds a command's precondition and computes its outcome from
-// the key's current item, under the key's stripe lock. live is false for an
+// the key's current item, inside the key's step. live is false for an
 // absent key and for one past its deadline. Of next.aux only the expiry half
 // is read (the driver bumps the CAS) unless the command is a replica's. It
 // may run more than once, so it must not count anything.
@@ -53,10 +53,11 @@ type decideFunc func(cur item, live bool) (next item, v verdict, err error)
 var errBadKey = errors.New("memcache: bad key length")
 
 // mutate is the one mutation driver: key and size validation, the pressure
-// valves, then decide and the store or remove step under the key's stripe
-// lock — retried through grow-then-evict while the device is full — and last
-// the replication wait. Valves, evictions and the wait all run with no stripe
-// lock held. It returns the item as stored.
+// valves, then decide and the store or remove step inside the key's
+// read-decide-write step (logfree's Update: one hash, one stripe lock, one
+// search) — retried through grow-then-evict while the device is full — and
+// last the replication wait. Valves, evictions and the wait all run outside
+// any step. It returns the item as stored.
 func (m *Cache) mutate(c command, decide decideFunc) (item, error) {
 	if len(c.key) == 0 || len(c.key) > MaxKeyLen {
 		return item{}, errBadKey
@@ -78,58 +79,53 @@ func (m *Cache) mutate(c command, decide decideFunc) (item, error) {
 	}
 }
 
-// attempt runs c once under its key's stripe lock. seq is what it published,
-// for the caller to wait on after the unlock.
+// attempt runs c once, inside its key's step. seq is what it published, for
+// the caller to wait on once the step is over.
 func (m *Cache) attempt(c command, decide decideFunc) (it item, seq uint64, err error) {
-	h := fnv1aStripe(c.key)
-	mu := m.stripe(h)
-	mu.Lock()
-	defer mu.Unlock()
-	var cur item
-	var vlen int
-	var present bool
-	if c.readsValue {
-		cur.value, cur.flags, cur.aux, present = m.m.GetItem(c.key)
-		vlen = len(cur.value)
-	} else {
-		cur.aux, vlen, present = m.m.GetAux(c.key)
-	}
-	var held int64 // the logical bytes the key holds now
-	if present {
-		held = footprint(len(c.key), vlen)
-	}
-	next, v, err := decide(cur, present && unexpired(cur.aux))
-	switch v {
-	case keep:
-		return item{}, 0, err
-	case remove:
-		seq, ok := m.removeLocked(c.key, cur.aux, held, !c.replica)
-		if !ok {
-			err = ErrNotFound
+	err = m.m.Update(c.key, func(st *logfree.KeyStep) error {
+		cur := item{aux: st.Aux()}
+		if c.readsValue {
+			cur.value, cur.flags = st.AppendValue(nil), st.Meta()
 		}
-		return item{}, seq, err
-	case retouch:
-		next.value, next.flags = cur.value, cur.flags
-	}
-	if !c.replica {
-		// New items and items from pre-CAS images start the sequence at 1.
-		next.aux = packAux(nextCAS(auxCAS(cur.aux)), auxExpiry(next.aux))
-	}
-	if entrySize(c.key, next.value) > logfree.MaxMapEntrySize {
-		return item{}, 0, ErrTooLarge
-	}
-	seq, err = m.storeLocked(c.key, h, cur.aux, held, next, v == retouch, !c.replica)
-	return next, seq, err
+		var held int64 // the logical bytes the key holds now
+		if st.Found() {
+			held = footprint(len(c.key), st.ValueLen())
+		}
+		next, v, err := decide(cur, st.Found() && unexpired(cur.aux))
+		switch v {
+		case keep:
+			return err
+		case remove:
+			var ok bool
+			if seq, ok = m.removeLocked(st, c.key, cur.aux, held, !c.replica); !ok {
+				return ErrNotFound
+			}
+			return nil
+		case retouch:
+			next.value, next.flags = cur.value, cur.flags
+		}
+		if !c.replica {
+			// New items and items from pre-CAS images start the sequence at 1.
+			next.aux = packAux(nextCAS(auxCAS(cur.aux)), auxExpiry(next.aux))
+		}
+		if entrySize(c.key, next.value) > logfree.MaxMapEntrySize {
+			return ErrTooLarge
+		}
+		it = next
+		seq, err = m.storeLocked(st, c.key, cur.aux, held, next, v == retouch, !c.replica)
+		return err
+	})
+	return it, seq, err
 }
 
-// storeLocked is the one store step, run under the key's stripe lock (h is
-// the key's stripe hash): it writes it over whatever the key holds (oldAux and
-// held logical bytes, both 0 if nothing) and keeps the expiry index, the
-// reference bit, the used-bytes total and the item count in step. auxOnly
-// rewrites just the aux word of an existing entry (one atomic durable word,
-// so a new CAS and a new deadline land together). Returns the replication seq
-// of the publication, 0 without one.
-func (m *Cache) storeLocked(key []byte, h, oldAux uint64, held int64, it item, auxOnly, publish bool) (seq uint64, err error) {
+// storeLocked is the one store step, run inside the key's step st: it writes
+// it over whatever the key holds (oldAux and held logical bytes, both 0 if
+// nothing) and keeps the expiry index, the reference bit, the used-bytes
+// total and the item count in step. auxOnly rewrites just the aux word of an
+// existing entry (one atomic durable word, so a new CAS and a new deadline
+// land together). Returns the replication seq of the publication, 0 without
+// one.
+func (m *Cache) storeLocked(st *logfree.KeyStep, key []byte, oldAux uint64, held int64, it item, auxOnly, publish bool) (seq uint64, err error) {
 	// Index the new deadline *before* the item write: a crash in between
 	// leaves only a stale index entry, which the sweep double-checks and
 	// discards; the reverse order could leave an expiring item the sweep
@@ -144,10 +140,10 @@ func (m *Cache) storeLocked(key []byte, h, oldAux uint64, held int64, it item, a
 	}
 	created := false
 	if auxOnly {
-		if !m.m.SetAux(key, it.aux) {
+		if !st.SetAux(it.aux) {
 			return 0, ErrNotFound
 		}
-	} else if created, err = m.m.SetItem(key, it.value, it.flags, it.aux); err != nil {
+	} else if created, err = st.Set(it.value, it.flags, it.aux); err != nil {
 		return 0, err
 	}
 	if publish {
@@ -157,7 +153,7 @@ func (m *Cache) storeLocked(key []byte, h, oldAux uint64, held int64, it item, a
 		seq = m.publishSet(key, it.value, it.flags, it.aux)
 	}
 	m.unindex(key, auxExpiry(oldAux), expiry)
-	m.markUsed(h)
+	m.markUsed(st.Hash())
 	m.usedBytes.Add(entrySize(key, it.value) - held)
 	if created {
 		m.growRef(m.stats.items.Add(1))
@@ -173,12 +169,12 @@ func (m *Cache) unindex(key []byte, old, current uint32) {
 	}
 }
 
-// removeLocked is the one remove step, run under the key's stripe lock: the
-// item (whose aux word and held logical bytes the caller read under that
-// lock) leaves the index, the expiry index and the totals. ok is false when
-// the key held nothing.
-func (m *Cache) removeLocked(key []byte, aux uint64, held int64, publish bool) (seq uint64, ok bool) {
-	if !m.m.Delete(key) {
+// removeLocked is the one remove step, run inside the key's step st: the
+// item (whose aux word and held logical bytes the caller read through st)
+// leaves the index, the expiry index and the totals. ok is false when the
+// key held nothing.
+func (m *Cache) removeLocked(st *logfree.KeyStep, key []byte, aux uint64, held int64, publish bool) (seq uint64, ok bool) {
+	if !st.Delete() {
 		return 0, false
 	}
 	if publish {
@@ -192,19 +188,21 @@ func (m *Cache) removeLocked(key []byte, aux uint64, held int64, publish bool) (
 
 // removeKey runs the remove step on whatever key holds, for the removals no
 // client waits on: evictions, flush_all and a follower's deletes. A non-nil
-// match must accept the item's aux word, read under the stripe lock, or
-// nothing is removed: the CAS half changes on every mutation, so an eviction
-// that matches the aux word it found removes exactly the version it found.
+// match must accept the item's aux word, read in the key's step, or nothing
+// is removed: the CAS half changes on every mutation, so an eviction that
+// matches the aux word it found removes exactly the version it found.
 func (m *Cache) removeKey(key []byte, match func(aux uint64) bool, publish bool) (seq uint64, freed int64, ok bool) {
-	mu := m.stripe(fnv1aStripe(key))
-	mu.Lock()
-	defer mu.Unlock()
-	aux, vlen, ok := m.m.GetAux(key)
-	if !ok || match != nil && !match(aux) {
-		return 0, 0, false
-	}
-	freed = footprint(len(key), vlen)
-	seq, ok = m.removeLocked(key, aux, freed, publish)
+	// Update's own errors (a key the map rejects, a closed runtime) mean
+	// nothing was removed.
+	_ = m.m.Update(key, func(st *logfree.KeyStep) error {
+		if aux := st.Aux(); st.Found() && (match == nil || match(aux)) {
+			held := footprint(len(key), st.ValueLen())
+			if seq, ok = m.removeLocked(st, key, aux, held, publish); ok {
+				freed = held
+			}
+		}
+		return nil
+	})
 	return seq, freed, ok
 }
 

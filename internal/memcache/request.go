@@ -177,8 +177,12 @@ func (s *Server) execute(c *connState, req *request) (res result) {
 	var err error
 	switch req.op {
 	case opGet:
+		// The value lands in the connection's buffer, which the encoder has
+		// copied out before the next request reuses it.
 		var ok bool
-		if res.value, res.flags, res.cas, ok = cache.Gets(req.key); !ok {
+		if res.value, res.flags, res.cas, ok = cache.appendGets(c.value[:0], req.key); ok {
+			c.value = res.value
+		} else {
 			err = ErrNotFound
 		}
 	case opGat:

@@ -147,6 +147,7 @@ type connState struct {
 	data   []byte   // payload buffer (text data blocks, binary bodies), binMaxBody
 	keyBuf []byte   // key copy that survives reading the data block
 	num    []byte   // scratch: integer rendering, binary response headers
+	value  []byte   // a get's value, read into it by execute, MaxValueLen
 }
 
 // base is the server's own cache handle (nil on a comparator backend): what
@@ -165,6 +166,7 @@ var connPool = sync.Pool{New: func() any {
 		data:   make([]byte, 0, binMaxBody),
 		keyBuf: make([]byte, 0, MaxKeyLen+1),
 		num:    make([]byte, 32),
+		value:  make([]byte, 0, MaxValueLen),
 	}
 }}
 

@@ -2,6 +2,7 @@ package logfree_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"iter"
 	"maps"
@@ -129,6 +130,7 @@ func TestMapContract(t *testing.T) {
 				t.Run("meta-aux/"+kind, func(t *testing.T) { contractMetaAux(t, m) })
 			}
 			t.Run("walk", func(t *testing.T) { contractWalk(t, h) })
+			t.Run("step", func(t *testing.T) { contractStep(t, h) })
 			t.Run("ordered", func(t *testing.T) { contractOrdered(t, h) })
 			t.Run("crash", func(t *testing.T) { contractCrash(t, h) })
 		})
@@ -208,6 +210,90 @@ func contractMetaAux(t *testing.T, m itemMap) {
 	wantItems(t, m, model)
 	for k := range model {
 		m.Delete([]byte(k))
+	}
+}
+
+// contractStep: Update reads a key's entry and acts on it, or leaves it, in
+// one step, with an ordered-map write nested inside; AppendItem reads into a
+// caller's buffer and reports the hash the step saw.
+func contractStep(t *testing.T, h host) {
+	m, err := h.Map("c-step", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, err := h.OrderedMap("c-step-index")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errKept := errors.New("kept")
+	step := func(key []byte, fn func(st *logfree.KeyStep) error) {
+		t.Helper()
+		if err := m.Update(key, fn); err != nil {
+			t.Fatalf("Update(%q): %v", key, err)
+		}
+	}
+	var hash uint64
+	for i := 0; i < 64; i++ {
+		step(ckey(i), func(st *logfree.KeyStep) error {
+			if st.Found() || st.Aux() != 0 || st.ValueLen() != 0 {
+				t.Errorf("absent %q: found %v, aux %d, %d bytes", ckey(i), st.Found(), st.Aux(), st.ValueLen())
+			}
+			if err := om.Set(ckey(i), nil); err != nil { // nests
+				return err
+			}
+			created, err := st.Set(cval(i), uint16(i), uint64(i))
+			if !created {
+				t.Errorf("Set of absent %q did not create it", ckey(i))
+			}
+			return err
+		})
+	}
+	step(ckey(9), func(st *logfree.KeyStep) error {
+		if !st.Found() || st.Meta() != 9 || st.Aux() != 9 || string(st.AppendValue([]byte("<"))) != "<"+string(cval(9)) {
+			t.Errorf("present key: found %v, meta %d, aux %d, value %q", st.Found(), st.Meta(), st.Aux(), st.AppendValue(nil))
+		}
+		hash = st.Hash()
+		return nil
+	})
+	v, meta, aux, h9, ok := m.AppendItem([]byte(">"), ckey(9))
+	if !ok || string(v) != ">"+string(cval(9)) || meta != 9 || aux != 9 || h9 != hash {
+		t.Fatalf("AppendItem = %q, %d, %d, hash %x (step saw %x), %v", v, meta, aux, h9, hash, ok)
+	}
+	if v, _, _, _, ok := m.AppendItem([]byte(">"), []byte("absent")); ok || v != nil {
+		t.Fatalf("AppendItem of an absent key = %q, %v", v, ok)
+	}
+	step(ckey(1), func(st *logfree.KeyStep) error {
+		created, err := st.Set([]byte("replaced"), 1, 100)
+		if created {
+			t.Error("replacing Set created")
+		}
+		return err
+	})
+	step(ckey(2), func(st *logfree.KeyStep) error {
+		if !st.SetAux(200) {
+			t.Error("SetAux on a present key missed")
+		}
+		return nil
+	})
+	step(ckey(3), func(st *logfree.KeyStep) error {
+		if !st.Delete() {
+			t.Error("Delete of a present key missed")
+		}
+		return nil
+	})
+	if err := m.Update(ckey(4), func(st *logfree.KeyStep) error { return errKept }); !errors.Is(err, errKept) {
+		t.Fatalf("Update returned %v, want fn's error", err)
+	}
+	model := map[string]logfree.Item{}
+	for i := 0; i < 64; i++ {
+		model[string(ckey(i))] = logfree.Item{Value: cval(i), Meta: uint16(i), Aux: uint64(i)}
+	}
+	model[string(ckey(1))] = logfree.Item{Value: []byte("replaced"), Meta: 1, Aux: 100}
+	model[string(ckey(2))] = logfree.Item{Value: cval(2), Meta: 2, Aux: 200}
+	delete(model, string(ckey(3)))
+	wantItems(t, m, model)
+	if om.Len() != 64 {
+		t.Fatalf("the nested ordered-map writes left %d keys, want 64", om.Len())
 	}
 }
 
@@ -543,7 +629,15 @@ func TestOneShardPoolCountsEqualRuntime(t *testing.T) {
 					t.Fatalf("op %d: GetItem(%q) = %q, %v; want %q", op, k, got, ok, model[string(k)])
 				}
 			case r < 15:
-				m.GetAux(k)
+				err := m.Update(k, func(st *logfree.KeyStep) error {
+					if st.Found() != (model[string(k)] != "") || st.ValueLen() != len(model[string(k)]) {
+						t.Errorf("op %d: Update(%q) found %v, %d bytes; want %q", op, k, st.Found(), st.ValueLen(), model[string(k)])
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 			case r < 16:
 				m.SetAux(k, uint64(op))
 			case r < 19:

@@ -42,7 +42,7 @@ func wrapErr(err error) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, pmem.ErrOutOfMemory) {
+	if errors.Is(err, pmem.ErrOutOfMemory) && !errors.Is(err, ErrFull) {
 		return fmt.Errorf("%w: %w", ErrFull, err)
 	}
 	return err

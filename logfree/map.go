@@ -295,13 +295,39 @@ func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
 // the goroutine owning s.
 func (m *ByteMap) WithSession(s *Session) *ByteMap { return &ByteMap{m.pinned(s)} }
 
-// GetAux returns the aux word bound to key and the length of its value (no
-// value copy).
-func (m *ByteMap) GetAux(key []byte) (aux uint64, valueLen int, ok bool) {
+// KeyStep is one key's read-decide-write step, as Update hands it to its
+// function: Found, Aux, Meta, ValueLen and AppendValue read the key's entry;
+// Set, SetAux or Delete (at most one of them) act on it; Hash is the key's
+// index hash. Valid until the function returns.
+type KeyStep = core.KeyStep
+
+// Update runs fn as key's one read-decide-write step: the key is hashed once,
+// its stripe lock taken and one session drawn once, and the index searched
+// once; fn reads the entry through the step, decides, and acts on it through
+// the step or leaves it. Update returns fn's error, with device exhaustion
+// mapped onto ErrFull. fn runs under the key's stripe lock, so it must not
+// operate on this map or on any other hash-indexed map (KindMap) of the
+// key's runtime, nor through the same pinned Session; operations on an
+// ordered map (KindOrderedMap) may nest.
+func (m *ByteMap) Update(key []byte, fn func(*KeyStep) error) error {
+	p := m.part(key)
+	c, s, err := p.beginErr()
+	if err != nil {
+		return err
+	}
+	defer p.end(s)
+	return wrapErr(p.m.Update(c, key, fn))
+}
+
+// AppendItem is GetItem appending the value to dst instead of copying it
+// into a slice of its own, and returning the key's index hash too (what
+// KeyStep.Hash and SweepEntry.Hash report for it). The value is nil when key
+// is absent.
+func (m *ByteMap) AppendItem(dst, key []byte) (value []byte, meta uint16, aux, hash uint64, ok bool) {
 	p := m.part(key)
 	c, s := p.begin()
 	defer p.end(s)
-	return p.m.GetAux(c, key)
+	return p.m.AppendItem(c, dst, key)
 }
 
 // Entry is one entry as Walk presents it to its visitor: the key (the walk's
@@ -352,10 +378,10 @@ func (m *ByteMap) Walk(cursor uint64, visit func(Entry) bool) (next uint64) {
 }
 
 // SweepEntry is one entry extent as Sweep presents it to its visitor: the key
-// (the sweep's scratch buffer — copy it to keep it) and the aux word, valid
-// until the visitor returns. Live reports whether the extent is the map's
-// current entry for its key; it searches the key's chain, so call it only on
-// an entry about to be acted on.
+// (the sweep's scratch buffer — copy it to keep it), the aux word and the
+// key's index hash, valid until the visitor returns. Live reports whether the
+// extent is the map's current entry for its key; it searches the key's chain,
+// so call it only on an entry about to be acted on.
 type SweepEntry = core.SweepEntry
 
 // Sweep is the resumable walk over the map's entry extents in device-address
