@@ -92,12 +92,12 @@ type Store struct {
 	// The entry-lifecycle stripes of the byte maps on this store, keyed by
 	// index-key hash, in two domains: bytesLocks for the hash-indexed maps,
 	// orderedLocks for the ordered ones. A write takes exactly one, its
-	// key's. A write to an ordered map may run nested inside a hash-map
-	// key's step (an item and its expiry-index entry); with its own domain it
-	// can never wait on the stripe its step holds. The lock order is a
-	// hash-map stripe, then an ordered-map stripe, never the reverse.
-	// Store-level so that independently attached values over the same durable
-	// map share one serialization domain.
+	// key's. An ordered-map write may run while a hash-map key's lock is
+	// held (BytesMap.Lock: an item and its expiry-index entry); with its own
+	// domain it can never wait on the stripe its own goroutine holds. The lock
+	// order is a hash-map stripe, then an ordered-map stripe, never the
+	// reverse. Store-level so that independently attached values over the
+	// same durable map share one serialization domain.
 	bytesLocks, orderedLocks [2048]sync.Mutex
 }
 
@@ -244,7 +244,7 @@ type Ctx struct {
 	// walkKey is where BytesMap.Walk presents each entry's key to its
 	// visitor (a context walks one map at a time), so no key is allocated.
 	walkKey [MaxBytesKeyLen]byte
-	// step is the KeyStep of the Update running on this context (one at a
+	// step is the KeyStep of the step running on this context (one at a
 	// time: epoch sections do not nest); it lives here so that handing it to
 	// the caller's function allocates nothing.
 	step KeyStep

@@ -3,13 +3,16 @@ package core
 import "repro/internal/ptrtag"
 
 // This file is the byte maps' write path. On a BytesMap every write is one
-// key's read-decide-write step (Update): the key is hashed once, its stripe
-// lock taken and an epoch section opened once, and the index searched once,
-// as a Get searches (the links proving presence or absence are made
-// durable, §3). The caller reads the entry found through the step, decides,
-// and sets, rewrites the aux word, deletes or does nothing; Set, SetAux and
-// Delete are one-step Updates. An OrderedBytesMap Set takes its own stripe
-// and searches in staging. A Set on either map is applied in three phases:
+// key's read-decide-write step: the key is hashed once and its stripe lock
+// taken (Lock), then each step opens one epoch section and searches the
+// index once, as a Get searches (the links proving presence or absence are
+// made durable, §3), and the caller reads the entry found through the step,
+// decides, and sets, rewrites the aux word, deletes or does nothing
+// (UpdateLocked). Between Lock and Unlock a caller may run any number of
+// steps and other work — an expiry-index write between reading an item and
+// writing it — with the key frozen. Set, SetAux and Delete are one-step
+// Updates. An OrderedBytesMap Set takes its own stripe and searches in
+// staging. A Set on either map is applied in three phases:
 //
 //	stage    write the entry extent (and, for a fresh key, its index node)
 //	         with write-backs scheduled but NOT fenced, planning the publish
@@ -33,7 +36,7 @@ import "repro/internal/ptrtag"
 // contents-before-reachability ordering with one extra sync.
 
 // KeyStep is one key's read-decide-write step on a BytesMap, valid only
-// inside the function Update runs: the key, its index hash, the bucket
+// inside the function UpdateLocked runs: the key, its index hash, the bucket
 // position the step's search found and the entry bound there. The accessors
 // read that entry. At most one of Set, SetAux and Delete may be called on a
 // step; afterwards the accessors describe nothing.
@@ -48,26 +51,46 @@ type KeyStep struct {
 	e, ePred           Addr // the key's entry (0: absent) and its chain predecessor (0: e heads the chain)
 }
 
-// Update runs fn as key's one read-decide-write step and returns fn's error
-// (ErrBadKey, without running fn, for an empty or oversized key). fn runs
-// under the key's stripe lock and inside an epoch section on c, so it must
-// not operate through c, nor on another key of a hash-indexed map on this
-// store: that key may share the stripe. Writes to an ordered map may nest.
-func (b *BytesMap) Update(c *Ctx, key []byte, fn func(*KeyStep) error) error {
+// Lock hashes key and takes its stripe lock, returning the hash for
+// UpdateLocked and Unlock (ErrBadKey, locking nothing, for an empty or
+// oversized key). Until Unlock no other write can touch the key, so the
+// holder must write no other key of a hash-indexed map on this store: that
+// key may share the stripe. Ordered maps have stripes of their own and may be
+// written.
+func (b *BytesMap) Lock(key []byte) (hash uint64, err error) {
 	if len(key) == 0 || len(key) > MaxBytesKeyLen {
-		return ErrBadKey
+		return 0, ErrBadKey
 	}
+	hash = bytesHash(key)
+	b.s.stripe(hash).Lock()
+	return hash, nil
+}
+
+// Unlock releases the stripe lock Lock took for hash.
+func (b *BytesMap) Unlock(hash uint64) { b.s.stripe(hash).Unlock() }
+
+// UpdateLocked runs fn as one read-decide-write step of key, whose stripe the
+// caller holds (hash is what Lock returned), and returns fn's error. fn runs
+// inside an epoch section on c, so it must not operate through c.
+func (b *BytesMap) UpdateLocked(c *Ctx, key []byte, hash uint64, fn func(*KeyStep) error) error {
 	st := &c.step
-	*st = KeyStep{b: b, c: c, key: key, hash: bytesHash(key)}
-	mu := b.s.stripe(st.hash)
-	mu.Lock()
-	defer mu.Unlock()
+	*st = KeyStep{b: b, c: c, key: key, hash: hash}
 	c.ep.Begin()
 	defer c.ep.End()
 	st.search()
 	err := fn(st)
 	*st = KeyStep{}
 	return err
+}
+
+// Update is one step under its own lock: Lock, UpdateLocked, Unlock.
+func (b *BytesMap) Update(c *Ctx, key []byte, fn func(*KeyStep) error) error {
+	hash, err := b.Lock(key)
+	if err != nil {
+		return err
+	}
+	defer b.Unlock(hash)
+	return b.UpdateLocked(c, key, hash, fn)
 }
 
 // search finds the step's key as a Get does, keeping the position.
@@ -81,10 +104,6 @@ func (st *KeyStep) search() {
 		st.e, st.ePred = b.findInChain(Addr(s.nodeValue(st.curr)), st.key)
 	}
 }
-
-// Hash returns the key's index hash: the one hash the step computed, an
-// identity the caller may key volatile per-key state by.
-func (st *KeyStep) Hash() uint64 { return st.hash }
 
 // Found reports whether the key is bound.
 func (st *KeyStep) Found() bool { return st.e != 0 }

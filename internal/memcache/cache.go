@@ -23,7 +23,7 @@
 // Recency is volatile and approximate, as in MemC3: no list, no per-item
 // record — one CLOCK reference bit per slot of a flat table that grows with
 // the item count, a key's slot picked by its durable index hash, which a Get
-// or a key's step computes anyway and the hand reads from the entry header.
+// or a key's lock computes anyway and the hand reads from the entry header.
 // A hit or a store sets the bit (testing it first, so a hot key's line stays
 // shared). The eviction hand is a cursor over the index's entry extents in
 // device-address order (logfree's Sweep, a few allocator pages per epoch
@@ -40,16 +40,17 @@
 // Client commands of both wire protocols and a follower's replicated sets
 // reach the steps through one mutation driver: it validates key and size,
 // makes room (grow the pool, then evict what the hand finds unused), runs the
-// command's precondition and the step inside the key's read-decide-write step
-// (logfree's ByteMap.Update, Memcached's single item path: the key hashed
-// once, its one stripe lock taken once, the index searched once), retries
-// through grow-then-evict while the device is full, and waits for replication
-// once. The expiry index is an ordered map, whose stripes are a lock domain of
-// their own, so its writes nest inside an item's step.
-// No stripe lock is held while evicting or waiting: a full pool or a slow
-// follower delays the caller, never another key. Evictions, the expiry sweep
-// and flush_all run the remove step in a step of their own, and wait for
-// nobody.
+// command's precondition and the step under the key's lock (logfree's
+// KeyLock, Memcached's single item path: the key hashed once, its one stripe
+// lock taken once, and one read-decide-write step — one session, one index
+// search), retries through grow-then-evict while the device is full, and
+// waits for replication once. A store with a deadline indexes it between two
+// steps, before the item write: the expiry index is an ordered map, whose
+// stripes are a lock domain of their own, and no step holds a session while
+// another is drawn. No key lock is held while evicting or waiting: a full
+// pool or a slow follower delays the caller, never another key. Evictions,
+// the expiry sweep and flush_all run the remove step under the key's lock,
+// and wait for nobody.
 //
 // The engine is always a sharded.Pool of Config.Shards ≥ 1 independent
 // runtimes with keys hash-routed across them; one shard is the paper's
@@ -58,10 +59,10 @@
 // a directory of per-shard images plus a manifest at more.
 //
 // Threading: every method of Cache is safe for concurrent use from any
-// goroutine — each operation draws one of the logfree runtime's implicit
-// sessions (a mutation one for its step, plus one per expiry-index write
-// nested in it), so connections need no worker-slot assignment to issue
-// operations. Gets are lock-free.
+// goroutine — each operation draws the logfree runtime's implicit sessions
+// one at a time (a mutation one per step and one per expiry-index write), so
+// connections need no worker-slot assignment to issue operations. Gets are
+// lock-free.
 //
 // Durable linearizability: a mutation that returned is reflected after a
 // crash (link-and-persist end to end); Gets are unaffected.
@@ -222,7 +223,7 @@ type cacheState struct {
 	// ref holds the CLOCK reference bits, the cache's whole notion of
 	// recency: one bit per slot of a flat table that keeps refSlotsPerItem
 	// slots per item (growRef doubles it as the cache fills), a key's slot
-	// picked by its durable index hash — the hash a Get or a key's step
+	// picked by its durable index hash — the hash a Get or a key's lock
 	// computes anyway, and the eviction hand reads from the entry header. A
 	// hit or a store sets the key's bit; the eviction hand clears set bits as
 	// it passes and evicts the first key it finds clear. Two keys sharing a
@@ -629,22 +630,20 @@ func (m *Cache) SweepExpired(now int64) int {
 	for _, ek := range due {
 		deadline := binary.BigEndian.Uint64(ek[:8])
 		key := ek[8:]
-		// Update's own errors (a key the map rejects, a closed runtime) leave
-		// the entry for a later sweep.
-		_ = m.m.Update(key, func(st *logfree.KeyStep) error {
-			if aux := st.Aux(); st.Found() && uint64(auxExpiry(aux)) == deadline {
-				// Replicated without an ack wait: followers share the item's
-				// deadline (aux travels verbatim), so an unreplicated sweep
-				// delete is merely deferred tidiness there, never staleness.
-				if _, ok := m.removeLocked(st, key, aux, footprint(len(key), st.ValueLen()), true); ok {
-					m.stats.expired.Add(1)
-					n++
-				}
-			} else {
-				m.exp.Delete(ek) // stale
-			}
-			return nil
-		})
+		k, err := m.m.Lock(key)
+		if err != nil {
+			continue // a key the map rejects never held an item
+		}
+		// Replicated without an ack wait: followers share the item's deadline
+		// (aux travels verbatim), so an unreplicated sweep delete is merely
+		// deferred tidiness there, never staleness.
+		if _, _, ok := m.removeLocked(k, key, func(aux uint64) bool { return uint64(auxExpiry(aux)) == deadline }, true); ok {
+			m.stats.expired.Add(1)
+			n++
+		} else {
+			m.exp.Delete(ek) // stale
+		}
+		k.Unlock()
 	}
 	return n
 }

@@ -53,11 +53,12 @@ type decideFunc func(cur item, live bool) (next item, v verdict, err error)
 var errBadKey = errors.New("memcache: bad key length")
 
 // mutate is the one mutation driver: key and size validation, the pressure
-// valves, then decide and the store or remove step inside the key's
-// read-decide-write step (logfree's Update: one hash, one stripe lock, one
-// search) — retried through grow-then-evict while the device is full — and
-// last the replication wait. Valves, evictions and the wait all run outside
-// any step. It returns the item as stored.
+// valves, then decide and the store or remove step under the key's lock
+// (logfree's KeyLock: one hash, one stripe lock, and one step — one session,
+// one search — unless a new deadline must be indexed first) — retried
+// through grow-then-evict while the device is full — and last the
+// replication wait. Valves, evictions and the wait all run with no key lock
+// held. It returns the item as stored.
 func (m *Cache) mutate(c command, decide decideFunc) (item, error) {
 	if len(c.key) == 0 || len(c.key) > MaxKeyLen {
 		return item{}, errBadKey
@@ -79,86 +80,120 @@ func (m *Cache) mutate(c command, decide decideFunc) (item, error) {
 	}
 }
 
-// attempt runs c once, inside its key's step. seq is what it published, for
-// the caller to wait on once the step is over.
+// errIndexFirst ends a store's first step unwritten: its new deadline goes
+// into the expiry index before a second step writes the item.
+var errIndexFirst = errors.New("memcache: index the deadline first")
+
+// attempt runs c once under its key's lock. Its first step reads the key and
+// decides, and writes unless the write is a store with a deadline: that
+// deadline goes into the expiry index first, outside any step, and a second
+// step writes (the lock keeps what the first one read). The replication
+// record, the old deadline's removal and the totals follow, still under the
+// lock. seq is what it published, for the caller to wait on once the lock is
+// released.
 func (m *Cache) attempt(c command, decide decideFunc) (it item, seq uint64, err error) {
-	err = m.m.Update(c.key, func(st *logfree.KeyStep) error {
-		cur := item{aux: st.Aux()}
+	k, err := m.m.Lock(c.key)
+	if err != nil {
+		return item{}, 0, err
+	}
+	defer k.Unlock()
+	var (
+		cur     item
+		held    int64 // the logical bytes the key holds now
+		v       verdict
+		created bool
+		indexed uint32 // the deadline this attempt put in the expiry index
+	)
+	write := func(st *logfree.KeyStep) (err error) {
+		switch v {
+		case remove:
+			if !st.Delete() {
+				return ErrNotFound
+			}
+		case retouch:
+			// One atomic durable word: the new CAS and deadline land together.
+			if !st.SetAux(it.aux) {
+				return ErrNotFound
+			}
+		default:
+			created, err = st.Set(it.value, it.flags, it.aux)
+		}
+		return err
+	}
+	err = k.Update(func(st *logfree.KeyStep) error {
+		cur = item{aux: st.Aux()}
 		if c.readsValue {
 			cur.value, cur.flags = st.AppendValue(nil), st.Meta()
 		}
-		var held int64 // the logical bytes the key holds now
 		if st.Found() {
 			held = footprint(len(c.key), st.ValueLen())
 		}
-		next, v, err := decide(cur, st.Found() && unexpired(cur.aux))
+		var err error
+		it, v, err = decide(cur, st.Found() && unexpired(cur.aux))
 		switch v {
 		case keep:
 			return err
 		case remove:
-			var ok bool
-			if seq, ok = m.removeLocked(st, c.key, cur.aux, held, !c.replica); !ok {
-				return ErrNotFound
-			}
-			return nil
+			return write(st)
 		case retouch:
-			next.value, next.flags = cur.value, cur.flags
+			it.value, it.flags = cur.value, cur.flags
 		}
 		if !c.replica {
 			// New items and items from pre-CAS images start the sequence at 1.
-			next.aux = packAux(nextCAS(auxCAS(cur.aux)), auxExpiry(next.aux))
+			it.aux = packAux(nextCAS(auxCAS(cur.aux)), auxExpiry(it.aux))
 		}
-		if entrySize(c.key, next.value) > logfree.MaxMapEntrySize {
+		if entrySize(c.key, it.value) > logfree.MaxMapEntrySize {
 			return ErrTooLarge
 		}
-		it = next
-		seq, err = m.storeLocked(st, c.key, cur.aux, held, next, v == retouch, !c.replica)
-		return err
+		if auxExpiry(it.aux) != 0 {
+			return errIndexFirst
+		}
+		return write(st)
 	})
-	return it, seq, err
+	if errors.Is(err, errIndexFirst) {
+		// Index the new deadline *before* the item write: a crash in between
+		// leaves only a stale index entry, which the sweep double-checks and
+		// discards; the reverse order could leave an expiring item the sweep
+		// never visits. Indexed unconditionally (idempotent) so items from
+		// pre-index images are adopted on their first rewrite or touch even
+		// when the deadline is unchanged.
+		indexed = auxExpiry(it.aux)
+		if err = m.exp.Set(expKey(uint64(indexed), c.key), nil); err == nil {
+			err = k.Update(write)
+		}
+	}
+	switch {
+	case err != nil || v == keep:
+		// Nothing was written, so a deadline indexed for the write is stale
+		// unless the item has it already.
+		m.unindex(c.key, indexed, auxExpiry(cur.aux))
+		return item{}, 0, err
+	case v == remove:
+		return item{}, m.removed(c.key, cur.aux, held, !c.replica), nil
+	}
+	return it, m.stored(c.key, k.Hash(), cur.aux, held, it, created, !c.replica), nil
 }
 
-// storeLocked is the one store step, run inside the key's step st: it writes
-// it over whatever the key holds (oldAux and held logical bytes, both 0 if
-// nothing) and keeps the expiry index, the reference bit, the used-bytes
-// total and the item count in step. auxOnly rewrites just the aux word of an
-// existing entry (one atomic durable word, so a new CAS and a new deadline
-// land together). Returns the replication seq of the publication, 0 without
-// one.
-func (m *Cache) storeLocked(st *logfree.KeyStep, key []byte, oldAux uint64, held int64, it item, auxOnly, publish bool) (seq uint64, err error) {
-	// Index the new deadline *before* the item write: a crash in between
-	// leaves only a stale index entry, which the sweep double-checks and
-	// discards; the reverse order could leave an expiring item the sweep
-	// never visits. Indexed unconditionally (idempotent) so items from
-	// pre-index images are adopted on their first rewrite or touch even when
-	// the deadline is unchanged.
-	expiry := auxExpiry(it.aux)
-	if expiry != 0 {
-		if err := m.exp.Set(expKey(uint64(expiry), key), nil); err != nil {
-			return 0, err
-		}
-	}
-	created := false
-	if auxOnly {
-		if !st.SetAux(it.aux) {
-			return 0, ErrNotFound
-		}
-	} else if created, err = st.Set(it.value, it.flags, it.aux); err != nil {
-		return 0, err
-	}
+// stored is the store step's trail, run under the key's lock (hash is the
+// key's index hash) once it is written over whatever the key held (oldAux and
+// held logical bytes, both 0 if nothing): the replication record, the old
+// deadline out of the expiry index, the reference bit, the used-bytes total
+// and the item count. Returns the replication seq of the publication, 0
+// without one.
+func (m *Cache) stored(key []byte, hash, oldAux uint64, held int64, it item, created, publish bool) (seq uint64) {
 	if publish {
-		// After the durable write, under the stripe lock: the stream's
-		// per-key order is exactly the store's. The stream has no aux-only
-		// record, so a retouch replicates the whole item.
+		// After the durable write, under the key's lock: the stream's per-key
+		// order is exactly the store's. The stream has no aux-only record, so
+		// a retouch replicates the whole item.
 		seq = m.publishSet(key, it.value, it.flags, it.aux)
 	}
-	m.unindex(key, auxExpiry(oldAux), expiry)
-	m.markUsed(st.Hash())
+	m.unindex(key, auxExpiry(oldAux), auxExpiry(it.aux))
+	m.markUsed(hash)
 	m.usedBytes.Add(entrySize(key, it.value) - held)
 	if created {
 		m.growRef(m.stats.items.Add(1))
 	}
-	return seq, nil
+	return seq
 }
 
 // unindex takes key's old deadline out of the expiry index, unless it had
@@ -169,21 +204,18 @@ func (m *Cache) unindex(key []byte, old, current uint32) {
 	}
 }
 
-// removeLocked is the one remove step, run inside the key's step st: the
-// item (whose aux word and held logical bytes the caller read through st)
-// leaves the index, the expiry index and the totals. ok is false when the
-// key held nothing.
-func (m *Cache) removeLocked(st *logfree.KeyStep, key []byte, aux uint64, held int64, publish bool) (seq uint64, ok bool) {
-	if !st.Delete() {
-		return 0, false
-	}
+// removed is the remove step's trail, run under the key's lock once the item
+// (whose aux word and held logical bytes its step read) left the index: the
+// replication record, its deadline out of the expiry index and the totals.
+// Returns the replication seq of the publication, 0 without one.
+func (m *Cache) removed(key []byte, aux uint64, held int64, publish bool) (seq uint64) {
 	if publish {
 		seq = m.publishDelete(key)
 	}
 	m.unindex(key, auxExpiry(aux), 0)
 	m.usedBytes.Add(-held)
 	m.stats.items.Add(-1)
-	return seq, true
+	return seq
 }
 
 // removeKey runs the remove step on whatever key holds, for the removals no
@@ -192,18 +224,30 @@ func (m *Cache) removeLocked(st *logfree.KeyStep, key []byte, aux uint64, held i
 // is removed: the CAS half changes on every mutation, so an eviction that
 // matches the aux word it found removes exactly the version it found.
 func (m *Cache) removeKey(key []byte, match func(aux uint64) bool, publish bool) (seq uint64, freed int64, ok bool) {
-	// Update's own errors (a key the map rejects, a closed runtime) mean
-	// nothing was removed.
-	_ = m.m.Update(key, func(st *logfree.KeyStep) error {
-		if aux := st.Aux(); st.Found() && (match == nil || match(aux)) {
-			held := footprint(len(key), st.ValueLen())
-			if seq, ok = m.removeLocked(st, key, aux, held, publish); ok {
-				freed = held
-			}
+	// Lock's own error (a key the map rejects) means nothing was removed.
+	k, err := m.m.Lock(key)
+	if err != nil {
+		return 0, 0, false
+	}
+	defer k.Unlock()
+	return m.removeLocked(k, key, match, publish)
+}
+
+// removeLocked is removeKey with key's lock k already held.
+func (m *Cache) removeLocked(k logfree.KeyLock, key []byte, match func(aux uint64) bool, publish bool) (seq uint64, freed int64, ok bool) {
+	var aux uint64
+	// Update's own error (a closed runtime) means nothing was removed.
+	_ = k.Update(func(st *logfree.KeyStep) error {
+		if aux = st.Aux(); st.Found() && (match == nil || match(aux)) {
+			freed = footprint(len(key), st.ValueLen())
+			ok = st.Delete()
 		}
 		return nil
 	})
-	return seq, freed, ok
+	if !ok {
+		return 0, 0, false
+	}
+	return m.removed(key, aux, freed, publish), freed, true
 }
 
 // forEachItem is the one index walk: every client item (the replication meta

@@ -1,9 +1,10 @@
 package memcache
 
-// Every key command is one step of the item map (logfree's ByteMap.Update):
-// one index hash, one stripe lock and one search per command, the expiry
-// index written nested inside the step, and nothing allocated on the paths a
-// replaced, deleted or read key takes.
+// Every key command runs under its key's lock (logfree's KeyLock): one index
+// hash, one stripe lock and, without a deadline to index, one step — one
+// session, one search — per command; the expiry index is written between
+// steps, never inside one; and nothing is allocated on the paths a replaced,
+// deleted or read key takes.
 
 import (
 	"bytes"
@@ -19,11 +20,12 @@ import (
 
 	"repro/internal/core"
 	"repro/logfree"
+	"repro/logfree/sharded"
 )
 
 // withinDeadline runs f on its own goroutine and fails the test if it has
-// not returned within d: a command that waits on a lock its own step holds
-// fails here instead of hanging the suite.
+// not returned within d: a command waiting for a lock or a session that
+// never frees fails here instead of hanging the suite.
 func withinDeadline(t *testing.T, d time.Duration, what string, f func()) {
 	t.Helper()
 	done := make(chan struct{})
@@ -34,14 +36,14 @@ func withinDeadline(t *testing.T, d time.Duration, what string, f func()) {
 	select {
 	case <-done:
 	case <-time.After(d):
-		t.Fatalf("%s did not complete within %v: a self-deadlock", what, d)
+		t.Fatalf("%s did not complete within %v: a deadlock", what, d)
 	}
 }
 
-// TestExpiryWritesNestInItsStep forces every key, item and expiry-index entry
+// TestExpiryWritesUnderItsLock forces every key, item and expiry-index entry
 // alike, onto one index hash, so every key shares one stripe: the commands
-// that write the expiry index inside an item's step must still complete.
-func TestExpiryWritesNestInItsStep(t *testing.T) {
+// that write the expiry index under an item's lock must still complete.
+func TestExpiryWritesUnderItsLock(t *testing.T) {
 	logfree.SetHashForTesting(func([]byte) uint64 { return logfree.MinKey })
 	defer logfree.SetHashForTesting(nil)
 	forShards(t, func(t *testing.T, shards int) {
@@ -74,6 +76,60 @@ func TestExpiryWritesNestInItsStep(t *testing.T) {
 			t.Fatalf("%d expiry-index entries left behind", n)
 		}
 	})
+}
+
+// TestExpiringSetsOnOneSession runs concurrent expiring Sets on a shard
+// formatted for one session whose device is too full to back a second: no
+// command may hold a session while it draws another, or they wait forever
+// for one.
+func TestExpiringSetsOnOneSession(t *testing.T) {
+	cfg := Config{MemoryBytes: 4 << 20, Buckets: 1024}
+	cfg.fill()
+	pool, err := sharded.Open(sharded.WithShards(1), sharded.WithShardSize(cfg.MemoryBytes), sharded.WithMaxThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := openCache(pool, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	key := func(i int) []byte { return fmt.Appendf(nil, "one-session-%05d", i) }
+	v := bytes.Repeat([]byte("v"), 200)
+	for i := 0; m.Stats().Evictions == 0; i++ {
+		if err := m.Set(key(i), v, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The valves keep some pages free; carve them into contexts nobody uses
+	// until the device cannot back another.
+	rt := pool.Runtimes()[0]
+	for grown := 0; ; grown++ {
+		if _, err := rt.Store().GrowCtx(); err != nil {
+			t.Logf("%d spare contexts took the free pages", grown)
+			break
+		}
+	}
+	exp := uint32(time.Now().Unix() + 3600)
+	withinDeadline(t, 30*time.Second, "expiring Sets on one session", func() {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if err := m.Set(key(w*1000+i%50), v, 0, exp+uint32(i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	})
+	if n := rt.Sessions(); n != 1 {
+		t.Fatalf("the runtime grew to %d sessions; the test needs exactly one", n)
+	}
 }
 
 // TestStepStressAccounting mixes every mutation kind, each with an expiry,

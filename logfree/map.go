@@ -2,6 +2,7 @@ package logfree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"iter"
 
@@ -122,13 +123,11 @@ func SetHashForTesting(f func([]byte) uint64) { core.SetBytesHashForTesting(f) }
 
 // --- the shared base -----------------------------------------------------
 
-// bytesCore is the operation set the two core byte-keyed maps share.
+// bytesCore is the read set the two core byte-keyed maps share. Their writes
+// differ in locking (see ByteMap.Lock), so each map type has its own.
 type bytesCore interface {
-	Set(c *core.Ctx, key, value []byte, meta uint16, aux uint64) (created bool, err error)
 	Get(c *core.Ctx, key []byte) ([]byte, bool)
 	GetItem(c *core.Ctx, key []byte) (value []byte, meta uint16, aux uint64, ok bool)
-	SetAux(c *core.Ctx, key []byte, aux uint64) bool
-	Delete(c *core.Ctx, key []byte) bool
 	Contains(c *core.Ctx, key []byte) bool
 	Len(c *core.Ctx) int
 }
@@ -177,25 +176,6 @@ func (m byteMap[C]) pinned(s *Session) byteMap[C] {
 	return m
 }
 
-// Set implements Map (meta 0, aux 0).
-func (m *byteMap[C]) Set(key, value []byte) error {
-	_, err := m.SetItem(key, value, 0, 0)
-	return err
-}
-
-// SetItem binds key to value with a metadata field and aux word; reports
-// whether the key was newly created.
-func (m *byteMap[C]) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	p := m.part(key)
-	c, s, err := p.beginErr()
-	if err != nil {
-		return false, err
-	}
-	defer p.end(s)
-	created, err = p.m.Set(c, key, value, meta, aux)
-	return created, wrapErr(err)
-}
-
 // Get implements Map.
 func (m *byteMap[C]) Get(key []byte) ([]byte, bool) {
 	p := m.part(key)
@@ -210,23 +190,6 @@ func (m *byteMap[C]) GetItem(key []byte) (value []byte, meta uint16, aux uint64,
 	c, s := p.begin()
 	defer p.end(s)
 	return p.m.GetItem(c, key)
-}
-
-// SetAux durably replaces the aux word of an existing entry in place
-// (touch-style update); false if key is absent.
-func (m *byteMap[C]) SetAux(key []byte, aux uint64) bool {
-	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
-	return p.m.SetAux(c, key, aux)
-}
-
-// Delete implements Map.
-func (m *byteMap[C]) Delete(key []byte) bool {
-	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
-	return p.m.Delete(c, key)
 }
 
 // Contains implements Map.
@@ -295,33 +258,118 @@ func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
 // the goroutine owning s.
 func (m *ByteMap) WithSession(s *Session) *ByteMap { return &ByteMap{m.pinned(s)} }
 
-// KeyStep is one key's read-decide-write step, as Update hands it to its
-// function: Found, Aux, Meta, ValueLen and AppendValue read the key's entry;
-// Set, SetAux or Delete (at most one of them) act on it; Hash is the key's
-// index hash. Valid until the function returns.
+// KeyLock is one key's lock on a ByteMap, held from Lock until Unlock: no
+// other write can touch the key meanwhile, so what a step of the holder reads
+// stays the key's until the holder's next step writes.
+type KeyLock struct {
+	p    *mapPart[*core.BytesMap]
+	key  []byte
+	hash uint64
+}
+
+// Lock hashes key once and takes its stripe lock (ErrBadKey, locking nothing,
+// for an empty or oversized key); Unlock releases it. Every ByteMap write
+// takes its key's lock before it draws a session, so the holder may draw
+// sessions — run steps (Update), read any structure, write ordered maps
+// (KindOrderedMap, whose locks are a domain of their own) — without a
+// deadlock. It must write no hash-indexed map (KindMap) before Unlock: that
+// key's lock may be this one, or held by a goroutine waiting for this one.
+func (m *ByteMap) Lock(key []byte) (KeyLock, error) {
+	p := m.part(key)
+	hash, err := p.m.Lock(key)
+	if err != nil {
+		return KeyLock{}, wrapErr(err)
+	}
+	return KeyLock{p, key, hash}, nil
+}
+
+// Unlock releases the key's lock.
+func (k KeyLock) Unlock() { k.p.m.Unlock(k.hash) }
+
+// Hash returns the key's index hash, the one hash Lock computed: an identity
+// the holder may key volatile per-key state by (AppendItem and
+// SweepEntry.Hash report the same).
+func (k KeyLock) Hash() uint64 { return k.hash }
+
+// KeyStep is one read-decide-write step of a locked key, as KeyLock.Update
+// hands it to its function: Found, Aux, Meta, ValueLen and AppendValue read
+// the key's entry; Set, SetAux or Delete (at most one of them) act on it.
+// Valid until the function returns.
 type KeyStep = core.KeyStep
 
-// Update runs fn as key's one read-decide-write step: the key is hashed once,
-// its stripe lock taken and one session drawn once, and the index searched
-// once; fn reads the entry through the step, decides, and acts on it through
-// the step or leaves it. Update returns fn's error, with device exhaustion
-// mapped onto ErrFull. fn runs under the key's stripe lock, so it must not
-// operate on this map or on any other hash-indexed map (KindMap) of the
-// key's runtime, nor through the same pinned Session; operations on an
-// ordered map (KindOrderedMap) may nest.
-func (m *ByteMap) Update(key []byte, fn func(*KeyStep) error) error {
-	p := m.part(key)
-	c, s, err := p.beginErr()
+// Update runs fn as one read-decide-write step of the locked key: one session
+// drawn and the index searched once; fn reads the entry through the step,
+// decides, and acts on it through the step or leaves it. Each Update searches
+// afresh, and what one read holds until the holder writes. Update returns
+// fn's error, with device exhaustion mapped onto ErrFull. fn holds the step's
+// session: it must operate on no structure (drawing a second session could
+// wait for one only its own return frees), and leave other work to the holder
+// between steps.
+func (k KeyLock) Update(fn func(*KeyStep) error) error {
+	c, s, err := k.p.beginErr()
 	if err != nil {
 		return err
 	}
-	defer p.end(s)
-	return wrapErr(p.m.Update(c, key, fn))
+	defer k.p.end(s)
+	return wrapErr(k.p.m.UpdateLocked(c, k.key, k.hash, fn))
+}
+
+// update is a one-step write of key under its own lock.
+func (m *ByteMap) update(key []byte, fn func(*KeyStep) error) error {
+	k, err := m.Lock(key)
+	if err != nil {
+		return err
+	}
+	defer k.Unlock()
+	return k.Update(fn)
+}
+
+// mustUpdate is update for the writes without an error result: a closed
+// runtime panics, as acquire does, and a bad key does nothing.
+func (m *ByteMap) mustUpdate(key []byte, fn func(*KeyStep) error) {
+	if err := m.update(key, fn); errors.Is(err, ErrClosed) {
+		panic(fmt.Errorf("logfree: acquiring operation context: %w", err))
+	}
+}
+
+// Set implements Map (meta 0, aux 0).
+func (m *ByteMap) Set(key, value []byte) error {
+	_, err := m.SetItem(key, value, 0, 0)
+	return err
+}
+
+// SetItem binds key to value with a metadata field and aux word; reports
+// whether the key was newly created.
+func (m *ByteMap) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
+	err = m.update(key, func(st *KeyStep) (err error) {
+		created, err = st.Set(value, meta, aux)
+		return err
+	})
+	return created, err
+}
+
+// SetAux durably replaces the aux word of an existing entry in place
+// (touch-style update); false if key is absent.
+func (m *ByteMap) SetAux(key []byte, aux uint64) (ok bool) {
+	m.mustUpdate(key, func(st *KeyStep) error {
+		ok = st.SetAux(aux)
+		return nil
+	})
+	return ok
+}
+
+// Delete implements Map.
+func (m *ByteMap) Delete(key []byte) (ok bool) {
+	m.mustUpdate(key, func(st *KeyStep) error {
+		ok = st.Delete()
+		return nil
+	})
+	return ok
 }
 
 // AppendItem is GetItem appending the value to dst instead of copying it
 // into a slice of its own, and returning the key's index hash too (what
-// KeyStep.Hash and SweepEntry.Hash report for it). The value is nil when key
+// KeyLock.Hash and SweepEntry.Hash report for it). The value is nil when key
 // is absent.
 func (m *ByteMap) AppendItem(dst, key []byte) (value []byte, meta uint16, aux, hash uint64, ok bool) {
 	p := m.part(key)
@@ -483,6 +531,42 @@ func JoinOrderedMaps(route func(key []byte) int, parts ...*OrderedByteMap) *Orde
 // session s; see ByteMap.WithSession.
 func (m *OrderedByteMap) WithSession(s *Session) *OrderedByteMap {
 	return &OrderedByteMap{m.pinned(s)}
+}
+
+// Set implements Map (meta 0, aux 0).
+func (m *OrderedByteMap) Set(key, value []byte) error {
+	_, err := m.SetItem(key, value, 0, 0)
+	return err
+}
+
+// SetItem binds key to value with a metadata field and aux word; reports
+// whether the key was newly created.
+func (m *OrderedByteMap) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
+	p := m.part(key)
+	c, s, err := p.beginErr()
+	if err != nil {
+		return false, err
+	}
+	defer p.end(s)
+	created, err = p.m.Set(c, key, value, meta, aux)
+	return created, wrapErr(err)
+}
+
+// SetAux durably replaces the aux word of an existing entry in place
+// (touch-style update); false if key is absent.
+func (m *OrderedByteMap) SetAux(key []byte, aux uint64) bool {
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.SetAux(c, key, aux)
+}
+
+// Delete implements Map.
+func (m *OrderedByteMap) Delete(key []byte) bool {
+	p := m.part(key)
+	c, s := p.begin()
+	defer p.end(s)
+	return p.m.Delete(c, key)
 }
 
 // All implements Map: ascending byte-key order, epoch-protected across the
