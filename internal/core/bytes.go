@@ -8,32 +8,38 @@ import (
 
 	"repro/internal/nvram"
 	"repro/internal/pmem"
+	"repro/internal/ptrtag"
 )
 
 // This file implements the durable bytes layer: a BytesMap stores arbitrary
-// []byte keys and values in NVRAM extents anchored from the uint64 core
-// entries of a durable hash table. The index key is a 64-bit hash of the
-// byte key folded into [MinKey, MaxKey]; the index value is the head of a
-// durable collision chain of entry extents. Every lookup verifies the full
-// key bytes inside the entry, so distinct byte keys can never alias, no
-// matter how the hash behaves.
+// []byte keys and values in NVRAM entry extents, and the extents are the
+// nodes of a durable hash table — one Harris list per bucket (§3), made
+// durable with link-and-persist, whose nodes are the items, as NV-Memcached
+// swaps the paper's table in under memcached's items (§6.5). The list key is
+// a 64-bit hash of the byte key folded into [MinKey, MaxKey]; a bucket's
+// list is ordered by that hash and, among entries of equal hash, by the key
+// bytes, so every search compares full keys and distinct byte keys can never
+// alias, no matter how the hash behaves.
 //
 // Entry extents are allocated from slab classes ≥ 1, keeping class 0 to the
-// index nodes — the paper's "areas hold one type of data" discipline, which
-// recovery relies on to tell index nodes from entries.
+// sentinels and the uint64 structures' nodes — the paper's "areas hold one
+// type of data" discipline, which recovery and the sweep rely on to tell
+// entries from other objects.
 //
-// Entry layout (allocated at class ≥ 1):
+// Entry layout (allocated at class ≥ 1). The first three words sit where a
+// list node keeps its key, value and link, so the bucket sentinels, the tail
+// and the list code work on entries unchanged:
 //
-//	[0]  keyLen(16) | valLen(32) | meta(16)
-//	[8]  64-bit index key (the folded hash)
-//	[16] aux: one caller-owned durable word (expiry, version, …)
-//	[24] next entry with the same index key (collision chain)
+//	[0]  64-bit index key (the folded hash): the list node's key
+//	[8]  keyLen(16) | valLen(32) | meta(16)
+//	[16] next entry in the bucket's list, with the Harris mark, the Dirty
+//	     mark and a replace's freeze (ptrtag.Tag)
+//	[24] aux: one caller-owned durable word (expiry, version, …)
 //	[32] key bytes, then value bytes
 const (
-	beHeader = 0
-	beHash   = 8
-	beAux    = 16
-	beNext   = 24
+	beHash   = nKey
+	beHeader = nValue
+	beAux    = 24
 	beData   = 32
 
 	// MaxBytesKeyLen bounds key length (memcached-style limit, far below
@@ -59,8 +65,8 @@ var (
 // DefaultBytesHash maps a byte key to the index key space: an FNV-style
 // multiply-xor over 8-byte chunks (word-at-a-time rather than byte-at-a-
 // time — the hash runs on every operation and its quality only has to
-// spread keys, since full keys are always verified and same-hash keys
-// chain durably), length-mixed, folded into [MinKey, MaxKey].
+// spread keys, since full keys are always compared and same-hash keys sit
+// side by side in their bucket), length-mixed, folded into [MinKey, MaxKey].
 func DefaultBytesHash(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	i := 0
@@ -87,7 +93,7 @@ func DefaultBytesHash(key []byte) uint64 {
 }
 
 // bytesHash is the index-key derivation, a variable so tests can inject
-// colliding hashes and exercise the chain machinery deterministically.
+// colliding hashes and exercise same-hash ordering deterministically.
 var bytesHash = DefaultBytesHash
 
 // SetBytesHashForTesting overrides the index-key derivation (nil restores
@@ -108,34 +114,25 @@ func SetBytesHashForTesting(f func([]byte) uint64) {
 // the same durable map (open-by-name twice, re-attach) stay mutually
 // serialized.
 type BytesMap struct {
-	s   *Store
-	idx *HashTable
+	s *Store
+	bucketArray
 }
 
-// NewBytesMap creates a durable byte-key map with nbuckets index buckets
-// (rounded up to a power of two). Persist Buckets/NumBuckets/Tail in root
-// slots (or a directory) to re-attach later.
+// NewBytesMap creates a durable byte-key map with nbuckets buckets (rounded
+// up to a power of two). Persist Buckets/NumBuckets/Tail in root slots (or a
+// directory) to re-attach later.
 func NewBytesMap(c *Ctx, nbuckets int) (*BytesMap, error) {
-	idx, err := NewHashTable(c, nbuckets)
+	ba, err := newBucketArray(c, nbuckets)
 	if err != nil {
 		return nil, err
 	}
-	return &BytesMap{s: c.s, idx: idx}, nil
+	return &BytesMap{s: c.s, bucketArray: ba}, nil
 }
 
 // AttachBytesMap reopens a map from its durable descriptor values.
 func AttachBytesMap(s *Store, buckets Addr, nbuckets int, tail Addr) *BytesMap {
-	return &BytesMap{s: s, idx: AttachHashTable(s, buckets, nbuckets, tail)}
+	return &BytesMap{s: s, bucketArray: bucketArray{buckets, uint64(nbuckets - 1), tail}}
 }
-
-// Buckets returns the index bucket-region address (persist it).
-func (b *BytesMap) Buckets() Addr { return b.idx.Buckets() }
-
-// NumBuckets returns the index bucket count (persist it).
-func (b *BytesMap) NumBuckets() int { return b.idx.NumBuckets() }
-
-// Tail returns the index tail sentinel address (persist it).
-func (b *BytesMap) Tail() Addr { return b.idx.Tail() }
 
 // storeBytesPair writes the concatenation p||q into the device word by word
 // without materializing the concatenation (the entry write path stores
@@ -230,45 +227,11 @@ func bytesEntryValueLen(s *Store, e Addr) int {
 	return int(s.dev.Load(e+beHeader) >> 16 & 0xFFFFFFFF)
 }
 
-// bytesEntryKeyEqual reports whether the entry's stored key equals key,
-// comparing a device word at a time without copying the stored key out.
-// This is the chain-walk hot path: materializing a []byte per probe costs
-// an allocation per comparison, which dominates lookup time.
-func bytesEntryKeyEqual(s *Store, e Addr, key []byte) bool {
-	dev := s.dev
-	if int(dev.Load(e+beHeader)&0xFFFF) != len(key) {
-		return false
-	}
-	for i := 0; i < len(key); i += 8 {
-		w := dev.Load(e + beData + Addr(i))
-		rem := len(key) - i
-		if rem >= 8 {
-			if w != binary.LittleEndian.Uint64(key[i:]) {
-				return false
-			}
-			continue
-		}
-		// Final partial word: the bytes above rem belong to the value.
-		if rem >= 4 {
-			if uint32(w) != binary.LittleEndian.Uint32(key[i:]) {
-				return false
-			}
-			w >>= 32
-			i += 4
-			rem -= 4
-		}
-		for j := 0; j < rem; j++ {
-			if byte(w>>(8*j)) != key[i+j] {
-				return false
-			}
-		}
-		break
-	}
-	return true
-}
-
 // bytesEntryKeyCompare orders the entry's stored key against key as
-// bytes.Compare would, again without copying: stored words are packed
+// bytes.Compare would — the bucket search's and the skip list's comparison.
+// It compares a device word at a time without copying the stored key out
+// (materializing a []byte per probe would cost an allocation per
+// comparison, which would dominate lookup time): stored words are packed
 // little-endian (byte i at bit 8i), so byte-reversing a word yields its
 // big-endian value and word comparison becomes lexicographic comparison.
 func bytesEntryKeyCompare(s *Store, e Addr, key []byte) int {
@@ -378,10 +341,9 @@ func (b *BytesMap) EntryMeta(e Addr) uint16 { return bytesEntryMeta(b.s, e) }
 // EntryAux reads an entry's aux word.
 func (b *BytesMap) EntryAux(e Addr) uint64 { return bytesEntryAux(b.s, e) }
 
-func (b *BytesMap) entryNext(e Addr) Addr { return Addr(b.s.dev.Load(e + beNext)) }
-
-// entryClass picks the slab class for an entry (never class 0: index nodes
-// own class-0 pages, preserving the paper's "areas hold one type of data").
+// entryClass picks the slab class for an entry (never class 0: sentinels and
+// list nodes own class-0 pages, preserving the paper's "areas hold one type
+// of data").
 func entryClass(total uint64) (pmem.Class, error) {
 	cl, err := pmem.ClassFor(total)
 	if err != nil {
@@ -396,12 +358,12 @@ func entryClass(total uint64) (pmem.Class, error) {
 // writeBytesEntry allocates an entry and schedules write-backs of all its
 // cache lines in the caller's Flusher — WITHOUT fencing. The caller MUST
 // complete the batch with one fence before the entry's address is stored
-// anywhere reachable (link CAS, chain swing, entry-reference swap): the
-// contents have to be durable before any pointer to them can persist, but
-// deferring the fence lets the entry lines share one NVRAM pause with the
-// index node written next (the paper's one-pause-per-batch model, §6.1).
-// Shared by the hash-indexed and the ordered byte maps; ordered entries
-// carry next = 0 (no collision chains).
+// anywhere reachable (link CAS, entry-reference swap): the contents have to
+// be durable before any pointer to them can persist, but deferring the fence
+// lets the entry lines share one NVRAM pause with the allocator lines (the
+// paper's one-pause-per-batch model, §6.1). Shared by the hash-indexed and
+// the ordered byte maps; next is the bucket-list successor (ordered entries
+// carry 0: the skip list's nodes link them).
 func writeBytesEntry(c *Ctx, hash uint64, key, value []byte, meta uint16, aux uint64, next Addr) (Addr, error) {
 	total := uint64(beData + len(key) + len(value))
 	cl, err := entryClass(total)
@@ -413,33 +375,20 @@ func writeBytesEntry(c *Ctx, hash uint64, key, value []byte, meta uint16, aux ui
 		return 0, err
 	}
 	dev := c.s.dev
-	hdr := uint64(len(key)) | uint64(len(value))<<16 | uint64(meta)<<48
-	dev.StorePrivate(e+beHeader, hdr)
 	dev.StorePrivate(e+beHash, hash)
+	dev.StorePrivate(e+beHeader, uint64(len(key))|uint64(len(value))<<16|uint64(meta)<<48)
+	dev.StorePrivate(e+nNext, uint64(next))
 	dev.StorePrivate(e+beAux, aux)
-	dev.StorePrivate(e+beNext, uint64(next))
 	storeBytesPair(dev, e+beData, key, value)
 	c.clwbRange(e, total)
 	return e, nil
 }
 
-// findInChain walks a collision chain for an exact key match, returning the
-// entry and its predecessor in the chain (0 if it is the head).
-func (b *BytesMap) findInChain(head Addr, key []byte) (entry, pred Addr) {
-	for e := head; e != 0; e = b.entryNext(e) {
-		if bytesEntryKeyEqual(b.s, e, key) {
-			return e, pred
-		}
-		pred = e
-	}
-	return 0, 0
-}
-
-// chainHead looks the index key up lock-free; the whole call must run inside
-// an epoch section.
-func (b *BytesMap) chainHead(c *Ctx, hash uint64) (Addr, bool) {
-	headV, ok := listSearch(c, b.s, b.idx.bucket(hash), hash)
-	return Addr(headV), ok
+// find looks key up with §3's read guarantees (listFind); the whole call must
+// run inside an epoch section.
+func (b *BytesMap) find(c *Ctx, hash uint64, key []byte) (Addr, bool) {
+	_, e, _, found := listFind(c, b.s, b.bucket(hash), hash, key)
+	return e, found
 }
 
 // Find returns the address of the live entry for key (0, false if absent).
@@ -449,12 +398,7 @@ func (b *BytesMap) Find(c *Ctx, key []byte) (Addr, bool) {
 	hash := bytesHash(key)
 	c.ep.Begin()
 	defer c.ep.End()
-	head, ok := b.chainHead(c, hash)
-	if !ok {
-		return 0, false
-	}
-	e, _ := b.findInChain(head, key)
-	return e, e != 0
+	return b.find(c, hash, key)
 }
 
 // Get returns a copy of the value bound to key.
@@ -477,12 +421,8 @@ func (b *BytesMap) AppendItem(c *Ctx, dst, key []byte) (value []byte, meta uint1
 	hash = bytesHash(key)
 	c.ep.Begin()
 	defer c.ep.End()
-	head, found := b.chainHead(c, hash)
+	e, found := b.find(c, hash, key)
 	if !found {
-		return nil, 0, 0, hash, false
-	}
-	e, _ := b.findInChain(head, key)
-	if e == 0 {
 		return nil, 0, 0, hash, false
 	}
 	return appendEntryValue(b.s, dst, e), b.EntryMeta(e), b.EntryAux(e), hash, true
@@ -559,9 +499,9 @@ func (b *BytesMap) RangeEntries(c *Ctx, fn func(e Addr) bool) {
 	}
 }
 
-// walkChunk is how many index buckets one walk step covers. A step is one
-// epoch section, so this bounds how long a walker — however slowly its
-// caller consumes what it found — holds reclamation back.
+// walkChunk is how many buckets one walk step covers. A step is one epoch
+// section, so this bounds how long a walker — however slowly its caller
+// consumes what it found — holds reclamation back.
 const walkChunk = 64
 
 // walkEntries is one step of the bucket walk: fn sees every live entry of the
@@ -571,20 +511,25 @@ const walkChunk = 64
 func (b *BytesMap) walkEntries(c *Ctx, cursor uint64, fn func(e Addr) bool) (next uint64) {
 	c.ep.Begin()
 	defer c.ep.End()
-	n := b.idx.NumBuckets()
-	from := int(min(cursor, uint64(n)))
-	reached := b.idx.rangeBuckets(c, from, min(from+walkChunk, n), func(_, headV uint64) bool {
-		for e := Addr(headV); e != 0; e = b.entryNext(e) {
-			if !fn(e) {
-				return false
-			}
+	dev := b.s.dev
+	n := b.NumBuckets()
+	i := int(min(cursor, uint64(n)))
+	for to := min(i+walkChunk, n); i < to; i++ {
+		stopped := false
+		for e := ptrtag.Addr(dev.Load(b.head(i) + nNext)); e != b.tail && !stopped; {
+			w := dev.Load(e + nNext)
+			stopped = !ptrtag.IsMarked(w) && !fn(e)
+			e = ptrtag.Addr(w)
 		}
-		return true
-	})
-	if reached >= n {
+		if stopped {
+			i++
+			break
+		}
+	}
+	if i >= n {
 		return 0
 	}
-	return uint64(reached)
+	return uint64(i)
 }
 
 // WalkEntry is one entry as Walk presents it to its visitor, valid until the
@@ -604,7 +549,7 @@ func (w WalkEntry) Value() []byte { return bytesEntryValue(w.s, w.e) }
 
 // Walk is the resumable form of the bucket walk, with the contract of Redis's
 // SCAN: start at cursor 0, pass each returned cursor to the next call, stop
-// when 0 comes back. The index has a fixed bucket count and each call visits
+// when 0 comes back. The table has a fixed bucket count and each call visits
 // the next few buckets whole, so one full cycle presents every key that was
 // in the map throughout it at least once (exactly once if it was not rewritten
 // meanwhile); a key inserted or deleted during the cycle may or may not

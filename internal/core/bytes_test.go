@@ -132,9 +132,10 @@ func crashAndReattach(t *testing.T, s *Store) *Store {
 }
 
 // TestBytesMapCollisionChainSurvivesCrash is the core-level regression test
-// for string-key aliasing: with every key forced onto ONE index key, all
-// operations must stay per-key (full-key verification + durable chains),
-// and the chain must reconstruct across a crash and recovery sweep.
+// for string-key aliasing: with every key forced onto ONE index key — one
+// run of same-hash entries, ordered by key bytes, in one bucket — all
+// operations must stay per-key, and the run must reconstruct across a crash
+// and recovery sweep.
 func TestBytesMapCollisionChainSurvivesCrash(t *testing.T) {
 	SetBytesHashForTesting(func([]byte) uint64 { return MinKey + 5 })
 	defer SetBytesHashForTesting(nil)
@@ -148,11 +149,11 @@ func TestBytesMapCollisionChainSurvivesCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Mutate head, middle and a deletion, all on the same chain.
+	// Rewrite two entries of the one hash and delete a third.
 	b.Set(c, []byte("c-29"), []byte("head-rewrite"), 0, 0)
 	b.Set(c, []byte("c-15"), []byte("mid-rewrite"), 0, 0)
 	if !b.Delete(c, []byte("c-3")) {
-		t.Fatal("chain delete failed")
+		t.Fatal("same-hash delete failed")
 	}
 	for tid := 0; tid < 8; tid++ {
 		if cx := s.ExistingCtx(tid); cx != nil {
@@ -175,13 +176,13 @@ func TestBytesMapCollisionChainSurvivesCrash(t *testing.T) {
 			want = "mid-rewrite"
 		case 3:
 			if b2.Contains(c2, key) {
-				t.Fatal("deleted chain entry resurrected")
+				t.Fatal("deleted same-hash entry resurrected")
 			}
 			continue
 		}
 		v, ok := b2.Get(c2, key)
 		if !ok || string(v) != want {
-			t.Fatalf("chain key %d after crash: %q,%v want %q", i, v, ok, want)
+			t.Fatalf("same-hash key %d after crash: %q,%v want %q", i, v, ok, want)
 		}
 	}
 	if got := b2.Len(c2); got != n-1 {

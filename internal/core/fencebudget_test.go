@@ -13,12 +13,17 @@ import (
 // pending write-backs* (a "sync wait"), not per CLWB — so the write path's
 // cost is measured in sync waits. The byte-map Set budget is TWO:
 //
-//  1. one fence completing the content batch — the entry extent's lines,
-//     the index node's line (fresh keys), and the allocator bitmap lines
-//     all become durable under a single pause (writeBytesEntry defers its
-//     fence to the caller precisely so these merge), and
-//  2. one sync for the publishing link — the link-and-persist of the index
-//     link (fresh keys) or of the entry-reference/chain swing (replaces).
+//  1. one fence completing the content batch — the entry extent's lines
+//     (on the ordered map, a fresh key's skip-list node line too) and the
+//     allocator bitmap lines all become durable under a single pause
+//     (writeBytesEntry defers its fence to the caller precisely so these
+//     merge), and
+//  2. one sync for the publishing link — the link-and-persist of the bucket
+//     predecessor's link to the entry (fresh keys and hash-map replaces) or
+//     of the skip-list node's entry reference (ordered replaces).
+//
+// A hash-map Delete's is also two: the Harris mark on the entry's link and
+// its unlink, each a link-and-persist.
 //
 // Steady state only: an APT miss (§5.4) legitimately adds a sync when an
 // operation touches a cold area, which is why the budget tests run with
@@ -89,6 +94,29 @@ func TestFenceBudgetBytesMapSet(t *testing.T) {
 		assertBudget(t, c, "BytesMap.Set (replace)", 2, func() {
 			if _, err := b.Set(c, key(i), val, 1, 0); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestFenceBudgetBytesMapDelete(t *testing.T) {
+	_, c := budgetStore(t)
+	b, err := NewBytesMap(c, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 64)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("budget-%06d", i)) }
+	for i := 0; i < 256; i++ {
+		if _, err := b.Set(c, key(i), val, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 64; i < 256; i++ {
+		i := i
+		assertBudget(t, c, "BytesMap.Delete", 2, func() {
+			if !b.Delete(c, key(i)) {
+				t.Fatalf("Delete of %s found nothing", key(i))
 			}
 		})
 	}

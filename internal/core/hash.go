@@ -2,20 +2,26 @@ package core
 
 // HashTable is a durable lock-free hash table: one Harris linked list per
 // bucket (§3, "the hash table uses one Harris linked list per bucket"),
-// each made durable with link-and-persist. The bucket array is a
-// structure-lifetime region of per-bucket head sentinels laid out like
-// ordinary nodes (64 bytes apiece) so the list machinery applies unchanged;
-// it is persisted once at creation.
+// each made durable with link-and-persist.
 type HashTable struct {
-	s       *Store
+	s *Store
+	bucketArray
+}
+
+// bucketArray is a hash table's bucket array, shared by the uint64 table and
+// the byte map (whose entries are its lists' nodes): a structure-lifetime
+// region of per-bucket head sentinels laid out like ordinary nodes (64 bytes
+// apiece) so the list machinery applies unchanged, persisted once at
+// creation, and one tail sentinel every bucket's list ends at.
+type bucketArray struct {
 	buckets Addr   // region: nbuckets sentinel pseudo-nodes, 64B stride
 	mask    uint64 // nbuckets-1 (power of two)
 	tail    Addr   // shared tail sentinel
 }
 
-// NewHashTable creates a table with nbuckets buckets (rounded up to a power
-// of two). Persist Descriptor's fields in root slots to re-attach later.
-func NewHashTable(c *Ctx, nbuckets int) (*HashTable, error) {
+// newBucketArray creates nbuckets empty buckets (rounded up to a power of
+// two).
+func newBucketArray(c *Ctx, nbuckets int) (bucketArray, error) {
 	n := 1
 	for n < nbuckets {
 		n <<= 1
@@ -23,7 +29,7 @@ func NewHashTable(c *Ctx, nbuckets int) (*HashTable, error) {
 	dev := c.s.dev
 	tail, err := c.ep.AllocNode(listClass)
 	if err != nil {
-		return nil, err
+		return bucketArray{}, err
 	}
 	dev.Store(tail+nKey, ^uint64(0))
 	dev.Store(tail+nValue, 0)
@@ -32,7 +38,7 @@ func NewHashTable(c *Ctx, nbuckets int) (*HashTable, error) {
 
 	region, err := c.s.pool.AllocRegion(c.f, uint64(n)*64)
 	if err != nil {
-		return nil, err
+		return bucketArray{}, err
 	}
 	for i := 0; i < n; i++ {
 		h := region + Addr(i)*64
@@ -45,22 +51,32 @@ func NewHashTable(c *Ctx, nbuckets int) (*HashTable, error) {
 		}
 	}
 	c.fence()
-	return &HashTable{s: c.s, buckets: region, mask: uint64(n - 1), tail: tail}, nil
+	return bucketArray{buckets: region, mask: uint64(n - 1), tail: tail}, nil
+}
+
+// NewHashTable creates a table with nbuckets buckets (rounded up to a power
+// of two). Persist Descriptor's fields in root slots to re-attach later.
+func NewHashTable(c *Ctx, nbuckets int) (*HashTable, error) {
+	ba, err := newBucketArray(c, nbuckets)
+	if err != nil {
+		return nil, err
+	}
+	return &HashTable{s: c.s, bucketArray: ba}, nil
 }
 
 // AttachHashTable reopens a table from its durable descriptor values.
 func AttachHashTable(s *Store, buckets Addr, nbuckets int, tail Addr) *HashTable {
-	return &HashTable{s: s, buckets: buckets, mask: uint64(nbuckets - 1), tail: tail}
+	return &HashTable{s: s, bucketArray: bucketArray{buckets, uint64(nbuckets - 1), tail}}
 }
 
 // Buckets returns the bucket-region address (persist in a root).
-func (h *HashTable) Buckets() Addr { return h.buckets }
+func (h bucketArray) Buckets() Addr { return h.buckets }
 
 // NumBuckets returns the bucket count.
-func (h *HashTable) NumBuckets() int { return int(h.mask) + 1 }
+func (h bucketArray) NumBuckets() int { return int(h.mask) + 1 }
 
 // Tail returns the shared tail sentinel address (persist in a root).
-func (h *HashTable) Tail() Addr { return h.tail }
+func (h bucketArray) Tail() Addr { return h.tail }
 
 // hashMix is the same finalizer the link cache uses; keys spread uniformly.
 func hashMix(k uint64) uint64 {
@@ -72,9 +88,13 @@ func hashMix(k uint64) uint64 {
 	return k
 }
 
-func (h *HashTable) bucket(key uint64) Addr {
-	return h.buckets + Addr(hashMix(key)&h.mask)*64
+// bucket returns the head sentinel of key's bucket.
+func (h bucketArray) bucket(key uint64) Addr {
+	return h.head(int(hashMix(key) & h.mask))
 }
+
+// head returns the head sentinel of bucket i.
+func (h bucketArray) head(i int) Addr { return h.buckets + Addr(i)*64 }
 
 // Search looks key up with the §3 durability guarantees.
 func (h *HashTable) Search(c *Ctx, key uint64) (uint64, bool) {
@@ -120,32 +140,19 @@ func (h *HashTable) Upsert(c *Ctx, key, value uint64) bool {
 // Len counts live keys (quiescent use).
 func (h *HashTable) Len(c *Ctx) int {
 	n := 0
-	for i := 0; i <= int(h.mask); i++ {
-		head := h.buckets + Addr(i)*64
-		n += AttachList(h.s, head, h.tail).Len(c)
+	for i := 0; i < h.NumBuckets(); i++ {
+		n += AttachList(h.s, h.head(i), h.tail).Len(c)
 	}
 	return n
 }
 
 // Range calls fn for every live key/value (unordered across buckets).
 func (h *HashTable) Range(c *Ctx, fn func(key, value uint64) bool) {
-	h.rangeBuckets(c, 0, h.NumBuckets(), fn)
-}
-
-// rangeBuckets calls fn for every live key/value of buckets [from, to) — the
-// one bucket walk every whole-table iteration is made of. A bucket is either
-// finished or, when fn returns false, abandoned: the result is the index of
-// the first bucket not visited.
-func (h *HashTable) rangeBuckets(c *Ctx, from, to int, fn func(key, value uint64) bool) (next int) {
-	for i := from; i < to; i++ {
-		stopped := false
-		AttachList(h.s, h.buckets+Addr(i)*64, h.tail).Range(c, func(k, v uint64) bool {
+	stopped := false
+	for i := 0; i < h.NumBuckets() && !stopped; i++ {
+		AttachList(h.s, h.head(i), h.tail).Range(c, func(k, v uint64) bool {
 			stopped = !fn(k, v)
 			return !stopped
 		})
-		if stopped {
-			return i + 1
-		}
 	}
-	return to
 }

@@ -90,12 +90,24 @@ func checkKey(key uint64) {
 // so that all adjacent edges of the predecessor are durable before they make
 // changes (§3).
 func (l *List) search(c *Ctx, key uint64) (pred, curr, inPred Addr) {
-	return searchFrom(c, l.s, l.head, key)
+	pred, curr, inPred, _ = searchFrom(c, l.s, l.head, key, nil)
+	return pred, curr, inPred
 }
 
 // searchFrom runs the Harris search from an arbitrary head sentinel; the
-// hash table reuses it with per-bucket heads.
-func searchFrom(c *Ctx, s *Store, head Addr, key uint64) (pred, curr, inPred Addr) {
+// hash tables reuse it with per-bucket heads. It stops at the first node
+// ordered at or after key and reports whether that node is key's. A byte
+// map's bucket lists hold entries (bytes.go), ordered by hash and then, among
+// equal hashes, by their key bytes: bkey is the byte key searched for, nil
+// for the uint64 sets.
+//
+// A byte map's replace freezes the replaced entry's link with ptrtag.Tag
+// until the replacement, which carries the same successor, takes its place
+// (KeyStep.Set). The search does not unlink a marked successor of a frozen
+// node; it steps past it and leaves it to a search through the replacement.
+// In recovery no replace is in flight, so a freeze is a crashed replace's
+// leftover and the unlink clears it.
+func searchFrom(c *Ctx, s *Store, head Addr, key uint64, bkey []byte) (pred, curr, inPred Addr, found bool) {
 	dev := s.dev
 retry:
 	for {
@@ -113,6 +125,10 @@ retry:
 				if ptrtag.Addr(predW) != curr || ptrtag.IsMarked(predW) {
 					continue retry // pred moved or got deleted
 				}
+				if ptrtag.IsTagged(predW) && !c.ep.InRecovery() {
+					curr = succ // pred is frozen
+					continue
+				}
 				// The unlink makes curr durably unreachable: its area must
 				// be in the APT first so recovery can free it (§5.4).
 				c.ep.PreRetire(curr)
@@ -124,8 +140,13 @@ retry:
 				curr = succ
 				continue
 			}
-			if s.nodeKey(curr) >= key {
-				return pred, curr, inPred
+			if k := s.nodeKey(curr); k >= key {
+				if k > key || bkey == nil {
+					return pred, curr, inPred, k == key
+				}
+				if cmp := bytesEntryKeyCompare(s, curr, bkey); cmp >= 0 {
+					return pred, curr, inPred, cmp == 0
+				}
 			}
 			inPred = pred + nNext
 			pred = curr
@@ -134,14 +155,22 @@ retry:
 	}
 }
 
-// listSearch is the shared read path: returns (value, ok) with the §3
-// durability guarantees enforced before returning.
-func listSearch(c *Ctx, s *Store, head Addr, key uint64) (uint64, bool) {
-	pred, curr, _ := searchFrom(c, s, head, key)
+// listFind is the shared read path: searchFrom with the §3 durability
+// guarantees enforced before returning — the link proving the result, and
+// the found node's own link.
+func listFind(c *Ctx, s *Store, head Addr, key uint64, bkey []byte) (pred, curr, inPred Addr, found bool) {
+	pred, curr, inPred, found = searchFrom(c, s, head, key, bkey)
 	c.scan(key)
 	c.ensureDurable(pred + nNext)
-	if s.nodeKey(curr) == key {
+	if found {
 		c.ensureDurable(curr + nNext)
+	}
+	return pred, curr, inPred, found
+}
+
+// listSearch is listFind for the uint64 sets: key's value.
+func listSearch(c *Ctx, s *Store, head Addr, key uint64) (uint64, bool) {
+	if _, curr, _, found := listFind(c, s, head, key, nil); found {
 		return s.nodeValue(curr), true
 	}
 	return 0, false
@@ -151,9 +180,9 @@ func listSearch(c *Ctx, s *Store, head Addr, key uint64) (uint64, bool) {
 func listInsert(c *Ctx, s *Store, head Addr, key, value uint64) bool {
 	dev := s.dev
 	for {
-		pred, curr, inPred := searchFrom(c, s, head, key)
+		pred, curr, inPred, found := searchFrom(c, s, head, key, nil)
 		c.scan(key)
-		if s.nodeKey(curr) == key {
+		if found {
 			// Failed insert: like a successful search, the links proving
 			// presence must be durable before returning.
 			c.ensureDurable(pred + nNext)
@@ -197,9 +226,9 @@ func listInsert(c *Ctx, s *Store, head Addr, key, value uint64) bool {
 // Returns true if the key was newly inserted.
 func listUpsert(c *Ctx, s *Store, head Addr, key, value uint64) bool {
 	for {
-		_, curr, _ := searchFrom(c, s, head, key)
+		_, curr, _, found := searchFrom(c, s, head, key, nil)
 		c.scan(key)
-		if s.nodeKey(curr) != key {
+		if !found {
 			if listInsert(c, s, head, key, value) {
 				return true
 			}
@@ -219,16 +248,16 @@ func listUpsert(c *Ctx, s *Store, head Addr, key, value uint64) bool {
 
 // listDelete is the shared delete path.
 func listDelete(c *Ctx, s *Store, head Addr, key uint64) (uint64, bool) {
-	pred, curr, inPred := searchFrom(c, s, head, key)
-	return listDeleteFrom(c, s, head, key, pred, curr, inPred)
+	pred, curr, inPred, found := searchFrom(c, s, head, key, nil)
+	return listDeleteFrom(c, s, head, key, nil, pred, curr, inPred, found)
 }
 
-// listDeleteFrom is listDelete starting at a position searchFrom returned;
-// it searches again only when that position no longer holds.
-func listDeleteFrom(c *Ctx, s *Store, head Addr, key uint64, pred, curr, inPred Addr) (uint64, bool) {
-	for ; ; pred, curr, inPred = searchFrom(c, s, head, key) {
+// listDeleteFrom is listDelete starting at a position searchFrom returned for
+// (key, bkey); it searches again only when that position no longer holds.
+func listDeleteFrom(c *Ctx, s *Store, head Addr, key uint64, bkey []byte, pred, curr, inPred Addr, found bool) (uint64, bool) {
+	for ; ; pred, curr, inPred, found = searchFrom(c, s, head, key, bkey) {
 		c.scan(key)
-		if s.nodeKey(curr) != key {
+		if !found {
 			c.ensureDurable(pred + nNext) // absence must be durable
 			return 0, false
 		}
@@ -251,9 +280,10 @@ func listDeleteFrom(c *Ctx, s *Store, head Addr, key uint64, pred, curr, inPred 
 			continue
 		}
 		value := s.nodeValue(curr)
-		// Physical unlink; on failure a helper completes it (and retires).
+		// Physical unlink, unless pred is frozen (searchFrom); on failure a
+		// helper completes it (and retires).
 		predW := c.loadClean(pred + nNext)
-		if ptrtag.Addr(predW) == curr && !ptrtag.IsMarked(predW) {
+		if ptrtag.Addr(predW) == curr && predW&(ptrtag.Mark|ptrtag.Tag) == 0 {
 			if c.linkCached(key, pred+nNext, predW, succ) {
 				epoch.DebugNoteUnlink(curr, pred+nNext, predW, succ, 2)
 				c.ep.Retire(curr)

@@ -123,7 +123,7 @@ var mcOrderedShape = mcShape{
 }
 
 // mcUniverse is the key universe: shared prefixes, mixed lengths, and a
-// same-bucket bias so collision chains and skiplist neighbours get stressed.
+// same-bucket bias so bucket and skiplist neighbours get stressed.
 var mcUniverse = []string{
 	"k", "k0", "k00", "k01", "k1", "k10", "k100",
 	"a", "ab", "abc", "m", "z", "zz",
@@ -449,10 +449,37 @@ func TestModelCheckOrderedMap(t *testing.T) {
 }
 
 // TestModelCheckSameHash re-runs a few torture seeds with every key forced
-// onto one index hash, so crash points land inside collision-chain and
-// same-hash skiplist machinery.
+// onto one index hash, so crash points land among same-hash bucket entries
+// and same-hash skiplist machinery.
 func TestModelCheckSameHash(t *testing.T) {
 	SetBytesHashForTesting(func([]byte) uint64 { return MinKey + 3 })
+	defer SetBytesHashForTesting(nil)
+	seeds := 2
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := 0; seed < seeds; seed++ {
+		t.Run(fmt.Sprintf("map/seed=%d", seed), func(t *testing.T) {
+			runModelCheckBackends(t, mcBytesShape, int64(seed)*31+5)
+		})
+		t.Run(fmt.Sprintf("ordered/seed=%d", seed), func(t *testing.T) {
+			runModelCheckBackends(t, mcOrderedShape, int64(seed)*37+6)
+		})
+	}
+}
+
+// TestModelCheckSameBucket re-runs TestModelCheckSameHash's seeds with the
+// keys spread over four distinct hashes that all map to bucket 0 of the
+// map's 32, so crash points land where a replace keeps the successor of an
+// entry that keys of other hashes insert after and unlink.
+func TestModelCheckSameBucket(t *testing.T) {
+	var hashes []uint64
+	for h := MinKey; len(hashes) < 4; h++ {
+		if hashMix(h)&31 == 0 {
+			hashes = append(hashes, h)
+		}
+	}
+	SetBytesHashForTesting(func(k []byte) uint64 { return hashes[(len(k)+int(k[len(k)-1]))%len(hashes)] })
 	defer SetBytesHashForTesting(nil)
 	seeds := 2
 	if testing.Short() {

@@ -163,7 +163,7 @@ func (r hashRecover) Keep(c *Ctx, n Addr) bool {
 	if key == 0 || key == ^uint64(0) {
 		return false // only sentinels carry these keys; n is not one of ours
 	}
-	_, curr, _ := searchFrom(c, h.s, h.bucket(key), key)
+	_, curr, _, _ := searchFrom(c, h.s, h.bucket(key), key, nil)
 	return curr == n
 }
 
@@ -364,47 +364,49 @@ func RecoverBST(s *Store, t *BST, par int) RecoveryStats {
 
 // --- Bytes map ----------------------------------------------------------
 
-// bytesRecover keeps a BytesMap's two object populations: class-0 index
-// nodes (delegated to the hash table's search-based check) and class ≥ 1
-// entry extents (kept iff reachable on the collision chain of their stored
-// index key).
+// bytesRecover keeps a BytesMap's objects: its tail sentinel, and each entry
+// extent (class ≥ 1) that the search for its stored hash and key lands on.
+// Condition (ii) of §5.5: an uninitialized or foreign object fails the shape
+// check or the search and is not claimed. A kept entry loses any freeze a
+// crashed replace left on its link; the replace pre-retired the entry before
+// freezing it, so it lies in an active area and is swept.
 type bytesRecover struct{ b *BytesMap }
 
 func (bytesRecover) Prepare(*Ctx, map[Addr]bool) {}
 
 func (r bytesRecover) Keep(c *Ctx, n Addr) bool {
 	b := r.b
+	if n == b.tail {
+		return true
+	}
 	cl, ok := b.s.pool.PageClass(pmem.PageOf(n))
 	if !ok {
 		return true // not a heap page; leave alone
 	}
 	if cl == 0 {
-		return hashRecover{b.idx}.Keep(c, n) // index node
+		return false
 	}
-	// Entry extent: reachable iff it is on the collision chain of its
-	// stored index key. Condition (ii) of §5.5: an uninitialized or foreign
-	// object fails the range check or the chain walk and is not claimed.
+	hdr, ok := entryShape(b.s, n, cl)
+	if !ok {
+		return false
+	}
+	key := c.walkKey[:hdr&0xFFFF]
+	loadInto(b.s.dev, n+beData, key)
 	hash := b.s.dev.Load(n + beHash)
-	if hash < MinKey || hash > MaxKey {
+	if _, curr, _, found := searchFrom(c, b.s, b.bucket(hash), hash, key); !found || curr != n {
 		return false
 	}
-	_, curr, _ := searchFrom(c, b.s, b.idx.bucket(hash), hash)
-	if b.s.nodeKey(curr) != hash {
-		return false
+	for w := c.loadClean(n + nNext); ptrtag.IsTagged(w); w = c.loadClean(n + nNext) {
+		c.linkAndPersist(n+nNext, w, w&^ptrtag.Tag)
 	}
-	for e := Addr(b.s.nodeValue(curr)); e != 0; e = b.entryNext(e) {
-		if e == n {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // Recoverer returns the map's hook set for RecoverSet composition.
 func (b *BytesMap) Recoverer() Recoverer { return bytesRecover{b} }
 
-// RecoverBytesMap sweeps the active areas for a bytes map: index nodes by
-// per-key search, entry extents by collision-chain membership.
+// RecoverBytesMap sweeps the active areas for a bytes map: entry extents by
+// per-key search.
 func RecoverBytesMap(s *Store, b *BytesMap, par int) RecoveryStats {
 	return sweep(s, bytesRecover{b}, par)
 }

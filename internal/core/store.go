@@ -241,8 +241,9 @@ type Ctx struct {
 	tid   int
 	rng   *rand.Rand
 
-	// walkKey is where BytesMap.Walk presents each entry's key to its
-	// visitor (a context walks one map at a time), so no key is allocated.
+	// walkKey is where BytesMap.Walk and Sweep present each entry's key to
+	// their visitor, and recovery reads the key of an entry it checks (a
+	// context walks one map at a time), so no key is allocated.
 	walkKey [MaxBytesKeyLen]byte
 	// step is the KeyStep of the step running on this context (one at a
 	// time: epoch sections do not nest); it lives here so that handing it to

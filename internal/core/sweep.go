@@ -40,23 +40,19 @@ type SweepEntry struct {
 }
 
 // Live reports whether the extent is the entry its key is bound to in the
-// map now: it searches the key's collision chain for the extent, as recovery
-// does (bytesRecover.Keep). Call it only on an entry about to be acted on.
+// map now: the search for its key lands on it, as in recovery
+// (bytesRecover.Keep). Call it only on an entry about to be acted on.
 func (w SweepEntry) Live() bool {
-	head, ok := w.b.chainHead(w.c, w.Hash)
-	for e := head; ok && e != 0; e = w.b.entryNext(e) {
-		if e == w.e {
-			return true
-		}
-	}
-	return false
+	_, curr, _, found := searchFrom(w.c, w.b.s, w.b.bucket(w.Hash), w.Hash, w.Key)
+	return found && curr == w.e
 }
 
 // Sweep is one step of the address-order sweep: visit sees the entry-shaped
 // extents of the next sweepPages allocator pages from cursor, in address
 // order, under one epoch section. Start at cursor 0 and pass each returned
 // cursor to the next call; 0 comes back once the step reached the end of the
-// carved heap. Class-0 pages (index nodes) and regions are skipped. When
+// carved heap. Class-0 pages (sentinels and list nodes) and regions are
+// skipped. When
 // visit returns false the step ends there, and the returned cursor resumes
 // at the next extent.
 func (b *BytesMap) Sweep(c *Ctx, cursor uint64, visit func(SweepEntry) bool) (next uint64) {

@@ -1,25 +1,30 @@
 package core
 
-import "repro/internal/ptrtag"
+import (
+	"runtime"
+
+	"repro/internal/ptrtag"
+)
 
 // This file is the byte maps' write path. On a BytesMap every write is one
 // key's read-decide-write step: the key is hashed once and its stripe lock
 // taken (Lock), then each step opens one epoch section and searches the
-// index once, as a Get searches (the links proving presence or absence are
-// made durable, §3), and the caller reads the entry found through the step,
-// decides, and sets, rewrites the aux word, deletes or does nothing
-// (UpdateLocked). Between Lock and Unlock a caller may run any number of
-// steps and other work — an expiry-index write between reading an item and
+// key's bucket once, as a Get searches (the links proving presence or
+// absence are made durable, §3), and the caller reads the entry found
+// through the step, decides, and sets, rewrites the aux word, deletes or does
+// nothing (UpdateLocked). Between Lock and Unlock a caller may run any number
+// of steps and other work — an expiry-index write between reading an item and
 // writing it — with the key frozen. Set, SetAux and Delete are one-step
 // Updates. An OrderedBytesMap Set takes its own stripe and searches in
 // staging. A Set on either map is applied in three phases:
 //
-//	stage    write the entry extent (and, for a fresh key, its index node)
-//	         with write-backs scheduled but NOT fenced, planning the publish
-//	         point against the current durable state — on a BytesMap, the
-//	         step's search position. A Set that will unlink a replaced entry
-//	         puts its area in the APT here (§5.4), so an APT miss's sync
-//	         carries the pending content lines with it;
+//	stage    write the entry extent (and, on an OrderedBytesMap, a fresh
+//	         key's skip-list node) with write-backs scheduled but NOT
+//	         fenced, planning the publish point against the current durable
+//	         state — on a BytesMap, the step's search position. A Set that
+//	         will unlink a replaced entry puts its area in the APT here
+//	         (§5.4), so an APT miss's sync carries the pending content lines
+//	         with it;
 //	fence    ONE fence makes every pending content line durable together
 //	         (the paper's one-pause-per-fence latency model, §6.1);
 //	publish  the single linearizing link-and-persist.
@@ -27,13 +32,20 @@ import "repro/internal/ptrtag"
 // A Set costs two sync waits: the content fence and the publishing link
 // (enforced by fencebudget_test.go).
 //
-// Correctness hinges on the key's stripe lock: it freezes the key's chain,
-// index node and skip-list membership from the search to the publish, so the
-// position a step found, and the publish point planned while staging, stay
-// the key's. Bucket and skip-list *neighbourhoods* may still shift under
-// concurrent different-hash traffic; the publish revalidates its planned
-// neighbours and, only when a planned successor really moved, restores the
-// contents-before-reachability ordering with one extra sync.
+// Correctness hinges on the key's stripe lock: it freezes the key's entry
+// and skip-list membership from the search to the publish, so the position a
+// step found, and the publish point planned while staging, stay the key's.
+// Bucket and skip-list *neighbourhoods* may still shift under concurrent
+// different-key traffic; the publish revalidates its planned neighbours and,
+// only when a fresh key's planned successor really moved, restores the
+// contents-before-reachability ordering with one extra sync. A BytesMap
+// replace takes the replaced entry's place in its bucket, so it must also
+// keep that entry's successor: it freezes the replaced entry's link with
+// ptrtag.Tag after pre-retiring it, which stops inserts after it and unlinks
+// of its successor (they search again, or leave the unlink to a later
+// search), and the new entry carries the frozen successor. A crash leaves
+// the old binding or the new one; recovery clears a freeze left on an entry
+// it keeps (bytesRecover).
 
 // KeyStep is one key's read-decide-write step on a BytesMap, valid only
 // inside the function UpdateLocked runs: the key, its index hash, the bucket
@@ -47,8 +59,7 @@ type KeyStep struct {
 	hash uint64
 
 	pred, curr, inPred Addr // the bucket search's position (see searchFrom)
-	node               bool // curr is the index key's node
-	e, ePred           Addr // the key's entry (0: absent) and its chain predecessor (0: e heads the chain)
+	e                  Addr // the key's entry: curr if the search found the key, else 0
 }
 
 // Lock hashes key and takes its stripe lock, returning the hash for
@@ -95,13 +106,10 @@ func (b *BytesMap) Update(c *Ctx, key []byte, fn func(*KeyStep) error) error {
 
 // search finds the step's key as a Get does, keeping the position.
 func (st *KeyStep) search() {
-	b, c, s := st.b, st.c, st.b.s
-	st.pred, st.curr, st.inPred = searchFrom(c, s, b.idx.bucket(st.hash), st.hash)
-	c.scan(st.hash)
-	c.ensureDurable(st.pred + nNext)
-	if st.node = s.nodeKey(st.curr) == st.hash; st.node {
-		c.ensureDurable(st.curr + nNext)
-		st.e, st.ePred = b.findInChain(Addr(s.nodeValue(st.curr)), st.key)
+	var found bool
+	st.pred, st.curr, st.inPred, found = listFind(st.c, st.b.s, st.b.bucket(st.hash), st.hash, st.key)
+	if found {
+		st.e = st.curr
 	}
 }
 
@@ -164,55 +172,35 @@ func (st *KeyStep) SetAux(aux uint64) bool {
 	return true
 }
 
-// Delete removes the key durably. Returns false if it is absent.
+// Delete removes the key durably: the Harris mark on the entry's link, then
+// its unlink, each a link-and-persist. Returns false if it is absent.
 func (st *KeyStep) Delete() bool {
-	e := st.e
-	if e == 0 {
+	if st.e == 0 {
 		return false
 	}
-	b, c, dev := st.b, st.c, st.b.s.dev
-	// The unlink makes the entry durably unreachable; cover its area first.
-	c.ep.PreRetire(e)
-	next := b.entryNext(e)
-	switch {
-	case st.ePred == 0 && next == 0:
-		// The key's node leaves its bucket.
-		if _, ok := listDeleteFrom(c, b.s, b.idx.bucket(st.hash), st.hash, st.pred, st.curr, st.inPred); !ok {
-			return false
-		}
-	case st.ePred == 0:
-		// The chain loses its head: the node's value word swings to the
-		// next entry.
-		dev.Store(st.curr+nValue, uint64(next))
-		c.sync(st.curr + nValue)
-	default:
-		dev.Store(st.ePred+beNext, uint64(next))
-		c.sync(st.ePred + beNext)
-	}
-	c.ep.Retire(e)
-	return true
+	_, ok := listDeleteFrom(st.c, st.b.s, st.b.bucket(st.hash), st.hash, st.key, st.pred, st.curr, st.inPred, true)
+	return ok
 }
 
-// planKind is how a staged Set publishes.
+// planKind is how a staged OrderedBytesMap Set publishes.
 type planKind uint8
 
 const (
-	planFresh planKind = iota + 1 // link a staged index node: a bucket node or a skip-list node
-	planSwing                     // point an index node at the new entry: a bucket's chain head (prepend or head replace) or an ordered node's entry reference
-	planMid                       // BytesMap mid-chain replace: swing the predecessor entry's next word
+	planFresh planKind = iota + 1 // link a staged skip-list node
+	planSwing                     // point the key's node at the new entry
 )
 
 // writePlan is what staging a Set decided and publishing it needs.
 type writePlan struct {
 	hash     uint64
-	kind     planKind
-	e        Addr // staged entry extent
-	n        Addr // staged index node (fresh), or the existing one (swing)
-	replaced Addr // the entry the publish unlinks; 0 when the Set creates its key
-	pred     Addr // BytesMap: bucket predecessor node (fresh), chain predecessor entry (mid)
-	inPred   Addr // BytesMap fresh: the link word pred was reached through (0: the bucket head)
-	next     Addr // fresh: planned successor, in the bucket or at skip-list level 0
-	top      int  // OrderedBytesMap fresh: tower height
+	kind     planKind // OrderedBytesMap
+	e        Addr     // staged entry extent
+	n        Addr     // OrderedBytesMap: staged skip-list node (fresh), or the key's node (swing)
+	replaced Addr     // the entry the publish unlinks; 0 when the Set creates its key
+	pred     Addr     // BytesMap: the bucket predecessor the entry links after
+	inPred   Addr     // BytesMap: the link word pred was reached through (0: the bucket head)
+	next     Addr     // the link the publish replaces: a fresh key's planned successor, in the bucket or at skip-list level 0; a BytesMap replace's replaced entry
+	top      int      // OrderedBytesMap fresh: tower height
 
 	preds, succs [MaxLevel]Addr // OrderedBytesMap: the key's neighbourhood
 }
@@ -243,10 +231,13 @@ func (t writeTarget) write(c *Ctx, key, value []byte, meta uint16, aux uint64, p
 		// The publish makes the replaced entry durably unreachable; its area
 		// must be in the APT first (§5.4).
 		c.ep.PreRetire(p.replaced)
+		if t.st != nil {
+			t.st.b.freeze(c, p)
+		}
 	}
 
-	// One pause covers the staged entry, index node and allocator metadata
-	// lines.
+	// One pause covers the staged entry, skip-list node and allocator
+	// metadata lines.
 	c.fence()
 
 	t.publish(c, key, p)
@@ -266,7 +257,7 @@ func (t writeTarget) stage(c *Ctx, key, value []byte, meta uint16, aux uint64, p
 
 func (t writeTarget) publish(c *Ctx, key []byte, p *writePlan) {
 	if t.st != nil {
-		t.st.b.publish(c, p)
+		t.st.b.publish(c, key, p)
 	} else {
 		t.o.publish(c, key, p)
 	}
@@ -274,72 +265,53 @@ func (t writeTarget) publish(c *Ctx, key []byte, p *writePlan) {
 
 // --- Hash-indexed map -----------------------------------------------------
 
-// stage writes the step key's entry with the chain tail it will carry and,
-// for a fresh index key, stages the bucket node after the position the
-// step's search found.
+// stage writes the step key's entry to link in at the position the step's
+// search found: in front of the successor found (a fresh key), or in place of
+// the key's entry, with that entry's current successor (a replace; freeze
+// settles which successor it carries).
 func (st *KeyStep) stage(value []byte, meta uint16, aux uint64, p *writePlan) error {
-	b, c, s := st.b, st.c, st.b.s
-	p.replaced, p.pred = st.e, st.ePred
-	// The new entry's chain tail skips the entry it replaces (a mid-chain
-	// replacement publishes at its predecessor).
-	var next Addr
-	switch {
-	case p.replaced != 0:
-		next = b.entryNext(p.replaced)
-	case st.node:
-		next = Addr(s.nodeValue(st.curr))
+	p.replaced, p.pred, p.inPred, p.next = st.e, st.pred, st.inPred, st.curr
+	next := st.curr
+	if p.replaced != 0 {
+		next = ptrtag.Addr(st.b.s.dev.Load(p.replaced + nNext))
 	}
 	var err error
-	if p.e, err = writeBytesEntry(c, st.hash, st.key, value, meta, aux, next); err != nil {
-		return err
-	}
-	switch {
-	case st.node && p.pred == 0:
-		// Prepend (nothing replaced) or head replace: either way the index
-		// node's value word swings from the current head to the new entry.
-		p.kind, p.n = planSwing, st.curr
-	case st.node:
-		p.kind = planMid
-	default:
-		n, err := c.ep.AllocNode(listClass)
-		if err != nil {
-			return err
-		}
-		dev := s.dev
-		dev.StorePrivate(n+nKey, st.hash)
-		dev.StorePrivate(n+nValue, uint64(p.e))
-		dev.StorePrivate(n+nNext, uint64(st.curr))
-		c.clwb(n)
-		p.kind, p.n, p.pred, p.inPred, p.next = planFresh, n, st.pred, st.inPred, st.curr
-	}
-	return nil
+	p.e, err = writeBytesEntry(st.c, st.hash, st.key, value, meta, aux, next)
+	return err
 }
 
-func (b *BytesMap) publish(c *Ctx, p *writePlan) {
+// freeze tags the replaced entry's link, so that until the publish swaps the
+// new entry in, no insert after the replaced entry and no unlink of its
+// successor can change the successor the new entry carries. The new entry
+// was staged with the successor read then; only one that moved since costs a
+// store, which the content fence covers like the rest of the entry. It runs
+// after PreRetire: a freeze that a crash leaves behind lies in an active area
+// for recovery to clear.
+func (b *BytesMap) freeze(c *Ctx, p *writePlan) {
 	dev := b.s.dev
-	switch p.kind {
-	case planFresh:
-		b.publishFresh(c, p)
-	case planSwing:
-		c.scan(p.hash)
-		dev.Store(p.n+nValue, uint64(p.e))
-		c.sync(p.n + nValue)
-	case planMid:
-		// One atomic durable word swap: the old entry and the new one trade
-		// reachability at this single point.
-		dev.Store(p.pred+beNext, uint64(p.e))
-		c.sync(p.pred + beNext)
+	for {
+		w := c.loadClean(p.replaced + nNext)
+		if !dev.CAS(p.replaced+nNext, w, w|ptrtag.Tag) {
+			continue // a neighbour's insert or unlink moved the successor
+		}
+		if succ := ptrtag.Addr(w); succ != dev.Load(p.e+nNext) {
+			dev.StorePrivate(p.e+nNext, succ)
+			c.clwb(p.e + nNext)
+		}
+		return
 	}
 }
 
-// publishFresh links a staged index node into its bucket after the planned
-// predecessor, walking the bucket again only if that link moved since
-// planning. The node's contents (including its planned next link) are
-// already durable from the content fence; only if the walk finds a different
-// successor does the next link need one extra sync before the linearizing
-// link-and-persist — a concurrent reader may help-persist the link the
-// moment the CAS lands, so the node must be entirely durable first (§3).
-func (b *BytesMap) publishFresh(c *Ctx, p *writePlan) {
+// publish links the staged entry in after the planned predecessor, in place
+// of p.next, walking the bucket again only if that link moved since
+// planning. The entry's contents (its link included) are already durable
+// from the content fence; only if the walk finds a fresh key a different
+// successor does its link need one extra sync before the linearizing
+// link-and-persist — a concurrent reader may help-persist the link the moment
+// the CAS lands, so the entry must be entirely durable first (§3). A
+// replace's walk lands on the replaced entry again: the stripe keeps the
+// key's binding, and the freeze its successor.
+func (b *BytesMap) publish(c *Ctx, key []byte, p *writePlan) {
 	s := b.s
 	pred, inPred := p.pred, p.inPred
 	for {
@@ -352,17 +324,18 @@ func (b *BytesMap) publishFresh(c *Ctx, p *writePlan) {
 			c.scan(s.nodeKey(pred))
 		}
 		predW := c.loadClean(pred + nNext)
-		if ptrtag.Addr(predW) == p.next && !ptrtag.IsMarked(predW) &&
-			c.linkCached(p.hash, pred+nNext, predW, uint64(p.n)) {
+		if ptrtag.Addr(predW) == p.next && predW&(ptrtag.Mark|ptrtag.Tag) == 0 &&
+			c.linkCached(p.hash, pred+nNext, predW, uint64(p.e)) {
 			return
 		}
-		// The stripe keeps this index key absent, so the walk ends before a
-		// node of our own hash.
+		if ptrtag.IsTagged(predW) {
+			runtime.Gosched() // pred is being replaced: let its replacement publish
+		}
 		var curr Addr
-		pred, curr, inPred = searchFrom(c, s, b.idx.bucket(p.hash), p.hash)
-		if curr != p.next {
-			s.dev.Store(p.n+nNext, uint64(curr))
-			c.sync(p.n + nNext)
+		pred, curr, inPred, _ = searchFrom(c, s, b.bucket(p.hash), p.hash, key)
+		if p.replaced == 0 && curr != p.next {
+			s.dev.Store(p.e+nNext, uint64(curr))
+			c.sync(p.e + nNext)
 			p.next = curr
 		}
 	}

@@ -7,6 +7,7 @@ package memcache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/nvram"
+	"repro/internal/pmem"
 	"repro/logfree"
 )
 
@@ -306,5 +308,34 @@ func TestBackendDeviceShards(t *testing.T) {
 	if c2, err := open(2); err == nil {
 		c2.Close()
 		t.Fatal("BackendDevice accepted at two shards")
+	}
+}
+
+// TestFileCacheRefusesOtherLayoutVersion: a cache image of another durable
+// layout is refused with pmem.ErrLayoutVersion instead of being recovered as
+// this layout or reformatted.
+func TestFileCacheRefusesOtherLayoutVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mc.pmem")
+	c, err := New(fileConfig(path, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set([]byte("k"), []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := nvram.OpenFileDevice(path, nvram.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Store(nvram.LineSize+24, 0) // the pool header's layout-version word
+	d.NewFlusher().Sync(nvram.LineSize + 24)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(fileConfig(path, 1)); !errors.Is(err, pmem.ErrLayoutVersion) {
+		t.Fatalf("New on a version-0 image: %v, want pmem.ErrLayoutVersion", err)
 	}
 }

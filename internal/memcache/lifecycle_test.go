@@ -97,7 +97,9 @@ func TestEveryStoringCommandRunsThePressureValves(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			run(t, m, c, 12000)
+			// incr/decr items are one 256-byte extent each (a 200-byte key):
+			// 20000 of them overfill the 4 MiB pool.
+			run(t, m, c, 20000)
 		})
 	}
 }

@@ -63,6 +63,7 @@ const (
 	hdrMagicOff = hdrBase + 0
 	hdrSizeOff  = hdrBase + 8
 	hdrHeapOff  = hdrBase + 16       // durable carve pointer ("heapNext")
+	hdrLayout   = hdrBase + 24       // durable layout version (LayoutVersion)
 	poolMagic   = 0x4C4F47465245455F // "LOGFREE_"
 
 	rootBase = 2 * nvram.LineSize // 64 root slots, 512B
@@ -71,6 +72,15 @@ const (
 
 	heapBase = PageSize // first page boundary after header+roots
 )
+
+// LayoutVersion is the version of the durable layout this build formats and
+// reads: what the objects in a pool mean, above the allocator's own pages.
+// Bump it whenever that meaning changes; an image of another version is
+// refused (ErrLayoutVersion), never migrated. Images older than the version
+// word read 0 there.
+//
+//	1  a byte map's entry extent is its bucket list's node
+const LayoutVersion = 1
 
 // Class identifies a size class.
 type Class uint8
@@ -107,6 +117,9 @@ func (c Class) Size() uint64 { return ClassSizes[c] }
 var (
 	ErrOutOfMemory = errors.New("pmem: out of device memory")
 	ErrNotAPool    = errors.New("pmem: device does not contain a formatted pool")
+	// ErrLayoutVersion reports a pool formatted under another durable
+	// layout version than LayoutVersion.
+	ErrLayoutVersion = errors.New("pmem: pool has another durable layout version")
 )
 
 // Pool is the allocator state for one device. The durable state lives
@@ -244,6 +257,7 @@ func Format(dev *nvram.Device) *Pool {
 	dev.Store(hdrMagicOff, poolMagic)
 	dev.Store(hdrSizeOff, dev.Size())
 	dev.Store(hdrHeapOff, heapBase)
+	dev.Store(hdrLayout, LayoutVersion)
 	p.hdrFl.CLWB(hdrMagicOff)
 	for i := 0; i < NumRoots; i++ {
 		dev.Store(rootAddr(i), 0)
@@ -256,7 +270,9 @@ func Format(dev *nvram.Device) *Pool {
 }
 
 // Formatted reports whether dev's persisted image holds a formatted pool —
-// the open-or-create probe used before choosing Format vs Attach.
+// the open-or-create probe used before choosing Format vs Attach. It checks
+// the magic only: a pool of another layout version is formatted, and Attach
+// refuses it rather than Format destroying it.
 func Formatted(dev *nvram.Device) bool {
 	return dev.Load(hdrMagicOff) == poolMagic
 }
@@ -266,6 +282,9 @@ func Formatted(dev *nvram.Device) bool {
 func Attach(dev *nvram.Device) (*Pool, error) {
 	if dev.Load(hdrMagicOff) != poolMagic {
 		return nil, ErrNotAPool
+	}
+	if v := dev.Load(hdrLayout); v != LayoutVersion {
+		return nil, fmt.Errorf("%w: the image has version %d, this build reads %d", ErrLayoutVersion, v, LayoutVersion)
 	}
 	// A pool SMALLER than its device is valid: a crash between a grow's
 	// device-level commit and the pool-header commit leaves exactly that,

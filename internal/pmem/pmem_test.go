@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -453,5 +454,26 @@ func TestNoDoubleFreePageHandout(t *testing.T) {
 		default:
 			return
 		}
+	}
+}
+
+// TestAttachRefusesOtherLayoutVersion: an image whose layout-version word is
+// not LayoutVersion — 0 in every image written before the word existed — is
+// refused with ErrLayoutVersion, and still counts as formatted, so an
+// open-or-create never reformats it.
+func TestAttachRefusesOtherLayoutVersion(t *testing.T) {
+	dev := nvram.New(nvram.Config{Size: 1 << 20})
+	Format(dev)
+	if _, err := Attach(dev); err != nil {
+		t.Fatalf("Attach of a fresh pool: %v", err)
+	}
+	dev.Store(hdrLayout, 0)
+	dev.NewFlusher().Sync(hdrLayout)
+	dev.Crash()
+	if _, err := Attach(dev); !errors.Is(err, ErrLayoutVersion) {
+		t.Fatalf("Attach of a version-0 image: %v, want ErrLayoutVersion", err)
+	}
+	if !Formatted(dev) {
+		t.Fatal("a version-0 image no longer counts as formatted")
 	}
 }

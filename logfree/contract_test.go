@@ -429,7 +429,7 @@ func sweepCycle(t *testing.T, m *logfree.ByteMap, live func(key []byte) bool) ma
 // TestSweepContract: a quiescent cycle of the address-order sweep presents
 // every live key once as Live, and nothing else as Live — not a replaced
 // version, not another map's entry (the ordered map's entries share the
-// extent shape), not an index node. Under churn, every key that stays put is
+// extent shape), not a sentinel. Under churn, every key that stays put is
 // still Live once a cycle.
 func TestSweepContract(t *testing.T) {
 	for _, sub := range subjects {

@@ -34,13 +34,12 @@ func TestErrFullTaxonomy(t *testing.T) {
 	}
 }
 
-// TestErrFullFreshIndexNode: a fresh key whose entry fits but whose index
-// node does not surfaces ErrFull from Set. The device is filled with
-// same-hash keys (one index node between them) and then with small
-// distinct-hash keys (one node each); deleting every other same-hash key
-// frees entry slots but no node slot, so the next fresh keys get their
-// entries and run out at the node.
-func TestErrFullFreshIndexNode(t *testing.T) {
+// TestErrFullFreshKeyAfterDeletes: a fresh key that finds no slot surfaces
+// ErrFull from Set, also once deletes and a reclaim have freed some. The
+// device is filled with same-hash keys and then with small distinct-hash
+// keys; deleting every other same-hash key frees slots for about half as
+// many fresh keys, and the next ones run out.
+func TestErrFullFreshKeyAfterDeletes(t *testing.T) {
 	logfree.SetHashForTesting(func(k []byte) uint64 {
 		if k[0] == 'c' {
 			return logfree.MinKey
@@ -79,6 +78,6 @@ func TestErrFullFreshIndexNode(t *testing.T) {
 		setErr = m.Set([]byte(fmt.Sprintf("e%06d", i)), make([]byte, 100))
 	}
 	if !errors.Is(setErr, logfree.ErrFull) || !errors.Is(setErr, pmem.ErrOutOfMemory) {
-		t.Fatalf("fresh key with no room for its index node: %v, want ErrFull wrapping pmem.ErrOutOfMemory", setErr)
+		t.Fatalf("fresh key with no room: %v, want ErrFull wrapping pmem.ErrOutOfMemory", setErr)
 	}
 }

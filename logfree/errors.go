@@ -28,12 +28,15 @@ var (
 	ErrNotKeyed = errors.New("logfree: kind has no map abstraction")
 )
 
-// Re-exported core sentinels (argument errors; returned as-is).
+// Re-exported core sentinels (returned as-is).
 var (
 	// ErrTooLarge reports a byte-map entry exceeding the largest slab class.
 	ErrTooLarge = core.ErrTooLarge
 	// ErrBadKey reports an empty or oversized byte key.
 	ErrBadKey = core.ErrBadKey
+	// ErrLayoutVersion reports a durable image formatted under another
+	// layout version than this build's; the image is left as it is.
+	ErrLayoutVersion = pmem.ErrLayoutVersion
 )
 
 // wrapErr maps core-layer errors onto the public taxonomy, preserving the

@@ -5,12 +5,14 @@ package logfree
 // death is present after reopening the backing file, with no image save.
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/nvram"
+	"repro/internal/pmem"
 )
 
 func fileKey(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
@@ -178,5 +180,48 @@ func TestFileOptionValidation(t *testing.T) {
 	}
 	if _, err := New(WithDevice(FileDevice(path)), WithVolatile(true)); err == nil {
 		t.Fatal("FileDevice+WithVolatile accepted")
+	}
+}
+
+// zeroLayoutVersion makes the pool image at path read as one written before
+// the pool header had a layout-version word: that word (the header's fourth,
+// device address 88) becomes 0.
+func zeroLayoutVersion(t *testing.T, path string) {
+	t.Helper()
+	d, _, err := nvram.OpenFileDevice(path, nvram.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Store(nvram.LineSize+24, 0)
+	d.NewFlusher().Sync(nvram.LineSize + 24)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileRuntimeRefusesOtherLayoutVersion: an image of another durable
+// layout is refused with ErrLayoutVersion (pmem.ErrLayoutVersion) and left
+// as it is, not reformatted.
+func TestFileRuntimeRefusesOtherLayoutVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rt.pmem")
+	rt, err := New(WithDevice(FileDevice(path)), WithSize(16<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rt.Map("kv", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Set(fileKey(1), fileVal(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	zeroLayoutVersion(t, path)
+	for i := 0; i < 2; i++ { // the refused open leaves the image alone
+		if _, err := New(WithDevice(FileDevice(path))); !errors.Is(err, ErrLayoutVersion) || !errors.Is(err, pmem.ErrLayoutVersion) {
+			t.Fatalf("open %d of a version-0 image: %v, want pmem.ErrLayoutVersion", i, err)
+		}
 	}
 }

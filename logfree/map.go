@@ -34,10 +34,10 @@ type Item struct {
 // All methods are safe for concurrent use from any goroutine (implicit
 // sessions).
 //
-// KindMap (the default) stores arbitrary []byte keys and values: the key's
-// hash indexes a log-free durable hash table, the full key is verified in
-// the durable entry, and same-hash keys chain durably — distinct keys can
-// never alias. KindOrderedMap keeps the same entries in byte-key order.
+// KindMap (the default) stores arbitrary []byte keys and values: each entry
+// is a node of a log-free durable hash table, found by its key's hash and
+// its full key bytes, so same-hash keys sit side by side and distinct keys
+// can never alias. KindOrderedMap keeps the same entries in byte-key order.
 type Map interface {
 	// Set binds key to value (upsert), durably.
 	Set(key, value []byte) error
@@ -115,8 +115,8 @@ func (r *Runtime) OpenOrCreate(name string, spec Spec) (Map, error) {
 }
 
 // SetHashForTesting overrides the byte-key index-hash derivation (nil
-// restores the default). Tests inject colliding hashes to exercise the
-// durable collision chains deterministically; the override must stay in
+// restores the default). Tests inject colliding hashes to exercise same-hash
+// entries deterministically; the override must stay in
 // place across any crash/recover cycle of the test, since entries persist
 // the index key they were stored under.
 func SetHashForTesting(f func([]byte) uint64) { core.SetBytesHashForTesting(f) }
@@ -218,7 +218,7 @@ func (m *byteMap[C]) Name() string { return m.name }
 // --- ByteMap -------------------------------------------------------------
 
 // ByteMap is the byte-keyed durable hash map (KindMap): arbitrary []byte
-// keys and values with durable collision chains, plus a 16-bit metadata
+// keys and values, each entry one durable object, plus a 16-bit metadata
 // field and a 64-bit aux word per entry for cache-style metadata (flags,
 // expiry). All methods are safe for concurrent use from any goroutine.
 type ByteMap struct {
@@ -428,8 +428,8 @@ func (m *ByteMap) Walk(cursor uint64, visit func(Entry) bool) (next uint64) {
 // SweepEntry is one entry extent as Sweep presents it to its visitor: the key
 // (the sweep's scratch buffer — copy it to keep it), the aux word and the
 // key's index hash, valid until the visitor returns. Live reports whether the
-// extent is the map's current entry for its key; it searches the key's chain,
-// so call it only on an entry about to be acted on.
+// extent is the map's current entry for its key; it searches the key's
+// bucket, so call it only on an entry about to be acted on.
 type SweepEntry = core.SweepEntry
 
 // Sweep is the resumable walk over the map's entry extents in device-address

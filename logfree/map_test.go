@@ -127,9 +127,9 @@ func TestByteMapManyKeysCrashRecover(t *testing.T) {
 // string-key aliasing hazard: the old memcached layer clamped out-of-range
 // key hashes onto a single index key, so any two keys whose hashes clamped
 // together could alias. The bytes layer must keep same-index-key entries
-// distinct — full-key verification plus a durable collision chain — and the
-// chain must survive a crash. The hash override forces every key onto ONE
-// index key, the worst case.
+// distinct — every search compares full keys, and same-hash entries sit side
+// by side in their bucket — and they must survive a crash. The hash override
+// forces every key onto ONE index key, the worst case.
 func TestHashCollisionKeysStayDistinct(t *testing.T) {
 	SetHashForTesting(func([]byte) uint64 { return MinKey })
 	defer SetHashForTesting(nil)
@@ -152,7 +152,7 @@ func TestHashCollisionKeysStayDistinct(t *testing.T) {
 			t.Fatalf("colliding key %d aliased: %q,%v", i, v, ok)
 		}
 	}
-	// Overwrites and deletes stay per-key, head, mid-chain and tail alike.
+	// Overwrites and deletes stay per-key, first, middle and last alike.
 	if err := m.Set([]byte("alias-0"), []byte("rewritten-0")); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sharded
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/nvram"
+	"repro/internal/pmem"
 	"repro/logfree"
 )
 
@@ -709,4 +711,37 @@ func TestShardedWalk(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// TestOpenRefusesOtherLayoutVersion: a shard image of another durable layout
+// fails the pool's Open with pmem.ErrLayoutVersion, one shard or several.
+func TestOpenRefusesOtherLayoutVersion(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "pool")
+			p, err := Open(WithShards(shards), WithShardSize(testShardSize), WithDevice(logfree.FileDevice(path)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			image := path
+			if shards > 1 {
+				image = shardPath(path, shards-1)
+			}
+			d, _, err := nvram.OpenFileDevice(image, nvram.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Store(nvram.LineSize+24, 0) // the pool header's layout-version word
+			d.NewFlusher().Sync(nvram.LineSize + 24)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(WithShards(shards), WithDevice(logfree.FileDevice(path))); !errors.Is(err, pmem.ErrLayoutVersion) {
+				t.Fatalf("Open of a version-0 shard image: %v, want pmem.ErrLayoutVersion", err)
+			}
+		})
+	}
 }
