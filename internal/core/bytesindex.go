@@ -58,8 +58,8 @@ func oClassFor(top int) pmem.Class {
 // OrderedBytesMap is a durable lock-free-read ordered map from byte keys to
 // byte values. Reads and scans are lock-free (epoch-protected); the
 // lifecycle of a key (set/delete) is serialized per index-key hash by the
-// Store's ordered-map stripe locks, as BytesMap's is by its own. Scans visit
-// keys in strictly ascending byte order.
+// Store's stripe locks, as BytesMap's is. Scans visit keys in strictly
+// ascending byte order.
 type OrderedBytesMap struct {
 	s    *Store
 	head Addr
@@ -309,7 +309,7 @@ func (o *OrderedBytesMap) Set(c *Ctx, key, value []byte, meta uint16, aux uint64
 		return false, ErrBadKey
 	}
 	p := writePlan{hash: bytesHash(key)}
-	mu := o.s.orderedStripe(p.hash)
+	mu := o.s.stripe(p.hash)
 	mu.Lock()
 	defer mu.Unlock()
 	c.ep.Begin()
@@ -352,7 +352,7 @@ func (o *OrderedBytesMap) linkTower(c *Ctx, key []byte, n Addr, top int, preds, 
 // (touch-style update: no entry rewrite). Returns false if key is absent.
 func (o *OrderedBytesMap) SetAux(c *Ctx, key []byte, aux uint64) bool {
 	hash := bytesHash(key)
-	mu := o.s.orderedStripe(hash)
+	mu := o.s.stripe(hash)
 	mu.Lock()
 	defer mu.Unlock()
 	c.ep.Begin()
@@ -373,7 +373,7 @@ func (o *OrderedBytesMap) SetAux(c *Ctx, key []byte, aux uint64) bool {
 // key is absent.
 func (o *OrderedBytesMap) Delete(c *Ctx, key []byte) bool {
 	hash := bytesHash(key)
-	mu := o.s.orderedStripe(hash)
+	mu := o.s.stripe(hash)
 	mu.Lock()
 	defer mu.Unlock()
 	c.ep.Begin()

@@ -89,16 +89,12 @@ type Store struct {
 	ctxMu sync.Mutex
 	ctxs  atomic.Pointer[[]*Ctx]
 
-	// The entry-lifecycle stripes of the byte maps on this store, keyed by
-	// index-key hash, in two domains: bytesLocks for the hash-indexed maps,
-	// orderedLocks for the ordered ones. A write takes exactly one, its
-	// key's. An ordered-map write may run while a hash-map key's lock is
-	// held (BytesMap.Lock: an item and its expiry-index entry); with its own
-	// domain it can never wait on the stripe its own goroutine holds. The lock
-	// order is a hash-map stripe, then an ordered-map stripe, never the
-	// reverse. Store-level so that independently attached values over the
+	// The entry-lifecycle stripes of the byte maps on this store, hash-indexed
+	// and ordered alike, keyed by index-key hash. A write holds exactly one,
+	// its key's, for one step, and takes no other stripe while it holds it.
+	// Store-level so that independently attached values over the
 	// same durable map share one serialization domain.
-	bytesLocks, orderedLocks [2048]sync.Mutex
+	bytesLocks [2048]sync.Mutex
 }
 
 // ErrTooManyThreads is returned when a context cannot be created: a negative
@@ -199,14 +195,9 @@ func unpackMeta(v uint64) Options {
 }
 
 // stripe is the lock serializing the entry lifecycle of index key hash in
-// the hash-indexed maps.
+// the byte maps.
 func (s *Store) stripe(hash uint64) *sync.Mutex {
 	return &s.bytesLocks[hash%uint64(len(s.bytesLocks))]
-}
-
-// orderedStripe is stripe for the ordered maps.
-func (s *Store) orderedStripe(hash uint64) *sync.Mutex {
-	return &s.orderedLocks[hash%uint64(len(s.orderedLocks))]
 }
 
 // Device returns the underlying simulated NVRAM device.

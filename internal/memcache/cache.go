@@ -5,10 +5,11 @@
 // single item link/unlink path. Here too every way an item enters, changes
 // or leaves the cache is one of three steps (lifecycle.go):
 //
-//   - The store step: the new deadline into the durable expiry index, the
-//     item into the index, the record into the replication stream, the stale
-//     deadline out, then the key's reference bit and the totals. The index
-//     is logfree's byte-keyed durable map — a log-free lock-free hash table,
+//   - The store step: the item into the index, then, still inside the step,
+//     the record into the replication stream, the key's reference bit and the
+//     totals. The item's aux word carries its CAS unique and its deadline, so
+//     no other structure is written. The index is logfree's byte-keyed
+//     durable map — a log-free lock-free hash table,
 //     full keys verified in the durable entries so distinct keys never alias
 //     — and items live in slab-class extents of the persistent allocator,
 //     swept on recovery for extents allocated but not (or no longer)
@@ -17,13 +18,14 @@
 //   - The index walk: logfree's resumable bucket walk, a few buckets per epoch
 //     section. It recounts the items and their bytes after a recovery (from
 //     entry headers alone; recency resets, contents do not: cache metadata is
-//     advisory, as in Memcached), and feeds snapshots, flush_all and a
-//     follower's resync.
+//     advisory, as in Memcached), finds the items the expiry sweep removes
+//     by the deadline in their aux words, and feeds snapshots, flush_all and
+//     a follower's resync.
 //
 // Recency is volatile and approximate, as in MemC3: no list, no per-item
 // record — one CLOCK reference bit per slot of a flat table that grows with
 // the item count, a key's slot picked by its durable index hash, which a Get
-// or a key's lock computes anyway and the hand reads from the entry header.
+// or a key's step computes anyway and the hand reads from the entry header.
 // A hit or a store sets the bit (testing it first, so a hot key's line stays
 // shared). The eviction hand is a cursor over the index's entry extents in
 // device-address order (logfree's Sweep, a few allocator pages per epoch
@@ -40,17 +42,15 @@
 // Client commands of both wire protocols and a follower's replicated sets
 // reach the steps through one mutation driver: it validates key and size,
 // makes room (grow the pool, then evict what the hand finds unused), runs the
-// command's precondition and the step under the key's lock (logfree's
-// KeyLock, Memcached's single item path: the key hashed once, its one stripe
-// lock taken once, and one read-decide-write step — one session, one index
-// search), retries through grow-then-evict while the device is full, and
-// waits for replication once. A store with a deadline indexes it between two
-// steps, before the item write: the expiry index is an ordered map, whose
-// stripes are a lock domain of their own, and no step holds a session while
-// another is drawn. No key lock is held while evicting or waiting: a full
-// pool or a slow follower delays the caller, never another key. Evictions,
-// the expiry sweep and flush_all run the remove step under the key's lock,
-// and wait for nobody.
+// command's precondition and the step as one read-decide-write step of the
+// key (logfree's ByteMap.Update, Memcached's single item path: one session,
+// the key hashed once, its one stripe lock taken once, one index search),
+// retries through grow-then-evict while the device is full, and waits for
+// replication once. Every command, with a deadline or without, is that one
+// step in one lock domain, and no step draws a second session. No key lock
+// is held while evicting or waiting: a full pool or a slow follower delays
+// the caller, never another key. Evictions, the expiry sweep and flush_all
+// run the remove step as a step of its own, and wait for nobody.
 //
 // The engine is always a sharded.Pool of Config.Shards ≥ 1 independent
 // runtimes with keys hash-routed across them; one shard is the paper's
@@ -59,17 +59,16 @@
 // a directory of per-shard images plus a manifest at more.
 //
 // Threading: every method of Cache is safe for concurrent use from any
-// goroutine — each operation draws the logfree runtime's implicit sessions
-// one at a time (a mutation one per step and one per expiry-index write), so
-// connections need no worker-slot assignment to issue operations. Gets are
-// lock-free.
+// goroutine — each operation draws one of the logfree runtime's implicit
+// sessions at a time (a mutation one for its step), so connections need no
+// worker-slot assignment to issue operations. Gets are lock-free.
 //
 // Durable linearizability: a mutation that returned is reflected after a
 // crash (link-and-persist end to end); Gets are unaffected.
 package memcache
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"math/bits"
 	"sync"
@@ -91,11 +90,6 @@ const (
 
 	// cacheMapName is the durable directory name of the item index.
 	cacheMapName = "memcache"
-	// expMapName is the durable directory name of the ordered expiry index:
-	// an ordered byte-key map whose keys are 8-byte big-endian deadlines
-	// followed by the item key, so "everything due by now" is one range
-	// scan instead of a full-table walk.
-	expMapName = "memcache.exp"
 )
 
 // Errors.
@@ -215,7 +209,6 @@ type Cache struct {
 type cacheState struct {
 	pool *sharded.Pool
 	m    *logfree.ByteMap
-	exp  *logfree.OrderedByteMap
 	cfg  Config
 
 	stats counters
@@ -223,7 +216,7 @@ type cacheState struct {
 	// ref holds the CLOCK reference bits, the cache's whole notion of
 	// recency: one bit per slot of a flat table that keeps refSlotsPerItem
 	// slots per item (growRef doubles it as the cache fills), a key's slot
-	// picked by its durable index hash — the hash a Get or a key's lock
+	// picked by its durable index hash — the hash a Get or a key's step
 	// computes anyway, and the eviction hand reads from the entry header. A
 	// hit or a store sets the key's bit; the eviction hand clears set bits as
 	// it passes and evicts the first key it finds clear. Two keys sharing a
@@ -373,8 +366,10 @@ func New(cfg Config) (*Cache, error) {
 }
 
 // openCache builds a cache on an open pool, taking ownership of it: the item
-// and expiry indexes are opened-or-created on every shard, and a pool that
-// recovered existing state gets its volatile metadata rebuilt.
+// index is opened-or-created on every shard, and a pool that recovered
+// existing state gets its volatile metadata rebuilt. Images written with a
+// durable expiry index (memcache.exp) keep it as a structure nothing opens;
+// their items' deadlines are in the items' aux words like any other's.
 func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
 	buckets := cfg.Buckets
 	if n := pool.Shards(); n > 1 {
@@ -385,15 +380,7 @@ func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
 		pool.Close()
 		return nil, err
 	}
-	// Opened create-or-attach: images from before the ordered index simply
-	// start one empty (their items still expire lazily on Get and get
-	// indexed again on rewrite/touch).
-	exp, err := pool.OrderedMap(expMapName)
-	if err != nil {
-		pool.Close()
-		return nil, err
-	}
-	c := &Cache{cacheState: &cacheState{pool: pool, m: m, exp: exp, cfg: cfg}}
+	c := &Cache{cacheState: &cacheState{pool: pool, m: m, cfg: cfg}}
 	ref := make([]atomic.Uint64, 64)
 	c.ref.Store(&ref)
 	if pool.Recovered() {
@@ -498,17 +485,26 @@ func (m *Cache) UsedBytes() int64 { return m.usedBytes.Load() }
 func (m *Cache) Grow(total uint64) error {
 	m.growMu.Lock()
 	defer m.growMu.Unlock()
+	_, err := m.growLocked(total)
+	return err
+}
+
+// growLocked grows the pool to total bytes under growMu and reports whether
+// capacity rose; only a grow that rose is counted and passed to OnGrow.
+func (m *Cache) growLocked(total uint64) (grew bool, err error) {
 	before := m.pool.SizeBytes()
 	if err := m.pool.Grow(total); err != nil {
-		return err
+		return false, err
 	}
-	if after := m.pool.SizeBytes(); after > before {
-		m.stats.growCount.Add(1)
-		if m.cfg.OnGrow != nil {
-			m.cfg.OnGrow(after)
-		}
+	after := m.pool.SizeBytes()
+	if after <= before {
+		return false, nil
 	}
-	return nil
+	m.stats.growCount.Add(1)
+	if m.cfg.OnGrow != nil {
+		m.cfg.OnGrow(after)
+	}
+	return true, nil
 }
 
 // unexpired reports whether an item's deadline (the aux word's expiry half,
@@ -552,14 +548,8 @@ func (m *Cache) tryGrow() bool {
 	if target == 0 {
 		return false
 	}
-	if err := m.pool.Grow(target); err != nil {
-		return false
-	}
-	m.stats.growCount.Add(1)
-	if m.cfg.OnGrow != nil {
-		m.cfg.OnGrow(m.pool.SizeBytes())
-	}
-	return true
+	grew, _ := m.growLocked(target)
+	return grew
 }
 
 // ensureHeadroom makes room for an incoming write of `incoming` logical
@@ -591,16 +581,6 @@ func (m *Cache) ensureHeadroom(incoming int64) {
 	}
 }
 
-// expKey builds an expiry-index key: the 8-byte big-endian deadline, then
-// the item key. The index orders by deadline first, so "everything due by
-// now" is the range [nil, expKey(now+1, nil)).
-func expKey(deadline uint64, key []byte) []byte {
-	out := make([]byte, 8+len(key))
-	binary.BigEndian.PutUint64(out, deadline)
-	copy(out[8:], key)
-	return out
-}
-
 // FlushAll durably removes every item (memcached flush_all). Unlike stock
 // memcached's lazy oldest_live invalidation, this walks the index and
 // deletes each item, so the flush is crash-consistent: items removed before
@@ -615,42 +595,49 @@ func (m *Cache) FlushAll() int {
 	return n
 }
 
-// SweepExpired removes every item whose deadline has passed, by scanning
-// the durable expiry index up to now — O(items due), not a full-table
-// walk. Stale index entries (rewrites with a different deadline, or a
-// crash between the index and item writes) are double-checked against the
-// item's live aux word and discarded. Safe to run concurrently with
-// serving traffic; returns the number of items removed.
+// SweepExpired removes every item whose deadline (the aux word's expiry
+// half) is at or before now, and returns how many it removed. It is one
+// cycle of the index walk, reading every item's entry header as
+// rebuildVolatile does, so it costs time in the item count, not in the
+// number due; Memcached's LRU crawler walks its items the same way. The due
+// items a Walk call saw are removed after that call returns, each only if it
+// still carries the aux word the walk read: a rewrite or touch since then
+// bumped its CAS. Safe to run concurrently with serving traffic.
 func (m *Cache) SweepExpired(now int64) int {
-	var due [][]byte
-	for k := range m.exp.Scan(nil, expKey(uint64(now)+1, nil)) {
-		due = append(due, append([]byte(nil), k...))
+	type dueItem struct {
+		key []byte
+		aux uint64
 	}
+	var due []dueItem
 	n := 0
-	for _, ek := range due {
-		deadline := binary.BigEndian.Uint64(ek[:8])
-		key := ek[8:]
-		k, err := m.m.Lock(key)
-		if err != nil {
-			continue // a key the map rejects never held an item
+	for cursor := uint64(0); ; {
+		due = due[:0]
+		cursor = m.m.Walk(cursor, func(e logfree.Entry) bool {
+			if d := auxExpiry(e.Aux); d != 0 && int64(d) <= now && !isReplMeta(e.Key) {
+				due = append(due, dueItem{bytes.Clone(e.Key), e.Aux})
+			}
+			return true
+		})
+		// Each removal is a step of its own, run after the Walk call has
+		// released its session. Replicated without an ack wait: followers
+		// share the item's deadline (aux travels verbatim), so an
+		// unreplicated sweep delete is merely deferred tidiness there, never
+		// staleness.
+		for _, d := range due {
+			if _, _, ok := m.removeKey(d.key, func(aux uint64) bool { return aux == d.aux }, true); ok {
+				m.stats.expired.Add(1)
+				n++
+			}
 		}
-		// Replicated without an ack wait: followers share the item's deadline
-		// (aux travels verbatim), so an unreplicated sweep delete is merely
-		// deferred tidiness there, never staleness.
-		if _, _, ok := m.removeLocked(k, key, func(aux uint64) bool { return uint64(auxExpiry(aux)) == deadline }, true); ok {
-			m.stats.expired.Add(1)
-			n++
-		} else {
-			m.exp.Delete(ek) // stale
+		if cursor == 0 {
+			return n
 		}
-		k.Unlock()
 	}
-	return n
 }
 
 // StartSweeper launches a background goroutine that runs SweepExpired every
-// interval. The returned stop function is idempotent and blocks until the
-// sweeper exits.
+// interval; each run walks every item. The returned stop function is
+// idempotent and blocks until the sweeper exits.
 func (m *Cache) StartSweeper(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	exited := make(chan struct{})
@@ -701,7 +688,7 @@ func (m *Cache) evictOne() bool {
 				return true
 			}
 			if !e.Live() {
-				return true // a replaced version, or an expiry-index entry
+				return true // a replaced version, or another map's entry
 			}
 			victim, aux = append(victim, e.Key...), e.Aux
 			return false

@@ -220,9 +220,10 @@ func (m *Cache) IncrDecrCAS(key []byte, delta, initial uint64, expiry uint32, cr
 }
 
 // touchItem gives key's item a new expiry without rewriting its value; the
-// item's CAS sequence is bumped with it.
-func (m *Cache) touchItem(key []byte, expiry uint32) (item, error) {
-	it, err := m.mutate(command{key: key, readsValue: true},
+// item's CAS sequence is bumped with it. The item comes back with its value
+// and flags if readsValue is set.
+func (m *Cache) touchItem(key []byte, expiry uint32, readsValue bool) (item, error) {
+	it, err := m.mutate(command{key: key, readsValue: readsValue},
 		func(_ item, live bool) (item, verdict, error) {
 			if !live {
 				return item{}, keep, ErrNotFound
@@ -238,7 +239,7 @@ func (m *Cache) touchItem(key []byte, expiry uint32) (item, error) {
 // Touch updates an item's expiry without rewriting its value; the new CAS
 // unique is returned for the binary TOUCH response.
 func (m *Cache) Touch(key []byte, expiry uint32) (uint64, bool) {
-	it, err := m.touchItem(key, expiry)
+	it, err := m.touchItem(key, expiry, false)
 	return it.cas(), err == nil
 }
 
@@ -247,7 +248,7 @@ func (m *Cache) Touch(key []byte, expiry uint32) (uint64, bool) {
 // post-touch one.
 func (m *Cache) GetAndTouch(key []byte, expiry uint32) (value []byte, flags uint16, cas uint64, ok bool) {
 	m.stats.gets.Add(1)
-	it, err := m.touchItem(key, expiry)
+	it, err := m.touchItem(key, expiry, true)
 	if err != nil {
 		m.stats.misses.Add(1)
 		return nil, 0, 0, false

@@ -1,9 +1,12 @@
 package memcache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/logfree"
 )
 
 func testCache(t *testing.T) *Cache {
@@ -16,7 +19,7 @@ func testCache(t *testing.T) *Cache {
 }
 
 // TestExpirySweep: the sweep removes exactly the items whose deadline has
-// passed, via the ordered expiry index rather than a full-table walk.
+// passed, read from each item's aux word.
 func TestExpirySweep(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		c := newCacheN(t, shards)
@@ -60,18 +63,95 @@ func TestExpirySweep(t *testing.T) {
 		if _, _, ok := c.Get([]byte("forever")); !ok {
 			t.Fatal("no-expiry item swept")
 		}
-		// A second sweep finds nothing — the index was consumed.
+		// A second sweep finds nothing: every due item is gone.
 		if n := c.SweepExpired(now); n != 0 {
 			t.Fatalf("second SweepExpired = %d, want 0", n)
-		}
-		if c.exp.Len() != 5 {
-			t.Fatalf("expiry index holds %d entries, want 5 (the live deadlines)", c.exp.Len())
 		}
 	})
 }
 
-// TestExpirySweepStaleEntries: rewrites and touches leave no index entry
-// that could sweep a live item away.
+// TestSweepReadsTheAuxWord: an item written straight into the item map with
+// a past deadline in its aux word, by no command of the cache, is swept; the
+// replication meta key is not, whatever its aux word says.
+func TestSweepReadsTheAuxWord(t *testing.T) {
+	forShards(t, func(t *testing.T, shards int) {
+		m := newCacheN(t, shards)
+		now := time.Now().Unix()
+		past := uint32(now - 1)
+		if _, err := m.m.SetItem([]byte("written-directly"), []byte("v"), 0, packAux(1, past)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.m.SetItem(replMetaKey, make([]byte, 16), 0, packAux(1, past)); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.SweepExpired(now); n != 1 {
+			t.Fatalf("SweepExpired = %d, want 1", n)
+		}
+		if _, _, _, ok := m.m.GetItem([]byte("written-directly")); ok {
+			t.Fatal("the due item is still in the item map")
+		}
+		if _, _, _, ok := m.m.GetItem(replMetaKey); !ok {
+			t.Fatal("the sweep removed the replication meta key")
+		}
+	})
+}
+
+// TestSweepOnAnImageWithAnExpiryIndex opens an image laid out as caches with
+// a durable expiry index wrote it: the item map beside an ordered map
+// "memcache.exp" keyed by big-endian deadline and item key. The cache opens
+// it, leaves the index alone, and sweeps the due items by their aux words.
+func TestSweepOnAnImageWithAnExpiryIndex(t *testing.T) {
+	cfg := Config{MemoryBytes: 64 << 20, Buckets: 1 << 10, MaxConns: 4}
+	rt, err := logfree.New(logfree.WithSize(cfg.MemoryBytes), logfree.WithMaxThreads(cfg.MaxConns+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := rt.Map(cacheMapName, cfg.Buckets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := rt.OrderedMap("memcache.exp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().Unix()
+	put := func(key string, deadline uint32) {
+		if _, err := items.SetItem([]byte(key), []byte("v"), 0, packAux(1, deadline)); err != nil {
+			t.Fatal(err)
+		}
+		if err := index.Set(append(binary.BigEndian.AppendUint64(nil, uint64(deadline)), key...), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const dead = 8
+	for i := 0; i < dead; i++ {
+		put(fmt.Sprintf("dead-%d", i), uint32(now-1))
+	}
+	put("live", uint32(now+3600))
+	rt.Drain()
+	rt.Device().Crash()
+
+	c, _, err := Recover(rt.Device(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if st := c.Stats(); st.Items != dead+1 {
+		t.Fatalf("recovered %d items, want %d", st.Items, dead+1)
+	}
+	if n := c.SweepExpired(now); n != dead {
+		t.Fatalf("SweepExpired = %d, want %d", n, dead)
+	}
+	if _, _, ok := c.Get([]byte("live")); !ok {
+		t.Fatal("live item swept")
+	}
+	if kind, ok := c.Runtime().Lookup("memcache.exp"); !ok || kind != logfree.KindOrderedMap {
+		t.Fatalf("the old expiry index's directory entry: %v, %v", kind, ok)
+	}
+}
+
+// TestExpirySweepStaleEntries: an item rewritten or touched to a later
+// deadline is not swept by its earlier one.
 func TestExpirySweepStaleEntries(t *testing.T) {
 	c := testCache(t)
 	now := time.Now().Unix()

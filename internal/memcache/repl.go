@@ -55,18 +55,13 @@ func (m *Cache) SetReplication(sink ReplSink, stats func() ReplStats) {
 	m.repl.Store(&replHooks{sink: sink, stats: stats})
 }
 
-func (m *Cache) publishSet(key, value []byte, flags uint16, aux uint64) uint64 {
-	if h := m.repl.Load(); h != nil && h.sink != nil {
-		return h.sink.PublishSet(key, value, flags, aux)
+// sink is the replication sink mutations publish to; nil when not
+// replicating.
+func (m *Cache) sink() ReplSink {
+	if h := m.repl.Load(); h != nil {
+		return h.sink
 	}
-	return 0
-}
-
-func (m *Cache) publishDelete(key []byte) uint64 {
-	if h := m.repl.Load(); h != nil && h.sink != nil {
-		return h.sink.PublishDelete(key)
-	}
-	return 0
+	return nil
 }
 
 // waitRepl holds the caller's acknowledgement back until seq is replicated:
@@ -84,8 +79,8 @@ func (m *Cache) waitRepl(seq uint64) {
 		}
 		return
 	}
-	if h := m.repl.Load(); h != nil && h.sink != nil {
-		h.sink.WaitAcked(seq)
+	if sink := m.sink(); sink != nil {
+		sink.WaitAcked(seq)
 	}
 }
 

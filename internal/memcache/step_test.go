@@ -1,10 +1,9 @@
 package memcache
 
-// Every key command runs under its key's lock (logfree's KeyLock): one index
-// hash, one stripe lock and, without a deadline to index, one step — one
-// session, one search — per command; the expiry index is written between
-// steps, never inside one; and nothing is allocated on the paths a replaced,
-// deleted or read key takes.
+// Every key command is one step of its key (logfree's ByteMap.Update): one
+// session, one index hash, one stripe lock and one search per command, with a
+// deadline or without; and nothing is allocated on the paths a replaced,
+// touched, deleted or read key takes.
 
 import (
 	"bytes"
@@ -40,10 +39,11 @@ func withinDeadline(t *testing.T, d time.Duration, what string, f func()) {
 	}
 }
 
-// TestExpiryWritesUnderItsLock forces every key, item and expiry-index entry
-// alike, onto one index hash, so every key shares one stripe: the commands
-// that write the expiry index under an item's lock must still complete.
-func TestExpiryWritesUnderItsLock(t *testing.T) {
+// TestExpiringCommandsOnOneStripe forces every key onto one index hash, so
+// every key shares one stripe: the commands that carry a deadline, and the
+// sweep that removes what is due, must still complete — none may take a
+// second stripe while it holds its key's.
+func TestExpiringCommandsOnOneStripe(t *testing.T) {
 	logfree.SetHashForTesting(func([]byte) uint64 { return logfree.MinKey })
 	defer logfree.SetHashForTesting(nil)
 	forShards(t, func(t *testing.T, shards int) {
@@ -72,9 +72,6 @@ func TestExpiryWritesUnderItsLock(t *testing.T) {
 				t.Errorf("SweepExpired removed %d items, want 1", n)
 			}
 		})
-		if n := m.exp.Len(); n != 0 {
-			t.Fatalf("%d expiry-index entries left behind", n)
-		}
 	})
 }
 
@@ -210,7 +207,7 @@ func TestStepStressAccounting(t *testing.T) {
 }
 
 // TestOneHashPerKeyCommand counts index-hash calls: each key command of a
-// one-shard cache, with no expiry to index, hashes its key exactly once.
+// one-shard cache, with a deadline or without, hashes its key exactly once.
 func TestOneHashPerKeyCommand(t *testing.T) {
 	var calls atomic.Int64
 	logfree.SetHashForTesting(func(k []byte) uint64 {
@@ -224,6 +221,7 @@ func TestOneHashPerKeyCommand(t *testing.T) {
 	if err := m.Set(other, v, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	exp := uint32(time.Now().Unix() + 3600)
 	var cas uint64
 	for _, c := range []struct {
 		name string
@@ -249,6 +247,19 @@ func TestOneHashPerKeyCommand(t *testing.T) {
 			}
 			return nil
 		}},
+		{"Set with a deadline", func() error { return m.Set(key, v, 0, exp) }},
+		{"Touch to a new deadline", func() error {
+			if _, ok := m.Touch(key, exp+60); !ok {
+				return ErrNotFound
+			}
+			return nil
+		}},
+		{"Delete of an expiring key", func() error {
+			if !m.Delete(key) {
+				return ErrNotFound
+			}
+			return nil
+		}},
 	} {
 		calls.Store(0)
 		if err := c.run(); err != nil {
@@ -268,8 +279,8 @@ func ignore(err, target error) error {
 	return err
 }
 
-// TestSetDeleteAllocs: a Set replacing a key, and a Delete with the re-Set
-// after it, allocate nothing.
+// TestSetDeleteAllocs: a Set replacing a key, with a deadline or without, a
+// Touch, and a Delete with the re-Set after it, allocate nothing.
 func TestSetDeleteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -296,6 +307,30 @@ func TestSetDeleteAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Delete and re-Set: %v allocations, want 0", n)
+	}
+	exp := uint32(time.Now().Unix() + 3600)
+	for _, c := range []struct {
+		name string
+		run  func(i int) error
+	}{
+		{"Set replacing a key with a new deadline", func(i int) error { return m.Set(key, v, 0, exp+uint32(i)) }},
+		{"Set replacing a key with its deadline", func(int) error { return m.Set(key, v, 0, exp) }},
+		{"Touch to a new deadline", func(i int) error {
+			if _, ok := m.Touch(key, exp+uint32(i)); !ok {
+				return ErrNotFound
+			}
+			return nil
+		}},
+	} {
+		i := 0
+		if n := testing.AllocsPerRun(500, func() {
+			i++
+			if err := c.run(i); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", c.name, n)
+		}
 	}
 }
 

@@ -213,69 +213,44 @@ func contractMetaAux(t *testing.T, m itemMap) {
 	}
 }
 
-// contractStep: under a key's lock, Update reads the key's entry and acts on
-// it, or leaves it, in one step, and an ordered-map write between steps
-// completes; AppendItem reads into a caller's buffer and reports the hash the
-// lock computed.
+// contractStep: Update reads the key's entry and acts on it, or leaves it, in
+// one step, and returns fn's error; the step's hash is the one AppendItem
+// reports, and AppendItem reads into a caller's buffer.
 func contractStep(t *testing.T, h host) {
 	m, err := h.Map("c-step", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	om, err := h.OrderedMap("c-step-index")
-	if err != nil {
-		t.Fatal(err)
-	}
 	errKept := errors.New("kept")
-	lock := func(key []byte) logfree.KeyLock {
-		t.Helper()
-		k, err := m.Lock(key)
-		if err != nil {
-			t.Fatalf("Lock(%q): %v", key, err)
-		}
-		return k
-	}
-	update := func(k logfree.KeyLock, fn func(st *logfree.KeyStep) error) {
-		t.Helper()
-		if err := k.Update(fn); err != nil {
-			t.Fatalf("Update: %v", err)
-		}
-	}
 	step := func(key []byte, fn func(st *logfree.KeyStep) error) {
 		t.Helper()
-		k := lock(key)
-		defer k.Unlock()
-		update(k, fn)
+		if err := m.Update(key, fn); err != nil {
+			t.Fatalf("Update(%q): %v", key, err)
+		}
 	}
 	for i := 0; i < 64; i++ {
-		k := lock(ckey(i))
-		update(k, func(st *logfree.KeyStep) error {
+		step(ckey(i), func(st *logfree.KeyStep) error {
 			if st.Found() || st.Aux() != 0 || st.ValueLen() != 0 {
 				t.Errorf("absent %q: found %v, aux %d, %d bytes", ckey(i), st.Found(), st.Aux(), st.ValueLen())
 			}
 			return nil
 		})
-		if err := om.Set(ckey(i), nil); err != nil { // between the steps
-			t.Fatal(err)
-		}
-		update(k, func(st *logfree.KeyStep) error {
+		step(ckey(i), func(st *logfree.KeyStep) error {
 			created, err := st.Set(cval(i), uint16(i), uint64(i))
 			if !created {
 				t.Errorf("Set of absent %q did not create it", ckey(i))
 			}
 			return err
 		})
-		k.Unlock()
 	}
-	k := lock(ckey(9))
-	update(k, func(st *logfree.KeyStep) error {
+	var hash uint64
+	step(ckey(9), func(st *logfree.KeyStep) error {
 		if !st.Found() || st.Meta() != 9 || st.Aux() != 9 || string(st.AppendValue([]byte("<"))) != "<"+string(cval(9)) {
 			t.Errorf("present key: found %v, meta %d, aux %d, value %q", st.Found(), st.Meta(), st.Aux(), st.AppendValue(nil))
 		}
+		hash = st.Hash()
 		return nil
 	})
-	hash := k.Hash()
-	k.Unlock()
 	v, meta, aux, h9, ok := m.AppendItem([]byte(">"), ckey(9))
 	if !ok || string(v) != ">"+string(cval(9)) || meta != 9 || aux != 9 || h9 != hash {
 		t.Fatalf("AppendItem = %q, %d, %d, hash %x (step saw %x), %v", v, meta, aux, h9, hash, ok)
@@ -302,13 +277,14 @@ func contractStep(t *testing.T, h host) {
 		}
 		return nil
 	})
-	k = lock(ckey(4))
-	if err := k.Update(func(st *logfree.KeyStep) error { return errKept }); !errors.Is(err, errKept) {
+	if err := m.Update(ckey(4), func(st *logfree.KeyStep) error { return errKept }); !errors.Is(err, errKept) {
 		t.Fatalf("Update returned %v, want fn's error", err)
 	}
-	k.Unlock()
-	if _, err := m.Lock(nil); !errors.Is(err, logfree.ErrBadKey) {
-		t.Fatalf("Lock of an empty key: %v, want ErrBadKey", err)
+	if err := m.Update(nil, func(*logfree.KeyStep) error {
+		t.Error("Update ran fn for an empty key")
+		return nil
+	}); !errors.Is(err, logfree.ErrBadKey) {
+		t.Fatalf("Update of an empty key: %v, want ErrBadKey", err)
 	}
 	model := map[string]logfree.Item{}
 	for i := 0; i < 64; i++ {
@@ -318,9 +294,6 @@ func contractStep(t *testing.T, h host) {
 	model[string(ckey(2))] = logfree.Item{Value: cval(2), Meta: 2, Aux: 200}
 	delete(model, string(ckey(3)))
 	wantItems(t, m, model)
-	if om.Len() != 64 {
-		t.Fatalf("the ordered-map writes under the locks left %d keys, want 64", om.Len())
-	}
 }
 
 // contractWalk: from cursor 0 until 0 comes back a quiescent map shows every
@@ -655,17 +628,12 @@ func TestOneShardPoolCountsEqualRuntime(t *testing.T) {
 					t.Fatalf("op %d: GetItem(%q) = %q, %v; want %q", op, k, got, ok, model[string(k)])
 				}
 			case r < 15:
-				l, err := m.Lock(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				err = l.Update(func(st *logfree.KeyStep) error {
+				err := m.Update(k, func(st *logfree.KeyStep) error {
 					if st.Found() != (model[string(k)] != "") || st.ValueLen() != len(model[string(k)]) {
 						t.Errorf("op %d: Update(%q) found %v, %d bytes; want %q", op, k, st.Found(), st.ValueLen(), model[string(k)])
 					}
 					return nil
 				})
-				l.Unlock()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -124,7 +124,7 @@ func SetHashForTesting(f func([]byte) uint64) { core.SetBytesHashForTesting(f) }
 // --- the shared base -----------------------------------------------------
 
 // bytesCore is the read set the two core byte-keyed maps share. Their writes
-// differ in locking (see ByteMap.Lock), so each map type has its own.
+// differ in shape (see ByteMap.Update), so each map type has its own.
 type bytesCore interface {
 	Get(c *core.Ctx, key []byte) ([]byte, bool)
 	GetItem(c *core.Ctx, key []byte) (value []byte, meta uint16, aux uint64, ok bool)
@@ -258,76 +258,36 @@ func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
 // the goroutine owning s.
 func (m *ByteMap) WithSession(s *Session) *ByteMap { return &ByteMap{m.pinned(s)} }
 
-// KeyLock is one key's lock on a ByteMap, held from Lock until Unlock: no
-// other write can touch the key meanwhile, so what a step of the holder reads
-// stays the key's until the holder's next step writes.
-type KeyLock struct {
-	p    *mapPart[*core.BytesMap]
-	key  []byte
-	hash uint64
-}
-
-// Lock hashes key once and takes its stripe lock (ErrBadKey, locking nothing,
-// for an empty or oversized key); Unlock releases it. Every ByteMap write
-// takes its key's lock before it draws a session, so the holder may draw
-// sessions — run steps (Update), read any structure, write ordered maps
-// (KindOrderedMap, whose locks are a domain of their own) — without a
-// deadlock. It must write no hash-indexed map (KindMap) before Unlock: that
-// key's lock may be this one, or held by a goroutine waiting for this one.
-func (m *ByteMap) Lock(key []byte) (KeyLock, error) {
-	p := m.part(key)
-	hash, err := p.m.Lock(key)
-	if err != nil {
-		return KeyLock{}, wrapErr(err)
-	}
-	return KeyLock{p, key, hash}, nil
-}
-
-// Unlock releases the key's lock.
-func (k KeyLock) Unlock() { k.p.m.Unlock(k.hash) }
-
-// Hash returns the key's index hash, the one hash Lock computed: an identity
-// the holder may key volatile per-key state by (AppendItem and
-// SweepEntry.Hash report the same).
-func (k KeyLock) Hash() uint64 { return k.hash }
-
-// KeyStep is one read-decide-write step of a locked key, as KeyLock.Update
-// hands it to its function: Found, Aux, Meta, ValueLen and AppendValue read
-// the key's entry; Set, SetAux or Delete (at most one of them) act on it.
-// Valid until the function returns.
+// KeyStep is one read-decide-write step of a key, as Update hands it to its
+// function: Found, Aux, Meta, ValueLen, AppendValue and Hash read the key's
+// entry; Set, SetAux or Delete (at most one of them) act on it. Valid until
+// the function returns.
 type KeyStep = core.KeyStep
 
-// Update runs fn as one read-decide-write step of the locked key: one session
-// drawn and the index searched once; fn reads the entry through the step,
-// decides, and acts on it through the step or leaves it. Each Update searches
-// afresh, and what one read holds until the holder writes. Update returns
-// fn's error, with device exhaustion mapped onto ErrFull. fn holds the step's
-// session: it must operate on no structure (drawing a second session could
-// wait for one only its own return frees), and leave other work to the holder
-// between steps.
-func (k KeyLock) Update(fn func(*KeyStep) error) error {
-	c, s, err := k.p.beginErr()
+// Update runs fn as one read-decide-write step of key: one session drawn, the
+// key hashed once, its stripe lock taken and the index searched once; fn
+// reads the entry through the step, decides, and acts on it through the step
+// or leaves it, and the lock is released when fn returns. Update returns fn's
+// error, with device exhaustion mapped onto ErrFull (ErrBadKey, running
+// nothing, for an empty or oversized key). fn holds the step's session and
+// its key's lock, so it must operate on no structure: a second session could
+// wait for one only its own return frees, and a byte-map write could wait for
+// its own lock. Volatile work that must follow the key's store order, such as
+// a replication record, may run in fn after the step has written.
+func (m *ByteMap) Update(key []byte, fn func(*KeyStep) error) error {
+	p := m.part(key)
+	c, s, err := p.beginErr()
 	if err != nil {
 		return err
 	}
-	defer k.p.end(s)
-	return wrapErr(k.p.m.UpdateLocked(c, k.key, k.hash, fn))
+	defer p.end(s)
+	return wrapErr(p.m.Update(c, key, fn))
 }
 
-// update is a one-step write of key under its own lock.
-func (m *ByteMap) update(key []byte, fn func(*KeyStep) error) error {
-	k, err := m.Lock(key)
-	if err != nil {
-		return err
-	}
-	defer k.Unlock()
-	return k.Update(fn)
-}
-
-// mustUpdate is update for the writes without an error result: a closed
+// mustUpdate is Update for the writes without an error result: a closed
 // runtime panics, as acquire does, and a bad key does nothing.
 func (m *ByteMap) mustUpdate(key []byte, fn func(*KeyStep) error) {
-	if err := m.update(key, fn); errors.Is(err, ErrClosed) {
+	if err := m.Update(key, fn); errors.Is(err, ErrClosed) {
 		panic(fmt.Errorf("logfree: acquiring operation context: %w", err))
 	}
 }
@@ -341,7 +301,7 @@ func (m *ByteMap) Set(key, value []byte) error {
 // SetItem binds key to value with a metadata field and aux word; reports
 // whether the key was newly created.
 func (m *ByteMap) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
-	err = m.update(key, func(st *KeyStep) (err error) {
+	err = m.Update(key, func(st *KeyStep) (err error) {
 		created, err = st.Set(value, meta, aux)
 		return err
 	})
@@ -369,7 +329,7 @@ func (m *ByteMap) Delete(key []byte) (ok bool) {
 
 // AppendItem is GetItem appending the value to dst instead of copying it
 // into a slice of its own, and returning the key's index hash too (what
-// KeyLock.Hash and SweepEntry.Hash report for it). The value is nil when key
+// KeyStep.Hash and SweepEntry.Hash report for it). The value is nil when key
 // is absent.
 func (m *ByteMap) AppendItem(dst, key []byte) (value []byte, meta uint16, aux, hash uint64, ok bool) {
 	p := m.part(key)
