@@ -116,7 +116,23 @@ func SetBytesHashForTesting(f func([]byte) uint64) {
 type BytesMap struct {
 	s *Store
 	bucketArray
+	slotBase uint64 // ORed into every slot the map reports (WithSlotBase)
 }
+
+// WithSlotBase returns a handle on the same map whose slots (AppendItem,
+// KeyStep.Slot, SweepEntry.Slot) carry base above the entry's device
+// address, so that the maps of several stores joined into one can name their
+// entries apart. base must leave the address bits clear.
+func (b *BytesMap) WithSlotBase(base uint64) *BytesMap {
+	h := *b
+	h.slotBase = base
+	return &h
+}
+
+// slot is entry e's slot: its device address under the map's slot base. Two
+// live entries never share a 64-byte granule of the device (every extent is
+// at least SlotAlign long), so a slot names one granule.
+func (b *BytesMap) slot(e Addr) uint64 { return b.slotBase | uint64(e) }
 
 // NewBytesMap creates a durable byte-key map with nbuckets buckets (rounded
 // up to a power of two). Persist Buckets/NumBuckets/Tail in root slots (or a
@@ -414,18 +430,20 @@ func (b *BytesMap) GetItem(c *Ctx, key []byte) (value []byte, meta uint16, aux u
 }
 
 // AppendItem is GetItem appending the value to dst (see appendEntryValue)
-// instead of copying it into a slice of its own, and returning the key's
-// index hash too: the one hash the lookup computed, an identity the caller
-// may key volatile per-key state by. The value is nil when key is absent.
-func (b *BytesMap) AppendItem(c *Ctx, dst, key []byte) (value []byte, meta uint16, aux, hash uint64, ok bool) {
-	hash = bytesHash(key)
+// instead of copying it into a slice of its own, and returning the found
+// entry's slot too (see slot): an identity of the entry, not of the key, that
+// the caller may key volatile per-entry state by. A replace writes a new
+// entry, so the key's slot changes with it. The value is nil and the slot 0
+// when key is absent.
+func (b *BytesMap) AppendItem(c *Ctx, dst, key []byte) (value []byte, meta uint16, aux, slot uint64, ok bool) {
+	hash := bytesHash(key)
 	c.ep.Begin()
 	defer c.ep.End()
 	e, found := b.find(c, hash, key)
 	if !found {
-		return nil, 0, 0, hash, false
+		return nil, 0, 0, 0, false
 	}
-	return appendEntryValue(b.s, dst, e), b.EntryMeta(e), b.EntryAux(e), hash, true
+	return appendEntryValue(b.s, dst, e), b.EntryMeta(e), b.EntryAux(e), b.slot(e), true
 }
 
 // Contains reports whether key is present.

@@ -32,18 +32,19 @@ const sweepPages = 4
 type SweepEntry struct {
 	Key  []byte // the context's scratch buffer; copy it to keep it
 	Aux  uint64
-	Hash uint64 // the key's index hash, as stored in the entry
+	Slot uint64 // the extent's slot, as AppendItem and KeyStep.Slot report it
 
-	b *BytesMap
-	c *Ctx
-	e Addr
+	b    *BytesMap
+	c    *Ctx
+	e    Addr
+	hash uint64 // the key's index hash, as stored in the entry
 }
 
 // Live reports whether the extent is the entry its key is bound to in the
 // map now: the search for its key lands on it, as in recovery
 // (bytesRecover.Keep). Call it only on an entry about to be acted on.
 func (w SweepEntry) Live() bool {
-	_, curr, _, found := searchFrom(w.c, w.b.s, w.b.bucket(w.Hash), w.Hash, w.Key)
+	_, curr, _, found := searchFrom(w.c, w.b.s, w.b.bucket(w.hash), w.hash, w.Key)
 	return found && curr == w.e
 }
 
@@ -81,7 +82,7 @@ func (b *BytesMap) Sweep(c *Ctx, cursor uint64, visit func(SweepEntry) bool) (ne
 				if bytesHash(k) != hash {
 					continue
 				}
-				if !visit(SweepEntry{Key: k, Aux: dev.Load(e + beAux), Hash: hash, b: b, c: c, e: e}) {
+				if !visit(SweepEntry{Key: k, Aux: dev.Load(e + beAux), Slot: b.slot(e), b: b, c: c, e: e, hash: hash}) {
 					return uint64(e + size)
 				}
 			}

@@ -49,7 +49,8 @@ import (
 // inside the function Update runs: the key, its index hash, the bucket
 // position the step's search found and the entry bound there. The accessors
 // read that entry. At most one of Set, SetAux and Delete may be called on a
-// step; afterwards the accessors describe nothing.
+// step; after a Set the accessors read the entry it wrote, after a Delete
+// they describe nothing.
 type KeyStep struct {
 	b    *BytesMap
 	c    *Ctx
@@ -94,9 +95,15 @@ func (st *KeyStep) search() {
 // Found reports whether the key is bound.
 func (st *KeyStep) Found() bool { return st.e != 0 }
 
-// Hash returns the key's index hash, the one the step computed (AppendItem
-// and SweepEntry.Hash report the same).
-func (st *KeyStep) Hash() uint64 { return st.hash }
+// Slot returns the slot of the key's entry (0 when the key is absent): the
+// entry the search found, or the one Set just wrote. AppendItem and
+// SweepEntry.Slot report the same for that entry.
+func (st *KeyStep) Slot() uint64 {
+	if st.e == 0 {
+		return 0
+	}
+	return st.b.slot(st.e)
+}
 
 // Aux returns the entry's aux word (0 when the key is absent).
 func (st *KeyStep) Aux() uint64 {
@@ -140,7 +147,10 @@ func (st *KeyStep) AppendValue(dst []byte) []byte {
 // caller owns eviction policy.
 func (st *KeyStep) Set(value []byte, meta uint16, aux uint64) (created bool, err error) {
 	p := writePlan{hash: st.hash}
-	return writeTarget{st: st}.write(st.c, st.key, value, meta, aux, &p)
+	if created, err = (writeTarget{st: st}).write(st.c, st.key, value, meta, aux, &p); err == nil {
+		st.e = p.e
+	}
+	return created, err
 }
 
 // SetAux durably replaces the entry's aux word in place (touch-style update:

@@ -6,7 +6,7 @@
 // or leaves the cache is one of three steps (lifecycle.go):
 //
 //   - The store step: the item into the index, then, still inside the step,
-//     the record into the replication stream, the key's reference bit and the
+//     the record into the replication stream, the entry's reference bit and the
 //     totals. The item's aux word carries its CAS unique and its deadline, so
 //     no other structure is written. The index is logfree's byte-keyed
 //     durable map — a log-free lock-free hash table,
@@ -23,21 +23,21 @@
 //     a follower's resync.
 //
 // Recency is volatile and approximate, as in MemC3: no list, no per-item
-// record — one CLOCK reference bit per slot of a flat table that grows with
-// the item count, a key's slot picked by its durable index hash, which a Get
-// or a key's step computes anyway and the hand reads from the entry header.
-// A hit or a store sets the bit (testing it first, so a hot key's line stays
-// shared). The eviction hand is a cursor over the index's entry extents in
-// device-address order (logfree's Sweep, a few allocator pages per epoch
-// section): it clears the set bits it passes and evicts the first live item
-// it finds clear, if the item still carries the aux word the hand read.
-// Victims taken in address order sit together, so their unlinks land in the
-// areas NV-epochs already holds active (§5.4) and the slots they free are
-// reused from the same pages; a hand in hash order scatters both. Keys that
-// share a slot share a bit: a cold key beside a warm one survives another
-// turn of the hand, and a warm key whose bit the hand cleared on its way past
-// the cold one is exposed until its next hit. The table is sparse enough (32
-// to 64 slots per item) that few keys share.
+// record — one CLOCK reference bit per entry slot of the device, one word per
+// allocator page (a bit per 64-byte granule, so no two live entries share
+// one), found by the entry's slot, which a Get or a key's step learns from the
+// entry it reads anyway and the hand from the extent it passes. The table
+// covers the pages up to the highest one an entry was marked on, and doubles
+// when a mark lands past its end. A hit or a store sets the bit (testing it
+// first, so a hot entry's line stays shared); a replace writes a new entry,
+// which the store marks. The eviction hand is a cursor over the index's entry
+// extents in device-address order (logfree's Sweep, a few allocator pages per
+// epoch section), so it reads the bits in address order too: it clears the
+// set bits it passes and evicts the first live item it finds clear, if the
+// item still carries the aux word the hand read. Victims taken in address
+// order sit together, so their unlinks land in the areas NV-epochs already
+// holds active (§5.4) and the slots they free are reused from the same pages;
+// a hand in hash order scatters both.
 //
 // Client commands of both wire protocols and a follower's replicated sets
 // reach the steps through one mutation driver: it validates key and size,
@@ -77,6 +77,7 @@ import (
 
 	"repro/internal/capacity"
 	"repro/internal/nvram"
+	"repro/internal/pmem"
 	"repro/logfree"
 	"repro/logfree/sharded"
 )
@@ -214,18 +215,21 @@ type cacheState struct {
 	stats counters
 
 	// ref holds the CLOCK reference bits, the cache's whole notion of
-	// recency: one bit per slot of a flat table that keeps refSlotsPerItem
-	// slots per item (growRef doubles it as the cache fills), a key's slot
-	// picked by its durable index hash — the hash a Get or a key's step
-	// computes anyway, and the eviction hand reads from the entry header. A
-	// hit or a store sets the key's bit; the eviction hand clears set bits as
-	// it passes and evicts the first key it finds clear. Two keys sharing a
-	// slot share a bit (see refSlotsPerItem for what that costs). hand is the
+	// recency: one word per allocator page of the device, bit i for the
+	// entry extent that starts in the page's 64-byte granule i, found by the
+	// entry's slot — which a Get and a key's step learn from the entry they
+	// read anyway, and the eviction hand from the extent it passes. No two
+	// live entries share a bit. The table covers only the pages up to the
+	// last one an entry was marked on (growRef doubles it when a mark lands
+	// past its end), with the shards' pages interleaved (partBits). A hit or
+	// a store sets the entry's bit; the eviction hand clears set bits as it
+	// passes and evicts the first live item it finds clear. hand is the
 	// hand's position: a Sweep cursor over the item index's entry extents, in
 	// address order.
-	ref   atomic.Pointer[[]atomic.Uint64]
-	refMu sync.Mutex // serializes growRef
-	hand  atomic.Uint64
+	ref      atomic.Pointer[[]atomic.Uint64]
+	refMu    sync.Mutex // serializes growRef
+	partBits uint       // log2 of the shard count
+	hand     atomic.Uint64
 
 	// usedBytes tracks the cache's logical footprint (the MaxBytes valve's
 	// currency). Every mutation reads the length of the value it replaces or
@@ -242,53 +246,49 @@ type cacheState struct {
 	repl atomic.Pointer[replHooks]
 }
 
-// refSlotsPerItem is how many reference-bit slots the table keeps per item,
-// at the least: 4 to 8 bytes of DRAM per item, for which no more than one key
-// in thirty shares its bit. Sharing is not free for a key in use — the hand
-// clears the bit when it passes the other key, and the key in use is
-// unprotected until its next hit — so the table is kept sparse.
-const refSlotsPerItem = 32
-
-// refBit locates the reference bit of the key whose index hash is h.
-func (m *cacheState) refBit(h uint64) (word *atomic.Uint64, bit uint64) {
-	table := *m.ref.Load()
-	slot := h & uint64(len(table)*64-1)
-	return &table[slot/64], 1 << (slot % 64)
+// refIndex locates slot's reference bit: the table word of its allocator
+// page (the page number above partBits bits of shard number, so that the
+// shards' pages interleave) and the bit of the page's 64-byte granule the
+// entry starts in.
+func (m *cacheState) refIndex(slot uint64) (i int, bit uint64) {
+	part, addr := slot>>logfree.PartShift, slot&(1<<logfree.PartShift-1)
+	return int(addr/pmem.PageSize<<m.partBits | part), 1 << (addr % pmem.PageSize / pmem.SlotAlign)
 }
 
-// growRef doubles the reference-bit table until it has refSlotsPerItem slots
-// for each of items. A key's slot is its hash modulo the table size, so a
-// slot of the old table splits between itself and its images in the new one:
-// every image inherits the bit. A bit set in the old table while it is being
-// copied may be lost, which costs that key one turn of protection.
-func (m *cacheState) growRef(items int64) {
-	if items*refSlotsPerItem <= int64(len(*m.ref.Load()))*64 {
-		return
+// markUsed sets the reference bit of the entry at slot. It tests first: a hot
+// entry's bit is already set, and a load leaves the cache line shared between
+// the cores reading it.
+func (m *cacheState) markUsed(slot uint64) {
+	i, bit := m.refIndex(slot)
+	table := *m.ref.Load()
+	if i >= len(table) {
+		table = m.growRef(i)
 	}
+	if table[i].Load()&bit == 0 {
+		table[i].Or(bit)
+	}
+}
+
+// growRef doubles the reference-bit table until it covers word i, and
+// returns it. A bit set in the old table while it is being copied may be
+// lost, which costs that entry one turn of protection.
+func (m *cacheState) growRef(i int) []atomic.Uint64 {
 	m.refMu.Lock()
 	defer m.refMu.Unlock()
 	old := *m.ref.Load()
-	words := len(old)
-	for int64(words)*64 < items*refSlotsPerItem {
+	if i < len(old) {
+		return old // another mark grew it first
+	}
+	words := max(len(old), 64)
+	for words <= i {
 		words *= 2
 	}
-	if words == len(old) {
-		return // another store grew it first
-	}
 	grown := make([]atomic.Uint64, words)
-	for i := range grown {
-		grown[i].Store(old[i%len(old)].Load())
+	for j := range old {
+		grown[j].Store(old[j].Load())
 	}
 	m.ref.Store(&grown)
-}
-
-// markUsed sets a key's reference bit. It tests first: a hot key's bit is
-// already set, and a load leaves the cache line shared between the cores
-// reading it.
-func (m *cacheState) markUsed(h uint64) {
-	if word, bit := m.refBit(h); word.Load()&bit == 0 {
-		word.Or(bit)
-	}
+	return grown
 }
 
 // Stats mirrors the interesting counters of `stats`.
@@ -380,9 +380,8 @@ func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
 		pool.Close()
 		return nil, err
 	}
-	c := &Cache{cacheState: &cacheState{pool: pool, m: m, cfg: cfg}}
-	ref := make([]atomic.Uint64, 64)
-	c.ref.Store(&ref)
+	c := &Cache{cacheState: &cacheState{pool: pool, m: m, cfg: cfg, partBits: uint(bits.TrailingZeros(uint(pool.Shards())))}}
+	c.ref.Store(new([]atomic.Uint64))
 	if pool.Recovered() {
 		c.rebuildVolatile()
 	}
@@ -391,7 +390,8 @@ func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
 
 // rebuildVolatile recounts the items and their logical footprint from one
 // index walk that reads headers only — the volatile totals a recovery has to
-// restore. The reference bits start clear: recency is lost, contents are not.
+// restore. The reference table starts empty: recency is lost, contents are
+// not.
 func (m *Cache) rebuildVolatile() {
 	var items, used int64
 	for cursor := uint64(0); ; {
@@ -408,7 +408,6 @@ func (m *Cache) rebuildVolatile() {
 	}
 	m.stats.items.Store(items)
 	m.usedBytes.Store(used)
-	m.growRef(items)
 }
 
 // Close drains the cache and closes the underlying pool; file-backed images
@@ -683,8 +682,9 @@ func (m *Cache) evictOne() bool {
 			if isReplMeta(e.Key) {
 				return true
 			}
-			if word, bit := m.refBit(e.Hash); word.Load()&bit != 0 {
-				word.And(^bit)
+			i, bit := m.refIndex(e.Slot)
+			if table := *m.ref.Load(); i < len(table) && table[i].Load()&bit != 0 {
+				table[i].And(^bit)
 				return true
 			}
 			if !e.Live() {

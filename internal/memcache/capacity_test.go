@@ -8,10 +8,13 @@ package memcache
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/logfree"
 )
 
 func TestAutoGrowUnderPressure(t *testing.T) {
@@ -151,52 +154,139 @@ func TestMaxBytesEviction(t *testing.T) {
 // quarter being read, and the budget must hold throughout — at one shard and
 // with the hand's cursor crossing four.
 func TestEvictionSparesWhatIsRead(t *testing.T) {
+	forShards(t, func(t *testing.T, shards int) { sparesWhatIsRead(t, shards, 2000, 95) })
+}
+
+// TestEvictionSparesWhatIsReadOneHash is TestEvictionSparesWhatIsRead with
+// every key on one index hash. A reference bit belongs to an entry, not to a
+// hash: the hand clearing a cold key's bit on its way past leaves the bits of
+// the keys being read alone. Bits keyed by hash would make every key share
+// one, and the hand would take the keys being read as readily as the rest.
+func TestEvictionSparesWhatIsReadOneHash(t *testing.T) {
+	logfree.SetHashForTesting(func([]byte) uint64 { return logfree.MinKey })
+	defer logfree.SetHashForTesting(nil)
+	forShards(t, func(t *testing.T, shards int) { sparesWhatIsRead(t, shards, 400, 90) })
+}
+
+// TestReferenceTableSize: recency costs one word per allocator page the
+// cache has marked an entry on, not a number of slots per item. 20k items of
+// 64 B, stored by four writers that grow the table under each other, hold it
+// to at most 1 B per item.
+func TestReferenceTableSize(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
-		const n = 2000
-		val := bytes.Repeat([]byte("v"), 100)
-		key := func(kind string, i int) []byte { return fmt.Appendf(nil, "%s-%05d", kind, i) }
-		entry := entrySize(key("old", 0), val)
-		budget := n * entry
-		m, err := New(Config{MemoryBytes: 64 << 20, MaxBytes: uint64(budget), Buckets: 4096, MaxConns: 2, Shards: shards})
+		const n, writers = 20_000, 4
+		m, err := New(Config{MemoryBytes: 64 << 20, Buckets: 1024, MaxConns: writers, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		for i := 0; i < n; i++ {
-			if err := m.Set(key("old", i), val, 0, 0); err != nil {
-				t.Fatal(err)
-			}
+		val := bytes.Repeat([]byte("v"), 64)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < n; i += writers {
+					if err := m.Set(fmt.Appendf(nil, "size-%06d", i), val, 0, 0); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
 		}
-		if ev := m.Stats().Evictions; ev != 0 || m.UsedBytes() != budget {
-			t.Fatalf("after the fill: %d evictions, %d bytes used of %d", ev, m.UsedBytes(), budget)
-		}
-		const hot = n / 4 // keys old-00000, old-00004, ...
-		next := 0
-		for i := 0; i < n; i++ {
-			for r := 0; r < 8; r++ {
-				m.Get(key("old", 4*(next%hot)))
-				next++
-			}
-			if err := m.Set(key("new", i), val, 0, 0); err != nil {
-				t.Fatal(err)
-			}
-			if used := m.UsedBytes(); used > budget+entry {
-				t.Fatalf("insert %d: %d bytes used, budget %d", i, used, budget)
-			}
-		}
-		if ev := m.Stats().Evictions; ev < n/2 {
-			t.Fatalf("%d evictions: the inserts were to push out at least half of the %d items", ev, n)
-		}
-		kept := 0
-		for i := 0; i < hot; i++ {
-			if _, _, ok := m.Get(key("old", 4*i)); ok {
-				kept++
-			}
-		}
-		if kept < hot*95/100 {
-			t.Fatalf("%d of the %d keys being read survived %d evictions", kept, hot, m.Stats().Evictions)
+		wg.Wait()
+		if size := len(*m.ref.Load()) * 8; size > n {
+			t.Fatalf("the reference table holds %d B for %d items", size, n)
 		}
 	})
+}
+
+// TestReferenceTableAfterRecovery: recency is volatile. A recovered cache
+// starts with an empty reference table, which no walk over the items sizes,
+// and a read marks the bit of the entry it read and no other.
+func TestReferenceTableAfterRecovery(t *testing.T) {
+	m := newCache(t)
+	key := func(i int) []byte { return fmt.Appendf(nil, "rec-%04d", i) }
+	for i := 0; i < 2000; i++ {
+		if err := m.Set(key(i), []byte("value"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		m.Get(key(i))
+	}
+	m.Flush()
+	m.Device().Crash()
+	m2, _, err := Recover(m.Device(), Config{MemoryBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if words := len(*m2.ref.Load()); words != 0 {
+		t.Fatalf("the recovered cache's reference table has %d words, want none", words)
+	}
+	if _, _, ok := m2.Get(key(7)); !ok {
+		t.Fatal("item lost in the crash")
+	}
+	_, _, _, slot, _ := m2.m.AppendItem(nil, key(7))
+	i, bit := m2.refIndex(slot)
+	table, set := *m2.ref.Load(), 0
+	for j := range table {
+		if j == i && table[j].Load()&bit == 0 {
+			t.Fatal("the read entry's bit is clear")
+		}
+		set += bits.OnesCount64(table[j].Load())
+	}
+	if set != 1 {
+		t.Fatalf("%d reference bits set after one read, want 1", set)
+	}
+}
+
+// sparesWhatIsRead fills a cache of n items to its budget, pushes out n more
+// while reading a quarter of the first n eight times per insert, and fails
+// unless keptPct percent of that quarter survived.
+func sparesWhatIsRead(t *testing.T, shards, n, keptPct int) {
+	val := bytes.Repeat([]byte("v"), 100)
+	key := func(kind string, i int) []byte { return fmt.Appendf(nil, "%s-%05d", kind, i) }
+	entry := entrySize(key("old", 0), val)
+	budget := int64(n) * entry
+	m, err := New(Config{MemoryBytes: 64 << 20, MaxBytes: uint64(budget), Buckets: 4096, MaxConns: 2, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i := 0; i < n; i++ {
+		if err := m.Set(key("old", i), val, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev := m.Stats().Evictions; ev != 0 || m.UsedBytes() != budget {
+		t.Fatalf("after the fill: %d evictions, %d bytes used of %d", ev, m.UsedBytes(), budget)
+	}
+	hot := n / 4 // keys old-00000, old-00004, ...
+	next := 0
+	for i := 0; i < n; i++ {
+		for r := 0; r < 8; r++ {
+			m.Get(key("old", 4*(next%hot)))
+			next++
+		}
+		if err := m.Set(key("new", i), val, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if used := m.UsedBytes(); used > budget+entry {
+			t.Fatalf("insert %d: %d bytes used, budget %d", i, used, budget)
+		}
+	}
+	if ev := m.Stats().Evictions; ev < uint64(n/2) {
+		t.Fatalf("%d evictions: the inserts were to push out at least half of the %d items", ev, n)
+	}
+	kept := 0
+	for i := 0; i < hot; i++ {
+		if _, _, ok := m.Get(key("old", 4*i)); ok {
+			kept++
+		}
+	}
+	if kept < hot*keptPct/100 {
+		t.Fatalf("%d of the %d keys being read survived %d evictions", kept, hot, m.Stats().Evictions)
+	}
 }
 
 // TestEvictionLocality counts what eviction costs the reclamation layer. A

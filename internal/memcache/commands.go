@@ -34,12 +34,12 @@ func (m *Cache) Gets(key []byte) (value []byte, flags uint16, cas uint64, ok boo
 // its own).
 func (m *Cache) appendGets(dst, key []byte) (value []byte, flags uint16, cas uint64, ok bool) {
 	m.stats.gets.Add(1)
-	v, meta, aux, hash, found := m.m.AppendItem(dst, key)
+	v, meta, aux, slot, found := m.m.AppendItem(dst, key)
 	if !found || !unexpired(aux) {
 		m.stats.misses.Add(1)
 		return nil, 0, 0, false
 	}
-	m.markUsed(hash)
+	m.markUsed(slot)
 	m.stats.hits.Add(1)
 	return v, meta, uint64(auxCAS(aux)), true
 }

@@ -133,7 +133,7 @@ func (m *Cache) attempt(c command, decide decideFunc) (it item, seq uint64, err 
 				return err
 			}
 		}
-		seq = m.stored(sink, c.key, st.Hash(), it, size-held, created)
+		seq = m.stored(sink, c.key, st.Slot(), it, size-held, created)
 		return nil
 	})
 	if err != nil || v == keep || v == remove {
@@ -143,19 +143,19 @@ func (m *Cache) attempt(c command, decide decideFunc) (it item, seq uint64, err 
 }
 
 // stored is the store step's trail, run inside the step once it has written
-// it (hash is the key's index hash, grew the logical bytes the write added):
-// the replication record, the reference bit, the used-bytes total and the
-// item count. Publishing inside the step makes the stream's per-key order
+// it (slot is the stored entry's slot, grew the logical bytes the write
+// added): the replication record, the reference bit, the used-bytes total and
+// the item count. Publishing inside the step makes the stream's per-key order
 // exactly the store's. Returns the replication seq of the publication, 0
 // without one.
-func (m *Cache) stored(sink ReplSink, key []byte, hash uint64, it item, grew int64, created bool) (seq uint64) {
+func (m *Cache) stored(sink ReplSink, key []byte, slot uint64, it item, grew int64, created bool) (seq uint64) {
 	if sink != nil {
 		seq = sink.PublishSet(key, it.value, it.flags, it.aux)
 	}
-	m.markUsed(hash)
+	m.markUsed(slot)
 	m.usedBytes.Add(grew)
 	if created {
-		m.growRef(m.stats.items.Add(1))
+		m.stats.items.Add(1)
 	}
 	return seq
 }

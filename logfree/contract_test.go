@@ -24,6 +24,7 @@ type host struct {
 	Map        func(name string, buckets int) (*logfree.ByteMap, error)
 	OrderedMap func(name string) (*logfree.OrderedByteMap, error)
 	crash      func(t *testing.T) host
+	parts      int // how many parts the host's maps join
 }
 
 func runtimeHost(rt *logfree.Runtime) host {
@@ -33,7 +34,7 @@ func runtimeHost(rt *logfree.Runtime) host {
 			t.Fatal(err)
 		}
 		return runtimeHost(rt2)
-	}}
+	}, 1}
 }
 
 func poolHost(t *testing.T, p *sharded.Pool) host {
@@ -44,7 +45,7 @@ func poolHost(t *testing.T, p *sharded.Pool) host {
 			t.Fatal(err)
 		}
 		return poolHost(t, p2)
-	}}
+	}, p.Shards()}
 }
 
 var subjects = []struct {
@@ -214,8 +215,10 @@ func contractMetaAux(t *testing.T, m itemMap) {
 }
 
 // contractStep: Update reads the key's entry and acts on it, or leaves it, in
-// one step, and returns fn's error; the step's hash is the one AppendItem
-// reports, and AppendItem reads into a caller's buffer.
+// one step, and returns fn's error; AppendItem reads into a caller's buffer.
+// The step's slot is the entry's identity, the one AppendItem and Sweep report
+// for it: a replace writes a new entry with a slot of its own, SetAux keeps
+// the entry and its slot, and entries of different parts never share one.
 func contractStep(t *testing.T, h host) {
 	m, err := h.Map("c-step", 128)
 	if err != nil {
@@ -228,49 +231,104 @@ func contractStep(t *testing.T, h host) {
 			t.Fatalf("Update(%q): %v", key, err)
 		}
 	}
+	appendSlot := func(key []byte) uint64 {
+		t.Helper()
+		_, _, _, slot, ok := m.AppendItem(nil, key)
+		if !ok {
+			t.Fatalf("AppendItem(%q) missed", key)
+		}
+		return slot
+	}
+	slots := map[string]uint64{} // key → its entry's slot
+	owner := map[uint64][]byte{} // slot → the key whose entry it is
+	parts := map[uint64]bool{}
 	for i := 0; i < 64; i++ {
 		step(ckey(i), func(st *logfree.KeyStep) error {
-			if st.Found() || st.Aux() != 0 || st.ValueLen() != 0 {
-				t.Errorf("absent %q: found %v, aux %d, %d bytes", ckey(i), st.Found(), st.Aux(), st.ValueLen())
+			if st.Found() || st.Aux() != 0 || st.ValueLen() != 0 || st.Slot() != 0 {
+				t.Errorf("absent %q: found %v, aux %d, %d bytes, slot %#x", ckey(i), st.Found(), st.Aux(), st.ValueLen(), st.Slot())
 			}
 			return nil
 		})
+		var slot uint64
 		step(ckey(i), func(st *logfree.KeyStep) error {
 			created, err := st.Set(cval(i), uint16(i), uint64(i))
 			if !created {
 				t.Errorf("Set of absent %q did not create it", ckey(i))
 			}
+			slot = st.Slot()
 			return err
 		})
+		if got := appendSlot(ckey(i)); got != slot {
+			t.Fatalf("%q: the step's Set wrote slot %#x, AppendItem reads %#x", ckey(i), slot, got)
+		}
+		if other, dup := owner[slot]; dup {
+			t.Fatalf("%q and %q share slot %#x", ckey(i), other, slot)
+		}
+		slots[string(ckey(i))], owner[slot] = slot, ckey(i)
+		parts[slot>>logfree.PartShift] = true
 	}
-	var hash uint64
+	if len(parts) != h.parts {
+		t.Fatalf("64 keys landed on %d parts of %d", len(parts), h.parts)
+	}
+	swept := map[string]uint64{}
+	for cursor := uint64(0); ; {
+		cursor = m.Sweep(cursor, func(e logfree.SweepEntry) bool {
+			if e.Live() {
+				swept[string(e.Key)] = e.Slot
+			}
+			return true
+		})
+		if cursor == 0 {
+			break
+		}
+	}
+	for k, slot := range slots {
+		if swept[k] != slot {
+			t.Fatalf("%q: slot %#x, its live extent swept with slot %#x", k, slot, swept[k])
+		}
+	}
+	var slot9 uint64
 	step(ckey(9), func(st *logfree.KeyStep) error {
 		if !st.Found() || st.Meta() != 9 || st.Aux() != 9 || string(st.AppendValue([]byte("<"))) != "<"+string(cval(9)) {
 			t.Errorf("present key: found %v, meta %d, aux %d, value %q", st.Found(), st.Meta(), st.Aux(), st.AppendValue(nil))
 		}
-		hash = st.Hash()
+		slot9 = st.Slot()
 		return nil
 	})
-	v, meta, aux, h9, ok := m.AppendItem([]byte(">"), ckey(9))
-	if !ok || string(v) != ">"+string(cval(9)) || meta != 9 || aux != 9 || h9 != hash {
-		t.Fatalf("AppendItem = %q, %d, %d, hash %x (step saw %x), %v", v, meta, aux, h9, hash, ok)
+	v, meta, aux, got, ok := m.AppendItem([]byte(">"), ckey(9))
+	if !ok || string(v) != ">"+string(cval(9)) || meta != 9 || aux != 9 || got != slot9 {
+		t.Fatalf("AppendItem = %q, %d, %d, slot %#x (step saw %#x), %v", v, meta, aux, got, slot9, ok)
 	}
-	if v, _, _, _, ok := m.AppendItem([]byte(">"), []byte("absent")); ok || v != nil {
-		t.Fatalf("AppendItem of an absent key = %q, %v", v, ok)
+	if v, _, _, slot, ok := m.AppendItem([]byte(">"), []byte("absent")); ok || v != nil || slot != 0 {
+		t.Fatalf("AppendItem of an absent key = %q, slot %#x, %v", v, slot, ok)
 	}
 	step(ckey(1), func(st *logfree.KeyStep) error {
+		before := st.Slot()
 		created, err := st.Set([]byte("replaced"), 1, 100)
 		if created {
 			t.Error("replacing Set created")
 		}
+		if after := st.Slot(); after == before || after == 0 {
+			t.Errorf("a replace left the step's slot %#x at %#x", before, after)
+		}
 		return err
 	})
+	if got := appendSlot(ckey(1)); got == slots[string(ckey(1))] {
+		t.Fatalf("a replaced key still reads slot %#x", got)
+	}
 	step(ckey(2), func(st *logfree.KeyStep) error {
+		before := st.Slot()
 		if !st.SetAux(200) {
 			t.Error("SetAux on a present key missed")
 		}
+		if st.Slot() != before {
+			t.Errorf("SetAux moved the step's slot %#x to %#x", before, st.Slot())
+		}
 		return nil
 	})
+	if got, before := appendSlot(ckey(2)), slots[string(ckey(2))]; got != before {
+		t.Fatalf("SetAux moved the key's slot %#x to %#x", before, got)
+	}
 	step(ckey(3), func(st *logfree.KeyStep) error {
 		if !st.Delete() {
 			t.Error("Delete of a present key missed")
@@ -392,7 +450,7 @@ func sweepCycle(t *testing.T, m *logfree.ByteMap, live func(key []byte) bool) ma
 		if cursor == 0 {
 			return shown
 		}
-		if cursor>>48 == prev>>48 && cursor <= prev {
+		if cursor>>logfree.PartShift == prev>>logfree.PartShift && cursor <= prev {
 			t.Fatalf("the sweep went back within a part: cursor %#x after %#x", cursor, prev)
 		}
 		prev = cursor

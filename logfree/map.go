@@ -243,10 +243,16 @@ func (r *Runtime) Map(name string, buckets int) (*ByteMap, error) {
 // into parts; it must depend on the key's bytes alone and never change while
 // the data lives, since an entry is only ever looked for on the part route
 // points at. sharded.Pool.Map is the caller that keeps that promise durably.
+//
+// Each part's slots are stamped with its part number here (see PartShift),
+// on a handle of the joined map's own: the maps passed in are unchanged.
 func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
 	j := &ByteMap{byteMap[*core.BytesMap]{route: route, name: parts[0].name}}
 	for _, p := range parts {
-		j.parts = append(j.parts, p.parts...)
+		for _, pp := range p.parts {
+			pp.m = pp.m.WithSlotBase(uint64(len(j.parts)) << PartShift)
+			j.parts = append(j.parts, pp)
+		}
 	}
 	return j
 }
@@ -259,9 +265,11 @@ func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
 func (m *ByteMap) WithSession(s *Session) *ByteMap { return &ByteMap{m.pinned(s)} }
 
 // KeyStep is one read-decide-write step of a key, as Update hands it to its
-// function: Found, Aux, Meta, ValueLen, AppendValue and Hash read the key's
-// entry; Set, SetAux or Delete (at most one of them) act on it. Valid until
-// the function returns.
+// function: Found, Aux, Meta, ValueLen, AppendValue and Slot read the key's
+// entry; Set, SetAux or Delete (at most one of them) act on it. After a Set
+// they read the entry the Set wrote, so Slot is the new entry's slot: a
+// replace writes a new extent, while SetAux rewrites the entry in place and
+// keeps it. Valid until the function returns.
 type KeyStep = core.KeyStep
 
 // Update runs fn as one read-decide-write step of key: one session drawn, the
@@ -328,10 +336,10 @@ func (m *ByteMap) Delete(key []byte) (ok bool) {
 }
 
 // AppendItem is GetItem appending the value to dst instead of copying it
-// into a slice of its own, and returning the key's index hash too (what
-// KeyStep.Hash and SweepEntry.Hash report for it). The value is nil when key
-// is absent.
-func (m *ByteMap) AppendItem(dst, key []byte) (value []byte, meta uint16, aux, hash uint64, ok bool) {
+// into a slice of its own, and returning the slot of the entry it read too
+// (what KeyStep.Slot and SweepEntry.Slot report for that entry; see
+// PartShift). The value is nil and the slot 0 when key is absent.
+func (m *ByteMap) AppendItem(dst, key []byte) (value []byte, meta uint16, aux, slot uint64, ok bool) {
 	p := m.part(key)
 	c, s := p.begin()
 	defer p.end(s)
@@ -344,27 +352,31 @@ func (m *ByteMap) AppendItem(dst, key []byte) (value []byte, meta uint16, aux, h
 // until the visitor returns.
 type Entry = core.WalkEntry
 
-// walkPartShift places the part number above the part-local cursor in a Walk
-// or Sweep cursor.
-const walkPartShift = 48
+// PartShift places the part number above the part-local bits of a Walk or
+// Sweep cursor and of a slot. A slot names one entry extent of the map: its
+// part number above bit PartShift, and below it the extent's device address
+// on that part's runtime, at least 64 bytes from every other live extent's.
+// Slots of different parts never collide, and within a part a Sweep visits
+// extents in slot order.
+const PartShift = 48
 
 // stepParts runs one step of a part-by-part cursor walk: step takes the
 // part-local cursor on the part the cursor names and returns the next local
 // one (0 once that part is done). The cursor runs through part 0, then part
 // 1, and comes back 0 after the last part.
 func (m *ByteMap) stepParts(cursor uint64, step func(c *core.Ctx, m *core.BytesMap, local uint64) uint64) (next uint64) {
-	i := cursor >> walkPartShift
+	i := cursor >> PartShift
 	if i >= uint64(len(m.parts)) {
 		return 0
 	}
 	p := &m.parts[i]
 	c, s := p.begin()
 	defer p.end(s)
-	if local := step(c, p.m, cursor&(1<<walkPartShift-1)); local != 0 {
-		return i<<walkPartShift | local
+	if local := step(c, p.m, cursor&(1<<PartShift-1)); local != 0 {
+		return i<<PartShift | local
 	}
 	if i+1 < uint64(len(m.parts)) {
-		return (i + 1) << walkPartShift
+		return (i + 1) << PartShift
 	}
 	return 0
 }
@@ -387,9 +399,10 @@ func (m *ByteMap) Walk(cursor uint64, visit func(Entry) bool) (next uint64) {
 
 // SweepEntry is one entry extent as Sweep presents it to its visitor: the key
 // (the sweep's scratch buffer — copy it to keep it), the aux word and the
-// key's index hash, valid until the visitor returns. Live reports whether the
-// extent is the map's current entry for its key; it searches the key's
-// bucket, so call it only on an entry about to be acted on.
+// extent's slot (see PartShift), valid until the visitor returns. Live
+// reports whether the extent is the map's current entry for its key; it
+// searches the key's bucket, so call it only on an entry about to be acted
+// on.
 type SweepEntry = core.SweepEntry
 
 // Sweep is the resumable walk over the map's entry extents in device-address
