@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
 	"repro/internal/nvram"
+	"repro/internal/pmem"
 )
 
 func newTestBytesMap(t *testing.T, s *Store, c *Ctx, buckets int) *BytesMap {
@@ -57,6 +59,99 @@ func TestBytesMapBasics(t *testing.T) {
 	}
 	if _, err := b.Set(c, []byte("k"), make([]byte, 4096), 0, 0); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("huge value: %v", err)
+	}
+}
+
+// TestEntryClassesBoundTheEntry: the largest entry has a class and one byte
+// more has none, and in every class an entry can use, entryShape takes the
+// longest value that fits the extent and refuses one byte more.
+func TestEntryClassesBoundTheEntry(t *testing.T) {
+	if cl, err := entryClass(MaxBytesEntrySize); err != nil || cl.Size() < MaxBytesEntrySize {
+		t.Fatalf("entryClass(%d) = %d B, %v", MaxBytesEntrySize, cl.Size(), err)
+	}
+	if _, err := entryClass(MaxBytesEntrySize + 1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("entryClass(%d): %v, want ErrTooLarge", MaxBytesEntrySize+1, err)
+	}
+	s := newTestStore(t, Options{})
+	c := s.MustCtx(0)
+	first, err := entryClass(beData + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cl := first; cl < pmem.NumClasses; cl++ {
+		e, err := c.alloc.Alloc(cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.dev.Store(e+beHash, MinKey)
+		fits := cl.Size() - beData - 1 // the longest value beside a 1-byte key
+		for _, vlen := range []uint64{fits, fits + 1} {
+			s.dev.Store(e+beHeader, 1|vlen<<16)
+			if _, ok := entryShape(s, e, cl); ok != (vlen == fits) {
+				t.Errorf("class %d B: entryShape of a %d B entry = %v", cl.Size(), beData+1+vlen, ok)
+			}
+		}
+	}
+}
+
+// TestPoolAccountsForEveryPage walks the heap of a pool preloaded with
+// entries of 110, 302 and 1070 B (7:2:1) from one context: every used byte
+// is the header page, a region page or a class page, and each class packs
+// its objects into as few pages as its slot count allows.
+func TestPoolAccountsForEveryPage(t *testing.T) {
+	s := newTestStore(t, Options{})
+	c := s.MustCtx(0)
+	b := newTestBytesMap(t, s, c, 1<<14)
+	sizes := [3]int{110, 302, 1070}
+	var items [pmem.NumClasses]uint64
+	for i := 0; i < 50000; i++ {
+		size := sizes[0]
+		if r := i % 10; r >= 9 {
+			size = sizes[2]
+		} else if r >= 7 {
+			size = sizes[1]
+		}
+		key := []byte(fmt.Sprintf("k%07d", i))
+		if _, err := b.Set(c, key, make([]byte, size-BytesEntryOverhead-len(key)), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := entryClass(uint64(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[cl]++
+	}
+	pool := s.pool
+	var pages, objects [pmem.NumClasses]uint64
+	var regionBytes uint64
+	for page := pmem.HeapStart; page < pool.HeapEnd(); {
+		cl, bm, ok, next := pool.HeapPage(page)
+		if ok {
+			pages[cl]++
+			objects[cl] += uint64(bits.OnesCount64(bm))
+		} else {
+			regionBytes += next - page
+		}
+		page = next
+	}
+	var classBytes uint64
+	for cl := pmem.Class(0); cl < pmem.NumClasses; cl++ {
+		classBytes += pages[cl] * pmem.PageSize
+		slots := (pmem.PageSize - pmem.SlotAlign) / cl.Size()
+		if want := (objects[cl] + slots - 1) / slots; pages[cl] != want {
+			t.Errorf("class %d B: %d objects in %d pages, want %d", cl.Size(), objects[cl], pages[cl], want)
+		}
+		if items[cl] != 0 && objects[cl] != items[cl] {
+			t.Errorf("class %d B holds %d objects, want the %d entries stored there", cl.Size(), objects[cl], items[cl])
+		}
+	}
+	// The first page holds the pool header and the root directory.
+	if used := pool.SizeBytes() - pool.AvailableBytes(); pmem.HeapStart+regionBytes+classBytes != used {
+		t.Fatalf("header page %d + region %d + class pages %d B != %d B used", pmem.HeapStart, regionBytes, classBytes, used)
+	}
+	large, _ := entryClass(uint64(sizes[2]))
+	if pages[large] > 1667 {
+		t.Fatalf("%d entries of %d B take %d pages, want at most 1667", items[large], sizes[2], pages[large])
 	}
 }
 

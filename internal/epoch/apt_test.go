@@ -208,7 +208,7 @@ func runAPTModel(t *testing.T, trimAt int, seed uint64, check func(c *Ctx, befor
 		}
 		switch r := next(100); {
 		case r < 45 && len(live) < 400:
-			cl := pmem.Class(5) // one slot per page: a fresh area nearly every time
+			cl := pageClass // a fresh area nearly every time
 			if r < 15 {
 				cl = 0
 			}
@@ -290,7 +290,7 @@ func TestTrimHookSkippedWhenNothingEvictable(t *testing.T) {
 	c := fx.ctx(0)
 	c.Begin()
 	for i := 0; i < 12; i++ {
-		if _, err := c.AllocNode(5); err != nil {
+		if _, err := c.AllocNode(pageClass); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +312,7 @@ func TestTrimHookRunsOnceBeforeEviction(t *testing.T) {
 	c := fx.ctx(0)
 	c.Begin()
 	for i := 0; i < 12; i++ {
-		if _, err := c.AllocNode(5); err != nil {
+		if _, err := c.AllocNode(pageClass); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,10 @@ import (
 	"repro/internal/pmem"
 )
 
+// pageClass is the top size class: one slot per page, so each allocation
+// takes a fresh page, which is a fresh area.
+const pageClass pmem.Class = pmem.NumClasses - 1
+
 type fixture struct {
 	dev  *nvram.Device
 	pool *pmem.Pool
@@ -157,12 +161,11 @@ func TestActiveAreasSurviveCrash(t *testing.T) {
 func TestTrimRemovesQuiescentEntries(t *testing.T) {
 	fx := newFixture(t, Config{MaxThreads: 1, TrimAt: 4, GenSize: 2})
 	c := fx.ctx(0)
-	// Touch many distinct areas by allocating page-sized spreads: class 5 has
-	// one slot per... class 5 = 2048B → 1 slot? (4096-64)/2048 = 1 slot.
-	// Each allocation therefore consumes a fresh page = a fresh area.
+	// Touch many distinct areas: each allocation of pageClass takes a fresh
+	// page, which is a fresh area.
 	for i := 0; i < 12; i++ {
 		c.Begin()
-		if _, err := c.AllocNode(5); err != nil {
+		if _, err := c.AllocNode(pageClass); err != nil {
 			t.Fatal(err)
 		}
 		c.End()
@@ -182,7 +185,7 @@ func TestTrimHookRuns(t *testing.T) {
 	c := fx.ctx(0)
 	for i := 0; i < 6; i++ {
 		c.Begin()
-		c.AllocNode(5)
+		c.AllocNode(pageClass)
 		c.End()
 	}
 	if ran == 0 {
@@ -318,7 +321,7 @@ func TestCurrentAllocPageSurvivesTrim(t *testing.T) {
 	// Flood the table with unlink entries from many distinct areas.
 	for i := 0; i < 20; i++ {
 		c.Begin()
-		n, err := c.AllocNode(5) // 1 slot per page: a fresh area each time
+		n, err := c.AllocNode(pageClass) // a fresh area each time
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +360,7 @@ func TestTrimCooldownBacksOff(t *testing.T) {
 	c := fx.ctx(0)
 	for i := 0; i < 40; i++ {
 		c.Begin()
-		n, err := c.AllocNode(5)
+		n, err := c.AllocNode(pageClass)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,13 @@
 // the first 64 bytes of the page, so one cache-line write-back covers all
 // allocator metadata for an allocation or deallocation.
 //
+// The size classes are closely spaced, as jemalloc's and memcached's are,
+// rather than doubling: each class is the largest multiple of 64 bytes that
+// fits its number of slots in a page's 4032 usable bytes, so the classes
+// tile the page and leave less than 64 bytes per slot unused. Classes stay
+// multiples of 64 because nodes are cache-aligned (§6.1), the low address
+// bits carry marks, and a slot is named by its 64-byte granule.
+//
 // Two properties from the paper are reproduced faithfully:
 //
 //  1. The allocator issues write-backs for its metadata but never waits for
@@ -80,16 +87,22 @@ const (
 // word read 0 there.
 //
 //	1  a byte map's entry extent is its bucket list's node
-const LayoutVersion = 1
+//	2  size classes tile the page
+const LayoutVersion = 2
 
 // Class identifies a size class.
 type Class uint8
 
-// ClassSizes lists the object sizes served by the allocator.
-var ClassSizes = []uint64{64, 128, 256, 512, 1024, 2048}
+// ClassSizes lists the object sizes served by the allocator, one per number
+// of slots a page can hold: each is the largest multiple of SlotAlign that
+// fits that many slots in the page's PageSize-SlotAlign usable bytes, and a
+// slot count that gives no new size is left out. The top class is 2048 (one
+// slot per page): the largest entry a byte map stores. A page holds at most
+// 63 slots, so its allocation bitmap is one word.
+var ClassSizes = []uint64{64, 128, 192, 256, 320, 384, 448, 576, 640, 768, 960, 1344, 1984, 2048}
 
 // NumClasses is the number of size classes.
-const NumClasses = 6
+const NumClasses = 14
 
 // slotsPerPage[c] = floor((PageSize - SlotAlign) / ClassSizes[c]).
 var slotsPerPage = func() [NumClasses]uint64 {

@@ -15,22 +15,78 @@ func newPool(t *testing.T, size uint64) *Pool {
 	return Format(nvram.New(nvram.Config{Size: size}))
 }
 
+// classOf is the class of size bytes: tests name classes by the size they
+// serve, not by their index in the table.
+func classOf(t *testing.T, size uint64) Class {
+	t.Helper()
+	c, err := ClassFor(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestClassFor(t *testing.T) {
-	cases := []struct {
-		size uint64
-		want Class
-	}{{1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2}, {2048, 5}}
+	cases := []struct{ size, want uint64 }{
+		{1, 64}, {64, 64}, {65, 128}, {128, 128}, {129, 192},
+		{302, 320}, {512, 576}, {1070, 1344}, {1985, 2048}, {2048, 2048},
+	}
 	for _, c := range cases {
 		got, err := ClassFor(c.size)
 		if err != nil {
 			t.Fatalf("ClassFor(%d): %v", c.size, err)
 		}
-		if got != c.want {
-			t.Errorf("ClassFor(%d) = %d, want %d", c.size, got, c.want)
+		if got.Size() != c.want {
+			t.Errorf("ClassFor(%d) is class %d of %d B, want the %d B class", c.size, got, got.Size(), c.want)
 		}
 	}
 	if _, err := ClassFor(1 << 20); err == nil {
 		t.Error("ClassFor(1MB) should fail")
+	}
+}
+
+// TestClassTableTilesThePage pins the rule ClassSizes follows: each class
+// is the largest multiple of SlotAlign that fits its slot count in a page's
+// usable bytes, every slot count up to 63 is served, and no entry size gets
+// fewer slots per page than under the power-of-two table the pool used
+// before (layout version 1).
+func TestClassTableTilesThePage(t *testing.T) {
+	const usable = PageSize - SlotAlign
+	if len(ClassSizes) != NumClasses {
+		t.Fatalf("%d class sizes for %d classes", len(ClassSizes), NumClasses)
+	}
+	top := ClassSizes[NumClasses-1]
+	if top != 2048 || slotsPerPage[NumClasses-1] != 1 {
+		t.Fatalf("top class %d B with %d slots, want 2048 B with one slot", top, slotsPerPage[NumClasses-1])
+	}
+	for c, size := range ClassSizes {
+		n := slotsPerPage[c]
+		switch {
+		case size%SlotAlign != 0:
+			t.Errorf("class %d B is not a multiple of %d", size, SlotAlign)
+		case n < 1 || n > 63:
+			t.Errorf("class %d B has %d slots: its bitmap must fit one word", size, n)
+		case c > 0 && size <= ClassSizes[c-1]:
+			t.Errorf("class %d B follows %d B", size, ClassSizes[c-1])
+		case c < NumClasses-1 && size != usable/n&^(SlotAlign-1):
+			t.Errorf("class %d B is not the largest %d B multiple that fits %d slots", size, SlotAlign, n)
+		}
+	}
+	for n := uint64(1); n <= 63; n++ {
+		want := min(usable/n&^(SlotAlign-1), top)
+		if cl := classOf(t, want); cl.Size() != want {
+			t.Errorf("%d slots per page fit %d B, which has no class (ClassFor gives %d B)", n, want, cl.Size())
+		}
+	}
+	pow2 := []uint64{64, 128, 256, 512, 1024, 2048}
+	for size := uint64(33); size <= top; size++ {
+		var old uint64
+		for i := len(pow2) - 1; i >= 0 && pow2[i] >= size; i-- {
+			old = pow2[i]
+		}
+		if got := slotsPerPage[classOf(t, size)]; got < usable/old {
+			t.Errorf("a %d B entry gets %d slots per page, the power-of-two table gave it %d", size, got, usable/old)
+		}
 	}
 }
 
@@ -263,7 +319,7 @@ func TestRegionsSurviveAttach(t *testing.T) {
 	// The region's pages must not be recycled into the heap.
 	ctx := p2.NewCtx(dev.NewFlusher())
 	for i := 0; i < 200; i++ {
-		a, err := ctx.Alloc(5)
+		a, err := ctx.Alloc(NumClasses - 1) // one slot per page
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,8 +347,9 @@ func TestRootsDurable(t *testing.T) {
 func TestAllocatedInPage(t *testing.T) {
 	p := newPool(t, 1<<20)
 	ctx := p.NewCtx(p.Device().NewFlusher())
-	a, _ := ctx.Alloc(2)
-	b, _ := ctx.Alloc(2)
+	cl := classOf(t, 256)
+	a, _ := ctx.Alloc(cl)
+	b, _ := ctx.Alloc(cl)
 	got := p.AllocatedInPage(nil, PageOf(a))
 	if len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("AllocatedInPage = %v, want [%#x %#x]", got, a, b)
@@ -458,22 +515,25 @@ func TestNoDoubleFreePageHandout(t *testing.T) {
 }
 
 // TestAttachRefusesOtherLayoutVersion: an image whose layout-version word is
-// not LayoutVersion — 0 in every image written before the word existed — is
-// refused with ErrLayoutVersion, and still counts as formatted, so an
-// open-or-create never reformats it.
+// not LayoutVersion — 0 in every image written before the word existed, 1 in
+// one whose pages hold the power-of-two classes — is refused with
+// ErrLayoutVersion, and still counts as formatted, so an open-or-create
+// never reformats it.
 func TestAttachRefusesOtherLayoutVersion(t *testing.T) {
 	dev := nvram.New(nvram.Config{Size: 1 << 20})
 	Format(dev)
 	if _, err := Attach(dev); err != nil {
 		t.Fatalf("Attach of a fresh pool: %v", err)
 	}
-	dev.Store(hdrLayout, 0)
-	dev.NewFlusher().Sync(hdrLayout)
-	dev.Crash()
-	if _, err := Attach(dev); !errors.Is(err, ErrLayoutVersion) {
-		t.Fatalf("Attach of a version-0 image: %v, want ErrLayoutVersion", err)
-	}
-	if !Formatted(dev) {
-		t.Fatal("a version-0 image no longer counts as formatted")
+	for _, v := range []uint64{0, 1} {
+		dev.Store(hdrLayout, v)
+		dev.NewFlusher().Sync(hdrLayout)
+		dev.Crash()
+		if _, err := Attach(dev); !errors.Is(err, ErrLayoutVersion) {
+			t.Fatalf("Attach of a version-%d image: %v, want ErrLayoutVersion", v, err)
+		}
+		if !Formatted(dev) {
+			t.Fatalf("a version-%d image no longer counts as formatted", v)
+		}
 	}
 }

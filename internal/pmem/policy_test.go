@@ -121,7 +121,10 @@ func TestPagePlacementFollowsPolicy(t *testing.T) {
 	p := newPool(t, 1<<23)
 	ctxs := [2]*Ctx{p.NewCtx(p.Device().NewFlusher()), p.NewCtx(p.Device().NewFlusher())}
 	ref := &refPool{pages: map[Addr]*refPage{}, carve: heapBase}
-	classes := [3]Class{0, 2, 4}
+	var classes [3]Class
+	for i, size := range [3]uint64{64, 256, 1024} {
+		classes[i] = classOf(t, size)
+	}
 	rng := rand.New(rand.NewSource(22))
 	var live []Addr
 	drop := func(i int) Addr {

@@ -183,16 +183,17 @@ func TestFileOptionValidation(t *testing.T) {
 	}
 }
 
-// zeroLayoutVersion makes the pool image at path read as one written before
-// the pool header had a layout-version word: that word (the header's fourth,
-// device address 88) becomes 0.
-func zeroLayoutVersion(t *testing.T, path string) {
+// stampLayoutVersion makes the pool image at path read as one of layout
+// version v: the pool header's layout-version word (its fourth, device
+// address 88) becomes v. Version 0 is an image written before the header had
+// that word, version 1 one whose pages hold the power-of-two size classes.
+func stampLayoutVersion(t *testing.T, path string, v uint64) {
 	t.Helper()
 	d, _, err := nvram.OpenFileDevice(path, nvram.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Store(nvram.LineSize+24, 0)
+	d.Store(nvram.LineSize+24, v)
 	d.NewFlusher().Sync(nvram.LineSize + 24)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -218,10 +219,12 @@ func TestFileRuntimeRefusesOtherLayoutVersion(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	zeroLayoutVersion(t, path)
-	for i := 0; i < 2; i++ { // the refused open leaves the image alone
-		if _, err := New(WithDevice(FileDevice(path))); !errors.Is(err, ErrLayoutVersion) || !errors.Is(err, pmem.ErrLayoutVersion) {
-			t.Fatalf("open %d of a version-0 image: %v, want pmem.ErrLayoutVersion", i, err)
+	for _, v := range []uint64{0, 1} {
+		stampLayoutVersion(t, path, v)
+		for i := 0; i < 2; i++ { // the refused open leaves the image alone
+			if _, err := New(WithDevice(FileDevice(path))); !errors.Is(err, ErrLayoutVersion) || !errors.Is(err, pmem.ErrLayoutVersion) {
+				t.Fatalf("open %d of a version-%d image: %v, want pmem.ErrLayoutVersion", i, v, err)
+			}
 		}
 	}
 }

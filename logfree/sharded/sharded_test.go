@@ -730,17 +730,21 @@ func TestOpenRefusesOtherLayoutVersion(t *testing.T) {
 			if shards > 1 {
 				image = shardPath(path, shards-1)
 			}
-			d, _, err := nvram.OpenFileDevice(image, nvram.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Store(nvram.LineSize+24, 0) // the pool header's layout-version word
-			d.NewFlusher().Sync(nvram.LineSize + 24)
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Open(WithShards(shards), WithDevice(logfree.FileDevice(path))); !errors.Is(err, pmem.ErrLayoutVersion) {
-				t.Fatalf("Open of a version-0 shard image: %v, want pmem.ErrLayoutVersion", err)
+			// Version 0 has no layout-version word, version 1 the
+			// power-of-two size classes.
+			for _, v := range []uint64{0, 1} {
+				d, _, err := nvram.OpenFileDevice(image, nvram.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.Store(nvram.LineSize+24, v) // the pool header's layout-version word
+				d.NewFlusher().Sync(nvram.LineSize + 24)
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Open(WithShards(shards), WithDevice(logfree.FileDevice(path))); !errors.Is(err, pmem.ErrLayoutVersion) {
+					t.Fatalf("Open of a version-%d shard image: %v, want pmem.ErrLayoutVersion", v, err)
+				}
 			}
 		})
 	}
