@@ -86,6 +86,19 @@ func hugePageField(rts []*logfree.Runtime) string {
 	return "hugepages=" + status + ",thp=" + thp
 }
 
+// residentField is the start-up line's record of how much of the devices'
+// address space is resident: the populated prefixes summed over the shards
+// (resident=34MiB). Memory becomes resident as each pool carves into it, 2 MiB
+// at a time; a reopened image is resident up to its committed size.
+func residentField(rts []*logfree.Runtime) string {
+	var populated uint64
+	for _, rt := range rts {
+		n, _ := rt.Device().Populated()
+		populated += n
+	}
+	return fmt.Sprintf("resident=%dMiB", populated>>20)
+}
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:11211", "listen address")
 	mem := flag.Uint64("mem", 256<<20, "simulated NVRAM bytes (split across the shards)")
@@ -194,7 +207,7 @@ func main() {
 		log.Printf("fresh cache: %d MiB NVRAM in %s, shards=%d, %d buckets",
 			*mem>>20, where, pool.Shards(), *buckets)
 	}
-	log.Printf("pool bytes: total=%d %s", cache.SizeBytes(), hugePageField(pool.Runtimes()))
+	log.Printf("pool bytes: total=%d %s %s", cache.SizeBytes(), hugePageField(pool.Runtimes()), residentField(pool.Runtimes()))
 
 	if *restoreFrom != "" {
 		f, err := os.Open(*restoreFrom)

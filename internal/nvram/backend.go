@@ -81,13 +81,19 @@ type DrainableBackend interface {
 	Drain()
 }
 
-// MemBackend is the in-process backend: the persisted image is a plain heap
-// slice, exactly the pre-Backend simulator. It is the default backend of
-// New and the fastest one — a fence costs nothing beyond the simulated
-// NVRAM latency.
+// MemBackend is the in-process backend: the persisted image is process
+// memory, a private anonymous mapping like the device's own images. It is
+// the default backend of New and the fastest one — a fence costs nothing
+// beyond the simulated NVRAM latency. A MemBackend the caller built is never
+// released by a device; dropped, it is unmapped once garbage.
 type MemBackend struct {
 	words     []uint64
 	committed uint64
+	maps      *mappings
+	// blank holds until a device attaches or Words hands the image out:
+	// until then it is known to be zero, and the first device neither
+	// copies nor touches it.
+	blank bool
 }
 
 // NewMemBackend creates an in-process backend of the given capacity in
@@ -109,15 +115,17 @@ func NewMemBackendReserve(size, maxSize uint64) *MemBackend {
 	if maxSize > reserve {
 		reserve = (maxSize + LineSize - 1) &^ uint64(LineSize-1)
 	}
-	m := &MemBackend{words: make([]uint64, reserve/WordSize), committed: size}
-	// Every write-back stores into this image at a random line. The answer
-	// is dropped: the device reports the kernel's for its own images.
-	_, _ = adviseHuge(m.words)
-	// Written once here, like the device's images, rather than left to the
-	// first write-back of each 2 MiB: the device's construction copy would
-	// otherwise map the shared zero page, and the real pages would be
-	// faulted in (and, on a fragmented host, compacted for) under fences.
-	clear(m.words[:size/WordSize])
+	m := &MemBackend{committed: size, maps: newMappings(), blank: true}
+	// Every write-back stores into this image at a random line, so it is a
+	// huge-page candidate too. The answer is dropped: the device reports the
+	// kernel's for its own images. The device attached to it populates it
+	// as the pool carves (Device.Populate), so no fence faults a page in.
+	m.words = newImage[uint64](m.maps, reserve/WordSize, nil)
+	if err := m.maps.err(); err != nil {
+		// Address space, not memory: nothing is committed yet. Running out
+		// of it is where make would throw out of memory.
+		panic(err)
+	}
 	return m
 }
 
@@ -125,7 +133,10 @@ func NewMemBackendReserve(size, maxSize uint64) *MemBackend {
 func (m *MemBackend) Name() string { return "mem" }
 
 // Words returns the persisted image (the full reserve; see Committed).
-func (m *MemBackend) Words() []uint64 { return m.words }
+func (m *MemBackend) Words() []uint64 {
+	m.blank = false
+	return m.words
+}
 
 // Committed returns the live capacity in bytes.
 func (m *MemBackend) Committed() uint64 { return m.committed }

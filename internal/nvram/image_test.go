@@ -2,42 +2,51 @@ package nvram
 
 import (
 	"math/rand"
+	"os"
 	"testing"
+	"unsafe"
 )
 
-// The interior handed to the kernel is the widest 2 MiB-aligned range inside
-// the slice: never a byte outside it, and nothing when no whole huge page fits.
-func TestHugeInterior(t *testing.T) {
-	const base = uintptr(0xc000000000) // where Go's heap arenas start on amd64
-	for _, n := range []uintptr{0, 4 << 10, 2<<20 - 8, 2 << 20, 4<<20 + 8, 256 << 20} {
-		for _, off := range []uintptr{0, 8, 4 << 10, 2<<20 - 8} {
-			addr := base + off
-			start, length := hugeInterior(addr, n)
-			// Whole aligned huge pages in [addr, addr+n), counted one by one.
-			var want uintptr
-			for p := (addr + hugePageSize - 1) / hugePageSize * hugePageSize; p+hugePageSize <= addr+n; p += hugePageSize {
-				want += hugePageSize
+// An image of a huge page or more is mapped on a huge-page boundary and spans
+// whole huge pages, so the advice covers every byte of it; a smaller one is
+// left unadvised. Either reads as zero.
+func TestImagesAreHugeAligned(t *testing.T) {
+	if !imagesMapped {
+		t.Skip("race-detector and non-unix builds keep the images on the Go heap")
+	}
+	const words = hugePageSize / WordSize
+	for _, n := range []uint64{1, 512, words - 1, words, words + 1, 16 * words} {
+		m := newMappings()
+		var a hugeAdvice
+		img := newImage[uint64](m, n, &a)
+		if len(img) != int(n) || img[0] != 0 || img[n-1] != 0 {
+			t.Fatalf("image of %d words: len %d, ends %d and %d", n, len(img), img[0], img[n-1])
+		}
+		img[n-1] = 1
+		page := uint64(os.Getpagesize())
+		size := (n*WordSize + page - 1) &^ (page - 1)
+		if size < hugePageSize {
+			if a != (hugeAdvice{}) {
+				t.Errorf("image of %d bytes advised: %+v", size, a)
 			}
-			if length != want {
-				t.Errorf("hugeInterior(base+%#x, %#x) = %#x bytes, want %#x", off, n, length, want)
+		} else {
+			if addr := uintptr(unsafe.Pointer(&img[0])); addr%hugePageSize != 0 {
+				t.Errorf("image of %d bytes at %#x: not on a huge-page boundary", size, addr)
 			}
-			if length == 0 {
-				continue
-			}
-			if start%hugePageSize != 0 || length%hugePageSize != 0 {
-				t.Errorf("hugeInterior(base+%#x, %#x) = [%#x, +%#x): not 2 MiB-aligned", off, n, start, length)
-			}
-			if start < addr || start+length > addr+n {
-				t.Errorf("hugeInterior(base+%#x, %#x) = [%#x, +%#x): outside the slice", off, n, start, length)
+			whole := (size + hugePageSize - 1) &^ (hugePageSize - 1)
+			if a.err == nil && a.bytes != whole {
+				t.Errorf("image of %d bytes: advised %d, want %d", size, a.bytes, whole)
 			}
 		}
+		m.release()
 	}
 }
 
-// A device below 4 MiB need not contain an aligned huge page; one that does
-// not is left exactly as allocated and says so.
+// A device whose images are each below a huge page maps them unadvised and
+// says so.
 func TestSmallDeviceIsNotAdvised(t *testing.T) {
 	d := New(Config{Size: 4096})
+	defer d.Close()
 	if n, err := d.HugePages(); n != 0 || err != nil {
 		t.Fatalf("HugePages() of a 4 KiB device = %d, %v; want 0, nil", n, err)
 	}

@@ -26,12 +26,15 @@
 // Fence therefore cost one NVRAM write latency, mirroring the parallelism of
 // clwb on real hardware.
 //
-// Both images and the per-line arrays beside them are ordinary Go slices
-// that the device offers to the kernel as transparent-huge-page candidates
+// Both images and the per-line arrays beside them are private anonymous
+// mappings, aligned to and offered to the kernel as transparent huge pages
 // (linux, madvise; see HugePages): a lookup is a handful of dependent loads
-// at random addresses, and on 4 KiB pages each one is also a TLB miss. The
-// price is 2 MiB residency granularity and first-touch faults of that size,
-// which the device takes at construction rather than during operations.
+// at random addresses, and on 4 KiB pages each one is also a TLB miss. They
+// live off the Go heap and read as zero until touched, so a device costs
+// memory only where it is used: the allocator makes each 2 MiB resident as
+// it carves into it (Populate), before any fence writes there, so no
+// operation takes a first-touch fault. Race-detector builds keep the images
+// on the Go heap, where the detector can see them.
 package nvram
 
 import (
@@ -129,8 +132,19 @@ type Device struct {
 
 	// What the kernel answered when words, dirty and wbLocks were offered
 	// as huge-page candidates at construction; see HugePages.
-	hugeBytes uint64
-	hugeErr   error
+	huge hugeAdvice
+
+	// maps holds the mappings behind words, dirty and wbLocks; ownBackend
+	// marks a MemBackend that New made for this device, released with it.
+	maps       *mappings
+	ownBackend bool
+
+	// populated is the prefix of the address space whose anonymous images
+	// Populate made resident; popErr is the kernel's refusal, after which
+	// pages fault on first touch. Both under popMu.
+	popMu     sync.Mutex
+	populated uint64
+	popErr    error
 
 	flmu     sync.Mutex
 	flushers []*Flusher
@@ -139,9 +153,9 @@ type Device struct {
 
 // New creates a device of the configured size with both images zeroed,
 // backed by an in-process MemBackend (with growth headroom when cfg.MaxSize
-// exceeds cfg.Size).
+// exceeds cfg.Size) that Close releases with the device.
 func New(cfg Config) *Device {
-	d, err := NewWithBackend(cfg, NewMemBackendReserve(cfg.Size, cfg.MaxSize))
+	d, err := newOwning(cfg, NewMemBackendReserve(cfg.Size, cfg.MaxSize))
 	if err != nil {
 		// NewMemBackend derives its size from cfg.Size, so a mismatch is a
 		// bug in this package, not a caller error.
@@ -150,15 +164,29 @@ func New(cfg Config) *Device {
 	return d
 }
 
+// newOwning is NewWithBackend for a MemBackend the device owns.
+func newOwning(cfg Config, b *MemBackend) (*Device, error) {
+	d, err := NewWithBackend(cfg, b)
+	if err != nil {
+		b.maps.release()
+		return nil, err
+	}
+	d.ownBackend = true
+	return d, nil
+}
+
 // NewWithBackend creates a device whose persisted image is owned by b. The
 // capacity is the backend's; cfg.Size, when non-zero, must agree (after
 // line rounding). The volatile image starts as a copy of the persisted one
 // — the state after a reboot — so a backend holding a formatted pool is
-// ready for the caller's attach/recovery path.
+// ready for the caller's attach/recovery path. A MemBackend no device has
+// attached yet is known to be zero, and nothing is copied or touched.
 //
 // A GrowableBackend's Words slice is its reserve; the device adopts the
 // backend's Committed size as its capacity and can Grow within the reserve.
 func NewWithBackend(cfg Config, b Backend) (*Device, error) {
+	mb, _ := b.(*MemBackend)
+	blank := mb != nil && mb.blank // read before Words, which ends it
 	pers := b.Words()
 	reserve := uint64(len(pers)) * WordSize
 	size := reserve
@@ -182,40 +210,83 @@ func NewWithBackend(cfg Config, b Backend) (*Device, error) {
 	d := &Device{
 		cfg:      cfg,
 		backend:  b,
-		words:    make([]uint64, reserve/WordSize),
 		pers:     pers,
-		dirty:    make([]uint32, reserve/LineSize),
-		wbLocks:  make([]uint32, reserve/LineSize),
 		needSync: b.NeedsSync(),
+		maps:     newMappings(),
+	}
+	d.words = newImage[uint64](d.maps, reserve/WordSize, &d.huge)
+	d.dirty = newImage[uint32](d.maps, reserve/LineSize, &d.huge)
+	d.wbLocks = newImage[uint32](d.maps, reserve/LineSize, &d.huge)
+	if err := d.maps.err(); err != nil {
+		d.maps.release()
+		return nil, err
 	}
 	d.limWords.Store(size / WordSize)
-	note := func(n uint64, err error) {
-		d.hugeBytes += n
-		if d.hugeErr == nil {
-			d.hugeErr = err
-		}
+	if !blank {
+		d.reboot()
 	}
-	note(adviseHuge(d.words))
-	note(adviseHuge(d.dirty))
-	note(adviseHuge(d.wbLocks))
-	// First-touch the committed part of every image here, after the advice,
-	// so the faults (2 MiB apiece where the kernel grants huge pages) are
-	// paid once at construction and no operation takes one: words by the
-	// copy, the per-line arrays by clearing what make already zeroed.
-	copy(d.words[:size/WordSize], pers[:size/WordSize])
-	clear(d.dirty[:size/LineSize])
-	clear(d.wbLocks[:size/LineSize])
 	return d, nil
+}
+
+// reboot sets the committed volatile image to the persisted one, as after a
+// restart, with every image made resident first: the copy writes all of
+// words anyway, and no later fence then faults on the per-line arrays.
+func (d *Device) reboot() {
+	lim := d.limWords.Load()
+	d.Populate(lim * WordSize)
+	copy(d.words[:lim], d.pers[:lim])
 }
 
 // HugePages reports what the kernel answered when the device offered its
 // volatile images (words and the two per-line arrays) as transparent-huge-
 // page candidates: the bytes it accepted the advice for, or the first
 // refusal — the errno, or errors.ErrUnsupported on a platform without the
-// call. (0, nil) is a device too small to hold an aligned 2 MiB. Accepted
-// advice is a request, not residency: whether huge pages were supplied
-// depends on the kernel's THP mode and on its free memory.
-func (d *Device) HugePages() (advised uint64, err error) { return d.hugeBytes, d.hugeErr }
+// call. (0, nil) is a device too small to hold a huge page, or a race-
+// detector build, whose images stay on the Go heap. Accepted advice is a
+// request, not residency: whether huge pages were supplied depends on the
+// kernel's THP mode and on its free memory.
+func (d *Device) HugePages() (advised uint64, err error) { return d.huge.bytes, d.huge.err }
+
+// Populate makes [0, end) of the device's anonymous images resident — the
+// volatile image, the per-line arrays and a MemBackend's persisted image —
+// in whole 2 MiB steps, without changing a word. The allocator calls it with
+// its carve pointer before handing pages out, so no fence faults a page in.
+// It never touches a file or DAX mapping. Where the kernel refuses (linux
+// before 5.14, other platforms, race-detector builds) nothing is populated
+// and pages fault on first touch, as capacity added by Grow always does.
+func (d *Device) Populate(end uint64) {
+	d.popMu.Lock()
+	defer d.popMu.Unlock()
+	from := d.populated
+	end = min((end+hugePageSize-1)&^(hugePageSize-1), d.Reserve())
+	if end <= from || d.popErr != nil {
+		return
+	}
+	err := populateRange(d.words, from/WordSize, end/WordSize)
+	if err == nil {
+		err = populateRange(d.dirty, from/LineSize, end/LineSize)
+	}
+	if err == nil {
+		err = populateRange(d.wbLocks, from/LineSize, end/LineSize)
+	}
+	if mb, ok := d.backend.(*MemBackend); ok && err == nil {
+		err = populateRange(mb.words, from/WordSize, end/WordSize)
+	}
+	if err != nil {
+		d.popErr = err
+		return
+	}
+	d.populated = end
+}
+
+// Populated reports the prefix of the address space Populate has made
+// resident, and the kernel's refusal if it refused (errors.ErrUnsupported
+// where there is no call to ask).
+func (d *Device) Populated() (bytes uint64, err error) {
+	d.popMu.Lock()
+	defer d.popMu.Unlock()
+	return d.populated, d.popErr
+}
 
 // committedLines returns the committed capacity in cache lines. The
 // per-line sweeps are bounded by it, not by the reserve: headroom never
@@ -273,9 +344,18 @@ func (d *Device) SyncBarrier() {
 // Backend returns the persistence backend owning the persisted image.
 func (d *Device) Backend() Backend { return d.backend }
 
-// Close releases the backend (flushing and unmapping file-backed images).
-// Requires quiescence; the device must not be used afterwards.
-func (d *Device) Close() error { return d.backend.Close() }
+// Close releases the backend (flushing and unmapping file-backed images)
+// and unmaps the device's own images, with the MemBackend New made for it.
+// A backend the caller built stays the caller's. Requires quiescence; the
+// device must not be used afterwards.
+func (d *Device) Close() error {
+	err := d.backend.Close()
+	d.maps.release()
+	if d.ownBackend {
+		d.backend.(*MemBackend).maps.release()
+	}
+	return err
+}
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
@@ -427,12 +507,19 @@ func (d *Device) EvictRandom(rng *rand.Rand, p float64) {
 // Crash simulates a transient failure: every store that was not written back
 // is lost. The volatile image is reset to the persisted image. The caller
 // must guarantee quiescence.
+//
+// At quiescence a clean line's two images are equal, so only dirty lines
+// are restored: a crash costs its dirty lines and touches no other page.
+// Bounded to the committed capacity: a file-backed reserve is mapped beyond
+// EOF and must not be touched past the committed size.
 func (d *Device) Crash() {
-	// Bounded to the committed capacity: a file-backed reserve is mapped
-	// beyond EOF and must not be touched past the committed size.
-	lim := d.limWords.Load()
-	copy(d.words[:lim], d.pers[:lim])
-	clear(d.dirty[:lim/lineWords])
+	for line, n := uint64(0), d.committedLines(); line < n; line++ {
+		if d.dirty[line] != 0 {
+			w := line * lineWords
+			copy(d.words[w:w+lineWords], d.pers[w:w+lineWords])
+			d.dirty[line] = 0
+		}
+	}
 }
 
 // CrashPartial first writes back each dirty line with probability p (the
@@ -747,13 +834,12 @@ func LoadImage(path string, cfg Config) (*Device, error) {
 		return nil, fmt.Errorf("nvram: image truncated: header says %d bytes, have %d", size, len(buf)-16)
 	}
 	cfg.Size = size
-	d := New(cfg)
-	lim := d.limWords.Load()
-	for i := range d.pers[:lim] {
-		d.pers[i] = binary.LittleEndian.Uint64(buf[16+i*WordSize:])
+	b := NewMemBackendReserve(size, cfg.MaxSize)
+	pers := b.Words()
+	for i := range pers[:size/WordSize] {
+		pers[i] = binary.LittleEndian.Uint64(buf[16+i*WordSize:])
 	}
-	copy(d.words[:lim], d.pers[:lim])
-	return d, nil
+	return newOwning(cfg, b)
 }
 
 // LatencyRow is one row of the paper's Table 1 (latencies in nanoseconds).

@@ -267,6 +267,7 @@ func (p *Pool) pushFree(page Addr) {
 func Format(dev *nvram.Device) *Pool {
 	p := newPoolShell(dev)
 	p.capacity.Store(dev.Size())
+	dev.Populate(heapBase) // resident before the header is fenced, as carve does for pages
 	dev.Store(hdrMagicOff, poolMagic)
 	dev.Store(hdrSizeOff, dev.Size())
 	dev.Store(hdrHeapOff, heapBase)
@@ -364,12 +365,15 @@ func (p *Pool) Root(i int) uint64 {
 // carve takes n contiguous pages off the durable carve pointer. Called with
 // mu held. The carve pointer is synced so a crash cannot hand out the same
 // pages twice; carving is rare (amortized over page reuse) so this sync does
-// not show up in the paper's per-operation cost model.
+// not show up in the paper's per-operation cost model. The device's memory
+// becomes resident here, 2 MiB at a time, before any page is handed out:
+// no fence in the pages takes a first-touch fault.
 func (p *Pool) carve(n uint64) (Addr, error) {
 	next := p.dev.Load(hdrHeapOff)
 	if next+n*PageSize > p.capacity.Load() {
 		return 0, ErrOutOfMemory
 	}
+	p.dev.Populate(next + n*PageSize)
 	p.dev.Store(hdrHeapOff, next+n*PageSize)
 	if !p.volatileMode {
 		p.hdrFl.Sync(hdrHeapOff)
