@@ -202,13 +202,13 @@ func TestLoadGenInProcessAllBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clht, err := memcache.NewCLHTCache(cfg)
+	clht, err := newCLHTCache(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lg := loadGen{keyRange: 200, threads: 2, duration: 40 * time.Millisecond}
 	for name, kv := range map[string]memcache.KV{
-		"nv-memcached": nv, "lock": memcache.NewLockCache(), "clht": clht,
+		"nv-memcached": nv, "lock": newLockCache(), "clht": clht,
 	} {
 		if err := lg.preload(kvClient{kv}); err != nil {
 			t.Fatalf("%s: preload: %v", name, err)

@@ -1,17 +1,18 @@
-package memcache
+package bench
 
 import (
 	"sync"
 	"time"
 
+	"repro/internal/memcache"
 	"repro/logfree"
 )
 
 // This file provides the two volatile comparators of Figure 11:
 //
-//   - LockCache models stock Memcached: a mutex-protected hash table (the
+//   - lockCache models stock Memcached: a mutex-protected hash table (the
 //     paper: "Memcached uses a lock-protected sequential hash table").
-//   - NewCLHTCache models memcached-clht: the same lock-free hash table
+//   - newCLHTCache models memcached-clht: the same lock-free hash table
 //     algorithm as NV-Memcached, run in volatile mode (no write-backs), so
 //     the only difference from NV-Memcached is durability.
 //
@@ -19,22 +20,13 @@ import (
 // cache, which Figure 11 shows takes orders of magnitude longer than
 // NV-Memcached's actual recovery.
 
-// KV is the operation set shared by NV-Memcached and the volatile
-// comparators, so benchmarks drive all three identically. Implementations
-// are safe for concurrent use from any goroutine.
-type KV interface {
-	Set(key, value []byte, flags uint16, expiry uint32) error
-	Get(key []byte) (value []byte, flags uint16, ok bool)
-	Delete(key []byte) bool
-}
-
-var _ KV = (*Cache)(nil)
-
-// LockCache is the mutex-protected volatile baseline ("memcached").
-type LockCache struct {
+// lockCache is the mutex-protected volatile baseline ("memcached").
+type lockCache struct {
 	mu sync.RWMutex
 	m  map[string]lockItem
 }
+
+var _ memcache.KV = (*lockCache)(nil)
 
 type lockItem struct {
 	value  []byte
@@ -42,13 +34,13 @@ type lockItem struct {
 	expiry uint32
 }
 
-// NewLockCache creates the stock-memcached model.
-func NewLockCache() *LockCache {
-	return &LockCache{m: make(map[string]lockItem)}
+// newLockCache creates the stock-memcached model.
+func newLockCache() *lockCache {
+	return &lockCache{m: make(map[string]lockItem)}
 }
 
-// Set implements KV.
-func (c *LockCache) Set(key, value []byte, flags uint16, expiry uint32) error {
+// Set implements memcache.KV.
+func (c *lockCache) Set(key, value []byte, flags uint16, expiry uint32) error {
 	v := make([]byte, len(value))
 	copy(v, value)
 	c.mu.Lock()
@@ -57,8 +49,8 @@ func (c *LockCache) Set(key, value []byte, flags uint16, expiry uint32) error {
 	return nil
 }
 
-// Get implements KV.
-func (c *LockCache) Get(key []byte) ([]byte, uint16, bool) {
+// Get implements memcache.KV.
+func (c *lockCache) Get(key []byte) ([]byte, uint16, bool) {
 	c.mu.RLock()
 	it, ok := c.m[string(key)]
 	c.mu.RUnlock()
@@ -71,8 +63,8 @@ func (c *LockCache) Get(key []byte) ([]byte, uint16, bool) {
 	return it.value, it.flags, true
 }
 
-// Delete implements KV.
-func (c *LockCache) Delete(key []byte) bool {
+// Delete implements memcache.KV.
+func (c *lockCache) Delete(key []byte) bool {
 	c.mu.Lock()
 	_, ok := c.m[string(key)]
 	delete(c.m, string(key))
@@ -80,11 +72,11 @@ func (c *LockCache) Delete(key []byte) bool {
 	return ok
 }
 
-// NewCLHTCache creates the memcached-clht model: a Cache on a volatile
+// newCLHTCache creates the memcached-clht model: a Cache on a volatile
 // runtime — the same concurrent hash table as NV-Memcached with durability
-// stripped. Sized like an NV-Memcached instance but with zero write latency.
-func NewCLHTCache(cfg Config) (*Cache, error) {
-	cfg.fill()
+// stripped. Sized like an NV-Memcached instance (cfg.MemoryBytes and
+// cfg.MaxConns must be set) but with zero write latency.
+func newCLHTCache(cfg memcache.Config) (*memcache.Cache, error) {
 	rt, err := logfree.New(
 		logfree.WithSize(cfg.MemoryBytes), // no write latency
 		logfree.WithMaxThreads(cfg.MaxConns+1),
@@ -92,5 +84,5 @@ func NewCLHTCache(cfg Config) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return adoptCache(rt, cfg)
+	return memcache.Adopt(rt, cfg)
 }

@@ -39,7 +39,7 @@ func fig11Point(o FigureOptions, keys int) (*Row, error) {
 	lg := loadGen{keyRange: keys, threads: o.Threads, duration: o.Duration}
 
 	// Stock memcached model: mutex-protected table.
-	lock := memcache.NewLockCache()
+	lock := newLockCache()
 	wuLockStart := time.Now()
 	if err := lg.preload(kvClient{lock}); err != nil {
 		return nil, err
@@ -51,7 +51,7 @@ func fig11Point(o FigureOptions, keys int) (*Row, error) {
 	}
 
 	// memcached-clht model: same lock-free table, volatile.
-	clht, err := memcache.NewCLHTCache(cfg)
+	clht, err := newCLHTCache(cfg)
 	if err != nil {
 		return nil, err
 	}

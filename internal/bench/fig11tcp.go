@@ -37,7 +37,7 @@ func fig11TCPPoint(o FigureOptions, keys int) (*Row, error) {
 	lg := loadGen{keyRange: keys, threads: o.Threads, duration: o.Duration}
 
 	// Volatile comparator (memcached-clht model) over TCP: time the warm-up.
-	clht, err := memcache.NewCLHTCache(cfg)
+	clht, err := newCLHTCache(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
-	"math/bits"
 	"slices"
 
 	"repro/internal/nvram"
@@ -150,86 +151,13 @@ func AttachBytesMap(s *Store, buckets Addr, nbuckets int, tail Addr) *BytesMap {
 	return &BytesMap{s: s, bucketArray: bucketArray{buckets, uint64(nbuckets - 1), tail}}
 }
 
-// storeBytesPair writes the concatenation p||q into the device word by word
-// without materializing the concatenation (the entry write path stores
-// key||value on every Set; this keeps it allocation-free). Full words that
-// fall entirely inside p or q are composed with one unaligned 8-byte read
-// instead of a byte loop. Writes use StorePrivate: entry extents are
-// unpublished while their contents are written (the publishing CAS is the
-// release point).
-func storeBytesPair(dev *nvram.Device, a Addr, p, q []byte) {
-	total := len(p) + len(q)
-	i := 0
-	for ; i+8 <= len(p); i += 8 { // words entirely within p
-		dev.StorePrivate(a+Addr(i), binary.LittleEndian.Uint64(p[i:]))
-	}
-	if i < total && i < len(p) { // the word straddling the p/q boundary
-		var w uint64
-		for j := 0; j < 8 && i+j < total; j++ {
-			k := i + j
-			if k < len(p) {
-				w |= uint64(p[k]) << (8 * j)
-			} else {
-				w |= uint64(q[k-len(p)]) << (8 * j)
-			}
-		}
-		dev.StorePrivate(a+Addr(i), w)
-		i += 8
-	}
-	for ; i+8 <= total; i += 8 { // words entirely within q
-		dev.StorePrivate(a+Addr(i), binary.LittleEndian.Uint64(q[i-len(p):]))
-	}
-	if i < total { // final partial word
-		var w uint64
-		for j := 0; i+j < total; j++ {
-			w |= uint64(q[i+j-len(p)]) << (8 * j)
-		}
-		dev.StorePrivate(a+Addr(i), w)
-	}
-}
-
 // loadBytes reads n bytes starting at a (not necessarily word-aligned) into a
 // fresh slice of exactly n bytes: the value-copy path allocates the value,
 // not key+value.
 func loadBytes(dev *nvram.Device, a Addr, n int) []byte {
 	out := make([]byte, n)
-	loadInto(dev, a, out)
+	dev.LoadBytes(a, out)
 	return out
-}
-
-// loadInto fills out from the device bytes starting at a, a word at a time:
-// one atomic device load per word touched, whole words stored with one
-// 8-byte write. Off alignment each output word is merged from two
-// neighbouring device words, of which the later is carried into the next
-// round; the load that would cross the last word holding wanted bytes is
-// never issued (the extent may end there).
-func loadInto(dev *nvram.Device, a Addr, out []byte) {
-	if len(out) == 0 {
-		return
-	}
-	base := a &^ 7
-	lo := uint(a&7) * 8 // bit offset of the first wanted byte in its word
-	last := (a + Addr(len(out)) - 1) &^ 7
-	w := dev.Load(base)
-	for len(out) > 0 {
-		v := w >> lo
-		if base < last {
-			base += 8
-			w = dev.Load(base)
-			if lo != 0 {
-				v |= w << (64 - lo)
-			}
-		}
-		if len(out) >= 8 {
-			binary.LittleEndian.PutUint64(out, v)
-			out = out[8:]
-			continue
-		}
-		for j := range out { // the tail
-			out[j] = byte(v >> (8 * j))
-		}
-		return
-	}
 }
 
 // Entry field readers (addresses come from Find or recovery sweeps). They
@@ -245,60 +173,22 @@ func bytesEntryValueLen(s *Store, e Addr) int {
 
 // bytesEntryKeyCompare orders the entry's stored key against key as
 // bytes.Compare would — the bucket search's and the skip list's comparison.
-// It compares a device word at a time without copying the stored key out
-// (materializing a []byte per probe would cost an allocation per
-// comparison, which would dominate lookup time): stored words are packed
-// little-endian (byte i at bit 8i), so byte-reversing a word yields its
-// big-endian value and word comparison becomes lexicographic comparison.
+// The stored key is copied into a buffer on the stack (a []byte per probe
+// would cost an allocation per comparison) a line's worth at a time, so a
+// skip-list probe that differs early zeroes and copies 64 bytes, not
+// MaxBytesKeyLen; no byte past the shorter key is read.
 func bytesEntryKeyCompare(s *Store, e Addr, key []byte) int {
-	dev := s.dev
-	klen := int(dev.Load(e+beHeader) & 0xFFFF)
+	var buf [64]byte
+	klen := bytesEntryKeyLen(s, e)
 	n := min(klen, len(key))
-	for i := 0; i < n; i += 8 {
-		w := dev.Load(e + beData + Addr(i))
-		rem := n - i
-		if rem >= 8 {
-			a := bits.ReverseBytes64(w)
-			b := binary.BigEndian.Uint64(key[i:])
-			if a != b {
-				if a < b {
-					return -1
-				}
-				return 1
-			}
-			continue
+	for i := 0; i < n; i += len(buf) {
+		stored := buf[:min(n-i, len(buf))]
+		s.dev.LoadBytes(e+beData+Addr(i), stored)
+		if c := bytes.Compare(stored, key[i:i+len(stored)]); c != 0 {
+			return c
 		}
-		if rem >= 4 { // 4-byte chunk of the final partial word
-			a := bits.ReverseBytes32(uint32(w))
-			b := binary.BigEndian.Uint32(key[i:])
-			if a != b {
-				if a < b {
-					return -1
-				}
-				return 1
-			}
-			w >>= 32
-			i += 4
-			rem -= 4
-		}
-		for j := 0; j < rem; j++ {
-			a, b := byte(w>>(8*j)), key[i+j]
-			if a != b {
-				if a < b {
-					return -1
-				}
-				return 1
-			}
-		}
-		break
 	}
-	switch {
-	case klen < len(key):
-		return -1
-	case klen > len(key):
-		return 1
-	}
-	return 0
+	return cmp.Compare(klen, len(key))
 }
 
 func bytesEntryKey(s *Store, e Addr) []byte {
@@ -319,7 +209,7 @@ func appendEntryValue(s *Store, dst []byte, e Addr) []byte {
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, vlen)[:n+vlen]
-	loadInto(s.dev, e+beData+Addr(klen), dst[n:])
+	s.dev.LoadBytes(e+beData+Addr(klen), dst[n:])
 	return dst
 }
 
@@ -390,12 +280,15 @@ func writeBytesEntry(c *Ctx, hash uint64, key, value []byte, meta uint16, aux ui
 	if err != nil {
 		return 0, err
 	}
-	dev := c.s.dev
-	dev.StorePrivate(e+beHash, hash)
-	dev.StorePrivate(e+beHeader, uint64(len(key))|uint64(len(value))<<16|uint64(meta)<<48)
-	dev.StorePrivate(e+nNext, uint64(next))
-	dev.StorePrivate(e+beAux, aux)
-	storeBytesPair(dev, e+beData, key, value)
+	// Entry extents are unpublished while their contents are written (the
+	// publishing CAS is the release point): header, key and value go in as
+	// one private range.
+	var hdr [beData]byte
+	binary.LittleEndian.PutUint64(hdr[beHash:], hash)
+	binary.LittleEndian.PutUint64(hdr[beHeader:], uint64(len(key))|uint64(len(value))<<16|uint64(meta)<<48)
+	binary.LittleEndian.PutUint64(hdr[nNext:], uint64(next))
+	binary.LittleEndian.PutUint64(hdr[beAux:], aux)
+	c.s.dev.StorePrivateBytes(e, hdr[:], key, value)
 	c.clwbRange(e, total)
 	return e, nil
 }
@@ -578,7 +471,7 @@ func (b *BytesMap) Walk(c *Ctx, cursor uint64, visit func(WalkEntry) bool) (next
 	return b.walkEntries(c, cursor, func(e Addr) bool {
 		hdr := dev.Load(e + beHeader)
 		k := c.walkKey[:hdr&0xFFFF]
-		loadInto(dev, e+beData, k)
+		dev.LoadBytes(e+beData, k)
 		return visit(WalkEntry{Key: k, Meta: uint16(hdr >> 48), Aux: dev.Load(e + beAux),
 			ValueLen: int(hdr >> 16 & 0xFFFFFFFF), s: b.s, e: e})
 	})

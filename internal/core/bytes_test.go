@@ -358,8 +358,8 @@ func TestRecoverSetMultipleStructures(t *testing.T) {
 	}
 }
 
-// TestLoadBytesEveryAlignment checks the word-at-a-time copy against a
-// byte-wise reference for every start offset within a word and every length
+// TestLoadBytesEveryAlignment checks the range copy against a byte-wise
+// reference for every start offset within a word and every length
 // from 0 to 80, anchored twice: in the middle of the device, and so that the
 // last byte read is the device's last byte — where a load of one word too
 // many panics.
@@ -383,5 +383,107 @@ func TestLoadBytesEveryAlignment(t *testing.T) {
 				t.Fatalf("loadBytes(%#x, %d) = %x, the device holds %x", a, n, got, image[a:a+n])
 			}
 		}
+	}
+}
+
+// TestEntryKeyCompareMatchesBytesCompare checks the stored-key comparison
+// against bytes.Compare for stored and probe keys of lengths around every
+// 64-byte chunk of the copy, up to the longest key: equal, prefixes of each
+// other, and differing by one byte at the first, a middle and the last
+// position and on both sides of every chunk boundary.
+func TestEntryKeyCompareMatchesBytesCompare(t *testing.T) {
+	dev := nvram.New(nvram.Config{Size: 16 << 20})
+	defer dev.Close()
+	s, err := NewStore(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.MustCtx(0)
+	base := make([]byte, MaxBytesKeyLen)
+	for i := range base {
+		base[i] = byte(i*37 + 11)
+	}
+	lens := []int{1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300, MaxBytesKeyLen}
+	for _, n := range lens {
+		stored := base[:n]
+		e, err := writeBytesEntry(c, bytesHash(stored), stored, nil, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range lens {
+			probes := [][]byte{base[:m]}
+			for _, d := range []int{0, m / 2, m - 1, 63, 64, 65, 127, 128} {
+				if d < m {
+					for _, delta := range []byte{1, 255} {
+						p := bytes.Clone(base[:m])
+						p[d] += delta
+						probes = append(probes, p)
+					}
+				}
+			}
+			for _, p := range probes {
+				if got, want := bytesEntryKeyCompare(s, e, p), bytes.Compare(stored, p); got != want {
+					t.Fatalf("stored %d bytes, probe %d bytes: compare = %d, bytes.Compare = %d", n, m, got, want)
+				}
+			}
+		}
+	}
+}
+
+// entryBenchCtx is a context on a fresh store for the entry benchmarks. The
+// device has no write latency: they time the byte path, not the pause.
+func entryBenchCtx(b *testing.B) *Ctx {
+	dev := nvram.New(nvram.Config{Size: 16 << 20})
+	b.Cleanup(func() { dev.Close() })
+	s, err := NewStore(dev, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s.MustCtx(0)
+}
+
+// entryBenchValues are the value sizes the entry benchmarks run at.
+var entryBenchValues = []int{64, 256, 1024}
+
+// BenchmarkWriteBytesEntry times staging one entry (a 16-byte key and a value
+// of each size) with its fence, then freeing it unpublished.
+func BenchmarkWriteBytesEntry(b *testing.B) {
+	key := []byte("bench-key-000001")
+	for _, n := range entryBenchValues {
+		b.Run(fmt.Sprintf("value=%d", n), func(b *testing.B) {
+			c := entryBenchCtx(b)
+			value := bytes.Repeat([]byte{0xA5}, n)
+			hash := bytesHash(key)
+			b.SetBytes(int64(len(key) + n))
+			for range b.N {
+				e, err := writeBytesEntry(c, hash, key, value, 0, 0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.fence()
+				c.alloc.Free(e)
+			}
+		})
+	}
+}
+
+// BenchmarkAppendEntryValue times copying an entry's value (at each size,
+// under a 16-byte key) into a reused buffer.
+func BenchmarkAppendEntryValue(b *testing.B) {
+	key := []byte("bench-key-000001")
+	for _, n := range entryBenchValues {
+		b.Run(fmt.Sprintf("value=%d", n), func(b *testing.B) {
+			c := entryBenchCtx(b)
+			e, err := writeBytesEntry(c, bytesHash(key), key, bytes.Repeat([]byte{0xA5}, n), 0, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.fence()
+			dst := make([]byte, 0, n)
+			b.SetBytes(int64(n))
+			for range b.N {
+				dst = appendEntryValue(c.s, dst[:0], e)
+			}
+		})
 	}
 }

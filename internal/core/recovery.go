@@ -391,7 +391,7 @@ func (r bytesRecover) Keep(c *Ctx, n Addr) bool {
 		return false
 	}
 	key := c.walkKey[:hdr&0xFFFF]
-	loadInto(b.s.dev, n+beData, key)
+	b.s.dev.LoadBytes(n+beData, key)
 	hash := b.s.dev.Load(n + beHash)
 	if _, curr, _, found := searchFrom(c, b.s, b.bucket(hash), hash, key); !found || curr != n {
 		return false

@@ -77,7 +77,7 @@ func (b *BytesMap) Sweep(c *Ctx, cursor uint64, visit func(SweepEntry) bool) (ne
 					continue
 				}
 				k := c.walkKey[:hdr&0xFFFF]
-				loadInto(dev, e+beData, k)
+				dev.LoadBytes(e+beData, k)
 				hash := dev.Load(e + beHash)
 				if bytesHash(k) != hash {
 					continue

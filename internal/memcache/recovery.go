@@ -27,15 +27,18 @@ func Recover(dev *nvram.Device, cfg Config) (*Cache, logfree.RecoveryStats, erro
 	if _, ok := rt.Lookup(cacheMapName); !ok {
 		return nil, logfree.RecoveryStats{}, errors.New("memcache: device holds no cache descriptor")
 	}
-	m, err := adoptCache(rt, cfg)
+	m, err := Adopt(rt, cfg)
 	if err != nil {
 		return nil, logfree.RecoveryStats{}, err
 	}
 	return m, rt.RecoveryStats(), nil
 }
 
-// adoptCache builds a cache on one already-open runtime: a 1-shard pool.
-func adoptCache(rt *logfree.Runtime, cfg Config) (*Cache, error) {
+// Adopt builds a cache on one already-open runtime, a 1-shard pool, taking
+// ownership of it: how a cache runs on a runtime New would not open (the
+// volatile memcached-clht model of Figure 11), and how Recover reopens one.
+func Adopt(rt *logfree.Runtime, cfg Config) (*Cache, error) {
+	cfg.fill()
 	pool, err := sharded.Adopt(rt)
 	if err != nil {
 		return nil, err

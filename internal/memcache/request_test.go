@@ -12,6 +12,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -94,6 +95,42 @@ func TestOversizeBinaryBodyIsNotBuffered(t *testing.T) {
 	checkPooledBuffers(t, c)
 }
 
+// mapKV is a bare KV backend: a locked map of values and flags.
+type mapKV struct {
+	mu sync.Mutex
+	m  map[string]mapItem
+}
+
+type mapItem struct {
+	value []byte
+	flags uint16
+}
+
+func (kv *mapKV) Set(key, value []byte, flags uint16, _ uint32) error {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	if kv.m == nil {
+		kv.m = make(map[string]mapItem)
+	}
+	kv.m[string(key)] = mapItem{bytes.Clone(value), flags}
+	return nil
+}
+
+func (kv *mapKV) Get(key []byte) ([]byte, uint16, bool) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	it, ok := kv.m[string(key)]
+	return it.value, it.flags, ok
+}
+
+func (kv *mapKV) Delete(key []byte) bool {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	_, ok := kv.m[string(key)]
+	delete(kv.m, string(key))
+	return ok
+}
+
 // TestComparatorConformance pins the command set of a bare KV backend (what
 // the volatile comparators and the benchmark's traced server run on) on both
 // protocols: set, get and delete are served, flush_all acknowledges without
@@ -102,7 +139,7 @@ func TestComparatorConformance(t *testing.T) {
 	noStats := func() Stats { return Stats{} }
 	t.Run("text", func(t *testing.T) {
 		unsupported := "SERVER_ERROR command not supported by this backend\r\n"
-		srv, conn := serveKV(t, NewLockCache(), noStats)
+		srv, conn := serveKV(t, new(mapKV), noStats)
 		runTextSteps(t, conn, []protoStep{
 			{"set k 3 0 1\r\nv\r\n", "STORED\r\n"},
 			{"get k missing\r\n", "VALUE k 3 1\r\nv\r\nEND\r\n"},
@@ -135,7 +172,7 @@ func TestComparatorConformance(t *testing.T) {
 		unsupported := func(op uint8, opaque uint32, cas uint64, ext, val []byte) binStep {
 			return binStep{binFrame(op, opaque, cas, ext, key, val), binErrFrame(op, binStatusUnknownCmd, opaque)}
 		}
-		srv, conn := serveKV(t, NewLockCache(), noStats)
+		srv, conn := serveKV(t, new(mapKV), noStats)
 		runBinSteps(t, conn, []binStep{
 			{binFrame(binOpSet, 1, 0, setExt(3, 0), key, []byte("v")),
 				binResFrame(binOpSet, binStatusOK, 1, 0, nil, nil, nil)},

@@ -10,6 +10,18 @@ import (
 	"time"
 )
 
+// KV is the operation set shared by NV-Memcached and the volatile
+// comparators of Figure 11, so benchmarks drive them identically and a
+// Server serves any of them. Implementations are safe for concurrent use
+// from any goroutine.
+type KV interface {
+	Set(key, value []byte, flags uint16, expiry uint32) error
+	Get(key []byte) (value []byte, flags uint16, ok bool)
+	Delete(key []byte) bool
+}
+
+var _ KV = (*Cache)(nil)
+
 // Server speaks the memcached wire protocols over TCP, backed by any KV
 // (NV-Memcached or a volatile comparator). Both are served from the same
 // listener: the first byte of a connection selects binary framing (magic

@@ -20,6 +20,16 @@
 // bits of a node address are available for mark bits (Harris delete marks,
 // Natarajan-Mittal flags/tags, and the link-and-persist dirty bit).
 //
+// Entry bytes cross the device as ranges. StorePrivateBytes writes one from
+// a word-aligned address, into a private, not yet published extent only
+// (StorePrivate's contract); LoadBytes reads one at any alignment. A range
+// checks its bounds once and marks each of its lines dirty once, and the
+// StoreHook fires, and AutoEvictEvery ticks, once per word written, as for
+// word stores. Under the race detector every word of a range is one atomic
+// access. Bytes sit in words little-endian (byte i of a word at bit 8i):
+// little-endian targets copy ranges through a byte view of the volatile
+// image, big-endian ones a word at a time.
+//
 // Latency model: following the paper's methodology (§6.1), the cost of
 // persistence is injected as one calibrated pause per *batch* of write-backs,
 // at the Fence that completes them. Multiple CLWBs issued before a single
@@ -405,10 +415,13 @@ func (d *Device) Store(a Addr, v uint64) {
 // may snapshot a line mid-initialization — semantically fine (eviction
 // captures an arbitrary instant, exactly like hardware), so adversarial
 // configs should pair with Store if race-detector cleanliness matters.
+// Byte contents (an entry's header, key and value) go through
+// StorePrivateBytes instead: one call per extent, not one per word.
 //
 // The byte maps' address-order sweep also reads extents that are allocated
 // but not yet published, and vets what it read (core.BytesMap.Sweep): a
-// race by design, so under the race detector this store is atomic.
+// race by design, so under the race detector this store is atomic, and so is
+// every word of StorePrivateBytes and LoadBytes.
 func (d *Device) StorePrivate(a Addr, v uint64) {
 	i := d.check(a)
 	if raceEnabled {
@@ -417,6 +430,86 @@ func (d *Device) StorePrivate(a Addr, v uint64) {
 		d.words[i] = v
 	}
 	d.touch(i / lineWords)
+}
+
+// StorePrivateBytes writes the concatenation of parts from the word-aligned
+// address a on, zero-filling the rest of its last word: StorePrivate over a
+// range, under the same contract (an extent no other thread can reach yet).
+// The range is checked once and each of its lines marked dirty once, after
+// the line's words are written. With a StoreHook or AutoEvictEvery set, each
+// word of the line then gets a word store's bookkeeping instead (dirty mark,
+// eviction tick, hook call), so crash-injection stop points, eviction rates
+// and dirty lines are those of one StorePrivate per word. Nothing is written
+// when the range does not fit: the panic is the one StorePrivate would raise
+// at the first word out of range.
+func (d *Device) StorePrivateBytes(a Addr, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		return
+	}
+	i, end := d.checkRange(a, uint64(n))
+	src := byteCursor{parts: parts}
+	for i < end {
+		line := i / lineWords
+		next := min((line+1)*lineWords, end)
+		storeWords(d.words[i:next], &src)
+		if d.StoreHook == nil && d.cfg.AutoEvictEvery <= 0 {
+			d.markDirty(line)
+		} else {
+			for k := i; k < next; k++ {
+				d.touch(line) // per word: a tick's eviction may clean the line
+			}
+		}
+		i = next
+	}
+}
+
+// LoadBytes fills out with the device bytes from a on, at any alignment:
+// Load over a range. No word past the one holding the last wanted byte is
+// read, so a range may end on the device's last byte.
+func (d *Device) LoadBytes(a Addr, out []byte) {
+	if len(out) == 0 {
+		return
+	}
+	first := a &^ (WordSize - 1)
+	i, end := d.checkRange(first, a-first+uint64(len(out)))
+	loadWords(d.words[i:end], a-first, out)
+}
+
+// checkRange validates the n bytes from the word-aligned address a and
+// returns the indices [i, end) of the words holding them. A failure names
+// the word a word-at-a-time access would have failed on first.
+func (d *Device) checkRange(a Addr, n uint64) (i, end uint64) {
+	i, lim := a/WordSize, d.limWords.Load()
+	if a&(WordSize-1) != 0 || a == 0 || i >= lim {
+		d.checkFail(a)
+	}
+	words := (n + WordSize - 1) / WordSize
+	if words > lim-i {
+		d.checkFail(lim * WordSize)
+	}
+	return i, i + words
+}
+
+// byteCursor reads the concatenation of parts from the front.
+type byteCursor struct {
+	parts [][]byte
+	off   int // bytes of parts[0] already read
+}
+
+// fill copies the next len(dst) bytes into dst, zeros past the end.
+func (c *byteCursor) fill(dst []byte) {
+	for len(dst) > 0 && len(c.parts) > 0 {
+		n := copy(dst, c.parts[0][c.off:])
+		dst = dst[n:]
+		if c.off += n; c.off == len(c.parts[0]) {
+			c.parts, c.off = c.parts[1:], 0
+		}
+	}
+	clear(dst)
 }
 
 // CAS atomically compares-and-swaps the word at a. Like real hardware CAS,
@@ -440,14 +533,10 @@ func (d *Device) Add(a Addr, delta uint64) uint64 {
 	return v
 }
 
+// touch is a stored word's bookkeeping: its line marked dirty, its share of
+// the simulated uncontrolled evictions and its StoreHook call.
 func (d *Device) touch(line uint64) {
-	// Fast path: consecutive stores into one line (entry bodies, node
-	// towers) find the flag already set. Re-storing it unconditionally
-	// would ping-pong the dirty-flag array's cache lines between cores
-	// under parallel load; a read of an already-set flag stays shared.
-	if atomic.LoadUint32(&d.dirty[line]) == 0 {
-		atomic.StoreUint32(&d.dirty[line], 1)
-	}
+	d.markDirty(line)
 	if n := d.cfg.AutoEvictEvery; n > 0 {
 		if d.evictTick.Add(1)%uint64(n) == 0 {
 			d.evictOne(line)
@@ -455,6 +544,16 @@ func (d *Device) touch(line uint64) {
 	}
 	if h := d.StoreHook; h != nil {
 		h()
+	}
+}
+
+func (d *Device) markDirty(line uint64) {
+	// Fast path: consecutive stores into one line (node towers, a range's
+	// words under a StoreHook) find the flag already set. Re-storing it unconditionally would ping-pong the
+	// dirty-flag array's cache lines between cores under parallel load; a
+	// read of an already-set flag stays shared.
+	if atomic.LoadUint32(&d.dirty[line]) == 0 {
+		atomic.StoreUint32(&d.dirty[line], 1)
 	}
 }
 
