@@ -74,9 +74,10 @@ func (c *lockCache) Delete(key []byte) bool {
 
 // newCLHTCache creates the memcached-clht model: a Cache on a volatile
 // runtime — the same concurrent hash table as NV-Memcached with durability
-// stripped. Sized like an NV-Memcached instance (cfg.MemoryBytes and
-// cfg.MaxConns must be set) but with zero write latency.
+// stripped. Sized like an NV-Memcached instance, defaults included, but
+// with zero write latency.
 func newCLHTCache(cfg memcache.Config) (*memcache.Cache, error) {
+	cfg = cfg.WithDefaults()
 	rt, err := logfree.New(
 		logfree.WithSize(cfg.MemoryBytes), // no write latency
 		logfree.WithMaxThreads(cfg.MaxConns+1),

@@ -178,6 +178,13 @@ type Config struct {
 	OnGrow func(total uint64)
 }
 
+// WithDefaults returns c with its zero fields set to the defaults New and
+// Adopt use, so a runtime opened for the cache can be sized to match it.
+func (c Config) WithDefaults() Config {
+	c.fill()
+	return c
+}
+
 func (c *Config) fill() {
 	if c.MemoryBytes == 0 {
 		c.MemoryBytes = 256 << 20

@@ -436,10 +436,11 @@ func (d *Device) StorePrivate(a Addr, v uint64) {
 // address a on, zero-filling the rest of its last word: StorePrivate over a
 // range, under the same contract (an extent no other thread can reach yet).
 // The range is checked once and each of its lines marked dirty once, after
-// the line's words are written. With a StoreHook or AutoEvictEvery set, each
-// word of the line then gets a word store's bookkeeping instead (dirty mark,
-// eviction tick, hook call), so crash-injection stop points, eviction rates
-// and dirty lines are those of one StorePrivate per word. Nothing is written
+// the line's words are written. With a StoreHook or AutoEvictEvery set, the
+// words are instead stored one at a time, each followed by a word store's
+// bookkeeping (dirty mark, eviction tick, hook call), so crash-injection
+// stop points, what an eviction persists, eviction rates and dirty lines are
+// those of one StorePrivate per word. Nothing is written
 // when the range does not fit: the panic is the one StorePrivate would raise
 // at the first word out of range.
 func (d *Device) StorePrivateBytes(a Addr, parts ...[]byte) {
@@ -455,12 +456,16 @@ func (d *Device) StorePrivateBytes(a Addr, parts ...[]byte) {
 	for i < end {
 		line := i / lineWords
 		next := min((line+1)*lineWords, end)
-		storeWords(d.words[i:next], &src)
 		if d.StoreHook == nil && d.cfg.AutoEvictEvery <= 0 {
+			storeWords(d.words[i:next], &src)
 			d.markDirty(line)
 		} else {
+			// Word by word, so a hook or a tick's eviction sees the range
+			// written up to the word just stored, as a StorePrivate per
+			// word leaves it.
 			for k := i; k < next; k++ {
-				d.touch(line) // per word: a tick's eviction may clean the line
+				storeWords(d.words[k:k+1], &src)
+				d.touch(line)
 			}
 		}
 		i = next
@@ -549,9 +554,10 @@ func (d *Device) touch(line uint64) {
 
 func (d *Device) markDirty(line uint64) {
 	// Fast path: consecutive stores into one line (node towers, a range's
-	// words under a StoreHook) find the flag already set. Re-storing it unconditionally would ping-pong the
-	// dirty-flag array's cache lines between cores under parallel load; a
-	// read of an already-set flag stays shared.
+	// words under a StoreHook) find the flag already set. Re-storing it
+	// unconditionally would ping-pong the dirty-flag array's cache lines
+	// between cores under parallel load; a read of an already-set flag
+	// stays shared.
 	if atomic.LoadUint32(&d.dirty[line]) == 0 {
 		atomic.StoreUint32(&d.dirty[line], 1)
 	}

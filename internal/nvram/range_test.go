@@ -37,10 +37,12 @@ func loadWordsRef(d *Device, a Addr, n int) []byte {
 // TestRangeMatchesWords drives two devices through the same seeded sequence
 // of entry-shaped writes, one with StorePrivateBytes and one with a
 // StorePrivate per word, and checks after each that they hold the same
-// volatile words and dirty lines, that the rest of the last word is zero,
-// that both called the StoreHook once per word and ticked AutoEvictEvery as
-// often (so evicted the same lines), and that LoadBytes at every offset into
-// the range reads what a Load per word reads. Every length from 0 to 300
+// volatile words, persisted words and dirty lines, that the rest of the last
+// word is zero, that both called the StoreHook once per word on the same
+// device state (so a crash injected at any stop point finds the range
+// written up to the same word) and ticked AutoEvictEvery as often (so
+// evicted the same lines, in the same state), and that LoadBytes at every
+// offset into the range reads what a Load per word reads. Every length from 0 to 300
 // bytes is split into its two parts at every point; the lengths of the
 // allocator's classes (multiples of 64 up to 2048) at a seeded sample of
 // points. The range starts at every word of a line as the cases run.
@@ -52,9 +54,21 @@ func TestRangeMatchesWords(t *testing.T) {
 	defer rd.Close()
 	defer wd.Close()
 	rf, wf := rd.NewFlusher(), wd.NewFlusher()
-	var rHooks, wHooks int
-	rd.StoreHook = func() { rHooks++ }
-	wd.StoreHook = func() { wHooks++ }
+	// Each hook call digests the volatile and persisted words of the lines
+	// around the range [lo, hi), as a crash injected there would find them.
+	var lo, hi uint64
+	var rHooks, wHooks []uint64
+	digest := func(d *Device) uint64 {
+		h := uint64(14695981039346656037)
+		for _, img := range [][]uint64{d.words, d.pers} {
+			for _, w := range img[lo*lineWords : hi*lineWords] {
+				h = (h ^ w) * 1099511628211
+			}
+		}
+		return h
+	}
+	rd.StoreHook = func() { rHooks = append(rHooks, digest(rd)) }
+	wd.StoreHook = func() { wHooks = append(wHooks, digest(wd)) }
 	src := make([]byte, 2*maxRange)
 	rng.Read(src)
 	buf := make([]byte, maxRange)
@@ -72,13 +86,19 @@ func TestRangeMatchesWords(t *testing.T) {
 			rd.Store(last, g)
 			wd.Store(last, g)
 		}
-		rHooks, wHooks = 0, 0
+		lo, hi = a/LineSize-1, (a+Addr(n))/LineSize+2
+		rHooks, wHooks = rHooks[:0], wHooks[:0]
 		rd.StorePrivateBytes(a, p, q)
 		storeWordsRef(wd, a, p, q)
 
 		what := func() string { return fmt.Sprintf("%d bytes split at %d from %#x", n, k, a) }
-		if rHooks != words || wHooks != words {
-			t.Fatalf("%s: StoreHook fired %d times for the range, %d for the words, want %d", what(), rHooks, wHooks, words)
+		if len(rHooks) != words || len(wHooks) != words {
+			t.Fatalf("%s: StoreHook fired %d times for the range, %d for the words, want %d", what(), len(rHooks), len(wHooks), words)
+		}
+		for h := range words {
+			if rHooks[h] != wHooks[h] {
+				t.Fatalf("%s: at StoreHook call %d the devices differ", what(), h)
+			}
 		}
 		if r, w := rd.evictTick.Load(), wd.evictTick.Load(); r != w {
 			t.Fatalf("%s: eviction ticks %d for the range, %d for the words", what(), r, w)
@@ -86,9 +106,11 @@ func TestRangeMatchesWords(t *testing.T) {
 		if r, w := rd.statEvicts.Load(), wd.statEvicts.Load(); r != w {
 			t.Fatalf("%s: %d evictions for the range, %d for the words", what(), r, w)
 		}
-		lo, hi := a/LineSize-1, (a+Addr(n))/LineSize+2
 		if !slices.Equal(rd.words[lo*lineWords:hi*lineWords], wd.words[lo*lineWords:hi*lineWords]) {
 			t.Fatalf("%s: the volatile words differ", what())
+		}
+		if !slices.Equal(rd.pers[lo*lineWords:hi*lineWords], wd.pers[lo*lineWords:hi*lineWords]) {
+			t.Fatalf("%s: the persisted words differ", what())
 		}
 		if !slices.Equal(rd.dirty[lo:hi], wd.dirty[lo:hi]) {
 			t.Fatalf("%s: dirty lines %v for the range, %v for the words", what(), rd.dirty[lo:hi], wd.dirty[lo:hi])
