@@ -149,10 +149,11 @@ func main() {
 		}()
 	}
 
-	// The formatted session region stays modest regardless of the
-	// connection cap: sessions grow dynamically past the formatted slots
-	// (PR 4), so thousands of connections do not need thousands of
-	// preformatted contexts.
+	// The operation contexts stay few whatever the connection cap: a
+	// command holds one only while the engine runs it, and a command that
+	// finds all of them out waits for one, so thousands of connections share
+	// at most 65 per shard. The count is formatted into the image; a
+	// reopened image keeps its own.
 	sessionSlots := *conns
 	if sessionSlots > 64 {
 		sessionSlots = 64

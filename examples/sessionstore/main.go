@@ -38,29 +38,21 @@ func main() {
 	}
 
 	// Concurrent login/logout churn. Session ids partition by worker; the
-	// expiry index is shared and contended. Each worker pins one session
-	// (WithSession) to skip the pool round-trip in its tight loop — plain
-	// calls would be equally correct.
+	// expiry index is shared and contended.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s, err := rt.Session()
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer s.Close()
-			mySessions, myExpiry := sessions.WithSession(s), byExpiry.WithSession(s)
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < sessionsPerWorker; i++ {
 				sid := uint64(w)<<32 | uint64(i) + 1
 				expiry := uint64(1_000_000) + uint64(rng.Intn(86_400))<<20 | sid&0xFFFFF
-				mySessions.Insert(sid, uint64(w)*10_000+uint64(i))
-				myExpiry.Insert(expiry, sid)
+				sessions.Insert(sid, uint64(w)*10_000+uint64(i))
+				byExpiry.Insert(expiry, sid)
 				if i%3 == 0 { // a third of the sessions log out again
-					mySessions.Delete(sid)
-					myExpiry.Delete(expiry)
+					sessions.Delete(sid)
+					byExpiry.Delete(expiry)
 				}
 			}
 		}(w)

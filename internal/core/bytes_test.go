@@ -194,7 +194,7 @@ func TestBytesMapConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := s.CtxFor(w)
+			c := s.MustCtx(w)
 			for i := 0; i < 300; i++ {
 				key := []byte(fmt.Sprintf("w%d-%d", w, i))
 				if _, err := b.Set(c, key, key, 0, 0); err != nil {
@@ -250,11 +250,7 @@ func TestBytesMapCollisionChainSurvivesCrash(t *testing.T) {
 	if !b.Delete(c, []byte("c-3")) {
 		t.Fatal("same-hash delete failed")
 	}
-	for tid := 0; tid < 8; tid++ {
-		if cx := s.ExistingCtx(tid); cx != nil {
-			cx.Shutdown()
-		}
-	}
+	s.ForEachCtx(func(cx *Ctx) { cx.Shutdown() })
 	desc := [3]uint64{b.Buckets(), uint64(b.NumBuckets()), b.Tail()}
 
 	s2 := crashAndReattach(t, s)
@@ -335,11 +331,7 @@ func TestRecoverSetMultipleStructures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for tid := 0; tid < 8; tid++ {
-		if cx := s.ExistingCtx(tid); cx != nil {
-			cx.Shutdown()
-		}
-	}
+	s.ForEachCtx(func(cx *Ctx) { cx.Shutdown() })
 	hDesc := [3]uint64{h.Buckets(), uint64(h.NumBuckets()), h.Tail()}
 	bDesc := [3]uint64{b.Buckets(), uint64(b.NumBuckets()), b.Tail()}
 

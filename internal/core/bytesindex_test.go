@@ -198,11 +198,7 @@ func TestOrderedBytesMapCrashRecovery(t *testing.T) {
 	if !o.Delete(c, []byte("k-007")) || !o.Delete(c, []byte("k-059")) {
 		t.Fatal("delete failed")
 	}
-	for tid := 0; tid < 8; tid++ {
-		if cx := s.ExistingCtx(tid); cx != nil {
-			cx.Shutdown()
-		}
-	}
+	s.ForEachCtx(func(cx *Ctx) { cx.Shutdown() })
 	head, tail := o.Head(), o.Tail()
 
 	s2 := crashAndReattach(t, s)

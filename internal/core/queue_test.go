@@ -91,7 +91,7 @@ func TestQueueConcurrentMPMC(t *testing.T) {
 				wg.Add(1)
 				go func(p int) {
 					defer wg.Done()
-					c := s.CtxFor(p)
+					c := s.MustCtx(p)
 					for i := 0; i < perProducer; i++ {
 						q.Enqueue(c, uint64(p)<<32|uint64(i))
 					}
@@ -103,7 +103,7 @@ func TestQueueConcurrentMPMC(t *testing.T) {
 				consumed.Add(1)
 				go func(k int) {
 					defer consumed.Done()
-					c := s.CtxFor(producers + k)
+					c := s.MustCtx(producers + k)
 					for {
 						v, ok := q.Dequeue(c)
 						if ok {

@@ -136,10 +136,10 @@ func sweep(s *Store, r Recoverer, par int) RecoveryStats {
 	return RecoverSet(s, []Recoverer{r}, par)
 }
 
-// recoveryCtx returns (creating if needed) the context for tid with the
-// epoch layer in recovery mode.
+// recoveryCtx returns the context for tid with the epoch layer in recovery
+// mode.
 func (s *Store) recoveryCtx(tid int) *Ctx {
-	c := s.CtxFor(tid)
+	c := s.ctxs[tid]
 	c.ep.SetRecovery(true)
 	return c
 }

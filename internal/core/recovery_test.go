@@ -88,7 +88,7 @@ func runCrashWorkload(t *testing.T, s *Store, st set, workers, ops int) (mustHav
 	// With the link cache, completion is deferred until the links are
 	// flushed; flush everything so "completed" means durable.
 	if s.lc != nil {
-		c := s.CtxFor(0)
+		c := s.MustCtx(0)
 		s.lc.FlushAll(c.f)
 		c.f.Fence()
 	}

@@ -52,7 +52,7 @@ func TestStackConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := s.CtxFor(w)
+			c := s.MustCtx(w)
 			rng := rand.New(rand.NewSource(int64(w)))
 			pushed := 0
 			for i := 0; pushed < per; i++ {

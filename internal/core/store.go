@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/epoch"
 	"repro/internal/linkcache"
@@ -43,16 +42,17 @@ const (
 
 // Root-directory slot assignments.
 const (
-	rootMgrAPT   = 0 // epoch manager's active-page-table region
-	rootMgrLog   = 1 // epoch manager's alloc-log region (baseline mode)
-	rootMeta     = 2 // packed store options, for Attach
-	rootMgrBanks = 3 // epoch manager's grown-thread bank table
-	RootUser     = 8 // first slot available to structure descriptors
+	rootMgrAPT = 0 // epoch manager's active-page-table region
+	rootMgrLog = 1 // epoch manager's alloc-log region (baseline mode)
+	rootMeta   = 2 // packed store options, for Attach
+	RootUser   = 8 // first slot available to structure descriptors
 )
 
 // Options configures a Store.
 type Options struct {
-	// MaxThreads bounds the number of concurrent contexts.
+	// MaxThreads is the number of operation contexts, tids
+	// [0, MaxThreads), at most MaxThreadsLimit. It is recorded in the image,
+	// so AttachStore makes the same number.
 	MaxThreads int
 	// LinkCache enables the link cache (§4) for update operations.
 	LinkCache bool
@@ -82,12 +82,9 @@ type Store struct {
 	lc   *linkcache.Cache
 	opts Options
 
-	// Registered per-thread contexts, indexed by tid. The slice grows past
-	// Options.MaxThreads on demand (the manager carves a durable APT bank
-	// per extra thread): readers load the pointer lock-free, growth copies
-	// under ctxMu.
-	ctxMu sync.Mutex
-	ctxs  atomic.Pointer[[]*Ctx]
+	// The operation contexts, indexed by tid: Options.MaxThreads of them,
+	// made when the store is formatted or attached.
+	ctxs []*Ctx
 
 	// The entry-lifecycle stripes of the byte maps on this store, hash-indexed
 	// and ordered alike, keyed by index-key hash. A write holds exactly one,
@@ -97,14 +94,20 @@ type Store struct {
 	bytesLocks [2048]sync.Mutex
 }
 
-// ErrTooManyThreads is returned when a context cannot be created: a negative
-// tid, or thread growth past the epoch manager's durable bank limit.
+// ErrTooManyThreads is returned for a tid outside [0, MaxThreads), and by
+// NewStore for a MaxThreads past MaxThreadsLimit.
 var ErrTooManyThreads = errors.New("core: tid out of range")
+
+// MaxThreadsLimit is the largest MaxThreads an image can record.
+const MaxThreadsLimit = 0xFFFF
 
 // NewStore formats dev and initializes the substrates.
 func NewStore(dev *nvram.Device, opts Options) (*Store, error) {
 	if opts.MaxThreads <= 0 {
 		opts.MaxThreads = 1
+	}
+	if opts.MaxThreads > MaxThreadsLimit {
+		return nil, fmt.Errorf("%w: %d threads, at most %d", ErrTooManyThreads, opts.MaxThreads, MaxThreadsLimit)
 	}
 	pool := pmem.Format(dev)
 	pool.SetVolatile(opts.Volatile)
@@ -121,10 +124,8 @@ func NewStore(dev *nvram.Device, opts Options) (*Store, error) {
 	}
 	pool.SetRoot(f, rootMgrAPT, mgr.RegionAddr())
 	pool.SetRoot(f, rootMgrLog, mgr.LogRegionAddr())
-	pool.SetRoot(f, rootMgrBanks, mgr.BanksRegionAddr())
 	pool.SetRoot(f, rootMeta, packMeta(opts))
 	s := &Store{dev: dev, pool: pool, mgr: mgr, opts: opts}
-	s.storeCtxs(make([]*Ctx, opts.MaxThreads))
 	s.initVolatile()
 	return s, nil
 }
@@ -144,14 +145,12 @@ func AttachStore(dev *nvram.Device) (*Store, error) {
 	}
 	opts := unpackMeta(pool.Root(rootMeta))
 	mgr := epoch.AttachManager(pool, pool.Root(rootMgrAPT), pool.Root(rootMgrLog),
-		pool.Root(rootMgrBanks),
 		epoch.Config{
 			MaxThreads:   opts.MaxThreads,
 			AreaShift:    opts.AreaShift,
 			AllocLogging: opts.AllocLogging,
 		})
 	s := &Store{dev: dev, pool: pool, mgr: mgr, opts: opts}
-	s.storeCtxs(make([]*Ctx, opts.MaxThreads))
 	s.initVolatile()
 	return s, nil
 }
@@ -163,15 +162,16 @@ func (s *Store) initVolatile() {
 	// §5.4: before APT entries can be trimmed, and before freed slots can be
 	// reused, the link cache must hold no entries for the affected pages.
 	hook := func(tid int) {
-		if s.lc == nil {
-			return
-		}
-		if c := s.ExistingCtx(tid); c != nil {
-			s.lc.FlushAll(c.f)
+		if s.lc != nil {
+			s.lc.FlushAll(s.ctxs[tid].f)
 		}
 	}
 	s.mgr.TrimHook = hook
 	s.mgr.FreeHook = hook
+	s.ctxs = make([]*Ctx, s.opts.MaxThreads)
+	for tid := range s.ctxs {
+		s.ctxs[tid] = s.newCtx(tid)
+	}
 }
 
 func packMeta(o Options) uint64 {
@@ -223,7 +223,7 @@ func (s *Store) SetRoot(c *Ctx, i int, v uint64) { s.pool.SetRoot(c.f, i, v) }
 func (s *Store) Root(i int) uint64 { return s.pool.Root(i) }
 
 // Ctx is a per-thread operation context: flusher, allocator context, epoch
-// context, and a PRNG for skip-list levels. Create one per worker goroutine.
+// context, and a PRNG for skip-list levels. Each tid has one (Store.NewCtx).
 type Ctx struct {
 	s     *Store
 	f     *nvram.Flusher
@@ -242,16 +242,8 @@ type Ctx struct {
 	step KeyStep
 }
 
-func (s *Store) loadCtxs() []*Ctx    { return *s.ctxs.Load() }
-func (s *Store) storeCtxs(cs []*Ctx) { s.ctxs.Store(&cs) }
-
-// newCtxLocked creates and registers the context for tid (growing the epoch
-// manager's durable thread banks when tid is past the formatted MaxThreads).
-// Caller holds ctxMu.
-func (s *Store) newCtxLocked(tid int) (*Ctx, error) {
-	if tid < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrTooManyThreads, tid)
-	}
+// newCtx makes the context for tid.
+func (s *Store) newCtx(tid int) *Ctx {
 	f := s.dev.NewFlusher()
 	if s.lc != nil {
 		// A link-cache flush joins whatever the operation already has
@@ -259,12 +251,8 @@ func (s *Store) newCtxLocked(tid int) (*Ctx, error) {
 		// allocator lines.
 		f.Reserve(s.lc.FlushLines() + 48)
 	}
-	if err := s.mgr.EnsureThread(tid, f); err != nil {
-		f.Release()
-		return nil, fmt.Errorf("%w: %d: %v", ErrTooManyThreads, tid, err)
-	}
 	alloc := s.pool.NewCtx(f)
-	c := &Ctx{
+	return &Ctx{
 		s:     s,
 		f:     f,
 		alloc: alloc,
@@ -272,31 +260,16 @@ func (s *Store) newCtxLocked(tid int) (*Ctx, error) {
 		tid:   tid,
 		rng:   rand.New(rand.NewSource(int64(tid)*0x9E3779B9 + 1)),
 	}
-	cur := s.loadCtxs()
-	var grown []*Ctx
-	if tid >= len(cur) {
-		grown = make([]*Ctx, tid+1)
-	} else {
-		grown = make([]*Ctx, len(cur))
-	}
-	copy(grown, cur)
-	if old := grown[tid]; old != nil {
-		// Replaced context: deregister its flusher (counters fold into the
-		// device totals) so re-registration cycles don't pin dead flushers.
-		old.f.Release()
-	}
-	grown[tid] = c
-	s.storeCtxs(grown)
-	return c, nil
 }
 
-// NewCtx creates (and registers) the context for thread tid, replacing any
-// existing registration. tids at or past Options.MaxThreads grow the store's
-// thread count (each grown thread gets its own durable APT bank).
+// NewCtx returns the context of thread tid, or ErrTooManyThreads when tid
+// is outside [0, MaxThreads). A context must not be used by two goroutines
+// at once.
 func (s *Store) NewCtx(tid int) (*Ctx, error) {
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	return s.newCtxLocked(tid)
+	if tid < 0 || tid >= len(s.ctxs) {
+		return nil, fmt.Errorf("%w: %d, the store has %d", ErrTooManyThreads, tid, len(s.ctxs))
+	}
+	return s.ctxs[tid], nil
 }
 
 // MustCtx is NewCtx that panics on error, for tests and examples.
@@ -308,60 +281,11 @@ func (s *Store) MustCtx(tid int) *Ctx {
 	return c
 }
 
-// CtxFor returns the registered context for tid, creating it on first use.
-// Unlike NewCtx it never replaces an existing context.
-func (s *Store) CtxFor(tid int) *Ctx {
-	if cs := s.loadCtxs(); tid >= 0 && tid < len(cs) && cs[tid] != nil {
-		return cs[tid]
-	}
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	if cs := s.loadCtxs(); tid >= 0 && tid < len(cs) && cs[tid] != nil {
-		return cs[tid]
-	}
-	c, err := s.newCtxLocked(tid)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// GrowCtx creates a context on the lowest unregistered tid — the session
-// pool's growth path: callers that just need "one more context" and do not
-// care which tid backs it.
-func (s *Store) GrowCtx() (*Ctx, error) {
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	cur := s.loadCtxs()
-	tid := len(cur)
-	for i, c := range cur {
-		if c == nil {
-			tid = i
-			break
-		}
-	}
-	return s.newCtxLocked(tid)
-}
-
-// ExistingCtx returns the registered context for tid, or nil.
-func (s *Store) ExistingCtx(tid int) *Ctx {
-	if cs := s.loadCtxs(); tid >= 0 && tid < len(cs) {
-		return cs[tid]
-	}
-	return nil
-}
-
-// NumCtxSlots returns the current length of the context registry (tids ever
-// registered; some slots may be nil).
-func (s *Store) NumCtxSlots() int { return len(s.loadCtxs()) }
-
-// ForEachCtx calls fn for every registered context. Intended for quiescent
-// maintenance (drain, shutdown).
+// ForEachCtx calls fn for every context, in tid order. Intended for
+// quiescent maintenance (drain, shutdown).
 func (s *Store) ForEachCtx(fn func(c *Ctx)) {
-	for _, c := range s.loadCtxs() {
-		if c != nil {
-			fn(c)
-		}
+	for _, c := range s.ctxs {
+		fn(c)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestHuntDoubleRetire(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				c := s.CtxFor(w)
+				c := s.MustCtx(w)
 				rng := rand.New(rand.NewSource(int64(w) * 911))
 				for i := 0; i < 60_000; i++ {
 					k := uint64(rng.Intn(24)) + 1

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/nvram"
@@ -37,8 +36,8 @@ import (
 type Addr = nvram.Addr
 
 // aptCapacity is the per-thread APT capacity in entries. It sizes the
-// durable APT region and every grown bank, and images do not record it, so
-// it is part of the format rather than a setting.
+// durable APT region, and images do not record it, so it is part of the
+// format rather than a setting.
 const aptCapacity = 128
 
 // The volatile APT index: 2·aptCapacity one-byte buckets (load factor at
@@ -50,8 +49,9 @@ const (
 
 // Config parameterizes a Manager.
 type Config struct {
-	// MaxThreads is the number of contexts the manager supports. The durable
-	// APT region is sized for this many threads.
+	// MaxThreads is the number of contexts the manager supports, fixed when
+	// the manager is made. The durable APT region is sized for this many
+	// threads.
 	MaxThreads int
 	// TrimAt is the APT occupancy that triggers a trim attempt. The paper
 	// trims tables exceeding 16 entries (§6.3). Default 16.
@@ -93,26 +93,15 @@ type paddedEpoch struct {
 }
 
 // Manager owns the durable APT region and the per-thread epoch counters for
-// one pool.
-//
-// The thread count is NOT fixed: Config.MaxThreads sizes the initial APT
-// region, and EnsureThread grows past it one durable bank at a time (one
-// extra thread's APT + alloc-log ring per bank, anchored in the bank table
-// region so recovery can sweep banks created by a crashed run). The session
-// pool in the public runtime leans on this to hand out contexts on demand
-// instead of capping concurrency at a formatted thread count.
+// one pool. The thread count is Config.MaxThreads, fixed when the region is
+// carved: each thread has one APT (§5.4) and one alloc-log ring there.
 type Manager struct {
-	cfg      Config
-	pool     *pmem.Pool
-	region   Addr // durable APT: MaxThreads × aptCapacity words of area addresses
-	logReg   Addr // AllocLogging mode: MaxThreads × logRing words
-	banksReg Addr // bank table: maxBanks slots of extra-thread bank addresses
+	cfg    Config
+	pool   *pmem.Pool
+	region Addr // durable APT: MaxThreads × aptCapacity words of area addresses
+	logReg Addr // AllocLogging mode: MaxThreads × logRing words
 
-	mu     sync.Mutex // guards growth (rare: one new bank per extra thread)
-	banks  []Addr     // volatile mirror of the bank table's non-zero slots
-	nbanks atomic.Int32
-
-	epochs atomic.Pointer[[]*paddedEpoch]
+	epochs []paddedEpoch
 
 	// TrimHook, if non-nil, is invoked before entries are trimmed from an
 	// APT. The runtime installs a link-cache flush here: §5.4 requires that
@@ -127,29 +116,17 @@ type Manager struct {
 	FreeHook func(tid int)
 }
 
-const (
-	logRing = 1024
+const logRing = 1024
 
-	// maxBanks bounds the number of extra-thread banks (one per thread past
-	// the formatted MaxThreads). The bank table region holds this many slots.
-	maxBanks = 1024
-)
-
-func newEpochs(n int) *[]*paddedEpoch {
-	eps := make([]*paddedEpoch, n)
-	for i := range eps {
-		eps[i] = &paddedEpoch{}
-	}
-	return &eps
-}
+// ThreadBytes is the durable space one thread's APT and alloc-log ring take.
+const ThreadBytes = (aptCapacity + logRing) * 8
 
 // NewManager creates a manager and carves its durable APT region. Store
-// RegionAddr (and BanksRegionAddr) in root slots so the tables can be found
+// RegionAddr and LogRegionAddr in root slots so the tables can be found
 // after a restart.
 func NewManager(pool *pmem.Pool, f *nvram.Flusher, cfg Config) (*Manager, error) {
 	cfg.fill()
-	m := &Manager{cfg: cfg, pool: pool}
-	m.epochs.Store(newEpochs(cfg.MaxThreads))
+	m := &Manager{cfg: cfg, pool: pool, epochs: make([]paddedEpoch, cfg.MaxThreads)}
 	var err error
 	m.region, err = pool.AllocRegion(f, uint64(cfg.MaxThreads*aptCapacity)*8)
 	if err != nil {
@@ -159,34 +136,16 @@ func NewManager(pool *pmem.Pool, f *nvram.Flusher, cfg Config) (*Manager, error)
 	if err != nil {
 		return nil, err
 	}
-	m.banksReg, err = pool.AllocRegion(f, maxBanks*8)
-	if err != nil {
-		return nil, err
-	}
 	return m, nil
 }
 
 // AttachManager re-opens a manager whose APT region was carved by a previous
-// incarnation, re-adopting any durable extra-thread banks (banksReg may be 0
-// for images predating bank support — such a manager simply cannot grow).
-// Volatile state (epochs, generations) starts fresh, exactly as after a
-// reboot.
-func AttachManager(pool *pmem.Pool, region, logReg, banksReg Addr, cfg Config) *Manager {
+// incarnation with cfg.MaxThreads threads. Volatile state (epochs,
+// generations) starts fresh, exactly as after a reboot.
+func AttachManager(pool *pmem.Pool, region, logReg Addr, cfg Config) *Manager {
 	cfg.fill()
-	m := &Manager{cfg: cfg, pool: pool, region: region, logReg: logReg, banksReg: banksReg}
-	if banksReg != 0 {
-		dev := pool.Device()
-		for i := 0; i < maxBanks; i++ {
-			a := dev.Load(banksReg + Addr(i)*8)
-			if a == 0 {
-				break // banks are recorded densely, in growth order
-			}
-			m.banks = append(m.banks, a)
-		}
-	}
-	m.nbanks.Store(int32(len(m.banks)))
-	m.epochs.Store(newEpochs(cfg.MaxThreads + len(m.banks)))
-	return m
+	return &Manager{cfg: cfg, pool: pool, region: region, logReg: logReg,
+		epochs: make([]paddedEpoch, cfg.MaxThreads)}
 }
 
 // RegionAddr returns the durable APT region address (persist it in a root).
@@ -194,63 +153,6 @@ func (m *Manager) RegionAddr() Addr { return m.region }
 
 // LogRegionAddr returns the alloc-log region address.
 func (m *Manager) LogRegionAddr() Addr { return m.logReg }
-
-// BanksRegionAddr returns the bank table region address (persist it in a
-// root).
-func (m *Manager) BanksRegionAddr() Addr { return m.banksReg }
-
-// NumThreads returns the number of thread slots currently backed by durable
-// APT space (formatted threads plus grown banks).
-func (m *Manager) NumThreads() int { return m.cfg.MaxThreads + int(m.nbanks.Load()) }
-
-// EnsureThread grows the manager until thread tid has durable APT (and
-// alloc-log) space: one never-recycled bank region per extra thread, each
-// recorded in the bank table — durably, before any APT entry can be written
-// into it — so a crashed run's grown banks are swept by recovery exactly
-// like the formatted region. Growth is rare (once per extra thread, ever);
-// operations never pass through here once their context exists.
-func (m *Manager) EnsureThread(tid int, f *nvram.Flusher) error {
-	if tid < m.NumThreads() {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for tid >= m.cfg.MaxThreads+len(m.banks) {
-		i := len(m.banks)
-		if i >= maxBanks {
-			return fmt.Errorf("epoch: thread %d exceeds the %d-bank growth limit", tid, maxBanks)
-		}
-		if m.banksReg == 0 {
-			return fmt.Errorf("epoch: pool image predates thread banks; cannot grow past %d threads", m.cfg.MaxThreads)
-		}
-		bank, err := m.pool.AllocRegion(f, uint64(aptCapacity+logRing)*8)
-		if err != nil {
-			return err
-		}
-		// The bank is reachable (and thus recoverable) once its table slot is
-		// durable; AllocRegion already synced the region carve.
-		dev := m.pool.Device()
-		dev.Store(m.banksReg+Addr(i)*8, bank)
-		f.Sync(m.banksReg + Addr(i)*8)
-		m.banks = append(m.banks, bank)
-
-		old := *m.epochs.Load()
-		grown := make([]*paddedEpoch, len(old)+1)
-		copy(grown, old)
-		grown[len(old)] = &paddedEpoch{}
-		m.epochs.Store(&grown)
-		m.nbanks.Store(int32(len(m.banks)))
-	}
-	return nil
-}
-
-// bankOf returns the bank region backing extra thread tid (tid >=
-// MaxThreads). The caller must have ensured the thread exists.
-func (m *Manager) bankOf(tid int) Addr {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.banks[tid-m.cfg.MaxThreads]
-}
 
 // Config returns the manager's configuration.
 func (m *Manager) Config() Config { return m.cfg }
@@ -261,41 +163,16 @@ func (m *Manager) AreaOf(a Addr) Addr { return a &^ (1<<m.cfg.AreaShift - 1) }
 // AreaSize returns the active-area granularity in bytes.
 func (m *Manager) AreaSize() uint64 { return 1 << m.cfg.AreaShift }
 
-// aptBase returns the base address of thread tid's durable APT slots.
-func (m *Manager) aptBase(tid int) Addr {
-	if tid < m.cfg.MaxThreads {
-		return m.region + Addr(tid*aptCapacity)*8
-	}
-	return m.bankOf(tid)
-}
-
-// logBase returns the base address of thread tid's alloc-log ring.
-func (m *Manager) logBase(tid int) Addr {
-	if tid < m.cfg.MaxThreads {
-		return m.logReg + Addr(tid*logRing)*8
-	}
-	return m.bankOf(tid) + aptCapacity*8
-}
-
-// ActiveAreas reads the durable APT (across all threads, formatted region
-// and grown banks alike) and returns the distinct active areas. This is the
-// recovery entry point (§5.5).
+// ActiveAreas reads every thread's durable APT and returns the distinct
+// active areas. This is the recovery entry point (§5.5).
 func (m *Manager) ActiveAreas() []Addr {
-	m.mu.Lock()
-	bases := make([]Addr, 0, m.cfg.MaxThreads+len(m.banks))
-	for t := 0; t < m.cfg.MaxThreads; t++ {
-		bases = append(bases, m.region+Addr(t*aptCapacity)*8)
-	}
-	bases = append(bases, m.banks...)
-	m.mu.Unlock()
+	dev := m.pool.Device()
 	seen := make(map[Addr]bool)
 	var out []Addr
-	for _, base := range bases {
-		for i := 0; i < aptCapacity; i++ {
-			if a := m.pool.Device().Load(base + Addr(i)*8); a != 0 && !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
+	for i := 0; i < m.cfg.MaxThreads*aptCapacity; i++ {
+		if a := dev.Load(m.region + Addr(i)*8); a != 0 && !seen[a] {
+			seen[a] = true
+			out = append(out, a)
 		}
 	}
 	return out
@@ -362,8 +239,7 @@ type Ctx struct {
 	alloc *pmem.Ctx
 	f     *nvram.Flusher
 
-	// Cached per-thread addresses (the tid's APT slots, log ring and epoch
-	// counter never move), so hot paths skip the manager's growth lock.
+	// The tid's APT slots, log ring and epoch counter.
 	aptAddr Addr
 	logAddr Addr
 	epoch   *paddedEpoch
@@ -392,15 +268,15 @@ type Ctx struct {
 	stats Stats
 }
 
-// NewCtx returns the reclamation context for thread tid. Threads at or past
-// the formatted MaxThreads must have been grown first (EnsureThread).
+// NewCtx returns the reclamation context for thread tid in
+// [0, MaxThreads).
 func (m *Manager) NewCtx(tid int, alloc *pmem.Ctx, f *nvram.Flusher) *Ctx {
-	if tid < 0 || tid >= m.NumThreads() {
-		panic(fmt.Sprintf("epoch: tid %d out of range [0,%d); grow with EnsureThread first", tid, m.NumThreads()))
+	if tid < 0 || tid >= m.cfg.MaxThreads {
+		panic(fmt.Sprintf("epoch: tid %d out of range [0,%d)", tid, m.cfg.MaxThreads))
 	}
 	return &Ctx{m: m, tid: tid, alloc: alloc, f: f,
-		aptAddr: m.aptBase(tid), logAddr: m.logBase(tid),
-		epoch: (*m.epochs.Load())[tid], genSeq: 1}
+		aptAddr: m.region + Addr(tid*aptCapacity)*8, logAddr: m.logReg + Addr(tid*logRing)*8,
+		epoch: &m.epochs[tid], genSeq: 1}
 }
 
 // Tid returns the context's thread id.
@@ -482,11 +358,8 @@ func (c *Ctx) Retire(a Addr) {
 }
 
 // seal closes the open generation with a snapshot of all thread epochs.
-// Threads created after the seal cannot hold references to the generation's
-// nodes (they were unlinked before those threads ran an operation), so the
-// snapshot length is naturally a lower bound.
 func (c *Ctx) seal() {
-	eps := *c.m.epochs.Load()
+	eps := c.m.epochs
 	vec := make([]uint64, len(eps))
 	for i := range eps {
 		vec[i] = eps[i].v.Load()
@@ -501,7 +374,7 @@ func (c *Ctx) seal() {
 // reclaimable reports whether every thread that was mid-operation at seal
 // time has since advanced.
 func (c *Ctx) reclaimable(g *generation) bool {
-	eps := *c.m.epochs.Load()
+	eps := c.m.epochs
 	for t, e := range g.vec {
 		if e%2 == 1 && eps[t].v.Load() == e {
 			return false

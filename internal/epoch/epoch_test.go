@@ -145,7 +145,7 @@ func TestActiveAreasSurviveCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := AttachManager(pool2, fx.m.RegionAddr(), fx.m.LogRegionAddr(), fx.m.BanksRegionAddr(), fx.m.Config())
+	m2 := AttachManager(pool2, fx.m.RegionAddr(), fx.m.LogRegionAddr(), fx.m.Config())
 	areas := m2.ActiveAreas()
 	found := false
 	for _, x := range areas {
@@ -412,8 +412,9 @@ func TestReclaimIsDeterministic(t *testing.T) {
 	}
 	wantDev, wantEpoch := run()
 	// Recorded at the parent of the indexed APT and one-pass trim, which
-	// must leave the same durable trail.
-	if wantDev != (nvram.Stats{Clwbs: 7105, Fences: 1245, SyncWaits: 1245}) ||
+	// must leave the same durable trail, less the 2 CLWBs and 2 fences of
+	// the thread-bank table the manager no longer carves.
+	if wantDev != (nvram.Stats{Clwbs: 7103, Fences: 1243, SyncWaits: 1243}) ||
 		wantEpoch != (Stats{AllocHits: 10281, AllocMisses: 12, UnlinkHits: 19414,
 			GensFreed: 1214, NodesFreed: 9707, Trims: 1}) {
 		t.Fatalf("counters moved from the recorded ones:\n device %+v\n epoch  %+v", wantDev, wantEpoch)

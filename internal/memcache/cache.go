@@ -138,9 +138,10 @@ type Config struct {
 	MemoryBytes uint64
 	// Buckets is the hash-table bucket count (rounded to a power of two).
 	Buckets int
-	// MaxConns sizes the formatted session region (one per expected
-	// concurrent connection/worker). Not a cap: the runtime's session pool
-	// grows past it on demand.
+	// MaxConns is the number of connections or workers expected to run
+	// commands at once. Each shard's runtime formats MaxConns+1 operation
+	// contexts (one spare for background work): the most commands that run
+	// on a shard at once. A command that finds all of them out waits.
 	MaxConns int
 	// WriteLatency is the simulated NVRAM write latency.
 	WriteLatency time.Duration

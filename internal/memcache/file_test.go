@@ -142,7 +142,7 @@ func TestFileCacheSurvivesServesAfterReopen(t *testing.T) {
 			t.Fatal("reopened cache does not report Recovered")
 		}
 		// The recovered cache must keep serving writes (allocator, expiry index
-		// and session pool all rebuilt over the mapped image).
+		// and context pool all rebuilt over the mapped image).
 		if err := c2.Set([]byte("k"), []byte("v2"), 0, 0); err != nil {
 			t.Fatal(err)
 		}

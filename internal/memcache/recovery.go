@@ -20,7 +20,7 @@ import (
 // re-populating a cold volatile cache takes orders of magnitude longer.
 func Recover(dev *nvram.Device, cfg Config) (*Cache, logfree.RecoveryStats, error) {
 	cfg.fill()
-	rt, err := logfree.Attach(dev, logfree.WithMaxThreads(cfg.MaxConns+1))
+	rt, err := logfree.Attach(dev)
 	if err != nil {
 		return nil, logfree.RecoveryStats{}, err
 	}

@@ -75,10 +75,9 @@ func TestExpiringCommandsOnOneStripe(t *testing.T) {
 	})
 }
 
-// TestExpiringSetsOnOneSession runs concurrent expiring Sets on a shard
-// formatted for one session whose device is too full to back a second: no
-// command may hold a session while it draws another, or they wait forever
-// for one.
+// TestExpiringSetsOnOneSession runs concurrent expiring Sets, which evict,
+// on a shard formatted with one operation context: no command may hold a
+// context while it draws another, or it waits forever for one.
 func TestExpiringSetsOnOneSession(t *testing.T) {
 	cfg := Config{MemoryBytes: 4 << 20, Buckets: 1024}
 	cfg.fill()
@@ -98,15 +97,7 @@ func TestExpiringSetsOnOneSession(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The valves keep some pages free; carve them into contexts nobody uses
-	// until the device cannot back another.
 	rt := pool.Runtimes()[0]
-	for grown := 0; ; grown++ {
-		if _, err := rt.Store().GrowCtx(); err != nil {
-			t.Logf("%d spare contexts took the free pages", grown)
-			break
-		}
-	}
 	exp := uint32(time.Now().Unix() + 3600)
 	withinDeadline(t, 30*time.Second, "expiring Sets on one session", func() {
 		var wg sync.WaitGroup
@@ -125,7 +116,7 @@ func TestExpiringSetsOnOneSession(t *testing.T) {
 		wg.Wait()
 	})
 	if n := rt.Sessions(); n != 1 {
-		t.Fatalf("the runtime grew to %d sessions; the test needs exactly one", n)
+		t.Fatalf("the runtime has %d contexts; the test needs exactly one", n)
 	}
 }
 

@@ -88,7 +88,8 @@ const (
 //
 //	1  a byte map's entry extent is its bucket list's node
 //	2  size classes tile the page
-const LayoutVersion = 2
+//	3  a store's thread count is fixed: no thread-bank table
+const LayoutVersion = 3
 
 // Class identifies a size class.
 type Class uint8

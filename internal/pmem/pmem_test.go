@@ -516,7 +516,8 @@ func TestNoDoubleFreePageHandout(t *testing.T) {
 
 // TestAttachRefusesOtherLayoutVersion: an image whose layout-version word is
 // not LayoutVersion — 0 in every image written before the word existed, 1 in
-// one whose pages hold the power-of-two classes — is refused with
+// one whose pages hold the power-of-two classes, 2 in one with a thread-bank
+// table — is refused with
 // ErrLayoutVersion, and still counts as formatted, so an open-or-create
 // never reformats it.
 func TestAttachRefusesOtherLayoutVersion(t *testing.T) {
@@ -525,7 +526,7 @@ func TestAttachRefusesOtherLayoutVersion(t *testing.T) {
 	if _, err := Attach(dev); err != nil {
 		t.Fatalf("Attach of a fresh pool: %v", err)
 	}
-	for _, v := range []uint64{0, 1} {
+	for v := uint64(0); v < LayoutVersion; v++ {
 		dev.Store(hdrLayout, v)
 		dev.NewFlusher().Sync(hdrLayout)
 		dev.Crash()

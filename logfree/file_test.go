@@ -219,7 +219,7 @@ func TestFileRuntimeRefusesOtherLayoutVersion(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint64{0, 1} {
+	for v := uint64(0); v < pmem.LayoutVersion; v++ {
 		stampLayoutVersion(t, path, v)
 		for i := 0; i < 2; i++ { // the refused open leaves the image alone
 			if _, err := New(WithDevice(FileDevice(path))); !errors.Is(err, ErrLayoutVersion) || !errors.Is(err, pmem.ErrLayoutVersion) {

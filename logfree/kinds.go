@@ -81,12 +81,11 @@ var kindTable = map[Kind]kindRow{
 // registering it when absent. buckets sizes a newly created hash-backed
 // kind; an existing structure keeps its durable bucket count.
 func (r *Runtime) open(name string, kind Kind, buckets int) (structure, error) {
-	s, err := r.acquireErr()
+	c, err := r.acquireErr()
 	if err != nil {
 		return nil, err
 	}
-	defer r.release(s)
-	c := s.c
+	defer r.release(c)
 	if name == "" {
 		return nil, fmt.Errorf("logfree: empty structure name")
 	}
@@ -125,7 +124,7 @@ func (r *Runtime) open(name string, kind Kind, buckets int) (structure, error) {
 // every structure it lists: a single combined sweep of the active areas, so
 // no structure's sweep can mistake a sibling's nodes for leaks.
 func (r *Runtime) recoverAll() {
-	c := r.store.CtxFor(0)
+	c := r.store.MustCtx(0)
 	rs := []core.Recoverer{r.dir.Recoverer()}
 	r.recovered = nil
 	r.dir.Range(c, func(name, v []byte) bool {

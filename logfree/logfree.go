@@ -18,27 +18,29 @@
 //
 // Threading: there are no per-thread handles. Every method of every
 // structure is safe to call from any goroutine — each operation draws an
-// operation context from the runtime's lock-free session pool, which grows
-// on demand past any formatted thread count. Advanced callers can pin a
-// Session (Runtime.Session + the structures' WithSession views) to amortize
-// the pool round-trip in tight loops.
+// operation context from the runtime's lock-free pool and returns it when
+// done. The contexts are a fixed set, one per thread the store was formatted
+// for (WithMaxThreads), each with its own durable active page table (§5.4);
+// while all are out, an operation waits for one.
 //
 // Iteration: All, Items, Scan, Ascend and Descend return Go
-// range-over-func iterators (iter.Seq2); the reclamation epoch section is
-// held across the whole loop, so iteration is safe against concurrent
-// updates (no snapshot semantics), and loop bodies may freely call other
-// operations — those draw their own sessions.
+// range-over-func iterators (iter.Seq2). Each copies entries out a step at a
+// time under one reclamation epoch section and yields them after returning
+// the step's context, so iteration is safe against concurrent updates (no
+// snapshot semantics), and loop bodies may freely call other operations.
 package logfree
 
 import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/nvram"
 )
 
@@ -99,11 +101,12 @@ func WithDurability(d Durability) Option { return func(c *config) { c.durability
 // 125ns via nvram.DefaultWriteLatency). Zero disables latency injection.
 func WithWriteLatency(d time.Duration) Option { return func(c *config) { c.writeLatency = d } }
 
-// WithMaxThreads sizes the formatted per-thread region of the durable active
-// page table (default 1; on Attach, the pool's formatted thread count). It
-// is no longer a cap: the session pool grows past it on demand, each extra
-// session backed by its own durable APT bank — pre-sizing just packs the
-// expected steady-state concurrency into one region.
+// WithMaxThreads sets how many operation contexts a new runtime formats,
+// which is the most operations that run at once; further callers wait for a
+// context. Each context has its own durable active page table. The default
+// is 2 × GOMAXPROCS at format time, fewer on a device too small to give
+// their tables an eighth of itself. The count is durable: Attach adopts the
+// image's own and ignores this option.
 func WithMaxThreads(n int) Option { return func(c *config) { c.maxThreads = n } }
 
 // WithLinkCache toggles the §4 link cache for updates.
@@ -256,7 +259,7 @@ type Runtime struct {
 	dev   *nvram.Device
 	store *core.Store
 	cfg   config
-	pool  *sessionPool
+	pool  *ctxPool
 
 	closed   atomic.Bool
 	attached bool // true when Attach recovered an existing image
@@ -309,7 +312,9 @@ func New(opts ...Option) (*Runtime, error) {
 // createRuntime formats dev and initializes a fresh runtime on it.
 func createRuntime(dev *nvram.Device, cfg config) (*Runtime, error) {
 	if cfg.maxThreads == 0 {
-		cfg.maxThreads = 1
+		// No more than an eighth of the device goes to the contexts' durable
+		// tables, so a small device still formats on a many-core machine.
+		cfg.maxThreads = max(1, min(2*runtime.GOMAXPROCS(0), int(dev.Size()/8/epoch.ThreadBytes)))
 	}
 	store, err := core.NewStore(dev, core.Options{
 		MaxThreads: cfg.maxThreads,
@@ -320,33 +325,19 @@ func createRuntime(dev *nvram.Device, cfg config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{dev: dev, store: store, cfg: cfg, pool: newSessionPool(store)}
+	r := &Runtime{dev: dev, store: store, cfg: cfg, pool: newCtxPool(store)}
 	if err := r.createDirectory(); err != nil {
 		return nil, err
 	}
-	r.seedPool()
 	r.startFlushTimer()
 	return r, nil
 }
 
-// seedPool hands every core context registered so far to the session pool
-// so they serve operations instead of idling: the directory-setup context
-// after New, and all the recovery-pass contexts (tids 0..par-1, quiescent
-// once Attach returns) after Attach — otherwise the pool would carve fresh
-// durable APT banks while formatted thread slots sit unused.
-func (r *Runtime) seedPool() {
-	r.store.CtxFor(0) // ensure at least one context exists (fresh Attach path)
-	r.store.ForEachCtx(func(c *core.Ctx) {
-		s := &Session{rt: r, c: c}
-		r.pool.register(s)
-		r.pool.push(s)
-	})
-}
-
 // createDirectory formats the durable directory and commits its anchor
-// roots (bucket count last, as the commit point).
+// roots (bucket count last, as the commit point). It runs before the runtime
+// serves operations, on tid 0.
 func (r *Runtime) createDirectory() error {
-	c := r.store.CtxFor(0)
+	c := r.store.MustCtx(0)
 	dir, err := core.NewBytesMap(c, dirBuckets)
 	if err != nil {
 		return err
@@ -370,17 +361,14 @@ func attachRuntime(dev *nvram.Device, cfg config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.maxThreads == 0 {
-		cfg.maxThreads = store.Options().MaxThreads
-	}
-	r := &Runtime{dev: dev, store: store, cfg: cfg, pool: newSessionPool(store)}
+	cfg.maxThreads = store.Options().MaxThreads
+	r := &Runtime{dev: dev, store: store, cfg: cfg, pool: newCtxPool(store)}
 	if nb := store.Root(rootDirNBkts); nb == 0 {
 		// The pool was formatted but crashed before the directory committed:
 		// no structure can have been registered, so start one fresh.
 		if err := r.createDirectory(); err != nil {
 			return nil, err
 		}
-		r.seedPool()
 		r.startFlushTimer()
 		return r, nil
 	}
@@ -388,7 +376,6 @@ func attachRuntime(dev *nvram.Device, cfg config) (*Runtime, error) {
 		store.Root(rootDirBuckets), int(store.Root(rootDirNBkts)), store.Root(rootDirTail))
 	r.recoverAll()
 	r.attached = true
-	r.seedPool()
 	r.startFlushTimer()
 	return r, nil
 }
@@ -420,13 +407,13 @@ func (r *Runtime) startFlushTimer() {
 			if r.closed.Load() {
 				return
 			}
-			s, err := r.Session()
+			c, err := r.acquireErr()
 			if err != nil {
 				return
 			}
-			lc.FlushAll(s.c.Flusher())
-			s.c.Flusher().Fence()
-			s.Close()
+			lc.FlushAll(c.Flusher())
+			c.Flusher().Fence()
+			r.release(c)
 		}
 	}()
 }
@@ -460,19 +447,20 @@ func (r *Runtime) Save(path string) error {
 }
 
 // Drain flushes the link cache and reclaims retired memory across all
-// sessions. Requires quiescence.
+// operation contexts. Requires quiescence.
 func (r *Runtime) Drain() {
 	r.store.ForEachCtx(func(c *core.Ctx) { c.Shutdown() })
 }
 
-// Reclaim runs one epoch-reclamation pass over memory retired by any
-// session of this runtime, freeing what every thread has provably moved
-// past. Handy for tests and quiescent maintenance; regular operation
-// reclaims incrementally on its own.
+// Reclaim seals and frees the memory retired on one operation context that
+// every thread has provably moved past, converting retired nodes into
+// reusable slots immediately. Handy between eviction passes under memory
+// pressure and in tests; regular operation reclaims incrementally on its
+// own.
 func (r *Runtime) Reclaim() {
-	if s, err := r.Session(); err == nil {
-		s.Reclaim()
-		s.Close()
+	if c, err := r.acquireErr(); err == nil {
+		c.Epoch().FlushAll()
+		r.release(c)
 	}
 }
 
@@ -485,6 +473,7 @@ func (r *Runtime) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
+	r.pool.close()
 	r.stopFlushTimer()
 	r.Drain()
 	return r.dev.Close()
@@ -496,18 +485,17 @@ func (r *Runtime) Close() error {
 func (r *Runtime) Recovered() bool { return r.attached }
 
 // SimulateCrash power-fails the device (losing everything not written
-// back), reboots, and recovers. The receiver and all its sessions and
-// structures are invalid afterwards (it is closed); use the returned
-// runtime.
+// back), reboots, and recovers. The receiver and all its structures are
+// invalid afterwards (it is closed); use the returned runtime.
 func (r *Runtime) SimulateCrash() (*Runtime, error) {
 	r.closed.Store(true)
+	r.pool.close()
 	r.stopFlushTimer()
 	r.dev.Crash()
 	return Attach(r.dev,
 		WithSize(r.cfg.size),
 		WithMaxSize(r.cfg.maxSize),
 		WithWriteLatency(r.cfg.writeLatency),
-		WithMaxThreads(r.cfg.maxThreads),
 		WithLinkCache(r.cfg.linkCache),
 		WithDevice(r.cfg.device),
 		WithDurability(r.cfg.durability),
@@ -577,9 +565,9 @@ func decodeDirEntry(v []byte) (kind Kind, aux, a1, a2 uint64, ok bool) {
 // Lookup reports whether a structure named name is registered, and its
 // kind.
 func (r *Runtime) Lookup(name string) (Kind, bool) {
-	s := r.acquire()
-	defer r.release(s)
-	v, ok := r.dir.Get(s.c, []byte(name))
+	c := r.acquire()
+	defer r.release(c)
+	v, ok := r.dir.Get(c, []byte(name))
 	if !ok {
 		return 0, false
 	}
@@ -589,10 +577,10 @@ func (r *Runtime) Lookup(name string) (Kind, bool) {
 
 // Names lists every registered structure name (quiescent use).
 func (r *Runtime) Names() []string {
-	s := r.acquire()
-	defer r.release(s)
+	c := r.acquire()
+	defer r.release(c)
 	var out []string
-	r.dir.Range(s.c, func(k, _ []byte) bool {
+	r.dir.Range(c, func(k, _ []byte) bool {
 		out = append(out, string(k))
 		return true
 	})

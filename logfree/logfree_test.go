@@ -316,7 +316,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentImplicitSessions: goroutines call structure methods with no
-// per-thread plumbing at all; the session pool serves them all.
+// per-thread plumbing at all; the context pool serves them all.
 func TestConcurrentImplicitSessions(t *testing.T) {
 	rt := newRT(t, WithLinkCache(true))
 	sl, _ := rt.SkipList("s")
@@ -346,67 +346,14 @@ func TestConcurrentImplicitSessions(t *testing.T) {
 	}
 }
 
-// TestSessionPoolGrowsPastMaxThreads: far more goroutines than the formatted
-// thread count, on a runtime formatted for ONE thread — the pool must grow
-// (durable APT banks) instead of capping or panicking, and the data must
-// survive a crash.
-func TestSessionPoolGrowsPastMaxThreads(t *testing.T) {
-	rt, err := New(WithSize(64<<20), WithMaxThreads(1), WithLinkCache(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := rt.Map("grow", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 16
-	var wg sync.WaitGroup
-	var gate sync.WaitGroup
-	gate.Add(1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			gate.Wait() // maximize overlap so the pool must actually grow
-			for i := 0; i < 100; i++ {
-				k := []byte(fmt.Sprintf("w%02d-%03d", w, i))
-				if err := m.Set(k, k); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	gate.Done()
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	rt.Drain()
-	rt2, err := rt.SimulateCrash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := rt2.Map("grow", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < workers; w++ {
-		for i := 0; i < 100; i++ {
-			k := []byte(fmt.Sprintf("w%02d-%03d", w, i))
-			if v, ok := m2.Get(k); !ok || string(v) != string(k) {
-				t.Fatalf("%s lost across crash: %q,%v", k, v, ok)
-			}
-		}
-	}
-}
-
-// TestAttachSeedsRecoveredContexts: the recovery pass registers one core
-// context per formatted thread; Attach must hand them all to the session
-// pool instead of carving fresh durable APT banks while formatted slots sit
-// idle.
+// TestAttachSeedsRecoveredContexts: the context count is durable. Attach
+// adopts the formatted count whatever WithMaxThreads asks for, and
+// single-flow operations never change it.
 func TestAttachSeedsRecoveredContexts(t *testing.T) {
 	rt := newRT(t, WithMaxThreads(4))
+	if got := rt.Sessions(); got != 4 {
+		t.Fatalf("formatted runtime has %d contexts, want 4", got)
+	}
 	m, err := rt.Map("seed", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -414,15 +361,17 @@ func TestAttachSeedsRecoveredContexts(t *testing.T) {
 	if err := m.Set([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	rt.Drain()
-	rt2, err := rt.SimulateCrash()
+	path := filepath.Join(t.TempDir(), "seed.img")
+	if err := rt.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	rt2, err := Load(path, WithMaxThreads(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt2.Sessions(); got < 4 {
-		t.Fatalf("pool seeded with %d sessions, want the 4 recovered contexts", got)
+	if got := rt2.Sessions(); got != 4 {
+		t.Fatalf("attached runtime has %d contexts, want the formatted 4", got)
 	}
-	seeded := rt2.Sessions()
 	m2, err := rt2.Map("seed", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -432,93 +381,8 @@ func TestAttachSeedsRecoveredContexts(t *testing.T) {
 			t.Fatal("recovered key missing")
 		}
 	}
-	if got := rt2.Sessions(); got != seeded {
-		t.Fatalf("single-flow ops grew the pool from %d to %d sessions", seeded, got)
-	}
-}
-
-// TestPinnedSession: WithSession views run on the pinned context and skip
-// the pool; Close returns the session.
-func TestPinnedSession(t *testing.T) {
-	rt := newRT(t)
-	s, err := rt.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := rt.Map("pin", 64)
-	pm := m.WithSession(s)
-	for i := 0; i < 100; i++ {
-		k := []byte(fmt.Sprintf("p-%03d", i))
-		if err := pm.Set(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := pm.Len(); n != 100 {
-		t.Fatalf("Len = %d", n)
-	}
-	s.Reclaim()
-	s.Close()
-	// The unpinned map still works after the session went back to the pool.
-	if _, ok := m.Get([]byte("p-007")); !ok {
-		t.Fatal("unpinned read failed")
-	}
-}
-
-// TestForeignPinnedSession: a session counts as a pin only on the runtime
-// that handed it out. Pinned on another runtime's structure it must not lend
-// that structure its own runtime's context — the write has to go through the
-// owning runtime's device, allocator and epochs — and on a joined map it
-// serves its own part while the others draw pooled sessions.
-func TestForeignPinnedSession(t *testing.T) {
-	a, b := newRT(t), newRT(t)
-	s, err := a.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	am, _ := a.Map("pin", 64)
-	bm, _ := b.Map("pin", 64)
-	bl, _ := b.List("l")
-	a.Device().ResetStats()
-	b.Device().ResetStats()
-
-	pinned, pinnedList := bm.WithSession(s), bl.WithSession(s)
-	for i := 0; i < 100; i++ {
-		k := []byte(fmt.Sprintf("p-%03d", i))
-		if err := pinned.Set(k, k); err != nil {
-			t.Fatal(err)
-		}
-		pinnedList.Insert(uint64(i+1), 1)
-	}
-	if got := a.Device().Stats(); got.Clwbs != 0 || got.Fences != 0 {
-		t.Fatalf("writes to b's structures wrote back %d lines and fenced %d times on a's device", got.Clwbs, got.Fences)
-	}
-	if got := b.Device().Stats(); got.Clwbs == 0 || got.Fences < 200 {
-		t.Fatalf("b's device saw %d write-backs and %d fences for 200 writes", got.Clwbs, got.Fences)
-	}
-	if bm.Len() != 100 || bl.Len() != 100 || am.Len() != 0 {
-		t.Fatalf("b's map holds %d, b's list %d, a's map %d", bm.Len(), bl.Len(), am.Len())
-	}
-
-	// Joined: keys ending in an even digit live on a, the rest on b.
-	j := JoinMaps(func(key []byte) int { return int(key[len(key)-1] & 1) }, am, bm).WithSession(s)
-	b.Device().ResetStats()
-	for i := 100; i < 200; i++ {
-		k := []byte(fmt.Sprintf("p-%03d", i))
-		if err := j.Set(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if am.Len() != 50 || bm.Len() != 150 || a.Device().Stats().Fences < 100 || b.Device().Stats().Fences < 100 {
-		t.Fatalf("joined pinned view: a holds %d (%d fences), b holds %d (%d fences)",
-			am.Len(), a.Device().Stats().Fences, bm.Len(), b.Device().Stats().Fences)
-	}
-	b2, err := b.SimulateCrash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm2, _ := b2.Map("pin", 64); bm2.Len() != 150 {
-		t.Fatalf("b recovered %d of its 150 keys", bm2.Len())
+	if got := rt2.Sessions(); got != 4 {
+		t.Fatalf("single-flow ops changed the context count from 4 to %d", got)
 	}
 }
 
@@ -765,9 +629,6 @@ func TestClosedRuntime(t *testing.T) {
 	}
 	if _, err := rt.Map("c2", 64); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Map on closed runtime: %v, want ErrClosed", err)
-	}
-	if _, err := rt.Session(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Session on closed runtime: %v, want ErrClosed", err)
 	}
 
 	rt2 := newRT(t)

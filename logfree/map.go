@@ -52,12 +52,10 @@ type Map interface {
 	// All iterates over live entries (range-over-func): in strictly
 	// ascending byte-key order for KindOrderedMap, in unspecified order for
 	// KindMap. Iteration is safe for concurrent use (no snapshot semantics —
-	// concurrent updates may be missed). KindOrderedMap holds the
-	// reclamation epoch section across the whole loop; KindMap holds one per
-	// chunk of buckets and runs the loop body between them, so a slow body
-	// does not hold reclamation back. Loop bodies may call operations (they
-	// draw their own sessions) but must not operate through the same pinned
-	// Session.
+	// concurrent updates may be missed). Entries are copied out a step at a
+	// time under one reclamation epoch section, and the loop body runs
+	// between steps holding no operation context, so a slow body does not
+	// hold reclamation back and may call any operation.
 	All() iter.Seq2[[]byte, []byte]
 	// Kind reports the structure kind backing the map.
 	Kind() Kind
@@ -133,17 +131,17 @@ type bytesCore interface {
 }
 
 // mapPart is one runtime's share of a byte-keyed map: the core map and the
-// binding that resolves its sessions.
+// runtime whose contexts operate on it.
 type mapPart[C bytesCore] struct {
-	binding
-	m C
+	rt *Runtime
+	m  C
 }
 
 // byteMap is the shared implementation of ByteMap and OrderedByteMap: 1..N
 // parts, each a core map on its own runtime, and the function that routes a
 // key to the part owning it. A Runtime hands out the one-part case; JoinMaps
 // and JoinOrderedMaps build the rest. A point operation routes, draws a
-// session on the owning part's runtime and makes the core call there, so it
+// context on the owning part's runtime and makes the core call there, so it
 // behaves exactly as on a single runtime; Len and iteration combine the
 // parts.
 type byteMap[C bytesCore] struct {
@@ -153,7 +151,7 @@ type byteMap[C bytesCore] struct {
 }
 
 func onePart[C bytesCore](r *Runtime, m C, name string) byteMap[C] {
-	return byteMap[C]{parts: []mapPart[C]{{binding{rt: r}, m}}, name: name}
+	return byteMap[C]{parts: []mapPart[C]{{r, m}}, name: name}
 }
 
 // part returns the part owning key.
@@ -164,39 +162,27 @@ func (m *byteMap[C]) part(key []byte) *mapPart[C] {
 	return &m.parts[m.route(key)]
 }
 
-// pinned returns a copy of the map with s pinned on every part; only the
-// part whose runtime owns s will use it (see binding).
-func (m byteMap[C]) pinned(s *Session) byteMap[C] {
-	parts := make([]mapPart[C], len(m.parts))
-	for i, p := range m.parts {
-		p.pin = s
-		parts[i] = p
-	}
-	m.parts = parts
-	return m
-}
-
 // Get implements Map.
 func (m *byteMap[C]) Get(key []byte) ([]byte, bool) {
 	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
+	c := p.rt.acquire()
+	defer p.rt.release(c)
 	return p.m.Get(c, key)
 }
 
 // GetItem returns the value with its metadata field and aux word.
 func (m *byteMap[C]) GetItem(key []byte) (value []byte, meta uint16, aux uint64, ok bool) {
 	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
+	c := p.rt.acquire()
+	defer p.rt.release(c)
 	return p.m.GetItem(c, key)
 }
 
 // Contains implements Map.
 func (m *byteMap[C]) Contains(key []byte) bool {
 	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
+	c := p.rt.acquire()
+	defer p.rt.release(c)
 	return p.m.Contains(c, key)
 }
 
@@ -205,9 +191,9 @@ func (m *byteMap[C]) Len() int {
 	n := 0
 	for i := range m.parts {
 		p := &m.parts[i]
-		c, s := p.begin()
+		c := p.rt.acquire()
 		n += p.m.Len(c)
-		p.end(s)
+		p.rt.release(c)
 	}
 	return n
 }
@@ -257,13 +243,6 @@ func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
 	return j
 }
 
-// WithSession returns a view of the map whose operations run on the pinned
-// session s instead of drawing pooled sessions — for tight single-goroutine
-// loops. s is used on the runtime that handed it out; on a joined map the
-// other parts go on drawing pooled sessions. The view must only be used by
-// the goroutine owning s.
-func (m *ByteMap) WithSession(s *Session) *ByteMap { return &ByteMap{m.pinned(s)} }
-
 // KeyStep is one read-decide-write step of a key, as Update hands it to its
 // function: Found, Aux, Meta, ValueLen, AppendValue and Slot read the key's
 // entry; Set, SetAux or Delete (at most one of them) act on it. After a Set
@@ -272,23 +251,23 @@ func (m *ByteMap) WithSession(s *Session) *ByteMap { return &ByteMap{m.pinned(s)
 // keeps it. Valid until the function returns.
 type KeyStep = core.KeyStep
 
-// Update runs fn as one read-decide-write step of key: one session drawn, the
+// Update runs fn as one read-decide-write step of key: one context drawn, the
 // key hashed once, its stripe lock taken and the index searched once; fn
 // reads the entry through the step, decides, and acts on it through the step
 // or leaves it, and the lock is released when fn returns. Update returns fn's
 // error, with device exhaustion mapped onto ErrFull (ErrBadKey, running
-// nothing, for an empty or oversized key). fn holds the step's session and
-// its key's lock, so it must operate on no structure: a second session could
+// nothing, for an empty or oversized key). fn holds the step's context and
+// its key's lock, so it must operate on no structure: a second context could
 // wait for one only its own return frees, and a byte-map write could wait for
 // its own lock. Volatile work that must follow the key's store order, such as
 // a replication record, may run in fn after the step has written.
 func (m *ByteMap) Update(key []byte, fn func(*KeyStep) error) error {
 	p := m.part(key)
-	c, s, err := p.beginErr()
+	c, err := p.rt.acquireErr()
 	if err != nil {
 		return err
 	}
-	defer p.end(s)
+	defer p.rt.release(c)
 	return wrapErr(p.m.Update(c, key, fn))
 }
 
@@ -341,8 +320,8 @@ func (m *ByteMap) Delete(key []byte) (ok bool) {
 // PartShift). The value is nil and the slot 0 when key is absent.
 func (m *ByteMap) AppendItem(dst, key []byte) (value []byte, meta uint16, aux, slot uint64, ok bool) {
 	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
+	c := p.rt.acquire()
+	defer p.rt.release(c)
 	return p.m.AppendItem(c, dst, key)
 }
 
@@ -370,8 +349,8 @@ func (m *ByteMap) stepParts(cursor uint64, step func(c *core.Ctx, m *core.BytesM
 		return 0
 	}
 	p := &m.parts[i]
-	c, s := p.begin()
-	defer p.end(s)
+	c := p.rt.acquire()
+	defer p.rt.release(c)
 	if local := step(c, p.m, cursor&(1<<PartShift-1)); local != 0 {
 		return i<<PartShift | local
 	}
@@ -390,7 +369,8 @@ func (m *ByteMap) stepParts(cursor uint64, step func(c *core.Ctx, m *core.BytesM
 // deleted during the cycle may or may not appear. The cursor runs through
 // part 0's buckets, then part 1's, and comes back 0 after the last part's
 // last bucket. A visitor that returns false ends its call after the current
-// bucket. The visitor must not operate through the same pinned Session.
+// bucket. The visitor runs while the call holds an operation context, so it
+// must operate on no structure (see Update).
 func (m *ByteMap) Walk(cursor uint64, visit func(Entry) bool) (next uint64) {
 	return m.stepParts(cursor, func(c *core.Ctx, pm *core.BytesMap, local uint64) uint64 {
 		return pm.Walk(c, local, visit)
@@ -416,7 +396,7 @@ type SweepEntry = core.SweepEntry
 // substitute for Walk: it is for eviction, where visiting victims in address
 // order keeps the unlinks and the reuse of their slots on few pages. A
 // visitor that returns false ends its call, and the returned cursor resumes
-// after that extent.
+// after that extent. The visitor must operate on no structure, as Walk's.
 func (m *ByteMap) Sweep(cursor uint64, visit func(SweepEntry) bool) (next uint64) {
 	return m.stepParts(cursor, func(c *core.Ctx, pm *core.BytesMap, local uint64) uint64 {
 		return pm.Sweep(c, local, visit)
@@ -435,19 +415,21 @@ func (m *ByteMap) All() iter.Seq2[[]byte, []byte] {
 	}
 }
 
+// keyedItem is one entry an iteration has copied out.
+type keyedItem struct {
+	key  []byte
+	item Item
+}
+
 // Items is All including each entry's metadata and aux word. Each Walk step's
 // entries are copied out and yielded after the step's epoch section closed.
 func (m *ByteMap) Items() iter.Seq2[[]byte, Item] {
 	return func(yield func([]byte, Item) bool) {
-		type entry struct {
-			key  []byte
-			item Item
-		}
-		var step []entry
+		var step []keyedItem
 		for cursor := uint64(0); ; {
 			step = step[:0]
 			cursor = m.Walk(cursor, func(e Entry) bool {
-				step = append(step, entry{bytes.Clone(e.Key), Item{Value: e.Value(), Meta: e.Meta, Aux: e.Aux}})
+				step = append(step, keyedItem{bytes.Clone(e.Key), Item{Value: e.Value(), Meta: e.Meta, Aux: e.Aux}})
 				return true
 			})
 			for _, e := range step {
@@ -500,12 +482,6 @@ func JoinOrderedMaps(route func(key []byte) int, parts ...*OrderedByteMap) *Orde
 	return j
 }
 
-// WithSession returns a view of the map whose operations run on the pinned
-// session s; see ByteMap.WithSession.
-func (m *OrderedByteMap) WithSession(s *Session) *OrderedByteMap {
-	return &OrderedByteMap{m.pinned(s)}
-}
-
 // Set implements Map (meta 0, aux 0).
 func (m *OrderedByteMap) Set(key, value []byte) error {
 	_, err := m.SetItem(key, value, 0, 0)
@@ -516,11 +492,11 @@ func (m *OrderedByteMap) Set(key, value []byte) error {
 // whether the key was newly created.
 func (m *OrderedByteMap) SetItem(key, value []byte, meta uint16, aux uint64) (created bool, err error) {
 	p := m.part(key)
-	c, s, err := p.beginErr()
+	c, err := p.rt.acquireErr()
 	if err != nil {
 		return false, err
 	}
-	defer p.end(s)
+	defer p.rt.release(c)
 	created, err = p.m.Set(c, key, value, meta, aux)
 	return created, wrapErr(err)
 }
@@ -529,48 +505,78 @@ func (m *OrderedByteMap) SetItem(key, value []byte, meta uint16, aux uint64) (cr
 // (touch-style update); false if key is absent.
 func (m *OrderedByteMap) SetAux(key []byte, aux uint64) bool {
 	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
+	c := p.rt.acquire()
+	defer p.rt.release(c)
 	return p.m.SetAux(c, key, aux)
 }
 
 // Delete implements Map.
 func (m *OrderedByteMap) Delete(key []byte) bool {
 	p := m.part(key)
-	c, s := p.begin()
-	defer p.end(s)
+	c := p.rt.acquire()
+	defer p.rt.release(c)
 	return p.m.Delete(c, key)
 }
 
-// All implements Map: ascending byte-key order, epoch-protected across the
-// whole loop.
+// All implements Map: ascending byte-key order.
 func (m *OrderedByteMap) All() iter.Seq2[[]byte, []byte] { return m.Scan(nil, nil) }
 
 // Items is All including each entry's metadata and aux word.
 func (m *OrderedByteMap) Items() iter.Seq2[[]byte, Item] { return m.ScanItems(nil, nil) }
 
+// orderedStep is how many entries an ordered iteration copies out under one
+// epoch section before it yields them.
+const orderedStep = 64
+
+// scanPart yields the part's entries in [start, end), ascending, a step at a
+// time: each step's entries are copied out under one epoch section on a
+// context that is returned before they are yielded, and the next step
+// resumes just past the last key.
+func scanPart(p *orderedPart, start, end []byte, yield func([]byte, Item) bool) {
+	step := make([]keyedItem, 0, orderedStep)
+	for {
+		step = step[:0]
+		c := p.rt.acquire()
+		p.m.ScanItems(c, start, end, func(k, v []byte, meta uint16, aux uint64) bool {
+			step = append(step, keyedItem{k, Item{Value: v, Meta: meta, Aux: aux}})
+			return len(step) < orderedStep
+		})
+		p.rt.release(c)
+		for _, e := range step {
+			if !yield(e.key, e.item) {
+				return
+			}
+		}
+		if len(step) < orderedStep {
+			return
+		}
+		// The smallest key above the last one.
+		start = append(bytes.Clone(step[len(step)-1].key), 0)
+	}
+}
+
 // mergeParts streams the merge of the parts' ordered sequences, ascending
 // (dir 1) or descending (dir -1); each produces one part's. One part's
 // sequence is the merge. Otherwise each part contributes a pull-style cursor
-// (iter.Pull2 suspends the part's epoch-protected range loop between pulls,
-// so every part's epoch section is held for the duration of the merge) and
-// the merge repeatedly yields the smallest head. Part counts are small (≤ a
-// few dozen), so a linear min scan beats a heap. Distinct keys never collide
-// across parts (one part owns each key), so tie order is irrelevant.
-func mergeParts[V any](parts []orderedPart, dir int, each func(p *orderedPart, yield func([]byte, V) bool)) iter.Seq2[[]byte, V] {
-	return func(yield func([]byte, V) bool) {
+// (iter.Pull2) and the merge repeatedly yields the smallest head. A part's
+// sequence holds no operation context between its yields, so the suspended
+// cursors hold none either. Part counts are small (≤ a few dozen), so a
+// linear min scan beats a heap. Distinct keys never collide across parts
+// (one part owns each key), so tie order is irrelevant.
+func mergeParts(parts []orderedPart, dir int, each func(p *orderedPart, yield func([]byte, Item) bool)) iter.Seq2[[]byte, Item] {
+	return func(yield func([]byte, Item) bool) {
 		if len(parts) == 1 {
 			each(&parts[0], yield)
 			return
 		}
 		type cursor struct {
 			k    []byte
-			v    V
-			next func() ([]byte, V, bool)
+			v    Item
+			next func() ([]byte, Item, bool)
 		}
 		cur := make([]cursor, 0, len(parts))
 		for i := range parts {
-			next, stop := iter.Pull2(func(yield func([]byte, V) bool) { each(&parts[i], yield) })
+			next, stop := iter.Pull2(func(yield func([]byte, Item) bool) { each(&parts[i], yield) })
 			defer stop()
 			if k, v, ok := next(); ok {
 				cur = append(cur, cursor{k, v, next})
@@ -596,37 +602,49 @@ func mergeParts[V any](parts []orderedPart, dir int, each func(p *orderedPart, y
 	}
 }
 
+// values drops the items' metadata, leaving their values.
+func values(items iter.Seq2[[]byte, Item]) iter.Seq2[[]byte, []byte] {
+	return func(yield func([]byte, []byte) bool) {
+		for k, it := range items {
+			if !yield(k, it.Value) {
+				return
+			}
+		}
+	}
+}
+
 // Scan implements OrderedMap: ascending over [start, end) (nil start = from
 // the smallest key, nil end = through the largest).
 func (m *OrderedByteMap) Scan(start, end []byte) iter.Seq2[[]byte, []byte] {
-	return mergeParts(m.parts, 1, func(p *orderedPart, yield func([]byte, []byte) bool) {
-		c, s := p.begin()
-		defer p.end(s)
-		p.m.Scan(c, start, end, yield)
-	})
+	return values(m.ScanItems(start, end))
 }
 
 // ScanItems is Scan including each entry's metadata and aux word.
 func (m *OrderedByteMap) ScanItems(start, end []byte) iter.Seq2[[]byte, Item] {
 	return mergeParts(m.parts, 1, func(p *orderedPart, yield func([]byte, Item) bool) {
-		c, s := p.begin()
-		defer p.end(s)
-		p.m.ScanItems(c, start, end, func(k, v []byte, meta uint16, aux uint64) bool {
-			return yield(k, Item{Value: v, Meta: meta, Aux: aux})
-		})
+		scanPart(p, start, end, yield)
 	})
 }
 
 // Ascend implements OrderedMap.
 func (m *OrderedByteMap) Ascend() iter.Seq2[[]byte, []byte] { return m.Scan(nil, nil) }
 
-// Descend implements OrderedMap.
+// Descend implements OrderedMap. The skip list is singly linked, so each
+// part's ascending pass is copied out whole, a step at a time, before its
+// first key is yielded.
 func (m *OrderedByteMap) Descend() iter.Seq2[[]byte, []byte] {
-	return mergeParts(m.parts, -1, func(p *orderedPart, yield func([]byte, []byte) bool) {
-		c, s := p.begin()
-		defer p.end(s)
-		p.m.Descend(c, yield)
-	})
+	return values(mergeParts(m.parts, -1, func(p *orderedPart, yield func([]byte, Item) bool) {
+		var all []keyedItem
+		scanPart(p, nil, nil, func(k []byte, it Item) bool {
+			all = append(all, keyedItem{k, it})
+			return true
+		})
+		for i := len(all) - 1; i >= 0; i-- {
+			if !yield(all[i].key, all[i].item) {
+				return
+			}
+		}
+	}))
 }
 
 // extreme returns the first key in direction dir (1: the smallest, -1: the
@@ -634,9 +652,9 @@ func (m *OrderedByteMap) Descend() iter.Seq2[[]byte, []byte] {
 func (m *OrderedByteMap) extreme(dir int, end func(*core.OrderedBytesMap, *core.Ctx) ([]byte, []byte, bool)) (key, value []byte, ok bool) {
 	for i := range m.parts {
 		p := &m.parts[i]
-		c, s := p.begin()
+		c := p.rt.acquire()
 		k, v, has := end(p.m, c)
-		p.end(s)
+		p.rt.release(c)
 		if has && (!ok || bytes.Compare(k, key)*dir < 0) {
 			key, value, ok = k, v, true
 		}

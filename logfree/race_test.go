@@ -1,7 +1,7 @@
 package logfree_test
 
 // Concurrency torture for the byte-key maps: N goroutines hammer
-// overlapping keys through the implicit session pool (no per-thread
+// overlapping keys through the implicit context pool (no per-thread
 // plumbing at all) while a scanning goroutine iterates continuously. Run
 // under `go test -race`. The scans must never observe a torn entry (every
 // value carries its key as a prefix, written atomically with the key) and,

@@ -2,217 +2,157 @@ package logfree
 
 import (
 	"fmt"
-	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 )
 
 // This file implements implicit sessions, the threading model. Structure
-// methods take no per-thread handle: each operation acquires an operation
-// context from the runtime's lock-free session pool and releases it on
-// return, so any number of goroutines can call any method of any structure
-// concurrently, with no WithMaxThreads-style cap — the pool grows on demand
-// (each new session is backed by a core context, which past the formatted
-// thread count gets its own durable APT bank).
+// methods take no per-thread handle: each operation takes one of the
+// runtime's operation contexts from its pool and returns it when done, so any
+// number of goroutines can call any method of any structure concurrently.
+// The contexts are the store's fixed set, one per formatted thread, each with
+// its own durable active page table (§5.4). When every context is out, a
+// caller waits until one comes back.
 //
-// The pool is a Treiber stack over a grow-only session registry, with a
-// version-counted head (index in the low word, version in the high word) so
+// The pool is a Treiber stack over that set with a version-counted head, so
 // pops are ABA-safe without allocation: acquire and release are one CAS each
-// on the uncontended path. Advanced callers can pin a Session explicitly
-// (Runtime.Session, or the structures' WithSession views) to amortize even
-// that, or to scope Reclaim.
+// on the uncontended path.
 
-// Session is an explicitly pinned operation context. Obtain one from
-// Runtime.Session, use it via the structures' WithSession views (or just for
-// Reclaim), and Close it to return it to the pool. A Session must not be
-// used by two goroutines at once; the implicit per-operation sessions the
-// pool hands out make that the default for all plain method calls.
-type Session struct {
-	rt   *Runtime
+// Head word layout: the top context's tid+1 (0: the stack is empty), the
+// number of contexts out, and a version bumped by every pop and push. A store
+// has at most core.MaxThreadsLimit contexts, so both counts fit 16 bits.
+const (
+	headTopBits = 16
+	headOutBits = 16
+	headMask    = 1<<headTopBits - 1
+	headVerUnit = 1 << (headTopBits + headOutBits)
+)
+
+// slot is one context's place in the pool. Each is a cache line of its own:
+// a slot's link is written by whoever returns its context, most often the
+// goroutine that takes it next, and a shared line would bounce between all
+// of them on every release.
+type slot struct {
 	c    *core.Ctx
-	idx  uint32 // 1-based index in the pool registry
-	next uint32 // freelist link (registry index) while idle
+	next atomic.Uint32 // while idle: tid+1 of the context below, 0 at the bottom
+	_    [64 - 12]byte
 }
 
-// Reclaim flushes this session's deferred reclamation work, converting
-// retired nodes into reusable slots immediately. Useful between eviction
-// passes under memory pressure; never required for correctness.
-func (s *Session) Reclaim() { s.c.Epoch().FlushAll() }
-
-// Close returns the session to the runtime's pool. The session must not be
-// used afterwards.
-func (s *Session) Close() { s.rt.pool.push(s) }
-
-// sessionPool is the lock-free idle-session stack plus the grow-only
-// registry backing it.
-type sessionPool struct {
-	store *core.Store
-
-	// head packs (version<<32 | 1-based registry index); 0 index = empty.
-	// The version increments on every successful pop and push, making the
-	// intrusive freelist ABA-safe.
-	head atomic.Uint64
-
-	// reg is the grow-only registry of all sessions ever created (copied on
-	// growth; readers load the pointer lock-free). Growth itself serializes
-	// on the store's context lock via GrowCtx.
-	reg   atomic.Pointer[[]*Session]
-	grown atomic.Int64 // sessions ever created (diagnostic)
+// ctxPool is the stack of idle operation contexts.
+type ctxPool struct {
+	slots []slot        // the fixed set, indexed by tid
+	head  atomic.Uint64 // see the head word layout above
+	wait  atomic.Int32  // callers parked in park
+	mu    sync.Mutex    // guards shut and the wake-ups
+	wake  sync.Cond
+	shut  bool
 }
 
-func newSessionPool(store *core.Store) *sessionPool {
-	p := &sessionPool{store: store}
-	empty := []*Session{}
-	p.reg.Store(&empty)
+// newCtxPool stacks every context of store with tid 0 on top, so a single
+// goroutine's operations all run on the context that formatted or recovered
+// the directory.
+func newCtxPool(store *core.Store) *ctxPool {
+	p := &ctxPool{slots: make([]slot, store.Options().MaxThreads)}
+	store.ForEachCtx(func(c *core.Ctx) { p.slots[c.Tid()].c = c })
+	for tid := 0; tid+1 < len(p.slots); tid++ {
+		p.slots[tid].next.Store(uint32(tid + 2))
+	}
+	p.head.Store(1)
+	p.wake.L = &p.mu
 	return p
 }
 
-// pop takes an idle session off the stack, or returns nil when none is idle.
-func (p *sessionPool) pop() *Session {
+// out reports how many contexts are taken.
+func (p *ctxPool) out() int { return int(p.head.Load() >> headTopBits & headMask) }
+
+// pop takes an idle context off the stack, or returns nil when none is idle.
+func (p *ctxPool) pop() *core.Ctx {
 	for {
 		h := p.head.Load()
-		idx := uint32(h)
-		if idx == 0 {
+		top := h & headMask
+		if top == 0 {
 			return nil
 		}
-		s := (*p.reg.Load())[idx-1]
-		next := atomic.LoadUint32(&s.next)
-		if p.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(next)) {
-			return s
+		s := &p.slots[top-1]
+		if p.head.CompareAndSwap(h, h&^headMask+headVerUnit+1<<headTopBits|uint64(s.next.Load())) {
+			return s.c
 		}
 	}
 }
 
-// push returns an idle session to the stack.
-func (p *sessionPool) push(s *Session) {
+// push returns a context to the stack and wakes a parked caller, if any.
+func (p *ctxPool) push(c *core.Ctx) {
+	tid := uint64(c.Tid())
 	for {
 		h := p.head.Load()
-		atomic.StoreUint32(&s.next, uint32(h))
-		if p.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(s.idx)) {
-			return
+		p.slots[tid].next.Store(uint32(h & headMask))
+		if p.head.CompareAndSwap(h, h&^headMask+headVerUnit-1<<headTopBits|(tid+1)) {
+			break
 		}
+	}
+	// A caller parks after counting itself in wait and finding the stack
+	// empty, both under mu; it sees this push, or this load sees it.
+	if p.wait.Load() != 0 {
+		p.mu.Lock()
+		p.wake.Signal()
+		p.mu.Unlock()
 	}
 }
 
-// register adds a session (already bound to a core context) to the grow-only
-// registry, in acquired state (not on the idle stack).
-func (p *sessionPool) register(s *Session) {
+// park waits for an idle context, or for close.
+func (p *ctxPool) park() (*core.Ctx, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wait.Add(1)
+	defer p.wait.Add(-1)
 	for {
-		old := p.reg.Load()
-		grown := make([]*Session, len(*old)+1)
-		copy(grown, *old)
-		s.idx = uint32(len(*old) + 1)
-		grown[len(*old)] = s
-		if p.reg.CompareAndSwap(old, &grown) {
-			p.grown.Add(1)
-			return
+		if p.shut {
+			return nil, ErrClosed
 		}
+		if c := p.pop(); c != nil {
+			return c, nil
+		}
+		p.wake.Wait()
 	}
 }
 
-// grow creates a brand-new session on a fresh core context and registers it.
-// The new session is returned in acquired state (not on the idle stack).
-func (p *sessionPool) grow(rt *Runtime) (*Session, error) {
-	c, err := p.store.GrowCtx()
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	s := &Session{rt: rt, c: c}
-	p.register(s)
-	return s, nil
+// close fails every parked caller, and every later one that would park,
+// with ErrClosed.
+func (p *ctxPool) close() {
+	p.mu.Lock()
+	p.shut = true
+	p.wake.Broadcast()
+	p.mu.Unlock()
 }
 
-// acquireErr takes a session from the pool (growing it when every session is
-// busy), failing with ErrClosed on a closed runtime. If growth itself is
-// exhausted — the epoch manager's durable bank limit, or an image predating
-// bank support — the pool degrades to multiplexing: the caller waits for an
-// idle session instead of failing (the registry is never empty; the runtime
-// seeds it at construction).
-func (r *Runtime) acquireErr() (*Session, error) {
+// acquireErr takes an operation context from the pool, waiting while all are
+// out, and fails with ErrClosed on a closed runtime.
+func (r *Runtime) acquireErr() (*core.Ctx, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
 	}
-	if s := r.pool.pop(); s != nil {
-		return s, nil
+	if c := r.pool.pop(); c != nil {
+		return c, nil
 	}
-	s, err := r.pool.grow(r)
-	if err == nil {
-		return s, nil
-	}
-	for {
-		if r.closed.Load() {
-			return nil, ErrClosed
-		}
-		if s := r.pool.pop(); s != nil {
-			return s, nil
-		}
-		runtime.Gosched()
-	}
+	return r.pool.park()
 }
 
 // acquire is acquireErr for methods without an error result: it panics with
-// an ErrClosed-wrapping error on a closed runtime (the only way acquireErr
-// can fail — exhausted growth waits for an idle session instead).
-func (r *Runtime) acquire() *Session {
-	s, err := r.acquireErr()
+// an ErrClosed-wrapping error on a closed runtime.
+func (r *Runtime) acquire() *core.Ctx {
+	c, err := r.acquireErr()
 	if err != nil {
 		panic(fmt.Errorf("logfree: acquiring operation context: %w", err))
 	}
-	return s
+	return c
 }
 
-func (r *Runtime) release(s *Session) {
-	if s != nil {
-		r.pool.push(s)
-	}
-}
+// release returns a context taken by acquire or acquireErr.
+func (r *Runtime) release(c *core.Ctx) { r.pool.push(c) }
 
-// Session takes a session out of the pool, pinned to the caller until Close.
-// Pinning is never required — every structure method draws a pooled session
-// implicitly — but skips the pool round-trip in tight single-goroutine loops
-// (pass the session to the structures' WithSession views) and scopes
-// Reclaim.
-func (r *Runtime) Session() (*Session, error) {
-	return r.acquireErr()
-}
-
-// Sessions reports how many sessions (core contexts) the pool has created so
-// far — the high-water mark of concurrent operations, not the live count.
-func (r *Runtime) Sessions() int { return int(r.pool.grown.Load()) }
-
-// binding resolves each operation's core context: a structure view carries
-// either no pin (operations draw pooled sessions) or a pinned session from
-// WithSession. A pin counts only on the runtime that handed it out: a session
-// of another runtime would run the operation on that runtime's core context —
-// the wrong device's epochs and allocator — so a view pinned to one draws
-// pooled sessions as if it had no pin.
-type binding struct {
-	rt  *Runtime
-	pin *Session
-}
-
-// begin returns the context to operate on and, when it came from the pool,
-// the session to release via end.
-func (b binding) begin() (*core.Ctx, *Session) {
-	if b.pin != nil && b.pin.rt == b.rt {
-		return b.pin.c, nil
-	}
-	s := b.rt.acquire()
-	return s.c, s
-}
-
-// beginErr is begin for methods with an error result (ErrClosed flows out
-// instead of panicking).
-func (b binding) beginErr() (*core.Ctx, *Session, error) {
-	if b.pin != nil && b.pin.rt == b.rt {
-		return b.pin.c, nil, nil
-	}
-	s, err := b.rt.acquireErr()
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.c, s, nil
-}
-
-func (b binding) end(s *Session) { b.rt.release(s) }
+// Sessions reports the runtime's number of operation contexts: the thread
+// count its store was formatted with, and so the most operations that run at
+// once.
+func (r *Runtime) Sessions() int { return len(r.pool.slots) }

@@ -11,7 +11,7 @@
 // runtime — device write-back locks, allocator, epoch manager, skip-list
 // index — is shared state that every operation touches. A pool multiplies
 // the whole stack: each shard owns a private device, allocator, epochs and
-// session pool, so shards share *nothing* on the write path and scale with
+// context pool, so shards share *nothing* on the write path and scale with
 // cores (in the spirit of TQCache's ShardedCache worker-per-shard design).
 // Per-shard structures are also 1/N the size, which shortens the dominant
 // CPU cost of the single-runtime write path (ordered-index key-compare
@@ -133,8 +133,9 @@ func WithWriteLatency(d time.Duration) Option {
 	return func(c *config) { c.writeLatency = d }
 }
 
-// WithMaxThreads sizes each shard's formatted session region; see
-// logfree.WithMaxThreads. Not a cap — sessions grow on demand.
+// WithMaxThreads sets how many operation contexts each new shard formats:
+// the most operations that run on a shard at once. See
+// logfree.WithMaxThreads.
 func WithMaxThreads(n int) Option { return func(c *config) { c.maxThreads = n } }
 
 // WithLinkCache toggles the §4 link cache on every shard; see
@@ -688,7 +689,7 @@ func (p *Pool) Drain() {
 }
 
 // Reclaim converts recently retired memory into reusable slots on every
-// shard (best effort; see Session.Reclaim).
+// shard (best effort; see logfree.Runtime.Reclaim).
 func (p *Pool) Reclaim() {
 	for _, rt := range p.rts {
 		rt.Reclaim()

@@ -731,8 +731,8 @@ func TestOpenRefusesOtherLayoutVersion(t *testing.T) {
 				image = shardPath(path, shards-1)
 			}
 			// Version 0 has no layout-version word, version 1 the
-			// power-of-two size classes.
-			for _, v := range []uint64{0, 1} {
+			// power-of-two size classes, version 2 a thread-bank table.
+			for v := uint64(0); v < pmem.LayoutVersion; v++ {
 				d, _, err := nvram.OpenFileDevice(image, nvram.Config{})
 				if err != nil {
 					t.Fatal(err)

@@ -38,63 +38,77 @@ type u64core interface {
 }
 
 // u64Veneer is the shared implementation of the four keyed uint64 veneers:
-// a core structure driven through the runtime's session pool (or a pinned
-// session).
+// a core structure driven through the runtime's context pool.
 type u64Veneer struct {
-	binding
-	m u64core
+	rt *Runtime
+	m  u64core
 }
 
 // Insert implements Set.
 func (v *u64Veneer) Insert(key, value uint64) bool {
-	c, s := v.begin()
-	defer v.end(s)
+	c := v.rt.acquire()
+	defer v.rt.release(c)
 	return v.m.Insert(c, key, value)
 }
 
 // Upsert implements Set.
 func (v *u64Veneer) Upsert(key, value uint64) bool {
-	c, s := v.begin()
-	defer v.end(s)
+	c := v.rt.acquire()
+	defer v.rt.release(c)
 	return v.m.Upsert(c, key, value)
 }
 
 // Delete implements Set.
 func (v *u64Veneer) Delete(key uint64) (uint64, bool) {
-	c, s := v.begin()
-	defer v.end(s)
+	c := v.rt.acquire()
+	defer v.rt.release(c)
 	return v.m.Delete(c, key)
 }
 
 // Search implements Set.
 func (v *u64Veneer) Search(key uint64) (uint64, bool) {
-	c, s := v.begin()
-	defer v.end(s)
+	c := v.rt.acquire()
+	defer v.rt.release(c)
 	return v.m.Search(c, key)
 }
 
 // Contains implements Set.
 func (v *u64Veneer) Contains(key uint64) bool {
-	c, s := v.begin()
-	defer v.end(s)
+	c := v.rt.acquire()
+	defer v.rt.release(c)
 	return v.m.Contains(c, key)
 }
 
 // Len counts live keys (quiescent use).
 func (v *u64Veneer) Len() int {
-	c, s := v.begin()
-	defer v.end(s)
+	c := v.rt.acquire()
+	defer v.rt.release(c)
 	return v.m.Len(c)
 }
 
 // All iterates live entries (range-over-func; quiescent use — for the
 // ordered structures iteration is in ascending key order, for the hash
-// table unordered).
+// table unordered). The entries are copied out first, so the loop body may
+// call operations.
 func (v *u64Veneer) All() iter.Seq2[uint64, uint64] {
 	return func(yield func(uint64, uint64) bool) {
-		c, s := v.begin()
-		defer v.end(s)
-		v.m.Range(c, yield)
+		c := v.rt.acquire()
+		var kvs [][2]uint64
+		v.m.Range(c, func(k, val uint64) bool {
+			kvs = append(kvs, [2]uint64{k, val})
+			return true
+		})
+		v.rt.release(c)
+		yieldAll(kvs, yield)
+	}
+}
+
+// yieldAll yields copied-out pairs until yield asks to stop.
+func yieldAll(kvs [][2]uint64, yield func(uint64, uint64) bool) {
+	for _, kv := range kvs {
+		if !yield(kv[0], kv[1]) {
+			return
+		}
 	}
 }
 
@@ -111,15 +125,7 @@ func (r *Runtime) List(name string) (*List, error) {
 		return nil, err
 	}
 	l := st.(*core.List)
-	return &List{u64Veneer{binding{rt: r}, l}, l}, nil
-}
-
-// WithSession returns a view of the list whose operations all run on the
-// pinned session s; see ByteMap.WithSession.
-func (l *List) WithSession(s *Session) *List {
-	cp := *l
-	cp.pin = s
-	return &cp
+	return &List{u64Veneer{r, l}, l}, nil
 }
 
 // HashTable is a durable lock-free hash table (Harris list per bucket).
@@ -137,15 +143,7 @@ func (r *Runtime) HashTable(name string, buckets int) (*HashTable, error) {
 		return nil, err
 	}
 	t := st.(*core.HashTable)
-	return &HashTable{u64Veneer{binding{rt: r}, t}, t}, nil
-}
-
-// WithSession returns a view of the table whose operations all run on the
-// pinned session s; see ByteMap.WithSession.
-func (t *HashTable) WithSession(s *Session) *HashTable {
-	cp := *t
-	cp.pin = s
-	return &cp
+	return &HashTable{u64Veneer{r, t}, t}, nil
 }
 
 // SkipList is a durable lock-free skip list (durable level 0, volatile
@@ -162,41 +160,39 @@ func (r *Runtime) SkipList(name string) (*SkipList, error) {
 		return nil, err
 	}
 	sl := st.(*core.SkipList)
-	return &SkipList{u64Veneer{binding{rt: r}, sl}, sl}, nil
-}
-
-// WithSession returns a view of the skip list whose operations all run on
-// the pinned session s; see ByteMap.WithSession.
-func (s *SkipList) WithSession(sess *Session) *SkipList {
-	cp := *s
-	cp.pin = sess
-	return &cp
+	return &SkipList{u64Veneer{r, sl}, sl}, nil
 }
 
 // SeekGE returns the smallest live key >= key, with its value.
 func (s *SkipList) SeekGE(key uint64) (k, v uint64, ok bool) {
-	c, sess := s.begin()
-	defer s.end(sess)
+	c := s.rt.acquire()
+	defer s.rt.release(c)
 	return s.s.SeekGE(c, key)
 }
 
 // Succ returns the smallest live key strictly greater than key, with its
 // value; Succ(MinKey-1) is the minimum of the set.
 func (s *SkipList) Succ(key uint64) (k, v uint64, ok bool) {
-	c, sess := s.begin()
-	defer s.end(sess)
+	c := s.rt.acquire()
+	defer s.rt.release(c)
 	return s.s.Succ(c, key)
 }
 
 // Scan iterates live entries with start <= key < end in ascending key order
 // (end = 0 means "through MaxKey"), positioning with the index levels
 // rather than walking from the head. Safe for concurrent use (no snapshot
-// semantics); see Map.All for the loop-body contract.
+// semantics). The range is copied out under one epoch section before the
+// first yield, so the loop body may call operations.
 func (s *SkipList) Scan(start, end uint64) iter.Seq2[uint64, uint64] {
 	return func(yield func(uint64, uint64) bool) {
-		c, sess := s.begin()
-		defer s.end(sess)
-		s.s.Scan(c, start, end, yield)
+		c := s.rt.acquire()
+		var kvs [][2]uint64
+		s.s.Scan(c, start, end, func(k, v uint64) bool {
+			kvs = append(kvs, [2]uint64{k, v})
+			return true
+		})
+		s.rt.release(c)
+		yieldAll(kvs, yield)
 	}
 }
 
@@ -213,23 +209,15 @@ func (r *Runtime) BST(name string) (*BST, error) {
 		return nil, err
 	}
 	t := st.(*core.BST)
-	return &BST{u64Veneer{binding{rt: r}, t}, t}, nil
-}
-
-// WithSession returns a view of the tree whose operations all run on the
-// pinned session s; see ByteMap.WithSession.
-func (t *BST) WithSession(s *Session) *BST {
-	cp := *t
-	cp.pin = s
-	return &cp
+	return &BST{u64Veneer{r, t}, t}, nil
 }
 
 // Queue is a durable lock-free FIFO queue (Michael-Scott with
 // link-and-persist) — the paper's techniques applied beyond the set
 // abstraction.
 type Queue struct {
-	binding
-	q *core.Queue
+	rt *Runtime
+	q  *core.Queue
 }
 
 // Queue opens or creates the durable queue registered under name.
@@ -238,49 +226,41 @@ func (r *Runtime) Queue(name string) (*Queue, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Queue{binding{rt: r}, st.(*core.Queue)}, nil
-}
-
-// WithSession returns a view of the queue whose operations all run on the
-// pinned session s; see ByteMap.WithSession.
-func (q *Queue) WithSession(s *Session) *Queue {
-	cp := *q
-	cp.pin = s
-	return &cp
+	return &Queue{r, st.(*core.Queue)}, nil
 }
 
 // Enqueue appends value; durable when it returns (or when the link cache
 // flushes, under deferred completion).
 func (q *Queue) Enqueue(value uint64) {
-	c, s := q.begin()
-	defer q.end(s)
+	c := q.rt.acquire()
+	defer q.rt.release(c)
 	q.q.Enqueue(c, value)
 }
 
 // Dequeue removes and returns the oldest value.
 func (q *Queue) Dequeue() (uint64, bool) {
-	c, s := q.begin()
-	defer q.end(s)
+	c := q.rt.acquire()
+	defer q.rt.release(c)
 	return q.q.Dequeue(c)
 }
 
 // Peek returns the oldest value without removing it.
 func (q *Queue) Peek() (uint64, bool) {
-	c, s := q.begin()
-	defer q.end(s)
+	c := q.rt.acquire()
+	defer q.rt.release(c)
 	return q.q.Peek(c)
 }
 
 // Len counts queued values (quiescent use).
 func (q *Queue) Len() int {
-	c, s := q.begin()
-	defer q.end(s)
+	c := q.rt.acquire()
+	defer q.rt.release(c)
 	return q.q.Len(c)
 }
 
 // Stack is a durable lock-free LIFO stack (Treiber + link-and-persist).
 type Stack struct {
-	binding
+	rt *Runtime
 	st *core.Stack
 }
 
@@ -290,41 +270,33 @@ func (r *Runtime) Stack(name string) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stack{binding{rt: r}, st.(*core.Stack)}, nil
-}
-
-// WithSession returns a view of the stack whose operations all run on the
-// pinned session s; see ByteMap.WithSession.
-func (s *Stack) WithSession(sess *Session) *Stack {
-	cp := *s
-	cp.pin = sess
-	return &cp
+	return &Stack{r, st.(*core.Stack)}, nil
 }
 
 // Push adds value (durably linearizable).
 func (s *Stack) Push(value uint64) {
-	c, sess := s.begin()
-	defer s.end(sess)
+	c := s.rt.acquire()
+	defer s.rt.release(c)
 	s.st.Push(c, value)
 }
 
 // Pop removes and returns the most recent value.
 func (s *Stack) Pop() (uint64, bool) {
-	c, sess := s.begin()
-	defer s.end(sess)
+	c := s.rt.acquire()
+	defer s.rt.release(c)
 	return s.st.Pop(c)
 }
 
 // Peek returns the top value without removing it.
 func (s *Stack) Peek() (uint64, bool) {
-	c, sess := s.begin()
-	defer s.end(sess)
+	c := s.rt.acquire()
+	defer s.rt.release(c)
 	return s.st.Peek(c)
 }
 
 // Len counts entries (quiescent use).
 func (s *Stack) Len() int {
-	c, sess := s.begin()
-	defer s.end(sess)
+	c := s.rt.acquire()
+	defer s.rt.release(c)
 	return s.st.Len(c)
 }
