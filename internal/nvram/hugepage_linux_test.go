@@ -50,9 +50,9 @@ func TestDeviceImagesLandOnHugePages(t *testing.T) {
 		t.Fatalf("the kernel refused the advice: %v", err)
 	}
 	// Every image is mapped on a huge-page boundary and advised whole: 64 MiB
-	// of words and the two per-line arrays of 4 MiB each.
-	if advised != 72<<20 {
-		t.Fatalf("advised %d bytes of a 64 MiB device, want %d", advised, 72<<20)
+	// of words and 4 MiB of line words.
+	if advised != 68<<20 {
+		t.Fatalf("advised %d bytes of a 64 MiB device, want %d", advised, 68<<20)
 	}
 	f := d.NewFlusher()
 	for a := Addr(4096); a < d.Size(); a += 4096 {

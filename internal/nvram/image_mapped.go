@@ -18,7 +18,7 @@ const imagesMapped = true
 // cycle (a Device and its Flushers point at each other) and its finalizer
 // runs once the owner is dropped without Close.
 type mappings struct {
-	maps  [3][]byte     // whole mappings, as syscall.Mmap returned them
+	maps  [2][]byte     // whole mappings, as syscall.Mmap returned them
 	errno syscall.Errno // why a mapping failed, if one did
 }
 

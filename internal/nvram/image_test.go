@@ -63,7 +63,7 @@ func TestSweepsStopAtCommittedCapacity(t *testing.T) {
 	// A flag planted in the reserve stands for "a sweep went there": no
 	// committed line owns it, so nothing may count, write back or clear it.
 	reserved := uint64(size / LineSize)
-	d.dirty[reserved] = 1
+	d.markDirty(reserved)
 
 	d.Store(WordSize, 1)
 	if got := d.DirtyLines(); got != 1 {
@@ -80,10 +80,10 @@ func TestSweepsStopAtCommittedCapacity(t *testing.T) {
 	if got := d.Stats().Evictions; got != 0 {
 		t.Fatalf("EvictRandom wrote back %d lines of the reserve", got)
 	}
-	if d.dirty[reserved] != 1 {
+	if !isDirty(d, reserved) {
 		t.Fatal("Crash cleared a dirty flag in the reserve")
 	}
-	d.dirty[reserved] = 0
+	d.lines[reserved] = 0
 
 	// The bound is read at call time: lines committed by Grow are swept.
 	if err := d.Grow(2 * size); err != nil {

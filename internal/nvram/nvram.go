@@ -34,9 +34,16 @@
 // persistence is injected as one calibrated pause per *batch* of write-backs,
 // at the Fence that completes them. Multiple CLWBs issued before a single
 // Fence therefore cost one NVRAM write latency, mirroring the parallelism of
-// clwb on real hardware.
+// clwb on real hardware. The pause (Wait) spins a count of iterations priced
+// by a rate measured once per process, so it costs the modeled latency and
+// not that plus a clock read per loop turn.
 //
-// Both images and the per-line arrays beside them are private anonymous
+// Each cache line has one word beside the images (Device.lines): bit 0
+// flags it dirty, bit 1 locks it while a write-back copies it. A store reads
+// that word and a write-back takes it with one CAS, so a line's bookkeeping
+// costs one cache miss, not one per flag.
+//
+// Both images and the line words beside them are private anonymous
 // mappings, aligned to and offered to the kernel as transparent huge pages
 // (linux, madvise; see HugePages): a lookup is a handful of dependent loads
 // at random addresses, and on 4 KiB pages each one is also a TLB miss. They
@@ -109,7 +116,7 @@ type Device struct {
 	backend Backend
 	words   []uint64 // volatile image (cache + memory merged view)
 	pers    []uint64 // persisted image (backend.Words(); survives Crash)
-	dirty   []uint32 // per-line advisory dirty flags (for eviction & stats)
+	lines   []uint32 // per-line word: lineDirty | lineLocked (see writeBackLine)
 	// limWords is the committed capacity in words: the device size as seen
 	// by every access check. The slices above are sized to the RESERVE (the
 	// growth headroom of a GrowableBackend); Grow raises limWords after the
@@ -128,23 +135,16 @@ type Device struct {
 
 	evictTick atomic.Uint64
 
-	// wbLocks serialize same-line write-backs (two flushers both holding a
-	// shared line pending, e.g. an allocator bitmap line), so the copy into
-	// the persisted image can use plain stores instead of one serializing
-	// atomic store per word — write-back is the hottest loop in the
-	// simulator. Acquire/release of the lock word orders the copies.
-	wbLocks []uint32
-
 	// Device-level statistics. CLWB/fence counters live in the per-thread
 	// Flushers (plain increments, no cross-core traffic); Stats aggregates
 	// them on demand.
 	statEvicts atomic.Uint64
 
-	// What the kernel answered when words, dirty and wbLocks were offered
-	// as huge-page candidates at construction; see HugePages.
+	// What the kernel answered when words and lines were offered as
+	// huge-page candidates at construction; see HugePages.
 	huge hugeAdvice
 
-	// maps holds the mappings behind words, dirty and wbLocks; ownBackend
+	// maps holds the mappings behind words and lines; ownBackend
 	// marks a MemBackend that New made for this device, released with it.
 	maps       *mappings
 	ownBackend bool
@@ -225,8 +225,7 @@ func NewWithBackend(cfg Config, b Backend) (*Device, error) {
 		maps:     newMappings(),
 	}
 	d.words = newImage[uint64](d.maps, reserve/WordSize, &d.huge)
-	d.dirty = newImage[uint32](d.maps, reserve/LineSize, &d.huge)
-	d.wbLocks = newImage[uint32](d.maps, reserve/LineSize, &d.huge)
+	d.lines = newImage[uint32](d.maps, reserve/LineSize, &d.huge)
 	if err := d.maps.err(); err != nil {
 		d.maps.release()
 		return nil, err
@@ -240,7 +239,7 @@ func NewWithBackend(cfg Config, b Backend) (*Device, error) {
 
 // reboot sets the committed volatile image to the persisted one, as after a
 // restart, with every image made resident first: the copy writes all of
-// words anyway, and no later fence then faults on the per-line arrays.
+// words anyway, and no later fence then faults on the line words.
 func (d *Device) reboot() {
 	lim := d.limWords.Load()
 	d.Populate(lim * WordSize)
@@ -248,8 +247,8 @@ func (d *Device) reboot() {
 }
 
 // HugePages reports what the kernel answered when the device offered its
-// volatile images (words and the two per-line arrays) as transparent-huge-
-// page candidates: the bytes it accepted the advice for, or the first
+// volatile images (words and the line words) as transparent-huge-page
+// candidates: the bytes it accepted the advice for, or the first
 // refusal — the errno, or errors.ErrUnsupported on a platform without the
 // call. (0, nil) is a device too small to hold a huge page, or a race-
 // detector build, whose images stay on the Go heap. Accepted advice is a
@@ -258,7 +257,7 @@ func (d *Device) reboot() {
 func (d *Device) HugePages() (advised uint64, err error) { return d.huge.bytes, d.huge.err }
 
 // Populate makes [0, end) of the device's anonymous images resident — the
-// volatile image, the per-line arrays and a MemBackend's persisted image —
+// volatile image, the line words and a MemBackend's persisted image —
 // in whole 2 MiB steps, without changing a word. The allocator calls it with
 // its carve pointer before handing pages out, so no fence faults a page in.
 // It never touches a file or DAX mapping. Where the kernel refuses (linux
@@ -274,10 +273,7 @@ func (d *Device) Populate(end uint64) {
 	}
 	err := populateRange(d.words, from/WordSize, end/WordSize)
 	if err == nil {
-		err = populateRange(d.dirty, from/LineSize, end/LineSize)
-	}
-	if err == nil {
-		err = populateRange(d.wbLocks, from/LineSize, end/LineSize)
+		err = populateRange(d.lines, from/LineSize, end/LineSize)
 	}
 	if mb, ok := d.backend.(*MemBackend); ok && err == nil {
 		err = populateRange(mb.words, from/WordSize, end/WordSize)
@@ -552,14 +548,21 @@ func (d *Device) touch(line uint64) {
 	}
 }
 
+// The bits of a line word.
+const (
+	lineDirty  = 1 << 0 // stored to since its last write-back (advisory: eviction, Crash, stats)
+	lineLocked = 1 << 1 // a write-back is copying the line
+)
+
 func (d *Device) markDirty(line uint64) {
 	// Fast path: consecutive stores into one line (node towers, a range's
 	// words under a StoreHook) find the flag already set. Re-storing it
-	// unconditionally would ping-pong the dirty-flag array's cache lines
-	// between cores under parallel load; a read of an already-set flag
-	// stays shared.
-	if atomic.LoadUint32(&d.dirty[line]) == 0 {
-		atomic.StoreUint32(&d.dirty[line], 1)
+	// unconditionally would ping-pong the line words' cache lines between
+	// cores under parallel load; a read of an already-set flag stays shared.
+	// The OR leaves a write-back's lock bit alone, so a store made during
+	// the copy leaves the line dirty after it.
+	if w := &d.lines[line]; atomic.LoadUint32(w)&lineDirty == 0 {
+		atomic.OrUint32(w, lineDirty)
 	}
 }
 
@@ -571,7 +574,7 @@ func (d *Device) evictOne(seed uint64) {
 	lines := d.committedLines()
 	for probe := uint64(0); probe < 64; probe++ {
 		line := (h + probe) % lines
-		if atomic.LoadUint32(&d.dirty[line]) == 1 {
+		if atomic.LoadUint32(&d.lines[line])&lineDirty != 0 {
 			d.writeBackLine(line)
 			d.statEvicts.Add(1)
 			return
@@ -582,27 +585,44 @@ func (d *Device) evictOne(seed uint64) {
 // writeBackLine copies a line from the volatile image to the persisted image
 // and clears its dirty flag. A concurrent store may or may not be included,
 // exactly as on real hardware where eviction snapshots the line at an
-// arbitrary instant. Same-line write-backs are serialized by a per-line
-// spinlock so the persisted-image stores can be plain word copies; readers
-// of the persisted image (Crash, SaveImage, the Persisted* diagnostics)
-// require quiescence, as documented on Device.
+// arbitrary instant. Same-line write-backs (two flushers both holding a
+// shared line pending, e.g. an allocator bitmap line) are serialized by the
+// line word's lock bit, so the persisted-image stores can be plain word
+// copies — write-back is the hottest loop in the simulator — ordered by the
+// lock's acquire and release. One CAS takes the lock and clears the dirty
+// flag; the release clears the lock bit alone, so a store that marked the
+// line during the copy leaves it dirty. Readers of the persisted image
+// (Crash, SaveImage, the Persisted* diagnostics) require quiescence, as
+// documented on Device.
 func (d *Device) writeBackLine(line uint64) {
-	for !atomic.CompareAndSwapUint32(&d.wbLocks[line], 0, 1) {
-		runtime.Gosched() // extremely rare; don't monopolize the P
-	}
-	atomic.StoreUint32(&d.dirty[line], 0)
+	lw := &d.lines[line]
+	lockLine(lw)
 	base := line * lineWords
 	for w := base; w < base+lineWords; w++ {
 		d.pers[w] = atomic.LoadUint64(&d.words[w])
 	}
-	atomic.StoreUint32(&d.wbLocks[line], 0)
+	unlockLine(lw)
 }
+
+// lockLine takes the write-back lock of the line whose word is lw and clears
+// its dirty flag, in one CAS. The CAS fails while another write-back holds
+// the lock, or when a store marked the line between the load and the CAS;
+// both are rare.
+func lockLine(lw *uint32) {
+	for !atomic.CompareAndSwapUint32(lw, atomic.LoadUint32(lw)&^lineLocked, lineLocked) {
+		runtime.Gosched() // don't monopolize the P
+	}
+}
+
+// unlockLine releases the write-back lock of the line whose word is lw,
+// leaving in place a dirty flag set since lockLine.
+func unlockLine(lw *uint32) { atomic.AndUint32(lw, ^uint32(lineLocked)) }
 
 // EvictRandom writes back each dirty line with probability p, simulating a
 // burst of uncontrolled evictions. Intended for crash tests.
 func (d *Device) EvictRandom(rng *rand.Rand, p float64) {
 	for line, n := uint64(0), d.committedLines(); line < n; line++ {
-		if atomic.LoadUint32(&d.dirty[line]) == 1 && rng.Float64() < p {
+		if atomic.LoadUint32(&d.lines[line])&lineDirty != 0 && rng.Float64() < p {
 			d.writeBackLine(line)
 			d.statEvicts.Add(1)
 		}
@@ -619,10 +639,10 @@ func (d *Device) EvictRandom(rng *rand.Rand, p float64) {
 // EOF and must not be touched past the committed size.
 func (d *Device) Crash() {
 	for line, n := uint64(0), d.committedLines(); line < n; line++ {
-		if d.dirty[line] != 0 {
+		if d.lines[line]&lineDirty != 0 {
 			w := line * lineWords
 			copy(d.words[w:w+lineWords], d.pers[w:w+lineWords])
-			d.dirty[line] = 0
+			d.lines[line] = 0
 		}
 	}
 }
@@ -656,8 +676,8 @@ func (d *Device) PersistedWord(a Addr) uint64 {
 // DirtyLines returns the number of lines currently flagged dirty. Advisory.
 func (d *Device) DirtyLines() int {
 	n := 0
-	for i := range d.dirty[:d.committedLines()] {
-		if atomic.LoadUint32(&d.dirty[i]) == 1 {
+	for i := range d.lines[:d.committedLines()] {
+		if atomic.LoadUint32(&d.lines[i])&lineDirty != 0 {
 			n++
 		}
 	}

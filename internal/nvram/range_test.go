@@ -112,8 +112,8 @@ func TestRangeMatchesWords(t *testing.T) {
 		if !slices.Equal(rd.pers[lo*lineWords:hi*lineWords], wd.pers[lo*lineWords:hi*lineWords]) {
 			t.Fatalf("%s: the persisted words differ", what())
 		}
-		if !slices.Equal(rd.dirty[lo:hi], wd.dirty[lo:hi]) {
-			t.Fatalf("%s: dirty lines %v for the range, %v for the words", what(), rd.dirty[lo:hi], wd.dirty[lo:hi])
+		if r, w := dirtyFlags(rd, lo, hi), dirtyFlags(wd, lo, hi); !slices.Equal(r, w) {
+			t.Fatalf("%s: dirty lines %v for the range, %v for the words", what(), r, w)
 		}
 		if tail := make([]byte, words*WordSize-n); len(tail) > 0 {
 			rd.LoadBytes(a+Addr(n), tail)
