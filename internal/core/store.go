@@ -43,7 +43,7 @@ const (
 // Root-directory slot assignments.
 const (
 	rootMgrAPT = 0 // epoch manager's active-page-table region
-	rootMgrLog = 1 // epoch manager's alloc-log region (baseline mode)
+	rootMgrLog = 1 // epoch manager's alloc-log region (AllocLogging only; else 0)
 	rootMeta   = 2 // packed store options, for Attach
 	RootUser   = 8 // first slot available to structure descriptors
 )

@@ -94,12 +94,13 @@ type paddedEpoch struct {
 
 // Manager owns the durable APT region and the per-thread epoch counters for
 // one pool. The thread count is Config.MaxThreads, fixed when the region is
-// carved: each thread has one APT (§5.4) and one alloc-log ring there.
+// carved: each thread has one APT there (§5.4), and under AllocLogging one
+// alloc-log ring in a region of its own.
 type Manager struct {
 	cfg    Config
 	pool   *pmem.Pool
 	region Addr // durable APT: MaxThreads × aptCapacity words of area addresses
-	logReg Addr // AllocLogging mode: MaxThreads × logRing words
+	logReg Addr // AllocLogging mode: MaxThreads × logRing words; 0 otherwise
 
 	epochs []paddedEpoch
 
@@ -118,12 +119,13 @@ type Manager struct {
 
 const logRing = 1024
 
-// ThreadBytes is the durable space one thread's APT and alloc-log ring take.
-const ThreadBytes = (aptCapacity + logRing) * 8
+// ThreadBytes is the durable space one thread's APT takes. The alloc-log
+// ring of the AllocLogging baseline comes on top of it.
+const ThreadBytes = aptCapacity * 8
 
-// NewManager creates a manager and carves its durable APT region. Store
-// RegionAddr and LogRegionAddr in root slots so the tables can be found
-// after a restart.
+// NewManager creates a manager and carves its durable APT region, and under
+// AllocLogging its alloc-log region. Store RegionAddr and LogRegionAddr in
+// root slots so the tables can be found after a restart.
 func NewManager(pool *pmem.Pool, f *nvram.Flusher, cfg Config) (*Manager, error) {
 	cfg.fill()
 	m := &Manager{cfg: cfg, pool: pool, epochs: make([]paddedEpoch, cfg.MaxThreads)}
@@ -132,9 +134,11 @@ func NewManager(pool *pmem.Pool, f *nvram.Flusher, cfg Config) (*Manager, error)
 	if err != nil {
 		return nil, err
 	}
-	m.logReg, err = pool.AllocRegion(f, uint64(cfg.MaxThreads*logRing)*8)
-	if err != nil {
-		return nil, err
+	if cfg.AllocLogging {
+		m.logReg, err = pool.AllocRegion(f, uint64(cfg.MaxThreads*logRing)*8)
+		if err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
@@ -151,7 +155,8 @@ func AttachManager(pool *pmem.Pool, region, logReg Addr, cfg Config) *Manager {
 // RegionAddr returns the durable APT region address (persist it in a root).
 func (m *Manager) RegionAddr() Addr { return m.region }
 
-// LogRegionAddr returns the alloc-log region address.
+// LogRegionAddr returns the alloc-log region address, 0 without
+// AllocLogging.
 func (m *Manager) LogRegionAddr() Addr { return m.logReg }
 
 // Config returns the manager's configuration.
@@ -164,11 +169,18 @@ func (m *Manager) AreaOf(a Addr) Addr { return a &^ (1<<m.cfg.AreaShift - 1) }
 func (m *Manager) AreaSize() uint64 { return 1 << m.cfg.AreaShift }
 
 // ActiveAreas reads every thread's durable APT and returns the distinct
-// active areas. This is the recovery entry point (§5.5).
+// active areas. This is the recovery entry point (§5.5). The first area is
+// always among them when it spans more than the pool's header page: a table
+// entry for it would be the word 0, which reads as empty, so no table holds
+// one (see ensureActive) and recovery sweeps it unasked.
 func (m *Manager) ActiveAreas() []Addr {
 	dev := m.pool.Device()
 	seen := make(map[Addr]bool)
 	var out []Addr
+	if m.AreaSize() > pmem.PageSize {
+		seen[0] = true
+		out = append(out, 0)
+	}
 	for i := 0; i < m.cfg.MaxThreads*aptCapacity; i++ {
 		if a := dev.Load(m.region + Addr(i)*8); a != 0 && !seen[a] {
 			seen[a] = true
@@ -466,6 +478,16 @@ func (c *Ctx) aptFree() int {
 // (one sync) on a miss. isAlloc selects which trim metadata to refresh.
 func (c *Ctx) ensureActive(area Addr, isAlloc bool) {
 	if c.m.cfg.Volatile {
+		return
+	}
+	if area == 0 {
+		// Recovery always sweeps the first area (ActiveAreas), so it needs
+		// no entry; an empty entry's area reads 0 and must not answer for it.
+		if isAlloc {
+			c.stats.AllocHits++
+		} else {
+			c.stats.UnlinkHits++
+		}
 		return
 	}
 	c.useTick++

@@ -563,6 +563,9 @@ func (p *Pool) HeapPage(page Addr) (cl Class, bm uint64, ok bool, next Addr) {
 // AllocatedInPage appends the addresses of all allocated objects in page to
 // dst and returns it. Used by the recovery sweep over active pages.
 func (p *Pool) AllocatedInPage(dst []Addr, page Addr) []Addr {
+	if page < heapBase {
+		return dst // the pool header: no slots, and page 0 holds the nil address
+	}
 	c, ok := p.PageClass(page)
 	if !ok {
 		return dst
