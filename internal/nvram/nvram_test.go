@@ -321,10 +321,10 @@ func TestWaitApproximatesDuration(t *testing.T) {
 // ±20 % of 125 ns. The fastest batch keeps a batch the scheduler interrupted
 // from counting. On a shared host the cores also change speed, by up to 2×
 // within a second, which no calibration made once can follow: on a 2-vCPU
-// runner about one attempt in five left the band. So an attempt out of the
-// band is made again, after a fresh calibration, up to five times. A pause
-// priced by a clock read per loop turn measured 228–238 ns on that runner,
-// in every attempt.
+// runner one attempt in five left the band, one in three in a noisy hour.
+// So an attempt out of the band is made again, after a fresh calibration,
+// up to five times. A pause priced by a clock read per loop turn measured
+// 228–238 ns on that runner, in every attempt.
 func TestWaitCalibrated(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds a cost to every call that a 125 ns pause cannot absorb")
