@@ -321,9 +321,9 @@ func TestWaitApproximatesDuration(t *testing.T) {
 // ±20 % of 125 ns. The fastest batch keeps a batch the scheduler interrupted
 // from counting. On a shared host the cores also change speed, by up to 2×
 // within a second, which no calibration made once can follow: on a 2-vCPU
-// runner one attempt in five left the band, one in three in a noisy hour.
+// runner one attempt in five left the band, and in a noisy hour one in two.
 // So an attempt out of the band is made again, after a fresh calibration,
-// up to five times. A pause priced by a clock read per loop turn measured
+// up to ten times. A pause priced by a clock read per loop turn measured
 // 228–238 ns on that runner, in every attempt.
 func TestWaitCalibrated(t *testing.T) {
 	if raceEnabled {
@@ -331,7 +331,7 @@ func TestWaitCalibrated(t *testing.T) {
 	}
 	const pause, lo, hi = 125 * time.Nanosecond, 100 * time.Nanosecond, 150 * time.Nanosecond
 	var attempts []time.Duration
-	for range 5 {
+	for range 10 {
 		spinRate = sync.OnceValue(calibrateSpin)
 		spinRate()
 		best := time.Duration(1<<63 - 1)
