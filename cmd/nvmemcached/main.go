@@ -5,9 +5,10 @@
 // standard clients work in either mode — whose contents survive restarts of
 // the process.
 //
-// The cache always runs on a pool of -shards independent runtimes (default
-// 1, the paper's single hash table). Without a -pmem-* flag the pool lives
-// in process memory and dies with it. Persistence modes:
+// The cache runs on one runtime of -shards independent parts (default 1,
+// the paper's single hash table), each with its own device. Without a
+// -pmem-* flag the parts live in process memory and die with it.
+// Persistence modes:
 //
 //	nvmemcached -listen :11211 -mem 268435456 -pmem-file /var/lib/nvmc.pmem
 //
@@ -15,11 +16,11 @@
 // the file's page cache the moment the operation returns, so the cache
 // survives ANY process death — kill -9 included — and a restart with the
 // same -pmem-file recovers it with no shutdown handshake. With -shards > 1
-// the path names the pool directory instead of one image file. The
-// -durability policy picks the machine-crash story: "synced" (default) syncs
-// in the background off the fence path, "strict" acknowledges writes only
-// after a group-committed fdatasync, "buffered[:dur]" bounds how much acked
-// work a crash can take back in exchange for mem-like fence cost.
+// the path names a directory of per-part images instead of one image file.
+// The -durability policy picks the machine-crash story: "synced" (default)
+// syncs in the background off the fence path, "strict" acknowledges writes
+// only after a group-committed fdatasync, "buffered[:dur]" bounds how much
+// acked work a crash can take back in exchange for mem-like fence cost.
 //
 //	nvmemcached -listen :11211 -mem 268435456 -pmem-dax /dev/dax0.0
 //
@@ -185,30 +186,31 @@ func main() {
 	if err != nil {
 		log.Fatalf("nvmemcached: open %s: %v", where, err)
 	}
-	pool := cache.Pool()
+	rt := cache.Runtime()
+	parts := len(rt.Parts())
 	if cache.Recovered() {
 		rs := cache.RecoveryStats()
 		log.Printf("recovered %d items from %s in %v (shards=%d, %d active areas, %d leaked objects freed)",
 			cache.Stats().Items, where, time.Since(start).Round(time.Microsecond),
-			pool.Shards(), rs.ActiveAreas, rs.Leaked)
+			parts, rs.ActiveAreas, rs.Leaked)
 		// Machine-parseable parallelism evidence for crash_e2e.sh: total is
-		// the sum of the per-shard recovery wall clocks, max the slowest
-		// shard — parallel recovery keeps the pool's actual open time near
+		// the sum of the per-part recovery wall clocks, max the slowest
+		// part — parallel recovery keeps the runtime's actual open time near
 		// max, not total.
 		var total, max time.Duration
-		for _, d := range pool.ShardRecoveryDurations() {
+		for _, d := range rt.ShardRecoveryDurations() {
 			total += d
 			if d > max {
 				max = d
 			}
 		}
 		log.Printf("shard recovery: shards=%d total_ms=%d max_ms=%d",
-			pool.Shards(), total.Milliseconds(), max.Milliseconds())
+			parts, total.Milliseconds(), max.Milliseconds())
 	} else {
 		log.Printf("fresh cache: %d MiB NVRAM in %s, shards=%d, %d buckets",
-			*mem>>20, where, pool.Shards(), *buckets)
+			*mem>>20, where, parts, *buckets)
 	}
-	log.Printf("pool bytes: total=%d %s %s", cache.SizeBytes(), hugePageField(pool.Runtimes()), residentField(pool.Runtimes()))
+	log.Printf("pool bytes: total=%d %s %s", cache.SizeBytes(), hugePageField(rt.Parts()), residentField(rt.Parts()))
 
 	if *restoreFrom != "" {
 		f, err := os.Open(*restoreFrom)

@@ -52,11 +52,11 @@
 // the caller, never another key. Evictions, the expiry sweep and flush_all
 // run the remove step as a step of its own, and wait for nobody.
 //
-// The engine is always a sharded.Pool of Config.Shards ≥ 1 independent
-// runtimes with keys hash-routed across them; one shard is the paper's
-// single hash table. What Config.Device's path means follows from the count
-// and is decided by sharded.Open alone: the image file itself at one shard,
-// a directory of per-shard images plus a manifest at more.
+// The engine is one logfree runtime of Config.Shards ≥ 1 independent parts
+// with keys hash-routed across them; one part is the paper's single hash
+// table. What Config.Device's path means follows from the count and is
+// decided by logfree.New alone: the image file itself at one part, a
+// directory of per-part images plus a manifest at more.
 //
 // Threading: every method of Cache is safe for concurrent use from any
 // goroutine — each operation draws one of the logfree runtime's implicit
@@ -79,7 +79,6 @@ import (
 	"repro/internal/nvram"
 	"repro/internal/pmem"
 	"repro/logfree"
-	"repro/logfree/sharded"
 )
 
 const (
@@ -139,7 +138,7 @@ type Config struct {
 	// Buckets is the hash-table bucket count (rounded to a power of two).
 	Buckets int
 	// MaxConns is the number of connections or workers expected to run
-	// commands at once. Each shard's runtime formats MaxConns+1 operation
+	// commands at once. Each part of the runtime formats MaxConns+1 operation
 	// contexts (one spare for background work): the most commands that run
 	// on a shard at once. A command that finds all of them out waits.
 	MaxConns int
@@ -151,17 +150,18 @@ type Config struct {
 	// request here only expresses intent.
 	DisableLinkCache bool
 	// Device names the persistence substrate (logfree.MemDevice,
-	// FileDevice, DAXDevice, BackendDevice); see sharded.WithDevice for what
-	// its path means at one shard (the image) and at more (the pool
-	// directory). A durable device that already holds a cache is recovered
-	// in place (check Recovered()).
+	// FileDevice, DAXDevice, BackendDevice); see logfree.WithShards for what
+	// its path means at one part (the image) and at more (a directory of
+	// images). A durable device that already holds a cache is recovered in
+	// place (check Recovered()).
 	Device logfree.DeviceSpec
 	// Durability is the acknowledged-operation policy on the configured
 	// device (logfree.Strict, Synced, Buffered). Zero value: Synced.
 	Durability logfree.Durability
-	// Shards is the number of independent runtimes the cache's pool runs
-	// (rounded up to a power of two; 0 means 1). MemoryBytes, MaxGrowBytes
-	// and Buckets are pool-wide budgets split evenly across the shards.
+	// Shards is the number of independent parts the cache's runtime opens
+	// (logfree.WithShards; rounded up to a power of two, 0 means 1).
+	// MemoryBytes, MaxGrowBytes and Buckets are budgets for the whole cache,
+	// split evenly across the parts.
 	Shards int
 	// MaxBytes, when non-zero, caps the cache's LOGICAL footprint (entry
 	// overhead + key + value, summed over live items): writes that would
@@ -216,9 +216,9 @@ type Cache struct {
 
 // cacheState is everything the handles of one cache share.
 type cacheState struct {
-	pool *sharded.Pool
-	m    *logfree.ByteMap
-	cfg  Config
+	rt  *logfree.Runtime
+	m   *logfree.ByteMap
+	cfg Config
 
 	stats counters
 
@@ -358,39 +358,41 @@ func New(cfg Config) (*Cache, error) {
 	// on Strict/Synced a volatile cache of publishing links would void the
 	// acknowledged-write contract that file mode exists for).
 	n := uint64(cfg.Shards)
-	pool, err := sharded.Open(
-		sharded.WithShards(cfg.Shards),
-		sharded.WithShardSize(cfg.MemoryBytes/n),
-		sharded.WithMaxShardSize(cfg.MaxGrowBytes/n),
-		sharded.WithWriteLatency(cfg.WriteLatency),
-		sharded.WithMaxThreads(cfg.MaxConns+1),
-		sharded.WithLinkCache(!cfg.DisableLinkCache),
-		sharded.WithDevice(cfg.Device),
-		sharded.WithDurability(cfg.Durability))
+	rt, err := logfree.New(
+		logfree.WithShards(cfg.Shards),
+		logfree.WithSize(cfg.MemoryBytes/n),
+		logfree.WithMaxSize(cfg.MaxGrowBytes/n),
+		logfree.WithWriteLatency(cfg.WriteLatency),
+		logfree.WithMaxThreads(cfg.MaxConns+1),
+		logfree.WithLinkCache(!cfg.DisableLinkCache),
+		logfree.WithDevice(cfg.Device),
+		logfree.WithDurability(cfg.Durability))
 	if err != nil {
 		return nil, err
 	}
-	return openCache(pool, cfg)
+	return openCache(rt, cfg)
 }
 
-// openCache builds a cache on an open pool, taking ownership of it: the item
-// index is opened-or-created on every shard, and a pool that recovered
-// existing state gets its volatile metadata rebuilt. Images written with a
-// durable expiry index (memcache.exp) keep it as a structure nothing opens;
-// their items' deadlines are in the items' aux words like any other's.
-func openCache(pool *sharded.Pool, cfg Config) (*Cache, error) {
+// openCache builds a cache on an open runtime, taking ownership of it: the
+// item index is opened-or-created on every part, and a runtime that
+// recovered existing state gets its volatile metadata rebuilt. Images
+// written with a durable expiry index (memcache.exp) keep it as a structure
+// nothing opens; their items' deadlines are in the items' aux words like any
+// other's.
+func openCache(rt *logfree.Runtime, cfg Config) (*Cache, error) {
 	buckets := cfg.Buckets
-	if n := pool.Shards(); n > 1 {
+	n := len(rt.Parts())
+	if n > 1 {
 		buckets = max(buckets/n, 1024)
 	}
-	m, err := pool.Map(cacheMapName, buckets)
+	m, err := rt.Map(cacheMapName, buckets)
 	if err != nil {
-		pool.Close()
+		rt.Close()
 		return nil, err
 	}
-	c := &Cache{cacheState: &cacheState{pool: pool, m: m, cfg: cfg, partBits: uint(bits.TrailingZeros(uint(pool.Shards())))}}
+	c := &Cache{cacheState: &cacheState{rt: rt, m: m, cfg: cfg, partBits: uint(bits.TrailingZeros(uint(n)))}}
 	c.ref.Store(new([]atomic.Uint64))
-	if pool.Recovered() {
+	if rt.Recovered() {
 		c.rebuildVolatile()
 	}
 	return c, nil
@@ -418,39 +420,30 @@ func (m *Cache) rebuildVolatile() {
 	m.usedBytes.Store(used)
 }
 
-// Close drains the cache and closes the underlying pool; file-backed images
-// are synchronously flushed, so after Close the backing file(s) alone carry
-// the cache. The cache must be quiescent.
-func (m *Cache) Close() error { return m.pool.Close() }
+// Close drains the cache and closes the underlying runtime; file-backed
+// images are synchronously flushed, so after Close the backing file(s) alone
+// carry the cache. The cache must be quiescent.
+func (m *Cache) Close() error { return m.rt.Close() }
 
-// Pool exposes the underlying sharded pool.
-func (m *Cache) Pool() *sharded.Pool { return m.pool }
+// Runtime exposes the cache's logfree runtime, of Config.Shards parts.
+func (m *Cache) Runtime() *logfree.Runtime { return m.rt }
 
-// Runtime exposes the sole shard's logfree runtime; nil when Shards > 1 —
-// use Pool().Runtimes() there.
-func (m *Cache) Runtime() *logfree.Runtime {
-	if rts := m.pool.Runtimes(); len(rts) == 1 {
-		return rts[0]
-	}
-	return nil
-}
-
-// Device exposes the sole shard's device (crash injection, stats); nil when
+// Device exposes the sole part's device (crash injection, stats); nil when
 // Shards > 1.
 func (m *Cache) Device() *nvram.Device {
-	if rt := m.Runtime(); rt != nil {
-		return rt.Device()
+	if len(m.rt.Parts()) == 1 {
+		return m.rt.Device()
 	}
 	return nil
 }
 
 // Recovered reports whether the cache attached to existing durable state
 // rather than formatting fresh.
-func (m *Cache) Recovered() bool { return m.pool.Recovered() }
+func (m *Cache) Recovered() bool { return m.rt.Recovered() }
 
-// RecoveryStats aggregates the shards' recovery passes — counters summed,
-// duration = slowest shard, since shards recover in parallel.
-func (m *Cache) RecoveryStats() logfree.RecoveryStats { return m.pool.RecoveryStats() }
+// RecoveryStats aggregates the parts' recovery passes — counters summed,
+// duration = slowest part, since parts recover in parallel.
+func (m *Cache) RecoveryStats() logfree.RecoveryStats { return m.rt.RecoveryStats() }
 
 // Stats returns a snapshot of the counters.
 func (m *Cache) Stats() Stats {
@@ -475,13 +468,13 @@ func (m *Cache) Stats() Stats {
 		Flushes:        m.stats.flushes.Load(),
 		EvictionsBytes: m.stats.evictionsBytes.Load(),
 		GrowCount:      m.stats.growCount.Load(),
-		PoolBytesTotal: m.pool.SizeBytes(),
-		PoolBytesUsed:  m.pool.SizeBytes() - m.pool.FreeBytes(),
+		PoolBytesTotal: m.rt.SizeBytes(),
+		PoolBytesUsed:  m.rt.SizeBytes() - m.rt.FreeBytes(),
 	}
 }
 
 // SizeBytes reports the pool's total device capacity (all shards).
-func (m *Cache) SizeBytes() uint64 { return m.pool.SizeBytes() }
+func (m *Cache) SizeBytes() uint64 { return m.rt.SizeBytes() }
 
 // UsedBytes reports the cache's logical footprint: entry overhead + key +
 // value summed over live items (the quantity Config.MaxBytes caps).
@@ -499,11 +492,11 @@ func (m *Cache) Grow(total uint64) error {
 // growLocked grows the pool to total bytes under growMu and reports whether
 // capacity rose; only a grow that rose is counted and passed to OnGrow.
 func (m *Cache) growLocked(total uint64) (grew bool, err error) {
-	before := m.pool.SizeBytes()
-	if err := m.pool.Grow(total); err != nil {
+	before := m.rt.SizeBytes()
+	if err := m.rt.Grow(total); err != nil {
 		return false, err
 	}
-	after := m.pool.SizeBytes()
+	after := m.rt.SizeBytes()
 	if after <= before {
 		return false, nil
 	}
@@ -525,7 +518,7 @@ func unexpired(aux uint64) bool {
 // reclaim converts recently retired nodes into reusable slots (best
 // effort): it flushes the session the pool hands back, which in the
 // single-flow eviction loop is the one the preceding deletes retired into.
-func (m *Cache) reclaim() { m.pool.Reclaim() }
+func (m *Cache) reclaim() { m.rt.Reclaim() }
 
 // entrySize is an item's logical footprint: the byte-map entry overhead plus
 // key and value — the currency of Config.MaxBytes and the used-bytes stat.
@@ -551,7 +544,7 @@ func (m *Cache) tryGrow() bool {
 	}
 	m.growMu.Lock()
 	defer m.growMu.Unlock()
-	target := capacity.NextGrowTarget(m.pool.SizeBytes(), m.cfg.MaxGrowBytes)
+	target := capacity.NextGrowTarget(m.rt.SizeBytes(), m.cfg.MaxGrowBytes)
 	if target == 0 {
 		return false
 	}
@@ -564,7 +557,7 @@ func (m *Cache) tryGrow() bool {
 // then evict down to the low-water headroom), then the logical MaxBytes
 // valve (evict until the write fits the configured budget).
 func (m *Cache) ensureHeadroom(incoming int64) {
-	for i := 0; m.pool.AvailableBytes() < lowWater && i < 256; i++ {
+	for i := 0; m.rt.AvailableBytes() < lowWater && i < 256; i++ {
 		if m.tryGrow() {
 			continue
 		}
@@ -726,4 +719,4 @@ func (m *Cache) evictOne() bool {
 
 // Flush makes all deferred durability work durable (link cache, retirees).
 // Requires quiescence.
-func (m *Cache) Flush() { m.pool.Drain() }
+func (m *Cache) Flush() { m.rt.Drain() }

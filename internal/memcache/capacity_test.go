@@ -80,7 +80,7 @@ func TestAutoGrowSharded(t *testing.T) {
 		}
 	}
 	if m.Stats().GrowCount == 0 {
-		t.Fatal("sharded pool never grew under pressure")
+		t.Fatal("a runtime of several parts never grew under pressure")
 	}
 	if _, _, ok := m.Get([]byte("sg-011999")); !ok {
 		t.Fatal("most recent key lost")
@@ -100,9 +100,9 @@ func TestShardBudgetsAreSplitByTheOpenedCount(t *testing.T) {
 		}
 		if got := m.SizeBytes(); got > cfg.MemoryBytes {
 			t.Errorf("Shards %d: opened %d bytes across %d shards, budget %d",
-				shards, got, m.Pool().Shards(), cfg.MemoryBytes)
+				shards, got, len(m.Runtime().Parts()), cfg.MemoryBytes)
 		}
-		if got := m.Pool().MaxSizeBytes(); got > cfg.MaxGrowBytes {
+		if got := m.Runtime().MaxSizeBytes(); got > cfg.MaxGrowBytes {
 			t.Errorf("Shards %d: reserved %d bytes, budget %d", shards, got, cfg.MaxGrowBytes)
 		}
 		m.Close()

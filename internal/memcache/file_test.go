@@ -49,7 +49,7 @@ func TestFileCacheRecoversWithoutSave(t *testing.T) {
 		}
 		// Abandon without Close or SaveImage: the kill -9 model (Abandon drops
 		// the single-owner file lock the way a process death does).
-		for _, rt := range c.Pool().Runtimes() {
+		for _, rt := range c.Runtime().Parts() {
 			if err := rt.Device().Backend().(*nvram.FileBackend).Abandon(); err != nil {
 				t.Fatal(err)
 			}

@@ -41,13 +41,13 @@ func newCacheN(t *testing.T, shards int) *Cache {
 func TestSetGetDelete(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		m := newCacheN(t, shards)
-		if got := m.Pool().Shards(); got != shards {
-			t.Fatalf("pool has %d shards, want %d", got, shards)
+		if got := len(m.Runtime().Parts()); got != shards {
+			t.Fatalf("runtime has %d parts, want %d", got, shards)
 		}
-		// The sole shard's runtime and device are exposed; a wider pool has
-		// no single one to expose.
-		if sole := shards == 1; (m.Runtime() != nil) != sole || (m.Device() != nil) != sole {
-			t.Fatalf("Runtime() = %v, Device() = %v at %d shards", m.Runtime(), m.Device(), shards)
+		// The sole part's device is exposed; a wider runtime has no single
+		// one to expose.
+		if sole := shards == 1; (m.Device() != nil) != sole {
+			t.Fatalf("Device() = %v at %d shards", m.Device(), shards)
 		}
 		if err := m.Set([]byte("hello"), []byte("world"), 7, 0); err != nil {
 			t.Fatal(err)
@@ -189,9 +189,9 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	_ = stats // after an orderly Flush the APT may legitimately be empty
 	// The recovered cache is the same one-shard topology on the same device.
-	if m2.Pool().Shards() != 1 || m2.Runtime() == nil || m2.Device() != dev || !m2.Recovered() {
-		t.Fatalf("recovered cache: shards=%d runtime=%v device=%p (want %p) recovered=%v",
-			m2.Pool().Shards(), m2.Runtime(), m2.Device(), dev, m2.Recovered())
+	if len(m2.Runtime().Parts()) != 1 || m2.Device() != dev || !m2.Recovered() {
+		t.Fatalf("recovered cache: parts=%d device=%p (want %p) recovered=%v",
+			len(m2.Runtime().Parts()), m2.Device(), dev, m2.Recovered())
 	}
 	for i := 0; i < 1000; i++ {
 		key := []byte(fmt.Sprintf("persist-%d", i))

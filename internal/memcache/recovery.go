@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/nvram"
 	"repro/logfree"
-	"repro/logfree/sharded"
 )
 
 // Recover reopens a crashed NV-Memcached instance (§6.5) through the public
@@ -34,14 +33,10 @@ func Recover(dev *nvram.Device, cfg Config) (*Cache, logfree.RecoveryStats, erro
 	return m, rt.RecoveryStats(), nil
 }
 
-// Adopt builds a cache on one already-open runtime, a 1-shard pool, taking
-// ownership of it: how a cache runs on a runtime New would not open (the
-// volatile memcached-clht model of Figure 11), and how Recover reopens one.
+// Adopt builds a cache on an already-open runtime, taking ownership of it:
+// how a cache runs on a runtime New would not open (the volatile
+// memcached-clht model of Figure 11), and how Recover reopens one.
 func Adopt(rt *logfree.Runtime, cfg Config) (*Cache, error) {
 	cfg.fill()
-	pool, err := sharded.Adopt(rt)
-	if err != nil {
-		return nil, err
-	}
-	return openCache(pool, cfg)
+	return openCache(rt, cfg)
 }

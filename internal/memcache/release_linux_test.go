@@ -32,6 +32,27 @@ func vmRSS(t *testing.T) int64 {
 	return 0
 }
 
+// settledRSS collects until VmRSS stops falling and returns it. Caches that
+// earlier tests dropped are unmapped by finalizers that run after the
+// collection finding them, so a single collection leaves a baseline that can
+// still fall by hundreds of MiB. Settled means three readings in a row, 20 ms
+// apart, none more than 1 MiB below the lowest before it; after limit the
+// lowest reading is returned as it is.
+func settledRSS(t *testing.T, limit time.Duration) int64 {
+	t.Helper()
+	low := vmRSS(t)
+	for steady, deadline := 0, time.Now().Add(limit); steady < 3 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(20 * time.Millisecond)
+		if rss := vmRSS(t); rss < low-1<<20 {
+			low, steady = rss, 0
+		} else {
+			low, steady = min(low, rss), steady+1
+		}
+	}
+	return low
+}
+
 // A cache's device memory goes back to the system with the cache: Close
 // unmaps it, and a cache dropped without Close is unmapped once the
 // collector finds it garbage. Sixteen caches opened, preloaded and closed,
@@ -53,10 +74,12 @@ func TestCacheMemoryIsReleased(t *testing.T) {
 		}
 		return c
 	}
-	runtime.GC()
-	base := vmRSS(t)
+	base := settledRSS(t, 10*time.Second)
 	c := preloaded()
 	one := vmRSS(t) - base
+	if one <= 0 {
+		t.Fatalf("one preloaded cache measured %d MiB: VmRSS fell below the settled baseline while it was preloaded", one>>20)
+	}
 	c.Close()
 	for i := 1; i < 16; i++ {
 		preloaded().Close()

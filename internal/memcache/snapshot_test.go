@@ -292,7 +292,7 @@ func TestStalledSnapshotHoldsNothingBack(t *testing.T) {
 	<-w.stalled
 
 	big := make([]byte, 1024)
-	for written := uint64(0); written < 10*m.Pool().FreeBytes(); written += uint64(len(big)) {
+	for written := uint64(0); written < 10*m.Runtime().FreeBytes(); written += uint64(len(big)) {
 		if err := m.Set(fmt.Appendf(nil, "churn-%02d", written/1024%64), big, 0, 0); err != nil {
 			t.Fatalf("after %d bytes overwritten beside a stalled snapshot: %v", written, err)
 		}

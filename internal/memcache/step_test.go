@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/logfree"
-	"repro/logfree/sharded"
 )
 
 // withinDeadline runs f on its own goroutine and fails the test if it has
@@ -81,11 +80,11 @@ func TestExpiringCommandsOnOneStripe(t *testing.T) {
 func TestExpiringSetsOnOneSession(t *testing.T) {
 	cfg := Config{MemoryBytes: 4 << 20, Buckets: 1024}
 	cfg.fill()
-	pool, err := sharded.Open(sharded.WithShards(1), sharded.WithShardSize(cfg.MemoryBytes), sharded.WithMaxThreads(1))
+	rt, err := logfree.New(logfree.WithSize(cfg.MemoryBytes), logfree.WithMaxThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := openCache(pool, cfg)
+	m, err := openCache(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,6 @@ func TestExpiringSetsOnOneSession(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rt := pool.Runtimes()[0]
 	exp := uint32(time.Now().Unix() + 3600)
 	withinDeadline(t, 30*time.Second, "expiring Sets on one session", func() {
 		var wg sync.WaitGroup

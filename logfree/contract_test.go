@@ -5,19 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
 	"math/rand"
 	"testing"
 
 	"repro/logfree"
-	"repro/logfree/sharded"
 )
 
-// The byte-map contract, stated once and run over everything that hands out
-// a byte-keyed map: a bare runtime (one part), a one-shard pool (one part
-// reached through the pool) and a four-shard pool (four parts joined by the
-// routing hash). A pool's maps are logfree's own types, so nothing below
-// knows which subject it runs on.
+// The byte-map contract, stated once and run over a runtime of one part and
+// a runtime of four parts joined by the routing hash. Their maps are the same
+// types, so nothing below knows which subject it runs on.
 
 // host is a subject: what opens maps, and how to power-fail and recover it.
 type host struct {
@@ -27,48 +23,31 @@ type host struct {
 	parts      int // how many parts the host's maps join
 }
 
-func runtimeHost(rt *logfree.Runtime) host {
+func runtimeHost(t *testing.T, rt *logfree.Runtime) host {
+	t.Cleanup(func() { rt.Close() })
 	return host{rt.Map, rt.OrderedMap, func(t *testing.T) host {
 		rt2, err := rt.SimulateCrash()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runtimeHost(rt2)
-	}, 1}
-}
-
-func poolHost(t *testing.T, p *sharded.Pool) host {
-	t.Cleanup(func() { p.Close() })
-	return host{p.Map, p.OrderedMap, func(t *testing.T) host {
-		p2, err := p.SimulateCrash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return poolHost(t, p2)
-	}, p.Shards()}
+		return runtimeHost(t, rt2)
+	}, len(rt.Parts())}
 }
 
 var subjects = []struct {
 	name string
 	open func(t *testing.T) host
 }{
-	{"runtime", func(t *testing.T) host {
-		rt, err := logfree.New(logfree.WithSize(32 << 20))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runtimeHost(rt)
-	}},
-	{"pool-1", func(t *testing.T) host { return openPool(t, 1) }},
-	{"pool-4", func(t *testing.T) host { return openPool(t, 4) }},
+	{"runtime", func(t *testing.T) host { return openHost(t, 1) }},
+	{"pool-4", func(t *testing.T) host { return openHost(t, 4) }},
 }
 
-func openPool(t *testing.T, shards int) host {
-	p, err := sharded.Open(sharded.WithShards(shards), sharded.WithShardSize(32<<20/uint64(shards)))
+func openHost(t *testing.T, shards int) host {
+	rt, err := logfree.New(logfree.WithShards(shards), logfree.WithSize(32<<20/uint64(shards)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return poolHost(t, p)
+	return runtimeHost(t, rt)
 }
 
 // itemMap is what the two map kinds share beyond logfree.Map.
@@ -661,81 +640,5 @@ func contractCrash(t *testing.T, h host) {
 			t.Fatalf("post-crash scan out of order: %q then %q", prev, k)
 		}
 		prev = bytes.Clone(k)
-	}
-}
-
-// TestOneShardPoolCountsEqualRuntime states "a runtime's map is the one-part
-// case" in counts: the same seeded 10 000 operations through a bare runtime's
-// map and through a one-shard pool's leave the two devices' write-back, fence
-// and sync-wait counters equal.
-func TestOneShardPoolCountsEqualRuntime(t *testing.T) {
-	run := func(m *logfree.ByteMap) map[string]string {
-		rng := rand.New(rand.NewSource(23))
-		model := map[string]string{}
-		for op := 0; op < 10_000; op++ {
-			i := rng.Intn(700)
-			k, v := ckey(i), bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(200))
-			switch r := rng.Intn(20); {
-			case r < 8:
-				if _, err := m.SetItem(k, v, uint16(op), uint64(op)); err != nil {
-					t.Fatal(err)
-				}
-				model[string(k)] = string(v)
-			case r < 13:
-				if got, _, _, ok := m.GetItem(k); ok != (model[string(k)] != "") || string(got) != model[string(k)] {
-					t.Fatalf("op %d: GetItem(%q) = %q, %v; want %q", op, k, got, ok, model[string(k)])
-				}
-			case r < 15:
-				err := m.Update(k, func(st *logfree.KeyStep) error {
-					if st.Found() != (model[string(k)] != "") || st.ValueLen() != len(model[string(k)]) {
-						t.Errorf("op %d: Update(%q) found %v, %d bytes; want %q", op, k, st.Found(), st.ValueLen(), model[string(k)])
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			case r < 16:
-				m.SetAux(k, uint64(op))
-			case r < 19:
-				m.Delete(k)
-				delete(model, string(k))
-			default:
-				for j := 0; j < 8; j++ {
-					if err := m.Set(ckey(i+j), v); err != nil {
-						t.Fatal(err)
-					}
-					model[string(ckey(i+j))] = string(v)
-				}
-			}
-		}
-		return model
-	}
-
-	rt, err := logfree.New(logfree.WithSize(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rm, err := rt.Map("counts", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := sharded.Open(sharded.WithShards(1), sharded.WithShardSize(32<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	pm, err := p.Map("counts", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := run(rm), run(pm); !maps.Equal(a, b) || rm.Len() != len(a) || pm.Len() != len(b) {
-		t.Fatalf("contents differ: runtime %d keys (model %d), pool %d keys (model %d)", rm.Len(), len(a), pm.Len(), len(b))
-	}
-	a, b := rt.Device().Stats(), p.Runtimes()[0].Device().Stats()
-	if a.Clwbs != b.Clwbs || a.Fences != b.Fences || a.SyncWaits != b.SyncWaits || a.Clwbs == 0 {
-		t.Fatalf("runtime's map cost %d clwbs, %d fences, %d sync waits; the one-shard pool's %d, %d, %d",
-			a.Clwbs, a.Fences, a.SyncWaits, b.Clwbs, b.Fences, b.SyncWaits)
 	}
 }

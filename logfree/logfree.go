@@ -3,7 +3,8 @@
 // (David, Dragojević, Guerraoui, Zablotchi; USENIX ATC 2018).
 //
 // A Runtime owns a simulated NVRAM device and its substrates (persistent
-// allocator, NV-epochs reclamation, link cache). Durable structures are
+// allocator, NV-epochs reclamation, link cache), or with WithShards several
+// such parts that its byte maps route keys across. Durable structures are
 // created under a name in a durable directory — itself a log-free durable
 // hash table, so the namespace grows without bound — and re-opened by name
 // after a crash:
@@ -53,6 +54,7 @@ const (
 
 // config collects the options of a Runtime.
 type config struct {
+	shards       int    // 0 = 1 when fresh, what is on disk on reopen
 	size         uint64 // 0 = default (fresh devices) or adopt (file/backend)
 	maxSize      uint64 // growth reserve; 0 = frozen at size
 	writeLatency time.Duration
@@ -70,24 +72,26 @@ const defaultSize = 64 << 20
 // Option configures a Runtime.
 type Option func(*config)
 
-// WithSize sets the simulated NVRAM capacity in bytes (default 64 MiB).
-// With WithDevice(FileDevice(path)) it sizes a newly created backing file;
-// reopening an existing file adopts the file's formatted capacity, and an
-// explicit WithSize that disagrees with it is an error.
+// WithSize sets the simulated NVRAM capacity of each part in bytes (default
+// 64 MiB). With WithDevice(FileDevice(path)) it sizes a newly created
+// backing file; reopening an existing file adopts the file's formatted
+// capacity, and an explicit WithSize that disagrees with it is an error.
 func WithSize(bytes uint64) Option { return func(c *config) { c.size = bytes } }
 
-// WithMaxSize reserves growth headroom: the runtime starts at WithSize
-// bytes but can Grow online up to this many. On a file or DAX device,
-// reopening an existing image ADOPTS its formatted capacity (whatever the
-// last durable grow reached) instead of erroring on a WithSize disagreement
-// — an elastic pool's size is state, not configuration. Zero freezes the
-// capacity at WithSize, exactly the pre-growth behaviour.
+// WithMaxSize reserves growth headroom for each part: a part starts at
+// WithSize bytes but can Grow online up to this many. On a file or DAX
+// device, reopening an existing image ADOPTS its formatted capacity
+// (whatever the last durable grow reached) instead of erroring on a WithSize
+// disagreement — an elastic pool's size is state, not configuration. Zero
+// freezes the capacity at WithSize, exactly the pre-growth behaviour.
 func WithMaxSize(bytes uint64) Option { return func(c *config) { c.maxSize = bytes } }
 
 // WithDevice names the persistence substrate of the runtime — see
 // DeviceSpec (MemDevice, FileDevice, DAXDevice, BackendDevice). For durable
 // substrates New opens-or-creates: an image holding a formatted pool is
-// recovered (Recovered reports true), anything else is formatted fresh.
+// recovered (Recovered reports true), anything else is formatted fresh. A
+// path names one image at one part and a directory of images at more (see
+// WithShards); a BackendDevice is always one part.
 // SaveImage/LoadImage keep working as portable snapshots. Mutually
 // exclusive with WithVolatile (except MemDevice).
 func WithDevice(spec DeviceSpec) Option { return func(c *config) { c.device = spec } }
@@ -254,7 +258,11 @@ const (
 // callers never need the internal packages).
 type RecoveryStats = core.RecoveryStats
 
-// Runtime owns one device and its substrates.
+// Runtime owns 1..N parts, each one device and its substrates (see
+// WithShards). The fields up to opened are one part's; a runtime of more
+// than one part sets only closed of them, and its calls that name one device
+// (Device, Store, Sessions, Lookup, Names, RecoveryReports and the uint64
+// structures) act on part 0.
 type Runtime struct {
 	dev   *nvram.Device
 	store *core.Store
@@ -273,6 +281,15 @@ type Runtime struct {
 
 	recovered []RecoveryReport
 	recStats  RecoveryStats
+	opened    time.Duration // open and recovery wall clock (ShardRecoveryDurations)
+
+	// parts are the runtime's parts, the runtime itself when it has one;
+	// poolDir is the directory holding them ("" for one image or memory) and
+	// man its manifest, which Grow rewrites under growMu.
+	parts   []*Runtime
+	poolDir string
+	man     manifest
+	growMu  sync.Mutex
 }
 
 // RecoveryReport names one structure recovered by Attach. Leak statistics
@@ -283,12 +300,17 @@ type RecoveryReport struct {
 	Kind Kind
 }
 
-// New creates a runtime. On the default in-process backend the device is
-// always fresh; with WithDevice naming a durable substrate, a persisted
-// image that already holds a formatted pool is recovered instead of
-// destroyed (open-or-create — Recovered reports which path ran).
+// New creates a runtime of WithShards parts. On the default in-process
+// backend the devices are always fresh; with WithDevice naming a durable
+// substrate, persisted images that already hold a formatted pool are
+// recovered instead of destroyed (open-or-create — Recovered reports which
+// path ran).
 func New(opts ...Option) (*Runtime, error) {
-	cfg := buildConfig(opts)
+	return newRuntime(buildConfig(opts))
+}
+
+// openPart opens one part on the device cfg names.
+func openPart(cfg config) (*Runtime, error) {
 	dev, err := cfg.openDevice()
 	if err != nil {
 		return nil, err
@@ -326,6 +348,7 @@ func createRuntime(dev *nvram.Device, cfg config) (*Runtime, error) {
 		return nil, err
 	}
 	r := &Runtime{dev: dev, store: store, cfg: cfg, pool: newCtxPool(store)}
+	r.parts = []*Runtime{r}
 	if err := r.createDirectory(); err != nil {
 		return nil, err
 	}
@@ -363,6 +386,7 @@ func attachRuntime(dev *nvram.Device, cfg config) (*Runtime, error) {
 	}
 	cfg.maxThreads = store.Options().MaxThreads
 	r := &Runtime{dev: dev, store: store, cfg: cfg, pool: newCtxPool(store)}
+	r.parts = []*Runtime{r}
 	if nb := store.Root(rootDirNBkts); nb == 0 {
 		// The pool was formatted but crashed before the directory committed:
 		// no structure can have been registered, so start one fresh.
@@ -440,103 +464,27 @@ func Load(path string, opts ...Option) (*Runtime, error) {
 }
 
 // Save flushes all deferred durability work and writes the persisted image
-// to path. The caller must be quiescent.
+// to path. The caller must be quiescent. A runtime of more than one part has
+// one image per part and is refused: save each of Parts.
 func (r *Runtime) Save(path string) error {
+	if len(r.parts) > 1 {
+		return fmt.Errorf("logfree: Save writes one image, and this runtime has %d parts", len(r.parts))
+	}
 	r.Drain()
 	return r.dev.SaveImage(path)
 }
 
-// Drain flushes the link cache and reclaims retired memory across all
-// operation contexts. Requires quiescence.
-func (r *Runtime) Drain() {
-	r.store.ForEachCtx(func(c *core.Ctx) { c.Shutdown() })
-}
+// Device exposes the underlying simulated device (stats, crash injection):
+// part 0's on a runtime of more than one part.
+func (r *Runtime) Device() *nvram.Device { return r.parts[0].dev }
 
-// Reclaim seals and frees the memory retired on one operation context that
-// every thread has provably moved past, converting retired nodes into
-// reusable slots immediately. Handy between eviction passes under memory
-// pressure and in tests; regular operation reclaims incrementally on its
-// own.
-func (r *Runtime) Reclaim() {
-	if c, err := r.acquireErr(); err == nil {
-		c.Epoch().FlushAll()
-		r.release(c)
-	}
-}
+// Store exposes the internal store for benchmarks and tests: part 0's on a
+// runtime of more than one part.
+func (r *Runtime) Store() *core.Store { return r.parts[0].store }
 
-// Close drains the runtime, marks it closed (subsequent operations return
-// or panic with ErrClosed) and releases the device backend — for
-// file-backed runtimes that synchronously flushes the mapping, so after
-// Close the backing file alone carries the state. Requires quiescence.
-// Idempotent.
-func (r *Runtime) Close() error {
-	if r.closed.Swap(true) {
-		return nil
-	}
-	r.pool.close()
-	r.stopFlushTimer()
-	r.Drain()
-	return r.dev.Close()
-}
-
-// Recovered reports whether this runtime attached to an existing formatted
-// image (New on a populated WithDevice substrate, Attach, Load) rather than
-// formatting a fresh pool.
-func (r *Runtime) Recovered() bool { return r.attached }
-
-// SimulateCrash power-fails the device (losing everything not written
-// back), reboots, and recovers. The receiver and all its structures are
-// invalid afterwards (it is closed); use the returned runtime.
-func (r *Runtime) SimulateCrash() (*Runtime, error) {
-	r.closed.Store(true)
-	r.pool.close()
-	r.stopFlushTimer()
-	r.dev.Crash()
-	return Attach(r.dev,
-		WithSize(r.cfg.size),
-		WithMaxSize(r.cfg.maxSize),
-		WithWriteLatency(r.cfg.writeLatency),
-		WithLinkCache(r.cfg.linkCache),
-		WithDevice(r.cfg.device),
-		WithDurability(r.cfg.durability),
-		WithVolatile(r.cfg.volatile))
-}
-
-// Device exposes the underlying simulated device (stats, crash injection).
-func (r *Runtime) Device() *nvram.Device { return r.dev }
-
-// Store exposes the internal store for benchmarks and tests.
-func (r *Runtime) Store() *core.Store { return r.store }
-
-// AvailableBytes estimates the free NVRAM capacity (uncarved space plus
-// recycled pages). Callers implementing eviction policies poll it.
-func (r *Runtime) AvailableBytes() uint64 { return r.store.Pool().AvailableBytes() }
-
-// SizeBytes returns the committed device capacity in bytes. It increases
-// through Grow and never decreases.
-func (r *Runtime) SizeBytes() uint64 { return r.dev.Size() }
-
-// MaxSizeBytes returns the growth reserve: the largest capacity Grow can
-// reach. Equal to SizeBytes when the runtime has no headroom.
-func (r *Runtime) MaxSizeBytes() uint64 { return r.dev.Reserve() }
-
-// Grow extends the runtime's device and allocator to total bytes,
-// crash-atomically and with no interruption to concurrent operations
-// (requires WithMaxSize headroom, or a growable backend with reserve). A
-// no-op when total is at or below the current size. A kill -9 at any point
-// during a grow recovers to exactly the old or the new capacity.
-func (r *Runtime) Grow(total uint64) error {
-	if r.closed.Load() {
-		return ErrClosed
-	}
-	return r.store.Pool().Grow(total)
-}
-
-// RecoveryReports lists the structures recovered by Attach.
-func (r *Runtime) RecoveryReports() []RecoveryReport { return r.recovered }
-
-// RecoveryStats aggregates the recovery pass Attach ran (zero after New).
-func (r *Runtime) RecoveryStats() RecoveryStats { return r.recStats }
+// RecoveryReports lists the structures recovered by Attach: part 0's, whose
+// directory names every structure (see Lookup).
+func (r *Runtime) RecoveryReports() []RecoveryReport { return r.parts[0].recovered }
 
 // --- Durable directory ---------------------------------------------------
 
@@ -563,8 +511,10 @@ func decodeDirEntry(v []byte) (kind Kind, aux, a1, a2 uint64, ok bool) {
 }
 
 // Lookup reports whether a structure named name is registered, and its
-// kind.
+// kind. It reads part 0's directory, which names every structure: a byte map
+// is registered on every part, and a uint64 structure lives on part 0.
 func (r *Runtime) Lookup(name string) (Kind, bool) {
+	r = r.parts[0]
 	c := r.acquire()
 	defer r.release(c)
 	v, ok := r.dir.Get(c, []byte(name))
@@ -575,8 +525,10 @@ func (r *Runtime) Lookup(name string) (Kind, bool) {
 	return kind, ok
 }
 
-// Names lists every registered structure name (quiescent use).
+// Names lists every registered structure name (quiescent use), from part
+// 0's directory as Lookup.
 func (r *Runtime) Names() []string {
+	r = r.parts[0]
 	c := r.acquire()
 	defer r.release(c)
 	var out []string

@@ -137,21 +137,32 @@ type mapPart[C bytesCore] struct {
 	m  C
 }
 
-// byteMap is the shared implementation of ByteMap and OrderedByteMap: 1..N
-// parts, each a core map on its own runtime, and the function that routes a
-// key to the part owning it. A Runtime hands out the one-part case; JoinMaps
-// and JoinOrderedMaps build the rest. A point operation routes, draws a
-// context on the owning part's runtime and makes the core call there, so it
-// behaves exactly as on a single runtime; Len and iteration combine the
-// parts.
+// byteMap is the shared implementation of ByteMap and OrderedByteMap: one
+// part per part of the runtime, each a core map on that part, and the
+// function that routes a key to the part owning it. A point operation
+// routes, draws a context on the owning part and makes the core call there,
+// so it behaves exactly as on a runtime of one part; Len and iteration
+// combine the parts.
 type byteMap[C bytesCore] struct {
 	parts []mapPart[C]
 	route func(key []byte) int // never called on a one-part map
 	name  string
 }
 
-func onePart[C bytesCore](r *Runtime, m C, name string) byteMap[C] {
-	return byteMap[C]{parts: []mapPart[C]{{r, m}}, name: name}
+// openParts opens the map registered under name on every part of r, or
+// creates and registers it there. Keys route by r's routing hash, which
+// depends on the key's bytes alone and never changes while the data lives:
+// an entry is only ever looked for on the part it routes to.
+func openParts[C bytesCore](r *Runtime, name string, kind Kind, buckets int) (byteMap[C], error) {
+	m := byteMap[C]{route: r.partOf, name: name}
+	for _, p := range r.parts {
+		st, err := p.open(name, kind, buckets)
+		if err != nil {
+			return m, err
+		}
+		m.parts = append(m.parts, mapPart[C]{p, st.(C)})
+	}
+	return m, nil
 }
 
 // part returns the part owning key.
@@ -212,35 +223,22 @@ type ByteMap struct {
 }
 
 // Map opens or creates the byte-keyed durable map registered under name
-// (OpenOrCreate with KindMap, concretely typed).
+// (OpenOrCreate with KindMap, concretely typed) on every part of the
+// runtime, as one map. buckets sizes each part's table: keys spread
+// near-uniformly, so size it for the keys one part holds.
 func (r *Runtime) Map(name string, buckets int) (*ByteMap, error) {
 	if buckets <= 0 {
 		buckets = 1024
 	}
-	st, err := r.open(name, KindMap, buckets)
+	m, err := openParts[*core.BytesMap](r, name, KindMap, buckets)
 	if err != nil {
 		return nil, err
 	}
-	return &ByteMap{onePart(r, st.(*core.BytesMap), name)}, nil
-}
-
-// JoinMaps makes one map of maps opened under the same name on different
-// runtimes (at least one). route names the part that owns a key, as an index
-// into parts; it must depend on the key's bytes alone and never change while
-// the data lives, since an entry is only ever looked for on the part route
-// points at. sharded.Pool.Map is the caller that keeps that promise durably.
-//
-// Each part's slots are stamped with its part number here (see PartShift),
-// on a handle of the joined map's own: the maps passed in are unchanged.
-func JoinMaps(route func(key []byte) int, parts ...*ByteMap) *ByteMap {
-	j := &ByteMap{byteMap[*core.BytesMap]{route: route, name: parts[0].name}}
-	for _, p := range parts {
-		for _, pp := range p.parts {
-			pp.m = pp.m.WithSlotBase(uint64(len(j.parts)) << PartShift)
-			j.parts = append(j.parts, pp)
-		}
+	// Each part's slots carry its part number (see PartShift); part 0's is 0.
+	for i := 1; i < len(m.parts); i++ {
+		m.parts[i].m = m.parts[i].m.WithSlotBase(uint64(i) << PartShift)
 	}
-	return j
+	return &ByteMap{m}, nil
 }
 
 // KeyStep is one read-decide-write step of a key, as Update hands it to its
@@ -463,23 +461,14 @@ type OrderedByteMap struct {
 type orderedPart = mapPart[*core.OrderedBytesMap]
 
 // OrderedMap opens or creates the ordered byte-keyed durable map
-// registered under name (OpenOrCreate with KindOrderedMap, concretely
-// typed).
+// registered under name (OpenOrCreate with KindOrderedMap, concretely typed)
+// on every part of the runtime, as one map.
 func (r *Runtime) OrderedMap(name string) (*OrderedByteMap, error) {
-	st, err := r.open(name, KindOrderedMap, 0)
+	m, err := openParts[*core.OrderedBytesMap](r, name, KindOrderedMap, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &OrderedByteMap{onePart(r, st.(*core.OrderedBytesMap), name)}, nil
-}
-
-// JoinOrderedMaps is JoinMaps for ordered maps.
-func JoinOrderedMaps(route func(key []byte) int, parts ...*OrderedByteMap) *OrderedByteMap {
-	j := &OrderedByteMap{byteMap[*core.OrderedBytesMap]{route: route, name: parts[0].name}}
-	for _, p := range parts {
-		j.parts = append(j.parts, p.parts...)
-	}
-	return j
+	return &OrderedByteMap{m}, nil
 }
 
 // Set implements Map (meta 0, aux 0).

@@ -154,5 +154,6 @@ func (r *Runtime) release(c *core.Ctx) { r.pool.push(c) }
 
 // Sessions reports the runtime's number of operation contexts: the thread
 // count its store was formatted with, and so the most operations that run at
-// once.
-func (r *Runtime) Sessions() int { return len(r.pool.slots) }
+// once. On a runtime of more than one part it is part 0's; each part has
+// contexts of its own.
+func (r *Runtime) Sessions() int { return len(r.parts[0].pool.slots) }

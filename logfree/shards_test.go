@@ -1,39 +1,43 @@
-package sharded
+package logfree
+
+// A runtime of several parts: routing, where the parts live on disk, the
+// manifest, parallel open and recovery, and the split Grow.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/nvram"
 	"repro/internal/pmem"
-	"repro/logfree"
 )
 
 const testShardSize = 8 << 20
 
-func openMem(t *testing.T, shards int) *Pool {
+func openMem(t *testing.T, shards int) *Runtime {
 	t.Helper()
-	p, err := Open(WithShards(shards), WithShardSize(testShardSize))
+	p, err := New(WithShards(shards), WithSize(testShardSize))
 	if err != nil {
-		t.Fatalf("Open(mem, %d shards): %v", shards, err)
+		t.Fatalf("New(mem, %d shards): %v", shards, err)
 	}
 	t.Cleanup(func() { p.Close() })
 	return p
 }
 
-func openFile(t *testing.T, dir string, shards int) *Pool {
+func openFile(t *testing.T, dir string, shards int) *Runtime {
 	t.Helper()
-	p, err := Open(WithShards(shards), WithShardSize(testShardSize), WithDevice(logfree.FileDevice(dir)))
+	p, err := New(WithShards(shards), WithSize(testShardSize), WithDevice(FileDevice(dir)))
 	if err != nil {
-		t.Fatalf("Open(%s, %d shards): %v", dir, shards, err)
+		t.Fatalf("New(%s, %d shards): %v", dir, shards, err)
 	}
 	t.Cleanup(func() { p.Close() })
 	return p
@@ -52,8 +56,8 @@ func TestRoutingStableAcrossReopenAndBackends(t *testing.T) {
 	const n = 2000
 	route := make([]int, n)
 	for i := 0; i < n; i++ {
-		route[i] = fp.ShardOf(tkey(i))
-		if got := mp.ShardOf(tkey(i)); got != route[i] {
+		route[i] = fp.partOf(tkey(i))
+		if got := mp.partOf(tkey(i)); got != route[i] {
 			t.Fatalf("key %d: file pool routes to shard %d, mem pool to %d", i, route[i], got)
 		}
 	}
@@ -74,15 +78,15 @@ func TestRoutingStableAcrossReopenAndBackends(t *testing.T) {
 	if !fp2.Recovered() {
 		t.Fatal("reopened pool does not report Recovered")
 	}
-	if fp2.Shards() != 4 {
-		t.Fatalf("reopened pool has %d shards, want 4", fp2.Shards())
+	if len(fp2.Parts()) != 4 {
+		t.Fatalf("reopened pool has %d shards, want 4", len(fp2.Parts()))
 	}
 	m2, err := fp2.Map("t", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if got := fp2.ShardOf(tkey(i)); got != route[i] {
+		if got := fp2.partOf(tkey(i)); got != route[i] {
 			t.Fatalf("key %d routed to shard %d before reopen, %d after", i, route[i], got)
 		}
 		// The real invariant: the entry is findable, i.e. it lives on the
@@ -96,10 +100,10 @@ func TestRoutingStableAcrossReopenAndBackends(t *testing.T) {
 
 func TestRoutingSpreadsKeys(t *testing.T) {
 	p := openMem(t, 8)
-	counts := make([]int, p.Shards())
+	counts := make([]int, len(p.Parts()))
 	const n = 8192
 	for i := 0; i < n; i++ {
-		counts[p.ShardOf(tkey(i))]++
+		counts[p.partOf(tkey(i))]++
 	}
 	for s, c := range counts {
 		// Mean is n/8 = 1024; demand every shard holds at least a quarter of
@@ -107,18 +111,6 @@ func TestRoutingSpreadsKeys(t *testing.T) {
 		if c < n/8/4 {
 			t.Fatalf("shard %d got only %d of %d sequential keys: %v", s, c, n, counts)
 		}
-	}
-}
-
-func TestDefaultShardCountIsPowerOfTwo(t *testing.T) {
-	p, err := Open(WithShardSize(testShardSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	n := p.Shards()
-	if n < 1 || n&(n-1) != 0 {
-		t.Fatalf("default shard count %d is not a power of two", n)
 	}
 }
 
@@ -144,7 +136,7 @@ func TestOneShardPoolIsTheDeviceItself(t *testing.T) {
 		t.Fatalf("1-shard pool path is not a regular file: %v, %v", st, err)
 	}
 
-	rt, err := logfree.New(logfree.WithDevice(logfree.FileDevice(path)))
+	rt, err := New(WithDevice(FileDevice(path)))
 	if err != nil {
 		t.Fatalf("plain runtime on a 1-shard pool's image: %v", err)
 	}
@@ -163,8 +155,8 @@ func TestOneShardPoolIsTheDeviceItself(t *testing.T) {
 	}
 
 	p2 := openFile(t, path, 0)
-	if p2.Shards() != 1 || !p2.Recovered() {
-		t.Fatalf("adopted image: %d shards, recovered=%v", p2.Shards(), p2.Recovered())
+	if len(p2.Parts()) != 1 || !p2.Recovered() {
+		t.Fatalf("adopted image: %d shards, recovered=%v", len(p2.Parts()), p2.Recovered())
 	}
 	m2, err := p2.Map("t", 64)
 	if err != nil {
@@ -180,7 +172,7 @@ func TestOneShardPoolIsTheDeviceItself(t *testing.T) {
 // topology of any directory that has one.
 func TestOneShardManifestDirectoryStillOpens(t *testing.T) {
 	dir := t.TempDir()
-	rt, err := logfree.New(logfree.WithDevice(logfree.FileDevice(shardPath(dir, 0))), logfree.WithSize(testShardSize))
+	rt, err := New(WithDevice(FileDevice(shardPath(dir, 0))), WithSize(testShardSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,45 +183,8 @@ func TestOneShardManifestDirectoryStillOpens(t *testing.T) {
 		`{"magic":%q,"version":%d,"shards":1,"shard_bytes":%d,"hash":%q}`,
 		manifestMagic, manifestVersion, testShardSize, routeHashID))
 	p := openFile(t, dir, 1)
-	if p.Shards() != 1 || !p.Recovered() {
-		t.Fatalf("1-shard manifest directory: %d shards, recovered=%v", p.Shards(), p.Recovered())
-	}
-}
-
-func TestAdopt(t *testing.T) {
-	var rts []*logfree.Runtime
-	for i := 0; i < 3; i++ {
-		rt, err := logfree.New(logfree.WithSize(testShardSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		rts = append(rts, rt)
-	}
-	if _, err := Adopt(rts...); err == nil {
-		t.Fatal("Adopt accepted three runtimes: routing needs a power of two")
-	}
-	if _, err := Adopt(); err == nil {
-		t.Fatal("Adopt accepted no runtimes")
-	}
-	p, err := Adopt(rts[:2]...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Shards() != 2 || p.Recovered() || len(p.ShardRecoveryDurations()) != 2 {
-		t.Fatalf("adopted pool: %d shards, recovered=%v", p.Shards(), p.Recovered())
-	}
-	m, err := p.Map("t", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := m.Set(tkey(i), tval(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if held := shardLens(t, p, "t"); held[0] == 0 || held[1] == 0 || held[0]+held[1] != 100 {
-		t.Fatalf("adopted shards hold %v of 100 keys", held)
+	if len(p.Parts()) != 1 || !p.Recovered() {
+		t.Fatalf("1-shard manifest directory: %d shards, recovered=%v", len(p.Parts()), p.Recovered())
 	}
 }
 
@@ -306,7 +261,7 @@ func TestManifestRejects(t *testing.T) {
 		{
 			name:    "shard-size-disagreement",
 			mutate:  func(t *testing.T, dir string) {},
-			opts:    []Option{WithShardSize(testShardSize * 2)},
+			opts:    []Option{WithSize(testShardSize * 2)},
 			wantErr: "formatted for",
 		},
 		{
@@ -332,7 +287,7 @@ func TestManifestRejects(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			p, err := Open(WithShards(2), WithShardSize(testShardSize), WithDevice(logfree.FileDevice(dir)))
+			p, err := New(WithShards(2), WithSize(testShardSize), WithDevice(FileDevice(dir)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,13 +295,13 @@ func TestManifestRejects(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.mutate(t, dir)
-			p2, err := Open(append([]Option{WithDevice(logfree.FileDevice(dir))}, tc.opts...)...)
+			p2, err := New(append([]Option{WithDevice(FileDevice(dir))}, tc.opts...)...)
 			if err == nil {
 				p2.Close()
-				t.Fatalf("Open succeeded, want error containing %q", tc.wantErr)
+				t.Fatalf("New succeeded, want error containing %q", tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Open error %q does not contain %q", err, tc.wantErr)
+				t.Fatalf("New error %q does not contain %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -384,15 +339,15 @@ func TestOpenFailureClosesOpenedShards(t *testing.T) {
 	bad := shardPath(dir, 2)
 	orig := corruptHeaderWord(t, bad, 0, 0)
 
-	_, err = Open(WithDevice(logfree.FileDevice(dir)))
+	_, err = New(WithDevice(FileDevice(dir)))
 	if err == nil {
-		t.Fatal("Open succeeded on a pool with a corrupt shard file")
+		t.Fatal("New succeeded on a pool with a corrupt shard file")
 	}
 	if !strings.Contains(err.Error(), "opening shard 2 of 4") {
-		t.Fatalf("Open error %q does not name the corrupt shard", err)
+		t.Fatalf("New error %q does not name the corrupt shard", err)
 	}
 
-	// Shards 0 and 1 opened before 2 failed; if Open leaked them their
+	// Shards 0 and 1 opened before 2 failed; if New leaked them their
 	// backing files would still be flocked and this direct open would fail
 	// with "locked by another live process".
 	fb, created, err := nvram.OpenFileBackend(shardPath(dir, 0), 0, 0)
@@ -444,16 +399,16 @@ func corruptHeaderWord(t *testing.T, path string, off int64, v uint64) uint64 {
 // --- surface ---------------------------------------------------------------
 
 // The byte-map contract itself (point operations, meta/aux, Items, Walk,
-// global order, crash recovery) is logfree's TestMapContract, which
-// runs over a 1-shard and a 4-shard pool; what follows is what only a pool
-// can show: where entries land.
+// global order, crash recovery) is TestMapContract, which runs over a
+// runtime of one part and one of four; what follows is what only several
+// parts can show: where entries land.
 
-// shardLens opens the map registered under name on each shard's own runtime
+// shardLens opens the map registered under name on each part's own runtime
 // and returns how many keys each holds.
-func shardLens(t *testing.T, p *Pool, name string) []int {
+func shardLens(t *testing.T, p *Runtime, name string) []int {
 	t.Helper()
-	held := make([]int, p.Shards())
-	for i, rt := range p.Runtimes() {
+	held := make([]int, len(p.Parts()))
+	for i, rt := range p.Parts() {
 		m, err := rt.Map(name, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -463,31 +418,31 @@ func shardLens(t *testing.T, p *Pool, name string) []int {
 	return held
 }
 
-// TestShardedMapSurface: a pool's map is a logfree.ByteMap, and each entry
-// lives on the shard ShardOf names and nowhere else.
+// TestShardedMapSurface: a pool's map is a ByteMap, and each entry
+// lives on the part partOf names and nowhere else.
 func TestShardedMapSurface(t *testing.T) {
 	p := openMem(t, 4)
 	m, err := p.Map("kv", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ logfree.Map = m
-	if m.Kind() != logfree.KindMap || m.Name() != "kv" {
+	var _ Map = m
+	if m.Kind() != KindMap || m.Name() != "kv" {
 		t.Fatalf("Kind/Name = %v/%q", m.Kind(), m.Name())
 	}
 	const n = 1000
-	want := make([]int, p.Shards())
+	want := make([]int, len(p.Parts()))
 	for i := 0; i < n; i++ {
 		if _, err := m.SetItem(tkey(i), tval(i), uint16(i), uint64(i)*3); err != nil {
 			t.Fatal(err)
 		}
-		want[p.ShardOf(tkey(i))]++
+		want[p.partOf(tkey(i))]++
 	}
 	if held := shardLens(t, p, "kv"); fmt.Sprint(held) != fmt.Sprint(want) || m.Len() != n {
 		t.Fatalf("shards hold %v keys, routing says %v; Len = %d", held, want, m.Len())
 	}
 	for i := 0; i < n; i++ {
-		own, err := p.Runtimes()[p.ShardOf(tkey(i))].Map("kv", 128)
+		own, err := p.Parts()[p.partOf(tkey(i))].Map("kv", 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +460,7 @@ func TestOrderedMergeIterators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ logfree.OrderedMap = om
+	var _ OrderedMap = om
 	const n = 1200
 	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
 		if _, err := om.SetItem(tkey(i), tval(i), 0, uint64(i)); err != nil {
@@ -517,7 +472,7 @@ func TestOrderedMergeIterators(t *testing.T) {
 		if !bytes.Equal(k, tkey(i)) || !bytes.Equal(it.Value, tval(i)) || it.Aux != uint64(i) {
 			t.Fatalf("ScanItems[%d] = %q %+v", i, k, it)
 		}
-		if shard := p.ShardOf(k); shard != last {
+		if shard := p.partOf(k); shard != last {
 			switches, last = switches+1, shard
 		}
 		i++
@@ -589,7 +544,7 @@ func TestPoolCrashTortureFile(t *testing.T) {
 	}
 	// Abrupt death: abandon every shard's mapping without Close — exactly
 	// what kill -9 leaves behind — then recover the pool from the directory.
-	for _, rt := range p.Runtimes() {
+	for _, rt := range p.Parts() {
 		if err := rt.Device().Backend().(*nvram.FileBackend).Abandon(); err != nil {
 			t.Fatalf("Abandon: %v", err)
 		}
@@ -632,11 +587,17 @@ func TestPoolStatsAndCapacity(t *testing.T) {
 		}
 	}
 	p.Drain()
-	if st := p.Stats(); st.Fences == 0 || st.Clwbs == 0 {
-		t.Fatalf("summed device stats empty: %+v", st)
+	for i, part := range p.Parts() {
+		if st := part.Device().Stats(); st.Fences == 0 || st.Clwbs == 0 {
+			t.Fatalf("part %d's device stats empty: %+v", i, st)
+		}
 	}
 	if after := p.AvailableBytes(); after >= before {
 		t.Fatalf("AvailableBytes did not drop: %d -> %d", before, after)
+	}
+	// AvailableBytes is the fullest part's, FreeBytes the sum over both.
+	if free, least := p.FreeBytes(), p.AvailableBytes(); free < 2*least {
+		t.Fatalf("FreeBytes %d below twice the fullest part's %d", free, least)
 	}
 	p.Reclaim()
 	if err := p.Close(); err != nil {
@@ -688,10 +649,10 @@ func TestShardedWalk(t *testing.T) {
 		seen, calls, lastShard := 0, 0, 0
 		for cursor := uint64(0); ; {
 			calls++
-			cursor = m.Walk(cursor, func(e logfree.Entry) bool {
+			cursor = m.Walk(cursor, func(e Entry) bool {
 				var i int
 				fmt.Sscanf(string(e.Key), "key-%d", &i)
-				shard := p.ShardOf(e.Key)
+				shard := p.partOf(e.Key)
 				if !bytes.Equal(e.Value(), tval(i)) || shard < lastShard {
 					t.Errorf("cycle %d: %q of shard %d shown after shard %d with value %q", cycle, e.Key, shard, lastShard, e.Value())
 				}
@@ -714,12 +675,12 @@ func TestShardedWalk(t *testing.T) {
 }
 
 // TestOpenRefusesOtherLayoutVersion: a shard image of another durable layout
-// fails the pool's Open with pmem.ErrLayoutVersion, one shard or several.
+// fails New with pmem.ErrLayoutVersion, one shard or several.
 func TestOpenRefusesOtherLayoutVersion(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "pool")
-			p, err := Open(WithShards(shards), WithShardSize(testShardSize), WithDevice(logfree.FileDevice(path)))
+			p, err := New(WithShards(shards), WithSize(testShardSize), WithDevice(FileDevice(path)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -742,10 +703,434 @@ func TestOpenRefusesOtherLayoutVersion(t *testing.T) {
 				if err := d.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := Open(WithShards(shards), WithDevice(logfree.FileDevice(path))); !errors.Is(err, pmem.ErrLayoutVersion) {
-					t.Fatalf("Open of a version-%d shard image: %v, want pmem.ErrLayoutVersion", v, err)
+				if _, err := New(WithShards(shards), WithDevice(FileDevice(path))); !errors.Is(err, pmem.ErrLayoutVersion) {
+					t.Fatalf("New of a version-%d shard image: %v, want pmem.ErrLayoutVersion", v, err)
 				}
 			}
 		})
+	}
+}
+
+// --- elastic capacity ---------------------------------------------------
+
+// Grow fans out to every part and re-commits the manifest; an elastic reopen
+// adopts the grown size, including the torn state where the parts grew but
+// the manifest rewrite was lost.
+
+func TestPoolGrowMem(t *testing.T) {
+	p, err := New(WithShards(4), WithSize(256<<10), WithMaxSize(4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := p.SizeBytes(); got != 4*(256<<10) {
+		t.Fatalf("SizeBytes = %d, want %d", got, 4*(256<<10))
+	}
+	if got := p.MaxSizeBytes(); got != 4*(4<<20) {
+		t.Fatalf("MaxSizeBytes = %d, want %d", got, 4*(4<<20))
+	}
+	if err := p.Grow(4 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.SizeBytes(); got != 4<<20 {
+		t.Fatalf("SizeBytes after Grow = %d, want %d", got, 4<<20)
+	}
+	for i, rt := range p.Parts() {
+		if got := rt.SizeBytes(); got != 1<<20 {
+			t.Fatalf("shard %d size = %d, want %d", i, got, 1<<20)
+		}
+	}
+	if err := p.Grow(64 << 20); err == nil {
+		t.Fatal("Grow past the per-shard reserve must fail")
+	}
+}
+
+func TestPoolGrowFileReopen(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Runtime {
+		p, err := New(WithShards(2), WithSize(256<<10), WithMaxSize(4<<20),
+			WithDevice(FileDevice(dir)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := open()
+	m, err := p.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := m.Set([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Grow(2 << 20); err != nil {
+		t.Fatal(err)
+	}
+	grown := p.SizeBytes()
+	if grown != 2<<20 {
+		t.Fatalf("SizeBytes after Grow = %d, want %d", grown, 2<<20)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Elastic reopen with the ORIGINAL shard size adopts the grown geometry
+	// from the rewritten manifest.
+	p2 := open()
+	defer p2.Close()
+	if !p2.Recovered() {
+		t.Fatal("reopen must attach")
+	}
+	if got := p2.SizeBytes(); got != grown {
+		t.Fatalf("reopened SizeBytes = %d, want %d", got, grown)
+	}
+	m2, err := p2.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if v, ok := m2.Get([]byte(fmt.Sprintf("k%03d", i))); !ok || string(v) != "v" {
+			t.Fatalf("k%03d lost across grow+reopen", i)
+		}
+	}
+}
+
+// TestPoolGrowTornManifest reopens a pool whose shards grew but whose
+// manifest rewrite was lost (crash between the two): the elastic path adopts
+// each shard's committed capacity, and re-running Grow reconverges the
+// manifest.
+func TestPoolGrowTornManifest(t *testing.T) {
+	dir := t.TempDir()
+	p, err := New(WithShards(2), WithSize(256<<10), WithMaxSize(4<<20),
+		WithDevice(FileDevice(dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldManifest := manifest{
+		Magic: manifestMagic, Version: manifestVersion,
+		Shards: 2, ShardBytes: 256 << 10, Hash: routeHashID,
+	}
+	if err := p.Grow(2 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Simulate the torn state: shard files grown, manifest still old.
+	if err := writeManifest(dir, oldManifest); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, err := New(WithShards(2), WithSize(256<<10), WithMaxSize(4<<20),
+		WithDevice(FileDevice(dir)))
+	if err != nil {
+		t.Fatalf("reopen after torn grow: %v", err)
+	}
+	defer p2.Close()
+	if got := p2.SizeBytes(); got != 2<<20 {
+		t.Fatalf("torn reopen SizeBytes = %d, want %d (shards' committed capacity)", got, 2<<20)
+	}
+	if err := p2.Grow(2 << 20); err != nil {
+		t.Fatalf("reconverging Grow: %v", err)
+	}
+	man, ok, err := readManifest(dir, &config{})
+	if err != nil || !ok {
+		t.Fatalf("manifest after reconverge: ok=%v err=%v", ok, err)
+	}
+	if man.ShardBytes != 1<<20 {
+		t.Fatalf("manifest ShardBytes = %d, want %d", man.ShardBytes, 1<<20)
+	}
+}
+
+// --- DAX-backed parts ----------------------------------------------------
+
+// Per-part DAX devices under one directory, the manifest recording (and
+// enforcing) the backend kind, and durability pass-through.
+
+func TestDAXPoolOpenReopen(t *testing.T) {
+	dir := t.TempDir()
+	p, err := New(WithShards(4), WithSize(testShardSize),
+		WithDevice(DAXDevice(dir)), WithDurability(Strict()))
+	if err != nil {
+		t.Fatalf("New(dax pool): %v", err)
+	}
+	m, err := p.Map("kv", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := m.Set(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen with the same spec: recovery, kind check, contents.
+	p2, err := New(WithDevice(DAXDevice(dir)), WithDurability(Strict()))
+	if err != nil {
+		t.Fatalf("reopen dax pool: %v", err)
+	}
+	defer p2.Close()
+	if !p2.Recovered() {
+		t.Fatal("dax pool reopen did not recover")
+	}
+	if len(p2.Parts()) != 4 {
+		t.Fatalf("reopen shards = %d, want 4", len(p2.Parts()))
+	}
+	m2, err := p2.Map("kv", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := m2.Get(tkey(i)); !ok || string(v) != string(tval(i)) {
+			t.Fatalf("key %d lost across dax pool reopen: %q, %v", i, v, ok)
+		}
+	}
+}
+
+// The manifest records the backend kind: a pool formatted on DAX shards
+// refuses an explicit file-kind reopen (and vice versa), while an
+// unspecified kind adopts whatever the manifest says.
+func TestManifestBackendKindEnforced(t *testing.T) {
+	dir := t.TempDir()
+	p, err := New(WithShards(2), WithSize(testShardSize),
+		WithDevice(DAXDevice(dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := New(WithDevice(FileDevice(dir))); err == nil ||
+		!strings.Contains(err.Error(), "formatted on") {
+		t.Fatalf("file-kind reopen of dax pool = %v, want formatted-on mismatch", err)
+	}
+
+	// And the mirror image: a file pool rejects a dax-kind reopen.
+	fdir := t.TempDir()
+	fp, err := New(WithShards(2), WithSize(testShardSize),
+		WithDevice(FileDevice(fdir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(WithDevice(DAXDevice(fdir))); err == nil ||
+		!strings.Contains(err.Error(), "formatted on") {
+		t.Fatalf("dax-kind reopen of file pool = %v, want formatted-on mismatch", err)
+	}
+	// Matching kind still opens.
+	fp2, err := New(WithDevice(FileDevice(fdir)))
+	if err != nil {
+		t.Fatalf("matching-kind reopen: %v", err)
+	}
+	fp2.Close()
+}
+
+// A buffered pool runs every shard's flush timer; acked writes older than
+// the staleness bound survive SimulateCrash.
+func TestDAXPoolBufferedCrash(t *testing.T) {
+	dir := t.TempDir()
+	const staleness = 5 * time.Millisecond
+	p, err := New(WithShards(2), WithSize(testShardSize),
+		WithDevice(DAXDevice(dir)),
+		WithDurability(Buffered(staleness)), WithLinkCache(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Map("kv", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	for i := 0; i < n; i++ {
+		if err := m.Set(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * staleness)
+	p2, err := p.SimulateCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	m2, err := p2.Map("kv", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := m2.Get(tkey(i)); !ok || string(v) != string(tval(i)) {
+			t.Fatalf("acked write %d older than MaxStaleness lost: %q, %v", i, v, ok)
+		}
+	}
+}
+
+// --- what is on disk decides ---------------------------------------------
+
+// dirState is every file of dir with its contents, to show that a refused
+// open wrote nothing.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := map[string]string{}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[e.Name()] = string(raw)
+	}
+	return state
+}
+
+// TestReopenAdoptsPartCount: a directory written with four parts reopens as
+// four parts through New without WithShards and reads every key back; a
+// fresh path with no WithShards is one image; and an explicit count that
+// disagrees with what is on disk is refused before anything is written,
+// whether the disk holds a directory or a single image.
+func TestReopenAdoptsPartCount(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "pool")
+	rt, err := New(WithShards(4), WithSize(testShardSize), WithDevice(FileDevice(dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := rt.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := m.Set(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rt2, err := New(WithDevice(FileDevice(dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rt2.Parts()) != 4 || !rt2.Recovered() {
+		t.Fatalf("reopened without WithShards: %d parts, recovered=%v; want 4, true", len(rt2.Parts()), rt2.Recovered())
+	}
+	m2, err := rt2.Map("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := m2.Get(tkey(i)); !ok || !bytes.Equal(v, tval(i)) {
+			t.Fatalf("key %d after reopen: %q, %v", i, v, ok)
+		}
+	}
+	if m2.Len() != n {
+		t.Fatalf("reopened map holds %d keys, want %d", m2.Len(), n)
+	}
+	if err := rt2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := dirState(t, dir)
+	if _, err := New(WithShards(2), WithDevice(FileDevice(dir))); err == nil || !strings.Contains(err.Error(), "formatted with 4 shards, requested 2") {
+		t.Fatalf("WithShards(2) on a 4-part directory: %v", err)
+	}
+	if after := dirState(t, dir); !maps.Equal(before, after) {
+		t.Fatal("the refused open changed the directory")
+	}
+
+	image := filepath.Join(t.TempDir(), "one.pmem")
+	one, err := New(WithSize(testShardSize), WithDevice(FileDevice(image)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Parts()) != 1 {
+		t.Fatalf("a fresh path without WithShards opened %d parts", len(one.Parts()))
+	}
+	if err := one.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(image); err != nil || !st.Mode().IsRegular() {
+		t.Fatalf("one part is not a single image file: %v, %v", st, err)
+	}
+	before = dirState(t, filepath.Dir(image))
+	if _, err := New(WithShards(2), WithDevice(FileDevice(image))); err == nil || !strings.Contains(err.Error(), "is a single image") {
+		t.Fatalf("WithShards(2) on a single image: %v", err)
+	}
+	if after := dirState(t, filepath.Dir(image)); !maps.Equal(before, after) {
+		t.Fatal("the refused open changed the image")
+	}
+}
+
+// TestOneDeviceCallsOnParts pins what the calls that name one device do on a
+// runtime of several parts: Device, Store and Sessions are part 0's; the
+// uint64 structures live on part 0, unrouted; Lookup, Names and
+// RecoveryReports read part 0's directory, which names every structure,
+// since a byte map is registered on every part; Save is refused.
+func TestOneDeviceCallsOnParts(t *testing.T) {
+	rt, err := New(WithShards(2), WithSize(testShardSize), WithMaxThreads(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, p1 := rt.Parts()[0], rt.Parts()[1]
+	if rt.Device() != p0.Device() || rt.Store() != p0.Store() || rt.Sessions() != 3 || p1.Sessions() != 3 {
+		t.Fatalf("Device, Store or Sessions is not part 0's (sessions %d)", rt.Sessions())
+	}
+	if _, err := rt.Map("kv", 64); err != nil {
+		t.Fatal(err)
+	}
+	l, err := rt.List("list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 10; k++ {
+		l.Insert(k, k*10)
+	}
+	if _, ok := p0.Lookup("list"); !ok {
+		t.Fatal("the list is not registered on part 0")
+	}
+	if _, ok := p1.Lookup("list"); ok {
+		t.Fatal("the list is registered on part 1 too")
+	}
+	for _, p := range rt.Parts() {
+		if kind, ok := p.Lookup("kv"); !ok || kind != KindMap {
+			t.Fatalf("the map is not registered on every part: %v, %v", kind, ok)
+		}
+	}
+	if names := rt.Names(); fmt.Sprint(names) != "[kv list]" && fmt.Sprint(names) != "[list kv]" {
+		t.Fatalf("Names = %v, want kv and list", names)
+	}
+	saved := filepath.Join(t.TempDir(), "image")
+	if err := rt.Save(saved); err == nil || !strings.Contains(err.Error(), "2 parts") {
+		t.Fatalf("Save of two parts: %v", err)
+	}
+	if _, err := os.Stat(saved); !os.IsNotExist(err) {
+		t.Fatalf("the refused Save left a file: %v", err)
+	}
+
+	rt2, err := rt.SimulateCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if reports := rt2.RecoveryReports(); len(reports) != 2 {
+		t.Fatalf("RecoveryReports = %v, want kv and list", reports)
+	}
+	l2, err := rt2.List("list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := l2.Search(7); !ok || v != 70 || l2.Len() != 10 {
+		t.Fatalf("list after the crash: Search(7) = %d, %v; Len %d", v, ok, l2.Len())
 	}
 }

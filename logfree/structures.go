@@ -10,7 +10,8 @@ import (
 // (§3). All methods are safe for concurrent use from any goroutine
 // (implicit sessions). The typed wrappers share the durable directory that
 // OpenOrCreate serves; each Runtime method below opens the named structure
-// or creates it.
+// or creates it. They are not routed: on a runtime of more than one part
+// they live on part 0.
 type Set interface {
 	// Insert adds key→value; false if the key is already present. The
 	// effect is durable (or, with the link cache, flushed before any
@@ -120,6 +121,7 @@ type List struct {
 
 // List opens or creates the durable list registered under name.
 func (r *Runtime) List(name string) (*List, error) {
+	r = r.parts[0]
 	st, err := r.open(name, KindList, 0)
 	if err != nil {
 		return nil, err
@@ -138,6 +140,7 @@ type HashTable struct {
 // buckets is used only at creation (rounded up to a power of two); an
 // existing table keeps its durable bucket count.
 func (r *Runtime) HashTable(name string, buckets int) (*HashTable, error) {
+	r = r.parts[0]
 	st, err := r.open(name, KindHashTable, buckets)
 	if err != nil {
 		return nil, err
@@ -155,6 +158,7 @@ type SkipList struct {
 
 // SkipList opens or creates the durable skip list registered under name.
 func (r *Runtime) SkipList(name string) (*SkipList, error) {
+	r = r.parts[0]
 	st, err := r.open(name, KindSkipList, 0)
 	if err != nil {
 		return nil, err
@@ -204,6 +208,7 @@ type BST struct {
 
 // BST opens or creates the durable BST registered under name.
 func (r *Runtime) BST(name string) (*BST, error) {
+	r = r.parts[0]
 	st, err := r.open(name, KindBST, 0)
 	if err != nil {
 		return nil, err
@@ -222,6 +227,7 @@ type Queue struct {
 
 // Queue opens or creates the durable queue registered under name.
 func (r *Runtime) Queue(name string) (*Queue, error) {
+	r = r.parts[0]
 	st, err := r.open(name, KindQueue, 0)
 	if err != nil {
 		return nil, err
@@ -266,6 +272,7 @@ type Stack struct {
 
 // Stack opens or creates the durable stack registered under name.
 func (r *Runtime) Stack(name string) (*Stack, error) {
+	r = r.parts[0]
 	st, err := r.open(name, KindStack, 0)
 	if err != nil {
 		return nil, err
