@@ -5,14 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
 	"math/rand"
 	"testing"
 
 	"repro/logfree"
 )
 
-// The byte-map contract, stated once and run over a runtime of one part and
-// a runtime of four parts joined by the routing hash. Their maps are the same
+// The byte-map contract, stated once and run over a runtime opened with the
+// defaults (one part), a runtime asked for one part by WithShards(1), and a
+// runtime of four parts joined by the routing hash. Their maps are the same
 // types, so nothing below knows which subject it runs on.
 
 // host is a subject: what opens maps, and how to power-fail and recover it.
@@ -38,7 +40,14 @@ var subjects = []struct {
 	name string
 	open func(t *testing.T) host
 }{
-	{"runtime", func(t *testing.T) host { return openHost(t, 1) }},
+	{"runtime", func(t *testing.T) host {
+		rt, err := logfree.New(logfree.WithSize(32 << 20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runtimeHost(t, rt)
+	}},
+	{"pool-1", func(t *testing.T) host { return openHost(t, 1) }},
 	{"pool-4", func(t *testing.T) host { return openHost(t, 4) }},
 }
 
@@ -640,5 +649,82 @@ func contractCrash(t *testing.T, h host) {
 			t.Fatalf("post-crash scan out of order: %q then %q", prev, k)
 		}
 		prev = bytes.Clone(k)
+	}
+}
+
+// TestOneShardPoolCountsEqualRuntime states "a runtime of one part pays
+// nothing for the routing" in counts: the same seeded 10 000 operations
+// through the map of a runtime opened with the defaults and through that of a
+// runtime asked for WithShards(1) leave the two devices' write-back, fence
+// and sync-wait counters equal.
+func TestOneShardPoolCountsEqualRuntime(t *testing.T) {
+	run := func(m *logfree.ByteMap) map[string]string {
+		rng := rand.New(rand.NewSource(23))
+		model := map[string]string{}
+		for op := 0; op < 10_000; op++ {
+			i := rng.Intn(700)
+			k, v := ckey(i), bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(200))
+			switch r := rng.Intn(20); {
+			case r < 8:
+				if _, err := m.SetItem(k, v, uint16(op), uint64(op)); err != nil {
+					t.Fatal(err)
+				}
+				model[string(k)] = string(v)
+			case r < 13:
+				if got, _, _, ok := m.GetItem(k); ok != (model[string(k)] != "") || string(got) != model[string(k)] {
+					t.Fatalf("op %d: GetItem(%q) = %q, %v; want %q", op, k, got, ok, model[string(k)])
+				}
+			case r < 15:
+				err := m.Update(k, func(st *logfree.KeyStep) error {
+					if st.Found() != (model[string(k)] != "") || st.ValueLen() != len(model[string(k)]) {
+						t.Errorf("op %d: Update(%q) found %v, %d bytes; want %q", op, k, st.Found(), st.ValueLen(), model[string(k)])
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			case r < 16:
+				m.SetAux(k, uint64(op))
+			case r < 19:
+				m.Delete(k)
+				delete(model, string(k))
+			default:
+				for j := 0; j < 8; j++ {
+					if err := m.Set(ckey(i+j), v); err != nil {
+						t.Fatal(err)
+					}
+					model[string(ckey(i+j))] = string(v)
+				}
+			}
+		}
+		return model
+	}
+
+	rt, err := logfree.New(logfree.WithSize(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rm, err := rt.Map("counts", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := logfree.New(logfree.WithShards(1), logfree.WithSize(32<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	pm, err := p.Map("counts", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := run(rm), run(pm); !maps.Equal(a, b) || rm.Len() != len(a) || pm.Len() != len(b) {
+		t.Fatalf("contents differ: runtime %d keys (model %d), one-shard runtime %d keys (model %d)", rm.Len(), len(a), pm.Len(), len(b))
+	}
+	a, b := rt.Device().Stats(), p.Parts()[0].Device().Stats()
+	if a.Clwbs != b.Clwbs || a.Fences != b.Fences || a.SyncWaits != b.SyncWaits || a.Clwbs == 0 {
+		t.Fatalf("default runtime's map cost %d clwbs, %d fences, %d sync waits; the one-shard runtime's %d, %d, %d",
+			a.Clwbs, a.Fences, a.SyncWaits, b.Clwbs, b.Fences, b.SyncWaits)
 	}
 }
