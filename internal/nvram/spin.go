@@ -13,32 +13,17 @@ import (
 // The pause is a count of spin iterations priced by spinRate, which is
 // calibrated once per process, at the first non-zero Wait. Reading the clock
 // inside the loop would charge every pause at least one clock read, which on
-// some hosts costs most of a 125 ns pause by itself. A pause of clockedWait
-// or more also reads the clock at its two ends and spins on until d has
-// passed, so a core that runs faster than it did at calibration cannot cut
-// it short; two clock reads are well under 1 % of such a pause.
+// some hosts costs most of a 125 ns pause by itself.
 func Wait(d time.Duration) {
 	if d <= 0 {
 		return
-	}
-	var start time.Time
-	if d >= clockedWait {
-		start = time.Now()
 	}
 	n := uint64(float64(d) * spinRate())
 	for ; n > spinChunk; n -= spinChunk {
 		spin(spinChunk)
 	}
 	spin(n)
-	if d >= clockedWait {
-		for time.Since(start) < d {
-			spin(spinChunk)
-		}
-	}
 }
-
-// clockedWait is the shortest pause that Wait also holds to the clock.
-const clockedWait = 10 * time.Microsecond
 
 // spin runs n iterations of a one-add dependency chain and returns its sum,
 // so no compiler can drop the loop. Not inlined, so every call costs the

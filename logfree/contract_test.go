@@ -15,7 +15,11 @@ import (
 // The byte-map contract, stated once and run over a runtime opened with the
 // defaults (one part), a runtime asked for one part by WithShards(1), and a
 // runtime of four parts joined by the routing hash. Their maps are the same
-// types, so nothing below knows which subject it runs on.
+// types, so nothing below knows which subject it runs on. The first two take
+// one code path; both are kept because they are the two ways a one-part
+// runtime is opened (the defaults, and the explicit WithShards(1) that
+// memcache and the benchmark's sharded layer row pass), so a change that
+// gave the explicit request a path of its own is caught here.
 
 // host is a subject: what opens maps, and how to power-fail and recover it.
 type host struct {
@@ -656,7 +660,8 @@ func contractCrash(t *testing.T, h host) {
 // nothing for the routing" in counts: the same seeded 10 000 operations
 // through the map of a runtime opened with the defaults and through that of a
 // runtime asked for WithShards(1) leave the two devices' write-back, fence
-// and sync-wait counters equal.
+// and sync-wait counters equal. The two opens share one code path; the test
+// keeps them from parting.
 func TestOneShardPoolCountsEqualRuntime(t *testing.T) {
 	run := func(m *logfree.ByteMap) map[string]string {
 		rng := rand.New(rand.NewSource(23))
