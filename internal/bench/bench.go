@@ -156,7 +156,7 @@ func deviceBytes(st Structure, n int) uint64 {
 	}
 	b := uint64(n)*per + (64 << 20)
 	if st == Hash {
-		b += uint64(nextPow2(n)) * 64 // bucket region
+		b += uint64(nextPow2(n)) * 8 // bucket region: one link word each
 	}
 	return b
 }

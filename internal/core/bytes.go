@@ -28,8 +28,8 @@ import (
 // entries from other objects.
 //
 // Entry layout (allocated at class ≥ 1). The first three words sit where a
-// list node keeps its key, value and link, so the bucket sentinels, the tail
-// and the list code work on entries unchanged:
+// list node keeps its key, value and link, so the bucket heads, the tail and
+// the list code work on entries unchanged:
 //
 //	[0]  64-bit index key (the folded hash): the list node's key
 //	[8]  keyLen(16) | valLen(32) | meta(16)

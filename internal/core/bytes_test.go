@@ -94,14 +94,29 @@ func TestEntryClassesBoundTheEntry(t *testing.T) {
 	}
 }
 
+// heapRegionBytes sums the region pages of a pool's heap.
+func heapRegionBytes(pool *pmem.Pool) (n uint64) {
+	for page := pmem.HeapStart; page < pool.HeapEnd(); {
+		_, _, ok, next := pool.HeapPage(page)
+		if !ok {
+			n += next - page
+		}
+		page = next
+	}
+	return n
+}
+
 // TestPoolAccountsForEveryPage walks the heap of a pool preloaded with
 // entries of 110, 302 and 1070 B (7:2:1) from one context: every used byte
-// is the header page, a region page or a class page, and each class packs
-// its objects into as few pages as its slot count allows.
+// is the header page, a region page or a class page, each class packs its
+// objects into as few pages as its slot count allows, and the regions are
+// the store's own plus the map's bucket array of one 8-byte word per bucket.
 func TestPoolAccountsForEveryPage(t *testing.T) {
 	s := newTestStore(t, Options{})
 	c := s.MustCtx(0)
-	b := newTestBytesMap(t, s, c, 1<<14)
+	storeRegions := heapRegionBytes(s.pool) // the APT's, made with the store
+	const buckets = 1 << 14
+	b := newTestBytesMap(t, s, c, buckets)
 	sizes := [3]int{110, 302, 1070}
 	var items [pmem.NumClasses]uint64
 	for i := 0; i < 50000; i++ {
@@ -123,16 +138,19 @@ func TestPoolAccountsForEveryPage(t *testing.T) {
 	}
 	pool := s.pool
 	var pages, objects [pmem.NumClasses]uint64
-	var regionBytes uint64
 	for page := pmem.HeapStart; page < pool.HeapEnd(); {
 		cl, bm, ok, next := pool.HeapPage(page)
 		if ok {
 			pages[cl]++
 			objects[cl] += uint64(bits.OnesCount64(bm))
-		} else {
-			regionBytes += next - page
 		}
 		page = next
+	}
+	regionBytes := heapRegionBytes(pool)
+	// A region carries one SlotAlign header ahead of the bytes it was asked
+	// for: 128 KiB of link words take 33 pages.
+	if want := storeRegions + (8*buckets+pmem.SlotAlign+pmem.PageSize-1)/pmem.PageSize*pmem.PageSize; regionBytes != want {
+		t.Errorf("regions hold %d B, want the store's %d B and %d buckets of 8 B: %d B", regionBytes, storeRegions, buckets, want)
 	}
 	var classBytes uint64
 	for cl := pmem.Class(0); cl < pmem.NumClasses; cl++ {

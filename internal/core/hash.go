@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/nvram"
+
 // HashTable is a durable lock-free hash table: one Harris linked list per
 // bucket (§3, "the hash table uses one Harris linked list per bucket"),
 // each made durable with link-and-persist.
@@ -8,19 +10,32 @@ type HashTable struct {
 	bucketArray
 }
 
-// bucketArray is a hash table's bucket array, shared by the uint64 table and
-// the byte map (whose entries are its lists' nodes): a structure-lifetime
-// region of per-bucket head sentinels laid out like ordinary nodes (64 bytes
-// apiece) so the list machinery applies unchanged, persisted once at
-// creation, and one tail sentinel every bucket's list ends at.
+// bucketArray is a hash table's bucket array, shared by the uint64 table, the
+// byte map (whose entries are its lists' nodes) and so the durable directory:
+// a structure-lifetime region of one 8-byte link word per bucket, persisted
+// once at creation, and one tail sentinel every bucket's list ends at.
+//
+// A bucket's head is a predecessor and nothing else. The list machinery
+// (searchFrom, linkAndPersist, the link cache, recovery) loads, CASes and
+// persists a head's link word, and reads a predecessor's key only when it
+// reached that predecessor through a link, which no head is (§3 needs only
+// the predecessor's link). So head(i) is the pseudo-node whose nNext field
+// is bucket i's word, and the words its key and value would occupy belong
+// to buckets i-2 and i-1. Eight heads share a cache line; a write-back of
+// one's line writes its neighbours back early, which §2's model allows for
+// any line at any time.
 type bucketArray struct {
-	buckets Addr   // region: nbuckets sentinel pseudo-nodes, 64B stride
+	buckets Addr   // region: nbuckets link words
 	mask    uint64 // nbuckets-1 (power of two)
 	tail    Addr   // shared tail sentinel
 }
 
+// headsPerFence bounds the format's pending write-backs to 64 lines.
+const headsPerFence = 64 * nvram.LineSize / 8
+
 // newBucketArray creates nbuckets empty buckets (rounded up to a power of
-// two).
+// two). It stores each bucket's link word and nothing else: a head's key or
+// value word is its neighbour's link.
 func newBucketArray(c *Ctx, nbuckets int) (bucketArray, error) {
 	n := 1
 	for n < nbuckets {
@@ -36,21 +51,19 @@ func newBucketArray(c *Ctx, nbuckets int) (bucketArray, error) {
 	dev.Store(tail+nNext, 0)
 	c.clwb(tail)
 
-	region, err := c.s.pool.AllocRegion(c.f, uint64(n)*64)
+	region, err := c.s.pool.AllocRegion(c.f, uint64(n)*8)
 	if err != nil {
 		return bucketArray{}, err
 	}
-	for i := 0; i < n; i++ {
-		h := region + Addr(i)*64
-		dev.Store(h+nKey, 0)
-		dev.Store(h+nValue, 0)
-		dev.Store(h+nNext, tail)
-		c.clwb(h + nNext)
-		if i%64 == 63 {
-			c.fence() // bound the pending set while initializing
+	for lo := 0; lo < n; lo += headsPerFence {
+		hi := min(lo+headsPerFence, n)
+		for i := lo; i < hi; i++ {
+			dev.Store(region+Addr(i)*8, tail)
 		}
+		// Every line the words cover, the last partial one included.
+		c.clwbRange(region+Addr(lo)*8, uint64(hi-lo)*8)
+		c.fence()
 	}
-	c.fence()
 	return bucketArray{buckets: region, mask: uint64(n - 1), tail: tail}, nil
 }
 
@@ -88,13 +101,14 @@ func hashMix(k uint64) uint64 {
 	return k
 }
 
-// bucket returns the head sentinel of key's bucket.
+// bucket returns the head of key's bucket.
 func (h bucketArray) bucket(key uint64) Addr {
 	return h.head(int(hashMix(key) & h.mask))
 }
 
-// head returns the head sentinel of bucket i.
-func (h bucketArray) head(i int) Addr { return h.buckets + Addr(i)*64 }
+// head returns the head of bucket i: the pseudo-node whose link word is the
+// bucket's (see bucketArray). Only its nNext field may be accessed.
+func (h bucketArray) head(i int) Addr { return h.buckets + Addr(i)*8 - nNext }
 
 // Search looks key up with the §3 durability guarantees.
 func (h *HashTable) Search(c *Ctx, key uint64) (uint64, bool) {

@@ -94,12 +94,12 @@ func (l *List) search(c *Ctx, key uint64) (pred, curr, inPred Addr) {
 	return pred, curr, inPred
 }
 
-// searchFrom runs the Harris search from an arbitrary head sentinel; the
-// hash tables reuse it with per-bucket heads. It stops at the first node
-// ordered at or after key and reports whether that node is key's. A byte
-// map's bucket lists hold entries (bytes.go), ordered by hash and then, among
-// equal hashes, by their key bytes: bkey is the byte key searched for, nil
-// for the uint64 sets.
+// searchFrom runs the Harris search from an arbitrary head, of which it uses
+// the link word only; the hash tables reuse it with their one-word bucket
+// heads (bucketArray). It stops at the first node ordered at or after key
+// and reports whether that node is key's. A byte map's bucket lists hold
+// entries (bytes.go), ordered by hash and then, among equal hashes, by their
+// key bytes: bkey is the byte key searched for, nil for the uint64 sets.
 //
 // A byte map's replace freezes the replaced entry's link with ptrtag.Tag
 // until the replacement, which carries the same successor, takes its place

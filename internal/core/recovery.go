@@ -249,7 +249,7 @@ func (r *hashTraversalRecover) Prepare(c *Ctx, areaSet map[Addr]bool) {
 	h := r.h
 	r.reachable = map[Addr]bool{h.tail: true}
 	for i := 0; i <= int(h.mask); i++ {
-		collectChain(c, h.s, h.buckets+Addr(i)*64, areaSet, r.reachable)
+		collectChain(c, h.s, h.head(i), areaSet, r.reachable)
 	}
 }
 

@@ -326,16 +326,20 @@ func TestFileCacheRefusesOtherLayoutVersion(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := nvram.OpenFileDevice(path, nvram.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Store(nvram.LineSize+24, 0) // the pool header's layout-version word
-	d.NewFlusher().Sync(nvram.LineSize + 24)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(fileConfig(path, 1)); !errors.Is(err, pmem.ErrLayoutVersion) {
-		t.Fatalf("New on a version-0 image: %v, want pmem.ErrLayoutVersion", err)
+	// Version 0 is an image older than the word; the one before the current
+	// is the last layout that shipped.
+	for _, v := range []uint64{0, pmem.LayoutVersion - 1} {
+		d, _, err := nvram.OpenFileDevice(path, nvram.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Store(nvram.LineSize+24, v) // the pool header's layout-version word
+		d.NewFlusher().Sync(nvram.LineSize + 24)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(fileConfig(path, 1)); !errors.Is(err, pmem.ErrLayoutVersion) {
+			t.Fatalf("New on a version-%d image: %v, want pmem.ErrLayoutVersion", v, err)
+		}
 	}
 }

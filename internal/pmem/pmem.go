@@ -89,7 +89,8 @@ const (
 //	1  a byte map's entry extent is its bucket list's node
 //	2  size classes tile the page
 //	3  a store's thread count is fixed: no thread-bank table
-const LayoutVersion = 3
+//	4  a hash bucket's head is its 8-byte link word, not a 64-byte node
+const LayoutVersion = 4
 
 // Class identifies a size class.
 type Class uint8
