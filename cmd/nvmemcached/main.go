@@ -110,7 +110,7 @@ func main() {
 	durability := flag.String("durability", "synced", "acknowledged-write policy on durable devices: strict, synced, or buffered[:duration]")
 	shards := flag.Int("shards", 1, "independent runtime shards (rounded up to a power of two) that keys hash-route across")
 	latency := flag.Duration("latency", nvram.DefaultWriteLatency, "simulated NVRAM write latency")
-	sweep := flag.Duration("sweep", 30*time.Second, "expiry sweep interval; each sweep walks every item (0 disables the sweeper)")
+	sweep := flag.Duration("sweep", 30*time.Second, "expiry sweep interval; each sweep is one crawl over the device in address order, removing the items past their deadline (0 disables the sweeper)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
 	replicateTo := flag.String("replicate-to", "", "accept warm-standby followers on this address (primary role; \"127.0.0.1:0\" picks a free port)")
 	follow := flag.String("follow", "", "stream from the primary's replication address (follower role: read-only until promoted via SIGUSR1)")

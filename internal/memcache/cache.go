@@ -3,7 +3,8 @@
 //
 // The paper gets durability by swapping the structure under Memcached's
 // single item link/unlink path. Here too every way an item enters, changes
-// or leaves the cache is one of three steps (lifecycle.go):
+// or leaves the cache goes through these four pieces (lifecycle.go; the
+// crawler is in cache.go):
 //
 //   - The store step: the item into the index, then, still inside the step,
 //     the record into the replication stream, the entry's reference bit and the
@@ -18,9 +19,13 @@
 //   - The index walk: logfree's resumable bucket walk, a few buckets per epoch
 //     section. It recounts the items and their bytes after a recovery (from
 //     entry headers alone; recency resets, contents do not: cache metadata is
-//     advisory, as in Memcached), finds the items the expiry sweep removes
-//     by the deadline in their aux words, and feeds snapshots, flush_all and
-//     a follower's resync.
+//     advisory, as in Memcached), and feeds snapshots and a follower's
+//     resync.
+//   - The crawler: logfree's resumable sweep over the index's entry extents
+//     in device-address order, a few allocator pages per epoch section. One
+//     crawl step finds the first live item its caller picks and runs the
+//     remove step on it; eviction, the expiry sweep (the deadline in the aux
+//     word) and flush_all are its three callers.
 //
 // Recency is volatile and approximate, as in MemC3: no list, no per-item
 // record — one CLOCK reference bit per entry slot of the device, one word per
@@ -30,14 +35,13 @@
 // covers the pages up to the highest one an entry was marked on, and doubles
 // when a mark lands past its end. A hit or a store sets the bit (testing it
 // first, so a hot entry's line stays shared); a replace writes a new entry,
-// which the store marks. The eviction hand is a cursor over the index's entry
-// extents in device-address order (logfree's Sweep, a few allocator pages per
-// epoch section), so it reads the bits in address order too: it clears the
-// set bits it passes and evicts the first live item it finds clear, if the
-// item still carries the aux word the hand read. Victims taken in address
-// order sit together, so their unlinks land in the areas NV-epochs already
-// holds active (§5.4) and the slots they free are reused from the same pages;
-// a hand in hash order scatters both.
+// which the store marks. The eviction hand is the crawler's cursor kept
+// between evictions, so it reads the bits in address order too: it takes a
+// due item at once, clears the set bits it passes and evicts the first live
+// item it finds clear, if the item still carries the aux word the hand read.
+// Victims taken in address order sit together, so their unlinks land in the
+// areas NV-epochs already holds active (§5.4) and the slots they free are
+// reused from the same pages; a hand in hash order scatters both.
 //
 // Client commands of both wire protocols and a follower's replicated sets
 // reach the steps through one mutation driver: it validates key and size,
@@ -68,7 +72,6 @@
 package memcache
 
 import (
-	"bytes"
 	"errors"
 	"math/bits"
 	"sync"
@@ -304,7 +307,7 @@ type Stats struct {
 	Gets, Sets, Deletes uint64
 	Hits, Misses        uint64
 	Evictions           uint64
-	Expired             uint64 // items removed by the expiry sweep
+	Expired             uint64 // due items removed by the expiry sweep or the eviction hand
 	Items               int64
 
 	// Wire-compatibility counters (PR 7).
@@ -582,10 +585,12 @@ func (m *Cache) ensureHeadroom(incoming int64) {
 }
 
 // FlushAll durably removes every item (memcached flush_all). Unlike stock
-// memcached's lazy oldest_live invalidation, this walks the index and
-// deletes each item, so the flush is crash-consistent: items removed before
-// a crash stay removed, items not yet reached survive it (flush_all makes
-// no atomicity promise across the whole cache). Returns items removed.
+// memcached's lazy oldest_live invalidation, this is one crawler revolution
+// that deletes each item as it meets it, so the flush is crash-consistent:
+// items removed before a crash stay removed, items not yet reached survive
+// it. flush_all makes no atomicity promise across the whole cache, so a key
+// written behind the crawler's cursor during the flush, concurrently with
+// it, can survive it. Returns items removed.
 func (m *Cache) FlushAll() int {
 	m.stats.flushes.Add(1)
 	n, last := m.clear(true)
@@ -597,47 +602,29 @@ func (m *Cache) FlushAll() int {
 
 // SweepExpired removes every item whose deadline (the aux word's expiry
 // half) is at or before now, and returns how many it removed. It is one
-// cycle of the index walk, reading every item's entry header as
-// rebuildVolatile does, so it costs time in the item count, not in the
-// number due; Memcached's LRU crawler walks its items the same way. The due
-// items a Walk call saw are removed after that call returns, each only if it
-// still carries the aux word the walk read: a rewrite or touch since then
-// bumped its CAS. Safe to run concurrently with serving traffic.
+// revolution of the item crawler (see crawl) from the device's start: the
+// crawler reads each extent's aux word in device-address order and runs
+// Live and the remove step only on the due ones, so it costs time in the
+// extents the device holds, not in the number due. Memcached's LRU crawler
+// walks its items the same way. Safe to run concurrently with serving
+// traffic: a key rewritten behind the cursor during the revolution can
+// survive it, because that write is concurrent with the sweep; the next
+// revolution finds it. The removals are replicated without an ack wait:
+// followers share the item's deadline (aux travels verbatim), so an
+// unreplicated sweep delete is merely deferred tidiness there, never
+// staleness.
 func (m *Cache) SweepExpired(now int64) int {
-	type dueItem struct {
-		key []byte
-		aux uint64
-	}
-	var due []dueItem
-	n := 0
-	for cursor := uint64(0); ; {
-		due = due[:0]
-		cursor = m.m.Walk(cursor, func(e logfree.Entry) bool {
-			if d := auxExpiry(e.Aux); d != 0 && int64(d) <= now && !isReplMeta(e.Key) {
-				due = append(due, dueItem{bytes.Clone(e.Key), e.Aux})
-			}
-			return true
-		})
-		// Each removal is a step of its own, run after the Walk call has
-		// released its session. Replicated without an ack wait: followers
-		// share the item's deadline (aux travels verbatim), so an
-		// unreplicated sweep delete is merely deferred tidiness there, never
-		// staleness.
-		for _, d := range due {
-			if _, _, ok := m.removeKey(d.key, func(aux uint64) bool { return aux == d.aux }, true); ok {
-				m.stats.expired.Add(1)
-				n++
-			}
-		}
-		if cursor == 0 {
-			return n
-		}
-	}
+	n, _ := m.revolve(func(e logfree.SweepEntry) bool {
+		d := auxExpiry(e.Aux)
+		return d != 0 && int64(d) <= now
+	}, true)
+	m.stats.expired.Add(uint64(n))
+	return n
 }
 
 // StartSweeper launches a background goroutine that runs SweepExpired every
-// interval; each run walks every item. The returned stop function is
-// idempotent and blocks until the sweeper exits.
+// interval: one crawler revolution over the device per tick. The returned
+// stop function is idempotent and blocks until the sweeper exits.
 func (m *Cache) StartSweeper(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	exited := make(chan struct{})
@@ -661,39 +648,86 @@ func (m *Cache) StartSweeper(interval time.Duration) (stop func()) {
 	}
 }
 
-// victimKeys recycles the buffers evictOne copies its victim's key into (the
-// key outlives the sweep's own buffer), so an eviction allocates nothing.
+// victimKeys recycles the buffers crawl copies a picked item's key into (the
+// key outlives the sweep's own buffer), so a crawl step allocates nothing.
 var victimKeys = sync.Pool{New: func() any { return new([MaxKeyLen]byte) }}
 
-// evictOne removes one item that was not used since the hand last passed it
-// (memcached behaviour under memory pressure). The hand resumes where the
-// last eviction left it, clears the reference bits it finds set and takes the
-// first live item whose bit is clear. It gives up after passing the device's
-// end three times — the rest of a turn and two whole ones, enough to clear
-// every bit and come back — which only happens when the keys are being used
-// as fast as the hand moves. Returns false if nothing is evictable.
-func (m *Cache) evictOne() bool {
+// crawl is the one step of the item crawler, which evictOne, SweepExpired
+// and clear share: one Sweep call from cursor that stops at the first extent
+// pick accepts that is a live client item (Live runs only on extents pick
+// accepted; the replication meta key is never offered), then the remove
+// step on that item's key, run after the Sweep call has released its
+// session, if the key still carries the aux word the Sweep call read. A
+// rewrite or touch since then bumped its CAS, so only the version the
+// crawler found is removed. next is the cursor to resume from, 0 past the
+// device's end; seq, freed and ok are removeKey's. A key rewritten behind
+// the cursor lands in an extent the cursor has passed, so a revolution can
+// miss it; the next one meets it.
+func (m *Cache) crawl(cursor uint64, pick func(logfree.SweepEntry) bool, publish bool) (next, seq uint64, freed int64, ok bool) {
 	buf := victimKeys.Get().(*[MaxKeyLen]byte)
 	defer victimKeys.Put(buf)
-	victim := buf[:0]
+	key := buf[:0]
 	var aux uint64
-	for ends := 0; ends < 3 && m.stats.items.Load() > 0; {
-		victim = victim[:0]
-		next := m.m.Sweep(m.hand.Load(), func(e logfree.SweepEntry) bool {
-			if isReplMeta(e.Key) {
-				return true
-			}
-			i, bit := m.refIndex(e.Slot)
-			if table := *m.ref.Load(); i < len(table) && table[i].Load()&bit != 0 {
-				table[i].And(^bit)
-				return true
-			}
-			if !e.Live() {
-				return true // a replaced version, or another map's entry
-			}
-			victim, aux = append(victim, e.Key...), e.Aux
+	next = m.m.Sweep(cursor, func(e logfree.SweepEntry) bool {
+		if isReplMeta(e.Key) || !pick(e) || !e.Live() {
+			return true
+		}
+		key, aux = append(key, e.Key...), e.Aux
+		return false
+	})
+	if len(key) > 0 {
+		seq, freed, ok = m.removeKey(key, func(a uint64) bool { return a == aux }, publish)
+	}
+	return next, seq, freed, ok
+}
+
+// revolve runs the crawler once over the device from its start, removing
+// every live client item pick accepts, and returns how many it removed with
+// the last replication seq their removals published.
+func (m *Cache) revolve(pick func(logfree.SweepEntry) bool, publish bool) (removed int, last uint64) {
+	for cursor := uint64(0); ; {
+		next, seq, _, ok := m.crawl(cursor, pick, publish)
+		if ok {
+			removed++
+		}
+		if seq != 0 {
+			last = seq
+		}
+		if next == 0 {
+			return removed, last
+		}
+		cursor = next
+	}
+}
+
+// evictOne removes one item that is due or was not used since the hand last
+// passed it (memcached behaviour under memory pressure: an expired item is
+// reclaimed before a live one is evicted). The hand is the crawler's cursor
+// kept between evictions: it takes the first due item it meets, whatever its
+// reference bit, clears the reference bits it finds set and takes the first
+// live item whose bit is clear. It gives up after passing the device's end
+// three times — the rest of a turn and two whole ones, enough to clear every
+// bit and come back — which only happens when the keys are being used as
+// fast as the hand moves. A due item counts in Stats.Expired, any other in
+// Evictions. Returns false if nothing is evictable.
+func (m *Cache) evictOne() bool {
+	var due bool
+	pick := func(e logfree.SweepEntry) bool {
+		// unexpired reads the clock only for an entry with a deadline.
+		if due = !unexpired(e.Aux); due {
+			return true
+		}
+		i, bit := m.refIndex(e.Slot)
+		if table := *m.ref.Load(); i < len(table) && table[i].Load()&bit != 0 {
+			table[i].And(^bit)
 			return false
-		})
+		}
+		return true
+	}
+	for ends := 0; ends < 3 && m.stats.items.Load() > 0; {
+		// No ack wait: the client op driving the eviction waits on its own
+		// (later) seq, which the ordered stream makes a covering ack.
+		next, _, freed, ok := m.crawl(m.hand.Load(), pick, true)
 		// Concurrent evictors may move the hand over each other; the loser
 		// resweeps pages whose bits were just cleared, which costs order,
 		// not correctness.
@@ -701,18 +735,16 @@ func (m *Cache) evictOne() bool {
 		if next == 0 {
 			ends++
 		}
-		if len(victim) == 0 {
+		if !ok {
 			continue
 		}
-		// Only the version the hand found is evicted: a key rewritten since
-		// carries a new CAS in its aux word. No ack wait: the client op
-		// driving the eviction waits on its own (later) seq, which the
-		// ordered stream makes a covering ack.
-		if _, freed, ok := m.removeKey(victim, func(a uint64) bool { return a == aux }, true); ok {
+		if due {
+			m.stats.expired.Add(1)
+		} else {
 			m.stats.evictions.Add(1)
 			m.stats.evictionsBytes.Add(uint64(freed))
-			return true
 		}
+		return true
 	}
 	return false
 }

@@ -216,23 +216,11 @@ func (m *Cache) forEachItem(emit func(key, value []byte, flags uint16, aux uint6
 	return nil
 }
 
-// clear removes every item the walk finds, one remove step each, and returns
-// how many it removed with the last replication seq it published.
+// clear removes every item, one crawler revolution whose pick takes every
+// live item, and returns how many it removed with the last replication seq
+// it published.
 func (m *Cache) clear(publish bool) (removed int, last uint64) {
-	var keys [][]byte
-	m.forEachItem(func(k, _ []byte, _ uint16, _ uint64) error {
-		keys = append(keys, append([]byte(nil), k...))
-		return nil
-	})
-	for _, k := range keys {
-		seq, _, ok := m.removeKey(k, nil, publish)
-		if ok {
-			removed++
-		}
-		if seq != 0 {
-			last = seq
-		}
-	}
+	removed, last = m.revolve(func(logfree.SweepEntry) bool { return true }, publish)
 	m.reclaim()
 	return removed, last
 }

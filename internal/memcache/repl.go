@@ -177,9 +177,10 @@ func (m *Cache) SnapshotItems(emit func(key, value []byte, flags uint16, aux uin
 
 // ResetForSnapshot clears every item (but not the repl meta slot) before a
 // fresh snapshot lands: keys the primary deleted while this follower was
-// away must not linger. Nothing is published (the follower cache has no
-// sink) and the flush counter is not bumped (this is not a client
-// flush_all).
+// away must not linger. It is flush_all's crawler revolution, run by the
+// follower's one apply loop before the snapshot's items, so no replicated
+// write races it. Nothing is published (the follower cache has no sink) and
+// the flush counter is not bumped (this is not a client flush_all).
 func (m *Cache) ResetForSnapshot() error {
 	m.clear(false)
 	return nil
