@@ -220,7 +220,9 @@ func main() {
 		start := time.Now()
 		n, err := cache.RestoreSnapshot(bufio.NewReaderSize(f, 1<<20))
 		f.Close()
-		if err != nil {
+		if errors.Is(err, memcache.ErrItemsSkipped) {
+			log.Printf("nvmemcached: restore %s: %v", *restoreFrom, err)
+		} else if err != nil {
 			log.Fatalf("nvmemcached: restore %s: %v", *restoreFrom, err)
 		}
 		log.Printf("restored %d items from snapshot %s in %v",

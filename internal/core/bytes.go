@@ -36,12 +36,20 @@ import (
 //	[16] next entry in the bucket's list, with the Harris mark, the Dirty
 //	     mark and a replace's freeze (ptrtag.Tag)
 //	[24] aux: one caller-owned durable word (expiry, version, …)
-//	[32] key bytes, then value bytes
+//	[32] the entry this one replaced, 0 if it bound a fresh key: the
+//	     replaced entry's unlink is charged to this entry's area (§5.4), and
+//	     recovery reaches the replaced entry through this word (RecoverSet).
+//	     The low 48 bits hold the address, the top 16 the store's run. The
+//	     word is cleared once the replaced entry is freed, and this entry is
+//	     not freed before that (replaceChain); after a crash it may be stale,
+//	     so recovery vets it.
+//	[40] key bytes, then value bytes
 const (
-	beHash   = nKey
-	beHeader = nValue
-	beAux    = 24
-	beData   = 32
+	beHash     = nKey
+	beHeader   = nValue
+	beAux      = 24
+	beReplaced = 32
+	beData     = 40
 
 	// MaxBytesKeyLen bounds key length (memcached-style limit, far below
 	// the 16-bit field).
@@ -235,6 +243,79 @@ func entryShape(s *Store, e Addr, cl pmem.Class) (hdr uint64, ok bool) {
 	return hdr, h >= MinKey && h <= MaxKey
 }
 
+// entryAt reports whether a, a word read from the device that may hold
+// anything, names an allocated slot of an entry class (≥ 1), and its class:
+// past the pool's header page, inside the heap, at the start of a slot of
+// its page's class. Recovery vets an entry reference with it before any
+// load through it.
+func (s *Store) entryAt(a Addr) (pmem.Class, bool) {
+	cl, ok := s.pool.SlotStart(a)
+	return cl, ok && cl >= 1 && s.pool.SlotAllocated(a)
+}
+
+// A beReplaced word holds the replaced entry's address in its low 48 bits
+// and the run of the store that wrote it (Store.run) above them.
+const (
+	replacedRunShift = 48
+	replacedAddrMask = 1<<replacedRunShift - 1
+	runMask          = 1<<(64-replacedRunShift) - 1
+)
+
+// replacedWord is the beReplaced word naming replaced, written in this run.
+func (s *Store) replacedWord(replaced Addr) uint64 {
+	if replaced == 0 {
+		return 0
+	}
+	return uint64(replaced) | s.run<<replacedRunShift
+}
+
+// replaceChain is the store's epoch.Chain. A replace's entry names the entry
+// it replaced (beReplaced), and that is how recovery reaches the replaced
+// entry, whose unlink was charged to the new entry's area: the new entry may
+// be unlinked and reclaimed by another context while the replaced one still
+// waits in the generation of the context that retired it. So an entry whose
+// word, written in this run, still names one is held back (Pending), and the
+// word is cleared once the entry it names is durably free (Release). Only
+// the context that retired the replaced entry clears it, while the holding
+// context keeps the entry allocated, so the store never lands on a freed
+// slot. A word from an earlier run names nothing pending: recovery has
+// settled every entry of that run.
+type replaceChain struct{ s *Store }
+
+func (ch replaceChain) Pending(a Addr) bool {
+	s := ch.s
+	if s.dev.Load(a+beReplaced)>>replacedRunShift != s.run {
+		return false // 0, a word from an earlier run, or not an entry's word
+	}
+	cl, ok := s.pool.PageClass(pmem.PageOf(a))
+	if !ok || cl < 1 {
+		return false
+	}
+	_, ok = entryShape(s, a, cl)
+	return ok
+}
+
+func (ch replaceChain) Release(by Addr) { ch.s.dev.Store(by+beReplaced, 0) }
+
+// replacedOf returns the entry that the object at n names as the one it
+// replaced (beReplaced), or 0: when n has no entry's shape, names none, or
+// names an address that entryAt rejects — stale (freed, its page recycled)
+// or cut short by a crash.
+func (s *Store) replacedOf(n Addr) Addr {
+	cl, ok := s.pool.PageClass(pmem.PageOf(n))
+	if !ok || cl < 1 {
+		return 0
+	}
+	if _, ok := entryShape(s, n, cl); !ok {
+		return 0
+	}
+	r := Addr(s.dev.Load(n+beReplaced) & replacedAddrMask)
+	if _, ok := s.entryAt(r); !ok {
+		return 0
+	}
+	return r
+}
+
 // EntryKey reads an entry's key bytes.
 func (b *BytesMap) EntryKey(e Addr) []byte { return bytesEntryKey(b.s, e) }
 
@@ -269,8 +350,9 @@ func entryClass(total uint64) (pmem.Class, error) {
 // lets the entry lines share one NVRAM pause with the allocator lines (the
 // paper's one-pause-per-batch model, §6.1). Shared by the hash-indexed and
 // the ordered byte maps; next is the bucket-list successor (ordered entries
-// carry 0: the skip list's nodes link them).
-func writeBytesEntry(c *Ctx, hash uint64, key, value []byte, meta uint16, aux uint64, next Addr) (Addr, error) {
+// carry 0: the skip list's nodes link them), and replaced the entry the
+// publish will unlink (0 for a fresh key).
+func writeBytesEntry(c *Ctx, hash uint64, key, value []byte, meta uint16, aux uint64, next, replaced Addr) (Addr, error) {
 	total := uint64(beData + len(key) + len(value))
 	cl, err := entryClass(total)
 	if err != nil {
@@ -288,6 +370,7 @@ func writeBytesEntry(c *Ctx, hash uint64, key, value []byte, meta uint16, aux ui
 	binary.LittleEndian.PutUint64(hdr[beHeader:], uint64(len(key))|uint64(len(value))<<16|uint64(meta)<<48)
 	binary.LittleEndian.PutUint64(hdr[nNext:], uint64(next))
 	binary.LittleEndian.PutUint64(hdr[beAux:], aux)
+	binary.LittleEndian.PutUint64(hdr[beReplaced:], c.s.replacedWord(replaced))
 	c.s.dev.StorePrivateBytes(e, hdr[:], key, value)
 	c.clwbRange(e, total)
 	return e, nil

@@ -313,7 +313,7 @@ func TestBytesMapRecoveryFreesOrphanEntry(t *testing.T) {
 	c.Shutdown()
 	// Orphan an entry: fully persisted (writeBytesEntry defers its fence to
 	// the caller), area in the APT, never published.
-	orphan, err := writeBytesEntry(c, MinKey+42, []byte("ghost"), []byte("boo"), 0, 0, 0)
+	orphan, err := writeBytesEntry(c, MinKey+42, []byte("ghost"), []byte("boo"), 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestEntryKeyCompareMatchesBytesCompare(t *testing.T) {
 	lens := []int{1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 300, MaxBytesKeyLen}
 	for _, n := range lens {
 		stored := base[:n]
-		e, err := writeBytesEntry(c, bytesHash(stored), stored, nil, 0, 0, 0)
+		e, err := writeBytesEntry(c, bytesHash(stored), stored, nil, 0, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func BenchmarkWriteBytesEntry(b *testing.B) {
 			hash := bytesHash(key)
 			b.SetBytes(int64(len(key) + n))
 			for range b.N {
-				e, err := writeBytesEntry(c, hash, key, value, 0, 0, 0)
+				e, err := writeBytesEntry(c, hash, key, value, 0, 0, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -484,7 +484,7 @@ func BenchmarkAppendEntryValue(b *testing.B) {
 	for _, n := range entryBenchValues {
 		b.Run(fmt.Sprintf("value=%d", n), func(b *testing.B) {
 			c := entryBenchCtx(b)
-			e, err := writeBytesEntry(c, bytesHash(key), key, bytes.Repeat([]byte{0xA5}, n), 0, 0, 0)
+			e, err := writeBytesEntry(c, bytesHash(key), key, bytes.Repeat([]byte{0xA5}, n), 0, 0, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -250,12 +250,12 @@ func TestOrderedBytesMapRecoveryFreesOrphans(t *testing.T) {
 	}
 	c.Shutdown()
 	// Orphan entry: persisted, in the APT, never referenced by a node.
-	orphanE, err := writeBytesEntry(c, bytesHash([]byte("ghost")), []byte("ghost"), []byte("boo"), 0, 0, 0)
+	orphanE, err := writeBytesEntry(c, bytesHash([]byte("ghost")), []byte("ghost"), []byte("boo"), 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Orphan node: points at a second orphan entry, never linked at level 0.
-	orphanE2, err := writeBytesEntry(c, bytesHash([]byte("wraith")), []byte("wraith"), []byte("woo"), 0, 0, 0)
+	orphanE2, err := writeBytesEntry(c, bytesHash([]byte("wraith")), []byte("wraith"), []byte("woo"), 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/nvram"
+	"repro/internal/pmem"
 )
 
 // Fence-budget regression tests.
@@ -175,44 +177,65 @@ func byteMapWriters(t *testing.T) map[string]func(c *Ctx) (set func(key []byte, 
 	}
 }
 
-// TestFenceBudgetUnlinkMiss: a replace whose only APT event is a PreRetire
-// miss — the replaced entry's area has left the table, the new entry's has
-// not, no trim runs and no generation is reclaimed — still costs two sync
-// waits on both maps. The miss is taken before the content fence, so its
-// durable table insert carries the pending content lines and the content
-// fence has nothing left to wait for. 4 KiB areas and 64-node generations
-// spread 4096 entries over ~128 areas, so replacing them oldest first misses
-// in the 128-entry table.
-func TestFenceBudgetUnlinkMiss(t *testing.T) {
-	key := func(i int) []byte { return []byte(fmt.Sprintf("unlink-%06d", i)) }
+// TestFenceBudgetReplaceChargesNewArea: a replace charges the entry it
+// unlinks to the new entry's area, which the allocation has just made active
+// (§5.4), so the unlink makes no APT insert wherever the replaced entry
+// lies. 4 KiB areas and 64-node generations spread 4096 entries over more
+// areas than one table holds (aptCapacity, 128); replacing random keys among
+// them misses no unlink and never finds the table full of entries it may not
+// evict, and every replace whose allocation hit and that reclaimed no
+// generation trims nothing and costs exactly two fences, both sync waits.
+func TestFenceBudgetReplaceChargesNewArea(t *testing.T) {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("replace-%06d", i)) }
 	const N = 4096
 	for name, open := range byteMapWriters(t) {
 		t.Run(name, func(t *testing.T) {
-			_, c := budgetStoreAreas(t, 12, 64)
+			s, c := budgetStoreAreas(t, 12, 64)
 			set := open(c)
 			for i := 0; i < N; i++ {
 				if err := set(key(i), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			rows := 0
+			pool, areas := s.Pool(), 0
+			for page := pmem.HeapStart; page < pool.HeapEnd(); {
+				cl, _, ok, next := pool.HeapPage(page)
+				if ok && cl >= 1 {
+					areas++ // one page per 4 KiB area
+				}
+				page = next
+			}
+			if areas <= 128 {
+				t.Fatalf("the entries span %d areas; the row needs more than a table holds (128)", areas)
+			}
+			rng := rand.New(rand.NewSource(44))
+			first, rows := c.ep.Stats(), 0
 			for i := 0; i < N; i++ {
-				before, waits := c.ep.Stats(), c.f.SyncWaits
-				if err := set(key(i), 1); err != nil {
+				before, dev := c.ep.Stats(), s.Device().Stats()
+				if err := set(key(rng.Intn(N)), uint16(1+i)); err != nil {
 					t.Fatal(err)
 				}
-				after := c.ep.Stats()
-				if after.UnlinkMisses-before.UnlinkMisses != 1 || after.AllocMisses != before.AllocMisses ||
-					after.Trims != before.Trims || after.GensFreed != before.GensFreed {
-					continue // another APT event, or a reclaimed generation's frees
+				after, devAfter := c.ep.Stats(), s.Device().Stats()
+				if after.AllocMisses != before.AllocMisses || after.GensFreed != before.GensFreed {
+					continue // the allocation's own insert, or a reclaimed generation's frees
 				}
 				rows++
-				if got := c.f.SyncWaits - waits; got > 2 {
-					t.Fatalf("replace of %s with one unlink miss cost %d sync waits, budget is 2", key(i), got)
+				if after.Trims != before.Trims {
+					t.Fatalf("replace %d trimmed the table %d times", i, after.Trims-before.Trims)
+				}
+				if f, w := devAfter.Fences-dev.Fences, devAfter.SyncWaits-dev.SyncWaits; f != 2 || w != 2 {
+					t.Fatalf("replace %d cost %d fences and %d sync waits, want 2 and 2", i, f, w)
 				}
 			}
-			if rows < 64 {
-				t.Fatalf("only %d replaces had an unlink miss as their only APT event; the row needs 64", rows)
+			last := c.ep.Stats()
+			if m := last.UnlinkMisses - first.UnlinkMisses; m != 0 {
+				t.Fatalf("%d replaces missed the table on their unlink %d times, want 0", N, m)
+			}
+			if f := last.Forced - first.Forced; f != 0 {
+				t.Fatalf("%d replaces forced %d evictions from a full table, want 0", N, f)
+			}
+			if rows < N/2 {
+				t.Fatalf("only %d of %d replaces had no allocation miss and no reclaim; the row needs %d", rows, N, N/2)
 			}
 		})
 	}

@@ -14,7 +14,9 @@ package core
 //     after state (each operation publishes through one atomic durable
 //     point), never anything else;
 //   - for the ordered map, a post-recovery scan must additionally visit
-//     exactly the live keys in strictly ascending byte order.
+//     exactly the live keys in strictly ascending byte order;
+//   - the heap audit (AuditHeap) must find every allocated entry on the
+//     whole heap live, and exactly one per live key.
 //
 // The harness runs for both byte-map shapes the public API serves: the
 // hash-indexed map (KindMap) and the ordered skiplist-indexed map
@@ -346,7 +348,7 @@ func runModelCheck(t *testing.T, shape mcShape, seed int64, dev *nvram.Device) {
 		t.Fatal(err)
 	}
 	model := make(map[string]string)
-	seq := 0
+	seq, audited := 0, 0
 
 	rounds := 4
 	for round := 0; round < rounds; round++ {
@@ -401,6 +403,10 @@ func runModelCheck(t *testing.T, shape mcShape, seed int64, dev *nvram.Device) {
 		m2, rec := shape.attach(s2)
 		RecoverSet(s2, []Recoverer{rec}, 2)
 		c2 := s2.MustCtx(0)
+		entries, err := AuditHeap(c2, []Recoverer{rec})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 		verifyFrontiers(t, m2, c2, fronts)
 
 		// Adopt the durable outcome of the in-flight op and keep going on
@@ -409,7 +415,14 @@ func runModelCheck(t *testing.T, shape mcShape, seed int64, dev *nvram.Device) {
 		for _, kv := range m2.pairs(c2) {
 			model[kv[0]] = kv[1]
 		}
+		if entries != len(model) {
+			t.Fatalf("round %d: the heap audit saw %d entries, the map holds %d keys", round, entries, len(model))
+		}
+		audited += entries
 		s, c, m = s2, c2, m2
+	}
+	if audited == 0 {
+		t.Fatal("the heap audits after every recovery saw no entry")
 	}
 
 	// The recovered structure must still serve a full write/read cycle.

@@ -64,6 +64,17 @@ type Recoverer interface {
 // RecoverSet runs one §5.5 recovery pass for a set of structures sharing a
 // store: every allocated object in an active area is kept iff some
 // structure's Keep claims it, otherwise it is freed as a persistent leak.
+//
+// A replace charges the entry it unlinks to the new entry's area, not to the
+// replaced entry's own (RetireReplaced), so the pass also follows every
+// swept object's beReplaced word, kept or not, and applies the same rule to
+// the object it names: kept if claimed — which also clears a crashed
+// replace's freeze (bytesRecover) — otherwise freed, and its own beReplaced
+// followed in turn. The word may be stale (the replaced entry freed, its slot
+// reused) or cut short by a crash, so it is vetted before any load through it
+// (replacedOf); an allocated object that no structure claims is a leak
+// whichever way the pass reached it. The words are read before any Keep runs,
+// since a Keep that helps a delete frees the deleted entry on the spot.
 func RecoverSet(s *Store, rs []Recoverer, par int) RecoveryStats {
 	start := time.Now()
 	if par < 1 {
@@ -76,20 +87,30 @@ func RecoverSet(s *Store, rs []Recoverer, par int) RecoveryStats {
 
 	areas := s.mgr.ActiveAreas()
 	areaSet := make(map[Addr]bool, len(areas))
+	var objs []Addr
 	for _, a := range areas {
 		areaSet[a] = true
+		objs = s.mgr.AllocatedInArea(objs, a)
+	}
+	replaced := make([]Addr, len(objs))
+	for i, n := range objs {
+		replaced[i] = s.replacedOf(n)
 	}
 	for _, r := range rs {
 		r.Prepare(ctx0, areaSet)
 	}
-
-	var objs []Addr
-	for _, a := range areas {
-		objs = s.mgr.AllocatedInArea(objs, a)
-	}
 	stats := RecoveryStats{ActiveAreas: len(areas), ObjectsChecked: len(objs)}
 
+	keep := func(c *Ctx, n Addr) bool {
+		for _, r := range rs {
+			if r.Keep(c, n) {
+				return true
+			}
+		}
+		return false
+	}
 	leaked := make([]int, par)
+	followed := make([]int, par)
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
@@ -97,22 +118,20 @@ func RecoverSet(s *Store, rs []Recoverer, par int) RecoveryStats {
 			defer wg.Done()
 			c := s.recoveryCtx(w)
 			for i := w; i < len(objs); i += par {
-				n := objs[i]
-				if !s.pool.SlotAllocated(n) {
-					continue // freed meanwhile (helping or another worker)
-				}
-				kept := false
-				for _, r := range rs {
-					if r.Keep(c, n) {
-						kept = true
-						break
-					}
-				}
-				if kept {
-					continue
-				}
-				if c.alloc.TryFree(n) {
+				// An object freed meanwhile (helping or another worker) is
+				// skipped; its beReplaced is still followed.
+				if n := objs[i]; s.pool.SlotAllocated(n) && !keep(c, n) && c.alloc.TryFree(n) {
 					leaked[w]++
+				}
+				// Every step frees an allocated object, and nothing is
+				// allocated during recovery, so the chain ends.
+				for n := replaced[i]; n != 0 && s.pool.SlotAllocated(n) && !keep(c, n); {
+					followed[w]++
+					next := s.replacedOf(n)
+					if c.alloc.TryFree(n) {
+						leaked[w]++
+					}
+					n = next
 				}
 			}
 			if s.lc != nil {
@@ -122,8 +141,9 @@ func RecoverSet(s *Store, rs []Recoverer, par int) RecoveryStats {
 		}(w)
 	}
 	wg.Wait()
-	for _, n := range leaked {
-		stats.Leaked += n
+	for w := range leaked {
+		stats.Leaked += leaked[w]
+		stats.ObjectsChecked += followed[w]
 	}
 	s.endRecovery()
 	stats.Duration = time.Since(start)
@@ -368,8 +388,10 @@ func RecoverBST(s *Store, t *BST, par int) RecoveryStats {
 // extent (class ≥ 1) that the search for its stored hash and key lands on.
 // Condition (ii) of §5.5: an uninitialized or foreign object fails the shape
 // check or the search and is not claimed. A kept entry loses any freeze a
-// crashed replace left on its link; the replace pre-retired the entry before
-// freezing it, so it lies in an active area and is swept.
+// crashed replace left on its link. The frozen entry's own area need not be
+// active: the replace froze it only once the new entry, which names it in
+// beReplaced, was durable in an area its allocation made active, and
+// RecoverSet follows that word to it.
 type bytesRecover struct{ b *BytesMap }
 
 func (bytesRecover) Prepare(*Ctx, map[Addr]bool) {}

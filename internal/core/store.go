@@ -45,6 +45,7 @@ const (
 	rootMgrAPT = 0 // epoch manager's active-page-table region
 	rootMgrLog = 1 // epoch manager's alloc-log region (AllocLogging only; else 0)
 	rootMeta   = 2 // packed store options, for Attach
+	rootRun    = 3 // the run of the store: 1 at format, one more each attach
 	RootUser   = 8 // first slot available to structure descriptors
 )
 
@@ -81,6 +82,12 @@ type Store struct {
 	mgr  *epoch.Manager
 	lc   *linkcache.Cache
 	opts Options
+
+	// run numbers this opening of the image (rootRun), modulo 2^16 and never
+	// 0. It tags the beReplaced words written in it, so that a word left by
+	// an earlier run, before a crash or a close, never reads as naming an
+	// entry still waiting in a generation (replaceChain).
+	run uint64
 
 	// The operation contexts, indexed by tid: Options.MaxThreads of them,
 	// made when the store is formatted or attached.
@@ -125,7 +132,8 @@ func NewStore(dev *nvram.Device, opts Options) (*Store, error) {
 	pool.SetRoot(f, rootMgrAPT, mgr.RegionAddr())
 	pool.SetRoot(f, rootMgrLog, mgr.LogRegionAddr())
 	pool.SetRoot(f, rootMeta, packMeta(opts))
-	s := &Store{dev: dev, pool: pool, mgr: mgr, opts: opts}
+	pool.SetRoot(f, rootRun, 1)
+	s := &Store{dev: dev, pool: pool, mgr: mgr, opts: opts, run: 1}
 	s.initVolatile()
 	return s, nil
 }
@@ -150,7 +158,12 @@ func AttachStore(dev *nvram.Device) (*Store, error) {
 			AreaShift:    opts.AreaShift,
 			AllocLogging: opts.AllocLogging,
 		})
-	s := &Store{dev: dev, pool: pool, mgr: mgr, opts: opts}
+	run := (pool.Root(rootRun) + 1) & runMask
+	if run == 0 {
+		run = 1
+	}
+	pool.SetRoot(dev.NewFlusher(), rootRun, run)
+	s := &Store{dev: dev, pool: pool, mgr: mgr, opts: opts, run: run}
 	s.initVolatile()
 	return s, nil
 }
@@ -168,6 +181,7 @@ func (s *Store) initVolatile() {
 	}
 	s.mgr.TrimHook = hook
 	s.mgr.FreeHook = hook
+	s.mgr.Chain = replaceChain{s}
 	s.ctxs = make([]*Ctx, s.opts.MaxThreads)
 	for tid := range s.ctxs {
 		s.ctxs[tid] = s.newCtx(tid)

@@ -14,21 +14,23 @@ import (
 // and sets, rewrites the aux word, deletes or does nothing, and the stripe is
 // released when the step returns. Set, SetAux and Delete are one-step
 // Updates. An OrderedBytesMap Set takes its key's stripe too and searches in
-// staging. A Set on either map is applied in three phases:
+// staging. A Set on either map is applied in four phases:
 //
 //	stage    write the entry extent (and, on an OrderedBytesMap, a fresh
 //	         key's skip-list node) with write-backs scheduled but NOT
 //	         fenced, planning the publish point against the current durable
-//	         state — on a BytesMap, the step's search position. A Set that
-//	         will unlink a replaced entry puts its area in the APT here
-//	         (§5.4), so an APT miss's sync carries the pending content lines
-//	         with it;
+//	         state — on a BytesMap, the step's search position. A replace's
+//	         entry names the entry it replaces (beReplaced);
 //	fence    ONE fence makes every pending content line durable together
 //	         (the paper's one-pause-per-fence latency model, §6.1);
+//	freeze   a BytesMap replace tags the replaced entry's link (below);
 //	publish  the single linearizing link-and-persist.
 //
 // A Set costs two sync waits: the content fence and the publishing link
-// (enforced by fencebudget_test.go).
+// (enforced by fencebudget_test.go). A replace makes no APT insert for the
+// entry it unlinks (§5.4): it charges the unlink to the new entry's area,
+// which the allocation has just made active (RetireReplaced), and recovery
+// reaches the replaced entry through the new one's beReplaced word.
 //
 // Correctness hinges on the key's stripe lock: it freezes the key's entry
 // and skip-list membership from the search to the publish, so the position a
@@ -39,11 +41,13 @@ import (
 // contents-before-reachability ordering with one extra sync. A BytesMap
 // replace takes the replaced entry's place in its bucket, so it must also
 // keep that entry's successor: it freezes the replaced entry's link with
-// ptrtag.Tag after pre-retiring it, which stops inserts after it and unlinks
-// of its successor (they search again, or leave the unlink to a later
-// search), and the new entry carries the frozen successor. A crash leaves
-// the old binding or the new one; recovery clears a freeze left on an entry
-// it keeps (bytesRecover).
+// ptrtag.Tag, which stops inserts after it and unlinks of its successor
+// (they search again, or leave the unlink to a later search), and the new
+// entry carries the frozen successor. The freeze comes after the content
+// fence: the new entry's beReplaced must be durable before the tag can be,
+// since it is the only way recovery finds a frozen entry whose area no APT
+// holds. A crash leaves the old binding or the new one; recovery clears a
+// freeze left on an entry it keeps (bytesRecover).
 
 // KeyStep is one key's read-decide-write step on a BytesMap, valid only
 // inside the function Update runs: the key, its index hash, the bucket
@@ -219,22 +223,16 @@ func (t writeTarget) write(c *Ctx, key, value []byte, meta uint16, aux uint64, p
 		}
 		return false, err
 	}
-	if p.replaced != 0 {
-		// The publish makes the replaced entry durably unreachable; its area
-		// must be in the APT first (§5.4).
-		c.ep.PreRetire(p.replaced)
-		if t.st != nil {
-			t.st.b.freeze(c, p)
-		}
-	}
-
 	// One pause covers the staged entry, skip-list node and allocator
 	// metadata lines.
 	c.fence()
+	if p.replaced != 0 && t.st != nil {
+		t.st.b.freeze(c, p)
+	}
 
 	t.publish(c, key, p)
 	if p.replaced != 0 {
-		c.ep.Retire(p.replaced)
+		c.ep.RetireReplaced(p.replaced, p.e)
 		return false, nil
 	}
 	return true, nil
@@ -268,17 +266,18 @@ func (st *KeyStep) stage(value []byte, meta uint16, aux uint64, p *writePlan) er
 		next = ptrtag.Addr(st.b.s.dev.Load(p.replaced + nNext))
 	}
 	var err error
-	p.e, err = writeBytesEntry(st.c, st.hash, st.key, value, meta, aux, next)
+	p.e, err = writeBytesEntry(st.c, st.hash, st.key, value, meta, aux, next, p.replaced)
 	return err
 }
 
 // freeze tags the replaced entry's link, so that until the publish swaps the
 // new entry in, no insert after the replaced entry and no unlink of its
 // successor can change the successor the new entry carries. The new entry
-// was staged with the successor read then; only one that moved since costs a
-// store, which the content fence covers like the rest of the entry. It runs
-// after PreRetire: a freeze that a crash leaves behind lies in an active area
-// for recovery to clear.
+// was staged with the successor read then; only one that moved since (a
+// same-bucket race) costs a store and a sync of its own, since the content
+// fence is already behind. It runs after that fence: a freeze that a crash
+// leaves behind is cleared by recovery, which reaches the frozen entry
+// through the new entry's durable beReplaced word.
 func (b *BytesMap) freeze(c *Ctx, p *writePlan) {
 	dev := b.s.dev
 	for {
@@ -288,7 +287,7 @@ func (b *BytesMap) freeze(c *Ctx, p *writePlan) {
 		}
 		if succ := ptrtag.Addr(w); succ != dev.Load(p.e+nNext) {
 			dev.StorePrivate(p.e+nNext, succ)
-			c.clwb(p.e + nNext)
+			c.sync(p.e + nNext)
 		}
 		return
 	}
@@ -348,13 +347,11 @@ func (o *OrderedBytesMap) stage(c *Ctx, key, value []byte, meta uint16, aux uint
 		c.scan(p.hash)
 		c.ensureDurable(p.preds[0] + oNext(0))
 		c.ensureDurable(p.n + oNext(0))
-		if p.e, err = writeBytesEntry(c, p.hash, key, value, meta, aux, 0); err != nil {
-			return err
-		}
 		p.kind, p.replaced = planSwing, o.nodeEntry(p.n)
-		return nil
+		p.e, err = writeBytesEntry(c, p.hash, key, value, meta, aux, 0, p.replaced)
+		return err
 	}
-	if p.e, err = writeBytesEntry(c, p.hash, key, value, meta, aux, 0); err != nil {
+	if p.e, err = writeBytesEntry(c, p.hash, key, value, meta, aux, 0, 0); err != nil {
 		return err
 	}
 	top := c.randomLevel()

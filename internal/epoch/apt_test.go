@@ -260,10 +260,10 @@ func TestAPTModel(t *testing.T) {
 	}{
 		2: {nvram.Stats{Clwbs: 5108, Fences: 2156, SyncWaits: 2156},
 			Stats{AllocHits: 491, AllocMisses: 822, UnlinkHits: 2125, UnlinkMisses: 493,
-				GensFreed: 328, NodesFreed: 1309, Trims: 606}},
+				GensFreed: 328, NodesFreed: 1309, Trims: 606, Forced: 67}},
 		16: {nvram.Stats{Clwbs: 4368, Fences: 1747, SyncWaits: 1747},
 			Stats{AllocHits: 721, AllocMisses: 592, UnlinkHits: 2218, UnlinkMisses: 400,
-				GensFreed: 328, NodesFreed: 1309, Trims: 559}},
+				GensFreed: 328, NodesFreed: 1309, Trims: 559, Forced: 64}},
 	}
 	for _, trimAt := range []int{2, 16} {
 		fullMisses := 0
@@ -275,6 +275,9 @@ func TestAPTModel(t *testing.T) {
 		})
 		if fullMisses == 0 || ep.GensFreed == 0 {
 			t.Fatalf("TrimAt %d: the table never filled or nothing was reclaimed: %+v", trimAt, ep)
+		}
+		if ep.Forced == 0 || ep.Forced > uint64(fullMisses) {
+			t.Fatalf("TrimAt %d: %d forced evictions, want 1..%d (the misses into a full table)", trimAt, ep.Forced, fullMisses)
 		}
 		if g := golden[trimAt]; dev != g.dev || ep != g.ep {
 			t.Errorf("TrimAt %d: counters moved from the parent's:\n device %+v, want %+v\n epoch  %+v, want %+v",

@@ -115,6 +115,26 @@ type Manager struct {
 	// still buffered in the link cache) is established before its slot can
 	// be reused.
 	FreeHook func(tid int)
+
+	// Chain, if non-nil, keeps the names RetireReplaced relies on whole; see
+	// Chain.
+	Chain Chain
+}
+
+// Chain is implemented by a store whose objects durably name the object they
+// replaced (RetireReplaced). Recovery reaches a replaced object only through
+// its replacement, and a replaced object waits in the generation of the
+// context that retired it, which may be reclaimed long after another
+// context's. So an object that still names a replaced object awaiting its
+// free is not freed: its context holds it into its next generation, charged
+// to its area again, until the free it waits for is done.
+type Chain interface {
+	// Pending reports whether the retired object a still names a replaced
+	// object that has not been freed.
+	Pending(a Addr) bool
+	// Release runs once the object that by replaced is durably free: by no
+	// longer names a pending object.
+	Release(by Addr)
 }
 
 const logRing = 1024
@@ -201,18 +221,24 @@ func (m *Manager) AllocatedInArea(dst []Addr, area Addr) []Addr {
 
 // Stats counts APT behaviour for Figure 9a.
 //
-// Each unlink consults the table twice and so counts twice: PreRetire, then
-// Retire, which hits the entry PreRetire has just made active. UnlinkHits +
-// UnlinkMisses is therefore twice the unlinks, and the share of PreRetire
-// lookups that missed is 2·UnlinkMisses ÷ (UnlinkHits + UnlinkMisses).
+// A delete's unlink consults the table twice and so counts twice:
+// PreRetire, then Retire, which hits the entry PreRetire has just made
+// active. A replace's unlink consults it once: RetireReplaced, which hits the
+// entry the replacing allocation has just made active. So UnlinkHits +
+// UnlinkMisses lies between the unlinks and twice them, and every miss is a
+// PreRetire's, or a hold's (Chain): a held object's area is looked up once
+// more, nearly always a hit, since its unlink was charged there in the
+// generation being freed.
 type Stats struct {
 	AllocHits    uint64 // allocations whose area was already active
 	AllocMisses  uint64 // allocations that durably inserted an APT entry
-	UnlinkHits   uint64 // PreRetire and Retire lookups that found the area
-	UnlinkMisses uint64 // PreRetire lookups that durably inserted an entry
+	UnlinkHits   uint64 // PreRetire, Retire and RetireReplaced lookups that found the area
+	UnlinkMisses uint64 // PreRetire (and hold) lookups that durably inserted an entry
 	GensFreed    uint64
 	NodesFreed   uint64
 	Trims        uint64
+	Forced       uint64 // inserts into a table full of entries trim may not evict
+	Held         uint64 // frees put off because the object names a pending replaced object (Chain)
 	LogWrites    uint64 // AllocLogging mode only
 }
 
@@ -224,6 +250,8 @@ func (s Stats) add(o Stats) Stats {
 	s.GensFreed += o.GensFreed
 	s.NodesFreed += o.NodesFreed
 	s.Trims += o.Trims
+	s.Forced += o.Forced
+	s.Held += o.Held
 	s.LogWrites += o.LogWrites
 	return s
 }
@@ -238,9 +266,21 @@ type aptEntry struct {
 	lastUse       uint64 // recency tick, for LRU trim ordering
 }
 
+// retired is one retired object awaiting its free: a, and for
+// RetireReplaced the replacement by that names it (0 otherwise). The unlink
+// is charged to by's area when by is set, to a's otherwise.
+type retired struct{ a, by Addr }
+
+func (r retired) charged() Addr {
+	if r.by != 0 {
+		return r.by
+	}
+	return r.a
+}
+
 type generation struct {
 	seq   uint64
-	nodes []Addr
+	nodes []retired
 	vec   []uint64 // epoch snapshot at seal
 }
 
@@ -265,10 +305,12 @@ type Ctx struct {
 	aptUsed [aptCapacity / 64]uint64
 	aptLen  int
 
-	cur      []Addr // current (open) generation
-	gens     []generation
-	genSeq   uint64 // seq of the open generation
-	lastFree uint64 // seq of the newest freed generation (0 = none)
+	cur        []retired // current (open) generation
+	held       []retired // frees put off (Chain), joining the open generation at its seal
+	gens       []generation
+	genSeq     uint64 // seq of the open generation
+	lastFree   uint64 // seq of the newest freed generation (0 = none)
+	reclaiming bool   // inside tryReclaim, which a hold's APT lookup can reenter
 
 	logHead int // AllocLogging mode ring cursor
 
@@ -352,21 +394,49 @@ func (c *Ctx) InRecovery() bool { return c.recovery }
 // Retire hands the (already durably unreachable) node at a to the
 // reclamation scheme. It will be freed once all operations concurrent with
 // the unlink have completed.
-func (c *Ctx) Retire(a Addr) {
+func (c *Ctx) Retire(a Addr) { c.retire(retired{a: a}) }
+
+// RetireReplaced retires a, which a replace has just made durably
+// unreachable by publishing by, a new object that names a in its durable
+// contents. The unlink is charged to by's area, which by's allocation made
+// active: the lookup hits, and the entry stays in the table until a is
+// freed. Recovery reaches a from by, so a's own area need not be active, and
+// no PreRetire precedes the publish. Once a is durably free, the manager's
+// Chain releases by; until then by is not freed (Chain).
+func (c *Ctx) RetireReplaced(a, by Addr) { c.retire(retired{a: a, by: by}) }
+
+// retire queues r for reclamation, refreshing the unlink generation of the
+// APT entry for its charged area.
+func (c *Ctx) retire(r retired) {
 	if c.recovery {
-		c.alloc.TryFree(a)
+		c.alloc.TryFree(r.a)
+		if r.by != 0 && c.m.Chain != nil {
+			c.m.Chain.Release(r.by)
+		}
 		c.stats.NodesFreed++
 		return
 	}
 	if !c.m.cfg.AllocLogging {
-		c.ensureActive(c.m.AreaOf(a), false) // hit: refreshes lastUnlinkGen
+		c.ensureActive(c.m.AreaOf(r.charged()), false) // hit: refreshes lastUnlinkGen
 	}
-	debugRetire(c.m, c.tid, a)
-	c.cur = append(c.cur, a)
+	debugRetire(c.m, c.tid, r.a)
+	c.cur = append(c.cur, r)
 	if len(c.cur) >= c.m.cfg.GenSize {
 		c.seal()
 		c.tryReclaim()
 	}
+}
+
+// hold puts off the free of r, whose object still names a replaced object
+// that is not free yet (Chain): r joins the open generation at its seal, and
+// its charged area's entry is refreshed to that generation first, so the
+// area stays in the table, and r within recovery's reach, until it is freed.
+func (c *Ctx) hold(r retired) {
+	if !c.m.cfg.AllocLogging {
+		c.ensureActive(c.m.AreaOf(r.charged()), false)
+	}
+	c.held = append(c.held, r)
+	c.stats.Held++
 }
 
 // seal closes the open generation with a snapshot of all thread epochs.
@@ -376,10 +446,12 @@ func (c *Ctx) seal() {
 	for i := range eps {
 		vec[i] = eps[i].v.Load()
 	}
-	c.gens = append(c.gens, generation{seq: c.genSeq, nodes: c.cur, vec: vec})
+	nodes := append(c.cur, c.held...)
+	c.held = c.held[:0]
+	c.gens = append(c.gens, generation{seq: c.genSeq, nodes: nodes, vec: vec})
 	// Hand the full slice to the generation and start a fresh one at full
 	// capacity: one allocation per generation instead of a growth series.
-	c.cur = make([]Addr, 0, c.m.cfg.GenSize)
+	c.cur = make([]retired, 0, c.m.cfg.GenSize)
 	c.genSeq++
 }
 
@@ -397,29 +469,51 @@ func (c *Ctx) reclaimable(g *generation) bool {
 
 // tryReclaim frees the oldest reclaimable generations. Each generation's
 // frees are covered by one fence (§5.3: "the memory reclamation scheme waits
-// for all the deallocations it issues at once to be completed").
+// for all the deallocations it issues at once to be completed"); only then
+// are the replacements of the freed objects released (Chain), so that no
+// replacement stops naming an object whose free could still be lost. A
+// hold's APT lookup can trim, and a trim reclaims: that nested call does
+// nothing.
 func (c *Ctx) tryReclaim() {
+	if c.reclaiming {
+		return
+	}
+	c.reclaiming = true
 	if len(c.gens) > 0 && c.reclaimable(&c.gens[0]) && c.m.FreeHook != nil {
 		c.m.FreeHook(c.tid)
 	}
+	chain := c.m.Chain
 	for len(c.gens) > 0 && c.reclaimable(&c.gens[0]) {
 		g := c.gens[0]
 		c.gens = c.gens[1:]
-		for _, n := range g.nodes {
-			debugFree(c.m, n)
-			c.alloc.Free(n)
+		freed := g.nodes[:0]
+		for _, r := range g.nodes {
+			if chain != nil && chain.Pending(r.a) {
+				c.hold(r)
+				continue
+			}
+			debugFree(c.m, r.a)
+			c.alloc.Free(r.a)
+			freed = append(freed, r)
 		}
 		c.f.Fence()
+		if chain != nil {
+			for _, r := range freed {
+				if r.by != 0 {
+					chain.Release(r.by)
+				}
+			}
+		}
 		// Prompt reuse (§5.1 locality): steer subsequent allocations into
 		// the page this batch freed the most slots in, the lowest address on
 		// a tie: where the allocator places the next object must repeat from
 		// run to run. The batch is done with its slice, so sorting it in
 		// place makes each page's frees one run, met in address order.
-		slices.Sort(g.nodes)
+		slices.SortFunc(freed, func(x, y retired) int { return cmp.Compare(x.a, y.a) })
 		best, bestN := Addr(0), 0
 		page, run := Addr(0), 0
-		for _, n := range g.nodes {
-			p := n &^ (pmem.PageSize - 1)
+		for _, r := range freed {
+			p := r.a &^ (pmem.PageSize - 1)
 			if p != page {
 				page, run = p, 0
 			}
@@ -433,8 +527,9 @@ func (c *Ctx) tryReclaim() {
 		}
 		c.lastFree = g.seq
 		c.stats.GensFreed++
-		c.stats.NodesFreed += uint64(len(g.nodes))
+		c.stats.NodesFreed += uint64(len(freed))
 	}
+	c.reclaiming = false
 }
 
 // aptHit refreshes one APT entry's recency and trim metadata on a hit.
@@ -493,8 +588,9 @@ func (c *Ctx) ensureActive(area Addr, isAlloc bool) {
 	c.useTick++
 	// Fast path: allocations and unlinks cluster in one hot area (locality
 	// is the whole point of the APT, §5.4), so the most recently hit entry
-	// answers most calls without a lookup. Allocation, PreRetire and Retire
-	// each consult the APT, so this runs several times per operation.
+	// answers most calls without a lookup. Allocation, PreRetire and the
+	// retires each consult the APT, so this runs several times per
+	// operation.
 	if i := c.lastAPT; c.apt[i].area == area {
 		c.aptHit(&c.apt[i], isAlloc)
 		return
@@ -523,7 +619,14 @@ func (c *Ctx) ensureActive(area Addr, isAlloc bool) {
 			// entries above the threshold between attempts.
 			c.trimCooldown = 4
 		}
-		if free < 0 {
+		// The trim's reclaim can hold an object and insert its area (hold):
+		// this very area, or another one into the slot found above.
+		if i := c.aptFind(area); i >= 0 {
+			c.lastAPT = i
+			c.aptHit(&c.apt[i], isAlloc)
+			return
+		}
+		if free < 0 || c.aptUsed[free/64]&(1<<(uint(free)%64)) != 0 {
 			free = c.aptFree()
 		}
 	}
@@ -531,6 +634,7 @@ func (c *Ctx) ensureActive(area Addr, isAlloc bool) {
 		// Table saturated with unremovable entries; force out the entry with
 		// the oldest unlink generation. Bounded persistent-leak exposure on
 		// crash, never corruption (recovery just won't sweep that area).
+		c.stats.Forced++
 		oldest := 0
 		for i := range c.apt {
 			if c.apt[i].lastUnlinkGen < c.apt[oldest].lastUnlinkGen {
@@ -652,7 +756,7 @@ func (c *Ctx) trim() {
 // FlushAll seals and reclaims everything reclaimable, then trims. Intended
 // for orderly shutdown and tests.
 func (c *Ctx) FlushAll() {
-	if len(c.cur) > 0 {
+	if len(c.cur) > 0 || len(c.held) > 0 {
 		c.seal()
 	}
 	c.tryReclaim()
@@ -661,7 +765,7 @@ func (c *Ctx) FlushAll() {
 
 // PendingRetired returns how many retired nodes await reclamation.
 func (c *Ctx) PendingRetired() int {
-	n := len(c.cur)
+	n := len(c.cur) + len(c.held)
 	for _, g := range c.gens {
 		n += len(g.nodes)
 	}

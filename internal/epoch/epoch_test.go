@@ -285,6 +285,91 @@ func TestUnlinkedAreaStaysActiveUntilFreed(t *testing.T) {
 	blocker.End()
 }
 
+// TestRetireReplacedChargesReplacement: a replaced object's unlink is
+// charged to its replacement's area, which the replacement's allocation has
+// just made active: the lookup hits, the replaced object's own area is never
+// inserted, and the replacement's area survives a trim until the replaced
+// object is freed.
+func TestRetireReplacedChargesReplacement(t *testing.T) {
+	fx := newFixture(t, Config{MaxThreads: 2, TrimAt: 1, GenSize: 100})
+	blocker := fx.ctx(1)
+	c := fx.ctx(0)
+	c.Begin()
+	old, _ := c.AllocNode(pageClass)
+	c.End()
+	c.FlushAll() // the old object's area leaves the table
+	oldArea := fx.m.AreaOf(old)
+
+	blocker.Begin() // prevent reclamation
+	c.Begin()
+	by, _ := c.AllocNode(pageClass)
+	before, waits := c.Stats(), c.f.SyncWaits
+	c.RetireReplaced(old, by)
+	c.End()
+	after := c.Stats()
+	if after.UnlinkHits != before.UnlinkHits+1 || after.UnlinkMisses != before.UnlinkMisses || c.f.SyncWaits != waits {
+		t.Fatalf("RetireReplaced: %+v → %+v, %d sync waits; want one hit and no sync", before, after, c.f.SyncWaits-waits)
+	}
+	c.trim()
+	has := func(area Addr) bool { return c.aptFind(area) >= 0 }
+	if has(oldArea) {
+		t.Fatal("the replaced object's area was inserted")
+	}
+	if !has(fx.m.AreaOf(by)) {
+		t.Fatal("the replacement's area was trimmed before the replaced object was freed")
+	}
+	blocker.End()
+	c.FlushAll()
+	if fx.pool.SlotAllocated(old) {
+		t.Fatal("the replaced object was not freed once reclaimable")
+	}
+}
+
+// fakeChain is a Chain over a table of which object names which: a names
+// names[a] until that object is released.
+type fakeChain struct{ names map[Addr]Addr }
+
+func (ch fakeChain) Pending(a Addr) bool { return ch.names[a] != 0 }
+func (ch fakeChain) Release(by Addr)     { delete(ch.names, by) }
+
+// TestHeldUntilReplacedIsFreed: context A retires y, replaced by x, and
+// idles with y in its open generation; context B then retires x and drains.
+// x still names y, so B holds it, allocated and its area in B's table, into
+// its next generation; once A frees y and releases x, B frees x.
+func TestHeldUntilReplacedIsFreed(t *testing.T) {
+	fx := newFixture(t, Config{MaxThreads: 2, TrimAt: 1, GenSize: 100})
+	chain := fakeChain{names: map[Addr]Addr{}}
+	fx.m.Chain = chain
+	a, b := fx.ctx(0), fx.ctx(1)
+	a.Begin()
+	y, _ := a.AllocNode(pageClass)
+	x, _ := a.AllocNode(pageClass)
+	chain.names[x] = y
+	a.RetireReplaced(y, x)
+	a.End()
+
+	b.Begin()
+	b.Retire(x)
+	b.End()
+	b.FlushAll()
+	if !fx.pool.SlotAllocated(x) || b.Stats().Held != 1 || b.PendingRetired() != 1 {
+		t.Fatalf("x: allocated %v, held %d, pending %d; want held once and allocated",
+			fx.pool.SlotAllocated(x), b.Stats().Held, b.PendingRetired())
+	}
+	if b.aptFind(fx.m.AreaOf(x)) < 0 {
+		t.Fatal("a held object's area left its context's table")
+	}
+
+	a.FlushAll()
+	if fx.pool.SlotAllocated(y) || chain.names[x] != 0 {
+		t.Fatalf("y: allocated %v, x still names it %v", fx.pool.SlotAllocated(y), chain.names[x] != 0)
+	}
+	b.FlushAll()
+	if fx.pool.SlotAllocated(x) || b.PendingRetired() != 0 {
+		t.Fatalf("x: allocated %v, pending %d after its replaced object was freed", fx.pool.SlotAllocated(x), b.PendingRetired())
+	}
+}
+
 func TestConcurrentRetireStress(t *testing.T) {
 	fx := newFixture(t, Config{MaxThreads: 8, GenSize: 16})
 	var wg sync.WaitGroup

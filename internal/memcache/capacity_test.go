@@ -454,6 +454,7 @@ func TestEvictionCrashTorture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: recovery after mid-eviction kill: %v", k, err)
 		}
+		auditRecovered(t, m2)
 		for i := 0; i < next; i++ {
 			v, _, ok := m2.Get([]byte(fmt.Sprintf("t-%06d", i)))
 			if !ok {

@@ -212,6 +212,7 @@ func TestExpirySweepSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditRecovered(t, c2)
 	if n := c2.SweepExpired(now); n != 8 {
 		t.Fatalf("post-crash sweep = %d, want 8", n)
 	}

@@ -62,6 +62,7 @@ func TestFileCacheRecoversWithoutSave(t *testing.T) {
 		if !c2.Recovered() {
 			t.Fatal("populated file not recovered")
 		}
+		auditRecovered(t, c2)
 		if rs := c2.RecoveryStats(); rs.ObjectsChecked == 0 {
 			t.Fatalf("aggregated recovery stats empty: %+v", rs)
 		}

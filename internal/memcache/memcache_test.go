@@ -170,6 +170,16 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// auditRecovered runs the whole-heap audit on every shard of a cache that
+// has just recovered: every allocated entry is a live item or a directory
+// entry, and none keeps a replace's freeze.
+func auditRecovered(t *testing.T, m *Cache) {
+	t.Helper()
+	if _, err := m.Runtime().AuditHeap(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCrashRecovery(t *testing.T) {
 	m := newCache(t)
 	for i := 0; i < 1000; i++ {
@@ -187,6 +197,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditRecovered(t, m2)
 	_ = stats // after an orderly Flush the APT may legitimately be empty
 	// The recovered cache is the same one-shard topology on the same device.
 	if len(m2.Runtime().Parts()) != 1 || m2.Device() != dev || !m2.Recovered() {
@@ -226,6 +237,7 @@ func TestRecoveryAfterAbruptCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditRecovered(t, m2)
 	if v, _, ok := m2.Get([]byte("live")); !ok || string(v) != "v" {
 		t.Fatalf("flushed item lost or corrupt: %q,%v", v, ok)
 	}
@@ -270,6 +282,7 @@ func TestCollidingKeysSurviveCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditRecovered(t, m2)
 	if v, _, ok := m2.Get([]byte("twin-a")); !ok || string(v) != "value-a" {
 		t.Fatalf("twin-a after crash: %q,%v", v, ok)
 	}

@@ -10,6 +10,7 @@ package memcache
 // restore reproduces the CAS chain, not just the values.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -31,12 +32,20 @@ func (m *Cache) Snapshot(w io.Writer) (items uint64, err error) {
 	return sw.Count(), sw.Close()
 }
 
+// ErrItemsSkipped is returned by RestoreSnapshot, wrapped with a count, when
+// the stream held items too large for this build's entries. A build with a
+// smaller entry header could store them: an item whose key and value
+// together take 2009 to 2016 bytes fit a 32-byte header and do not fit the
+// 40-byte one. Every other item of the stream is restored.
+var ErrItemsSkipped = errors.New("memcache: snapshot items too large for this build were skipped")
+
 // RestoreSnapshot loads a snapshot stream into this cache, which must be
 // empty (restore is a bootstrap, not a merge). Items land through the same
 // verbatim-aux path replication uses, so flags, expirations and the CAS
 // chain come back exactly as dumped. Returns the number of items restored;
 // a truncated or corrupt stream errors without silently passing for
-// complete.
+// complete. An item too large for this build is skipped and the rest
+// restored; the skips are then reported as ErrItemsSkipped.
 func (m *Cache) RestoreSnapshot(r io.Reader) (items uint64, err error) {
 	if n := m.stats.items.Load(); n != 0 {
 		return 0, fmt.Errorf("memcache: snapshot restore requires an empty cache (%d items present)", n)
@@ -45,16 +54,22 @@ func (m *Cache) RestoreSnapshot(r io.Reader) (items uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
+	var skipped uint64
 	for {
 		key, value, flags, aux, err := sr.Next()
 		if err == io.EOF {
+			if skipped > 0 {
+				return sr.Count() - skipped, fmt.Errorf("%w: %d of %d", ErrItemsSkipped, skipped, sr.Count())
+			}
 			return sr.Count(), nil
 		}
 		if err != nil {
-			return sr.Count(), err
+			return sr.Count() - skipped, err
 		}
-		if err := m.ApplySet(key, value, flags, aux); err != nil {
-			return sr.Count(), err
+		if err := m.ApplySet(key, value, flags, aux); errors.Is(err, ErrTooLarge) {
+			skipped++
+		} else if err != nil {
+			return sr.Count() - skipped, err
 		}
 	}
 }

@@ -8,11 +8,14 @@ package memcache
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/capacity"
 )
 
 // dumpItems collects the cache's full item state (value, flags, raw aux) for
@@ -132,6 +135,45 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 	}
 	if got, err := r.Incr([]byte("counter"), 1); err != nil || got != 43 {
 		t.Fatalf("incr on restored counter = %d, %v", got, err)
+	}
+}
+
+// TestRestoreSkipsItemsTooLargeForThisBuild: a snapshot written by a build
+// with a 32-byte entry header can hold an item with the longest key and a
+// value 8 bytes past this build's MaxValueLen. Restoring it skips that item,
+// restores the others and reports the skip as ErrItemsSkipped.
+func TestRestoreSkipsItemsTooLargeForThisBuild(t *testing.T) {
+	var buf bytes.Buffer
+	sw, err := capacity.NewSnapshotWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := bytes.Repeat([]byte("k"), MaxKeyLen)
+	for _, it := range []struct{ key, value []byte }{
+		{[]byte("before"), []byte("1")},
+		{long, make([]byte, MaxValueLen+8)}, // fit a 32-byte header
+		{[]byte("after"), make([]byte, MaxValueLen)},
+	} {
+		if err := sw.Item(it.key, it.value, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := newCache(t)
+	defer r.Close()
+	n, err := r.RestoreSnapshot(&buf)
+	if !errors.Is(err, ErrItemsSkipped) || n != 2 {
+		t.Fatalf("restore: %d items, %v; want 2 and ErrItemsSkipped", n, err)
+	}
+	for _, k := range []string{"before", "after"} {
+		if _, _, ok := r.Get([]byte(k)); !ok {
+			t.Fatalf("%q not restored", k)
+		}
+	}
+	if _, _, ok := r.Get(long); ok {
+		t.Fatal("the oversized item was stored")
 	}
 }
 

@@ -90,7 +90,8 @@ const (
 //	2  size classes tile the page
 //	3  a store's thread count is fixed: no thread-bank table
 //	4  a hash bucket's head is its 8-byte link word, not a 64-byte node
-const LayoutVersion = 4
+//	5  an entry names the entry it replaced
+const LayoutVersion = 5
 
 // Class identifies a size class.
 type Class uint8
@@ -532,6 +533,22 @@ func (p *Pool) SlotAllocated(a Addr) bool {
 	}
 	slot := slotOf(page, a, c)
 	return p.dev.Load(page+headerBitmapOff)&(1<<slot) != 0
+}
+
+// SlotStart reports the class of the object page holding a, when a is the
+// first byte of one of that page's slots. Recovery vets an address read from
+// the device with it before it loads through the address.
+func (p *Pool) SlotStart(a Addr) (Class, bool) {
+	page := PageOf(a)
+	if page < heapBase || page >= p.HeapEnd() || a < page+SlotAlign {
+		return 0, false
+	}
+	c, ok := p.PageClass(page)
+	if !ok {
+		return 0, false
+	}
+	off := a - page - SlotAlign
+	return c, off%c.Size() == 0 && off/c.Size() < slotsPerPage[c]
 }
 
 // HeapStart is the address of the first allocator page.

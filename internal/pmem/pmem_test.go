@@ -361,6 +361,36 @@ func TestAllocatedInPage(t *testing.T) {
 	}
 }
 
+// TestSlotStart: an address read from the device names a slot only at the
+// first byte of one of its page's slots, inside the carved heap and outside
+// regions; the slot need not be allocated.
+func TestSlotStart(t *testing.T) {
+	p := newPool(t, 1<<20)
+	ctx := p.NewCtx(p.Device().NewFlusher())
+	cl := classOf(t, 192)
+	a, _ := ctx.Alloc(cl)
+	r, err := p.AllocRegion(ctx.Flusher(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := PageOf(a)
+	last := page + SlotAlign + Addr(slotsPerPage[cl]-1)*Addr(cl.Size())
+	for _, c := range []struct {
+		a    Addr
+		want bool
+	}{
+		{a, true}, {a + Addr(cl.Size()), true}, {last, true},
+		{a + 8, false}, {a + SlotAlign, false}, {last + Addr(cl.Size()), false},
+		{page, false}, {0, false}, {SlotAlign, false}, {r, false},
+		{p.HeapEnd() + SlotAlign, false}, {^Addr(0) &^ (SlotAlign - 1), false},
+	} {
+		got, ok := p.SlotStart(c.a)
+		if ok != c.want || (ok && got != cl) {
+			t.Errorf("SlotStart(%#x) = %d, %v; want class %d, %v", c.a, got, ok, cl, c.want)
+		}
+	}
+}
+
 func TestOutOfMemory(t *testing.T) {
 	p := newPool(t, 64<<10) // 16 pages total
 	ctx := p.NewCtx(p.Device().NewFlusher())

@@ -124,9 +124,15 @@ func (r *Runtime) open(name string, kind Kind, buckets int) (structure, error) {
 // every structure it lists: a single combined sweep of the active areas, so
 // no structure's sweep can mistake a sibling's nodes for leaks.
 func (r *Runtime) recoverAll() {
-	c := r.store.MustCtx(0)
-	rs := []core.Recoverer{r.dir.Recoverer()}
-	r.recovered = nil
+	var rs []core.Recoverer
+	rs, r.recovered = r.recoverers(r.store.MustCtx(0))
+	r.recStats = core.RecoverSet(r.store, rs, r.cfg.maxThreads)
+}
+
+// recoverers returns the hook sets of the directory and of every structure
+// it lists, with a report for each of the latter.
+func (r *Runtime) recoverers(c *core.Ctx) (rs []core.Recoverer, reports []RecoveryReport) {
+	rs = []core.Recoverer{r.dir.Recoverer()}
 	r.dir.Range(c, func(name, v []byte) bool {
 		kind, aux, a1, a2, ok := decodeDirEntry(v)
 		row, known := kindTable[kind]
@@ -134,8 +140,30 @@ func (r *Runtime) recoverAll() {
 			return true
 		}
 		rs = append(rs, row.attach(r.store, aux, a1, a2).Recoverer())
-		r.recovered = append(r.recovered, RecoveryReport{Name: string(name), Kind: kind})
+		reports = append(reports, RecoveryReport{Name: string(name), Kind: kind})
 		return true
 	})
-	r.recStats = core.RecoverSet(r.store, rs, r.cfg.maxThreads)
+	return rs, reports
+}
+
+// AuditHeap runs core.AuditHeap on every part, against the directory and
+// every structure it lists, and returns the entries audited in all. It fails
+// when any slot fails, and when it audited no entry at all. It is a check
+// for tests: run it quiescent, right after a recovery or once Reclaim has
+// drained the retired entries.
+func (r *Runtime) AuditHeap() (entries int, err error) {
+	for i, p := range r.parts {
+		c := p.acquire()
+		rs, _ := p.recoverers(c)
+		n, err := core.AuditHeap(c, rs)
+		p.release(c)
+		entries += n
+		if err != nil {
+			return entries, fmt.Errorf("logfree: part %d: %w", i, err)
+		}
+	}
+	if entries == 0 {
+		return 0, fmt.Errorf("logfree: audit: no entry audited")
+	}
+	return entries, nil
 }

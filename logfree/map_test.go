@@ -80,7 +80,7 @@ func TestByteMapLimits(t *testing.T) {
 		t.Fatalf("oversized value: %v", err)
 	}
 	// The largest storable entry fits exactly.
-	if err := m.Set([]byte("k"), make([]byte, 2048-32-1)); err != nil {
+	if err := m.Set([]byte("k"), make([]byte, MaxMapEntrySize-MapEntryOverhead-1)); err != nil {
 		t.Fatalf("max-size value rejected: %v", err)
 	}
 }
