@@ -93,16 +93,22 @@ func TestLogFreeSyncsLessThanLogBased(t *testing.T) {
 	}
 }
 
+// TestAPTHitRatesHighForSmallStructures pins Figure 9a's small-structure
+// point as exact counts: one seeded thread of 4096 updates on a 256-key skip
+// list allocates in, and unlinks from, areas its table already holds all but
+// nine times (the paper reports ≈100 % for small structures). Reclamation is
+// deterministic, so any change to where nodes land or how the table is kept
+// shows here as a changed count.
 func TestAPTHitRatesHighForSmallStructures(t *testing.T) {
-	r, err := Run(quickCfg(SkipList, ImplLP))
+	cfg := quickCfg(SkipList, ImplLP)
+	cfg.Threads, cfg.Seed = 1, 1
+	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.AllocHitRate() < 0.9 {
-		t.Fatalf("alloc APT hit rate %.2f; the paper reports ≈100%% for small structures", r.AllocHitRate())
-	}
-	if r.UnlinkHitRate() < 0.5 {
-		t.Fatalf("unlink APT hit rate %.2f; expected high for small structures", r.UnlinkHitRate())
+	got := [5]uint64{r.Ops, r.APTAllocHits, r.APTAllocMisses, r.APTUnlinkHits, r.APTUnlinkMisses}
+	if want := [5]uint64{4096, 1271, 9, 3012, 0}; got != want {
+		t.Fatalf("ops, alloc hits/misses, unlink hits/misses = %v, want %v", got, want)
 	}
 }
 

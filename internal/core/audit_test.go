@@ -16,12 +16,25 @@ import (
 // want entries: after a recovery every allocated entry is a live one.
 func auditHeap(t *testing.T, c *Ctx, rs []Recoverer, want int) {
 	t.Helper()
-	n, err := AuditHeap(c, rs)
+	_, n, err := AuditHeap(c, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != want {
 		t.Fatalf("audit saw %d entries, the map holds %d keys", n, want)
+	}
+}
+
+// auditSlots runs AuditHeap on a store that has just recovered, against r,
+// and requires it to have audited at least one allocated slot.
+func auditSlots(t *testing.T, s *Store, r Recoverer) {
+	t.Helper()
+	slots, _, err := AuditHeap(s.MustCtx(0), []Recoverer{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slots == 0 {
+		t.Fatal("the heap audit saw no allocated slot")
 	}
 }
 
@@ -62,7 +75,7 @@ func TestAuditHeapCatchesLeakAndFreeze(t *testing.T) {
 	e, _ := b.Find(c, []byte("live"))
 	w := s.dev.Load(e + nNext)
 	s.dev.Store(e+nNext, w|2) // ptrtag.Tag: a replace's freeze
-	if _, err := AuditHeap(c, rs); err == nil || !bytes.Contains([]byte(err.Error()), []byte("freeze")) {
+	if _, _, err := AuditHeap(c, rs); err == nil || !bytes.Contains([]byte(err.Error()), []byte("freeze")) {
 		t.Fatalf("audit of a frozen entry: %v", err)
 	}
 	s.dev.Store(e+nNext, w)
@@ -71,7 +84,7 @@ func TestAuditHeapCatchesLeakAndFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = AuditHeap(c, rs)
+	_, _, err = AuditHeap(c, rs)
 	if want := fmt.Sprintf("%#x (page %#x", orphan, pmem.PageOf(orphan)); err == nil || !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("audit of an orphan entry at %#x: %v", orphan, err)
 	}
@@ -330,4 +343,34 @@ func replaceChainCase(t *testing.T, shape mcShape, del, crash bool) {
 	}
 	_, rec := shape.attach(s)
 	auditHeap(t, a, []Recoverer{rec}, live)
+}
+
+// TestAuditHeapCatchesClassZeroOrphan: class-0 slots are audited too. A
+// list's sentinels and nodes are claimed slots, and a node no list links is
+// named by address, page and class.
+func TestAuditHeapCatchesClassZeroOrphan(t *testing.T) {
+	s := newTestStore(t, Options{MaxThreads: 1})
+	c := s.MustCtx(0)
+	l, err := NewList(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 3; k++ {
+		l.Insert(c, k, k)
+	}
+	rs := []Recoverer{l.Recoverer()}
+	if slots, entries, err := AuditHeap(c, rs); err != nil || slots != 5 || entries != 0 {
+		t.Fatalf("audit of a 3-node list: %d slots, %d entries, %v; want the 2 sentinels and 3 nodes", slots, entries, err)
+	}
+
+	c.ep.Begin()
+	orphan, err := c.ep.AllocNode(listClass)
+	c.ep.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = AuditHeap(c, rs)
+	if want := fmt.Sprintf("%#x (page %#x, class 0)", orphan, pmem.PageOf(orphan)); err == nil || !bytes.Contains([]byte(err.Error()), []byte(want)) {
+		t.Fatalf("audit of an orphan node at %#x: %v", orphan, err)
+	}
 }

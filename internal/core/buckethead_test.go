@@ -84,11 +84,13 @@ var bucketKinds = []struct {
 }
 
 // newSmallStore is a fresh two-context store on a small device: the crash
-// tests below build hundreds of them.
+// tests below build hundreds of them. Its 64 KiB areas put the first nodes in
+// the first area, beside the pool's header, which recovery must sweep
+// although no table entry names it.
 func newSmallStore(t *testing.T) (*nvram.Device, *Store) {
 	t.Helper()
 	dev := nvram.New(nvram.Config{Size: 4 << 20})
-	s, err := NewStore(dev, Options{MaxThreads: 2})
+	s, err := NewStore(dev, Options{MaxThreads: 2, AreaShift: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +330,7 @@ func TestBucketNeighboursCrash(t *testing.T) {
 							if !(atAfter || aborted && atBefore) {
 								t.Fatalf("cut at store %d (aborted %v), evict %.1f: key %d = %d,%v", k, aborted, p, cut, v, ok)
 							}
-							leakCheck(t, s2, m2.recoverer().Keep)
+							auditSlots(t, s2, m2.recoverer())
 						}
 						if !aborted {
 							break

@@ -403,7 +403,7 @@ func runModelCheck(t *testing.T, shape mcShape, seed int64, dev *nvram.Device) {
 		m2, rec := shape.attach(s2)
 		RecoverSet(s2, []Recoverer{rec}, 2)
 		c2 := s2.MustCtx(0)
-		entries, err := AuditHeap(c2, []Recoverer{rec})
+		_, entries, err := AuditHeap(c2, []Recoverer{rec})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

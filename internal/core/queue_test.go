@@ -179,8 +179,8 @@ func TestQueueDurableAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2 := AttachQueue(s2, q.Descriptor())
-	stats := RecoverQueue(s2, q2, 2)
-	_ = stats
+	RecoverQueue(s2, q2, 2)
+	auditSlots(t, s2, q2.Recoverer())
 	c2 := s2.MustCtx(0)
 	if got := q2.Len(c2); got != 180 {
 		t.Fatalf("recovered Len = %d, want 180", got)
@@ -214,6 +214,7 @@ func TestQueueRecoveryFreesOrphan(t *testing.T) {
 	if stats.Leaked == 0 {
 		t.Fatal("orphan queue node not freed")
 	}
+	auditSlots(t, s2, q2.Recoverer())
 	c2 := s2.MustCtx(0)
 	if v, ok := q2.Dequeue(c2); !ok || v != 7 {
 		t.Fatalf("live entry damaged: %d,%v", v, ok)

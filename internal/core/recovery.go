@@ -52,8 +52,9 @@ type RecoveryStats struct {
 // sweep would free its siblings' nodes as leaks.
 type Recoverer interface {
 	// Prepare restores volatile acceleration state (e.g. the skip list
-	// index) and may pre-compute reachability against the active areas.
-	// Called once, single-threaded, before any Keep call.
+	// index) and may pre-compute reachability against the active areas
+	// (every area when areaSet is nil). Called once, single-threaded,
+	// before any Keep call.
 	Prepare(c *Ctx, areaSet map[Addr]bool)
 	// Keep reports whether the allocated object at n is a live node of this
 	// structure, helping any pending operation it encounters along the way.
@@ -229,7 +230,7 @@ func RecoverList(s *Store, l *List, par int) RecoveryStats {
 
 // collectChain walks one Harris chain from head, quiescently unlinking (and
 // immediately freeing) logically deleted nodes, and records the reachable
-// addresses that fall inside active areas.
+// addresses that fall inside active areas (every one if areaSet is nil).
 func collectChain(c *Ctx, s *Store, head Addr, areaSet map[Addr]bool, reachable map[Addr]bool) {
 	dev := s.dev
 	pred := head
@@ -245,7 +246,7 @@ func collectChain(c *Ctx, s *Store, head Addr, areaSet map[Addr]bool, reachable 
 			}
 			continue
 		}
-		if areaSet[s.mgr.AreaOf(curr)] {
+		if areaSet == nil || areaSet[s.mgr.AreaOf(curr)] {
 			reachable[curr] = true
 		}
 		if s.nodeKey(curr) == ^uint64(0) {

@@ -8,26 +8,6 @@ import (
 	"repro/internal/nvram"
 )
 
-// leakCheck verifies that after recovery, every allocated object in every
-// active area is reachable from one of the structures.
-func leakCheck(t *testing.T, s *Store, keep func(c *Ctx, n Addr) bool) {
-	t.Helper()
-	c := s.recoveryCtx(0)
-	defer s.endRecovery()
-	var objs []Addr
-	for _, a := range s.mgr.ActiveAreas() {
-		objs = s.mgr.AllocatedInArea(objs, a)
-	}
-	for _, n := range objs {
-		if !s.pool.SlotAllocated(n) {
-			continue
-		}
-		if !keep(c, n) {
-			t.Fatalf("leak survived recovery: object %#x (key %d)", n, s.dev.Load(n))
-		}
-	}
-}
-
 // crashAndAttach simulates a power failure (with random partial cache
 // eviction) and reopens the store.
 func crashAndAttach(t *testing.T, dev *nvram.Device, seed int64) *Store {
@@ -140,7 +120,7 @@ func TestRecoverHashAfterCrash(t *testing.T) {
 			}
 			c2 := s2.MustCtx(0)
 			checkDurableLinearizability(t, h2, c2, mustHave, mustNot)
-			leakCheck(t, s2, hashRecover{h2}.Keep)
+			auditSlots(t, s2, h2.Recoverer())
 		})
 	}
 }
@@ -157,6 +137,7 @@ func TestRecoverListAfterCrash(t *testing.T) {
 	RecoverList(s2, l2, 2)
 	c2 := s2.MustCtx(0)
 	checkDurableLinearizability(t, l2, c2, mustHave, mustNot)
+	auditSlots(t, s2, l2.Recoverer())
 	// After list recovery, no marked node may remain anywhere.
 	prev := uint64(0)
 	l2.Range(c2, func(k, v uint64) bool {
@@ -183,7 +164,7 @@ func TestRecoverSkipListAfterCrash(t *testing.T) {
 			RecoverSkipList(s2, sl2, 2)
 			c2 := s2.MustCtx(0)
 			checkDurableLinearizability(t, sl2, c2, mustHave, mustNot)
-			leakCheck(t, s2, skipRecover{sl2}.Keep)
+			auditSlots(t, s2, sl2.Recoverer())
 		})
 	}
 }
@@ -203,7 +184,7 @@ func TestRecoverBSTAfterCrash(t *testing.T) {
 			RecoverBST(s2, bt2, 2)
 			c2 := s2.MustCtx(0)
 			checkDurableLinearizability(t, bt2, c2, mustHave, mustNot)
-			leakCheck(t, s2, bstRecover{bt2}.Keep)
+			auditSlots(t, s2, bt2.Recoverer())
 		})
 	}
 }
@@ -391,5 +372,5 @@ func TestAdversarialAutoEviction(t *testing.T) {
 	RecoverHashTable(s2, h2, 2)
 	c2 := s2.MustCtx(0)
 	checkDurableLinearizability(t, h2, c2, mustHave, mustNot)
-	leakCheck(t, s2, hashRecover{h2}.Keep)
+	auditSlots(t, s2, h2.Recoverer())
 }

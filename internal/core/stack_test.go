@@ -106,6 +106,7 @@ func TestStackDurableAcrossCrash(t *testing.T) {
 	s2, _ := AttachStore(dev)
 	st2 := AttachStack(s2, st.Descriptor())
 	RecoverStack(s2, st2, 2)
+	auditSlots(t, s2, st2.Recoverer())
 	c2 := s2.MustCtx(0)
 	for v := uint64(150); v >= 1; v-- {
 		got, ok := st2.Pop(c2)
@@ -138,6 +139,7 @@ func TestStackRecoveryFreesOrphan(t *testing.T) {
 	if stats.Leaked == 0 {
 		t.Fatal("orphan stack node not freed")
 	}
+	auditSlots(t, s2, st2.Recoverer())
 	c2 := s2.MustCtx(0)
 	if v, ok := st2.Pop(c2); !ok || v != 7 {
 		t.Fatalf("live entry damaged: %d,%v", v, ok)

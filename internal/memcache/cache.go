@@ -307,7 +307,7 @@ type Stats struct {
 	Gets, Sets, Deletes uint64
 	Hits, Misses        uint64
 	Evictions           uint64
-	Expired             uint64 // due items removed by the expiry sweep or the eviction hand
+	Expired             uint64 // due items the crawler removed, fetched or not (`crawler_reclaimed`)
 	Items               int64
 
 	// Wire-compatibility counters (PR 7).

@@ -238,7 +238,7 @@ func TestReplStatsConformance(t *testing.T) {
 				"STAT get_hits 0\r\nSTAT get_misses 0\r\n" +
 				"STAT cas_hits 0\r\nSTAT cas_badval 0\r\nSTAT cas_misses 0\r\n" +
 				"STAT evictions 0\r\nSTAT evictions_bytes 0\r\n" +
-				"STAT expired_unfetched 0\r\nSTAT curr_items 0\r\n" +
+				"STAT crawler_reclaimed 0\r\nSTAT curr_items 0\r\n" +
 				"STAT grow_count 0\r\n" +
 				fmt.Sprintf("STAT pool_bytes_total %d\r\nSTAT pool_bytes_used %d\r\n",
 					st.PoolBytesTotal, st.PoolBytesUsed) +
@@ -288,10 +288,11 @@ func TestCapacityStatsBinary(t *testing.T) {
 				rows[string(body[:keyLen])] = string(body[keyLen:])
 			}
 			want := map[string]string{
-				"evictions_bytes":  "0",
-				"grow_count":       "0",
-				"pool_bytes_total": fmt.Sprint(st.PoolBytesTotal),
-				"pool_bytes_used":  fmt.Sprint(st.PoolBytesUsed),
+				"evictions_bytes":   "0",
+				"crawler_reclaimed": "0",
+				"grow_count":        "0",
+				"pool_bytes_total":  fmt.Sprint(st.PoolBytesTotal),
+				"pool_bytes_used":   fmt.Sprint(st.PoolBytesUsed),
 			}
 			for k, w := range want {
 				if rows[k] != w {

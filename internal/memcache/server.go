@@ -290,7 +290,7 @@ func (st Stats) rows() []statRow {
 		row("cas_misses", st.CasMisses),
 		row("evictions", st.Evictions),
 		row("evictions_bytes", st.EvictionsBytes),
-		row("expired_unfetched", st.Expired),
+		row("crawler_reclaimed", st.Expired),
 		row("curr_items", uint64(st.Items)),
 		row("grow_count", st.GrowCount),
 		row("pool_bytes_total", st.PoolBytesTotal),

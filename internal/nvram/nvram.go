@@ -31,12 +31,12 @@
 // image, big-endian ones a word at a time.
 //
 // Latency model: following the paper's methodology (§6.1), the cost of
-// persistence is injected as one calibrated pause per *batch* of write-backs,
+// persistence is injected as one pause per *batch* of write-backs,
 // at the Fence that completes them. Multiple CLWBs issued before a single
 // Fence therefore cost one NVRAM write latency, mirroring the parallelism of
-// clwb on real hardware. The pause (Wait) spins a count of iterations priced
-// by a rate measured once per process, so it costs the modeled latency and
-// not that plus a clock read per loop turn.
+// clwb on real hardware. The pause (Wait) spins a fixed count of iterations
+// (see spinsPerMicrosecond): it costs the modeled latency on the benchmark's
+// reference machine and scales with the host like any other work.
 //
 // Each cache line has one word beside the images (Device.lines): bit 0
 // flags it dirty, bit 1 locks it while a write-back copies it. A store reads
@@ -977,7 +977,9 @@ type LatencyRow struct {
 // LatencyTable reproduces Table 1 of the paper: projected latencies for the
 // memory hierarchy the evaluation models. The simulator's default
 // WriteLatency (125ns) is the paper's assumed NVRAM write latency, an
-// average of the PCM and Memristor projections.
+// average of the PCM and Memristor projections; it is the only latency the
+// simulator charges, as a fixed-work pause per fence (Wait), and the other
+// rows are the host's own.
 var LatencyTable = []LatencyRow{
 	{"L1", 2, 2},
 	{"L2", 6, 6},
@@ -988,4 +990,21 @@ var LatencyTable = []LatencyRow{
 }
 
 // DefaultWriteLatency is the NVRAM write latency assumed by the paper (§6.1).
+// A fence with pending write-backs pays it once, as spinCount's fixed number
+// of iterations: 125 ns on the benchmark's reference machine, and
+// proportionally more or less on a slower or faster host.
 const DefaultWriteLatency = 125 * time.Nanosecond
+
+// spinsPerMicrosecond prices a simulated pause (Wait) as a fixed amount of
+// work: 1 µs is this many iterations of spin, K = 1.479 per nanosecond, so
+// DefaultWriteLatency is 184 iterations. K is spin's rate on the benchmark's
+// reference machine, the one on which benchmark/reference.go's unit of work
+// runs refUnit = 5e6 iterations per second: K = r × refUnit / 1e9, where
+// r = 295.8 is the ratio of spin iterations per second (in spinChunk calls)
+// to reference iterations per second, measured on a 2-vCPU shared x86-64
+// runner (Go 1.24, linux/amd64) by 16 processes, each alternating ~100 ms
+// of one with ~100 ms of the other 30 times; r is the median of the 480
+// ratios (quartiles 235 and 344, per-process medians 215–351). The
+// benchmark reports timed rows at the reference machine's speed, so a pause
+// of fixed work is scaled out together with every other cost.
+const spinsPerMicrosecond = 1479

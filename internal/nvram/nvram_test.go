@@ -307,47 +307,50 @@ func TestQuickStoreSyncCrashPreserves(t *testing.T) {
 	}
 }
 
+// TestWaitApproximatesDuration holds Wait(500µs) to 500 µs of the
+// reference machine's work: exactly 500 × spinsPerMicrosecond iterations,
+// 500 times a 1 µs pause, whatever the host's speed. A fixed count promises
+// no wall time on this host, so none is read.
 func TestWaitApproximatesDuration(t *testing.T) {
-	start := time.Now()
-	Wait(500 * time.Microsecond)
-	el := time.Since(start)
-	if el < 400*time.Microsecond {
-		t.Fatalf("Wait(500µs) returned after %v", el)
+	const d = 500 * time.Microsecond
+	if got, want := spinCount(d), uint64(500*spinsPerMicrosecond); got != want {
+		t.Fatalf("spinCount(%v) = %d, want %d", d, got, want)
 	}
+	if got, want := spinCount(d), 500*spinCount(time.Microsecond); got != want {
+		t.Fatalf("spinCount(%v) = %d, want 500 × spinCount(1µs) = %d", d, got, want)
+	}
+	Wait(d)
 }
 
-// TestWaitCalibrated holds the model's pause to its price: right after a
-// calibration, the fastest of ten batches of 10⁵ Wait(125ns) averages within
-// ±20 % of 125 ns. The fastest batch keeps a batch the scheduler interrupted
-// from counting. On a shared host the cores also change speed, by up to 2×
-// within a second, which no calibration made once can follow: on a 2-vCPU
-// runner one attempt in five left the band, and in a noisy hour one in two.
-// So an attempt out of the band is made again, after a fresh calibration,
-// up to ten times. A pause priced by a clock read per loop turn measured
-// 228–238 ns on that runner, in every attempt.
+// TestWaitCalibrated holds the pause to its price, K = r × refUnit / 1e9
+// iterations per nanosecond (r = 295.8 measured against the benchmark's
+// reference unit, refUnit = 5e6 iterations per second): Wait(d) spins
+// d × K iterations, none for d ≤ 0, and spin really runs them.
 func TestWaitCalibrated(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector adds a cost to every call that a 125 ns pause cannot absorb")
+	const r, refUnit = 295.8, 5e6
+	if want := uint64(r * refUnit / 1e6); spinsPerMicrosecond != want {
+		t.Fatalf("spinsPerMicrosecond = %d, want r × refUnit / 1e6 = %d", spinsPerMicrosecond, want)
 	}
-	const pause, lo, hi = 125 * time.Nanosecond, 100 * time.Nanosecond, 150 * time.Nanosecond
-	var attempts []time.Duration
-	for range 10 {
-		spinRate = sync.OnceValue(calibrateSpin)
-		spinRate()
-		best := time.Duration(1<<63 - 1)
-		for range 10 {
-			start := time.Now()
-			for range 100_000 {
-				Wait(pause)
-			}
-			best = min(best, time.Since(start)/100_000)
-		}
-		if attempts = append(attempts, best); lo <= best && best <= hi {
-			t.Logf("Wait(%v) averages %v over the fastest batch (attempts %v)", pause, best, attempts)
-			return
+	for _, c := range []struct {
+		d    time.Duration
+		want uint64
+	}{
+		{-time.Nanosecond, 0},
+		{0, 0},
+		{time.Nanosecond, 1},
+		{DefaultWriteLatency, 184},
+		{time.Microsecond, spinsPerMicrosecond},
+	} {
+		if got := spinCount(c.d); got != c.want {
+			t.Errorf("spinCount(%v) = %d, want %d", c.d, got, c.want)
 		}
 	}
-	t.Fatalf("Wait(%v) averages %v over the fastest batch of each attempt, want within [%v, %v]", pause, attempts, lo, hi)
+	for _, n := range []uint64{1, 184, spinChunk} {
+		if got, want := spin(n), n*(n-1)/2; got != want {
+			t.Errorf("spin(%d) = %d, want %d", n, got, want)
+		}
+	}
+	Wait(DefaultWriteLatency)
 }
 
 func TestLatencyTableShape(t *testing.T) {

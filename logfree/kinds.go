@@ -155,7 +155,7 @@ func (r *Runtime) AuditHeap() (entries int, err error) {
 	for i, p := range r.parts {
 		c := p.acquire()
 		rs, _ := p.recoverers(c)
-		n, err := core.AuditHeap(c, rs)
+		_, n, err := core.AuditHeap(c, rs)
 		p.release(c)
 		entries += n
 		if err != nil {
