@@ -153,22 +153,26 @@ type Pool struct {
 	// on every storing cache command.
 	nfree atomic.Int64
 
-	// partial tracks unowned pages with free slots, per class, lowest
-	// address on top. Allocation prefers them over carving, mimicking
-	// jemalloc's bin reuse: freed memory is promptly reallocated, which
-	// packs the live set into few pages — the allocation/deallocation
-	// locality NV-epochs exploits (§5.1). Deletion is lazy: a page that
-	// empties only loses its flagPartial bit, and getPage drops the entry
-	// when it surfaces. A page is pushed only while it has no live entry, and
-	// can change class only once its old class's heap has drained, so no heap
-	// ever holds a page twice.
+	// partial tracks unowned pages worth taking (worthTaking: at least a
+	// quarter of their slots free), per class, lowest address on top.
+	// Allocation prefers them over carving, mimicking jemalloc's bin reuse:
+	// freed memory is promptly reallocated, which packs the live set into
+	// few pages — the allocation/deallocation locality NV-epochs exploits
+	// (§5.1). A page is registered when it becomes worth taking: by the free
+	// that crosses the quarter, by unpin, or by Attach. A thinner page stays
+	// out, since getPage would only pop and drop it. Deletion is lazy: a
+	// page that empties, fills, or is adopted and left thin keeps its entry,
+	// and getPage drops the entry when it surfaces. A page is pushed only
+	// while it has no live entry, and can change class only once its old
+	// class's heap has drained, so no heap ever holds a page twice.
 	partial [NumClasses]pageHeap
 
 	// pageFlags holds one word per device page (flagPartial | flagFree
 	// membership bits). Mutations happen under mu; the atomic loads give
-	// the free path a lock-free "already registered" fast check — frees
-	// cluster on hot partial pages, so most notePartial calls return
-	// without touching the pool lock.
+	// the free path a lock-free check. A free into a registered page, or one
+	// that leaves its page thin, returns without touching the pool lock: only
+	// the one free that makes an unregistered page worth taking locks to push
+	// it.
 	pageFlags []atomic.Uint32
 
 	// capacity mirrors the pool's durably committed size (hdrSizeOff). It
@@ -246,6 +250,15 @@ func (h *pageHeap) pop() Addr {
 	}
 	*h = s
 	return top
+}
+
+// worthTaking reports whether a page of class cl with allocation bitmap bm
+// has enough free slots to be handed to a context: at least a quarter of
+// them, and at least one. A thinner page would force another page switch
+// (and a likely APT miss) within a few allocations.
+func worthTaking(cl Class, bm uint64) bool {
+	free := slotsPerPage[cl] - uint64(bits.OnesCount64(bm))
+	return free > 0 && free >= slotsPerPage[cl]/4
 }
 
 // flag returns the membership word of the page containing a.
@@ -332,7 +345,7 @@ func Attach(dev *nvram.Device) (*Pool, error) {
 		bm := dev.Load(page + headerBitmapOff)
 		if bm == 0 {
 			p.pushFree(page)
-		} else if bm != (uint64(1)<<slotsPerPage[cls])-1 {
+		} else if worthTaking(Class(cls), bm) {
 			p.partial[cls].push(page)
 			p.flag(page).Store(flagPartial)
 		}
@@ -407,14 +420,10 @@ func (p *Pool) getPage(f *nvram.Flusher, c Class) (Addr, error) {
 		if p.pinned[page] > 0 {
 			continue // owned by another context; slot races are not allowed
 		}
-		bm := p.dev.Load(page + headerBitmapOff)
-		if bm == (uint64(1)<<slotsPerPage[c])-1 {
-			continue // filled up meanwhile
-		}
-		if free := slotsPerPage[c] - uint64(bits.OnesCount64(bm)); free < slotsPerPage[c]/4 {
-			// Too thin: taking it would force another page switch (and a
-			// likely APT miss) within a few allocations. Leave it out of the
-			// heap; its next free re-registers it with more slots.
+		if !worthTaking(c, p.dev.Load(page+headerBitmapOff)) {
+			// Filled up or left thin while an adopting context owned it.
+			// Leave it out of the heap; the free that makes it worth taking
+			// again re-registers it.
 			continue
 		}
 		p.pinned[page]++
@@ -477,7 +486,7 @@ func (p *Pool) unpin(page Addr) {
 			p.pushFree(page)
 		default:
 			if cl, ok := p.PageClass(page); ok && p.flag(page).Load()&flagPartial == 0 &&
-				bm != (uint64(1)<<slotsPerPage[cl])-1 {
+				worthTaking(cl, bm) {
 				p.partial[cl].push(page)
 				p.flag(page).Store(p.flag(page).Load() | flagPartial)
 			}
@@ -767,30 +776,8 @@ func (c *Ctx) Alloc(cl Class) (Addr, error) {
 // slot is already free. Recovery sweeps use it: parallel recovery contexts
 // may race to free the same leaked object, and exactly one must win.
 func (c *Ctx) TryFree(a Addr) bool {
-	page := PageOf(a)
-	cl, ok := c.p.PageClass(page)
-	if !ok {
-		return false
-	}
-	slot := slotOf(page, a, cl)
-	for {
-		bm := c.p.dev.Load(page + headerBitmapOff)
-		if bm&(1<<slot) == 0 {
-			return false
-		}
-		if c.p.dev.CAS(page+headerBitmapOff, bm, bm&^(1<<slot)) {
-			if bm&^(1<<slot) == 0 {
-				c.maybeRecycle(page)
-			} else {
-				c.p.notePartial(page, cl)
-			}
-			if !c.p.volatileMode {
-				c.f.CLWB(page + headerBitmapOff)
-			}
-			c.p.statFrees.Add(1)
-			return true
-		}
-	}
+	cl, ok := c.p.PageClass(PageOf(a))
+	return ok && c.free(a, cl)
 }
 
 // Free marks the object at a free in its page's durable bitmap. The
@@ -798,22 +785,30 @@ func (c *Ctx) TryFree(a Addr) bool {
 // epoch reclaimer fences once per batch of frees (§5.3). Any context may
 // free objects allocated by any other.
 func (c *Ctx) Free(a Addr) {
-	page := PageOf(a)
-	cl, ok := c.p.PageClass(page)
+	cl, ok := c.p.PageClass(PageOf(a))
 	if !ok {
 		panic(fmt.Sprintf("pmem: Free of non-heap address %#x", a))
 	}
+	if !c.free(a, cl) {
+		panic(fmt.Sprintf("pmem: double free at %#x", a))
+	}
+}
+
+// free clears a's bit in its page's bitmap, a page of class cl, and reports
+// false if the slot was already free.
+func (c *Ctx) free(a Addr, cl Class) bool {
+	page := PageOf(a)
 	slot := slotOf(page, a, cl)
 	for {
 		bm := c.p.dev.Load(page + headerBitmapOff)
 		if bm&(1<<slot) == 0 {
-			panic(fmt.Sprintf("pmem: double free at %#x", a))
+			return false
 		}
-		if c.p.dev.CAS(page+headerBitmapOff, bm, bm&^(1<<slot)) {
-			if bm&^(1<<slot) == 0 {
+		if left := bm &^ (1 << slot); c.p.dev.CAS(page+headerBitmapOff, bm, left) {
+			if left == 0 {
 				c.maybeRecycle(page)
 			} else {
-				c.p.notePartial(page, cl)
+				c.p.notePartial(page, cl, left)
 			}
 			break
 		}
@@ -822,6 +817,7 @@ func (c *Ctx) Free(a Addr) {
 		c.f.CLWB(page + headerBitmapOff)
 	}
 	c.p.statFrees.Add(1)
+	return true
 }
 
 func (c *Ctx) maybeRecycle(page Addr) {
@@ -835,14 +831,17 @@ func (c *Ctx) maybeRecycle(page Addr) {
 	p.mu.Unlock()
 }
 
-// notePartial records that page has at least one free slot, making it a
-// preferred allocation target (prompt reuse).
-func (p *Pool) notePartial(page Addr, cl Class) {
-	if p.flag(page).Load()&(flagPartial|flagFree) != 0 {
-		return // already registered; steady-state frees take this path
+// notePartial registers page, whose bitmap a free just left at bm, as a
+// preferred allocation target (prompt reuse) once it is worth taking.
+func (p *Pool) notePartial(page Addr, cl Class, bm uint64) {
+	if p.flag(page).Load()&(flagPartial|flagFree) != 0 || !worthTaking(cl, bm) {
+		return // already registered, or too thin for getPage to take
 	}
 	p.mu.Lock()
-	if p.flag(page).Load()&(flagPartial|flagFree) == 0 && p.pinned[page] == 0 {
+	// Unowned, the page's bitmap only loses bits, so a fresh load is at least
+	// as worth taking as bm unless an owner allocated from it meanwhile.
+	if p.flag(page).Load()&(flagPartial|flagFree) == 0 && p.pinned[page] == 0 &&
+		worthTaking(cl, p.dev.Load(page+headerBitmapOff)) {
 		p.partial[cl].push(page)
 		p.flag(page).Store(p.flag(page).Load() | flagPartial)
 	}
@@ -868,14 +867,8 @@ func (c *Ctx) Adopt(page Addr) {
 	now, _ := c.p.PageClass(page)
 	if c.p.pinned[page] > 0 || // owned: co-ownership would race on slots
 		now != cl || // recycled for another class since the caller looked
-		bm == (uint64(1)<<slotsPerPage[cl])-1 || // full: nothing to reuse
-		bm == 0 { // empty: it is (or is about to be) on the free list
-		c.p.mu.Unlock()
-		return
-	}
-	if free := slotsPerPage[cl] - uint64(bits.OnesCount64(bm)); free < slotsPerPage[cl]/4 {
-		// Too thin: switching the current page for a handful of slots
-		// costs an APT miss per switch (see getPage).
+		bm == 0 || // empty: it is (or is about to be) on the free list
+		!worthTaking(cl, bm) { // full or thin: a switch for a handful of slots costs an APT miss
 		c.p.mu.Unlock()
 		return
 	}

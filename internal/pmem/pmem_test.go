@@ -568,3 +568,67 @@ func TestAttachRefusesOtherLayoutVersion(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialHeapHoldsPagesWorthTaking checks the partial-page heap's
+// registration rule: after single frees into full pages, the heap holds
+// exactly the unowned pages with at least a quarter of their slots free, so
+// every getPage takes the first entry it pops. A page a free leaves thinner
+// is not registered: getPage would only pop and drop it.
+func TestPartialHeapHoldsPagesWorthTaking(t *testing.T) {
+	p := newPool(t, 1<<22)
+	c := classOf(t, 128)
+	n := int(slotsPerPage[c])
+	const pages = 200
+	ctx := p.NewCtx(p.Device().NewFlusher())
+	var addrs []Addr
+	for i := 0; i < pages*n; i++ {
+		a, err := ctx.Alloc(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+	}
+	ctx.Release()
+	if got := len(p.partial[c]); got != 0 {
+		t.Fatalf("%d heap entries after filling %d pages, want 0", got, pages)
+	}
+
+	freer := p.NewCtx(p.Device().NewFlusher())
+	rng := rand.New(rand.NewSource(49))
+	freed := map[Addr]int{}
+	for _, a := range addrs {
+		if rng.Intn(100) < 15 {
+			freer.Free(a)
+			freed[PageOf(a)]++
+		}
+	}
+	worth := map[Addr]bool{}
+	for page, k := range freed {
+		if k >= n/4 && k < n {
+			worth[page] = true
+		}
+	}
+	if len(worth) == 0 || len(worth) == len(freed) {
+		t.Fatalf("%d of %d pages freed into are worth taking: the script tests nothing", len(worth), len(freed))
+	}
+	if got := len(p.partial[c]); got != len(worth) {
+		t.Fatalf("heap holds %d pages, %d of the %d pages freed into are worth taking", got, len(worth), len(freed))
+	}
+
+	f := p.Device().NewFlusher()
+	last := Addr(0)
+	for len(p.partial[c]) > 0 {
+		before := len(p.partial[c])
+		page, err := p.getPage(f, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(p.partial[c]); got != before-1 {
+			t.Fatalf("getPage popped %d entries to take one page", before-got)
+		}
+		if !worth[page] || page <= last {
+			t.Fatalf("getPage took %#x after %#x: want the next page worth taking in address order", page, last)
+		}
+		last = page
+	}
+}
