@@ -147,7 +147,6 @@ type Pool struct {
 	mu        sync.Mutex
 	freePages []Addr         // recycled, currently empty pages
 	hdrFl     *nvram.Flusher // used only under mu for carve-pointer syncs
-	pinned    map[Addr]int   // page -> #contexts using it as current
 
 	// nfree mirrors len(freePages) so AvailableBytes needs no lock: it runs
 	// on every storing cache command.
@@ -167,12 +166,14 @@ type Pool struct {
 	// class's heap has drained, so no heap ever holds a page twice.
 	partial [NumClasses]pageHeap
 
-	// pageFlags holds one word per device page (flagPartial | flagFree
-	// membership bits). Mutations happen under mu; the atomic loads give
-	// the free path a lock-free check. A free into a registered page, or one
+	// pageFlags holds one word per device page: the flagPartial and
+	// flagFree membership bits, and flagOwned. Membership changes and
+	// setting flagOwned happen under mu; the owner clears flagOwned without
+	// it, so every change is an atomic And/Or, and the free path and unpin
+	// check the word without the lock. A free into a registered page, or one
 	// that leaves its page thin, returns without touching the pool lock: only
 	// the one free that makes an unregistered page worth taking locks to push
-	// it.
+	// it. So does unpin for a page that is neither empty nor worth taking.
 	pageFlags []atomic.Uint32
 
 	// capacity mirrors the pool's durably committed size (hdrSizeOff). It
@@ -200,6 +201,7 @@ func (p *Pool) SetVolatile(on bool) { p.volatileMode = on }
 const (
 	flagPartial = 1 << 0 // page is in the partial list of its class
 	flagFree    = 1 << 1 // page is in the free-page list
+	flagOwned   = 1 << 2 // page is some context's current page for its class
 )
 
 func newPoolShell(dev *nvram.Device) *Pool {
@@ -208,7 +210,6 @@ func newPoolShell(dev *nvram.Device) *Pool {
 	return &Pool{
 		dev:       dev,
 		hdrFl:     dev.NewFlusher(),
-		pinned:    make(map[Addr]int),
 		pageFlags: make([]atomic.Uint32, dev.Reserve()/PageSize+1),
 	}
 }
@@ -264,8 +265,21 @@ func worthTaking(cl Class, bm uint64) bool {
 // flag returns the membership word of the page containing a.
 func (p *Pool) flag(page Addr) *atomic.Uint32 { return &p.pageFlags[page/PageSize] }
 
-// pushFree adds page to the empty-page list exactly once. Callers hold mu.
-// The owner's unpin and a remote freer's maybeRecycle can both legitimately
+// owned reports whether page is some context's current page.
+func (p *Pool) owned(page Addr) bool { return p.flag(page).Load()&flagOwned != 0 }
+
+// pin makes page its caller's current page. Called with mu held. A page has
+// at most one owner: co-owners would race on its slots.
+func (p *Pool) pin(page Addr) {
+	if p.owned(page) {
+		panic(fmt.Sprintf("pmem: page %#x pinned by two contexts", page))
+	}
+	p.flag(page).Or(flagOwned)
+}
+
+// pushFree adds page, which no context owns, to the empty-page list exactly
+// once. Callers hold mu.
+// The owner's unpin and a remote freer's recycle can both legitimately
 // conclude "empty and unpinned" for the same page; without membership
 // de-duplication the page would be handed to two contexts, which then race
 // on slot allocation and corrupt two structures at once.
@@ -416,8 +430,8 @@ func (p *Pool) getPage(f *nvram.Flusher, c Class) (Addr, error) {
 		if cl, ok := p.PageClass(page); !ok || cl != c {
 			continue // stale entry: the page serves another class now, and is registered there
 		}
-		p.flag(page).Store(p.flag(page).Load() &^ flagPartial)
-		if p.pinned[page] > 0 {
+		p.flag(page).And(^uint32(flagPartial))
+		if p.owned(page) {
 			continue // owned by another context; slot races are not allowed
 		}
 		if !worthTaking(c, p.dev.Load(page+headerBitmapOff)) {
@@ -426,7 +440,7 @@ func (p *Pool) getPage(f *nvram.Flusher, c Class) (Addr, error) {
 			// again re-registers it.
 			continue
 		}
-		p.pinned[page]++
+		p.pin(page)
 		p.statAcqPartial.Add(1)
 		p.mu.Unlock()
 		return page, nil
@@ -446,15 +460,15 @@ func (p *Pool) getPage(f *nvram.Flusher, c Class) (Addr, error) {
 		cand := p.freePages[n-1]
 		p.freePages = p.freePages[:n-1]
 		p.nfree.Add(-1)
-		p.flag(cand).Store(p.flag(cand).Load() &^ flagFree)
+		p.flag(cand).And(^uint32(flagFree))
 		// Defense in depth: only truly empty, unowned pages are usable.
-		if p.pinned[cand] > 0 || p.dev.Load(cand+headerBitmapOff) != 0 {
+		if p.owned(cand) || p.dev.Load(cand+headerBitmapOff) != 0 {
 			continue
 		}
 		page = cand
 		p.statAcqFree.Add(1)
 	}
-	p.pinned[page]++
+	p.pin(page)
 	p.mu.Unlock()
 
 	if bm := p.dev.Load(page + headerBitmapOff); bm != 0 {
@@ -470,29 +484,24 @@ func (p *Pool) getPage(f *nvram.Flusher, c Class) (Addr, error) {
 	return page, nil
 }
 
-// unpin releases a context's claim on page; if the page is empty and
-// unclaimed it becomes recyclable.
+// unpin releases a context's claim on page: an empty page becomes
+// recyclable, and one worth taking is registered. Either takes the lock; a
+// page that is neither stays out, and the free that changes that registers
+// it. The claim is dropped before the bitmap is read, and a free reads the
+// flag after changing the bitmap, so one of the two sees the other's write.
 func (p *Pool) unpin(page Addr) {
 	if page == 0 {
 		return
 	}
-	p.mu.Lock()
-	p.pinned[page]--
-	if p.pinned[page] <= 0 {
-		delete(p.pinned, page)
-		bm := p.dev.Load(page + headerBitmapOff)
-		switch {
-		case bm == 0:
-			p.pushFree(page)
-		default:
-			if cl, ok := p.PageClass(page); ok && p.flag(page).Load()&flagPartial == 0 &&
-				worthTaking(cl, bm) {
-				p.partial[cl].push(page)
-				p.flag(page).Store(p.flag(page).Load() | flagPartial)
-			}
-		}
+	if !p.owned(page) {
+		panic(fmt.Sprintf("pmem: unpin of unowned page %#x", page))
 	}
-	p.mu.Unlock()
+	p.flag(page).And(^uint32(flagOwned))
+	if bm := p.dev.Load(page + headerBitmapOff); bm == 0 {
+		p.recycle(page)
+	} else if cl, ok := p.PageClass(page); ok {
+		p.notePartial(page, cl, bm)
+	}
 }
 
 // AllocRegion carves a never-recycled region of at least bytes bytes and
@@ -806,7 +815,7 @@ func (c *Ctx) free(a Addr, cl Class) bool {
 		}
 		if left := bm &^ (1 << slot); c.p.dev.CAS(page+headerBitmapOff, bm, left) {
 			if left == 0 {
-				c.maybeRecycle(page)
+				c.p.recycle(page)
 			} else {
 				c.p.notePartial(page, cl, left)
 			}
@@ -820,10 +829,11 @@ func (c *Ctx) free(a Addr, cl Class) bool {
 	return true
 }
 
-func (c *Ctx) maybeRecycle(page Addr) {
-	p := c.p
+// recycle puts page, whose bitmap was just seen empty, on the free-page list
+// unless a context owns it or allocated from it meanwhile.
+func (p *Pool) recycle(page Addr) {
 	p.mu.Lock()
-	if p.pinned[page] == 0 && p.dev.Load(page+headerBitmapOff) == 0 {
+	if !p.owned(page) && p.dev.Load(page+headerBitmapOff) == 0 {
 		// An empty page leaves the partial set (its heap entry goes stale
 		// and is skipped on pop) and becomes fully recyclable.
 		p.pushFree(page)
@@ -840,10 +850,10 @@ func (p *Pool) notePartial(page Addr, cl Class, bm uint64) {
 	p.mu.Lock()
 	// Unowned, the page's bitmap only loses bits, so a fresh load is at least
 	// as worth taking as bm unless an owner allocated from it meanwhile.
-	if p.flag(page).Load()&(flagPartial|flagFree) == 0 && p.pinned[page] == 0 &&
+	if p.flag(page).Load()&(flagPartial|flagFree|flagOwned) == 0 &&
 		worthTaking(cl, p.dev.Load(page+headerBitmapOff)) {
 		p.partial[cl].push(page)
-		p.flag(page).Store(p.flag(page).Load() | flagPartial)
+		p.flag(page).Or(flagPartial)
 	}
 	p.mu.Unlock()
 }
@@ -865,7 +875,7 @@ func (c *Ctx) Adopt(page Addr) {
 	// gets its new header from the context that already owns it), so this is
 	// where cl, read without the lock, is known to still be the page's.
 	now, _ := c.p.PageClass(page)
-	if c.p.pinned[page] > 0 || // owned: co-ownership would race on slots
+	if c.p.owned(page) || // owned: co-ownership would race on slots
 		now != cl || // recycled for another class since the caller looked
 		bm == 0 || // empty: it is (or is about to be) on the free list
 		!worthTaking(cl, bm) { // full or thin: a switch for a handful of slots costs an APT miss
@@ -875,7 +885,7 @@ func (c *Ctx) Adopt(page Addr) {
 	// The page's heap entry stays registered: getPage skips owned pages, and
 	// unpin re-registers only a page that lost its entry meanwhile — so an
 	// adopt/unpin cycle never leaves a second entry behind.
-	c.p.pinned[page]++
+	c.p.pin(page)
 	c.p.mu.Unlock()
 	old := c.cur[cl]
 	c.cur[cl] = page

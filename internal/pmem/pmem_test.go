@@ -493,7 +493,7 @@ func TestQuickAllocFreeInvariant(t *testing.T) {
 }
 
 // TestNoDoubleFreePageHandout is the regression test for a TOCTOU where the
-// owner's unpin and a remote freer's maybeRecycle both concluded "empty and
+// owner's unpin and a remote freer's recycle both concluded "empty and
 // unpinned" and appended the same page to the free list twice; two contexts
 // then co-owned the page and corrupted each other's slots. The workload
 // forces exactly that pattern: cross-thread frees that empty pages owned by

@@ -19,10 +19,11 @@
 //
 // Threading: there are no per-thread handles. Every method of every
 // structure is safe to call from any goroutine — each operation draws an
-// operation context from the runtime's lock-free pool and returns it when
-// done. The contexts are a fixed set, one per thread the store was formatted
-// for (WithMaxThreads), each with its own durable active page table (§5.4);
-// while all are out, an operation waits for one.
+// operation context from the runtime's pool, preferring the one its core
+// released last, and returns it when done. The contexts are a fixed set, one
+// per thread the store was formatted for (WithMaxThreads), each with its own
+// durable active page table (§5.4); while all are out, an operation waits for
+// one.
 //
 // Iteration: All, Items, Scan, Ascend and Descend return Go
 // range-over-func iterators (iter.Seq2). Each copies entries out a step at a

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/epoch"
 )
 
@@ -181,4 +182,67 @@ func TestDefaultContexts(t *testing.T) {
 		t.Fatalf("512 KiB runtime at GOMAXPROCS 64 has %d contexts, want %d", n, want)
 	}
 	rt.Close()
+}
+
+// TestContextsSurviveDroppedHints: a context whose hint a GC dropped is still
+// found in its slot. Every context is taken and then every one released,
+// with two GCs (which empty a sync.Pool) between the steps; each round takes
+// all of them without waiting and leaves none out.
+func TestContextsSurviveDroppedHints(t *testing.T) {
+	rt, err := New(WithSize(16<<20), WithMaxThreads(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	n := rt.Sessions()
+	for round := 0; round < 2; round++ {
+		held := make(map[int]bool)
+		var ctxs []*core.Ctx
+		for i := 0; i < n; i++ {
+			c := rt.pool.pop()
+			if c == nil {
+				t.Fatalf("round %d: context %d of %d not found idle", round, i+1, n)
+			}
+			if held[c.Tid()] {
+				t.Fatalf("round %d: context %d taken twice", round, c.Tid())
+			}
+			held[c.Tid()] = true
+			ctxs = append(ctxs, c)
+			runtime.GC()
+			runtime.GC()
+		}
+		if c := rt.pool.pop(); c != nil {
+			t.Fatalf("round %d: took context %d with all %d out", round, c.Tid(), n)
+		}
+		for _, c := range ctxs {
+			rt.release(c)
+			runtime.GC()
+			runtime.GC()
+		}
+		if out := rt.pool.out(); out != 0 {
+			t.Fatalf("round %d: %d contexts out after every one was released", round, out)
+		}
+	}
+}
+
+// TestLoneGoroutineUsesContextZero: operations from a single goroutine all
+// run on tid 0's context, the one that formatted the directory, whether or
+// not a GC dropped the pool's hints in between.
+func TestLoneGoroutineUsesContextZero(t *testing.T) {
+	rt, err := New(WithSize(16<<20), WithMaxThreads(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for i := 0; i < 1000; i++ {
+		c := rt.acquire()
+		tid := c.Tid()
+		rt.release(c)
+		if tid != 0 {
+			t.Fatalf("acquire %d ran on context %d, want 0", i, tid)
+		}
+		if i%50 == 0 {
+			runtime.GC()
+		}
+	}
 }

@@ -16,84 +16,77 @@ import (
 // its own durable active page table (§5.4). When every context is out, a
 // caller waits until one comes back.
 //
-// The pool is a Treiber stack over that set with a version-counted head, so
-// pops are ABA-safe without allocation: acquire and release are one CAS each
-// on the uncontended path.
-
-// Head word layout: the top context's tid+1 (0: the stack is empty), the
-// number of contexts out, and a version bumped by every pop and push. A store
-// has at most core.MaxThreadsLimit contexts, so both counts fit 16 bits.
-const (
-	headTopBits = 16
-	headOutBits = 16
-	headMask    = 1<<headTopBits - 1
-	headVerUnit = 1 << (headTopBits + headOutBits)
-)
+// The pool keeps each context in a slot of its own with an idle flag, and
+// remembers per core (per P, through a sync.Pool) the slot released there
+// last. An operation takes that slot if it is still idle, else the lowest
+// idle one, so on a core that runs operations back to back the same context
+// comes back, its page tables and epoch state still in that core's cache.
+// A hint that a GC drops costs nothing: the context stays idle in its slot.
 
 // slot is one context's place in the pool. Each is a cache line of its own:
-// a slot's link is written by whoever returns its context, most often the
-// goroutine that takes it next, and a shared line would bounce between all
-// of them on every release.
+// its flag is written by whoever takes or returns its context, and a shared
+// line would bounce between cores that use different contexts.
 type slot struct {
 	c    *core.Ctx
-	next atomic.Uint32 // while idle: tid+1 of the context below, 0 at the bottom
+	idle atomic.Bool
 	_    [64 - 12]byte
 }
 
-// ctxPool is the stack of idle operation contexts.
+// ctxPool is the set of idle operation contexts.
 type ctxPool struct {
-	slots []slot        // the fixed set, indexed by tid
-	head  atomic.Uint64 // see the head word layout above
-	wait  atomic.Int32  // callers parked in park
-	mu    sync.Mutex    // guards shut and the wake-ups
+	slots []slot       // the fixed set, indexed by tid
+	hint  sync.Pool    // *slot released last on this P
+	wait  atomic.Int32 // callers parked in park
+	mu    sync.Mutex   // guards shut and the wake-ups
 	wake  sync.Cond
 	shut  bool
 }
 
-// newCtxPool stacks every context of store with tid 0 on top, so a single
-// goroutine's operations all run on the context that formatted or recovered
-// the directory.
+// newCtxPool makes every context of store idle. With no hint the lowest idle
+// slot is taken, so a single goroutine's operations all run on tid 0's
+// context, the one that formatted or recovered the directory.
 func newCtxPool(store *core.Store) *ctxPool {
 	p := &ctxPool{slots: make([]slot, store.Options().MaxThreads)}
-	store.ForEachCtx(func(c *core.Ctx) { p.slots[c.Tid()].c = c })
-	for tid := 0; tid+1 < len(p.slots); tid++ {
-		p.slots[tid].next.Store(uint32(tid + 2))
-	}
-	p.head.Store(1)
+	store.ForEachCtx(func(c *core.Ctx) {
+		p.slots[c.Tid()].c = c
+		p.slots[c.Tid()].idle.Store(true)
+	})
 	p.wake.L = &p.mu
 	return p
 }
 
 // out reports how many contexts are taken.
-func (p *ctxPool) out() int { return int(p.head.Load() >> headTopBits & headMask) }
-
-// pop takes an idle context off the stack, or returns nil when none is idle.
-func (p *ctxPool) pop() *core.Ctx {
-	for {
-		h := p.head.Load()
-		top := h & headMask
-		if top == 0 {
-			return nil
+func (p *ctxPool) out() int {
+	n := 0
+	for i := range p.slots {
+		if !p.slots[i].idle.Load() {
+			n++
 		}
-		s := &p.slots[top-1]
-		if p.head.CompareAndSwap(h, h&^headMask+headVerUnit+1<<headTopBits|uint64(s.next.Load())) {
+	}
+	return n
+}
+
+// pop takes the context released last on this P if it is idle, else the
+// lowest idle one, or returns nil when none is idle.
+func (p *ctxPool) pop() *core.Ctx {
+	if s, _ := p.hint.Get().(*slot); s != nil && s.idle.CompareAndSwap(true, false) {
+		return s.c
+	}
+	for i := range p.slots {
+		if s := &p.slots[i]; s.idle.Load() && s.idle.CompareAndSwap(true, false) {
 			return s.c
 		}
 	}
+	return nil
 }
 
-// push returns a context to the stack and wakes a parked caller, if any.
+// push returns a context to the pool and wakes a parked caller, if any.
 func (p *ctxPool) push(c *core.Ctx) {
-	tid := uint64(c.Tid())
-	for {
-		h := p.head.Load()
-		p.slots[tid].next.Store(uint32(h & headMask))
-		if p.head.CompareAndSwap(h, h&^headMask+headVerUnit-1<<headTopBits|(tid+1)) {
-			break
-		}
-	}
-	// A caller parks after counting itself in wait and finding the stack
-	// empty, both under mu; it sees this push, or this load sees it.
+	s := &p.slots[c.Tid()]
+	s.idle.Store(true)
+	p.hint.Put(s)
+	// A caller parks after counting itself in wait and finding no slot idle,
+	// both under mu; it sees this flag, or this load sees it.
 	if p.wait.Load() != 0 {
 		p.mu.Lock()
 		p.wake.Signal()
